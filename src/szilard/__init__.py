@@ -15,10 +15,9 @@ from .barrier import BarrierStrength, EvenLevelSolution, even_levels, \
     gamma_ratio, odd_level
 from .ensembles import (BathPair, ChemicalPotentials, MuMode, Stage,
                         TruncationPolicy, canonical_stage_properties,
-                        canonical_work_N, chemical_potential,
-                        chemical_potentials, internal_energy,
-                        log_relative_partition, occupancy_total,
-                        relative_partition)
+                        chemical_potential, chemical_potentials,
+                        internal_energy, log_relative_partition,
+                        occupancy_total)
 from .cycle import CycleResult, Ensemble, Regime, carnot_bound, run_cycle
 from .sweeps import (Axis, RunManifest, SweepOutcome, SweepSpec,
                      ValidationReport, load_config, parse_quantity, preset,

@@ -47,7 +47,8 @@ class Regime(Enum):
 @dataclass(frozen=True)
 class CycleResult:
     """One full cycle.  Heats are named by their stroke; efficiency is None
-    whenever the heat supplied is not positive (nothing to divide by)."""
+    whenever the heat supplied is not positive (nothing to divide by).  The
+    grand-canonical route also returns the chemical potentials it solved."""
 
     work: float          # J
     q_insert: float      # J, isothermal insertion at the hot bath
@@ -58,6 +59,7 @@ class CycleResult:
     q_cold: float        # J, q_cool + q_remove
     efficiency: float    # dimensionless or None
     regime: Regime
+    mus: tuple = None    # (hot, cold) ChemicalPotentials; grand-canonical only
 
 
 def carnot_bound(baths):
@@ -66,20 +68,12 @@ def carnot_bound(baths):
 
 
 def _stage_terms(potential, ensemble, count, baths, mu_mode, policy):
-    """Per-bath log ratios and the four stage energies for every route."""
-    if ensemble is Ensemble.CANONICAL_N:
-        if not isinstance(potential, (Harmonic, PowerLaw)):
-            raise EnsembleMismatchError(
-                "the canonical cycle needs a harmonic or power-law trap")
-        log_a, u_a = canonical_stage_properties(
-            potential, Barrier.ABSENT, count, baths.hot, policy)
-        log_b, u_b = canonical_stage_properties(
-            potential, Barrier.INSERTED, count, baths.hot, policy)
-        log_c, u_c = canonical_stage_properties(
-            potential, Barrier.INSERTED, count, baths.cold, policy)
-        log_d, u_d = canonical_stage_properties(
-            potential, Barrier.ABSENT, count, baths.cold, policy)
-        return log_b - log_a, log_c - log_d, u_a, u_b, u_c, u_d
+    """Per-bath log ratios, the four stage energies and, for the
+    grand-canonical route, the (hot, cold) chemical potentials.
+
+    The canonical and Morse routes share the canonical stage sum; a Morse
+    well is its single-particle case on a bounded ladder.
+    """
     if ensemble is Ensemble.GRAND_BOSE:
         if not isinstance(potential, (Harmonic, PowerLaw)):
             raise EnsembleMismatchError(
@@ -88,24 +82,33 @@ def _stage_terms(potential, ensemble, count, baths, mu_mode, policy):
         mus_cold = chemical_potentials(potential, count, baths.cold, mu_mode, policy)
         l_hot = log_relative_partition(potential, mus_hot, baths.hot, policy)
         l_cold = log_relative_partition(potential, mus_cold, baths.cold, policy)
-        u_a = internal_energy(Stage.A, potential, mus_hot, baths, policy)
-        u_b = internal_energy(Stage.B, potential, mus_hot, baths, policy)
-        u_c = internal_energy(Stage.C, potential, mus_cold, baths, policy)
-        u_d = internal_energy(Stage.D, potential, mus_cold, baths, policy)
-        return l_hot, l_cold, u_a, u_b, u_c, u_d
-    if ensemble is Ensemble.MORSE_SINGLE:
+        energies = (internal_energy(Stage.A, potential, mus_hot, baths, policy),
+                    internal_energy(Stage.B, potential, mus_hot, baths, policy),
+                    internal_energy(Stage.C, potential, mus_cold, baths, policy),
+                    internal_energy(Stage.D, potential, mus_cold, baths, policy))
+        return l_hot, l_cold, energies, (mus_hot, mus_cold)
+    if ensemble is Ensemble.CANONICAL_N:
+        if not isinstance(potential, (Harmonic, PowerLaw)):
+            raise EnsembleMismatchError(
+                "the canonical cycle needs a harmonic or power-law trap")
+        if count < 1:
+            raise EnsembleMismatchError("particle count must be at least 1")
+    elif ensemble is Ensemble.MORSE_SINGLE:
         if not isinstance(potential, Morse):
             raise EnsembleMismatchError("this route is for Morse wells")
         if count != 1:
             raise EnsembleMismatchError("the Morse cycle is single-particle")
-        l_hot = log_relative_partition(potential, None, baths.hot, policy)
-        l_cold = log_relative_partition(potential, None, baths.cold, policy)
-        u_a = internal_energy(Stage.A, potential, None, baths, policy)
-        u_b = internal_energy(Stage.B, potential, None, baths, policy)
-        u_c = internal_energy(Stage.C, potential, None, baths, policy)
-        u_d = internal_energy(Stage.D, potential, None, baths, policy)
-        return l_hot, l_cold, u_a, u_b, u_c, u_d
-    raise EnsembleMismatchError(f"unknown ensemble {ensemble!r}")
+    else:
+        raise EnsembleMismatchError(f"unknown ensemble {ensemble!r}")
+    log_a, u_a = canonical_stage_properties(
+        potential, Barrier.ABSENT, count, baths.hot, policy)
+    log_b, u_b = canonical_stage_properties(
+        potential, Barrier.INSERTED, count, baths.hot, policy)
+    log_c, u_c = canonical_stage_properties(
+        potential, Barrier.INSERTED, count, baths.cold, policy)
+    log_d, u_d = canonical_stage_properties(
+        potential, Barrier.ABSENT, count, baths.cold, policy)
+    return log_b - log_a, log_c - log_d, (u_a, u_b, u_c, u_d), None
 
 
 def run_cycle(potential, ensemble, count, baths, policy=TruncationPolicy(),
@@ -117,7 +120,7 @@ def run_cycle(potential, ensemble, count, baths, policy=TruncationPolicy(),
     single-particle Morse efficiency to the no-logarithm variant of its
     heat-supplied denominator; the logarithmic form stays the default.
     """
-    l_hot, l_cold, u_a, u_b, u_c, u_d = _stage_terms(
+    l_hot, l_cold, (u_a, u_b, u_c, u_d), mus = _stage_terms(
         potential, ensemble, count, baths, mu_mode, policy)
     kt_h = K_B * baths.hot
     kt_c = K_B * baths.cold
@@ -156,4 +159,5 @@ def run_cycle(potential, ensemble, count, baths, policy=TruncationPolicy(),
 
     return CycleResult(work=work, q_insert=q_insert, q_cool=q_cool,
                        q_remove=q_remove, q_reheat=q_reheat, q_hot=q_hot,
-                       q_cold=q_cold, efficiency=efficiency, regime=regime)
+                       q_cold=q_cold, efficiency=efficiency, regime=regime,
+                       mus=mus)

@@ -8,7 +8,8 @@ Three statistical treatments share this module:
 * grand-canonical bosons with a chemical potential per barrier configuration,
   each bound to the temperature of the bath it serves;
 * the single-particle Morse cycle, which is canonical and needs no chemical
-  potential.
+  potential: its stage sums are the canonical ones at count 1, capped at the
+  bound-state ladder.
 
 Stage labels follow the cycle diagram: A = barrier absent at the hot bath,
 B = inserted at the hot bath, C = inserted at the cold bath, D = absent at
@@ -35,9 +36,8 @@ from .potentials import (Barrier, Harmonic, Morse, PowerLaw, Spectrum,
 
 __all__ = [
     "BathPair", "TruncationPolicy", "MuMode", "ChemicalPotentials", "Stage",
-    "canonical_work_N", "canonical_stage_properties", "chemical_potential",
-    "chemical_potentials", "occupancy_total", "relative_partition",
-    "log_relative_partition", "internal_energy",
+    "canonical_stage_properties", "chemical_potential", "chemical_potentials",
+    "occupancy_total", "log_relative_partition", "internal_energy",
 ]
 
 # exp(-x) beyond this is negligible against rel_tol with wide margin
@@ -58,8 +58,9 @@ class BathPair:
     cold: float
 
     def __post_init__(self):
-        if not (self.hot > 0.0 and self.cold > 0.0):
-            raise EnsembleMismatchError("bath temperatures must be positive")
+        if not (0.0 < self.hot < math.inf and 0.0 < self.cold < math.inf):
+            raise EnsembleMismatchError(
+                "bath temperatures must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -175,7 +176,7 @@ def _x_cut(policy):
 
 
 # ---------------------------------------------------------------------------
-# canonical N-particle sums (harmonic / power-law)
+# canonical N-particle sums (harmonic / power-law ladders, Morse at N = 1)
 
 def _require_power_family(potential, who):
     if not isinstance(potential, (Harmonic, PowerLaw)):
@@ -188,11 +189,14 @@ def canonical_stage_properties(potential, barrier, count, temperature,
 
     The stage sum is sum_n (g e^{-beta E_n})^N = g^N sum_n e^{-N beta E_n};
     the energy is its -dlog/dbeta, an N-weighted Boltzmann average.  Ground
-    energy is factored out so underflow never empties the sum.
+    energy is factored out so underflow never empties the sum, and at T -> 0
+    the average collapses onto the lowest included level.  A bounded Morse
+    ladder is summed completely up to its last bound level.
     """
     beta = 1.0 / (K_B * temperature)
     g = 2.0 if barrier is Barrier.INSERTED else 1.0
     e1 = level_energy(potential, 1, barrier)
+    cap = Spectrum(potential, barrier).cutoff
     n_first = _first_index_beyond(potential, barrier, count * beta, e1,
                                   _x_cut(policy))
     state = {}
@@ -203,30 +207,9 @@ def canonical_stage_properties(potential, barrier, count, temperature,
         state["avg"] = float(np.sum(e * w)) / float(np.sum(w))
         return w
 
-    total = _converged_sum(weights, n_first, policy)
+    total = _converged_sum(weights, n_first, policy, cap=cap)
     log_sum = count * math.log(g) - count * beta * e1 + math.log(total)
     return log_sum, count * state["avg"]
-
-
-def canonical_work_N(potential, count, baths, policy=TruncationPolicy()):
-    """Work per cycle for N canonical particles on a harmonic/power-law ladder.
-
-    W = k_B T_hot log(S_B/S_A) + k_B T_cold log(S_D/S_C) over the four stage
-    sums; the 2^N inserted-stage degeneracy factor lives inside S_B and S_C.
-    """
-    _require_power_family(potential, "the canonical cycle")
-    if count < 1:
-        raise EnsembleMismatchError("particle count must be at least 1")
-    log_a, _ = canonical_stage_properties(potential, Barrier.ABSENT, count,
-                                          baths.hot, policy)
-    log_b, _ = canonical_stage_properties(potential, Barrier.INSERTED, count,
-                                          baths.hot, policy)
-    log_c, _ = canonical_stage_properties(potential, Barrier.INSERTED, count,
-                                          baths.cold, policy)
-    log_d, _ = canonical_stage_properties(potential, Barrier.ABSENT, count,
-                                          baths.cold, policy)
-    return (K_B * baths.hot * (log_b - log_a)
-            + K_B * baths.cold * (log_d - log_c))
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +311,11 @@ def log_relative_partition(potential, mu_pair, temperature,
         if mu_pair is not None:
             raise EnsembleMismatchError(
                 "the Morse cycle is canonical; no chemical potentials apply")
-        return _morse_log_relative_partition(potential, temperature, policy)
+        log_post, _ = canonical_stage_properties(
+            potential, Barrier.INSERTED, 1, temperature, policy)
+        log_pre, _ = canonical_stage_properties(
+            potential, Barrier.ABSENT, 1, temperature, policy)
+        return log_post - log_pre
     if mu_pair is None:
         raise EnsembleMismatchError("bosonic ratio needs chemical potentials")
     _check_mu(potential, mu_pair)
@@ -355,42 +342,6 @@ def log_relative_partition(potential, mu_pair, temperature,
     return _converged_sum(terms, n_first, policy)
 
 
-def _morse_log_sum(potential, barrier, temperature, policy):
-    """log sum_n g e^{-beta E_n} over the bounded stage ladder, plus <E>.
-
-    Ground-level factoring keeps the log finite at any temperature; at T -> 0
-    the average collapses onto the lowest included level.
-    """
-    beta = 1.0 / (K_B * temperature)
-    g = 2.0 if barrier is Barrier.INSERTED else 1.0
-    e1 = level_energy(potential, 1, barrier)
-    cap = Spectrum(potential, barrier).cutoff
-    n_first = _first_index_beyond(potential, barrier, beta, e1, _x_cut(policy))
-    state = {}
-
-    def weights(idx):
-        e = level_energy(potential, idx, barrier)
-        w = np.exp(-beta * (e - e1))
-        state["avg"] = float(np.sum(e * w)) / float(np.sum(w))
-        return w
-
-    total = _converged_sum(weights, n_first, policy, cap=cap)
-    return math.log(g) - beta * e1 + math.log(total), state["avg"]
-
-
-def _morse_log_relative_partition(potential, temperature, policy):
-    log_post, _ = _morse_log_sum(potential, Barrier.INSERTED, temperature, policy)
-    log_pre, _ = _morse_log_sum(potential, Barrier.ABSENT, temperature, policy)
-    return log_post - log_pre
-
-
-def relative_partition(potential, mu_pair, temperature,
-                       policy=TruncationPolicy()):
-    """exp of log_relative_partition; the ratio itself."""
-    return math.exp(log_relative_partition(potential, mu_pair, temperature,
-                                           policy))
-
-
 def internal_energy(stage, potential, mu_pair, baths, policy=TruncationPolicy()):
     """Internal energy of one cycle stage in J.
 
@@ -404,8 +355,8 @@ def internal_energy(stage, potential, mu_pair, baths, policy=TruncationPolicy())
         if mu_pair is not None:
             raise EnsembleMismatchError(
                 "the Morse cycle is canonical; no chemical potentials apply")
-        _, avg = _morse_log_sum(potential, barrier, temperature, policy)
-        return avg
+        return canonical_stage_properties(potential, barrier, 1, temperature,
+                                          policy)[1]
     if mu_pair is None:
         raise EnsembleMismatchError("bosonic stages need chemical potentials")
     _check_mu(potential, mu_pair)

@@ -42,6 +42,11 @@ def _require(cond, exc, msg):
         raise exc(msg)
 
 
+def _require_positive_finite(value, name):
+    _require(0.0 < value < math.inf, InvalidPotentialError,
+             f"{name} must be positive and finite")
+
+
 @dataclass(frozen=True)
 class Harmonic:
     """Harmonic trap: levels (n + 1/2) * hbar * omega, n >= 1."""
@@ -50,8 +55,8 @@ class Harmonic:
     omega: float       # rad/s
 
     def __post_init__(self):
-        _require(self.mass > 0, InvalidPotentialError, "mass must be positive")
-        _require(self.omega > 0, InvalidPotentialError, "omega must be positive")
+        _require_positive_finite(self.mass, "mass")
+        _require_positive_finite(self.omega, "omega")
 
 
 @dataclass(frozen=True)
@@ -68,10 +73,9 @@ class PowerLaw:
     exponent: float    # dimensionless, > 0
 
     def __post_init__(self):
-        _require(self.mass > 0, InvalidPotentialError, "mass must be positive")
-        _require(self.omega > 0, InvalidPotentialError, "omega must be positive")
-        _require(self.exponent > 0, InvalidPotentialError,
-                 "power-law exponent must be positive")
+        _require_positive_finite(self.mass, "mass")
+        _require_positive_finite(self.omega, "omega")
+        _require_positive_finite(self.exponent, "power-law exponent")
 
     @property
     def level_power(self):
@@ -87,9 +91,9 @@ class PowerLaw:
         Sweeps over the energy scale use this so the axis is the level
         prefactor itself rather than the trap frequency.
         """
-        _require(scale > 0, InvalidPotentialError, "energy scale must be positive")
-        _require(exponent > 0, InvalidPotentialError,
-                 "power-law exponent must be positive")
+        _require_positive_finite(mass, "mass")
+        _require_positive_finite(scale, "energy scale")
+        _require_positive_finite(exponent, "power-law exponent")
         p = 2.0 * exponent / (exponent + 2.0)
         log_g = gammaln(1.0 / exponent + 1.5) - gammaln(1.0 + 1.0 / exponent)
         log_base = math.log(HBAR) + log_g + 0.5 * math.log(math.pi) - math.log(mass)
@@ -116,22 +120,20 @@ class Morse:
     position: float = 0.0     # m
 
     def __post_init__(self):
-        _require(self.mass > 0, InvalidPotentialError, "mass must be positive")
+        _require_positive_finite(self.mass, "mass")
         _require(self.depth > 0, InvalidPotentialError, "depth must be positive")
         if (self.omega is None) == (self.steepness is None):
             raise InvalidPotentialError(
                 "give exactly one of omega or steepness")
         if self.omega is None:
-            _require(self.steepness > 0, InvalidPotentialError,
-                     "steepness must be positive")
+            _require_positive_finite(self.steepness, "steepness")
             _require(math.isfinite(self.depth), InvalidPotentialError,
                      "steepness form needs a finite depth")
             object.__setattr__(
                 self, "omega",
                 self.steepness * math.sqrt(2.0 * self.depth / self.mass))
         else:
-            _require(self.omega > 0, InvalidPotentialError,
-                     "omega must be positive")
+            _require_positive_finite(self.omega, "omega")
             if math.isfinite(self.depth):
                 object.__setattr__(
                     self, "steepness",

@@ -347,8 +347,7 @@ def _eval_bose_cycle(point, spec):
     mode = MuMode(p["mu_mode"])
     result = run_cycle(trap, Ensemble.GRAND_BOSE, count, baths, spec.policy,
                        mu_mode=mode)
-    mus_hot = chemical_potentials(trap, count, baths.hot, mode, spec.policy)
-    mus_cold = chemical_potentials(trap, count, baths.cold, mode, spec.policy)
+    mus_hot, mus_cold = result.mus
     row = {"nu": float(point["nu"]), "N": count, "scale_ratio": ratio,
            "energy_scale": scale, "omega": trap.omega}
     row.update(_cycle_cells(result, baths.cold))

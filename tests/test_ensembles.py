@@ -6,13 +6,12 @@ import numpy as np
 import pytest
 
 from szilard import (Barrier, BathPair, ChemicalPotentials,
-                     ConvergenceViolationError, EnsembleMismatchError, HBAR,
-                     Harmonic, K_B, Morse, MuMode, PowerLaw, Stage,
-                     TruncationError, TruncationPolicy,
-                     canonical_stage_properties, canonical_work_N,
-                     chemical_potential, chemical_potentials, internal_energy,
-                     level_energy, log_relative_partition, occupancy_total,
-                     relative_partition)
+                     ConvergenceViolationError, Ensemble,
+                     EnsembleMismatchError, HBAR, Harmonic, K_B, Morse, MuMode,
+                     PowerLaw, Stage, TruncationError, TruncationPolicy,
+                     canonical_stage_properties, chemical_potential,
+                     chemical_potentials, internal_energy, level_energy,
+                     log_relative_partition, occupancy_total, run_cycle)
 
 MASS = 19.11e-11
 OMEGA = 1e11
@@ -41,6 +40,15 @@ def _closed_form_work(count, omega, baths):
             - K_B * baths.cold * log_ratio(baths.cold))
 
 
+def _canonical_work(potential, count, baths, policy=TruncationPolicy()):
+    return run_cycle(potential, Ensemble.CANONICAL_N, count, baths,
+                     policy).work
+
+
+def _ratio(potential, mu_pair, temperature):
+    return math.exp(log_relative_partition(potential, mu_pair, temperature))
+
+
 class TestCanonical:
 
     def test_stage_sum_matches_geometric_form(self):
@@ -61,17 +69,17 @@ class TestCanonical:
         trap = Harmonic(MASS, OMEGA)
         # N = 1 sits six orders below the log terms it is assembled from,
         # so cancellation eats about six digits of the double result
-        assert canonical_work_N(trap, 1, BATHS) == pytest.approx(
+        assert _canonical_work(trap, 1, BATHS) == pytest.approx(
             W_CANONICAL[1], rel=1e-8)
-        assert canonical_work_N(trap, 5, BATHS) == pytest.approx(
+        assert _canonical_work(trap, 5, BATHS) == pytest.approx(
             W_CANONICAL[5], rel=1e-12)
-        assert canonical_work_N(trap, 20, BATHS) == pytest.approx(
+        assert _canonical_work(trap, 20, BATHS) == pytest.approx(
             W_CANONICAL[20], rel=1e-12)
 
     def test_matches_closed_form_across_counts(self):
         trap = Harmonic(MASS, OMEGA)
         for count in (2, 3, 9, 14):
-            assert canonical_work_N(trap, count, BATHS) == pytest.approx(
+            assert _canonical_work(trap, count, BATHS) == pytest.approx(
                 _closed_form_work(count, OMEGA, BATHS), rel=1e-9)
 
     def test_low_temperature_work_limit(self):
@@ -80,7 +88,7 @@ class TestCanonical:
         t_hot = HBAR * omega / (25.0 * K_B)
         baths = BathPair(hot=t_hot, cold=0.5 * t_hot)
         for count in (1, 4, 9):
-            w = canonical_work_N(Harmonic(MASS, omega), count, baths)
+            w = _canonical_work(Harmonic(MASS, omega), count, baths)
             limit = count * K_B * (baths.hot - baths.cold) * math.log(2.0)
             assert w == pytest.approx(limit, rel=1e-12)
 
@@ -93,15 +101,16 @@ class TestCanonical:
 
     def test_power_law_route_runs(self):
         trap = PowerLaw(MASS, 1e10, 1.6)
-        w = canonical_work_N(trap, 3, BathPair(2.0, 1.0))
+        w = _canonical_work(trap, 3, BathPair(2.0, 1.0))
         assert math.isfinite(w)
 
     def test_rejects_morse_and_bad_counts(self):
         well = Morse(mass=MASS, depth=math.inf, omega=1e10)
         with pytest.raises(EnsembleMismatchError):
-            canonical_work_N(well, 2, BATHS)
-        with pytest.raises(EnsembleMismatchError):
-            canonical_work_N(Harmonic(MASS, OMEGA), 0, BATHS)
+            _canonical_work(well, 2, BATHS)
+        for count in (0, -1):
+            with pytest.raises(EnsembleMismatchError):
+                _canonical_work(Harmonic(MASS, OMEGA), count, BATHS)
 
 
 class TestChemicalPotential:
@@ -178,7 +187,7 @@ class TestBoseRatio:
         post = 1.0 - np.exp(-beta * (level_energy(trap, 2 * n)
                                      - pair.post_insertion))
         direct = float(np.prod(pre) / np.prod(post**2))
-        assert relative_partition(trap, pair, temperature) == pytest.approx(
+        assert _ratio(trap, pair, temperature) == pytest.approx(
             direct, rel=1e-10)
 
     def test_low_temperature_ratio_limit(self):
@@ -188,7 +197,7 @@ class TestBoseRatio:
         for count in (1, 7, 30):
             pair = chemical_potentials(Harmonic(MASS, omega), count,
                                        temperature, MuMode.CLOSED_FORM)
-            z = relative_partition(Harmonic(MASS, omega), pair, temperature)
+            z = _ratio(Harmonic(MASS, omega), pair, temperature)
             limit = (count + 2.0)**2 / (4.0 * (count + 1.0))
             assert z == pytest.approx(limit, rel=1e-9)
             assert z > 1.0
@@ -294,7 +303,7 @@ class TestMorseSums:
         well = Morse(mass=MASS, depth=8.7 * 1.602176634e-19, omega=1e10)
         gap = level_energy(well, 2) - level_energy(well, 1)
         temperature = gap / (40.0 * K_B)
-        z = relative_partition(well, None, temperature)
+        z = _ratio(well, None, temperature)
         assert z * math.exp(gap / (K_B * temperature)) == pytest.approx(
             2.0, rel=1e-12)
 
@@ -304,7 +313,7 @@ class TestMorseSums:
         q = HBAR * 1e10
         for temperature in (0.05, 0.4, 3.0):
             x = math.exp(-q / (K_B * temperature))
-            assert relative_partition(well, None, temperature) == pytest.approx(
+            assert _ratio(well, None, temperature) == pytest.approx(
                 2.0 * x / (1.0 + x), rel=1e-12)
 
     def test_inserted_energy_collapses_to_split_ground(self):
@@ -336,7 +345,7 @@ class TestTruncation:
     def test_headroom_does_not_change_results(self):
         trap = Harmonic(MASS, 1e10)
         loose = TruncationPolicy(rel_tol=1e-12, max_terms=4_000_000)
-        assert canonical_work_N(trap, 3, BATHS) == canonical_work_N(
+        assert _canonical_work(trap, 3, BATHS) == _canonical_work(
             trap, 3, BATHS, loose)
         pair = chemical_potentials(trap, 10, 1.0, MuMode.SOLVED)
         assert log_relative_partition(trap, pair, 1.0) == \
@@ -347,3 +356,8 @@ class TestTruncation:
             BathPair(hot=0.0, cold=1.0)
         with pytest.raises(EnsembleMismatchError):
             BathPair(hot=1.0, cold=-2.0)
+        for bad in (math.inf, math.nan):
+            with pytest.raises(EnsembleMismatchError):
+                BathPair(hot=bad, cold=1.0)
+            with pytest.raises(EnsembleMismatchError):
+                BathPair(hot=1.0, cold=bad)

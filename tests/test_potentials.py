@@ -77,6 +77,21 @@ def test_parameter_validation():
         PowerLaw.from_energy_scale(MASS, -1e-22, 2.0)
     with pytest.raises(InvalidPotentialError):
         Morse(mass=MASS, depth=-1.0, omega=1e10)
+    for bad in (math.inf, -math.inf, math.nan):
+        for build in (lambda: Harmonic(mass=bad, omega=1e10),
+                      lambda: Harmonic(mass=MASS, omega=bad),
+                      lambda: PowerLaw(mass=bad, omega=1e10, exponent=2.0),
+                      lambda: PowerLaw(mass=MASS, omega=bad, exponent=2.0),
+                      lambda: PowerLaw(mass=MASS, omega=1e10, exponent=bad),
+                      lambda: PowerLaw.from_energy_scale(bad, 1e-22, 2.0),
+                      lambda: PowerLaw.from_energy_scale(MASS, bad, 2.0),
+                      lambda: PowerLaw.from_energy_scale(MASS, 1e-22, bad),
+                      lambda: Morse(mass=bad, depth=1e-20, omega=1e10),
+                      lambda: Morse(mass=MASS, depth=1e-20, omega=bad),
+                      lambda: Morse(mass=MASS, depth=math.inf, omega=bad),
+                      lambda: Morse(mass=MASS, depth=1e-20, steepness=bad)):
+            with pytest.raises(InvalidPotentialError):
+                build()
 
 
 def test_morse_needs_exactly_one_frequency_parameter():

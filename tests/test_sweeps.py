@@ -11,6 +11,7 @@ from szilard import (ATOMIC_MASS, Axis, ConfigError, EV, K_B, MuMode,
                      TruncationPolicy, even_levels, load_config,
                      parse_quantity, preset, preset_names, run_sweep,
                      spec_from_config, validate)
+from szilard import cycle, ensembles, sweeps
 from szilard.cli import main
 
 FLOAT_CELL = re.compile(r"^-?\d\.\d{16}e[+-]\d{2,3}$")
@@ -159,6 +160,44 @@ class TestDeterminism:
         assert cp.get("policy", "rel_tol") == "1e-12"
 
 
+def _count_calls(monkeypatch, name):
+    """Wrap ensembles.<name> in every module that binds it; return the log."""
+    calls = []
+    original = getattr(ensembles, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in (ensembles, cycle, sweeps):
+        if getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def _one_point(target, **values):
+    return replace(preset(target), axes=(),
+                   lists={k: (v,) for k, v in values.items()})
+
+
+class TestSingleEvaluation:
+    """Each cycle solves its chemical potentials and stage sums once."""
+
+    def test_bose_point_solves_four_roots(self, tmp_path, monkeypatch):
+        roots = _count_calls(monkeypatch, "chemical_potential")
+        outcome = _run(_one_point("fig8", nu=2.0, N=10, scale_ratio=1.0),
+                       tmp_path)
+        assert outcome.points == 1 and outcome.failed == 0
+        assert len(roots) == 4
+
+    def test_morse_point_sums_four_stages(self, tmp_path, monkeypatch):
+        stages = _count_calls(monkeypatch, "canonical_stage_properties")
+        outcome = _run(_one_point("fig10", depth=4.7 * EV, T_hot=4.0,
+                                  omega=1e11), tmp_path)
+        assert outcome.points == 1 and outcome.failed == 0
+        assert len(stages) == 4
+
+
 class TestConfigOverlay:
 
     def test_parameter_units_and_axis_windows(self, tmp_path):
@@ -298,6 +337,21 @@ class TestCli:
         code = main(["fig9-inset", "--config", str(config),
                      "--out", str(tmp_path / "x.csv")])
         assert code == 2
+
+    @pytest.mark.parametrize("line, error", [
+        ("T_hot = inf", "EnsembleMismatchError"),
+        ("omega = inf", "InvalidPotentialError")])
+    def test_non_finite_parameters_give_error_rows(self, tmp_path, capsys,
+                                                   line, error):
+        config = tmp_path / "inf.ini"
+        config.write_text(f"[parameters]\n{line}\n")
+        out = tmp_path / "x.csv"
+        assert main(["fig2", "--config", str(config),
+                     "--out", str(out)]) == 2
+        rows = out.read_text().splitlines()[1:]
+        assert len(rows) == 20
+        assert all(row.split(",")[-1].startswith(f"{error}: ") for row in rows)
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_custom_target_via_config(self, tmp_path, capsys):
         config = tmp_path / "run.ini"
