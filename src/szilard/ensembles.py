@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .constants import K_B
 from .errors import (ConvergenceViolationError, EnsembleMismatchError,
@@ -230,16 +229,76 @@ def occupancy_total(potential, barrier, mu, temperature, policy=TruncationPolicy
     return _converged_sum(terms, n_first, policy)
 
 
+def _mu_offset_root(potential, barrier, count, beta, e1, d1, policy):
+    """Root u = log(beta (E_1 - mu)) of the occupancy constraint.
+
+    The ladder is built once, as long as mu -> E_1 needs, and its tail is
+    checked in the mu -> -inf (Boltzmann) limit, whose last-term ratio bounds
+    the one at every mu below E_1.  With n = g/expm1(beta(E - E_1) + e^u)
+    (g = d_1 on every level), Newton runs on log N(u) - log count with the slope
+    dlog N/du = -e^u sum n (1 + n/g) / N, from the closed-form u, inside the
+    bracket [log log(1 + d_1/(1e9 count)), k log 2] (k from doubling); a step
+    that leaves the bracket bisects it (rtsafe, Numerical Recipes 9.4).
+    """
+    gaps = {}
+
+    def boltzmann(idx):
+        gaps["x"] = beta * (level_energy(potential, idx, barrier) - e1)
+        return np.exp(-gaps["x"])
+
+    n_first = _first_index_beyond(potential, barrier, beta, e1, _x_cut(policy))
+    _converged_sum(boltzmann, n_first, policy)
+    x = gaps["x"]
+    log_count = math.log(count)
+
+    def log_excess(u):
+        shift = math.exp(u)
+        n = d1 / np.expm1(np.clip(x + shift, 1e-300, _EXP_CLIP))
+        total = float(np.sum(n))
+        if total == 0.0:      # every term underflowed: N is below any count
+            return -math.inf, math.nan
+        slope = -shift * float(np.sum(n * (1.0 + n / d1))) / total
+        return math.log(total) - log_count, slope
+
+    # log N falls as u rises: positive at u_near, not positive at u_far
+    u_near = math.log(math.log1p(d1 / (count * 1e9)))
+    for k in range(200):
+        u_far = k * math.log(2.0)
+        if log_excess(u_far)[0] <= 0.0:
+            break
+    else:
+        raise SolverFailureError("no lower bracket for the occupancy root")
+    u = math.log(math.log1p(d1 / count))
+    if not u_near < u < u_far:
+        u = 0.5 * (u_near + u_far)
+    for _ in range(200):
+        f, slope = log_excess(u)
+        if f == 0.0:
+            return u
+        if f > 0.0:
+            u_near = u
+        else:
+            u_far = u
+        u_next = u - f / slope
+        if not u_near < u_next < u_far:
+            u_next = 0.5 * (u_near + u_far)
+        if abs(u_next - u) <= 4e-16 * max(1.0, abs(u)):
+            return u_next
+        u = u_next
+    raise SolverFailureError("occupancy root did not converge")
+
+
 def chemical_potential(potential, count, temperature, barrier, mode,
                        policy=TruncationPolicy()):
     """Chemical potential for `count` bosons in one barrier configuration.
 
     CLOSED_FORM uses mu = E_1 - k_B T log(1 + d_1/count) with d_1 = 1 before
-    insertion and 2 after.  SOLVED brackets the occupancy constraint below
-    E_1 and refines with brentq; the absolute tolerance is scaled to the
-    energy magnitudes at hand because the default would be wider than the
-    whole bracket at these scales.  The recovered occupancy is verified to
-    |dN/N| < 1e-10 and the result is always strictly below E_1.
+    insertion and 2 after.  SOLVED finds u = log(beta (E_1 - mu)) by a
+    bracketed Newton step on one level ladder per solve (see
+    _mu_offset_root); working in u keeps the offset below E_1 resolved even
+    when E_1 >> k_B T.  The occupancy at the returned mu is re-summed with
+    occupancy_total and verified to |dN/N| < 1e-10, and the result is always
+    strictly below E_1.
     """
     _require_power_family(potential, "the chemical potential")
     if count < 1:
@@ -250,30 +309,18 @@ def chemical_potential(potential, count, temperature, barrier, mode,
     if mode is MuMode.CLOSED_FORM:
         mu = e1 - kt * math.log1p(d1 / count)
     elif mode is MuMode.SOLVED:
-        def excess(m):
-            return occupancy_total(potential, barrier, m, temperature, policy) - count
-
-        hi = e1 - kt * math.log1p(d1 / (count * 1e9))
-        offset = kt
-        lo = e1 - offset
-        for _ in range(200):
-            if excess(lo) <= 0.0:
-                break
-            offset *= 2.0
-            lo = e1 - offset
-        else:
-            raise SolverFailureError("no lower bracket for the occupancy root")
-        mu = brentq(excess, lo, hi,
-                    xtol=2.3e-16 * max(abs(e1), kt), rtol=8.9e-16, maxiter=300)
-        recovered = excess(mu) + count
-        if abs(recovered - count) > 1e-10 * count:
-            raise SolverFailureError(
-                f"occupancy root off by {abs(recovered - count) / count:.3g} relative")
+        u = _mu_offset_root(potential, barrier, count, 1.0 / kt, e1, d1, policy)
+        mu = e1 - kt * math.exp(u)
     else:
         raise EnsembleMismatchError(f"unknown chemical-potential mode {mode!r}")
     if not mu < e1:
         raise ConvergenceViolationError(
             f"chemical potential {mu:.6g} J reaches the ground level {e1:.6g} J")
+    if mode is MuMode.SOLVED:
+        recovered = occupancy_total(potential, barrier, mu, temperature, policy)
+        if abs(recovered - count) > 1e-10 * count:
+            raise SolverFailureError(
+                f"occupancy root off by {abs(recovered - count) / count:.3g} relative")
     return mu
 
 

@@ -11,7 +11,7 @@ Level indices start at n = 1 throughout.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -47,6 +47,11 @@ def _require_positive_finite(value, name):
              f"{name} must be positive and finite")
 
 
+def _log_gamma_ratio(exponent):
+    """log G of the WKB quantisation, G = Gamma(1/nu + 3/2)/Gamma(1 + 1/nu)."""
+    return gammaln(1.0 / exponent + 1.5) - gammaln(1.0 + 1.0 / exponent)
+
+
 @dataclass(frozen=True)
 class Harmonic:
     """Harmonic trap: levels (n + 1/2) * hbar * omega, n >= 1."""
@@ -71,11 +76,23 @@ class PowerLaw:
     mass: float        # kg
     omega: float       # rad/s
     exponent: float    # dimensionless, > 0
+    energy_scale: float = field(init=False, repr=False, compare=False)   # J
 
     def __post_init__(self):
         _require_positive_finite(self.mass, "mass")
         _require_positive_finite(self.omega, "omega")
         _require_positive_finite(self.exponent, "power-law exponent")
+        # log-space: the bracket spans many orders of magnitude at small omega
+        try:
+            alpha = 0.5 * self.mass * self.omega**2
+            log_bracket = (math.log(HBAR)
+                           + 0.5 * math.log(math.pi / (2.0 * self.mass * alpha))
+                           + _log_gamma_ratio(self.exponent))
+            scale = math.exp(math.log(alpha) + self.level_power * log_bracket)
+        except (ArithmeticError, ValueError):
+            raise InvalidPotentialError(
+                "power-law energy scale is out of floating-point range") from None
+        object.__setattr__(self, "energy_scale", scale)
 
     @property
     def level_power(self):
@@ -95,8 +112,8 @@ class PowerLaw:
         _require_positive_finite(scale, "energy scale")
         _require_positive_finite(exponent, "power-law exponent")
         p = 2.0 * exponent / (exponent + 2.0)
-        log_g = gammaln(1.0 / exponent + 1.5) - gammaln(1.0 + 1.0 / exponent)
-        log_base = math.log(HBAR) + log_g + 0.5 * math.log(math.pi) - math.log(mass)
+        log_base = (math.log(HBAR) + _log_gamma_ratio(exponent)
+                    + 0.5 * math.log(math.pi) - math.log(mass))
         log_omega = (math.log(2.0 * scale / mass) - p * log_base) / (2.0 - p)
         return cls(mass=mass, omega=math.exp(log_omega), exponent=exponent)
 
@@ -167,7 +184,8 @@ def omega_prefactor(potential):
     Power-law: the WKB scale
         alpha * [hbar*sqrt(pi/(2*m*alpha)) * G(nu)]**p,
     alpha = m*omega^2/2, G = Gamma(1/nu + 3/2)/Gamma(1 + 1/nu),
-    p = 2*nu/(nu+2).  Exactly hbar*omega at nu = 2.
+    p = 2*nu/(nu+2).  Exactly hbar*omega at nu = 2.  Computed once, when the
+    trap is built, and kept as PowerLaw.energy_scale.
     Harmonic: hbar*omega.
     """
     if isinstance(potential, Harmonic):
@@ -175,15 +193,7 @@ def omega_prefactor(potential):
     if not isinstance(potential, PowerLaw):
         raise InvalidPotentialError(
             "omega_prefactor applies to harmonic and power-law traps")
-    nu = potential.exponent
-    p = potential.level_power
-    # log-space: the bracket spans many orders of magnitude at small omega
-    log_g = gammaln(1.0 / nu + 1.5) - gammaln(1.0 + 1.0 / nu)
-    alpha = 0.5 * potential.mass * potential.omega**2
-    log_bracket = (math.log(HBAR)
-                   + 0.5 * math.log(math.pi / (2.0 * potential.mass * alpha))
-                   + log_g)
-    return math.exp(math.log(alpha) + p * log_bracket)
+    return potential.energy_scale
 
 
 def morse_bound_count(potential):

@@ -1,5 +1,6 @@
 """Stage sums: canonical ladders, grand-canonical bosons, Morse averages."""
 
+import itertools
 import math
 
 import numpy as np
@@ -8,7 +9,8 @@ import pytest
 from szilard import (Barrier, BathPair, ChemicalPotentials,
                      ConvergenceViolationError, Ensemble,
                      EnsembleMismatchError, HBAR, Harmonic, K_B, Morse, MuMode,
-                     PowerLaw, Stage, TruncationError, TruncationPolicy,
+                     PowerLaw, Stage, SzilardError, TruncationError,
+                     TruncationPolicy,
                      canonical_stage_properties, chemical_potential,
                      chemical_potentials, internal_energy, level_energy,
                      log_relative_partition, occupancy_total, run_cycle)
@@ -160,6 +162,73 @@ class TestChemicalPotential:
                                         MuMode.SOLVED)
             gaps.append(abs(closed - solved))
         assert gaps[0] < gaps[1] < gaps[2]
+
+    def test_solved_offset_matches_50_digit_newton(self):
+        """Polish each solved mu with 50-digit Newton on the same float
+        ladder; beta (E_1 - mu) must agree to 1e-12 relative."""
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            for nu in (1.6, 2.0, 2.6):
+                for ratio in (1.0, 40.0):
+                    trap = PowerLaw.from_energy_scale(MASS, ratio * K_B, nu)
+                    for temperature in (1.0, 2.0):
+                        beta = 1 / (mpmath.mpf(K_B) * temperature)
+                        for count in (10, 30):
+                            for barrier in Barrier:
+                                self._check_against_oracle(
+                                    mpmath, trap, count, temperature, beta,
+                                    barrier)
+
+    @staticmethod
+    def _check_against_oracle(mpmath, trap, count, temperature, beta, barrier):
+        g = 2 if barrier is Barrier.INSERTED else 1
+        e1 = mpmath.mpf(level_energy(trap, 1, barrier))
+        n_levels = 8
+        while beta * (level_energy(trap, n_levels, barrier) - e1) < 80:
+            n_levels *= 2
+        ladder = [mpmath.mpf(e) for e in
+                  level_energy(trap, np.arange(1, n_levels + 1), barrier)]
+        mu_float = chemical_potential(trap, count, temperature, barrier,
+                                      MuMode.SOLVED)
+        mu = mpmath.mpf(mu_float)
+        for _ in range(30):
+            total = slope = 0
+            for e in ladder:
+                w = mpmath.exp(beta * (e - mu))
+                total += g / (w - 1)
+                slope += g * beta * w / (w - 1) ** 2
+            step = (total - count) / slope
+            mu -= step
+            if abs(step) < mpmath.mpf(10) ** -40 * (e1 - mu):
+                break
+        offset_float = beta * (e1 - mpmath.mpf(mu_float))
+        offset = beta * (e1 - mu)
+        assert abs(offset_float / offset - 1) < 1e-12, (trap, count,
+                                                        temperature, barrier)
+
+    def test_solves_when_ground_level_dwarfs_kt(self):
+        """At E_1 = 1e5 kT one ulp of E_1 is 1.5e-10 of E_1 - mu, so the
+        re-check to 1e-10 passes only for the nearest representable mu."""
+        for omega, count in ((1e12, 10), (1e10, 1000)):
+            trap = PowerLaw(MASS, omega, 1.6)
+            for barrier in Barrier:
+                mu = chemical_potential(trap, count, 1.0, barrier,
+                                        MuMode.SOLVED)
+                assert mu < level_energy(trap, 1, barrier)
+                assert occupancy_total(trap, barrier, mu, 1.0) == \
+                    pytest.approx(count, rel=1e-10)
+
+    def test_extreme_traps_solve_or_fail_typed(self):
+        grid = itertools.product((0.6, 1.6, 3.0), (1e8, 1e10, 1e12),
+                                 (1e-3, 1.0, 1e3), (1, 1000), Barrier)
+        for nu, omega, temperature, count, barrier in grid:
+            trap = PowerLaw(MASS, omega, nu)
+            try:
+                mu = chemical_potential(trap, count, temperature, barrier,
+                                        MuMode.SOLVED)
+            except SzilardError:
+                continue
+            assert mu < level_energy(trap, 1, barrier)
 
     def test_occupancy_rejects_morse(self):
         well = Morse(mass=MASS, depth=math.inf, omega=1e10)

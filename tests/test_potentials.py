@@ -92,6 +92,12 @@ def test_parameter_validation():
                       lambda: Morse(mass=MASS, depth=1e-20, steepness=bad)):
             with pytest.raises(InvalidPotentialError):
                 build()
+    # finite inputs whose level prefactor leaves floating-point range
+    for build in (lambda: PowerLaw(mass=MASS, omega=1e-160, exponent=1.6),
+                  lambda: PowerLaw(mass=MASS, omega=1e200, exponent=1.6),
+                  lambda: PowerLaw.from_energy_scale(MASS, 1e-300, 1.6)):
+        with pytest.raises(InvalidPotentialError):
+            build()
 
 
 def test_morse_needs_exactly_one_frequency_parameter():

@@ -11,7 +11,7 @@ from szilard import (ATOMIC_MASS, Axis, ConfigError, EV, K_B, MuMode,
                      TruncationPolicy, even_levels, load_config,
                      parse_quantity, preset, preset_names, run_sweep,
                      spec_from_config, validate)
-from szilard import cycle, ensembles, sweeps
+from szilard import cycle, ensembles, potentials, sweeps
 from szilard.cli import main
 
 FLOAT_CELL = re.compile(r"^-?\d\.\d{16}e[+-]\d{2,3}$")
@@ -196,6 +196,24 @@ class TestSingleEvaluation:
                                   omega=1e11), tmp_path)
         assert outcome.points == 1 and outcome.failed == 0
         assert len(stages) == 4
+
+    def test_bose_roots_sum_one_ladder_each(self, tmp_path, monkeypatch):
+        """One occupancy re-check per root, and the trap prefactor's gamma
+        functions evaluated once, when the trap is built."""
+        sums = _count_calls(monkeypatch, "occupancy_total")
+        gammas = []
+        original = potentials.gammaln
+
+        def counted(x):
+            gammas.append(x)
+            return original(x)
+
+        monkeypatch.setattr(potentials, "gammaln", counted)
+        outcome = _run(_one_point("fig8", nu=1.6, N=10, scale_ratio=1.0),
+                       tmp_path)
+        assert outcome.points == 1 and outcome.failed == 0
+        assert len(sums) == 4
+        assert len(gammas) <= 4
 
 
 class TestConfigOverlay:
