@@ -18,7 +18,8 @@ from .ensembles import (BathPair, ChemicalPotentials, MuMode, Stage,
                         chemical_potential, chemical_potentials,
                         internal_energy, log_relative_partition,
                         occupancy_total)
-from .cycle import CycleResult, Ensemble, Regime, carnot_bound, run_cycle
+from .cycle import (CycleResult, Ensemble, Regime, carnot_bound, run_cycle,
+                    run_cycles)
 from .sweeps import (Axis, RunManifest, SweepOutcome, SweepSpec,
                      ValidationReport, load_config, parse_quantity, preset,
                      preset_names, run_sweep, spec_from_config, validate)

@@ -14,8 +14,8 @@ from dataclasses import replace
 
 from .ensembles import TruncationPolicy
 from .errors import ConfigError, OutputError, SzilardError
-from .sweeps import (load_config, parse_quantity, preset, preset_names,
-                     run_sweep, spec_from_config)
+from .sweeps import (load_config, parse_integer, parse_quantity, preset,
+                     preset_names, run_sweep, spec_from_config)
 
 __all__ = ["main"]
 
@@ -52,10 +52,11 @@ def _build_parser():
 
 
 def _parse_list(raw, as_int=False):
-    values = [parse_quantity(v) for v in raw.split(",") if v.strip()]
+    parse = parse_integer if as_int else parse_quantity
+    values = tuple(parse(v) for v in raw.split(",") if v.strip())
     if not values:
         raise ConfigError("empty value list")
-    return tuple(int(v) for v in values) if as_int else tuple(values)
+    return values
 
 
 def _override_list(spec, key, values, flag):

@@ -21,13 +21,15 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .constants import K_B
-from .errors import EnsembleMismatchError, SolverFailureError
+from .errors import EnsembleMismatchError, SolverFailureError, SzilardError
 from .potentials import Harmonic, Morse, PowerLaw
-from .ensembles import (BathPair, Barrier, MuMode, Stage, TruncationPolicy,
+from .ensembles import (BathPair, Barrier, MuMode, TruncationPolicy,
                         canonical_stage_properties, chemical_potentials,
-                        internal_energy, log_relative_partition)
+                        grand_stage_sums, ladder_batches,
+                        solved_chemical_potentials)
 
-__all__ = ["Ensemble", "Regime", "CycleResult", "run_cycle", "carnot_bound"]
+__all__ = ["Ensemble", "Regime", "CycleResult", "run_cycle", "run_cycles",
+           "carnot_bound"]
 
 IDLE_WORK = 1e-30   # J; below double-precision noise at these energy scales
 
@@ -67,48 +69,83 @@ def carnot_bound(baths):
     return 1.0 - baths.cold / baths.hot
 
 
-def _stage_terms(potential, ensemble, count, baths, mu_mode, policy):
+_TRAPS = {
+    Ensemble.GRAND_BOSE: ((Harmonic, PowerLaw), "the grand-canonical Bose"
+                          " cycle needs a harmonic or power-law trap"),
+    Ensemble.CANONICAL_N: ((Harmonic, PowerLaw), "the canonical cycle needs"
+                           " a harmonic or power-law trap"),
+    Ensemble.MORSE_SINGLE: (Morse, "this route is for Morse wells"),
+}
+
+
+def _stage_terms(potentials, ensemble, count, baths, mu_mode, policy):
     """Per-bath log ratios, the four stage energies and, for the
-    grand-canonical route, the (hot, cold) chemical potentials.
+    grand-canonical route, the (hot, cold) chemical potentials of each
+    potential in turn.
 
     The canonical and Morse routes share the canonical stage sum; a Morse
-    well is its single-particle case on a bounded ladder.
+    well is its single-particle case on a bounded ladder.  The
+    grand-canonical route runs batch by batch: MuMode.SOLVED solves a batch's
+    chemical potentials together (the other modes take them per trap), and
+    its log ratios and stage energies are summed together.
     """
-    if ensemble is Ensemble.GRAND_BOSE:
-        if not isinstance(potential, (Harmonic, PowerLaw)):
-            raise EnsembleMismatchError(
-                "the grand-canonical Bose cycle needs a harmonic or power-law trap")
-        mus_hot = chemical_potentials(potential, count, baths.hot, mu_mode, policy)
-        mus_cold = chemical_potentials(potential, count, baths.cold, mu_mode, policy)
-        l_hot = log_relative_partition(potential, mus_hot, baths.hot, policy)
-        l_cold = log_relative_partition(potential, mus_cold, baths.cold, policy)
-        energies = (internal_energy(Stage.A, potential, mus_hot, baths, policy),
-                    internal_energy(Stage.B, potential, mus_hot, baths, policy),
-                    internal_energy(Stage.C, potential, mus_cold, baths, policy),
-                    internal_energy(Stage.D, potential, mus_cold, baths, policy))
-        return l_hot, l_cold, energies, (mus_hot, mus_cold)
-    if ensemble is Ensemble.CANONICAL_N:
-        if not isinstance(potential, (Harmonic, PowerLaw)):
-            raise EnsembleMismatchError(
-                "the canonical cycle needs a harmonic or power-law trap")
-        if count < 1:
-            raise EnsembleMismatchError("particle count must be at least 1")
-    elif ensemble is Ensemble.MORSE_SINGLE:
-        if not isinstance(potential, Morse):
-            raise EnsembleMismatchError("this route is for Morse wells")
-        if count != 1:
-            raise EnsembleMismatchError("the Morse cycle is single-particle")
-    else:
+    if not isinstance(ensemble, Ensemble):
         raise EnsembleMismatchError(f"unknown ensemble {ensemble!r}")
-    log_a, u_a = canonical_stage_properties(
-        potential, Barrier.ABSENT, count, baths.hot, policy)
-    log_b, u_b = canonical_stage_properties(
-        potential, Barrier.INSERTED, count, baths.hot, policy)
-    log_c, u_c = canonical_stage_properties(
-        potential, Barrier.INSERTED, count, baths.cold, policy)
-    log_d, u_d = canonical_stage_properties(
-        potential, Barrier.ABSENT, count, baths.cold, policy)
-    return log_b - log_a, log_c - log_d, (u_a, u_b, u_c, u_d), None
+    family, message = _TRAPS[ensemble]
+    for potential in potentials:
+        if not isinstance(potential, family):
+            raise EnsembleMismatchError(message)
+    if ensemble is Ensemble.GRAND_BOSE:
+        for batch in ladder_batches(potentials, baths.hot, policy):
+            if mu_mode is MuMode.SOLVED:
+                pairs = solved_chemical_potentials(batch, count, baths, policy)
+            else:
+                pairs = [_mu_pair(potential, count, baths, mu_mode, policy)
+                         for potential in batch]
+            for pair, sums in zip(pairs, grand_stage_sums(batch, pairs, baths,
+                                                          policy)):
+                if isinstance(sums, SzilardError):
+                    raise sums
+                yield (*sums, pair)
+        return
+    if ensemble is Ensemble.CANONICAL_N and count < 1:
+        raise EnsembleMismatchError("particle count must be at least 1")
+    if ensemble is Ensemble.MORSE_SINGLE and count != 1:
+        raise EnsembleMismatchError("the Morse cycle is single-particle")
+    for potential in potentials:
+        log_a, u_a = canonical_stage_properties(
+            potential, Barrier.ABSENT, count, baths.hot, policy)
+        log_b, u_b = canonical_stage_properties(
+            potential, Barrier.INSERTED, count, baths.hot, policy)
+        log_c, u_c = canonical_stage_properties(
+            potential, Barrier.INSERTED, count, baths.cold, policy)
+        log_d, u_d = canonical_stage_properties(
+            potential, Barrier.ABSENT, count, baths.cold, policy)
+        yield log_b - log_a, log_c - log_d, (u_a, u_b, u_c, u_d), None
+
+
+def _mu_pair(potential, count, baths, mu_mode, policy):
+    """(hot, cold) chemical potentials of one trap, or the error."""
+    try:
+        return (chemical_potentials(potential, count, baths.hot, mu_mode, policy),
+                chemical_potentials(potential, count, baths.cold, mu_mode, policy))
+    except SzilardError as exc:
+        return exc
+
+
+def run_cycles(potentials, ensemble, count, baths, policy=TruncationPolicy(),
+               mu_mode=MuMode.SOLVED, literal_denominator=False):
+    """run_cycle over many potentials, as one batch where the route allows.
+
+    Returns [run_cycle(p, ...) for p in potentials], equal field for field.
+    The grand-canonical route evaluates its traps together (see
+    ensembles.grand_stage_sums); the canonical and Morse routes go one
+    potential at a time.  A failure raises the error of the first potential
+    that fails, after every potential has passed the trap-family check.
+    """
+    return [_cycle_result(terms, ensemble, baths, literal_denominator)
+            for terms in _stage_terms(potentials, ensemble, count, baths,
+                                      mu_mode, policy)]
 
 
 def run_cycle(potential, ensemble, count, baths, policy=TruncationPolicy(),
@@ -118,10 +155,17 @@ def run_cycle(potential, ensemble, count, baths, policy=TruncationPolicy(),
     mu_mode picks how grand-canonical chemical potentials are produced and is
     ignored by the other routes.  literal_denominator switches the
     single-particle Morse efficiency to the no-logarithm variant of its
-    heat-supplied denominator; the logarithmic form stays the default.
+    heat-supplied denominator; the logarithmic form stays the default.  It
+    is the one-potential case of run_cycles.
     """
-    l_hot, l_cold, (u_a, u_b, u_c, u_d), mus = _stage_terms(
-        potential, ensemble, count, baths, mu_mode, policy)
+    terms, = _stage_terms((potential,), ensemble, count, baths, mu_mode,
+                          policy)
+    return _cycle_result(terms, ensemble, baths, literal_denominator)
+
+
+def _cycle_result(terms, ensemble, baths, literal_denominator):
+    """Cycle algebra, first-law check and regime of one set of stage terms."""
+    l_hot, l_cold, (u_a, u_b, u_c, u_d), mus = terms
     kt_h = K_B * baths.hot
     kt_c = K_B * baths.cold
 

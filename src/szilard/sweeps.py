@@ -3,10 +3,13 @@
 A sweep is a cartesian grid: discrete lists (particle counts, exponents,
 well depths, ...) crossed with at most one continuous axis.  Eleven presets
 pre-load published parameter sets; `custom` reads everything from a config
-file instead.  Each grid point is evaluated independently, so a worker pool
-may process them in any order; rows are always written in grid order and
-all floats are formatted to 17 significant digits, which makes the CSV
-byte-identical across runs and worker counts.
+file instead.  Grid points are evaluated in batches: each run of a
+bose-cycle grid (consecutive points that differ only in scale_ratio) goes
+through one batched run_cycles call, every other point is a batch of its
+own.  A batched point's numbers equal the ones it gets alone bit for bit,
+so a worker pool may process the batches in any order; rows are always
+written in grid order and all floats are formatted to 17 significant
+digits, which makes the CSV byte-identical across runs and worker counts.
 
 A failed point (shallow well, series past the term cap, ...) becomes a row
 whose numeric cells are empty and whose last column carries the reason; it
@@ -21,7 +24,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from configparser import ConfigParser
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import groupby, product
 
 import numpy as np
 
@@ -32,7 +35,7 @@ from .potentials import Barrier, Harmonic, Morse, PowerLaw, Spectrum
 from .barrier import even_levels, odd_level
 from .ensembles import (BathPair, MuMode, TruncationPolicy,
                         chemical_potentials, log_relative_partition)
-from .cycle import Ensemble, run_cycle
+from .cycle import Ensemble, run_cycle, run_cycles
 
 __all__ = ["Axis", "SweepSpec", "RunManifest", "SweepOutcome",
            "ValidationReport", "preset", "preset_names", "run_sweep",
@@ -337,25 +340,33 @@ def _eval_barrier(point, spec):
             "residual": solution.residual}
 
 
-def _eval_bose_cycle(point, spec):
+def _bose_rows(points, spec):
+    """Rows of bose-cycle points that share N, from one run_cycles call."""
     p = spec.params
     baths = BathPair(hot=p["T_hot"], cold=p["T_cold"])
-    ratio = float(point["scale_ratio"])
-    scale = ratio * K_B * baths.cold
-    trap = PowerLaw.from_energy_scale(p["mass"], scale, float(point["nu"]))
-    count = int(point["N"])
-    mode = MuMode(p["mu_mode"])
-    result = run_cycle(trap, Ensemble.GRAND_BOSE, count, baths, spec.policy,
-                       mu_mode=mode)
-    mus_hot, mus_cold = result.mus
-    row = {"nu": float(point["nu"]), "N": count, "scale_ratio": ratio,
-           "energy_scale": scale, "omega": trap.omega}
-    row.update(_cycle_cells(result, baths.cold))
-    row.update({"mu_pre_hot": mus_hot.pre_insertion,
-                "mu_post_hot": mus_hot.post_insertion,
-                "mu_pre_cold": mus_cold.pre_insertion,
-                "mu_post_cold": mus_cold.post_insertion})
-    return row
+    count = int(points[0]["N"])
+    traps, rows = [], []
+    for point in points:
+        ratio = float(point["scale_ratio"])
+        scale = ratio * K_B * baths.cold
+        trap = PowerLaw.from_energy_scale(p["mass"], scale, float(point["nu"]))
+        traps.append(trap)
+        rows.append({"nu": float(point["nu"]), "N": count, "scale_ratio": ratio,
+                     "energy_scale": scale, "omega": trap.omega})
+    results = run_cycles(traps, Ensemble.GRAND_BOSE, count, baths, spec.policy,
+                         mu_mode=MuMode(p["mu_mode"]))
+    for row, result in zip(rows, results):
+        mus_hot, mus_cold = result.mus
+        row.update(_cycle_cells(result, baths.cold))
+        row.update({"mu_pre_hot": mus_hot.pre_insertion,
+                    "mu_post_hot": mus_hot.post_insertion,
+                    "mu_pre_cold": mus_cold.pre_insertion,
+                    "mu_post_cold": mus_cold.post_insertion})
+    return rows
+
+
+def _eval_bose_cycle(point, spec):
+    return _bose_rows([point], spec)[0]
 
 
 def _eval_morse_cycle(point, spec):
@@ -399,6 +410,35 @@ def _evaluate_point(spec, point):
                 row[name] = value
         row["error"] = message
         return row, message
+
+
+def _batches(spec, points):
+    """Consecutive points evaluated together.
+
+    A bose-cycle run (consecutive points that differ only in scale_ratio)
+    is one batch; every other point is its own.
+    """
+    if spec.family != "bose-cycle":
+        return [[point] for point in points]
+    return [list(run) for _, run in groupby(
+        points, key=lambda pt: [v for k, v in pt.items() if k != "scale_ratio"])]
+
+
+def _evaluate_batch(spec, points):
+    """(row, error) pairs of one batch.
+
+    A bose-cycle run goes through one run_cycles call; if it raises, its
+    points are evaluated one at a time, so each failing point gets the row
+    it would get alone.
+    """
+    if len(points) > 1:
+        try:
+            rows = _bose_rows(points, spec)
+        except SzilardError:
+            pass
+        else:
+            return [(dict(row, error=""), None) for row in rows]
+    return [_evaluate_point(spec, point) for point in points]
 
 
 # ---------------------------------------------------------------------------
@@ -568,6 +608,14 @@ def parse_quantity(text):
     return value
 
 
+def parse_integer(text):
+    """A whole, finite quantity as an int (particle counts, branch indices)."""
+    value = parse_quantity(text)
+    if not (math.isfinite(value) and value == int(value)):
+        raise ConfigError(f"{str(text).strip()!r} is not a whole number")
+    return int(value)
+
+
 def _parse_bool(text):
     low = str(text).strip().lower()
     if low in ("true", "1", "yes"):
@@ -623,10 +671,8 @@ def spec_from_config(base, cp):
         if section.startswith("list."):
             name = section[len("list."):]
             raw = cp.get(section, "values")
-            values = [parse_quantity(v) for v in raw.split(",") if v.strip()]
-            if name in _INT_LISTS:
-                values = [int(v) for v in values]
-            lists[name] = tuple(values)
+            parse = parse_integer if name in _INT_LISTS else parse_quantity
+            lists[name] = tuple(parse(v) for v in raw.split(",") if v.strip())
         elif section.startswith("axis."):
             name = section[len("axis."):]
             if name not in axis_names:
@@ -668,9 +714,10 @@ def spec_from_config(base, cp):
 def run_sweep(spec, csv_path=None):
     """Evaluate the grid, write CSV + manifest, return the outcome.
 
-    Points are farmed out to spec.workers threads but buffered and written
-    strictly in grid order; the output bytes do not depend on the worker
-    count.  Per-point failures are recorded in the row and the manifest.
+    Batches of points (see _batches) are farmed out to spec.workers threads
+    but buffered and written strictly in grid order; the output bytes do not
+    depend on the worker count or on how points are batched.  Per-point
+    failures are recorded in the row and the manifest.
     """
     report = validate(spec)
     if not report.ok:
@@ -682,12 +729,14 @@ def run_sweep(spec, csv_path=None):
               for combo in product(*(g[1] for g in grid))]
 
     started = time.perf_counter()
+    batches = _batches(spec, points)
     if spec.workers > 1:
         with ThreadPoolExecutor(max_workers=spec.workers) as pool:
-            evaluated = list(pool.map(lambda pt: _evaluate_point(spec, pt),
-                                      points))
+            evaluated = list(pool.map(lambda batch: _evaluate_batch(spec, batch),
+                                      batches))
     else:
-        evaluated = [_evaluate_point(spec, pt) for pt in points]
+        evaluated = [_evaluate_batch(spec, batch) for batch in batches]
+    evaluated = [pair for batch in evaluated for pair in batch]
     wall = time.perf_counter() - started
 
     rows = [row for row, _ in evaluated]

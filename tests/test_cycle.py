@@ -3,10 +3,12 @@
 import math
 
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
 from szilard import (BathPair, CycleResult, Ensemble, EnsembleMismatchError,
                      HBAR, Harmonic, K_B, Morse, MuMode, PowerLaw, Regime,
-                     carnot_bound, run_cycle)
+                     SzilardError, TruncationPolicy, carnot_bound, run_cycle,
+                     run_cycles)
 
 MASS = 19.11e-11
 
@@ -144,3 +146,61 @@ def test_result_is_frozen():
     assert isinstance(r, CycleResult)
     with pytest.raises(AttributeError):
         r.work = 0.0
+
+
+def _batch_trap(kind, exponent, ratio, kt):
+    """A harmonic or power-law trap whose level prefactor is ratio * kt."""
+    if kind == "harmonic":
+        return Harmonic(MASS, ratio * kt / HBAR)
+    return PowerLaw.from_energy_scale(MASS, ratio * kt, exponent)
+
+
+_traps = st.lists(
+    st.tuples(st.sampled_from(("harmonic", "power-law")),
+              st.floats(1.2, 4.0), st.floats(0.05, 20.0)),
+    min_size=1, max_size=6)
+_kelvin = st.floats(0.1, 50.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(specs=_traps, count=st.integers(1, 50), hot=_kelvin, cold=_kelvin,
+       mode=st.sampled_from((MuMode.SOLVED, MuMode.CLOSED_FORM)),
+       max_terms=st.sampled_from((1_000_000, 60)))
+def test_batched_cycles_equal_single_cycles(specs, count, hot, cold, mode,
+                                            max_terms):
+    """A mixed batch of traps gives each trap's own cycle, every field ==,
+    or the first failing trap's own error (a 60-term cap makes some fail)."""
+    policy = TruncationPolicy(max_terms=max_terms)
+    baths = BathPair(hot, cold)
+    kt = K_B * max(hot, cold)
+    traps = [_batch_trap(kind, nu, ratio, kt) for kind, nu, ratio in specs]
+    singles = []
+    for trap in traps:
+        try:
+            singles.append(run_cycle(trap, Ensemble.GRAND_BOSE, count, baths,
+                                     policy, mode))
+        except SzilardError as exc:
+            with pytest.raises(type(exc)) as raised:
+                run_cycles(traps, Ensemble.GRAND_BOSE, count, baths, policy,
+                           mode)
+            assert str(raised.value) == str(exc)
+            event(f"fails: {type(exc).__name__}")
+            return
+    event(f"{len(traps)} traps")
+    assert run_cycles(traps, Ensemble.GRAND_BOSE, count, baths, policy,
+                      mode) == singles
+
+
+def test_run_cycles_covers_every_route():
+    """The canonical and Morse routes go trap by trap, same results."""
+    baths = BathPair(0.1, 0.05)
+    harmonic = [Harmonic(MASS, 1e10), Harmonic(MASS, 3e10)]
+    assert run_cycles(harmonic, Ensemble.CANONICAL_N, 3, baths) == [
+        run_cycle(t, Ensemble.CANONICAL_N, 3, baths) for t in harmonic]
+    well = [_nine_level_well()]
+    assert run_cycles(well, Ensemble.MORSE_SINGLE, 1, baths,
+                      literal_denominator=True) == [
+        run_cycle(well[0], Ensemble.MORSE_SINGLE, 1, baths,
+                  literal_denominator=True)]
+    with pytest.raises(EnsembleMismatchError, match="harmonic or power-law"):
+        run_cycles(harmonic + well, Ensemble.GRAND_BOSE, 3, baths)

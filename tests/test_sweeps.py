@@ -13,6 +13,7 @@ from szilard import (ATOMIC_MASS, Axis, ConfigError, EV, K_B, MuMode,
                      spec_from_config, validate)
 from szilard import cycle, ensembles, potentials, sweeps
 from szilard.cli import main
+from szilard.sweeps import parse_integer
 
 FLOAT_CELL = re.compile(r"^-?\d\.\d{16}e[+-]\d{2,3}$")
 
@@ -70,6 +71,13 @@ class TestQuantities:
         for text in ("abc", "3 kg", "1e", ""):
             with pytest.raises(ConfigError):
                 parse_quantity(text)
+
+    def test_integers(self):
+        assert parse_integer("12") == 12 and parse_integer("1e1") == 10
+        assert isinstance(parse_integer("3.0"), int)
+        for text in ("inf", "-inf", "2.5", "1e400"):
+            with pytest.raises(ConfigError):
+                parse_integer(text)
 
 
 class TestCsvOutput:
@@ -161,7 +169,8 @@ class TestDeterminism:
 
 
 def _count_calls(monkeypatch, name):
-    """Wrap ensembles.<name> in every module that binds it; return the log."""
+    """Wrap ensembles.<name> in every module that binds it; return the log
+    of the positional arguments of each call."""
     calls = []
     original = getattr(ensembles, name)
 
@@ -184,11 +193,11 @@ class TestSingleEvaluation:
     """Each cycle solves its chemical potentials and stage sums once."""
 
     def test_bose_point_solves_four_roots(self, tmp_path, monkeypatch):
-        roots = _count_calls(monkeypatch, "chemical_potential")
+        solves = _count_calls(monkeypatch, "_mu_offsets")
         outcome = _run(_one_point("fig8", nu=2.0, N=10, scale_ratio=1.0),
                        tmp_path)
         assert outcome.points == 1 and outcome.failed == 0
-        assert len(roots) == 4
+        assert sum(len(roots) for roots, *_ in solves) == 4
 
     def test_morse_point_sums_four_stages(self, tmp_path, monkeypatch):
         stages = _count_calls(monkeypatch, "canonical_stage_properties")
@@ -200,7 +209,7 @@ class TestSingleEvaluation:
     def test_bose_roots_sum_one_ladder_each(self, tmp_path, monkeypatch):
         """One occupancy re-check per root, and the trap prefactor's gamma
         functions evaluated once, when the trap is built."""
-        sums = _count_calls(monkeypatch, "occupancy_total")
+        checks = _count_calls(monkeypatch, "_occupancy_checks")
         gammas = []
         original = potentials.gammaln
 
@@ -212,8 +221,52 @@ class TestSingleEvaluation:
         outcome = _run(_one_point("fig8", nu=1.6, N=10, scale_ratio=1.0),
                        tmp_path)
         assert outcome.points == 1 and outcome.failed == 0
-        assert len(sums) == 4
+        assert sum(len(segments) for segments, *_ in checks) == 4
         assert len(gammas) <= 4
+
+    def test_bose_run_solves_in_batches(self, tmp_path, monkeypatch):
+        """A 40-point run shares its Newton loops and re-check passes.
+
+        Its traps' estimated ladders (6670, 5501, ... 8 terms) close a batch
+        each time they reach 8192 terms: five batches, each one solve and
+        one re-check pass, where one solve per root would make 160."""
+        solves = _count_calls(monkeypatch, "_mu_offsets")
+        checks = _count_calls(monkeypatch, "_occupancy_checks")
+        spec = replace(preset("fig8"), lists={"nu": (1.6,), "N": (10,)})
+        outcome = _run(spec, tmp_path)
+        assert outcome.points == 40 and outcome.failed == 0
+        assert len(solves) == 5 and len(checks) == 5
+        assert sum(len(roots) for roots, *_ in solves) == 160
+        assert sum(len(segments) for segments, *_ in checks) == 160
+
+
+class TestBatchedRuns:
+    """A bose-cycle run evaluated as batches writes the bytes of its points
+    evaluated one at a time, failures included."""
+
+    def test_failing_points_keep_their_own_rows(self, tmp_path):
+        out = tmp_path / "run.csv"
+        assert main(["fig8", "--nu", "1.6", "--N", "10", "--max-terms",
+                     "2000", "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        errors = [line.split(",")[-1] for line in lines[1:]]
+        needed = [int(m.group(1)) for m in
+                  (re.match(r"TruncationError: series needs (\d+) terms;"
+                            r"  policy caps at 2000$", e) for e in errors if e)
+                  if m]
+        assert needed == [6670, 5501, 4537, 3743, 3087, 2547, 2101]
+        assert sum(1 for e in errors if e) == 7
+
+        spec = replace(preset("fig8"), lists={"nu": (1.6,), "N": (10,)},
+                       policy=TruncationPolicy(max_terms=2000))
+        single = []
+        for ratio in spec.axes[0].values():
+            point = replace(spec, axes=(), lists={
+                "nu": (1.6,), "N": (10,), "scale_ratio": (ratio,)})
+            path = tmp_path / "one.csv"
+            run_sweep(point, csv_path=str(path))
+            single.append(path.read_text().splitlines()[1])
+        assert lines[1:] == single
 
 
 class TestConfigOverlay:
@@ -370,6 +423,37 @@ class TestCli:
         assert len(rows) == 20
         assert all(row.split(",")[-1].startswith(f"{error}: ") for row in rows)
         assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args, config", [
+        (["fig8", "--nu", "0.001", "--N", "10"], None),
+        (["fig7"], "[list.nu]\nvalues = 1e-300\n")])
+    def test_tiny_exponents_give_error_rows(self, tmp_path, capsys, args,
+                                            config):
+        """A cutoff estimate past float range is a typed row, not a crash."""
+        if config is not None:
+            (tmp_path / "nu.ini").write_text(config)
+            args = args + ["--config", str(tmp_path / "nu.ini")]
+        out = tmp_path / "x.csv"
+        assert main(args + ["--out", str(out)]) == 2
+        rows = out.read_text().splitlines()[1:]
+        assert len(rows) in (40, 50)
+        assert all(row.split(",")[-1].startswith("TruncationError: ")
+                   for row in rows)
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args, config", [
+        (["fig2", "--N", "inf"], None),
+        (["fig2", "--N", "2.5"], None),
+        (["fig2"], "[list.N]\nvalues = 3, inf\n"),
+        (["fig6"], "[list.branch]\nvalues = 1.5\n")])
+    def test_integer_lists_reject_inf_and_fractions(self, tmp_path, capsys,
+                                                    args, config):
+        if config is not None:
+            (tmp_path / "int.ini").write_text(config)
+            args = args + ["--config", str(tmp_path / "int.ini")]
+        assert main(args + ["--out", str(tmp_path / "x.csv")]) == 1
+        assert "is not a whole number" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
 
     def test_custom_target_via_config(self, tmp_path, capsys):
         config = tmp_path / "run.ini"
