@@ -34,7 +34,8 @@ def _build_parser():
                              "manifest is itself a valid config.")
     parser.add_argument("--out", metavar="FILE", help="CSV output path")
     parser.add_argument("--workers", type=int, metavar="K",
-                        help="evaluate grid points on K threads")
+                        help="recorded in the run manifest; evaluation "
+                             "is serial, so K changes nothing")
     parser.add_argument("--rel-tol", type=float, metavar="X", dest="rel_tol",
                         help="series tail tolerance")
     parser.add_argument("--max-terms", type=int, metavar="M", dest="max_terms",

@@ -78,10 +78,24 @@ _TRAPS = {
 }
 
 
+def _route_error(potential, ensemble, count):
+    """The EnsembleMismatchError run_cycle raises for this trap before any
+    sum, or None."""
+    family, message = _TRAPS.get(ensemble,
+                                 ((), f"unknown ensemble {ensemble!r}"))
+    if not isinstance(potential, family):
+        return EnsembleMismatchError(message)
+    if ensemble is Ensemble.MORSE_SINGLE and count != 1:
+        return EnsembleMismatchError("the Morse cycle is single-particle")
+    if count < 1:
+        return EnsembleMismatchError("particle count must be at least 1")
+    return None
+
+
 def _stage_terms(potentials, ensemble, count, baths, mu_mode, policy):
-    """Per-bath log ratios, the four stage energies and, for the
-    grand-canonical route, the (hot, cold) chemical potentials of each
-    potential in turn.
+    """Per potential: the per-bath log ratios, the four stage energies and,
+    for the grand-canonical route, the (hot, cold) chemical potentials; or
+    the SzilardError that stops that potential.
 
     The canonical and Morse routes share the canonical stage sum; a Morse
     well is its single-particle case on a bounded ladder.  The
@@ -89,39 +103,42 @@ def _stage_terms(potentials, ensemble, count, baths, mu_mode, policy):
     chemical potentials together (the other modes take them per trap), and
     its log ratios and stage energies are summed together.
     """
-    if not isinstance(ensemble, Ensemble):
-        raise EnsembleMismatchError(f"unknown ensemble {ensemble!r}")
-    family, message = _TRAPS[ensemble]
-    for potential in potentials:
-        if not isinstance(potential, family):
-            raise EnsembleMismatchError(message)
-    if ensemble is Ensemble.GRAND_BOSE:
-        for batch in ladder_batches(potentials, baths.hot, policy):
-            if mu_mode is MuMode.SOLVED:
-                pairs = solved_chemical_potentials(batch, count, baths, policy)
-            else:
-                pairs = [_mu_pair(potential, count, baths, mu_mode, policy)
-                         for potential in batch]
-            for pair, sums in zip(pairs, grand_stage_sums(batch, pairs, baths,
-                                                          policy)):
-                if isinstance(sums, SzilardError):
-                    raise sums
-                yield (*sums, pair)
-        return
-    if ensemble is Ensemble.CANONICAL_N and count < 1:
-        raise EnsembleMismatchError("particle count must be at least 1")
-    if ensemble is Ensemble.MORSE_SINGLE and count != 1:
-        raise EnsembleMismatchError("the Morse cycle is single-particle")
-    for potential in potentials:
-        log_a, u_a = canonical_stage_properties(
-            potential, Barrier.ABSENT, count, baths.hot, policy)
-        log_b, u_b = canonical_stage_properties(
-            potential, Barrier.INSERTED, count, baths.hot, policy)
-        log_c, u_c = canonical_stage_properties(
-            potential, Barrier.INSERTED, count, baths.cold, policy)
-        log_d, u_d = canonical_stage_properties(
-            potential, Barrier.ABSENT, count, baths.cold, policy)
-        yield log_b - log_a, log_c - log_d, (u_a, u_b, u_c, u_d), None
+    out = [_route_error(trap, ensemble, count) for trap in potentials]
+    live = [i for i, error in enumerate(out) if error is None]
+    traps = [potentials[i] for i in live]
+    if ensemble is not Ensemble.GRAND_BOSE:
+        terms = [_canonical_terms(potential, count, baths, policy)
+                 for potential in traps]
+    else:
+        terms = []
+        for batch in ladder_batches(traps, baths.hot, policy):
+            pairs = (solved_chemical_potentials(batch, count, baths, policy)
+                     if mu_mode is MuMode.SOLVED else
+                     [_mu_pair(potential, count, baths, mu_mode, policy)
+                      for potential in batch])
+            terms += [sums if isinstance(sums, SzilardError) else (*sums, pair)
+                      for pair, sums in zip(pairs, grand_stage_sums(
+                          batch, pairs, baths, policy))]
+    for i, value in zip(live, terms):
+        out[i] = value
+    return out
+
+
+def _canonical_terms(potential, count, baths, policy):
+    """The canonical stage terms of one potential, stages A to D, or the
+    error of its first failing stage."""
+    try:
+        (log_a, u_a), (log_b, u_b), (log_c, u_c), (log_d, u_d) = (
+            canonical_stage_properties(potential, barrier, count, temperature,
+                                       policy)
+            for barrier, temperature in (
+                (Barrier.ABSENT, baths.hot), (Barrier.INSERTED, baths.hot),
+                (Barrier.INSERTED, baths.cold), (Barrier.ABSENT, baths.cold)))
+    except SzilardError as exc:
+        # an error kept as a value drops its traceback: the frames in it
+        # reach the lists that hold the error, a cycle only gc would free
+        return exc.with_traceback(None)
+    return log_b - log_a, log_c - log_d, (u_a, u_b, u_c, u_d), None
 
 
 def _mu_pair(potential, count, baths, mu_mode, policy):
@@ -130,20 +147,21 @@ def _mu_pair(potential, count, baths, mu_mode, policy):
         return (chemical_potentials(potential, count, baths.hot, mu_mode, policy),
                 chemical_potentials(potential, count, baths.cold, mu_mode, policy))
     except SzilardError as exc:
-        return exc
+        return exc.with_traceback(None)
 
 
 def run_cycles(potentials, ensemble, count, baths, policy=TruncationPolicy(),
                mu_mode=MuMode.SOLVED, literal_denominator=False):
     """run_cycle over many potentials, as one batch where the route allows.
 
-    Returns [run_cycle(p, ...) for p in potentials], equal field for field.
-    The grand-canonical route evaluates its traps together (see
-    ensembles.grand_stage_sums); the canonical and Morse routes go one
-    potential at a time.  A failure raises the error of the first potential
-    that fails, after every potential has passed the trap-family check.
+    Returns, for each potential, the CycleResult run_cycle returns for it
+    alone, field for field, or the SzilardError run_cycle raises for it
+    alone; it raises none itself.  The grand-canonical route evaluates its
+    traps together (see ensembles.grand_stage_sums); the canonical and Morse
+    routes go one potential at a time.
     """
-    return [_cycle_result(terms, ensemble, baths, literal_denominator)
+    return [terms if isinstance(terms, SzilardError)
+            else _cycle_result(terms, ensemble, baths, literal_denominator)
             for terms in _stage_terms(potentials, ensemble, count, baths,
                                       mu_mode, policy)]
 
@@ -156,15 +174,18 @@ def run_cycle(potential, ensemble, count, baths, policy=TruncationPolicy(),
     ignored by the other routes.  literal_denominator switches the
     single-particle Morse efficiency to the no-logarithm variant of its
     heat-supplied denominator; the logarithmic form stays the default.  It
-    is the one-potential case of run_cycles.
+    is the one-potential case of run_cycles, and raises its error.
     """
-    terms, = _stage_terms((potential,), ensemble, count, baths, mu_mode,
-                          policy)
-    return _cycle_result(terms, ensemble, baths, literal_denominator)
+    result, = run_cycles((potential,), ensemble, count, baths, policy,
+                         mu_mode, literal_denominator)
+    if isinstance(result, SzilardError):
+        raise result
+    return result
 
 
 def _cycle_result(terms, ensemble, baths, literal_denominator):
-    """Cycle algebra, first-law check and regime of one set of stage terms."""
+    """Cycle algebra, first-law check and regime of one set of stage terms;
+    the CycleResult, or the error a failed check gives."""
     l_hot, l_cold, (u_a, u_b, u_c, u_d), mus = terms
     kt_h = K_B * baths.hot
     kt_c = K_B * baths.cold
@@ -181,12 +202,12 @@ def _cycle_result(terms, ensemble, baths, literal_denominator):
     scale = max(abs(work), abs(q_insert), abs(q_cool), abs(q_remove),
                 abs(q_reheat), 1e-300)
     if closure > 1e-10 * scale:
-        raise SolverFailureError(
+        return SolverFailureError(
             f"first-law closure off by {closure / scale:.3g} relative")
 
     if literal_denominator:
         if ensemble is not Ensemble.MORSE_SINGLE:
-            raise EnsembleMismatchError(
+            return EnsembleMismatchError(
                 "the literal denominator variant applies to the Morse cycle only")
         supplied = u_b - u_d + kt_h * math.exp(l_hot)
     else:

@@ -343,7 +343,7 @@ def _bose_sums(segments, terms, policy, levels):
             n_first = max(_first_index_beyond(potential, barrier, b, mu, x_cut)
                           for barrier, mu in rungs)
         except SzilardError as exc:
-            out[j] = exc
+            out[j] = exc.with_traceback(None)
         else:
             sizes[j] = max(8, int(n_first))
     for attempt in range(5):        # the fifth attempt raises
@@ -351,7 +351,7 @@ def _bose_sums(segments, terms, policy, levels):
             try:
                 _series_size(sizes[j], attempt, policy)
             except TruncationError as exc:
-                out[j] = exc
+                out[j] = exc.with_traceback(None)
                 del sizes[j]
         rows = list(sizes)
         counts = [sizes[j] for j in rows]
@@ -517,7 +517,8 @@ class _Root:
 
     def __init__(self, j, d1, count):
         self.j, self.d1, self.count = j, d1, count
-        self.near = math.log(math.log1p(d1 / (count * 1e9)))
+        y = d1 / (count * 1e9)      # 0.0 once count * 1e9 overflows
+        self.near = math.log(math.log1p(y) if y else d1 / count / 1e9)
         self.far = self.u = 0.0
         self.step = 0
         self.rounds = 0

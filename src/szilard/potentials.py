@@ -128,6 +128,9 @@ class Morse:
     range parameter `steepness` (omega = steepness*sqrt(2*depth/mass)).
     depth = inf is the harmonic limit (anharmonicity 0, unbounded ladder).
     `position` is the well minimum; it never enters any energy.
+    `bound_count` is floor(2*depth/quantum - 1), computed once when the well
+    is built: None at infinite depth, below 1 for a well that holds no level
+    (morse_bound_count raises then).
     """
 
     mass: float            # kg
@@ -135,6 +138,7 @@ class Morse:
     omega: float = None    # rad/s
     steepness: float = None   # 1/m
     position: float = 0.0     # m
+    bound_count: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _require_positive_finite(self.mass, "mass")
@@ -157,6 +161,13 @@ class Morse:
                     self.omega * math.sqrt(self.mass / (2.0 * self.depth)))
             else:
                 object.__setattr__(self, "steepness", 0.0)
+        try:
+            count = (math.floor(2.0 * self.depth / self.quantum - 1.0)
+                     if math.isfinite(self.depth) else None)
+        except ArithmeticError:
+            raise InvalidPotentialError(
+                "Morse bound count is out of floating-point range") from None
+        object.__setattr__(self, "bound_count", count)
 
     @property
     def quantum(self):
@@ -204,10 +215,8 @@ def morse_bound_count(potential):
     """
     if not isinstance(potential, Morse):
         raise InvalidPotentialError("bound count applies to Morse wells only")
-    if not math.isfinite(potential.depth):
-        return None
-    count = math.floor(2.0 * potential.depth / potential.quantum - 1.0)
-    if count < 1:
+    count = potential.bound_count
+    if count is not None and count < 1:
         raise NoBoundStatesError(
             f"2*depth/quantum = {2.0 * potential.depth / potential.quantum:.6g}"
             " leaves no bound level")

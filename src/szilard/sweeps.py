@@ -3,13 +3,12 @@
 A sweep is a cartesian grid: discrete lists (particle counts, exponents,
 well depths, ...) crossed with at most one continuous axis.  Eleven presets
 pre-load published parameter sets; `custom` reads everything from a config
-file instead.  Grid points are evaluated in batches: each run of a
-bose-cycle grid (consecutive points that differ only in scale_ratio) goes
-through one batched run_cycles call, every other point is a batch of its
-own.  A batched point's numbers equal the ones it gets alone bit for bit,
-so a worker pool may process the batches in any order; rows are always
+file instead.  The three cycle families (canonical, bose-cycle, morse-cycle)
+share one path: each point builds its trap, and consecutive points that
+share the ensemble, particle count and baths go through one run_cycles
+call, which gives each trap the result or error it gets alone.  Rows are
 written in grid order and all floats are formatted to 17 significant
-digits, which makes the CSV byte-identical across runs and worker counts.
+digits, which makes the CSV byte-identical across runs.
 
 A failed point (shallow well, series past the term cap, ...) becomes a row
 whose numeric cells are empty and whose last column carries the reason; it
@@ -21,7 +20,6 @@ file holding the fully resolved parameters.  Feeding that manifest back via
 import math
 import re
 import time
-from concurrent.futures import ThreadPoolExecutor
 from configparser import ConfigParser
 from dataclasses import dataclass, field
 from itertools import groupby, product
@@ -35,7 +33,8 @@ from .potentials import Barrier, Harmonic, Morse, PowerLaw, Spectrum
 from .barrier import even_levels, odd_level
 from .ensembles import (BathPair, MuMode, TruncationPolicy,
                         chemical_potentials, log_relative_partition)
-from .cycle import Ensemble, run_cycle, run_cycles
+# run_cycle stays bound here for wrappers that patch it per module
+from .cycle import Ensemble, run_cycle, run_cycles  # noqa: F401
 
 __all__ = ["Axis", "SweepSpec", "RunManifest", "SweepOutcome",
            "ValidationReport", "preset", "preset_names", "run_sweep",
@@ -79,7 +78,7 @@ class SweepSpec:
     params: dict
     output: str
     policy: TruncationPolicy = TruncationPolicy()
-    workers: int = 1
+    workers: int = 1      # recorded in the manifest; evaluation is serial
 
     def grid(self):
         """Ordered (name, values) pairs: lists first, then axes."""
@@ -255,14 +254,6 @@ _SCHEMAS = {
 }
 
 
-def _morse_baths(point, params):
-    t_hot = point.get("T_hot", params.get("T_hot"))
-    t_cold = params.get("T_cold")
-    if t_cold is None:
-        t_cold = t_hot * params["cold_to_hot"]
-    return BathPair(hot=float(t_hot), cold=float(t_cold))
-
-
 def _morse_potential(point, params):
     omega = float(point.get("omega", params.get("omega")))
     if "anharmonicity" in point:
@@ -272,28 +263,78 @@ def _morse_potential(point, params):
     return Morse(mass=params["mass"], depth=depth, omega=omega)
 
 
-def _cycle_cells(result, t_cold):
-    eff = result.efficiency
-    return {
-        "work": result.work,
-        "work_per_kT_cold": result.work / (K_B * t_cold),
-        "efficiency": eff if eff is not None else None,
-        "q_hot": result.q_hot,
-        "q_cold": result.q_cold,
-        "regime": result.regime.value,
-    }
+# How a point of each cycle family builds its particle count, baths, trap
+# and input cells.
 
-
-def _eval_canonical(point, spec):
-    p = spec.params
+def _canonical_point(point, p):
     omega = float(point.get("omega", p.get("omega")))
     baths = BathPair(hot=p["T_hot"], cold=p["T_cold"])
     trap = Harmonic(mass=p["mass"], omega=omega)
-    result = run_cycle(trap, Ensemble.CANONICAL_N, int(point["N"]), baths,
-                       spec.policy)
-    row = {"N": int(point["N"]), "omega": omega}
-    row.update(_cycle_cells(result, baths.cold))
-    return row
+    return point["N"], baths, trap, {**point, "omega": omega}
+
+
+def _bose_point(point, p):
+    baths = BathPair(hot=p["T_hot"], cold=p["T_cold"])
+    scale = float(point["scale_ratio"]) * K_B * baths.cold
+    trap = PowerLaw.from_energy_scale(p["mass"], scale, float(point["nu"]))
+    return point["N"], baths, trap, {**point, "energy_scale": scale,
+                                     "omega": trap.omega}
+
+
+def _morse_point(point, p):
+    t_hot = float(point.get("T_hot", p.get("T_hot")))
+    t_cold = p["T_cold"] if "T_cold" in p else t_hot * p["cold_to_hot"]
+    baths = BathPair(hot=t_hot, cold=float(t_cold))
+    trap = _morse_potential(point, p)
+    return 1, baths, trap, {
+        "T_hot": baths.hot, "T_cold": baths.cold, "omega": trap.omega,
+        "depth": trap.depth, "anharmonicity": trap.anharmonicity}
+
+
+_CYCLES = {
+    "canonical": (Ensemble.CANONICAL_N, _canonical_point),
+    "bose-cycle": (Ensemble.GRAND_BOSE, _bose_point),
+    "morse-cycle": (Ensemble.MORSE_SINGLE, _morse_point),
+}
+
+
+def _cycle_cells(result, t_cold):
+    cells = {"work": result.work,
+             "work_per_kT_cold": result.work / (K_B * t_cold),
+             "efficiency": result.efficiency, "q_hot": result.q_hot,
+             "q_cold": result.q_cold, "regime": result.regime.value,
+             "error": ""}
+    for bath, mus in zip(("hot", "cold"), result.mus or ()):
+        cells[f"mu_pre_{bath}"] = mus.pre_insertion
+        cells[f"mu_post_{bath}"] = mus.post_insertion
+    return cells
+
+
+def _cycle_rows(spec, points):
+    """Rows of the points of a cycle family: one run_cycles call per run of
+    consecutive points that share the particle count and baths."""
+    ensemble, build = _CYCLES[spec.family]
+    p = spec.params
+    mu_mode = MuMode(p.get("mu_mode", MuMode.SOLVED.value))
+    literal = (ensemble is Ensemble.MORSE_SINGLE
+               and bool(p.get("literal_denominator")))
+    rows, jobs = [None] * len(points), []
+    for index, point in enumerate(points):
+        try:
+            count, baths, trap, cells = build(point, p)
+        except SzilardError as exc:
+            rows[index] = _error_row(spec, point, exc)
+        else:
+            jobs.append(((count, baths), index, trap, cells))
+    for (count, baths), group in groupby(jobs, key=lambda job: job[0]):
+        group = list(group)
+        results = run_cycles([trap for _, _, trap, _ in group], ensemble,
+                             count, baths, spec.policy, mu_mode, literal)
+        for (_, index, _, cells), result in zip(group, results):
+            rows[index] = (_error_row(spec, points[index], result)
+                           if isinstance(result, SzilardError)
+                           else {**cells, **_cycle_cells(result, baths.cold)})
+    return rows
 
 
 def _eval_chemical_potential(point, spec):
@@ -340,54 +381,10 @@ def _eval_barrier(point, spec):
             "residual": solution.residual}
 
 
-def _bose_rows(points, spec):
-    """Rows of bose-cycle points that share N, from one run_cycles call."""
-    p = spec.params
-    baths = BathPair(hot=p["T_hot"], cold=p["T_cold"])
-    count = int(points[0]["N"])
-    traps, rows = [], []
-    for point in points:
-        ratio = float(point["scale_ratio"])
-        scale = ratio * K_B * baths.cold
-        trap = PowerLaw.from_energy_scale(p["mass"], scale, float(point["nu"]))
-        traps.append(trap)
-        rows.append({"nu": float(point["nu"]), "N": count, "scale_ratio": ratio,
-                     "energy_scale": scale, "omega": trap.omega})
-    results = run_cycles(traps, Ensemble.GRAND_BOSE, count, baths, spec.policy,
-                         mu_mode=MuMode(p["mu_mode"]))
-    for row, result in zip(rows, results):
-        mus_hot, mus_cold = result.mus
-        row.update(_cycle_cells(result, baths.cold))
-        row.update({"mu_pre_hot": mus_hot.pre_insertion,
-                    "mu_post_hot": mus_hot.post_insertion,
-                    "mu_pre_cold": mus_cold.pre_insertion,
-                    "mu_post_cold": mus_cold.post_insertion})
-    return rows
-
-
-def _eval_bose_cycle(point, spec):
-    return _bose_rows([point], spec)[0]
-
-
-def _eval_morse_cycle(point, spec):
-    p = spec.params
-    baths = _morse_baths(point, p)
-    trap = _morse_potential(point, p)
-    result = run_cycle(trap, Ensemble.MORSE_SINGLE, 1, baths, spec.policy,
-                       literal_denominator=bool(p.get("literal_denominator")))
-    row = {"T_hot": baths.hot, "T_cold": baths.cold, "omega": trap.omega,
-           "depth": trap.depth, "anharmonicity": trap.anharmonicity}
-    row.update(_cycle_cells(result, baths.cold))
-    return row
-
-
 _EVALUATORS = {
-    "canonical": _eval_canonical,
     "chemical-potential": _eval_chemical_potential,
     "partition-ratio": _eval_partition_ratio,
     "barrier-levels": _eval_barrier,
-    "bose-cycle": _eval_bose_cycle,
-    "morse-cycle": _eval_morse_cycle,
 }
 
 
@@ -395,50 +392,21 @@ def _sanitize(message):
     return re.sub(r"[,\r\n]+", "; ", str(message)).strip()
 
 
+def _error_row(spec, point, exc):
+    """The row of a failed point: its grid values and the reason."""
+    row = {name: point.get(name) for name in _SCHEMAS[spec.family]}
+    row["error"] = _sanitize(f"{type(exc).__name__}: {exc}")
+    return row
+
+
 def _evaluate_point(spec, point):
-    """One grid point -> (row dict, error message or None)."""
-    evaluate = _EVALUATORS[spec.family]
+    """The row of one point of the other families."""
     try:
-        row = evaluate(point, spec)
-        row["error"] = ""
-        return row, None
+        row = _EVALUATORS[spec.family](point, spec)
     except SzilardError as exc:
-        message = _sanitize(f"{type(exc).__name__}: {exc}")
-        row = {name: None for name in _SCHEMAS[spec.family]}
-        for name, value in point.items():
-            if name in row:
-                row[name] = value
-        row["error"] = message
-        return row, message
-
-
-def _batches(spec, points):
-    """Consecutive points evaluated together.
-
-    A bose-cycle run (consecutive points that differ only in scale_ratio)
-    is one batch; every other point is its own.
-    """
-    if spec.family != "bose-cycle":
-        return [[point] for point in points]
-    return [list(run) for _, run in groupby(
-        points, key=lambda pt: [v for k, v in pt.items() if k != "scale_ratio"])]
-
-
-def _evaluate_batch(spec, points):
-    """(row, error) pairs of one batch.
-
-    A bose-cycle run goes through one run_cycles call; if it raises, its
-    points are evaluated one at a time, so each failing point gets the row
-    it would get alone.
-    """
-    if len(points) > 1:
-        try:
-            rows = _bose_rows(points, spec)
-        except SzilardError:
-            pass
-        else:
-            return [(dict(row, error=""), None) for row in rows]
-    return [_evaluate_point(spec, point) for point in points]
+        return _error_row(spec, point, exc)
+    row["error"] = ""
+    return row
 
 
 # ---------------------------------------------------------------------------
@@ -449,11 +417,11 @@ def validate(spec):
 
     Structural problems (bad masses, temperatures, axis ranges) make the
     whole sweep unrunnable; per-point predictions mirror the errors the
-    evaluators would
-    record (shallow wells, series past the term cap) without running any sums.
+    evaluation would record (shallow wells, series past the term cap)
+    without running any sums.
     """
     report = ValidationReport()
-    if spec.family not in _EVALUATORS:
+    if spec.family not in _SCHEMAS:
         report.spec_errors.append(f"unknown family {spec.family!r}")
         return report
     p = spec.params
@@ -686,22 +654,26 @@ def spec_from_config(base, cp):
                                             fallback=str(old.start))),
                 stop=parse_quantity(cp.get(section, "stop",
                                            fallback=str(old.stop))),
-                points=cp.getint(section, "points", fallback=old.points),
+                points=parse_integer(cp.get(section, "points",
+                                            fallback=str(old.points))),
                 scale=cp.get(section, "scale", fallback=old.scale))
 
     policy = base.policy
     if cp.has_section("policy"):
         policy = TruncationPolicy(
-            rel_tol=cp.getfloat("policy", "rel_tol",
-                                fallback=policy.rel_tol),
-            max_terms=cp.getint("policy", "max_terms",
-                                fallback=policy.max_terms))
+            rel_tol=parse_quantity(cp.get("policy", "rel_tol",
+                                          fallback=repr(policy.rel_tol))),
+            max_terms=parse_integer(cp.get("policy", "max_terms",
+                                           fallback=str(policy.max_terms))))
 
     output = base.output
     workers = base.workers
     if cp.has_section("run"):
         output = cp.get("run", "output", fallback=output)
-        workers = cp.getint("run", "workers", fallback=workers)
+        workers = parse_integer(cp.get("run", "workers",
+                                       fallback=str(workers)))
+        if workers < 1:
+            raise ConfigError("[run] workers must be at least 1")
 
     return SweepSpec(target=base.target, family=base.family,
                      axes=tuple(axes), lists=lists, params=params,
@@ -714,10 +686,10 @@ def spec_from_config(base, cp):
 def run_sweep(spec, csv_path=None):
     """Evaluate the grid, write CSV + manifest, return the outcome.
 
-    Batches of points (see _batches) are farmed out to spec.workers threads
-    but buffered and written strictly in grid order; the output bytes do not
-    depend on the worker count or on how points are batched.  Per-point
-    failures are recorded in the row and the manifest.
+    Points are evaluated in grid order in this thread (cycle families by
+    runs, see _cycle_rows); spec.workers is recorded in the manifest and
+    changes nothing.  Per-point failures are recorded in the row and the
+    manifest.
     """
     report = validate(spec)
     if not report.ok:
@@ -729,19 +701,13 @@ def run_sweep(spec, csv_path=None):
               for combo in product(*(g[1] for g in grid))]
 
     started = time.perf_counter()
-    batches = _batches(spec, points)
-    if spec.workers > 1:
-        with ThreadPoolExecutor(max_workers=spec.workers) as pool:
-            evaluated = list(pool.map(lambda batch: _evaluate_batch(spec, batch),
-                                      batches))
+    if spec.family in _CYCLES:
+        rows = _cycle_rows(spec, points)
     else:
-        evaluated = [_evaluate_batch(spec, batch) for batch in batches]
-    evaluated = [pair for batch in evaluated for pair in batch]
+        rows = [_evaluate_point(spec, point) for point in points]
     wall = time.perf_counter() - started
-
-    rows = [row for row, _ in evaluated]
-    errors = [(index, message) for index, (_, message) in enumerate(evaluated)
-              if message is not None]
+    errors = [(index, row["error"]) for index, row in enumerate(rows)
+              if row["error"]]
 
     path = csv_path if csv_path is not None else spec.output
     manifest_path = f"{path}.manifest"

@@ -7,8 +7,8 @@ from hypothesis import event, given, settings, strategies as st
 
 from szilard import (BathPair, CycleResult, Ensemble, EnsembleMismatchError,
                      HBAR, Harmonic, K_B, Morse, MuMode, PowerLaw, Regime,
-                     SzilardError, TruncationPolicy, carnot_bound, run_cycle,
-                     run_cycles)
+                     SzilardError, TruncationError, TruncationPolicy,
+                     carnot_bound, run_cycle, run_cycles)
 
 MASS = 19.11e-11
 
@@ -148,59 +148,100 @@ def test_result_is_frozen():
         r.work = 0.0
 
 
-def _batch_trap(kind, exponent, ratio, kt):
-    """A harmonic or power-law trap whose level prefactor is ratio * kt."""
+def _batch_trap(kind, exponent, ratio, anharmonicity, kt):
+    """A trap whose level prefactor (Morse: quantum) is ratio * kt."""
     if kind == "harmonic":
         return Harmonic(MASS, ratio * kt / HBAR)
+    if kind == "morse":
+        return Morse.from_anharmonicity(MASS, ratio * kt / HBAR, anharmonicity)
     return PowerLaw.from_energy_scale(MASS, ratio * kt, exponent)
 
 
-_traps = st.lists(
-    st.tuples(st.sampled_from(("harmonic", "power-law")),
-              st.floats(1.2, 4.0), st.floats(0.05, 20.0)),
-    min_size=1, max_size=6)
+def _outcome(potential, *args, **kwargs):
+    """run_cycle's result for one potential, or the error it raises."""
+    try:
+        return run_cycle(potential, *args, **kwargs)
+    except SzilardError as exc:
+        return exc
+
+
+def _assert_same_outcomes(batched, singles):
+    """Each batched outcome is the trap's own: the same result, every field
+    ==, or an error of the same type and message."""
+    assert len(batched) == len(singles)
+    for got, want in zip(batched, singles):
+        if isinstance(want, SzilardError):
+            assert type(got) is type(want) and str(got) == str(want)
+        else:
+            assert got == want
+
+
+_KINDS = {
+    Ensemble.GRAND_BOSE: ("harmonic", "power-law"),
+    Ensemble.CANONICAL_N: ("harmonic", "power-law"),
+    Ensemble.MORSE_SINGLE: ("morse",),
+}
 _kelvin = st.floats(0.1, 50.0)
 
 
-@settings(max_examples=40, deadline=None)
-@given(specs=_traps, count=st.integers(1, 50), hot=_kelvin, cold=_kelvin,
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), ensemble=st.sampled_from(Ensemble),
+       count=st.integers(1, 50), hot=_kelvin, cold=_kelvin,
        mode=st.sampled_from((MuMode.SOLVED, MuMode.CLOSED_FORM)),
-       max_terms=st.sampled_from((1_000_000, 60)))
-def test_batched_cycles_equal_single_cycles(specs, count, hot, cold, mode,
-                                            max_terms):
-    """A mixed batch of traps gives each trap's own cycle, every field ==,
-    or the first failing trap's own error (a 60-term cap makes some fail)."""
+       max_terms=st.sampled_from((1_000_000, 60, 10)), literal=st.booleans())
+def test_batched_cycles_equal_single_cycles(data, ensemble, count, hot, cold,
+                                            mode, max_terms, literal):
+    """A batch of traps gives each trap its own outcome, on every route.
+
+    Power-law exponents run 1.2-4 and level scales 0.05-20 kT; Morse
+    anharmonicities run 0-0.7, so some wells are too shallow to hold or to
+    split a level, and a 60- or 10-term cap makes some series fail."""
+    specs = data.draw(st.lists(
+        st.tuples(st.sampled_from(_KINDS[ensemble]), st.floats(1.2, 4.0),
+                  st.floats(0.05, 20.0),
+                  st.one_of(st.just(0.0), st.floats(1e-6, 0.7))),
+        min_size=1, max_size=6))
+    if ensemble is Ensemble.MORSE_SINGLE:
+        count = 1
+    else:
+        literal = False
     policy = TruncationPolicy(max_terms=max_terms)
     baths = BathPair(hot, cold)
     kt = K_B * max(hot, cold)
-    traps = [_batch_trap(kind, nu, ratio, kt) for kind, nu, ratio in specs]
-    singles = []
-    for trap in traps:
-        try:
-            singles.append(run_cycle(trap, Ensemble.GRAND_BOSE, count, baths,
-                                     policy, mode))
-        except SzilardError as exc:
-            with pytest.raises(type(exc)) as raised:
-                run_cycles(traps, Ensemble.GRAND_BOSE, count, baths, policy,
-                           mode)
-            assert str(raised.value) == str(exc)
-            event(f"fails: {type(exc).__name__}")
-            return
-    event(f"{len(traps)} traps")
-    assert run_cycles(traps, Ensemble.GRAND_BOSE, count, baths, policy,
-                      mode) == singles
+    traps = [_batch_trap(*spec, kt) for spec in specs]
+    singles = [_outcome(trap, ensemble, count, baths, policy, mode, literal)
+               for trap in traps]
+    event(f"{ensemble.name}: {sum(isinstance(s, SzilardError) for s in singles)}"
+          f" of {len(traps)} fail")
+    _assert_same_outcomes(
+        run_cycles(traps, ensemble, count, baths, policy, mode, literal),
+        singles)
 
 
 def test_run_cycles_covers_every_route():
-    """The canonical and Morse routes go trap by trap, same results."""
+    """Every route gives each trap its own outcome, a trap of the wrong
+    family included; run_cycles itself raises nothing."""
     baths = BathPair(0.1, 0.05)
     harmonic = [Harmonic(MASS, 1e10), Harmonic(MASS, 3e10)]
-    assert run_cycles(harmonic, Ensemble.CANONICAL_N, 3, baths) == [
-        run_cycle(t, Ensemble.CANONICAL_N, 3, baths) for t in harmonic]
     well = [_nine_level_well()]
-    assert run_cycles(well, Ensemble.MORSE_SINGLE, 1, baths,
-                      literal_denominator=True) == [
-        run_cycle(well[0], Ensemble.MORSE_SINGLE, 1, baths,
-                  literal_denominator=True)]
-    with pytest.raises(EnsembleMismatchError, match="harmonic or power-law"):
-        run_cycles(harmonic + well, Ensemble.GRAND_BOSE, 3, baths)
+    capped = TruncationPolicy(max_terms=60)    # the 1e10 trap needs 82 terms
+    for traps, ensemble, count, policy, literal in (
+            (harmonic, Ensemble.CANONICAL_N, 3, TruncationPolicy(), False),
+            (harmonic, Ensemble.CANONICAL_N, 1, capped, False),
+            (well, Ensemble.MORSE_SINGLE, 1, TruncationPolicy(), True),
+            (harmonic + well, Ensemble.GRAND_BOSE, 3, TruncationPolicy(), False),
+            (well + harmonic, Ensemble.MORSE_SINGLE, 1, capped, False),
+            (harmonic, Ensemble.CANONICAL_N, 0, capped, False),
+            (harmonic, "canonical", 3, capped, False)):
+        batched = run_cycles(traps, ensemble, count, baths, policy,
+                             literal_denominator=literal)
+        _assert_same_outcomes(batched, [
+            _outcome(t, ensemble, count, baths, policy,
+                     literal_denominator=literal) for t in traps])
+    assert isinstance(batched[0], EnsembleMismatchError)
+    split = run_cycles(harmonic, Ensemble.CANONICAL_N, 1, baths, capped)
+    assert [type(r) for r in split] == [TruncationError, CycleResult]
+    mixed = run_cycles(harmonic + well, Ensemble.GRAND_BOSE, 3, baths)
+    assert [type(r) for r in mixed] == [CycleResult, CycleResult,
+                                        EnsembleMismatchError]
+    assert "harmonic or power-law" in str(mixed[2])

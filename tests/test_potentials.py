@@ -129,12 +129,18 @@ def test_morse_bound_count():
     # 2*depth/quantum = 10.7 -> floor(9.7) = 9 levels
     q = HBAR * 1e10
     well = Morse(mass=MASS, depth=5.35 * q, omega=1e10)
-    assert morse_bound_count(well) == 9
+    assert morse_bound_count(well) == 9 == well.bound_count
     # exactly 2 quanta deep: a single level survives
     assert morse_bound_count(Morse(mass=MASS, depth=q, omega=1e10)) == 1
+    # a well too shallow for a level is built; the count raises where used
+    shallow = Morse(mass=MASS, depth=0.75 * q, omega=1e10)
+    assert shallow.bound_count == 0
     with pytest.raises(NoBoundStatesError):
-        morse_bound_count(Morse(mass=MASS, depth=0.75 * q, omega=1e10))
+        morse_bound_count(shallow)
     assert morse_bound_count(Morse(mass=MASS, depth=math.inf, omega=1e10)) is None
+    # a finite depth whose count leaves floating-point range
+    with pytest.raises(InvalidPotentialError):
+        Morse.from_anharmonicity(MASS, 1.3e11, 5e-324)
     with pytest.raises(InvalidPotentialError):
         morse_bound_count(Harmonic(mass=MASS, omega=1e10))
 

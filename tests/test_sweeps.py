@@ -4,6 +4,7 @@ import math
 import re
 from configparser import ConfigParser
 from dataclasses import replace
+from itertools import product
 
 import pytest
 
@@ -241,8 +242,22 @@ class TestSingleEvaluation:
 
 
 class TestBatchedRuns:
-    """A bose-cycle run evaluated as batches writes the bytes of its points
-    evaluated one at a time, failures included."""
+    """A cycle run evaluated with one run_cycles call writes the bytes of
+    its points evaluated one at a time, failures included, and evaluates no
+    point twice."""
+
+    @staticmethod
+    def _single_rows(spec, tmp_path):
+        """Each point of spec's grid swept alone: its CSV row."""
+        names = [name for name, _ in spec.grid()]
+        rows = []
+        for combo in product(*(values for _, values in spec.grid())):
+            point = replace(spec, axes=(), lists={
+                name: (value,) for name, value in zip(names, combo)})
+            path = tmp_path / "one.csv"
+            run_sweep(point, csv_path=str(path))
+            rows.append(path.read_text().splitlines()[1])
+        return rows
 
     def test_failing_points_keep_their_own_rows(self, tmp_path):
         out = tmp_path / "run.csv"
@@ -259,14 +274,26 @@ class TestBatchedRuns:
 
         spec = replace(preset("fig8"), lists={"nu": (1.6,), "N": (10,)},
                        policy=TruncationPolicy(max_terms=2000))
-        single = []
-        for ratio in spec.axes[0].values():
-            point = replace(spec, axes=(), lists={
-                "nu": (1.6,), "N": (10,), "scale_ratio": (ratio,)})
-            path = tmp_path / "one.csv"
-            run_sweep(point, csv_path=str(path))
-            single.append(path.read_text().splitlines()[1])
-        assert lines[1:] == single
+        assert lines[1:] == self._single_rows(spec, tmp_path)
+
+    def test_failing_run_solves_each_root_once(self, tmp_path, monkeypatch):
+        """The run above solves its 160 roots in its five batches and runs
+        none again; re-running the failing batch point by point made 41
+        solves over 168 roots."""
+        solves = _count_calls(monkeypatch, "_mu_offsets")
+        spec = replace(preset("fig8"), lists={"nu": (1.6,), "N": (10,)},
+                       policy=TruncationPolicy(max_terms=2000))
+        outcome = _run(spec, tmp_path)
+        assert outcome.points == 40 and outcome.failed == 7
+        assert len(solves) == 5
+        assert sum(len(roots) for roots, *_ in solves) == 160
+
+    def test_morse_run_rows_equal_one_point_sweeps(self, tmp_path):
+        """fig9-inset is one run of 41 wells, 30 of them too shallow."""
+        outcome = _run(preset("fig9-inset"), tmp_path)
+        assert outcome.points == 41 and outcome.failed == 30
+        lines = open(outcome.csv_path).read().splitlines()
+        assert lines[1:] == self._single_rows(preset("fig9-inset"), tmp_path)
 
 
 class TestConfigOverlay:
@@ -454,6 +481,44 @@ class TestCli:
         assert main(args + ["--out", str(tmp_path / "x.csv")]) == 1
         assert "is not a whole number" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
+
+    def test_huge_particle_count_gives_rows(self, tmp_path, capsys):
+        """A count past 1e290 once overflowed the root's lower bracket."""
+        out = tmp_path / "x.csv"
+        assert main(["fig8", "--nu", "2", "--N", "1e300",
+                     "--out", str(out)]) in (0, 2)
+        assert "Traceback" not in capsys.readouterr().err
+        columns, *rows = [line.split(",") for line in
+                          out.read_text().splitlines()]
+        assert len(rows) == 40
+        work = columns.index("work")
+        for row in rows:
+            assert (row[work] and not row[-1]) or (
+                not row[work] and re.match(r"^[A-Za-z]+Error: ", row[-1]))
+
+    @pytest.mark.parametrize("section, line, code", [
+        ("run", "workers = two", 1),
+        ("run", "workers = 0", 1),
+        ("policy", "max_terms = 1e6", 0),
+        ("policy", "rel_tol = tiny", 1),
+        ("axis.T_hot", "points = ten", 1)])
+    def test_config_numbers_are_typed(self, tmp_path, capsys, section, line,
+                                      code):
+        """Each number a config file sets parses like a list value: a typed
+        configuration error, never a bare ValueError."""
+        config = tmp_path / "run.ini"
+        config.write_text(f"[{section}]\n{line}\n")
+        out = tmp_path / "x.csv"
+        assert main(["fig9", "--config", str(config),
+                     "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if code:
+            assert err.startswith("config error: ")
+            assert not out.exists()
+        else:
+            assert "max_terms = 1000000" in (
+                tmp_path / "x.csv.manifest").read_text()
 
     def test_custom_target_via_config(self, tmp_path, capsys):
         config = tmp_path / "run.ini"
