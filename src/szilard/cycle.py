@@ -21,10 +21,11 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .constants import K_B
-from .errors import EnsembleMismatchError, SolverFailureError, SzilardError
+from .errors import (EnsembleMismatchError, SolverFailureError, SzilardError,
+                     value_or_raise)
 from .potentials import Harmonic, Morse, PowerLaw
-from .ensembles import (BathPair, Barrier, MuMode, TruncationPolicy,
-                        canonical_stage_properties, chemical_potentials,
+from .ensembles import (BathPair, MuMode, TruncationPolicy,
+                        canonical_stage_sums, chemical_potentials,
                         grand_stage_sums, ladder_batches,
                         solved_chemical_potentials)
 
@@ -97,8 +98,8 @@ def _stage_terms(potentials, ensemble, count, baths, mu_mode, policy):
     for the grand-canonical route, the (hot, cold) chemical potentials; or
     the SzilardError that stops that potential.
 
-    The canonical and Morse routes share the canonical stage sum; a Morse
-    well is its single-particle case on a bounded ladder.  The
+    The canonical and Morse routes share the canonical stage sums; a Morse
+    well is their single-particle case on a bounded ladder.  The
     grand-canonical route runs batch by batch: MuMode.SOLVED solves a batch's
     chemical potentials together (the other modes take them per trap), and
     its log ratios and stage energies are summed together.
@@ -107,8 +108,8 @@ def _stage_terms(potentials, ensemble, count, baths, mu_mode, policy):
     live = [i for i, error in enumerate(out) if error is None]
     traps = [potentials[i] for i in live]
     if ensemble is not Ensemble.GRAND_BOSE:
-        terms = [_canonical_terms(potential, count, baths, policy)
-                 for potential in traps]
+        terms = [sums if isinstance(sums, SzilardError) else (*sums, None)
+                 for sums in canonical_stage_sums(traps, count, baths, policy)]
     else:
         terms = []
         for batch in ladder_batches(traps, baths.hot, policy):
@@ -124,29 +125,14 @@ def _stage_terms(potentials, ensemble, count, baths, mu_mode, policy):
     return out
 
 
-def _canonical_terms(potential, count, baths, policy):
-    """The canonical stage terms of one potential, stages A to D, or the
-    error of its first failing stage."""
-    try:
-        (log_a, u_a), (log_b, u_b), (log_c, u_c), (log_d, u_d) = (
-            canonical_stage_properties(potential, barrier, count, temperature,
-                                       policy)
-            for barrier, temperature in (
-                (Barrier.ABSENT, baths.hot), (Barrier.INSERTED, baths.hot),
-                (Barrier.INSERTED, baths.cold), (Barrier.ABSENT, baths.cold)))
-    except SzilardError as exc:
-        # an error kept as a value drops its traceback: the frames in it
-        # reach the lists that hold the error, a cycle only gc would free
-        return exc.with_traceback(None)
-    return log_b - log_a, log_c - log_d, (u_a, u_b, u_c, u_d), None
-
-
 def _mu_pair(potential, count, baths, mu_mode, policy):
     """(hot, cold) chemical potentials of one trap, or the error."""
     try:
         return (chemical_potentials(potential, count, baths.hot, mu_mode, policy),
                 chemical_potentials(potential, count, baths.cold, mu_mode, policy))
     except SzilardError as exc:
+        # an error kept as a value drops its traceback: the frames in it
+        # reach the lists that hold the error, a cycle only gc would free
         return exc.with_traceback(None)
 
 
@@ -158,7 +144,8 @@ def run_cycles(potentials, ensemble, count, baths, policy=TruncationPolicy(),
     alone, field for field, or the SzilardError run_cycle raises for it
     alone; it raises none itself.  The grand-canonical route evaluates its
     traps together (see ensembles.grand_stage_sums); the canonical and Morse
-    routes go one potential at a time.
+    routes go one potential at a time, four one-segment stage sums each (see
+    ensembles.canonical_stage_sums).
     """
     return [terms if isinstance(terms, SzilardError)
             else _cycle_result(terms, ensemble, baths, literal_denominator)
@@ -176,11 +163,8 @@ def run_cycle(potential, ensemble, count, baths, policy=TruncationPolicy(),
     heat-supplied denominator; the logarithmic form stays the default.  It
     is the one-potential case of run_cycles, and raises its error.
     """
-    result, = run_cycles((potential,), ensemble, count, baths, policy,
-                         mu_mode, literal_denominator)
-    if isinstance(result, SzilardError):
-        raise result
-    return result
+    return value_or_raise(run_cycles((potential,), ensemble, count, baths,
+                                     policy, mu_mode, literal_denominator)[0])
 
 
 def _cycle_result(terms, ensemble, baths, literal_denominator):

@@ -7,8 +7,7 @@ Three statistical treatments share this module:
   the barrier-inserted stages;
 * grand-canonical bosons with a chemical potential per barrier configuration,
   each bound to the temperature of the bath it serves; their roots and sums
-  run on many traps at once, as one numpy pass per step over all ladders,
-  and a one-trap call is the one-ladder case of the same code;
+  run on many traps at once, as one numpy pass per step over all ladders;
 * the single-particle Morse cycle, which is canonical and needs no chemical
   potential: its stage sums are the canonical ones at count 1, capped at the
   bound-state ladder.
@@ -17,13 +16,17 @@ Stage labels follow the cycle diagram: A = barrier absent at the hot bath,
 B = inserted at the hot bath, C = inserted at the cold bath, D = absent at
 the cold bath.
 
-All infinite sums are truncated adaptively: a cutoff index is estimated from
-the exponential decay of the terms, the tail is verified against the policy's
-rel_tol, and exceeding max_terms while terms still matter raises
-TruncationError rather than silently capping.
+Every level sum of the three routes runs through one series engine,
+_series_sums.  A cutoff index is estimated from the exponential decay of the
+terms, the tail is verified against the policy's rel_tol (a Morse ladder
+summed to its last bound level needs none), and exceeding max_terms while
+terms still matter raises TruncationError rather than silently capping.  A
+trap's sums share its ladders: each barrier's is built once, as long as the
+longest sum needs, and shorter sums take prefixes of it.
 """
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass
 from enum import Enum
 
@@ -31,15 +34,17 @@ import numpy as np
 
 from .constants import K_B
 from .errors import (ConvergenceViolationError, EnsembleMismatchError,
-                     SolverFailureError, SzilardError, TruncationError)
+                     SolverFailureError, SzilardError, TruncationError,
+                     value_or_raise)
 from .potentials import (Barrier, Harmonic, Morse, PowerLaw, Spectrum,
                          level_energy, omega_prefactor)
 
 __all__ = [
     "BathPair", "TruncationPolicy", "MuMode", "ChemicalPotentials", "Stage",
-    "canonical_stage_properties", "chemical_potential", "chemical_potentials",
-    "occupancy_total", "log_relative_partition", "internal_energy",
-    "ladder_batches", "solved_chemical_potentials", "grand_stage_sums",
+    "canonical_stage_properties", "canonical_stage_sums",
+    "chemical_potential", "chemical_potentials", "occupancy_total",
+    "log_relative_partition", "internal_energy", "ladder_batches",
+    "solved_chemical_potentials", "grand_stage_sums",
 ]
 
 # exp(-x) beyond this is negligible against rel_tol with wide margin
@@ -123,34 +128,35 @@ def _degeneracy(barrier):
 
 # ---------------------------------------------------------------------------
 # truncated series evaluation
+#
+# _series_sums evaluates many segments, each one (trap, barrier, beta)
+# series, with their ladders laid end to end in one flat array (_Segments):
+# each elementwise step is one numpy pass over all of them, while per-segment
+# logic (cutoff estimates, Newton updates, stop tests) stays in Python floats.
+# A batched value equals the one-segment value bit for bit, and a failing
+# segment yields its SzilardError in place of a value.
 
 def _first_index_beyond(potential, barrier, beta, mu, x_cut):
     """Estimate the first index whose exp(-beta(E_n - mu)) factor is dead.
 
-    Inverts E(n) = x_cut/beta + max(mu, 0) for n.  For a bounded Morse ladder
-    the estimate is capped at the spectrum cutoff, which turns the sum into a
-    complete finite one.  An estimate past float range (a power-law exponent
-    near zero) raises TruncationError: no term cap admits that ladder.
+    Inverts E(n) = x_cut/beta + max(mu, 0) for n; a target above the top of
+    a Morse well gives inf, every bound level.  An estimate past float range
+    (a power-law exponent near zero) raises TruncationError: no term cap
+    admits that ladder.
     """
     target = x_cut / beta + max(mu, 0.0)
     step = 2.0 if barrier is Barrier.INSERTED else 1.0
-    if isinstance(potential, Morse):
-        cap = Spectrum(potential, barrier).cutoff
-        chi = potential.anharmonicity
-        q = potential.quantum
-        if chi == 0.0:
-            s = target / q
-        else:
+    try:
+        if isinstance(potential, Morse):
+            chi, q = potential.anharmonicity, potential.quantum
             disc = 1.0 - 4.0 * chi * target / q
             if disc <= 0.0:
-                return cap        # target above the well top: take every level
-            s = (1.0 - math.sqrt(disc)) / (2.0 * chi)
-        n = int(math.ceil((s - 0.5) / step)) + 2
-        return min(cap, max(8, n)) if cap is not None else max(8, n)
-    scale = omega_prefactor(potential)
-    power = potential.level_power if isinstance(potential, PowerLaw) else 1.0
-    try:
-        s = (target / scale) ** (1.0 / power)
+                return math.inf
+            s = target / q if chi == 0.0 else (1 - math.sqrt(disc)) / (2 * chi)
+        else:
+            power = (potential.level_power if isinstance(potential, PowerLaw)
+                     else 1.0)
+            s = (target / omega_prefactor(potential)) ** (1.0 / power)
         return max(8, int(math.ceil((s - 0.5) / step)) + 2)
     except OverflowError:
         raise TruncationError(
@@ -158,109 +164,20 @@ def _first_index_beyond(potential, barrier, beta, mu, x_cut):
             " than any cap") from None
 
 
-def _series_size(n_terms, attempt, policy):
-    """Check attempt `attempt` (from 0) at summing n_terms against the policy.
-
-    Every sum's budget lives here: TruncationError for a count past
-    max_terms, or once four attempts (the estimate, then doubled) have not
-    settled the tail.
-    """
-    if attempt == 4:
-        raise TruncationError("series failed to converge within the retry budget")
-    if n_terms > policy.max_terms:
-        raise TruncationError(
-            f"series needs {n_terms} terms, policy caps at {policy.max_terms}")
-
-
-def _settled(last, abs_total, policy):
-    """The tail test: the last term is negligible against the summed
-    magnitudes.  Takes floats or, elementwise, arrays."""
-    floor = (np.maximum(abs_total, 1e-300) if isinstance(abs_total, np.ndarray)
-             else max(abs_total, 1e-300))
-    return abs(last) <= policy.rel_tol * floor
-
-
-def _converged_sum(term_fn, n_first, policy, cap=None):
-    """Sum term_fn(indices 1..n) with tail verification against the policy.
-
-    term_fn must be vectorized and its terms must decay once the analytic
-    cutoff estimate n_first is passed; the estimate is grown a few times if
-    the tail check disagrees.  A complete bounded sum (n == cap) needs no
-    tail check.
-    """
-    n_terms = max(8, int(n_first))
-    if cap is not None:
-        n_terms = min(n_terms, cap)
-    for attempt in range(5):        # the fifth attempt raises
-        _series_size(n_terms, attempt, policy)
-        t = term_fn(np.arange(1, n_terms + 1))
-        total = float(np.sum(t))
-        if cap is not None and n_terms >= cap:
-            return total
-        if _settled(float(t[-1]), float(np.sum(np.abs(t))), policy):
-            return total
-        n_terms = n_terms * 2 if cap is None else min(n_terms * 2, cap)
+def _cutoff(potential, rungs):
+    """The last index of every rung's ladder: inf unless a finite Morse well
+    bounds them at their Spectrum cutoffs."""
+    if isinstance(potential, Morse) and potential.bound_count is not None:
+        return min(Spectrum(potential, barrier).cutoff for barrier, _ in rungs)
+    return math.inf
 
 
 def _x_cut(policy):
     return -math.log(policy.rel_tol) + _XCUT_MARGIN
 
 
-# ---------------------------------------------------------------------------
-# canonical N-particle sums (harmonic / power-law ladders, Morse at N = 1)
-
-def _require_power_family(potential, who):
-    if not isinstance(potential, (Harmonic, PowerLaw)):
-        raise EnsembleMismatchError(f"{who} needs a harmonic or power-law trap")
-
-
-def canonical_stage_properties(potential, barrier, count, temperature,
-                               policy=TruncationPolicy()):
-    """Log of the N-particle stage sum and its internal energy.
-
-    The stage sum is sum_n (g e^{-beta E_n})^N = g^N sum_n e^{-N beta E_n};
-    the energy is its -dlog/dbeta, an N-weighted Boltzmann average.  Ground
-    energy is factored out so underflow never empties the sum, and at T -> 0
-    the average collapses onto the lowest included level.  A bounded Morse
-    ladder is summed completely up to its last bound level.
-    """
-    beta = 1.0 / (K_B * temperature)
-    g = _degeneracy(barrier)
-    e1 = level_energy(potential, 1, barrier)
-    cap = Spectrum(potential, barrier).cutoff
-    n_first = _first_index_beyond(potential, barrier, count * beta, e1,
-                                  _x_cut(policy))
-    state = {}
-
-    def weights(idx):
-        e = level_energy(potential, idx, barrier)
-        w = np.exp(-count * beta * (e - e1))
-        state["avg"] = float(np.sum(e * w)) / float(np.sum(w))
-        return w
-
-    total = _converged_sum(weights, n_first, policy, cap=cap)
-    log_sum = count * math.log(g) - count * beta * e1 + math.log(total)
-    return log_sum, count * state["avg"]
-
-
-# ---------------------------------------------------------------------------
-# grand-canonical bosons
-#
-# Every grand-canonical quantity is a sum over the ladder of one (trap,
-# barrier, bath) segment.  The functions below evaluate many segments at
-# once: their ladders are laid end to end in one flat array (_Segments), so
-# each elementwise step is one numpy pass over all of them, while the
-# per-segment logic (cutoff estimates, the bracket and Newton updates, the
-# stop tests) stays in Python floats.  A batched value equals the one-segment
-# value bit for bit, and the public one-trap functions are one-segment calls
-# of the same code.  A segment that fails yields its SzilardError in place of
-# a value, so a caller can report each trap's first error in the order the
-# stages run.
-
-# A batch of traps is closed once its estimated ladder terms reach this;
-# it bounds the size of the flat arrays, which would otherwise grow with
-# the whole run.
-_BATCH_TERMS = 8192
+def _beta(temperature):
+    return 1.0 / (K_B * temperature)
 
 
 class _Segments:
@@ -315,44 +232,43 @@ def _failed(value):
 
 
 def _one_sum(segment, terms, policy):
-    """The sum of one _bose_sums segment, or its error raised."""
-    result, = _bose_sums([segment], terms, policy, {})
-    if _failed(result):
-        raise result
-    return result[0]
+    """The sum of one _series_sums segment, or its error raised."""
+    return value_or_raise(_series_sums([segment], terms, policy, {})[0])[0]
 
 
-def _bose_sums(segments, terms, policy, levels):
-    """Converged grand-canonical sums of many segments at once, each summed
-    as _converged_sum would sum it alone.
+def _series_sums(segments, terms, policy, levels):
+    """Converged sums of many truncated series at once.
 
-    A segment is (potential, rungs, temperature) with rungs ((barrier, mu),
-    ...): its series runs over levels 1..n of every rung's barrier
-    configuration at once, and its cutoff is the largest of the rungs'
-    estimates.  terms(beta, [(g, E - mu) per rung]) maps the joined ladders
-    to their flat terms, with beta = 1/(k_B T) and the degeneracy g spread
-    over them.  `levels` holds the level ladders built so far (see
-    _level_ladders), so sums over the same traps can share them.  Returns,
-    per segment, (sum, its ladders) or the SzilardError it hit.
+    A segment is (potential, rungs, beta) with rungs ((barrier, mu), ...):
+    its series runs over levels 1..n of every rung's barrier configuration
+    at once.  n starts at the largest of the rungs' cutoff estimates (at
+    least 8), and doubles until the last term is negligible against the
+    summed magnitudes; more than max_terms terms, or a fifth try, is a
+    TruncationError.  A bounded (Morse) ladder is clipped at its cutoff, and
+    a segment that reaches it is a complete sum, taken without a tail test.
+    terms(beta, [(g, E - mu) per rung]) maps the joined ladders to their
+    flat terms, with the degeneracy g spread over them.  `levels` holds the
+    level ladders built so far (see _level_ladders), so sums over the same
+    traps can share them.  Returns, per segment, (sum, its ladders, its
+    terms) or the SzilardError it hit.
     """
     x_cut = _x_cut(policy)
-    beta = [1.0 / (K_B * temperature) for _, _, temperature in segments]
-    out, sizes = [None] * len(segments), {}
-    for j, ((potential, rungs, _), b) in enumerate(zip(segments, beta)):
+    out, sizes, caps = [None] * len(segments), {}, {}
+    for j, (potential, rungs, beta) in enumerate(segments):
         try:
-            n_first = max(_first_index_beyond(potential, barrier, b, mu, x_cut)
+            n_first = max(_first_index_beyond(potential, barrier, beta, mu, x_cut)
                           for barrier, mu in rungs)
         except SzilardError as exc:
             out[j] = exc.with_traceback(None)
         else:
-            sizes[j] = max(8, int(n_first))
+            caps[j] = _cutoff(potential, rungs)
+            sizes[j] = min(n_first, caps[j])
     for attempt in range(5):        # the fifth attempt raises
-        for j in list(sizes):
-            try:
-                _series_size(sizes[j], attempt, policy)
-            except TruncationError as exc:
-                out[j] = exc.with_traceback(None)
-                del sizes[j]
+        for j in [j for j in sizes if attempt == 4 or sizes[j] > policy.max_terms]:
+            n = sizes.pop(j)
+            out[j] = TruncationError(
+                "series failed to converge within the retry budget" if attempt == 4
+                else f"series needs {n} terms, policy caps at {policy.max_terms}")
         rows = list(sizes)
         counts = [sizes[j] for j in rows]
         if not rows:
@@ -360,51 +276,53 @@ def _bose_sums(segments, terms, policy, levels):
         ladders = _level_ladders([segments[j] for j in rows], counts, levels)
         flat = _Segments(counts)
         rungs = zip(*(segments[j][1] for j in rows))
-        t = terms(flat.spread([beta[j] for j in rows]),
+        t = terms(flat.spread([segments[j][2] for j in rows]),
                   [(flat.spread([_degeneracy(barrier) for barrier, _ in rung]),
                     flat.join([ladder[k] for ladder in ladders])
                     - flat.spread([mu for _, mu in rung]))
                    for k, rung in enumerate(rungs)])
-        settled = _settled(t[flat.last], flat.sums(np.abs(t)), policy)
+        settled = np.abs(t[flat.last]) <= policy.rel_tol * np.maximum(
+            flat.sums(np.abs(t)), 1e-300)
         totals = flat.sums(t)
         for i, j in enumerate(rows):
-            if settled[i]:
-                out[j] = (float(totals[i]), ladders[i])
+            if sizes[j] >= caps[j] or settled[i]:
+                out[j] = (float(totals[i]), ladders[i], t if flat.single
+                          else t[flat.slots[i] + 1:flat.last[i] + 1])
                 del sizes[j]
             else:
-                sizes[j] *= 2
+                sizes[j] = min(2 * sizes[j], caps[j])
     return out
 
 
 def _totals(results):
-    """The sums of _bose_sums results, errors passed through."""
+    """The sums of _series_sums results, errors passed through."""
     return [r if _failed(r) else r[0] for r in results]
 
 
 def _level_ladders(segments, sizes, levels):
-    """Levels 1..n of each _bose_sums segment, one array per rung.
+    """Levels 1..n of each _series_sums segment, one array per rung.
 
-    levels maps (id(trap), barrier) to that ladder; it is built, or built
-    again longer, only when a request outgrows it, and every rung takes a
-    prefix of it (level_energy is elementwise, so a prefix has the bits of a
-    shorter ladder).
+    levels maps (id(trap), id(barrier)) to that ladder (ids: an Enum hashes
+    in Python); it is built, or built again longer, only when a request
+    outgrows it, and every rung takes a prefix of it (level_energy is
+    elementwise, so a prefix has the bits of a shorter ladder).
     """
-    reach, trap = {}, {}
+    reach = {}
     for (potential, rungs, _), n in zip(segments, sizes):
         for barrier, _ in rungs:
-            key = id(potential), barrier
-            reach[key] = max(reach.get(key, 0), n)
-            trap[key] = potential
-    for key, n in reach.items():
+            key = id(potential), id(barrier)
+            if reach.get(key, (0,))[0] < n:
+                reach[key] = n, potential, barrier
+    for key, (n, potential, barrier) in reach.items():
         if len(levels.get(key, ())) < n:
-            levels[key] = level_energy(trap[key], np.arange(1, n + 1), key[1])
-    return [[levels[id(p), barrier][:n] for barrier, _ in rungs]
+            levels[key] = level_energy(potential, np.arange(1, n + 1), barrier)
+    return [[levels[id(p), id(barrier)][:n] for barrier, _ in rungs]
             for (p, rungs, _), n in zip(segments, sizes)]
 
 
-# The terms of each grand-canonical series, from beta and per rung the
-# degeneracy g and the gap E - mu, with x = beta (E - mu).  They overwrite
-# their arguments, which keeps a batch's peak memory low.
+# The terms of each series, from beta and per rung the degeneracy g and the
+# gap E - mu, with x = beta (E - mu).  They overwrite their arguments, which
+# keeps a batch's peak memory low.
 
 def _clip(x):
     """x clipped in place to [1e-300, _EXP_CLIP], where expm1 is safe."""
@@ -412,7 +330,8 @@ def _clip(x):
 
 
 def _boltzmann_terms(beta, rungs):
-    """e^{-x}, the mu -> -inf limit of every occupation."""
+    """e^{-x}: the canonical weights at beta = N/(k_B T) and mu = E_1, and
+    the mu -> -inf limit of every occupation."""
     (_, gap), = rungs
     gap *= beta
     return np.exp(np.negative(gap, out=gap), out=gap)
@@ -447,6 +366,90 @@ def _log_ratio_terms(beta, rungs):
     return pre
 
 
+# ---------------------------------------------------------------------------
+# canonical N-particle sums (harmonic / power-law ladders, Morse at N = 1)
+
+def _require_power_family(potential, who):
+    if not isinstance(potential, (Harmonic, PowerLaw)):
+        raise EnsembleMismatchError(f"{who} needs a harmonic or power-law trap")
+
+
+def _canonical_stage(potential, barrier, count, temperature, policy, levels):
+    """canonical_stage_properties on the ladders in `levels`: (log sum,
+    energy), or the error."""
+    beta = count * _beta(temperature)      # N beta
+    try:
+        e1 = level_energy(potential, 1, barrier)
+    except SzilardError as exc:
+        return exc.with_traceback(None)
+    rungs = (barrier, e1),
+    # an N beta that overflows makes the ground term inf * 0 = nan; on an
+    # unbounded ladder a nan sum never passes the tail test, so it ends as a
+    # TruncationError and its warning says nothing more
+    quiet = math.isinf(beta) and _cutoff(potential, rungs) == math.inf
+    with np.errstate(invalid="ignore") if quiet else nullcontext():
+        result, = _series_sums([(potential, rungs, beta)], _boltzmann_terms,
+                               policy, levels)
+    if _failed(result):
+        return result
+    total, (e,), w = result
+    return (count * math.log(_degeneracy(barrier)) - beta * e1
+            + math.log(total), count * (float(np.sum(e * w)) / total))
+
+
+def canonical_stage_properties(potential, barrier, count, temperature,
+                               policy=TruncationPolicy()):
+    """Log of the N-particle stage sum and its internal energy.
+
+    The stage sum is sum_n (g e^{-beta E_n})^N = g^N sum_n e^{-N beta E_n};
+    the energy is its -dlog/dbeta, an N-weighted Boltzmann average.  Ground
+    energy is factored out so underflow never empties the sum, and at T -> 0
+    the average collapses onto the lowest included level.  A bounded Morse
+    ladder is summed completely up to its last bound level.  The one-stage
+    case of canonical_stage_sums.
+    """
+    return value_or_raise(_canonical_stage(potential, barrier, count,
+                                           temperature, policy, {}))
+
+
+def canonical_stage_sums(potentials, count, baths, policy=TruncationPolicy()):
+    """Per-bath log ratios and the four stage energies of canonical traps.
+
+    Each trap gets (log ratio hot, log ratio cold, (U_A, U_B, U_C, U_D)), or
+    the error of its first failing stage, A to D.  A trap's four stages are
+    one-segment sums that share its ladders: each barrier's ladder is built
+    once, at the hot bath, and the cold stages sum prefixes of it.
+    """
+    out = []
+    for potential in potentials:
+        levels, stages = {}, []
+        for barrier, temperature in (
+                (Barrier.ABSENT, baths.hot), (Barrier.INSERTED, baths.hot),
+                (Barrier.INSERTED, baths.cold), (Barrier.ABSENT, baths.cold)):
+            stages.append(_canonical_stage(potential, barrier, count,
+                                           temperature, policy, levels))
+            if _failed(stages[-1]):
+                out.append(stages[-1])
+                break
+        else:
+            (log_a, u_a), (log_b, u_b), (log_c, u_c), (log_d, u_d) = stages
+            out.append((log_b - log_a, log_c - log_d, (u_a, u_b, u_c, u_d)))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# grand-canonical bosons
+#
+# Every grand-canonical quantity is a _series_sums sum over the ladder of one
+# (trap, barrier, bath) segment, and runs for many traps at once; the public
+# one-trap functions are one-segment calls of the same code.
+
+# A batch of traps is closed once its estimated ladder terms reach this;
+# it bounds the size of the flat arrays, which would otherwise grow with
+# the whole run.
+_BATCH_TERMS = 8192
+
+
 def _mu_offsets(roots, count, policy, levels):
     """Roots u = log(beta (E_1 - mu)) of the occupancy constraint for many
     (potential, barrier, temperature, E_1, d_1) roots; a root or an error
@@ -462,46 +465,50 @@ def _mu_offsets(roots, count, policy, levels):
     Recipes 9.4).  Every round evaluates all roots in one ladder pass; each
     root's bracket, step and stop test are its own.
     """
-    out = _bose_sums([(p, ((barrier, e1),), temperature)
-                      for p, barrier, temperature, e1, _ in roots],
-                     _boltzmann_terms, policy, levels)
+    out = _series_sums([(p, ((barrier, e1),), _beta(temperature))
+                        for p, barrier, temperature, e1, _ in roots],
+                       _boltzmann_terms, policy, levels)
     rows = [j for j, result in enumerate(out) if not _failed(result)]
     if not rows:
         return out
     flat = _Segments([len(out[j][1][0]) for j in rows])
-    x = flat.spread([1.0 / (K_B * roots[j][2]) for j in rows]) * (
+    x = flat.spread([_beta(roots[j][2]) for j in rows]) * (
         flat.join([out[j][1][0] for j in rows])
         - flat.spread([roots[j][3] for j in rows]))
     g = flat.spread([roots[j][4] for j in rows])
     log_count = math.log(count)
     live = [_Root(j, roots[j][4], count) for j in rows]
-    while live:
-        shift = [math.exp(root.u) for root in live]
-        n = x + flat.spread(shift)
-        np.expm1(_clip(n), out=n)
-        np.divide(g, n, out=n)
-        weight = n / g          # n (1 + n/g), without a second temporary
-        weight += 1.0
-        weight *= n
-        weight = flat.sums(weight).tolist()
-        totals = flat.sums(n).tolist()
-        keep = [True] * len(live)
-        for i, root in enumerate(live):
-            if totals[i] == 0.0:  # every term underflowed: N is below any count
-                f, slope = -math.inf, math.nan
-            else:
-                slope = -shift[i] * weight[i] / totals[i]
-                f = math.log(totals[i]) - log_count
-            result = root.update(f, slope)
-            if result is not None:
-                out[root.j] = result
-                keep[i] = False
-        if not all(keep):         # drop settled roots from the ladder pass
-            live = [root for root, kept in zip(live, keep) if kept]
-            if live:
-                mask = flat.spread(keep)
-                flat = _Segments(flat.lengths[keep])
-                x, g = x[mask][flat.single:], g[mask][flat.single:]
+    # an occupation past 1e154 overflows n (1 + n/g) to inf, which makes
+    # the step 0: the root stops there, and like every root it is then
+    # checked against mu < E_1 and its occupancy re-sum
+    with np.errstate(over="ignore"):
+        while live:
+            shift = [math.exp(root.u) for root in live]
+            n = x + flat.spread(shift)
+            np.expm1(_clip(n), out=n)
+            np.divide(g, n, out=n)
+            weight = n / g          # n (1 + n/g), without a second temporary
+            weight += 1.0
+            weight *= n
+            weight = flat.sums(weight).tolist()
+            totals = flat.sums(n).tolist()
+            keep = [True] * len(live)
+            for i, root in enumerate(live):
+                if totals[i] == 0.0:  # every term underflowed: N below any count
+                    f, slope = -math.inf, math.nan
+                else:
+                    slope = -shift[i] * weight[i] / totals[i]
+                    f = math.log(totals[i]) - log_count
+                result = root.update(f, slope)
+                if result is not None:
+                    out[root.j] = result
+                    keep[i] = False
+            if not all(keep):         # drop settled roots from the ladder pass
+                live = [root for root, kept in zip(live, keep) if kept]
+                if live:
+                    mask = flat.spread(keep)
+                    flat = _Segments(flat.lengths[keep])
+                    x, g = x[mask][flat.single:], g[mask][flat.single:]
     return out
 
 
@@ -581,8 +588,8 @@ def _solved_mus(roots, count, policy):
                 f" {e1[j]:.6g} J")
     rows = [j for j, mu in enumerate(out) if not _failed(mu)]
     recovered = _occupancy_checks(
-        [(roots[j][0], ((roots[j][1], out[j]),), roots[j][2]) for j in rows],
-        policy, levels)
+        [(roots[j][0], ((roots[j][1], out[j]),), _beta(roots[j][2]))
+         for j in rows], policy, levels)
     for j, total in zip(rows, recovered):
         if _failed(total):
             out[j] = total
@@ -594,13 +601,13 @@ def _solved_mus(roots, count, policy):
 
 def _occupancy_checks(segments, policy, levels):
     """The occupancy re-sums behind solved chemical potentials."""
-    return _totals(_bose_sums(segments, _occupancy_terms, policy, levels))
+    return _totals(_series_sums(segments, _occupancy_terms, policy, levels))
 
 
 def occupancy_total(potential, barrier, mu, temperature, policy=TruncationPolicy()):
     """Mean boson number sum_n g/(e^{beta(E_n - mu)} - 1) at fixed mu."""
     _require_power_family(potential, "grand-canonical occupancy")
-    return _one_sum((potential, ((barrier, mu),), temperature),
+    return _one_sum((potential, ((barrier, mu),), _beta(temperature)),
                     _occupancy_terms, policy)
 
 
@@ -619,10 +626,8 @@ def chemical_potential(potential, count, temperature, barrier, mode,
     if count < 1:
         raise EnsembleMismatchError("particle count must be at least 1")
     if mode is MuMode.SOLVED:
-        mu, = _solved_mus([(potential, barrier, temperature)], count, policy)
-        if _failed(mu):
-            raise mu
-        return mu
+        return value_or_raise(_solved_mus([(potential, barrier, temperature)],
+                                          count, policy)[0])
     if mode is not MuMode.CLOSED_FORM:
         raise EnsembleMismatchError(f"unknown chemical-potential mode {mode!r}")
     e1 = level_energy(potential, 1, barrier)
@@ -653,7 +658,7 @@ def ladder_batches(potentials, temperature, policy=TruncationPolicy()):
     _BATCH_TERMS terms; a trap whose estimate fails counts as none (its
     batch reports the error).
     """
-    beta = 1.0 / (K_B * temperature)
+    beta = _beta(temperature)
     x_cut = _x_cut(policy)
     batches, batch, terms = [], [], 0
     for potential in potentials:
@@ -713,8 +718,8 @@ def grand_stage_sums(potentials, mu_pairs, baths, policy=TruncationPolicy()):
     out = list(mu_pairs)
     live = [i for i, pair in enumerate(out) if not _failed(pair)]
     levels = {}
-    ratios = _totals(_bose_sums(
-        [(potentials[i], _both_rungs(mus), mus.temperature)
+    ratios = _totals(_series_sums(
+        [(potentials[i], _both_rungs(mus), _beta(mus.temperature))
          for i in live for mus in out[i]], _log_ratio_terms, policy, levels))
     for k, i in enumerate(live):
         l_hot, l_cold = ratios[2 * k:2 * k + 2]
@@ -726,8 +731,8 @@ def grand_stage_sums(potentials, mu_pairs, baths, policy=TruncationPolicy()):
         for stage, mus in zip(Stage, (mus_hot, mus_hot, mus_cold, mus_cold)):
             barrier, temperature = _stage_config(stage, baths)
             segments.append((potentials[i], ((barrier, _mu_of(mus, barrier)),),
-                             temperature))
-    energies = _totals(_bose_sums(segments, _energy_terms, policy, levels))
+                             _beta(temperature)))
+    energies = _totals(_series_sums(segments, _energy_terms, policy, levels))
     for k, i in enumerate(live):
         stages = energies[4 * k:4 * k + 4]
         error = next((u for u in stages if _failed(u)), None)
@@ -746,11 +751,14 @@ def _both_rungs(mu_pair):
             (Barrier.INSERTED, mu_pair.post_insertion))
 
 
-def _check_mu(potential, mu_pair):
+def _check_mu(potential, mu_pair, temperature):
     if mu_pair.pre_insertion >= level_energy(potential, 1, Barrier.ABSENT):
         raise ConvergenceViolationError("pre-insertion mu reaches the ground level")
     if mu_pair.post_insertion >= level_energy(potential, 1, Barrier.INSERTED):
         raise ConvergenceViolationError("post-insertion mu reaches the ground level")
+    if mu_pair.temperature != temperature:
+        raise EnsembleMismatchError(
+            "chemical potentials were solved at a different temperature")
 
 
 def log_relative_partition(potential, mu_pair, temperature,
@@ -776,11 +784,8 @@ def log_relative_partition(potential, mu_pair, temperature,
         return log_post - log_pre
     if mu_pair is None:
         raise EnsembleMismatchError("bosonic ratio needs chemical potentials")
-    _check_mu(potential, mu_pair)
-    if mu_pair.temperature != temperature:
-        raise EnsembleMismatchError(
-            "chemical potentials were solved at a different temperature")
-    return _one_sum((potential, _both_rungs(mu_pair), temperature),
+    _check_mu(potential, mu_pair, temperature)
+    return _one_sum((potential, _both_rungs(mu_pair), _beta(temperature)),
                     _log_ratio_terms, policy)
 
 
@@ -801,10 +806,7 @@ def internal_energy(stage, potential, mu_pair, baths, policy=TruncationPolicy())
                                           policy)[1]
     if mu_pair is None:
         raise EnsembleMismatchError("bosonic stages need chemical potentials")
-    _check_mu(potential, mu_pair)
-    if mu_pair.temperature != temperature:
-        raise EnsembleMismatchError(
-            "chemical potentials were solved at a different temperature")
+    _check_mu(potential, mu_pair, temperature)
     return _one_sum(
-        (potential, ((barrier, _mu_of(mu_pair, barrier)),), temperature),
+        (potential, ((barrier, _mu_of(mu_pair, barrier)),), _beta(temperature)),
         _energy_terms, policy)

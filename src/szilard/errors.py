@@ -50,3 +50,15 @@ class ConfigError(SzilardError):
 
 class OutputError(SzilardError):
     """CSV or manifest could not be written."""
+
+
+def value_or_raise(value):
+    """value, or raised if it is a SzilardError kept as a value.  Pass it
+    straight in: a frame that holds the error it raises is a reference
+    cycle through the traceback, which only the garbage collector frees."""
+    if isinstance(value, SzilardError):
+        try:
+            raise value
+        finally:
+            del value
+    return value

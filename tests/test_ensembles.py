@@ -1,5 +1,7 @@
 """Stage sums: canonical ladders, grand-canonical bosons, Morse averages."""
 
+import contextlib
+import gc
 import itertools
 import math
 
@@ -9,7 +11,8 @@ import pytest
 from szilard import (Barrier, BathPair, ChemicalPotentials,
                      ConvergenceViolationError, Ensemble,
                      EnsembleMismatchError, HBAR, Harmonic, K_B, Morse, MuMode,
-                     PowerLaw, Stage, SzilardError, TruncationError,
+                     PowerLaw, SpectrumRangeError, Stage, SzilardError,
+                     TruncationError,
                      TruncationPolicy,
                      canonical_stage_properties, chemical_potential,
                      chemical_potentials, internal_energy, level_energy,
@@ -430,3 +433,118 @@ class TestTruncation:
                 BathPair(hot=bad, cold=1.0)
             with pytest.raises(EnsembleMismatchError):
                 BathPair(hot=1.0, cold=bad)
+
+
+class TestCanonicalOracle:
+    """canonical_stage_properties against 50-digit sums, on Morse ladders
+    whose bound cutoffs cross the 8-term floor and on power-law traps."""
+
+    TEMPERATURES = (20.0, 100.0, 1000.0)     # K; hbar*1e13 is about 76 K
+
+    @staticmethod
+    def _oracle(mpmath, energies, g, count, temperature):
+        """log of g^N sum e^{-N beta E} and its N-weighted mean energy."""
+        nb = count / (mpmath.mpf(K_B) * temperature)
+        weights = [mpmath.exp(-nb * e) for e in energies]
+        total = mpmath.fsum(weights)
+        mean = mpmath.fsum(w * e for w, e in zip(weights, energies)) / total
+        return count * mpmath.log(g) + mpmath.log(total), count * mean
+
+    @staticmethod
+    def _agrees(got, want):
+        log_sum, energy = got
+        return (abs(log_sum - want[0]) <= 1e-12 * abs(want[0])
+                and abs(energy - want[1]) <= 1e-12 * abs(want[1]))
+
+    def test_morse_wells_across_the_term_floor(self):
+        mpmath = pytest.importorskip("mpmath")
+        q = HBAR * 1e13
+        with mpmath.workdps(50):
+            for bound in range(1, 21):
+                well = Morse(mass=MASS, depth=q * (bound + 1.5) / 2, omega=1e13)
+                assert well.bound_count == bound
+                chi = mpmath.mpf(well.anharmonicity)
+                for barrier in Barrier:
+                    step = 2 if barrier is Barrier.INSERTED else 1
+                    levels = range(step, bound + 1, step)
+                    energies = [mpmath.mpf(q) * (n + mpmath.mpf(0.5))
+                                * (1 - chi * (n + mpmath.mpf(0.5)))
+                                for n in levels]
+                    for temperature in self.TEMPERATURES:
+                        if not energies:        # one level cannot split
+                            with pytest.raises(
+                                    SpectrumRangeError,
+                                    match=r"^index 2 beyond the 1 bound Morse"
+                                          r" levels \(post-barrier\)$"):
+                                canonical_stage_properties(
+                                    well, barrier, 1, temperature)
+                            continue
+                        got = canonical_stage_properties(well, barrier, 1,
+                                                         temperature)
+                        want = self._oracle(mpmath, energies, step, 1,
+                                            temperature)
+                        assert self._agrees(got, want), (bound, barrier,
+                                                         temperature)
+
+    def test_power_law_traps(self):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            for nu in (1.6, 2.6):
+                trap = PowerLaw.from_energy_scale(MASS, K_B, nu)   # 1 K
+                scale = mpmath.mpf(trap.energy_scale)
+                power = mpmath.mpf(trap.level_power)
+                for barrier in Barrier:
+                    step = 2 if barrier is Barrier.INSERTED else 1
+                    for count in (1, 3, 10):
+                        for temperature in (0.5, 2.0, 10.0):
+                            nb = count / (mpmath.mpf(K_B) * temperature)
+                            energies, head = [], None
+                            for n in itertools.count(step, step):
+                                energies.append(
+                                    scale * (n + mpmath.mpf(0.5)) ** power)
+                                head = head or mpmath.exp(-nb * energies[0])
+                                if (mpmath.exp(-nb * energies[-1])
+                                        < mpmath.mpf(10) ** -34 * head):
+                                    break
+                            got = canonical_stage_properties(
+                                trap, barrier, count, temperature)
+                            want = self._oracle(mpmath, energies, step, count,
+                                                temperature)
+                            assert self._agrees(got, want), (
+                                nu, barrier, count, temperature)
+
+
+_TIGHT = TruncationPolicy(max_terms=10)
+_TRAP = Harmonic(MASS, OMEGA)       # about 16k terms at 200 K: past the cap
+_MUS = ChemicalPotentials(pre_insertion=-1e-22, post_insertion=-1e-22,
+                          temperature=200.0, count=3, mode=MuMode.CLOSED_FORM)
+
+
+class TestRaisedErrors:
+    """An error kept as a value is raised without a reference cycle, so a
+    caught one is freed at once rather than by the garbage collector."""
+
+    @pytest.mark.parametrize("call", [
+        lambda: run_cycle(_TRAP, Ensemble.CANONICAL_N, 3, BATHS, _TIGHT),
+        lambda: occupancy_total(_TRAP, Barrier.ABSENT, -1e-22, 200.0, _TIGHT),
+        lambda: log_relative_partition(_TRAP, _MUS, 200.0, _TIGHT),
+        lambda: internal_energy(Stage.A, _TRAP, _MUS, BATHS, _TIGHT),
+        lambda: chemical_potential(_TRAP, 3, 200.0, Barrier.ABSENT,
+                                   MuMode.SOLVED, _TIGHT),
+        lambda: canonical_stage_properties(_TRAP, Barrier.ABSENT, 3, 200.0,
+                                           _TIGHT)],
+        ids=["run_cycle", "occupancy_total", "log_relative_partition",
+             "internal_energy", "chemical_potential",
+             "canonical_stage_properties"])
+    def test_caught_error_leaves_no_cyclic_garbage(self, call):
+        for _ in range(2):      # the first pass may warm lazy state
+            gc.collect()
+            gc.disable()
+            try:
+                with contextlib.suppress(TruncationError):
+                    call()
+                    pytest.fail("no TruncationError")
+                garbage = gc.collect()
+            finally:
+                gc.enable()
+        assert garbage == 0

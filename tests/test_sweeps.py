@@ -6,6 +6,7 @@ from configparser import ConfigParser
 from dataclasses import replace
 from itertools import product
 
+import numpy as np
 import pytest
 
 from szilard import (ATOMIC_MASS, Axis, ConfigError, EV, K_B, MuMode,
@@ -201,11 +202,25 @@ class TestSingleEvaluation:
         assert sum(len(roots) for roots, *_ in solves) == 4
 
     def test_morse_point_sums_four_stages(self, tmp_path, monkeypatch):
-        stages = _count_calls(monkeypatch, "canonical_stage_properties")
+        stages = _count_calls(monkeypatch, "_canonical_stage")
         outcome = _run(_one_point("fig10", depth=4.7 * EV, T_hot=4.0,
                                   omega=1e11), tmp_path)
         assert outcome.points == 1 and outcome.failed == 0
         assert len(stages) == 4
+
+    def test_morse_point_builds_one_ladder_per_barrier(self, tmp_path,
+                                                       monkeypatch):
+        """The four stages share the trap's ladders: the hot stages build
+        the absent and the inserted one, the cold stages sum prefixes.
+        Building one per stage made 4."""
+        calls = _count_calls(monkeypatch, "level_energy")
+        outcome = _run(_one_point("fig10", depth=4.7 * EV, T_hot=4.0,
+                                  omega=1e11), tmp_path)
+        assert outcome.points == 1 and outcome.failed == 0
+        ladders = [args for args in calls if np.size(args[1]) > 1]
+        assert len(ladders) == 2
+        assert {args[2] for args in ladders} == {potentials.Barrier.ABSENT,
+                                                 potentials.Barrier.INSERTED}
 
     def test_bose_roots_sum_one_ladder_each(self, tmp_path, monkeypatch):
         """One occupancy re-check per root, and the trap prefactor's gamma
@@ -482,19 +497,21 @@ class TestCli:
         assert "is not a whole number" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_huge_particle_count_gives_rows(self, tmp_path, capsys):
-        """A count past 1e290 once overflowed the root's lower bracket."""
-        out = tmp_path / "x.csv"
-        assert main(["fig8", "--nu", "2", "--N", "1e300",
-                     "--out", str(out)]) in (0, 2)
-        assert "Traceback" not in capsys.readouterr().err
-        columns, *rows = [line.split(",") for line in
-                          out.read_text().splitlines()]
-        assert len(rows) == 40
-        work = columns.index("work")
-        for row in rows:
-            assert (row[work] and not row[-1]) or (
-                not row[work] and re.match(r"^[A-Za-z]+Error: ", row[-1]))
+        """A count past 1e290 once overflowed the root's lower bracket, and
+        N beta past float range made numpy warn before the typed row."""
+        for args, points in ((["fig8", "--nu", "2"], 40), (["fig2"], 1)):
+            out = tmp_path / f"{args[0]}.csv"
+            assert main(args + ["--N", "1e300", "--out", str(out)]) in (0, 2)
+            assert "Traceback" not in capsys.readouterr().err
+            columns, *rows = [line.split(",") for line in
+                              out.read_text().splitlines()]
+            assert len(rows) == points
+            work = columns.index("work")
+            for row in rows:
+                assert (row[work] and not row[-1]) or (
+                    not row[work] and re.match(r"^[A-Za-z]+Error: ", row[-1]))
 
     @pytest.mark.parametrize("section, line, code", [
         ("run", "workers = two", 1),
