@@ -98,28 +98,33 @@ def _stage_terms(potentials, ensemble, count, baths, mu_mode, policy):
     for the grand-canonical route, the (hot, cold) chemical potentials; or
     the SzilardError that stops that potential.
 
-    The canonical and Morse routes share the canonical stage sums; a Morse
-    well is their single-particle case on a bounded ladder.  The
-    grand-canonical route runs batch by batch: MuMode.SOLVED solves a batch's
-    chemical potentials together (the other modes take them per trap), and
-    its log ratios and stage energies are summed together.
+    Every route runs batch by batch (see ensembles.ladder_batches), from the
+    ground levels the batching looked up.  The canonical and Morse routes
+    share the canonical stage sums; a Morse well is their single-particle
+    case on a bounded ladder.  The grand-canonical route solves a batch's
+    chemical potentials together under MuMode.SOLVED (the other modes take
+    them per trap), and sums its log ratios and stage energies together.
     """
     out = [_route_error(trap, ensemble, count) for trap in potentials]
     live = [i for i, error in enumerate(out) if error is None]
-    traps = [potentials[i] for i in live]
-    if ensemble is not Ensemble.GRAND_BOSE:
-        terms = [sums if isinstance(sums, SzilardError) else (*sums, None)
-                 for sums in canonical_stage_sums(traps, count, baths, policy)]
-    else:
-        terms = []
-        for batch in ladder_batches(traps, baths.hot, policy):
-            pairs = (solved_chemical_potentials(batch, count, baths, policy)
-                     if mu_mode is MuMode.SOLVED else
-                     [_mu_pair(potential, count, baths, mu_mode, policy)
-                      for potential in batch])
-            terms += [sums if isinstance(sums, SzilardError) else (*sums, pair)
-                      for pair, sums in zip(pairs, grand_stage_sums(
-                          batch, pairs, baths, policy))]
+    grand = ensemble is Ensemble.GRAND_BOSE
+    terms = []
+    for batch, grounds in ladder_batches([potentials[i] for i in live],
+                                         1 if grand else count, baths.hot,
+                                         policy):
+        if not grand:
+            terms += [sums if isinstance(sums, SzilardError) else (*sums, None)
+                      for sums in canonical_stage_sums(batch, grounds, count,
+                                                       baths, policy)]
+            continue
+        pairs = (solved_chemical_potentials(batch, grounds, count, baths,
+                                            policy)
+                 if mu_mode is MuMode.SOLVED else
+                 [_mu_pair(potential, count, baths, mu_mode, policy)
+                  for potential in batch])
+        terms += [sums if isinstance(sums, SzilardError) else (*sums, pair)
+                  for pair, sums in zip(pairs, grand_stage_sums(
+                      batch, pairs, baths, policy))]
     for i, value in zip(live, terms):
         out[i] = value
     return out
@@ -142,10 +147,11 @@ def run_cycles(potentials, ensemble, count, baths, policy=TruncationPolicy(),
 
     Returns, for each potential, the CycleResult run_cycle returns for it
     alone, field for field, or the SzilardError run_cycle raises for it
-    alone; it raises none itself.  The grand-canonical route evaluates its
-    traps together (see ensembles.grand_stage_sums); the canonical and Morse
-    routes go one potential at a time, four one-segment stage sums each (see
-    ensembles.canonical_stage_sums).
+    alone; it raises none itself.  Every route evaluates its traps together,
+    in batches of a bounded number of ladder terms (see
+    ensembles.ladder_batches): the grand-canonical route through
+    ensembles.grand_stage_sums, the canonical and Morse routes through
+    ensembles.canonical_stage_sums, four multi-trap stage sums per batch.
     """
     return [terms if isinstance(terms, SzilardError)
             else _cycle_result(terms, ensemble, baths, literal_denominator)

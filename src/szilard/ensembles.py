@@ -6,11 +6,17 @@ Three statistical treatments share this module:
   exactly as sums of per-level N-th powers with the 2^N degeneracy factor in
   the barrier-inserted stages;
 * grand-canonical bosons with a chemical potential per barrier configuration,
-  each bound to the temperature of the bath it serves; their roots and sums
-  run on many traps at once, as one numpy pass per step over all ladders;
+  each bound to the temperature of the bath it serves;
 * the single-particle Morse cycle, which is canonical and needs no chemical
   potential: its stage sums are the canonical ones at count 1, capped at the
   bound-state ladder.
+
+Every route sums many traps at once, as one numpy pass per step over all
+their ladders.  ladder_batches splits a run of traps into consecutive
+batches of a bounded number of estimated ladder terms, at the canonical
+decay rate N beta of the hot bath (beta for the grand route) and at most a
+Morse well's bound count, and looks up each trap's two ground levels once
+for every sum of its batch.
 
 Stage labels follow the cycle diagram: A = barrier absent at the hot bath,
 B = inserted at the hot bath, C = inserted at the cold bath, D = absent at
@@ -36,8 +42,8 @@ from .constants import K_B
 from .errors import (ConvergenceViolationError, EnsembleMismatchError,
                      SolverFailureError, SzilardError, TruncationError,
                      value_or_raise)
-from .potentials import (Barrier, Harmonic, Morse, PowerLaw, Spectrum,
-                         level_energy, omega_prefactor)
+from .potentials import (Barrier, Harmonic, Morse, PowerLaw, level_energy,
+                         omega_prefactor)
 
 __all__ = [
     "BathPair", "TruncationPolicy", "MuMode", "ChemicalPotentials", "Stage",
@@ -68,6 +74,8 @@ class BathPair:
         if not (0.0 < self.hot < math.inf and 0.0 < self.cold < math.inf):
             raise EnsembleMismatchError(
                 "bath temperatures must be positive and finite")
+        for temperature in (self.hot, self.cold):
+            _beta(temperature)      # raises where 1/(k_B T) overflows
 
 
 @dataclass(frozen=True)
@@ -166,10 +174,12 @@ def _first_index_beyond(potential, barrier, beta, mu, x_cut):
 
 def _cutoff(potential, rungs):
     """The last index of every rung's ladder: inf unless a finite Morse well
-    bounds them at their Spectrum cutoffs."""
-    if isinstance(potential, Morse) and potential.bound_count is not None:
-        return min(Spectrum(potential, barrier).cutoff for barrier, _ in rungs)
-    return math.inf
+    bounds them, at its bound count (half of it with the barrier in)."""
+    cap = potential.bound_count if isinstance(potential, Morse) else None
+    if cap is None:
+        return math.inf
+    return min(cap // 2 if barrier is Barrier.INSERTED else cap
+               for barrier, _ in rungs)
 
 
 def _x_cut(policy):
@@ -177,7 +187,67 @@ def _x_cut(policy):
 
 
 def _beta(temperature):
-    return 1.0 / (K_B * temperature)
+    """1/(k_B T); a temperature too low for it to be finite raises."""
+    kt = K_B * temperature
+    beta = 1.0 / kt if kt else math.inf
+    if not math.isfinite(beta):
+        raise EnsembleMismatchError(
+            f"temperature {temperature:.6g} K is too low:"
+            " beta = 1/(k_B T) is not finite")
+    return beta
+
+
+def _ground_levels(potential):
+    """E_1 of both barrier configurations, by barrier: each the level or
+    the SzilardError its lookup raises."""
+    grounds = {}
+    for barrier in Barrier:
+        try:
+            grounds[barrier] = level_energy(potential, 1, barrier)
+        except SzilardError as exc:
+            grounds[barrier] = exc.with_traceback(None)
+    return grounds
+
+
+# A batch of traps is closed once its estimated ladder terms reach this;
+# it bounds the size of the flat arrays, which would otherwise grow with
+# the whole run.
+_BATCH_TERMS = 8192
+
+
+def ladder_batches(potentials, count, temperature, policy=TruncationPolicy()):
+    """Split traps into consecutive batches for the batched stage sums.
+
+    Returns (traps, grounds) per batch, grounds[i] holding trap i's ground
+    levels by barrier (each E_1 or the error of its lookup): they are looked
+    up here, once per trap, and every sum of the batch starts from them.  A
+    batch is closed once the barrier-free ladders of its traps are estimated
+    to reach _BATCH_TERMS terms, each from its ground level at the decay rate
+    count * beta of `temperature` (a canonical N-particle stage; the grand
+    sums, whose mu approaches E_1, pass count 1) and at most a Morse well's
+    bound count.  A trap whose estimate fails counts as none (its batch
+    reports the error).
+    """
+    beta = count * _beta(temperature)
+    x_cut = _x_cut(policy)
+    batches, batch, grounds, terms = [], [], [], 0
+    for potential in potentials:
+        batch.append(potential)
+        grounds.append(_ground_levels(potential))
+        e1 = grounds[-1][Barrier.ABSENT]
+        if not _failed(e1):
+            try:
+                terms += min(_first_index_beyond(potential, Barrier.ABSENT,
+                                                 beta, e1, x_cut),
+                             _cutoff(potential, ((Barrier.ABSENT, e1),)))
+            except SzilardError:
+                pass        # the batch reports it
+        if terms >= _BATCH_TERMS:
+            batches.append((batch, grounds))
+            batch, grounds, terms = [], [], 0
+    if batch:
+        batches.append((batch, grounds))
+    return batches
 
 
 class _Segments:
@@ -374,27 +444,32 @@ def _require_power_family(potential, who):
         raise EnsembleMismatchError(f"{who} needs a harmonic or power-law trap")
 
 
-def _canonical_stage(potential, barrier, count, temperature, policy, levels):
-    """canonical_stage_properties on the ladders in `levels`: (log sum,
-    energy), or the error."""
+def _canonical_stages(traps, grounds, barrier, count, temperature, policy,
+                      levels):
+    """canonical_stage_properties of many traps in one barrier configuration
+    at one bath, as one _series_sums call on the ladders in `levels`, from
+    each trap's ground level there (or its error): (log sum, energy) or the
+    error, each."""
     beta = count * _beta(temperature)      # N beta
-    try:
-        e1 = level_energy(potential, 1, barrier)
-    except SzilardError as exc:
-        return exc.with_traceback(None)
-    rungs = (barrier, e1),
+    out = list(grounds)
+    rows = [j for j, e1 in enumerate(grounds) if not _failed(e1)]
+    segments = [(traps[j], ((barrier, grounds[j]),), beta) for j in rows]
     # an N beta that overflows makes the ground term inf * 0 = nan; on an
     # unbounded ladder a nan sum never passes the tail test, so it ends as a
     # TruncationError and its warning says nothing more
-    quiet = math.isinf(beta) and _cutoff(potential, rungs) == math.inf
+    quiet = math.isinf(beta) and all(_cutoff(p, rungs) == math.inf
+                                     for p, rungs, _ in segments)
     with np.errstate(invalid="ignore") if quiet else nullcontext():
-        result, = _series_sums([(potential, rungs, beta)], _boltzmann_terms,
-                               policy, levels)
-    if _failed(result):
-        return result
-    total, (e,), w = result
-    return (count * math.log(_degeneracy(barrier)) - beta * e1
-            + math.log(total), count * (float(np.sum(e * w)) / total))
+        results = _series_sums(segments, _boltzmann_terms, policy, levels)
+    log_g = count * math.log(_degeneracy(barrier))
+    for j, result in zip(rows, results):
+        if _failed(result):
+            out[j] = result
+            continue
+        total, (e,), w = result
+        out[j] = (log_g - beta * grounds[j] + math.log(total),
+                  count * (float(np.sum(e * w)) / total))
+    return out
 
 
 def canonical_stage_properties(potential, barrier, count, temperature,
@@ -408,33 +483,35 @@ def canonical_stage_properties(potential, barrier, count, temperature,
     ladder is summed completely up to its last bound level.  The one-stage
     case of canonical_stage_sums.
     """
-    return value_or_raise(_canonical_stage(potential, barrier, count,
-                                           temperature, policy, {}))
+    return value_or_raise(_canonical_stages(
+        (potential,), (level_energy(potential, 1, barrier),), barrier, count,
+        temperature, policy, {})[0])
 
 
-def canonical_stage_sums(potentials, count, baths, policy=TruncationPolicy()):
+def canonical_stage_sums(potentials, grounds, count, baths,
+                         policy=TruncationPolicy()):
     """Per-bath log ratios and the four stage energies of canonical traps.
 
-    Each trap gets (log ratio hot, log ratio cold, (U_A, U_B, U_C, U_D)), or
-    the error of its first failing stage, A to D.  A trap's four stages are
-    one-segment sums that share its ladders: each barrier's ladder is built
-    once, at the hot bath, and the cold stages sum prefixes of it.
+    potentials and grounds are a batch as ladder_batches returns it.  Each
+    trap gets (log ratio hot, log ratio cold, (U_A, U_B, U_C, U_D)), or the
+    error of its first failing stage, A to D.  Each stage is one _series_sums
+    call over the traps still without an error, and the four share the
+    traps' ladders: each barrier's is built once, at the hot bath, and the
+    cold stages sum prefixes of it.
     """
-    out = []
-    for potential in potentials:
-        levels, stages = {}, []
-        for barrier, temperature in (
-                (Barrier.ABSENT, baths.hot), (Barrier.INSERTED, baths.hot),
-                (Barrier.INSERTED, baths.cold), (Barrier.ABSENT, baths.cold)):
-            stages.append(_canonical_stage(potential, barrier, count,
-                                           temperature, policy, levels))
-            if _failed(stages[-1]):
-                out.append(stages[-1])
-                break
-        else:
-            (log_a, u_a), (log_b, u_b), (log_c, u_c), (log_d, u_d) = stages
-            out.append((log_b - log_a, log_c - log_d, (u_a, u_b, u_c, u_d)))
-    return out
+    out, levels = [() for _ in potentials], {}
+    for stage in Stage:
+        barrier, temperature = _stage_config(stage, baths)
+        live = [i for i, sums in enumerate(out) if not _failed(sums)]
+        stages = _canonical_stages(
+            [potentials[i] for i in live], [grounds[i][barrier] for i in live],
+            barrier, count, temperature, policy, levels)
+        for i, sums in zip(live, stages):
+            out[i] = sums if _failed(sums) else (*out[i], sums)
+    return [sums if _failed(sums) else
+            (sums[1][0] - sums[0][0], sums[2][0] - sums[3][0],
+             tuple(u for _, u in sums))
+            for sums in out]
 
 
 # ---------------------------------------------------------------------------
@@ -443,12 +520,6 @@ def canonical_stage_sums(potentials, count, baths, policy=TruncationPolicy()):
 # Every grand-canonical quantity is a _series_sums sum over the ladder of one
 # (trap, barrier, bath) segment, and runs for many traps at once; the public
 # one-trap functions are one-segment calls of the same code.
-
-# A batch of traps is closed once its estimated ladder terms reach this;
-# it bounds the size of the flat arrays, which would otherwise grow with
-# the whole run.
-_BATCH_TERMS = 8192
-
 
 def _mu_offsets(roots, count, policy, levels):
     """Roots u = log(beta (E_1 - mu)) of the occupancy constraint for many
@@ -568,18 +639,16 @@ class _Root:
 
 def _solved_mus(roots, count, policy):
     """MuMode.SOLVED chemical potentials of (potential, barrier,
-    temperature) roots; a mu or an error each.
+    temperature, E_1) roots; a mu or an error each.
 
     Each mu is strictly below E_1, and re-summing the occupancy there
     recovers count to 1e-10 relative.
     """
-    e1 = [level_energy(p, 1, barrier) for p, barrier, _ in roots]
-    d1 = [_degeneracy(barrier) for _, barrier, _ in roots]
-    kt = [K_B * temperature for _, _, temperature in roots]
+    e1 = [e for *_, e in roots]
+    kt = [K_B * temperature for _, _, temperature, _ in roots]
     levels = {}
-    out = _mu_offsets([(p, barrier, temperature, e, d) for (p, barrier,
-                       temperature), e, d in zip(roots, e1, d1)], count, policy,
-                      levels)
+    out = _mu_offsets([(*root, _degeneracy(root[1])) for root in roots],
+                      count, policy, levels)
     for j, u in enumerate(out):
         if not _failed(u):
             mu = e1[j] - kt[j] * math.exp(u)
@@ -625,12 +694,13 @@ def chemical_potential(potential, count, temperature, barrier, mode,
     _require_power_family(potential, "the chemical potential")
     if count < 1:
         raise EnsembleMismatchError("particle count must be at least 1")
+    _beta(temperature)      # raises where 1/(k_B T) overflows, in every mode
+    e1 = level_energy(potential, 1, barrier)
     if mode is MuMode.SOLVED:
-        return value_or_raise(_solved_mus([(potential, barrier, temperature)],
-                                          count, policy)[0])
+        return value_or_raise(_solved_mus([(potential, barrier, temperature,
+                                            e1)], count, policy)[0])
     if mode is not MuMode.CLOSED_FORM:
         raise EnsembleMismatchError(f"unknown chemical-potential mode {mode!r}")
-    e1 = level_energy(potential, 1, barrier)
     d1 = _degeneracy(barrier)
     mu = e1 - K_B * temperature * math.log1p(d1 / count)
     if not mu < e1:
@@ -650,45 +720,21 @@ def chemical_potentials(potential, count, temperature, mode,
                               temperature=temperature, count=count, mode=mode)
 
 
-def ladder_batches(potentials, temperature, policy=TruncationPolicy()):
-    """Split traps into consecutive batches for the batched grand sums.
-
-    A batch is closed once the barrier-free ladders of its traps at
-    `temperature`, with mu at the ground level, are estimated to reach
-    _BATCH_TERMS terms; a trap whose estimate fails counts as none (its
-    batch reports the error).
-    """
-    beta = _beta(temperature)
-    x_cut = _x_cut(policy)
-    batches, batch, terms = [], [], 0
-    for potential in potentials:
-        batch.append(potential)
-        try:
-            terms += _first_index_beyond(potential, Barrier.ABSENT, beta,
-                                         level_energy(potential, 1), x_cut)
-        except SzilardError:
-            pass        # the batch reports it
-        if terms >= _BATCH_TERMS:
-            batches.append(batch)
-            batch, terms = [], 0
-    if batch:
-        batches.append(batch)
-    return batches
-
-
-def solved_chemical_potentials(potentials, count, baths,
+def solved_chemical_potentials(potentials, grounds, count, baths,
                                policy=TruncationPolicy()):
     """MuMode.SOLVED (hot, cold) ChemicalPotentials of many traps at once.
 
-    All 4 x len(potentials) roots run through one Newton loop and one
-    occupancy re-check pass; each trap gets its pair, or the error of its
-    first failing root in the order chemical_potentials would solve them.
+    potentials and grounds are a batch as ladder_batches returns it.  All
+    4 x len(potentials) roots run through one Newton loop and one occupancy
+    re-check pass; each trap gets its pair, or the error of its first
+    failing root in the order chemical_potentials would solve them.
     """
     for potential in potentials:
         _require_power_family(potential, "the chemical potential")
     if count < 1:
         raise EnsembleMismatchError("particle count must be at least 1")
-    roots = [(potential, barrier, temperature) for potential in potentials
+    roots = [(potential, barrier, temperature, ground[barrier])
+             for potential, ground in zip(potentials, grounds)
              for temperature in (baths.hot, baths.cold)
              for barrier in (Barrier.ABSENT, Barrier.INSERTED)]
     mus = _solved_mus(roots, count, policy)

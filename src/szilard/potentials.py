@@ -224,8 +224,9 @@ def morse_bound_count(potential):
 
 
 def _absent_energy(potential, n):
-    """Energy at absolute index n (scalar or array), barrier absent."""
-    s = np.asarray(n, dtype=float) + 0.5
+    """Energy at absolute index n (an int, in Python floats, or an array),
+    barrier absent."""
+    s = n + 0.5 if isinstance(n, int) else np.asarray(n, dtype=float) + 0.5
     if isinstance(potential, Harmonic):
         e = HBAR * potential.omega * s
     elif isinstance(potential, PowerLaw):
@@ -235,7 +236,7 @@ def _absent_energy(potential, n):
         e = q * s - q * potential.anharmonicity * s * s
     else:
         raise InvalidPotentialError(f"unknown potential {potential!r}")
-    return e if np.ndim(n) else float(e)
+    return e if isinstance(e, np.ndarray) else float(e)
 
 
 def level_energy(potential, n, barrier=Barrier.ABSENT):
@@ -243,20 +244,25 @@ def level_energy(potential, n, barrier=Barrier.ABSENT):
 
     With the barrier inserted the level at index n is the absent-barrier level
     at index 2n (doubly degenerate).  Morse indices are checked against the
-    bound-state count; a post-barrier request needs 2n within it.
+    bound-state count; a post-barrier request needs 2n within it.  An int n
+    takes the same formula and checks in Python floats, without building
+    arrays.
     """
-    arr = np.asarray(n)
-    if arr.size and arr.min() < 1:
+    scalar = isinstance(n, int)
+    arr = n if scalar else np.asarray(n)
+    empty = not scalar and arr.size == 0
+    if not empty and (arr if scalar else arr.min()) < 1:
         raise SpectrumRangeError("level indices start at 1")
     idx = 2 * arr if barrier is Barrier.INSERTED else arr
     if isinstance(potential, Morse):
         cap = morse_bound_count(potential)
-        if cap is not None and arr.size and idx.max() > cap:
+        top = idx if scalar or empty else idx.max()
+        if cap is not None and not empty and top > cap:
             raise SpectrumRangeError(
-                f"index {int(idx.max())} beyond the {cap} bound Morse levels"
+                f"index {int(top)} beyond the {cap} bound Morse levels"
                 + (" (post-barrier)" if barrier is Barrier.INSERTED else ""))
         e = _absent_energy(potential, idx)
-        if arr.size and np.min(e) <= 0.0:
+        if not empty and (e if scalar else np.min(e)) <= 0.0:
             raise SpectrumRangeError("non-positive Morse level energy")
         return e
     return _absent_energy(potential, idx)

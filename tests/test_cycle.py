@@ -9,6 +9,7 @@ from szilard import (BathPair, CycleResult, Ensemble, EnsembleMismatchError,
                      HBAR, Harmonic, K_B, Morse, MuMode, PowerLaw, Regime,
                      SzilardError, TruncationError, TruncationPolicy,
                      carnot_bound, run_cycle, run_cycles)
+from szilard.ensembles import ladder_batches
 
 MASS = 19.11e-11
 
@@ -182,6 +183,10 @@ _KINDS = {
     Ensemble.MORSE_SINGLE: ("morse",),
 }
 _kelvin = st.floats(0.1, 50.0)
+_scale = st.floats(0.05, 20.0)
+# level scales down to 1e-4 kT/N: canonical ladders estimated past the 8192
+# terms that close a batch, up to about 6e5 terms
+_fine_scale = st.one_of(_scale, st.floats(1e-4, 1e-2))
 
 
 @settings(max_examples=60, deadline=None)
@@ -193,13 +198,19 @@ def test_batched_cycles_equal_single_cycles(data, ensemble, count, hot, cold,
                                             mode, max_terms, literal):
     """A batch of traps gives each trap its own outcome, on every route.
 
-    Power-law exponents run 1.2-4 and level scales 0.05-20 kT; Morse
-    anharmonicities run 0-0.7, so some wells are too shallow to hold or to
-    split a level, and a 60- or 10-term cap makes some series fail."""
+    Power-law exponents run 1.2-4 and level scales 0.05-20 kT.  On the
+    canonical and Morse routes the scales are in units of kT/N, the decay
+    of an N-particle stage sum, and run down to 1e-4, so their runs split
+    into batches that mix long ladders with short ones.  Morse anharmonicities
+    run 0 (infinite depth) to 0.7, so some wells are too shallow to hold or
+    to split a level and others hold long bounded ladders, and a 60- or
+    10-term cap makes some series fail."""
+    grand = ensemble is Ensemble.GRAND_BOSE
     specs = data.draw(st.lists(
         st.tuples(st.sampled_from(_KINDS[ensemble]), st.floats(1.2, 4.0),
-                  st.floats(0.05, 20.0),
-                  st.one_of(st.just(0.0), st.floats(1e-6, 0.7))),
+                  _scale if grand else _fine_scale,
+                  st.one_of(st.just(0.0), st.floats(1e-7, 1e-3),
+                            st.floats(1e-3, 0.7))),
         min_size=1, max_size=6))
     if ensemble is Ensemble.MORSE_SINGLE:
         count = 1
@@ -207,15 +218,52 @@ def test_batched_cycles_equal_single_cycles(data, ensemble, count, hot, cold,
         literal = False
     policy = TruncationPolicy(max_terms=max_terms)
     baths = BathPair(hot, cold)
-    kt = K_B * max(hot, cold)
+    kt = K_B * max(hot, cold) / (1 if grand else count)
     traps = [_batch_trap(*spec, kt) for spec in specs]
     singles = [_outcome(trap, ensemble, count, baths, policy, mode, literal)
                for trap in traps]
     event(f"{ensemble.name}: {sum(isinstance(s, SzilardError) for s in singles)}"
           f" of {len(traps)} fail")
+    batches = ladder_batches(traps, 1 if grand else count, baths.hot, policy)
+    event(f"{ensemble.name}: {len(batches)} batches")
     _assert_same_outcomes(
         run_cycles(traps, ensemble, count, baths, policy, mode, literal),
         singles)
+
+
+def test_long_and_short_ladders_share_batches():
+    """Canonical and Morse runs split where their estimated ladders reach
+    8192 terms: a long ladder closes the batch it joins, so short traps
+    before it share its batch, and each trap keeps its own outcome, the
+    errors of wells too shallow to hold or to split a level included."""
+    baths = BathPair(2.0, 1.0)
+    kt = K_B * baths.hot
+    harmonic = [Harmonic(MASS, ratio * kt / HBAR)
+                for ratio in (1e-3, 3.0, 0.5, 2e-3, 10.0, 0.01)]
+    wells = [Morse.from_anharmonicity(MASS, ratio * kt / HBAR, anharmonicity)
+             for ratio, anharmonicity in ((1e-3, 0.0), (2.0, 0.01), (1.0, 0.6),
+                                          (1e-3, 1e-5), (1.0, 0.2), (0.5, 0.0),
+                                          (5e-3, 0.0))]
+    for traps, ensemble, count, sizes in (
+            (harmonic, Ensemble.CANONICAL_N, 2, [1, 3, 2]),
+            (wells, Ensemble.MORSE_SINGLE, 1, [1, 3, 3])):
+        batches = ladder_batches(traps, count, baths.hot)
+        assert [len(batch) for batch, _ in batches] == sizes
+        singles = [_outcome(trap, ensemble, count, baths) for trap in traps]
+        assert any(isinstance(s, SzilardError) for s in singles) == (
+            ensemble is Ensemble.MORSE_SINGLE)
+        _assert_same_outcomes(run_cycles(traps, ensemble, count, baths),
+                              singles)
+
+
+@pytest.mark.parametrize("hot, cold", [(2e-300, 1e-300), (1e-323, 5e-324)])
+def test_baths_whose_beta_overflows_are_rejected(hot, cold):
+    """Below about 4e-286 K, beta = 1/(k_B T) overflows; at a subnormal
+    temperature k_B T itself is 0.  Either made a Morse cycle all nan, or
+    a bare ZeroDivisionError."""
+    with pytest.raises(EnsembleMismatchError, match="beta"):
+        run_cycle(Morse(1e-25, 10 * HBAR * 1e12, omega=1e12),
+                  Ensemble.MORSE_SINGLE, 1, BathPair(hot, cold))
 
 
 def test_run_cycles_covers_every_route():

@@ -434,6 +434,23 @@ class TestTruncation:
             with pytest.raises(EnsembleMismatchError):
                 BathPair(hot=1.0, cold=bad)
 
+    @pytest.mark.parametrize("temperature", [1e-300, 5e-324])
+    def test_temperature_whose_beta_overflows(self, temperature):
+        """1/(k_B T) is inf at 1e-300 K and divides by zero at 5e-324 K:
+        a typed error at every entry point that takes a temperature."""
+        trap = Harmonic(MASS, 1e10)
+        calls = [lambda: BathPair(hot=1.0, cold=temperature),
+                 lambda: BathPair(hot=temperature, cold=1.0),
+                 lambda: occupancy_total(trap, Barrier.ABSENT, 0.0,
+                                         temperature),
+                 lambda: canonical_stage_properties(trap, Barrier.ABSENT, 1,
+                                                    temperature)]
+        calls += [lambda mode=mode: chemical_potential(
+            trap, 5, temperature, Barrier.ABSENT, mode) for mode in MuMode]
+        for call in calls:
+            with pytest.raises(EnsembleMismatchError, match="not finite"):
+                call()
+
 
 class TestCanonicalOracle:
     """canonical_stage_properties against 50-digit sums, on Morse ladders

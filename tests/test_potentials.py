@@ -4,11 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from szilard import (Barrier, HBAR, Harmonic, InvalidPotentialError, Morse,
                      NoBoundStatesError, PowerLaw, Spectrum,
-                     SpectrumRangeError, level_energy, morse_bound_count,
-                     omega_prefactor)
+                     SpectrumRangeError, SzilardError, level_energy,
+                     morse_bound_count, omega_prefactor)
 
 MASS = 19.11e-11
 
@@ -239,3 +240,47 @@ def test_spectrum_morse_caps():
     # a single bound level cannot be split by the barrier
     with pytest.raises(SpectrumRangeError):
         Spectrum(Morse(mass=MASS, depth=q, omega=1e10), Barrier.INSERTED)
+
+
+def _outcome(call):
+    """call()'s value, or the error it raises."""
+    try:
+        return call()
+    except SzilardError as exc:
+        return exc
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(("harmonic", "power-law", "morse")),
+       omega=st.floats(1e8, 1e14), exponent=st.floats(0.1, 10.0),
+       anharmonicity=st.one_of(st.just(0.0), st.floats(1e-7, 0.7)),
+       n=st.one_of(st.integers(-3, 40), st.integers(1, 10**7)),
+       barrier=st.sampled_from(Barrier))
+def test_int_index_takes_the_array_formula(kind, omega, exponent,
+                                           anharmonicity, n, barrier):
+    """An int index runs the array path's formula and checks in Python
+    floats: the same level bit for bit, or the same error and message.
+
+    Morse anharmonicities up to 0.7 include wells too shallow to hold or to
+    split a level.  A power-law level is the one exception to equality with
+    a one-element array: numpy's vectorised power may round differently
+    from the C library's, by up to 2 ulp on x86-64 with AVX-512, so there
+    the int path is held to the 0-d array path, which has always gone
+    through the C library, and to 2 ulp of the one-element array.
+    """
+    trap = {"harmonic": lambda: Harmonic(MASS, omega),
+            "power-law": lambda: PowerLaw(MASS, omega, exponent),
+            "morse": lambda: Morse.from_anharmonicity(MASS, omega,
+                                                      anharmonicity)}[kind]()
+    got = _outcome(lambda: level_energy(trap, n, barrier))
+    zero_d = _outcome(lambda: level_energy(trap, np.int64(n), barrier))
+    one = _outcome(lambda: level_energy(trap, np.array([n]), barrier)[0])
+    if isinstance(one, Exception):
+        for other in (got, zero_d):
+            assert type(other) is type(one) and str(other) == str(one)
+        return
+    assert type(got) is float and got == zero_d
+    if kind == "power-law":
+        assert abs(got - one) <= 2 * math.ulp(one)
+    else:
+        assert got == one

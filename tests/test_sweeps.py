@@ -202,11 +202,48 @@ class TestSingleEvaluation:
         assert sum(len(roots) for roots, *_ in solves) == 4
 
     def test_morse_point_sums_four_stages(self, tmp_path, monkeypatch):
-        stages = _count_calls(monkeypatch, "_canonical_stage")
+        sums = _count_calls(monkeypatch, "_series_sums")
         outcome = _run(_one_point("fig10", depth=4.7 * EV, T_hot=4.0,
                                   omega=1e11), tmp_path)
         assert outcome.points == 1 and outcome.failed == 0
-        assert len(stages) == 4
+        assert [len(segments) for segments, *_ in sums] == [1, 1, 1, 1]
+
+    def test_morse_run_sums_each_stage_once_per_batch(self, tmp_path,
+                                                      monkeypatch):
+        """A 50-point fig10 run sums its stages batch by batch.
+
+        Its traps' estimated ladders close a batch each time they reach 8192
+        terms: the 8 longest (the lowest frequencies) run alone, and the
+        other 42 share 5 batches.  Each batch is four _series_sums calls,
+        stages A to D, where one call per stage and point made 200."""
+        sums = _count_calls(monkeypatch, "_series_sums")
+        spec = replace(preset("fig10"),
+                       lists={"depth": (4.7 * EV,), "T_hot": (4.0,)})
+        outcome = _run(spec, tmp_path)
+        assert outcome.points == 50 and outcome.failed == 0
+        sizes = [1] * 8 + [2, 2, 3, 5, 30]
+        assert [len(segments) for segments, *_ in sums] == [
+            size for size in sizes for _ in range(4)]
+        barriers = [segments[0][1][0][0] for segments, *_ in sums]
+        assert barriers == [potentials.Barrier.ABSENT,
+                            potentials.Barrier.INSERTED,
+                            potentials.Barrier.INSERTED,
+                            potentials.Barrier.ABSENT] * len(sizes)
+
+    @pytest.mark.parametrize("point", [
+        _one_point("fig8", nu=2.0, N=10, scale_ratio=1.0),
+        _one_point("fig10", depth=4.7 * EV, T_hot=4.0, omega=1e11)])
+    def test_point_looks_up_its_ground_levels_once(self, tmp_path,
+                                                   monkeypatch, point):
+        """E_1 with the barrier absent and inserted, looked up once for the
+        batching and every sum after it.  A fig8 point made 5 such calls:
+        four in its root solve and one in the batching."""
+        calls = _count_calls(monkeypatch, "level_energy")
+        outcome = _run(point, tmp_path)
+        assert outcome.points == 1 and outcome.failed == 0
+        grounds = [args for args in calls if np.ndim(args[1]) == 0]
+        assert [args[1:] for args in grounds] == [
+            (1, potentials.Barrier.ABSENT), (1, potentials.Barrier.INSERTED)]
 
     def test_morse_point_builds_one_ladder_per_barrier(self, tmp_path,
                                                        monkeypatch):
@@ -496,6 +533,22 @@ class TestCli:
         assert main(args + ["--out", str(tmp_path / "x.csv")]) == 1
         assert "is not a whole number" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_bath_whose_beta_overflows_gives_rows(self, tmp_path, capsys):
+        """Below about 4e-286 K, beta = 1/(k_B T) is inf: a Morse cycle
+        there once came out all nan, after a numpy warning."""
+        config = tmp_path / "cold.ini"
+        config.write_text("[axis.T_hot]\nstart = 1e-300\nstop = 2e-300\n"
+                          "points = 2\n")
+        out = tmp_path / "x.csv"
+        assert main(["fig9", "--config", str(config),
+                     "--out", str(out)]) == 2
+        rows = out.read_text().splitlines()[1:]
+        assert len(rows) == 2
+        assert all(row.split(",")[-1].startswith("EnsembleMismatchError: ")
+                   for row in rows)
+        assert "Traceback" not in capsys.readouterr().err
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_huge_particle_count_gives_rows(self, tmp_path, capsys):
