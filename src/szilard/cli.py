@@ -33,12 +33,12 @@ def _build_parser():
                              "[parameters], [axis.*], [list.*].  A run "
                              "manifest is itself a valid config.")
     parser.add_argument("--out", metavar="FILE", help="CSV output path")
-    parser.add_argument("--workers", type=int, metavar="K",
+    parser.add_argument("--workers", metavar="K",
                         help="recorded in the run manifest; evaluation "
                              "is serial, so K changes nothing")
-    parser.add_argument("--rel-tol", type=float, metavar="X", dest="rel_tol",
+    parser.add_argument("--rel-tol", metavar="X", dest="rel_tol",
                         help="series tail tolerance")
-    parser.add_argument("--max-terms", type=int, metavar="M", dest="max_terms",
+    parser.add_argument("--max-terms", metavar="M", dest="max_terms",
                         help="hard cap on series length")
     parser.add_argument("--eq38-literal", action="store_true", dest="literal",
                         help="Morse efficiency denominator without the "
@@ -80,16 +80,18 @@ def _resolve_spec(args):
 
     if args.out:
         spec = replace(spec, output=args.out)
+    # numbers parse here, like their config keys, and not as argparse
+    # types: parse_args would let a ConfigError escape main
     if args.workers is not None:
-        if args.workers < 1:
+        spec = replace(spec, workers=parse_integer(args.workers))
+        if spec.workers < 1:
             raise ConfigError("--workers must be at least 1")
-        spec = replace(spec, workers=args.workers)
     if args.rel_tol is not None or args.max_terms is not None:
         policy = TruncationPolicy(
-            rel_tol=args.rel_tol if args.rel_tol is not None
-            else spec.policy.rel_tol,
-            max_terms=args.max_terms if args.max_terms is not None
-            else spec.policy.max_terms)
+            rel_tol=spec.policy.rel_tol if args.rel_tol is None
+            else parse_quantity(args.rel_tol),
+            max_terms=spec.policy.max_terms if args.max_terms is None
+            else parse_integer(args.max_terms))
         spec = replace(spec, policy=policy)
     if args.literal:
         if spec.family != "morse-cycle":

@@ -13,7 +13,8 @@ log(inserted/absent) and the four stage energies are known:
     Q_reheat = U_A - U_D
 
 so the first law W = sum of heats holds identically up to roundoff, and is
-still checked on every run.
+still checked on every run.  Each batch of traps gets them, and on the
+grand-canonical route its chemical potentials, from one stage-sum call.
 """
 
 import math
@@ -25,9 +26,9 @@ from .errors import (EnsembleMismatchError, SolverFailureError, SzilardError,
                      value_or_raise)
 from .potentials import Harmonic, Morse, PowerLaw
 from .ensembles import (BathPair, MuMode, TruncationPolicy,
-                        canonical_stage_sums, chemical_potentials,
-                        grand_stage_sums, ladder_batches,
-                        solved_chemical_potentials)
+                        canonical_stage_sums, grand_stage_sums, ladder_batches)
+# chemical_potentials stays bound here for wrappers that patch it per module
+from .ensembles import chemical_potentials  # noqa: F401
 
 __all__ = ["Ensemble", "Regime", "CycleResult", "run_cycle", "run_cycles",
            "carnot_bound"]
@@ -101,9 +102,9 @@ def _stage_terms(potentials, ensemble, count, baths, mu_mode, policy):
     Every route runs batch by batch (see ensembles.ladder_batches), from the
     ground levels the batching looked up.  The canonical and Morse routes
     share the canonical stage sums; a Morse well is their single-particle
-    case on a bounded ladder.  The grand-canonical route solves a batch's
-    chemical potentials together under MuMode.SOLVED (the other modes take
-    them per trap), and sums its log ratios and stage energies together.
+    case on a bounded ladder.  The grand-canonical stage sums produce a
+    batch's chemical potentials themselves, in every MuMode, and sum its log
+    ratios and stage energies on the same ladders.
     """
     out = [_route_error(trap, ensemble, count) for trap in potentials]
     live = [i for i, error in enumerate(out) if error is None]
@@ -112,33 +113,15 @@ def _stage_terms(potentials, ensemble, count, baths, mu_mode, policy):
     for batch, grounds in ladder_batches([potentials[i] for i in live],
                                          1 if grand else count, baths.hot,
                                          policy):
-        if not grand:
-            terms += [sums if isinstance(sums, SzilardError) else (*sums, None)
-                      for sums in canonical_stage_sums(batch, grounds, count,
-                                                       baths, policy)]
-            continue
-        pairs = (solved_chemical_potentials(batch, grounds, count, baths,
-                                            policy)
-                 if mu_mode is MuMode.SOLVED else
-                 [_mu_pair(potential, count, baths, mu_mode, policy)
-                  for potential in batch])
-        terms += [sums if isinstance(sums, SzilardError) else (*sums, pair)
-                  for pair, sums in zip(pairs, grand_stage_sums(
-                      batch, pairs, baths, policy))]
+        terms += (grand_stage_sums(batch, grounds, count, baths, mu_mode,
+                                   policy)
+                  if grand else
+                  [sums if isinstance(sums, SzilardError) else (*sums, None)
+                   for sums in canonical_stage_sums(batch, grounds, count,
+                                                    baths, policy)])
     for i, value in zip(live, terms):
         out[i] = value
     return out
-
-
-def _mu_pair(potential, count, baths, mu_mode, policy):
-    """(hot, cold) chemical potentials of one trap, or the error."""
-    try:
-        return (chemical_potentials(potential, count, baths.hot, mu_mode, policy),
-                chemical_potentials(potential, count, baths.cold, mu_mode, policy))
-    except SzilardError as exc:
-        # an error kept as a value drops its traceback: the frames in it
-        # reach the lists that hold the error, a cycle only gc would free
-        return exc.with_traceback(None)
 
 
 def run_cycles(potentials, ensemble, count, baths, policy=TruncationPolicy(),

@@ -6,7 +6,9 @@ Three statistical treatments share this module:
   exactly as sums of per-level N-th powers with the 2^N degeneracy factor in
   the barrier-inserted stages;
 * grand-canonical bosons with a chemical potential per barrier configuration,
-  each bound to the temperature of the bath it serves;
+  each bound to the temperature of the bath it serves; grand_stage_sums
+  produces a batch's chemical potentials in every MuMode, from its ground
+  levels, together with its stage sums;
 * the single-particle Morse cycle, which is canonical and needs no chemical
   potential: its stage sums are the canonical ones at count 1, capped at the
   bound-state ladder.
@@ -50,7 +52,7 @@ __all__ = [
     "canonical_stage_properties", "canonical_stage_sums",
     "chemical_potential", "chemical_potentials", "occupancy_total",
     "log_relative_partition", "internal_energy", "ladder_batches",
-    "solved_chemical_potentials", "grand_stage_sums",
+    "grand_stage_sums",
 ]
 
 # exp(-x) beyond this is negligible against rel_tol with wide margin
@@ -637,24 +639,42 @@ class _Root:
         return None
 
 
-def _solved_mus(roots, count, policy):
+def _chemical_potentials(roots, count, mode, policy, levels):
+    """Chemical potentials of (potential, barrier, temperature, E_1) roots in
+    `mode`; a mu or an error each, every mu strictly below E_1.
+
+    CLOSED_FORM is E_1 - k_B T log1p(d_1/count); SOLVED runs every root
+    through one Newton loop (see _solved_mus) on the ladders in `levels`.
+    """
+    if mode is MuMode.SOLVED:
+        return _solved_mus(roots, count, policy, levels)
+    if mode is MuMode.CLOSED_FORM:
+        return [_below_ground(e1 - K_B * temperature
+                              * math.log1p(_degeneracy(barrier) / count), e1)
+                for _, barrier, temperature, e1 in roots]
+    return [EnsembleMismatchError(f"unknown chemical-potential mode {mode!r}")
+            for _ in roots]
+
+
+def _below_ground(mu, e1):
+    """mu, or the ConvergenceViolationError of a mu that reaches E_1."""
+    return mu if mu < e1 else ConvergenceViolationError(
+        f"chemical potential {mu:.6g} J reaches the ground level {e1:.6g} J")
+
+
+def _solved_mus(roots, count, policy, levels):
     """MuMode.SOLVED chemical potentials of (potential, barrier,
     temperature, E_1) roots; a mu or an error each.
 
     Each mu is strictly below E_1, and re-summing the occupancy there
     recovers count to 1e-10 relative.
     """
-    e1 = [e for *_, e in roots]
-    kt = [K_B * temperature for _, _, temperature, _ in roots]
-    levels = {}
     out = _mu_offsets([(*root, _degeneracy(root[1])) for root in roots],
                       count, policy, levels)
     for j, u in enumerate(out):
         if not _failed(u):
-            mu = e1[j] - kt[j] * math.exp(u)
-            out[j] = mu if mu < e1[j] else ConvergenceViolationError(
-                f"chemical potential {mu:.6g} J reaches the ground level"
-                f" {e1[j]:.6g} J")
+            _, _, temperature, e1 = roots[j]
+            out[j] = _below_ground(e1 - K_B * temperature * math.exp(u), e1)
     rows = [j for j, mu in enumerate(out) if not _failed(mu)]
     recovered = _occupancy_checks(
         [(roots[j][0], ((roots[j][1], out[j]),), _beta(roots[j][2]))
@@ -696,17 +716,8 @@ def chemical_potential(potential, count, temperature, barrier, mode,
         raise EnsembleMismatchError("particle count must be at least 1")
     _beta(temperature)      # raises where 1/(k_B T) overflows, in every mode
     e1 = level_energy(potential, 1, barrier)
-    if mode is MuMode.SOLVED:
-        return value_or_raise(_solved_mus([(potential, barrier, temperature,
-                                            e1)], count, policy)[0])
-    if mode is not MuMode.CLOSED_FORM:
-        raise EnsembleMismatchError(f"unknown chemical-potential mode {mode!r}")
-    d1 = _degeneracy(barrier)
-    mu = e1 - K_B * temperature * math.log1p(d1 / count)
-    if not mu < e1:
-        raise ConvergenceViolationError(
-            f"chemical potential {mu:.6g} J reaches the ground level {e1:.6g} J")
-    return mu
+    return value_or_raise(_chemical_potentials(
+        [(potential, barrier, temperature, e1)], count, mode, policy, {})[0])
 
 
 def chemical_potentials(potential, count, temperature, mode,
@@ -720,60 +731,47 @@ def chemical_potentials(potential, count, temperature, mode,
                               temperature=temperature, count=count, mode=mode)
 
 
-def solved_chemical_potentials(potentials, grounds, count, baths,
-                               policy=TruncationPolicy()):
-    """MuMode.SOLVED (hot, cold) ChemicalPotentials of many traps at once.
+def grand_stage_sums(potentials, grounds, count, baths, mode,
+                     policy=TruncationPolicy()):
+    """Per-bath log ratios, the four stage energies and the chemical
+    potentials of many grand-canonical traps.
 
     potentials and grounds are a batch as ladder_batches returns it.  All
-    4 x len(potentials) roots run through one Newton loop and one occupancy
-    re-check pass; each trap gets its pair, or the error of its first
-    failing root in the order chemical_potentials would solve them.
+    4 x len(potentials) chemical potentials are produced together in `mode`,
+    from the batch's ground levels (see _chemical_potentials), and the
+    roots, log ratios and stage energies share each trap's ladders.  Each
+    trap gets (log ratio hot, log ratio cold, (U_A, U_B, U_C, U_D),
+    (hot, cold) ChemicalPotentials), or the error of its first failing root
+    in the order chemical_potentials solves them, else of its first failing
+    sum in the order log_relative_partition (hot, cold) and internal_energy
+    (A to D) would run them.
     """
-    for potential in potentials:
-        _require_power_family(potential, "the chemical potential")
-    if count < 1:
-        raise EnsembleMismatchError("particle count must be at least 1")
     roots = [(potential, barrier, temperature, ground[barrier])
              for potential, ground in zip(potentials, grounds)
              for temperature in (baths.hot, baths.cold)
              for barrier in (Barrier.ABSENT, Barrier.INSERTED)]
-    mus = _solved_mus(roots, count, policy)
-    out = []
-    for i in range(len(potentials)):
-        pre_hot, post_hot, pre_cold, post_cold = mus[4 * i:4 * i + 4]
-        error = next((m for m in mus[4 * i:4 * i + 4] if _failed(m)), None)
-        out.append(error or (
-            ChemicalPotentials(pre_insertion=pre_hot, post_insertion=post_hot,
-                               temperature=baths.hot, count=count,
-                               mode=MuMode.SOLVED),
-            ChemicalPotentials(pre_insertion=pre_cold, post_insertion=post_cold,
-                               temperature=baths.cold, count=count,
-                               mode=MuMode.SOLVED)))
-    return out
-
-
-def grand_stage_sums(potentials, mu_pairs, baths, policy=TruncationPolicy()):
-    """Per-bath log ratios and the four stage energies of many traps.
-
-    mu_pairs[i] is trap i's (hot, cold) ChemicalPotentials, or an error that
-    is passed through.  Each trap gets (log ratio hot, log ratio cold,
-    (U_A, U_B, U_C, U_D)), or the error of its first failing sum in the
-    order log_relative_partition (hot, cold) and internal_energy (A to D)
-    would run them.
-    """
-    out = list(mu_pairs)
-    live = [i for i, pair in enumerate(out) if not _failed(pair)]
     levels = {}
+    mus = _chemical_potentials(roots, count, mode, policy, levels)
+    pairs = []
+    for i in range(len(potentials)):
+        four = mus[4 * i:4 * i + 4]
+        pairs.append(next((m for m in four if _failed(m)), None) or tuple(
+            ChemicalPotentials(pre_insertion=pre, post_insertion=post,
+                               temperature=temperature, count=count, mode=mode)
+            for pre, post, temperature in ((*four[:2], baths.hot),
+                                           (*four[2:], baths.cold))))
+    out = list(pairs)
+    live = [i for i, pair in enumerate(out) if not _failed(pair)]
     ratios = _totals(_series_sums(
         [(potentials[i], _both_rungs(mus), _beta(mus.temperature))
-         for i in live for mus in out[i]], _log_ratio_terms, policy, levels))
+         for i in live for mus in pairs[i]], _log_ratio_terms, policy, levels))
     for k, i in enumerate(live):
         l_hot, l_cold = ratios[2 * k:2 * k + 2]
         out[i] = next((r for r in (l_hot, l_cold) if _failed(r)), (l_hot, l_cold))
     live = [i for i in live if not _failed(out[i])]
     segments = []
     for i in live:
-        mus_hot, mus_cold = mu_pairs[i]
+        mus_hot, mus_cold = pairs[i]
         for stage, mus in zip(Stage, (mus_hot, mus_hot, mus_cold, mus_cold)):
             barrier, temperature = _stage_config(stage, baths)
             segments.append((potentials[i], ((barrier, _mu_of(mus, barrier)),),
@@ -782,7 +780,7 @@ def grand_stage_sums(potentials, mu_pairs, baths, policy=TruncationPolicy()):
     for k, i in enumerate(live):
         stages = energies[4 * k:4 * k + 4]
         error = next((u for u in stages if _failed(u)), None)
-        out[i] = error or (*out[i], tuple(stages))
+        out[i] = error or (*out[i], tuple(stages), pairs[i])
     return out
 
 

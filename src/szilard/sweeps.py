@@ -593,6 +593,17 @@ def _parse_bool(text):
     raise ConfigError(f"cannot parse boolean {text!r}")
 
 
+# The grid names the points of each family read.  A list of any other name
+# would only repeat rows, with no column to tell the repeats apart.
+_POINT_NAMES = {
+    "canonical": {"N", "omega"},
+    "chemical-potential": {"N", "T"},
+    "partition-ratio": {"N", "T"},
+    "barrier-levels": {"strength", "branch"},
+    "bose-cycle": {"nu", "N", "scale_ratio"},
+    "morse-cycle": {"T_hot", "omega", "depth", "anharmonicity"},
+}
+
 _STRING_PARAMS = {"mu_mode"}
 _BOOL_PARAMS = {"literal_denominator"}
 _INT_LISTS = {"N", "branch"}
@@ -638,6 +649,9 @@ def spec_from_config(base, cp):
     for section in cp.sections():
         if section.startswith("list."):
             name = section[len("list."):]
+            if name not in _POINT_NAMES[base.family]:
+                raise ConfigError(
+                    f"list {name!r} does not apply to target {base.target!r}")
             raw = cp.get(section, "values")
             parse = parse_integer if name in _INT_LISTS else parse_quantity
             lists[name] = tuple(parse(v) for v in raw.split(",") if v.strip())

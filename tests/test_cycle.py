@@ -8,7 +8,8 @@ from hypothesis import event, given, settings, strategies as st
 from szilard import (BathPair, CycleResult, Ensemble, EnsembleMismatchError,
                      HBAR, Harmonic, K_B, Morse, MuMode, PowerLaw, Regime,
                      SzilardError, TruncationError, TruncationPolicy,
-                     carnot_bound, run_cycle, run_cycles)
+                     carnot_bound, chemical_potentials, run_cycle,
+                     run_cycles)
 from szilard.ensembles import ladder_batches
 
 MASS = 19.11e-11
@@ -111,12 +112,17 @@ def test_bose_refrigerator_at_small_scale():
 
 
 def test_mu_mode_is_forwarded():
+    """Each mode gives the cycle the chemical potentials the public solver
+    gives at each bath: == compares every field, the mode included."""
     baths = BathPair(2.0, 1.0)
     trap = PowerLaw.from_energy_scale(MASS, 10.0 * K_B * baths.cold, 2.0)
-    solved = run_cycle(trap, Ensemble.GRAND_BOSE, 10, baths,
-                       mu_mode=MuMode.SOLVED)
-    closed = run_cycle(trap, Ensemble.GRAND_BOSE, 10, baths,
-                       mu_mode=MuMode.CLOSED_FORM)
+    solved, closed = (run_cycle(trap, Ensemble.GRAND_BOSE, 10, baths,
+                                mu_mode=mode)
+                      for mode in (MuMode.SOLVED, MuMode.CLOSED_FORM))
+    for result, mode in zip((solved, closed),
+                            (MuMode.SOLVED, MuMode.CLOSED_FORM)):
+        assert result.mus == (chemical_potentials(trap, 10, 2.0, mode),
+                              chemical_potentials(trap, 10, 1.0, mode))
     assert solved.work != closed.work
     assert solved.work == pytest.approx(closed.work, rel=1e-2)
 
@@ -293,3 +299,11 @@ def test_run_cycles_covers_every_route():
     assert [type(r) for r in mixed] == [CycleResult, CycleResult,
                                         EnsembleMismatchError]
     assert "harmonic or power-law" in str(mixed[2])
+    unknown = run_cycles(harmonic, Ensemble.GRAND_BOSE, 3, baths,
+                         mu_mode="solved")
+    _assert_same_outcomes(unknown, [
+        _outcome(t, Ensemble.GRAND_BOSE, 3, baths, mu_mode="solved")
+        for t in harmonic])
+    assert [type(r) for r in unknown] == [EnsembleMismatchError] * 2
+    assert unknown[0] is not unknown[1]
+    assert "unknown chemical-potential mode 'solved'" in str(unknown[0])

@@ -5,6 +5,7 @@ import re
 from configparser import ConfigParser
 from dataclasses import replace
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -232,12 +233,16 @@ class TestSingleEvaluation:
 
     @pytest.mark.parametrize("point", [
         _one_point("fig8", nu=2.0, N=10, scale_ratio=1.0),
-        _one_point("fig10", depth=4.7 * EV, T_hot=4.0, omega=1e11)])
+        _one_point("fig10", depth=4.7 * EV, T_hot=4.0, omega=1e11),
+        replace(_one_point("fig8", nu=2.0, N=10, scale_ratio=1.0),
+                params={**preset("fig8").params,
+                        "mu_mode": MuMode.CLOSED_FORM.value})])
     def test_point_looks_up_its_ground_levels_once(self, tmp_path,
                                                    monkeypatch, point):
         """E_1 with the barrier absent and inserted, looked up once for the
         batching and every sum after it.  A fig8 point made 5 such calls:
-        four in its root solve and one in the batching."""
+        four in its root solve and one in the batching.  Under the closed
+        form it made 6: the two of the batching and one per mu."""
         calls = _count_calls(monkeypatch, "level_energy")
         outcome = _run(point, tmp_path)
         assert outcome.points == 1 and outcome.failed == 0
@@ -392,6 +397,16 @@ rel_tol = 1e-10
         with pytest.raises(ConfigError):
             spec_from_config(preset("fig9"), load_config(path))
 
+    def test_lists_take_every_grid_name_of_the_presets(self, tmp_path):
+        path = tmp_path / "list.ini"
+        for target in preset_names()[:-1]:
+            spec = preset(target)
+            for name, values in spec.grid():
+                value = float(values[0])
+                path.write_text(f"[list.{name}]\nvalues = {value!r}\n")
+                lists = spec_from_config(spec, load_config(path)).lists
+                assert lists[name] == (value,)
+
     def test_custom_needs_target(self, tmp_path):
         path = tmp_path / "bare.ini"
         path.write_text("[parameters]\nomega = 1e10\n")
@@ -470,11 +485,15 @@ class TestCli:
     def test_unknown_target(self, tmp_path):
         assert main(["fig1", "--out", str(tmp_path / "x.csv")]) == 1
 
-    def test_bad_policy_value(self, tmp_path):
+    def test_bad_policy_value(self, tmp_path, capsys):
         assert main(["fig6", "--rel-tol", "2.0",
                      "--out", str(tmp_path / "x.csv")]) == 1
         assert main(["fig6", "--workers", "0",
                      "--out", str(tmp_path / "x.csv")]) == 1
+        capsys.readouterr()
+        assert main(["fig6", "--max-terms", "ten",
+                     "--out", str(tmp_path / "x.csv")]) == 1
+        assert capsys.readouterr().err.startswith("config error: ")
 
     def test_unwritable_output(self, tmp_path):
         target = tmp_path / "missing" / "dir" / "x.csv"
@@ -589,6 +608,45 @@ class TestCli:
         else:
             assert "max_terms = 1000000" in (
                 tmp_path / "x.csv.manifest").read_text()
+
+    @pytest.mark.parametrize("flag, config", [
+        (["--max-terms", "1e6"], "[policy]\nmax_terms = 1e6\n"),
+        (["--workers", "2.0"], "[run]\nworkers = 2.0\n"),
+        (["--rel-tol", "1e-10"], "[policy]\nrel_tol = 1e-10\n")],
+        ids=["max-terms", "workers", "rel-tol"])
+    def test_flags_parse_like_their_config_keys(self, tmp_path, flag, config):
+        """A number given as a flag parses as its config key does: the two
+        give the same CSV bytes and the same resolved manifest."""
+        (tmp_path / "key.ini").write_text(config)
+        by_flag, by_key = tmp_path / "flag.csv", tmp_path / "key.csv"
+        assert main(["fig2", *flag, "--out", str(by_flag)]) == 0
+        assert main(["fig2", "--config", str(tmp_path / "key.ini"),
+                     "--out", str(by_key)]) == 0
+        assert by_flag.read_bytes() == by_key.read_bytes()
+
+        def resolved(csv):
+            return [line for line in Path(f"{csv}.manifest").read_text()
+                    .splitlines() if not line.startswith(
+                        ("output", "created_utc", "wall_clock_seconds"))]
+
+        assert resolved(by_flag) == resolved(by_key)
+
+    @pytest.mark.parametrize("target, name", [("fig2", "nu"),
+                                              ("fig10", "T_cold")])
+    def test_list_the_target_never_reads_is_rejected(self, tmp_path, capsys,
+                                                      target, name):
+        """fig2 once took [list.nu] values = 1, 2 and wrote 40 rows, 20 of
+        them repeats with no column for nu; a Morse point reads T_cold only
+        from the parameters."""
+        config = tmp_path / "list.ini"
+        config.write_text(f"[list.{name}]\nvalues = 1, 2\n")
+        out = tmp_path / "x.csv"
+        assert main([target, "--config", str(config),
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"config error: list {name!r} does not apply to target"
+            f" {target!r}\n")
+        assert not out.exists()
 
     def test_custom_target_via_config(self, tmp_path, capsys):
         config = tmp_path / "run.ini"
