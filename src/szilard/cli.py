@@ -4,23 +4,30 @@
                 [--rel-tol X] [--max-terms M] [--eq38-literal]
                 [--lambda LIST] [--nu LIST] [--N LIST]
 
+Each flag is a config key, written over the --config file's value before
+one spec_from_config call resolves the target: --out and --workers are
+[run] output and workers, --rel-tol and --max-terms are [policy] rel_tol and
+max_terms, --eq38-literal is [parameters] literal_denominator = true, and
+--lambda, --nu and --N are [list.strength], [list.nu] and [list.N] values.
+So a flag is checked, and fails, exactly as its key does.
+
 Exit codes: 0 success, 1 bad configuration, 2 every grid point failed,
 3 output not writable.
 """
 
 import argparse
 import sys
-from dataclasses import replace
 
-from .ensembles import TruncationPolicy
 from .errors import ConfigError, OutputError, SzilardError
-from .sweeps import (load_config, parse_integer, parse_quantity, preset,
-                     preset_names, run_sweep, spec_from_config)
+from .sweeps import (load_config, preset, preset_names, run_sweep,
+                     spec_from_config)
 
 __all__ = ["main"]
 
 
 def _build_parser():
+    """The parser; each flag's dest names the config key it sets, as
+    'section:key'."""
     parser = argparse.ArgumentParser(
         prog="szilard-sim",
         description="Quantum Szilard engine sweeps: evaluate one preset "
@@ -32,83 +39,42 @@ def _build_parser():
                         help="INI config; sections [run], [policy], "
                              "[parameters], [axis.*], [list.*].  A run "
                              "manifest is itself a valid config.")
-    parser.add_argument("--out", metavar="FILE", help="CSV output path")
-    parser.add_argument("--workers", metavar="K",
+    parser.add_argument("--out", metavar="FILE", dest="run:output",
+                        help="CSV output path")
+    parser.add_argument("--workers", metavar="K", dest="run:workers",
                         help="recorded in the run manifest; evaluation "
                              "is serial, so K changes nothing")
-    parser.add_argument("--rel-tol", metavar="X", dest="rel_tol",
+    parser.add_argument("--rel-tol", metavar="X", dest="policy:rel_tol",
                         help="series tail tolerance")
-    parser.add_argument("--max-terms", metavar="M", dest="max_terms",
+    parser.add_argument("--max-terms", metavar="M", dest="policy:max_terms",
                         help="hard cap on series length")
-    parser.add_argument("--eq38-literal", action="store_true", dest="literal",
+    parser.add_argument("--eq38-literal", action="store_const", const="true",
+                        dest="parameters:literal_denominator",
                         help="Morse efficiency denominator without the "
                              "logarithm (verbatim variant)")
-    parser.add_argument("--lambda", dest="strengths", metavar="LIST",
+    parser.add_argument("--lambda", metavar="LIST", dest="list.strength:values",
                         help="comma list of barrier strengths (fig6)")
-    parser.add_argument("--nu", dest="nus", metavar="LIST",
+    parser.add_argument("--nu", metavar="LIST", dest="list.nu:values",
                         help="comma list of power-law exponents")
-    parser.add_argument("--N", dest="counts", metavar="LIST",
+    parser.add_argument("--N", metavar="LIST", dest="list.N:values",
                         help="comma list of particle counts")
     return parser
 
 
-def _parse_list(raw, as_int=False):
-    parse = parse_integer if as_int else parse_quantity
-    values = tuple(parse(v) for v in raw.split(",") if v.strip())
-    if not values:
-        raise ConfigError("empty value list")
-    return values
-
-
-def _override_list(spec, key, values, flag):
-    if key not in spec.lists:
-        raise ConfigError(f"{flag} does not apply to target {spec.target!r}")
-    lists = dict(spec.lists)
-    lists[key] = values
-    return replace(spec, lists=lists)
-
-
 def _resolve_spec(args):
-    if args.target == "custom":
-        if not args.config:
-            raise ConfigError("custom target needs --config")
-        spec = spec_from_config(None, load_config(args.config))
-    else:
-        spec = preset(args.target)
-        if args.config:
-            spec = spec_from_config(spec, load_config(args.config))
-
-    if args.out:
-        spec = replace(spec, output=args.out)
-    # numbers parse here, like their config keys, and not as argparse
-    # types: parse_args would let a ConfigError escape main
-    if args.workers is not None:
-        spec = replace(spec, workers=parse_integer(args.workers))
-        if spec.workers < 1:
-            raise ConfigError("--workers must be at least 1")
-    if args.rel_tol is not None or args.max_terms is not None:
-        policy = TruncationPolicy(
-            rel_tol=spec.policy.rel_tol if args.rel_tol is None
-            else parse_quantity(args.rel_tol),
-            max_terms=spec.policy.max_terms if args.max_terms is None
-            else parse_integer(args.max_terms))
-        spec = replace(spec, policy=policy)
-    if args.literal:
-        if spec.family != "morse-cycle":
-            raise ConfigError(
-                "--eq38-literal applies to the Morse targets only")
-        params = dict(spec.params)
-        params["literal_denominator"] = True
-        spec = replace(spec, params=params)
-    if args.strengths:
-        spec = _override_list(spec, "strength",
-                              _parse_list(args.strengths), "--lambda")
-    if args.nus:
-        spec = _override_list(spec, "nu", _parse_list(args.nus), "--nu")
-    if args.counts:
-        spec = _override_list(spec, "N",
-                              _parse_list(args.counts, as_int=True), "--N")
-    return spec
+    """The spec of the target, the --config file and the flags, each flag
+    written into the config as its key, over the file's value."""
+    if args.target == "custom" and args.config is None:
+        raise ConfigError("custom target needs --config")
+    base = None if args.target == "custom" else preset(args.target)
+    cp = load_config(args.config)
+    for dest, value in vars(args).items():
+        if ":" in dest and value is not None:
+            section, key = dest.split(":")
+            if not cp.has_section(section):
+                cp.add_section(section)
+            cp.set(section, key, value)
+    return spec_from_config(base, cp)
 
 
 def main(argv=None):

@@ -189,13 +189,14 @@ def _x_cut(policy):
 
 
 def _beta(temperature):
-    """1/(k_B T); a temperature too low for it to be finite raises."""
+    """1/(k_B T); a temperature for which it is not positive and finite
+    (T <= 0, T = inf, or T so low that it overflows) raises."""
     kt = K_B * temperature
     beta = 1.0 / kt if kt else math.inf
-    if not math.isfinite(beta):
+    if not 0.0 < beta < math.inf:
         raise EnsembleMismatchError(
-            f"temperature {temperature:.6g} K is too low:"
-            " beta = 1/(k_B T) is not finite")
+            f"temperature {temperature:.6g} K gives beta = 1/(k_B T) ="
+            f" {beta:.6g}, not finite and positive")
     return beta
 
 

@@ -62,6 +62,7 @@ class Harmonic:
     def __post_init__(self):
         _require_positive_finite(self.mass, "mass")
         _require_positive_finite(self.omega, "omega")
+        _require_positive_finite(HBAR * self.omega, "level spacing hbar*omega")
 
 
 @dataclass(frozen=True)
@@ -112,10 +113,18 @@ class PowerLaw:
         _require_positive_finite(scale, "energy scale")
         _require_positive_finite(exponent, "power-law exponent")
         p = 2.0 * exponent / (exponent + 2.0)
-        log_base = (math.log(HBAR) + _log_gamma_ratio(exponent)
+        # in Python floats, so that p rounding to 2 or omega leaving float
+        # range raises here rather than warning in numpy
+        log_base = (math.log(HBAR) + float(_log_gamma_ratio(exponent))
                     + 0.5 * math.log(math.pi) - math.log(mass))
-        log_omega = (math.log(2.0 * scale / mass) - p * log_base) / (2.0 - p)
-        return cls(mass=mass, omega=math.exp(log_omega), exponent=exponent)
+        try:
+            omega = math.exp((math.log(2.0 * scale / mass) - p * log_base)
+                             / (2.0 - p))
+        except ArithmeticError:
+            raise InvalidPotentialError(
+                "power-law trap frequency is out of floating-point range"
+                ) from None
+        return cls(mass=mass, omega=omega, exponent=exponent)
 
 
 @dataclass(frozen=True)

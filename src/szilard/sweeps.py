@@ -52,6 +52,8 @@ class Axis:
     scale: str = "linear"
 
     def __post_init__(self):
+        if not (math.isfinite(self.start) and math.isfinite(self.stop)):
+            raise ConfigError(f"axis {self.name}: start and stop must be finite")
         if not self.start < self.stop:
             raise ConfigError(f"axis {self.name}: start must be below stop")
         if self.points < 2:
@@ -412,6 +414,41 @@ def _evaluate_point(spec, point):
 # ---------------------------------------------------------------------------
 # validation
 
+def _spec_errors(spec):
+    """Structural problems (bad masses, temperatures, lists) that make the
+    whole sweep unrunnable."""
+    if spec.family not in _SCHEMAS:
+        return [f"unknown family {spec.family!r}"]
+    errors = []
+    p = spec.params
+    for key in ("mass", "T_hot", "T_cold", "omega", "depth", "cold_to_hot"):
+        value = p.get(key)
+        if value is not None and not value > 0.0:
+            errors.append(f"parameter {key} must be positive")
+    for name, values in spec.lists.items():
+        if name == "N" and any(v < 1 for v in values):
+            errors.append("particle counts must be at least 1")
+        if name in ("nu", "depth", "T_hot") and any(v <= 0 for v in values):
+            errors.append(f"{name} values must be positive")
+        if name == "strength" and any(v < 0 for v in values):
+            errors.append("barrier strengths must be non-negative")
+        if name == "branch" and any(v < 0 for v in values):
+            errors.append("barrier branches must be non-negative")
+    if "mu_mode" in p:
+        try:
+            MuMode(p["mu_mode"])
+        except ValueError:
+            errors.append(f"unknown mu_mode {p['mu_mode']!r}")
+    return errors
+
+
+def _points(spec):
+    """The grid's points in order, each a dict of its grid values."""
+    grid = spec.grid()
+    names = [g[0] for g in grid]
+    return [dict(zip(names, combo)) for combo in product(*(g[1] for g in grid))]
+
+
 def validate(spec):
     """Dry-run diagnostics: structural errors plus per-point failure forecast.
 
@@ -420,44 +457,19 @@ def validate(spec):
     evaluation would record (shallow wells, series past the term cap)
     without running any sums.
     """
-    report = ValidationReport()
+    report = ValidationReport(spec_errors=_spec_errors(spec))
     if spec.family not in _SCHEMAS:
-        report.spec_errors.append(f"unknown family {spec.family!r}")
         return report
-    p = spec.params
-    for key in ("mass", "T_hot", "T_cold", "omega", "depth", "cold_to_hot"):
-        value = p.get(key)
-        if value is not None and not value > 0.0:
-            report.spec_errors.append(f"parameter {key} must be positive")
-    for name, values in spec.lists.items():
-        if name == "N" and any(v < 1 for v in values):
-            report.spec_errors.append("particle counts must be at least 1")
-        if name in ("nu", "depth", "T_hot") and any(v <= 0 for v in values):
-            report.spec_errors.append(f"{name} values must be positive")
-        if name == "strength" and any(v < 0 for v in values):
-            report.spec_errors.append("barrier strengths must be non-negative")
-    if "mu_mode" in p:
+    points = _points(spec)
+    report.points = len(points)
+    if report.spec_errors or spec.family != "morse-cycle":
+        return report
+    for index, point in enumerate(points):
         try:
-            MuMode(p["mu_mode"])
-        except ValueError:
-            report.spec_errors.append(f"unknown mu_mode {p['mu_mode']!r}")
-
-    grid = spec.grid()
-    names = [g[0] for g in grid]
-    combos = list(product(*(g[1] for g in grid)))
-    report.points = len(combos)
-    if report.spec_errors:
-        return report
-
-    for index, combo in enumerate(combos):
-        point = dict(zip(names, combo))
-        if spec.family == "morse-cycle":
-            try:
-                trap = _morse_potential(point, p)
-                Spectrum(trap, Barrier.INSERTED)
-            except SzilardError as exc:
-                report.predicted_failures.append(
-                    (index, _sanitize(f"{type(exc).__name__}: {exc}")))
+            Spectrum(_morse_potential(point, spec.params), Barrier.INSERTED)
+        except SzilardError as exc:
+            report.predicted_failures.append(
+                (index, _sanitize(f"{type(exc).__name__}: {exc}")))
     return report
 
 
@@ -494,7 +506,7 @@ def _manifest_value(value):
     if isinstance(value, float):
         if math.isinf(value):
             return "inf" if value > 0 else "-inf"
-        return repr(value)
+        return repr(float(value))     # a numpy float's repr names its type
     return str(value)
 
 
@@ -609,11 +621,11 @@ _BOOL_PARAMS = {"literal_denominator"}
 _INT_LISTS = {"N", "branch"}
 
 
-def load_config(path):
+def load_config(path=None):
+    """A parsed config file; with no path, an empty config."""
     cp = ConfigParser(interpolation=None)
     cp.optionxform = str
-    read = cp.read(path, encoding="utf-8")
-    if not read:
+    if path is not None and not cp.read(path, encoding="utf-8"):
         raise ConfigError(f"config file {path!r} not found")
     return cp
 
@@ -623,7 +635,10 @@ def spec_from_config(base, cp):
 
     The config may redefine parameters, axis windows, value lists, the policy,
     the output path, and the worker count.  With no base, [run] target names
-    the preset to start from.
+    the preset to start from.  A list may not be empty; a [list.X] naming an
+    axis replaces that axis, so [axis.X] and [list.X] together are an error;
+    literal_denominator = true needs a Morse target.  A spec's manifest read
+    back here gives the spec again.
     """
     if base is None:
         if not cp.has_option("run", "target"):
@@ -642,27 +657,34 @@ def spec_from_config(base, cp):
                 params[key] = _parse_bool(raw)
             else:
                 params[key] = parse_quantity(raw)
+    if params.get("literal_denominator") and base.family != "morse-cycle":
+        raise ConfigError(
+            "parameter literal_denominator applies to the Morse targets only")
 
     lists = {k: tuple(v) for k, v in base.lists.items()}
-    axes = list(base.axes)
-    axis_names = [a.name for a in axes]
+    axes = {a.name: a for a in base.axes}
     for section in cp.sections():
         if section.startswith("list."):
             name = section[len("list."):]
             if name not in _POINT_NAMES[base.family]:
                 raise ConfigError(
                     f"list {name!r} does not apply to target {base.target!r}")
-            raw = cp.get(section, "values")
+            if cp.has_section(f"axis.{name}"):
+                raise ConfigError(f"give [axis.{name}] or [list.{name}],"
+                                  " not both")
+            raw = cp.get(section, "values", fallback="")
             parse = parse_integer if name in _INT_LISTS else parse_quantity
             lists[name] = tuple(parse(v) for v in raw.split(",") if v.strip())
+            if not lists[name]:
+                raise ConfigError(f"list {name!r} is empty")
+            axes.pop(name, None)
         elif section.startswith("axis."):
             name = section[len("axis."):]
-            if name not in axis_names:
+            if name not in axes:
                 raise ConfigError(
                     f"axis {name!r} does not exist for target {base.target!r}")
-            position = axis_names.index(name)
-            old = axes[position]
-            axes[position] = Axis(
+            old = axes[name]
+            axes[name] = Axis(
                 name=name,
                 start=parse_quantity(cp.get(section, "start",
                                             fallback=str(old.start))),
@@ -690,7 +712,7 @@ def spec_from_config(base, cp):
             raise ConfigError("[run] workers must be at least 1")
 
     return SweepSpec(target=base.target, family=base.family,
-                     axes=tuple(axes), lists=lists, params=params,
+                     axes=tuple(axes.values()), lists=lists, params=params,
                      output=output, policy=policy, workers=workers)
 
 
@@ -705,15 +727,10 @@ def run_sweep(spec, csv_path=None):
     changes nothing.  Per-point failures are recorded in the row and the
     manifest.
     """
-    report = validate(spec)
-    if not report.ok:
-        raise ConfigError("; ".join(report.spec_errors))
-
-    grid = spec.grid()
-    names = [g[0] for g in grid]
-    points = [dict(zip(names, combo))
-              for combo in product(*(g[1] for g in grid))]
-
+    errors = _spec_errors(spec)
+    if errors:
+        raise ConfigError("; ".join(errors))
+    points = _points(spec)
     started = time.perf_counter()
     if spec.family in _CYCLES:
         rows = _cycle_rows(spec, points)

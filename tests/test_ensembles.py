@@ -451,6 +451,22 @@ class TestTruncation:
             with pytest.raises(EnsembleMismatchError, match="not finite"):
                 call()
 
+    @pytest.mark.parametrize("temperature", [math.inf, -1.0, 0.0, math.nan])
+    def test_temperature_whose_beta_is_not_positive(self, temperature):
+        """beta = 0 at T = inf once ended in a ZeroDivisionError, and a
+        negative beta in a misleading error about the chemical potential."""
+        trap = Harmonic(MASS, 1e10)
+        calls = [lambda: occupancy_total(trap, Barrier.ABSENT, 0.0,
+                                         temperature),
+                 lambda: canonical_stage_properties(trap, Barrier.ABSENT, 1,
+                                                    temperature)]
+        calls += [lambda mode=mode: chemical_potential(
+            trap, 5, temperature, Barrier.ABSENT, mode) for mode in MuMode]
+        for call in calls:
+            with pytest.raises(EnsembleMismatchError,
+                               match="not finite and positive"):
+                call()
+
 
 class TestCanonicalOracle:
     """canonical_stage_properties against 50-digit sums, on Morse ladders

@@ -67,6 +67,7 @@ def test_from_energy_scale_round_trip(nu):
     assert again.omega == pytest.approx(trap.omega, rel=1e-12)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_parameter_validation():
     with pytest.raises(InvalidPotentialError):
         Harmonic(mass=0.0, omega=1e10)
@@ -96,7 +97,14 @@ def test_parameter_validation():
     # finite inputs whose level prefactor leaves floating-point range
     for build in (lambda: PowerLaw(mass=MASS, omega=1e-160, exponent=1.6),
                   lambda: PowerLaw(mass=MASS, omega=1e200, exponent=1.6),
-                  lambda: PowerLaw.from_energy_scale(MASS, 1e-300, 1.6)):
+                  lambda: PowerLaw.from_energy_scale(MASS, 1e-300, 1.6),
+                  # hbar*omega underflows to 0
+                  lambda: Harmonic(mass=MASS, omega=1e-300),
+                  # the frequency overflows (a bare OverflowError once)
+                  lambda: PowerLaw.from_energy_scale(MASS, 1e280, 2.0),
+                  lambda: PowerLaw.from_energy_scale(MASS, 1e280, 1.6),
+                  # p = 2 nu/(nu + 2) rounds to 2 (a numpy warning once)
+                  lambda: PowerLaw.from_energy_scale(MASS, 1e-22, 1e300)):
         with pytest.raises(InvalidPotentialError):
             build()
 

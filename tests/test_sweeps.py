@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from szilard import (ATOMIC_MASS, Axis, ConfigError, EV, K_B, MuMode,
                      TruncationPolicy, even_levels, load_config,
@@ -57,6 +58,11 @@ class TestAxis:
             Axis("T", 1.0, 2.0, 5, "cubic")
         with pytest.raises(ConfigError):
             Axis("T", 0.0, 2.0, 5, "log")
+        # linspace to inf once warned and wrote nan rows
+        for start, stop in ((1.0, math.inf), (-math.inf, 1.0),
+                            (math.nan, 1.0), (1.0, math.nan)):
+            with pytest.raises(ConfigError, match="must be finite"):
+                Axis("T", start, stop, 5)
 
 
 class TestQuantities:
@@ -159,6 +165,28 @@ class TestDeterminism:
         second = run_sweep(spec, csv_path=str(tmp_path / "second.csv"))
         assert open(first.csv_path, "rb").read() == \
             open(second.csv_path, "rb").read()
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), target=st.sampled_from(preset_names()[:-1]))
+    def test_manifest_read_back_is_its_spec(self, tmp_path_factory, data,
+                                            target):
+        """spec_from_config(None, manifest(spec)) == spec, for presets whose
+        lists hold permuted subsets of their values, with or without one
+        axis turned into a one-value list: a one-point fig7 spec once
+        replayed as 50 points."""
+        spec = preset(target)
+        lists = {name: tuple(data.draw(st.lists(st.sampled_from(values),
+                                                min_size=1, unique=True)))
+                 for name, values in spec.lists.items()}
+        axes = list(spec.axes)
+        if axes and data.draw(st.booleans()):
+            axis = axes.pop()
+            lists[axis.name] = (data.draw(st.sampled_from(
+                tuple(axis.values()))),)
+        spec = replace(spec, lists=lists, axes=tuple(axes))
+        path = tmp_path_factory.mktemp("manifest") / "spec.manifest"
+        sweeps.RunManifest(spec).write(path)
+        assert spec_from_config(None, load_config(path)) == spec
 
     def test_manifest_carries_resolved_grid(self, tmp_path):
         outcome = _run(preset("fig9"), tmp_path)
@@ -398,14 +426,20 @@ rel_tol = 1e-10
             spec_from_config(preset("fig9"), load_config(path))
 
     def test_lists_take_every_grid_name_of_the_presets(self, tmp_path):
+        """A list named like an axis replaces the axis, so the grid keeps
+        its names and order: fig7 once crossed [list.scale_ratio] with its
+        axis of the same name and wrote every row once per list value."""
         path = tmp_path / "list.ini"
         for target in preset_names()[:-1]:
             spec = preset(target)
             for name, values in spec.grid():
                 value = float(values[0])
                 path.write_text(f"[list.{name}]\nvalues = {value!r}\n")
-                lists = spec_from_config(spec, load_config(path)).lists
-                assert lists[name] == (value,)
+                resolved = spec_from_config(spec, load_config(path))
+                assert resolved.lists[name] == (value,)
+                assert [n for n, _ in resolved.grid()] == [
+                    n for n, _ in spec.grid()]
+                assert dict(resolved.grid())[name] == (value,)
 
     def test_custom_needs_target(self, tmp_path):
         path = tmp_path / "bare.ini"
@@ -447,6 +481,23 @@ class TestValidate:
         bad = replace(spec, params={**spec.params, "mu_mode": "bogus"})
         assert not validate(bad).ok
 
+    def test_run_builds_each_well_once(self, tmp_path, monkeypatch):
+        """run_sweep checks the spec's structure only; the forecast built
+        every fig9-inset well a second time and kept nothing of it."""
+        calls = []
+        original = sweeps._morse_potential
+
+        def counted(point, params):
+            calls.append(point)
+            return original(point, params)
+
+        monkeypatch.setattr(sweeps, "_morse_potential", counted)
+        outcome = _run(preset("fig9-inset"), tmp_path)
+        assert outcome.points == 41 and len(calls) == 41
+        calls.clear()
+        assert len(validate(preset("fig9-inset")).predicted_failures) == 30
+        assert len(calls) == 41
+
 
 class TestCli:
 
@@ -468,6 +519,17 @@ class TestCli:
         assert len(lines) == 1 + 40
         assert all(line.startswith("2.0000000000000000e+00,10,")
                    for line in lines[1:])
+        # a list named like an axis replaces it: fig7 once crossed the two
+        # and wrote 200 rows with the list's values in none of them
+        config = tmp_path / "list.ini"
+        config.write_text("[list.scale_ratio]\nvalues = 1, 2\n")
+        out = tmp_path / "fig7.csv"
+        assert main(["fig7", "--config", str(config),
+                     "--out", str(out)]) == 0
+        columns, *rows = [line.split(",") for line in
+                          out.read_text().splitlines()]
+        ratio = columns.index("scale_ratio")
+        assert [float(row[ratio]) for row in rows] == [1.0, 2.0] * 2
 
     def test_override_must_fit_target(self, tmp_path):
         assert main(["fig6", "--N", "5",
@@ -478,6 +540,12 @@ class TestCli:
                      "--out", str(tmp_path / "a.csv")]) == 0
         assert main(["fig8", "--eq38-literal",
                      "--out", str(tmp_path / "b.csv")]) == 1
+        # its config key, which fig2 once took and ignored
+        config = tmp_path / "literal.ini"
+        config.write_text("[parameters]\nliteral_denominator = true\n")
+        for target, code in (("fig9", 0), ("fig2", 1)):
+            assert main([target, "--config", str(config),
+                         "--out", str(tmp_path / "c.csv")]) == code
 
     def test_custom_without_config(self):
         assert main(["custom"]) == 1
@@ -507,18 +575,43 @@ class TestCli:
                      "--out", str(tmp_path / "x.csv")])
         assert code == 2
 
-    @pytest.mark.parametrize("line, error", [
-        ("T_hot = inf", "EnsembleMismatchError"),
-        ("omega = inf", "InvalidPotentialError")])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("target, config, error, points", [
+        pytest.param("fig2", "[parameters]\nT_hot = inf\n",
+                     "EnsembleMismatchError", 20,
+                     id="T_hot = inf-EnsembleMismatchError"),
+        pytest.param("fig2", "[parameters]\nomega = inf\n",
+                     "InvalidPotentialError", 20,
+                     id="omega = inf-InvalidPotentialError"),
+        # hbar*omega underflows to 0
+        *(pytest.param(target, "[parameters]\nomega = 1e-300\n",
+                       "InvalidPotentialError", points,
+                       id=f"{target}-omega = 1e-300")
+          for target, points in (("fig2", 20), ("fig4", 240), ("fig5", 120))),
+        # beta = 0 at T = inf, and negative below 0 K
+        *(pytest.param(target, f"[list.T]\nvalues = {values}\n",
+                       "EnsembleMismatchError", points,
+                       id=f"{target}-T = {values}")
+          for target, points in (("fig4", 6), ("fig5", 3))
+          for values in ("inf", "-1")),
+        # the trap frequency of the energy scale leaves float range
+        pytest.param("fig7", "[parameters]\nT_cold = 1e300\n",
+                     "InvalidPotentialError", 100, id="fig7-T_cold = 1e300"),
+        pytest.param("fig7", "[axis.scale_ratio]\nstart = 1e299\n"
+                     "stop = 1e300\n", "InvalidPotentialError", 100,
+                     id="fig7-scale_ratio to 1e300"),
+        # p = 2 nu/(nu + 2) rounds to 2
+        pytest.param("fig7", "[list.nu]\nvalues = 1e300\n",
+                     "InvalidPotentialError", 50, id="fig7-nu = 1e300")])
     def test_non_finite_parameters_give_error_rows(self, tmp_path, capsys,
-                                                   line, error):
-        config = tmp_path / "inf.ini"
-        config.write_text(f"[parameters]\n{line}\n")
+                                                   target, config, error,
+                                                   points):
+        (tmp_path / "inf.ini").write_text(config)
         out = tmp_path / "x.csv"
-        assert main(["fig2", "--config", str(config),
+        assert main([target, "--config", str(tmp_path / "inf.ini"),
                      "--out", str(out)]) == 2
         rows = out.read_text().splitlines()[1:]
-        assert len(rows) == 20
+        assert len(rows) == points
         assert all(row.split(",")[-1].startswith(f"{error}: ") for row in rows)
         assert "Traceback" not in capsys.readouterr().err
 
@@ -585,20 +678,33 @@ class TestCli:
                 assert (row[work] and not row[-1]) or (
                     not row[work] and re.match(r"^[A-Za-z]+Error: ", row[-1]))
 
-    @pytest.mark.parametrize("section, line, code", [
-        ("run", "workers = two", 1),
-        ("run", "workers = 0", 1),
-        ("policy", "max_terms = 1e6", 0),
-        ("policy", "rel_tol = tiny", 1),
-        ("axis.T_hot", "points = ten", 1)])
-    def test_config_numbers_are_typed(self, tmp_path, capsys, section, line,
-                                      code):
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("target, section, line, code", [
+        pytest.param("fig9", section, line, code, id=f"{section}-{line}-{code}")
+        for section, line, code in (
+            ("run", "workers = two", 1),
+            ("run", "workers = 0", 1),
+            ("policy", "max_terms = 1e6", 0),
+            ("policy", "rel_tol = tiny", 1),
+            ("axis.T_hot", "points = ten", 1),
+            ("axis.T_hot", "stop = inf", 1))] + [
+        # an axis to inf once warned in linspace, or divided by beta = 0
+        pytest.param(target, f"axis.{name}", "stop = inf", 1,
+                     id=f"{target}-axis.{name}-stop = inf-1")
+        for target, name in (("fig4", "T"), ("fig5", "T"),
+                             ("fig7", "scale_ratio"),
+                             ("fig9-inset", "anharmonicity"))] + [
+        # a negative branch once ended in an IndexError
+        pytest.param("fig6", "list.branch", "values = -1", 1,
+                     id="fig6-list.branch-values = -1-1")])
+    def test_config_numbers_are_typed(self, tmp_path, capsys, target,
+                                      section, line, code):
         """Each number a config file sets parses like a list value: a typed
         configuration error, never a bare ValueError."""
         config = tmp_path / "run.ini"
         config.write_text(f"[{section}]\n{line}\n")
         out = tmp_path / "x.csv"
-        assert main(["fig9", "--config", str(config),
+        assert main([target, "--config", str(config),
                      "--out", str(out)]) == code
         err = capsys.readouterr().err
         assert "Traceback" not in err
@@ -609,43 +715,77 @@ class TestCli:
             assert "max_terms = 1000000" in (
                 tmp_path / "x.csv.manifest").read_text()
 
-    @pytest.mark.parametrize("flag, config", [
-        (["--max-terms", "1e6"], "[policy]\nmax_terms = 1e6\n"),
-        (["--workers", "2.0"], "[run]\nworkers = 2.0\n"),
-        (["--rel-tol", "1e-10"], "[policy]\nrel_tol = 1e-10\n")],
-        ids=["max-terms", "workers", "rel-tol"])
-    def test_flags_parse_like_their_config_keys(self, tmp_path, flag, config):
-        """A number given as a flag parses as its config key does: the two
-        give the same CSV bytes and the same resolved manifest."""
-        (tmp_path / "key.ini").write_text(config)
-        by_flag, by_key = tmp_path / "flag.csv", tmp_path / "key.csv"
-        assert main(["fig2", *flag, "--out", str(by_flag)]) == 0
-        assert main(["fig2", "--config", str(tmp_path / "key.ini"),
-                     "--out", str(by_key)]) == 0
-        assert by_flag.read_bytes() == by_key.read_bytes()
+    @pytest.mark.parametrize("target, flag, config", [
+        pytest.param("fig2", ["--max-terms", "1e6"],
+                     "[policy]\nmax_terms = 1e6\n", id="max-terms"),
+        pytest.param("fig2", ["--workers", "2.0"],
+                     "[run]\nworkers = 2.0\n", id="workers"),
+        pytest.param("fig2", ["--rel-tol", "1e-10"],
+                     "[policy]\nrel_tol = 1e-10\n", id="rel-tol"),
+        pytest.param("fig2", ["--out", "x.csv"],
+                     "[run]\noutput = x.csv\n", id="out"),
+        pytest.param("fig9", ["--eq38-literal"],
+                     "[parameters]\nliteral_denominator = true\n",
+                     id="eq38-literal"),
+        pytest.param("fig6", ["--lambda", "0,1,inf"],
+                     "[list.strength]\nvalues = 0,1,inf\n", id="lambda"),
+        pytest.param("fig7", ["--nu", "2.2, 1.6"],
+                     "[list.nu]\nvalues = 2.2, 1.6\n", id="nu"),
+        pytest.param("fig2", ["--N", "3,1e1"],
+                     "[list.N]\nvalues = 3,1e1\n", id="N")])
+    def test_flags_parse_like_their_config_keys(self, tmp_path, monkeypatch,
+                                                target, flag, config):
+        """A flag is its config key: the two give the same CSV bytes and
+        the same resolved manifest, each run in its own directory."""
+        runs = {}
+        for name, args in (("flag", flag), ("key", ["--config", "key.ini"])):
+            (tmp_path / name).mkdir()
+            (tmp_path / name / "key.ini").write_text(config)
+            monkeypatch.chdir(tmp_path / name)
+            assert main([target, *args]) == 0
+            csv, = Path().glob("*.csv")
+            runs[name] = (csv.name, csv.read_bytes(), [
+                line for line in Path(f"{csv}.manifest").read_text()
+                .splitlines() if not line.startswith(
+                    ("created_utc", "wall_clock_seconds"))])
+        assert runs["flag"] == runs["key"]
 
-        def resolved(csv):
-            return [line for line in Path(f"{csv}.manifest").read_text()
-                    .splitlines() if not line.startswith(
-                        ("output", "created_utc", "wall_clock_seconds"))]
-
-        assert resolved(by_flag) == resolved(by_key)
-
-    @pytest.mark.parametrize("target, name", [("fig2", "nu"),
-                                              ("fig10", "T_cold")])
+    @pytest.mark.parametrize("target, args, config, message", [
+        pytest.param(target, [], f"[list.{name}]\nvalues = 1, 2\n",
+                     f"list {name!r} does not apply to target {target!r}",
+                     id=f"{target}-{name}")
+        for target, name in (("fig2", "nu"), ("fig10", "T_cold"))] + [
+        pytest.param("fig2", ["--nu", "1,2"], None,
+                     "list 'nu' does not apply to target 'fig2'",
+                     id="fig2-nu-flag"),
+        # an empty list, as a flag or a key, once ran nothing or everything
+        *(pytest.param("fig2", args, config, "list 'N' is empty",
+                       id=f"fig2-empty-N-{ident}")
+          for ident, args, config in (
+              ("flag", ["--N", ","], None),
+              ("blank-flag", ["--N", ""], None),
+              ("key", [], "[list.N]\nvalues = ,\n"),
+              ("no-values", [], "[list.N]\n"))),
+        pytest.param("fig7", [], "[axis.scale_ratio]\nstart = 1\n"
+                     "[list.scale_ratio]\nvalues = 1, 2\n",
+                     "give [axis.scale_ratio] or [list.scale_ratio], not both",
+                     id="fig7-axis-and-list"),
+        pytest.param("fig2", [], "[parameters]\nliteral_denominator = true\n",
+                     "parameter literal_denominator applies to the Morse"
+                     " targets only", id="fig2-literal")])
     def test_list_the_target_never_reads_is_rejected(self, tmp_path, capsys,
-                                                      target, name):
-        """fig2 once took [list.nu] values = 1, 2 and wrote 40 rows, 20 of
-        them repeats with no column for nu; a Morse point reads T_cold only
-        from the parameters."""
-        config = tmp_path / "list.ini"
-        config.write_text(f"[list.{name}]\nvalues = 1, 2\n")
+                                                      target, args, config,
+                                                      message):
+        """An input the target cannot use is one configuration error, given
+        as a flag or a key.  fig2 once took [list.nu] values = 1, 2 and wrote
+        40 rows, 20 of them repeats with no column for nu; a Morse point
+        reads T_cold only from the parameters."""
+        if config is not None:
+            (tmp_path / "list.ini").write_text(config)
+            args = args + ["--config", str(tmp_path / "list.ini")]
         out = tmp_path / "x.csv"
-        assert main([target, "--config", str(config),
-                     "--out", str(out)]) == 1
-        assert capsys.readouterr().err == (
-            f"config error: list {name!r} does not apply to target"
-            f" {target!r}\n")
+        assert main([target, *args, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
         assert not out.exists()
 
     def test_custom_target_via_config(self, tmp_path, capsys):
