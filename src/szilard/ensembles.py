@@ -6,9 +6,8 @@ Three statistical treatments share this module:
   exactly as sums of per-level N-th powers with the 2^N degeneracy factor in
   the barrier-inserted stages;
 * grand-canonical bosons with a chemical potential per barrier configuration,
-  each bound to the temperature of the bath it serves; grand_stage_sums
-  produces a batch's chemical potentials in every MuMode, from its ground
-  levels, together with its stage sums;
+  each bound to the temperature of the bath it serves; _bath_ratios solves a
+  batch's roots in every MuMode and sums its log ratios, at any temperatures;
 * the single-particle Morse cycle, which is canonical and needs no chemical
   potential: its stage sums are the canonical ones at count 1, capped at the
   bound-state ladder.
@@ -29,8 +28,8 @@ _series_sums.  A cutoff index is estimated from the exponential decay of the
 terms, the tail is verified against the policy's rel_tol (a Morse ladder
 summed to its last bound level needs none), and exceeding max_terms while
 terms still matter raises TruncationError rather than silently capping.  A
-trap's sums share its ladders: each barrier's is built once, as long as the
-longest sum needs, and shorter sums take prefixes of it.
+trap's sums share one barrier-free ladder, extended when a sum outgrows it;
+an inserted sum takes every other level of it (see _level_ladders).
 """
 
 import math
@@ -205,7 +204,7 @@ def _ground_levels(potential):
     the SzilardError its lookup raises."""
     grounds = {}
     for barrier in Barrier:
-        try:
+        try:    # int lookups: an array one would change E_1's last bits
             grounds[barrier] = level_energy(potential, 1, barrier)
         except SzilardError as exc:
             grounds[barrier] = exc.with_traceback(None)
@@ -375,21 +374,25 @@ def _totals(results):
 def _level_ladders(segments, sizes, levels):
     """Levels 1..n of each _series_sums segment, one array per rung.
 
-    levels maps (id(trap), id(barrier)) to that ladder (ids: an Enum hashes
-    in Python); it is built, or built again longer, only when a request
-    outgrows it, and every rung takes a prefix of it (level_energy is
-    elementwise, so a prefix has the bits of a shorter ladder).
+    levels maps id(trap) to its barrier-free ladder, extended by the levels
+    a request lacks.  Inserted level n is barrier-free level 2n (see
+    potentials), so an inserted rung takes the view ladder[1:2n:2] and an
+    absent rung the prefix ladder[:n]; level_energy is elementwise, so each
+    has the bits of its own call.
     """
     reach = {}
     for (potential, rungs, _), n in zip(segments, sizes):
-        for barrier, _ in rungs:
-            key = id(potential), id(barrier)
-            if reach.get(key, (0,))[0] < n:
-                reach[key] = n, potential, barrier
-    for key, (n, potential, barrier) in reach.items():
-        if len(levels.get(key, ())) < n:
-            levels[key] = level_energy(potential, np.arange(1, n + 1), barrier)
-    return [[levels[id(p), id(barrier)][:n] for barrier, _ in rungs]
+        top = max(2 * n if barrier is Barrier.INSERTED else n
+                  for barrier, _ in rungs)
+        if reach.get(id(potential), (0,))[0] < top:
+            reach[id(potential)] = top, potential
+    for key, (n, potential) in reach.items():
+        ladder = levels.get(key, np.empty(0))
+        if len(ladder) < n:
+            levels[key] = np.concatenate((ladder, level_energy(
+                potential, np.arange(len(ladder) + 1, n + 1))))
+    return [[levels[id(p)][1:2 * n:2] if barrier is Barrier.INSERTED
+             else levels[id(p)][:n] for barrier, _ in rungs]
             for (p, rungs, _), n in zip(segments, sizes)]
 
 
@@ -498,9 +501,9 @@ def canonical_stage_sums(potentials, grounds, count, baths,
     potentials and grounds are a batch as ladder_batches returns it.  Each
     trap gets (log ratio hot, log ratio cold, (U_A, U_B, U_C, U_D)), or the
     error of its first failing stage, A to D.  Each stage is one _series_sums
-    call over the traps still without an error, and the four share the
-    traps' ladders: each barrier's is built once, at the hot bath, and the
-    cold stages sum prefixes of it.
+    call over the traps still without an error, and the four share each
+    trap's barrier-free ladder (see _level_ladders): the hot stages build
+    it, and the cold stages sum prefixes and views of it.
     """
     out, levels = [() for _ in potentials], {}
     for stage in Stage:
@@ -526,8 +529,7 @@ def canonical_stage_sums(potentials, grounds, count, baths,
 
 def _mu_offsets(roots, count, policy, levels):
     """Roots u = log(beta (E_1 - mu)) of the occupancy constraint for many
-    (potential, barrier, temperature, E_1, d_1) roots; a root or an error
-    each.
+    (potential, barrier, temperature, E_1) roots; a root or an error each.
 
     Each ladder is built once, as long as mu -> E_1 needs, and its tail is
     checked in the mu -> -inf (Boltzmann) limit, whose last-term ratio bounds
@@ -540,7 +542,7 @@ def _mu_offsets(roots, count, policy, levels):
     root's bracket, step and stop test are its own.
     """
     out = _series_sums([(p, ((barrier, e1),), _beta(temperature))
-                        for p, barrier, temperature, e1, _ in roots],
+                        for p, barrier, temperature, e1 in roots],
                        _boltzmann_terms, policy, levels)
     rows = [j for j, result in enumerate(out) if not _failed(result)]
     if not rows:
@@ -549,9 +551,9 @@ def _mu_offsets(roots, count, policy, levels):
     x = flat.spread([_beta(roots[j][2]) for j in rows]) * (
         flat.join([out[j][1][0] for j in rows])
         - flat.spread([roots[j][3] for j in rows]))
-    g = flat.spread([roots[j][4] for j in rows])
+    g = flat.spread([_degeneracy(roots[j][1]) for j in rows])
     log_count = math.log(count)
-    live = [_Root(j, roots[j][4], count) for j in rows]
+    live = [_Root(j, _degeneracy(roots[j][1]), count) for j in rows]
     # an occupation past 1e154 overflows n (1 + n/g) to inf, which makes
     # the step 0: the root stops there, and like every root it is then
     # checked against mu < E_1 and its occupancy re-sum
@@ -645,33 +647,17 @@ def _chemical_potentials(roots, count, mode, policy, levels):
     `mode`; a mu or an error each, every mu strictly below E_1.
 
     CLOSED_FORM is E_1 - k_B T log1p(d_1/count); SOLVED runs every root
-    through one Newton loop (see _solved_mus) on the ladders in `levels`.
+    through one Newton loop (see _mu_offsets) on the ladders in `levels`,
+    and re-sums the occupancy at each mu, which must recover count to 1e-10.
     """
-    if mode is MuMode.SOLVED:
-        return _solved_mus(roots, count, policy, levels)
     if mode is MuMode.CLOSED_FORM:
         return [_below_ground(e1 - K_B * temperature
                               * math.log1p(_degeneracy(barrier) / count), e1)
                 for _, barrier, temperature, e1 in roots]
-    return [EnsembleMismatchError(f"unknown chemical-potential mode {mode!r}")
-            for _ in roots]
-
-
-def _below_ground(mu, e1):
-    """mu, or the ConvergenceViolationError of a mu that reaches E_1."""
-    return mu if mu < e1 else ConvergenceViolationError(
-        f"chemical potential {mu:.6g} J reaches the ground level {e1:.6g} J")
-
-
-def _solved_mus(roots, count, policy, levels):
-    """MuMode.SOLVED chemical potentials of (potential, barrier,
-    temperature, E_1) roots; a mu or an error each.
-
-    Each mu is strictly below E_1, and re-summing the occupancy there
-    recovers count to 1e-10 relative.
-    """
-    out = _mu_offsets([(*root, _degeneracy(root[1])) for root in roots],
-                      count, policy, levels)
+    if mode is not MuMode.SOLVED:
+        return [EnsembleMismatchError(
+            f"unknown chemical-potential mode {mode!r}") for _ in roots]
+    out = _mu_offsets(roots, count, policy, levels)
     for j, u in enumerate(out):
         if not _failed(u):
             _, _, temperature, e1 = roots[j]
@@ -687,6 +673,15 @@ def _solved_mus(roots, count, policy, levels):
             out[j] = SolverFailureError(
                 f"occupancy root off by {abs(total - count) / count:.3g} relative")
     return out
+
+
+def _below_ground(mu, e1):
+    """mu, or the ConvergenceViolationError of a mu that reaches E_1; a mu
+    that rounds onto E_1 had an offset E_1 - mu below one ulp of E_1."""
+    return mu if mu < e1 else ConvergenceViolationError(
+        f"chemical potential {mu:.6g} J reaches the ground level {e1:.6g} J"
+        + (f": the offset E_1 - mu is below one ulp of E_1"
+           f" ({math.ulp(e1):.6g} J)" if mu == e1 else ""))
 
 
 def _occupancy_checks(segments, policy, levels):
@@ -712,24 +707,70 @@ def chemical_potential(potential, count, temperature, barrier, mode,
     E_1 >> k_B T.  The occupancy at the returned mu is re-summed and verified
     to |dN/N| < 1e-10, and the result is always strictly below E_1.
     """
-    _require_power_family(potential, "the chemical potential")
-    if count < 1:
-        raise EnsembleMismatchError("particle count must be at least 1")
-    _beta(temperature)      # raises where 1/(k_B T) overflows, in every mode
-    e1 = level_energy(potential, 1, barrier)
     return value_or_raise(_chemical_potentials(
-        [(potential, barrier, temperature, e1)], count, mode, policy, {})[0])
+        _one_trap_roots(potential, count, temperature, (barrier,)), count,
+        mode, policy, {})[0])
 
 
 def chemical_potentials(potential, count, temperature, mode,
                         policy=TruncationPolicy()):
-    """Solve both barrier configurations at one bath temperature."""
-    pre = chemical_potential(potential, count, temperature, Barrier.ABSENT,
-                             mode, policy)
-    post = chemical_potential(potential, count, temperature, Barrier.INSERTED,
-                              mode, policy)
-    return ChemicalPotentials(pre_insertion=pre, post_insertion=post,
-                              temperature=temperature, count=count, mode=mode)
+    """Solve both barrier configurations at one bath temperature, at once."""
+    roots = _one_trap_roots(potential, count, temperature,
+                            (Barrier.ABSENT, Barrier.INSERTED))
+    return value_or_raise(_mu_pairs(
+        _chemical_potentials(roots, count, mode, policy, {}), count,
+        (temperature,), mode)[0])[0]
+
+
+def _one_trap_roots(potential, count, temperature, barriers):
+    """One trap's _chemical_potentials roots, after every mode's checks."""
+    _require_power_family(potential, "the chemical potential")
+    if count < 1:
+        raise EnsembleMismatchError("particle count must be at least 1")
+    _beta(temperature)      # raises where 1/(k_B T) overflows, in every mode
+    return [(potential, barrier, temperature,
+             level_energy(potential, 1, barrier)) for barrier in barriers]
+
+
+def _mu_pairs(mus, count, temperatures, mode):
+    """Per trap, its ChemicalPotentials at each temperature, from its mus in
+    the order absent, inserted at each temperature in turn; or its first
+    error."""
+    k = 2 * len(temperatures)
+    return [next((mu for mu in own if _failed(mu)), None) or tuple(
+        ChemicalPotentials(pre_insertion=pre, post_insertion=post,
+                           temperature=temperature, count=count, mode=mode)
+        for pre, post, temperature in zip(own[::2], own[1::2], temperatures))
+        for own in (mus[i:i + k] for i in range(0, len(mus), k))]
+
+
+def _bath_ratios(potentials, grounds, count, temperatures, mode, policy,
+                 levels):
+    """Chemical potentials and log ratios of grand-canonical traps at each of
+    a tuple of temperatures: per trap (ChemicalPotentials, log ratio) per
+    temperature, or the error of its first failing root (see _mu_pairs),
+    else of its first failing log ratio.
+
+    potentials and grounds are a batch as ladder_batches returns it.  All
+    the roots are produced together in `mode`, from the ground levels (see
+    _chemical_potentials), and the log ratios are one _series_sums call on
+    the same ladders in `levels`.
+    """
+    roots = [(potential, barrier, temperature, ground[barrier])
+             for potential, ground in zip(potentials, grounds)
+             for temperature in temperatures
+             for barrier in (Barrier.ABSENT, Barrier.INSERTED)]
+    out = _mu_pairs(_chemical_potentials(roots, count, mode, policy, levels),
+                    count, temperatures, mode)
+    live = [i for i, pairs in enumerate(out) if not _failed(pairs)]
+    ratios = _totals(_series_sums(
+        [(potentials[i], _both_rungs(pair), _beta(pair.temperature))
+         for i in live for pair in out[i]], _log_ratio_terms, policy, levels))
+    k = len(temperatures)
+    for j, i in enumerate(live):
+        own = tuple(ratios[k * j:k * (j + 1)])
+        out[i] = next((r for r in own if _failed(r)), None) or (out[i], own)
+    return out
 
 
 def grand_stage_sums(potentials, grounds, count, baths, mode,
@@ -737,73 +778,56 @@ def grand_stage_sums(potentials, grounds, count, baths, mode,
     """Per-bath log ratios, the four stage energies and the chemical
     potentials of many grand-canonical traps.
 
-    potentials and grounds are a batch as ladder_batches returns it.  All
-    4 x len(potentials) chemical potentials are produced together in `mode`,
-    from the batch's ground levels (see _chemical_potentials), and the
-    roots, log ratios and stage energies share each trap's ladders.  Each
+    potentials and grounds are a batch as ladder_batches returns it.  Each
     trap gets (log ratio hot, log ratio cold, (U_A, U_B, U_C, U_D),
-    (hot, cold) ChemicalPotentials), or the error of its first failing root
-    in the order chemical_potentials solves them, else of its first failing
-    sum in the order log_relative_partition (hot, cold) and internal_energy
-    (A to D) would run them.
+    (hot, cold) ChemicalPotentials): _bath_ratios at (hot, cold), then the
+    stage energies in one more _series_sums call on the same ladders; or
+    the first error of _bath_ratios, else of its first failing energy.
     """
-    roots = [(potential, barrier, temperature, ground[barrier])
-             for potential, ground in zip(potentials, grounds)
-             for temperature in (baths.hot, baths.cold)
-             for barrier in (Barrier.ABSENT, Barrier.INSERTED)]
     levels = {}
-    mus = _chemical_potentials(roots, count, mode, policy, levels)
-    pairs = []
-    for i in range(len(potentials)):
-        four = mus[4 * i:4 * i + 4]
-        pairs.append(next((m for m in four if _failed(m)), None) or tuple(
-            ChemicalPotentials(pre_insertion=pre, post_insertion=post,
-                               temperature=temperature, count=count, mode=mode)
-            for pre, post, temperature in ((*four[:2], baths.hot),
-                                           (*four[2:], baths.cold))))
-    out = list(pairs)
-    live = [i for i, pair in enumerate(out) if not _failed(pair)]
-    ratios = _totals(_series_sums(
-        [(potentials[i], _both_rungs(mus), _beta(mus.temperature))
-         for i in live for mus in pairs[i]], _log_ratio_terms, policy, levels))
-    for k, i in enumerate(live):
-        l_hot, l_cold = ratios[2 * k:2 * k + 2]
-        out[i] = next((r for r in (l_hot, l_cold) if _failed(r)), (l_hot, l_cold))
-    live = [i for i in live if not _failed(out[i])]
+    out = _bath_ratios(potentials, grounds, count, (baths.hot, baths.cold),
+                       mode, policy, levels)
+    live = [i for i, terms in enumerate(out) if not _failed(terms)]
     segments = []
     for i in live:
-        mus_hot, mus_cold = pairs[i]
+        mus_hot, mus_cold = out[i][0]
         for stage, mus in zip(Stage, (mus_hot, mus_hot, mus_cold, mus_cold)):
             barrier, temperature = _stage_config(stage, baths)
-            segments.append((potentials[i], ((barrier, _mu_of(mus, barrier)),),
-                             _beta(temperature)))
+            segments.append((potentials[i], (_both_rungs(mus)[
+                barrier is Barrier.INSERTED],), _beta(temperature)))
     energies = _totals(_series_sums(segments, _energy_terms, policy, levels))
     for k, i in enumerate(live):
-        stages = energies[4 * k:4 * k + 4]
+        stages = tuple(energies[4 * k:4 * k + 4])
         error = next((u for u in stages if _failed(u)), None)
-        out[i] = error or (*out[i], tuple(stages), pairs[i])
+        pairs, ratios = out[i]
+        out[i] = error or (*ratios, stages, pairs)
     return out
 
 
-def _mu_of(mu_pair, barrier):
-    return (mu_pair.post_insertion if barrier is Barrier.INSERTED
-            else mu_pair.pre_insertion)
-
-
 def _both_rungs(mu_pair):
-    """The rungs of a log ratio: both barrier configurations."""
+    """A log ratio's rungs, indexed by `barrier is Barrier.INSERTED`."""
     return ((Barrier.ABSENT, mu_pair.pre_insertion),
             (Barrier.INSERTED, mu_pair.post_insertion))
 
 
-def _check_mu(potential, mu_pair, temperature):
-    if mu_pair.pre_insertion >= level_energy(potential, 1, Barrier.ABSENT):
-        raise ConvergenceViolationError("pre-insertion mu reaches the ground level")
-    if mu_pair.post_insertion >= level_energy(potential, 1, Barrier.INSERTED):
-        raise ConvergenceViolationError("post-insertion mu reaches the ground level")
+def _checked_rungs(potential, mu_pair, temperature):
+    """_both_rungs of a pair solved at `temperature` whose mus lie below
+    their ground levels (see _below_ground), or None for a Morse well, which
+    takes no pair; raises otherwise."""
+    if isinstance(potential, Morse):
+        if mu_pair is not None:
+            raise EnsembleMismatchError(
+                "the Morse cycle is canonical; no chemical potentials apply")
+        return None
+    if mu_pair is None:
+        raise EnsembleMismatchError("bosonic sums need chemical potentials")
+    rungs = tuple((barrier, value_or_raise(_below_ground(
+        mu, level_energy(potential, 1, barrier))))
+        for barrier, mu in _both_rungs(mu_pair))
     if mu_pair.temperature != temperature:
         raise EnsembleMismatchError(
             "chemical potentials were solved at a different temperature")
+    return rungs
 
 
 def log_relative_partition(potential, mu_pair, temperature,
@@ -818,20 +842,14 @@ def log_relative_partition(potential, mu_pair, temperature,
 
     Morse potentials take the canonical mu-free route: pass mu_pair = None.
     """
-    if isinstance(potential, Morse):
-        if mu_pair is not None:
-            raise EnsembleMismatchError(
-                "the Morse cycle is canonical; no chemical potentials apply")
-        log_post, _ = canonical_stage_properties(
-            potential, Barrier.INSERTED, 1, temperature, policy)
-        log_pre, _ = canonical_stage_properties(
-            potential, Barrier.ABSENT, 1, temperature, policy)
+    rungs = _checked_rungs(potential, mu_pair, temperature)
+    if rungs is None:
+        (log_post, _), (log_pre, _) = (canonical_stage_properties(
+            potential, barrier, 1, temperature, policy)
+            for barrier in (Barrier.INSERTED, Barrier.ABSENT))
         return log_post - log_pre
-    if mu_pair is None:
-        raise EnsembleMismatchError("bosonic ratio needs chemical potentials")
-    _check_mu(potential, mu_pair, temperature)
-    return _one_sum((potential, _both_rungs(mu_pair), _beta(temperature)),
-                    _log_ratio_terms, policy)
+    return _one_sum((potential, rungs, _beta(temperature)), _log_ratio_terms,
+                    policy)
 
 
 def internal_energy(stage, potential, mu_pair, baths, policy=TruncationPolicy()):
@@ -843,15 +861,9 @@ def internal_energy(stage, potential, mu_pair, baths, policy=TruncationPolicy())
     the stage dictates.  Morse stages are plain Boltzmann averages.
     """
     barrier, temperature = _stage_config(stage, baths)
-    if isinstance(potential, Morse):
-        if mu_pair is not None:
-            raise EnsembleMismatchError(
-                "the Morse cycle is canonical; no chemical potentials apply")
+    rungs = _checked_rungs(potential, mu_pair, temperature)
+    if rungs is None:
         return canonical_stage_properties(potential, barrier, 1, temperature,
                                           policy)[1]
-    if mu_pair is None:
-        raise EnsembleMismatchError("bosonic stages need chemical potentials")
-    _check_mu(potential, mu_pair, temperature)
-    return _one_sum(
-        (potential, ((barrier, _mu_of(mu_pair, barrier)),), _beta(temperature)),
-        _energy_terms, policy)
+    return _one_sum((potential, (rungs[barrier is Barrier.INSERTED],),
+                     _beta(temperature)), _energy_terms, policy)

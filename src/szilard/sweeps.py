@@ -28,11 +28,11 @@ import numpy as np
 
 from . import __version__
 from .constants import ATOMIC_MASS, EV, K_B
-from .errors import ConfigError, OutputError, SzilardError
+from .errors import ConfigError, OutputError, SzilardError, value_or_raise
 from .potentials import Barrier, Harmonic, Morse, PowerLaw, Spectrum
 from .barrier import even_levels, odd_level
-from .ensembles import (BathPair, MuMode, TruncationPolicy,
-                        chemical_potentials, log_relative_partition)
+from .ensembles import (BathPair, MuMode, TruncationPolicy, _bath_ratios,
+                        chemical_potentials, ladder_batches)
 # run_cycle stays bound here for wrappers that patch it per module
 from .cycle import Ensemble, run_cycle, run_cycles  # noqa: F401
 
@@ -117,20 +117,6 @@ class ValidationReport:
     @property
     def ok(self):
         return not self.spec_errors
-
-    def __str__(self):
-        lines = [f"{self.points} grid points"]
-        for msg in self.spec_errors:
-            lines.append(f"spec error: {msg}")
-        frac = len(self.predicted_failures) / self.points if self.points else 0.0
-        lines.append(f"expected failures: {len(self.predicted_failures)}"
-                     f" ({100.0 * frac:.1f}%)")
-        seen = {}
-        for _, reason in self.predicted_failures:
-            seen[reason] = seen.get(reason, 0) + 1
-        for reason, count in seen.items():
-            lines.append(f"  {count} x {reason}")
-        return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -366,9 +352,10 @@ def _eval_partition_ratio(point, spec):
     trap = Harmonic(mass=p["mass"], omega=p["omega"])
     count = int(point["N"])
     temperature = float(point["T"])
-    mode = MuMode(p["mu_mode"])
-    mus = chemical_potentials(trap, count, temperature, mode, spec.policy)
-    log_ratio = log_relative_partition(trap, mus, temperature, spec.policy)
+    (traps, grounds), = ladder_batches((trap,), 1, temperature, spec.policy)
+    _, (log_ratio,) = value_or_raise(_bath_ratios(
+        traps, grounds, count, (temperature,), MuMode(p["mu_mode"]),
+        spec.policy, {})[0])
     return {"T": temperature, "N": count,
             "log_ratio": log_ratio, "ratio": math.exp(log_ratio)}
 

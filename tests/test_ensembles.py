@@ -7,6 +7,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from szilard import (Barrier, BathPair, ChemicalPotentials,
                      ConvergenceViolationError, Ensemble,
@@ -17,6 +18,7 @@ from szilard import (Barrier, BathPair, ChemicalPotentials,
                      canonical_stage_properties, chemical_potential,
                      chemical_potentials, internal_energy, level_energy,
                      log_relative_partition, occupancy_total, run_cycle)
+from szilard import ensembles
 
 MASS = 19.11e-11
 OMEGA = 1e11
@@ -348,6 +350,42 @@ class TestBoseEnergies:
         assert internal_energy(Stage.D, trap, pair, baths) > 0.0
 
 
+@settings(max_examples=200, deadline=None)
+@given(kind=st.sampled_from(("harmonic", "power-law", "morse")),
+       omega=st.floats(1e8, 1e14), exponent=st.floats(0.1, 10.0),
+       anharmonicity=st.one_of(st.just(0.0), st.floats(1e-5, 0.1)),
+       first=st.integers(1, 4000), inserted=st.integers(1, 4000))
+def test_inserted_ladder_is_every_other_barrier_free_level(
+        kind, omega, exponent, anharmonicity, first, inserted):
+    """The stage sums keep one barrier-free ladder per trap: an inserted
+    rung's levels 1..n are its view [1:2n:2], and a ladder a longer request
+    outgrows is extended, not rebuilt.  Both hold only if level_energy
+    gives each level the same bits wherever it sits in an array, which
+    this checks on the CPU at hand: the view against the inserted ladder,
+    and a ladder built in two parts against one built at once."""
+    trap = {"harmonic": lambda: Harmonic(MASS, omega),
+            "power-law": lambda: PowerLaw(MASS, omega, exponent),
+            "morse": lambda: Morse.from_anharmonicity(MASS, omega,
+                                                      anharmonicity)}[kind]()
+    if kind == "morse" and trap.bound_count is not None:
+        inserted = min(inserted, trap.bound_count // 2)
+        if inserted < 1:
+            return
+    first = min(first, 2 * inserted)
+    whole = level_energy(trap, np.arange(1, 2 * inserted + 1))
+    ladder = level_energy(trap, np.arange(1, inserted + 1), Barrier.INSERTED)
+    assert whole[1::2].tobytes() == ladder.tobytes()
+
+    levels = {}
+    (absent,), = ensembles._level_ladders(
+        [(trap, ((Barrier.ABSENT, 0.0),), 1.0)], [first], levels)
+    (view,), = ensembles._level_ladders(
+        [(trap, ((Barrier.INSERTED, 0.0),), 1.0)], [inserted], levels)
+    assert absent.tobytes() == whole[:first].tobytes()
+    assert view.tobytes() == ladder.tobytes()
+    assert levels[id(trap)].tobytes() == whole.tobytes()
+
+
 class TestMorseSums:
 
     # 9-level well: quantum hbar*1e10 J, depth 5.35 quanta
@@ -564,10 +602,11 @@ class TestRaisedErrors:
         lambda: internal_energy(Stage.A, _TRAP, _MUS, BATHS, _TIGHT),
         lambda: chemical_potential(_TRAP, 3, 200.0, Barrier.ABSENT,
                                    MuMode.SOLVED, _TIGHT),
+        lambda: chemical_potentials(_TRAP, 3, 200.0, MuMode.SOLVED, _TIGHT),
         lambda: canonical_stage_properties(_TRAP, Barrier.ABSENT, 3, 200.0,
                                            _TIGHT)],
         ids=["run_cycle", "occupancy_total", "log_relative_partition",
-             "internal_energy", "chemical_potential",
+             "internal_energy", "chemical_potential", "chemical_potentials",
              "canonical_stage_properties"])
     def test_caught_error_leaves_no_cyclic_garbage(self, call):
         for _ in range(2):      # the first pass may warm lazy state

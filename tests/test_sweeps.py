@@ -11,10 +11,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from szilard import (ATOMIC_MASS, Axis, ConfigError, EV, K_B, MuMode,
-                     TruncationPolicy, even_levels, load_config,
-                     parse_quantity, preset, preset_names, run_sweep,
-                     spec_from_config, validate)
+from szilard import (ATOMIC_MASS, Axis, Barrier, ConfigError, EV, Harmonic,
+                     K_B, MuMode, TruncationPolicy, chemical_potential,
+                     chemical_potentials, even_levels, load_config,
+                     log_relative_partition, parse_quantity, preset,
+                     preset_names, run_sweep, spec_from_config, validate)
 from szilard import cycle, ensembles, potentials, sweeps
 from szilard.cli import main
 from szilard.sweeps import parse_integer
@@ -278,19 +279,53 @@ class TestSingleEvaluation:
         assert [args[1:] for args in grounds] == [
             (1, potentials.Barrier.ABSENT), (1, potentials.Barrier.INSERTED)]
 
-    def test_morse_point_builds_one_ladder_per_barrier(self, tmp_path,
-                                                       monkeypatch):
-        """The four stages share the trap's ladders: the hot stages build
-        the absent and the inserted one, the cold stages sum prefixes.
-        Building one per stage made 4."""
+    @staticmethod
+    def _ladder_calls(calls):
+        """The array level_energy calls of a call log: each one barrier-free,
+        and their index ranges disjoint and contiguous from 1, so no level
+        is built twice.  Returns their count."""
+        ladders = [args for args in calls if np.ndim(args[1]) == 1]
+        assert all(args[2:] in ((), (potentials.Barrier.ABSENT,))
+                   for args in ladders)
+        indices = np.concatenate([args[1] for args in ladders])
+        assert np.array_equal(indices, np.arange(1, len(indices) + 1))
+        return len(ladders)
+
+    def test_morse_point_builds_one_ladder_per_trap(self, tmp_path,
+                                                    monkeypatch):
+        """The four stages share the trap's barrier-free ladder: stage A
+        builds it, stage B extends it by the levels its inserted rungs (every
+        other level of it) lack, and the cold stages sum prefixes.  One
+        ladder per barrier built 500 levels, where this builds 336."""
         calls = _count_calls(monkeypatch, "level_energy")
         outcome = _run(_one_point("fig10", depth=4.7 * EV, T_hot=4.0,
                                   omega=1e11), tmp_path)
         assert outcome.points == 1 and outcome.failed == 0
-        ladders = [args for args in calls if np.size(args[1]) > 1]
-        assert len(ladders) == 2
-        assert {args[2] for args in ladders} == {potentials.Barrier.ABSENT,
-                                                 potentials.Barrier.INSERTED}
+        assert self._ladder_calls(calls) == 2
+        assert [len(args[1]) for args in calls if np.ndim(args[1])] == [332, 4]
+
+    def test_canonical_point_builds_no_inserted_ladder(self, tmp_path,
+                                                       monkeypatch):
+        """A fig3 point: two ground lookups and one ladder, extended once
+        for the inserted stages, whose rungs are every other level of it.
+        A ladder per barrier built 4100 more levels."""
+        calls = _count_calls(monkeypatch, "level_energy")
+        outcome = _run(_one_point("fig3", N=2, omega=1e11), tmp_path)
+        assert outcome.points == 1 and outcome.failed == 0
+        assert len(calls) == 4
+        assert self._ladder_calls(calls) == 2
+        assert sum(np.size(args[1]) for args in calls) == 8208
+
+    def test_partition_ratio_run_builds_one_ladder_per_point(self, tmp_path,
+                                                             monkeypatch):
+        """fig5: each point looks up its two ground levels, builds one
+        barrier-free ladder for its two roots and extends it once for the
+        occupancy re-checks and log ratio; solving and summing each barrier
+        apart made 960 calls."""
+        calls = _count_calls(monkeypatch, "level_energy")
+        outcome = _run(preset("fig5"), tmp_path)
+        assert outcome.points == 120 and outcome.failed == 0
+        assert len(calls) == 480
 
     def test_bose_roots_sum_one_ladder_each(self, tmp_path, monkeypatch):
         """One occupancy re-check per root, and the trap prefactor's gamma
@@ -379,6 +414,50 @@ class TestBatchedRuns:
         assert outcome.points == 41 and outcome.failed == 30
         lines = open(outcome.csv_path).read().splitlines()
         assert lines[1:] == self._single_rows(preset("fig9-inset"), tmp_path)
+    def test_mu_rounded_onto_the_ground_level_names_the_cause(self,
+                                                              tmp_path):
+        """fig7 out to a trap scale of 1e300: where k_B T is below one ulp of
+        E_1, mu rounds onto E_1, and each such row says so rather than print
+        two equal energies alone."""
+        config = tmp_path / "far.ini"
+        config.write_text("[axis.scale_ratio]\nstop = 1e300\n")
+        out = tmp_path / "far.csv"
+        assert main(["fig7", "--config", str(config), "--out", str(out)]) == 0
+        errors = [line.split(",")[-1]
+                  for line in out.read_text().splitlines()[1:]]
+        grounds = [e for e in errors if "reaches the ground level" in e]
+        assert len(grounds) == 45
+        for error in grounds:
+            mu, e1 = re.match(r"ConvergenceViolationError: chemical potential"
+                              r" (\S+) J reaches the ground level (\S+) J:"
+                              r" the offset E_1 - mu is below one ulp of E_1"
+                              r" \(\S+ J\)$", error).groups()
+            assert mu == e1
+
+
+class TestPartitionRatio:
+    """fig5 runs on the grand-canonical cycle's root-and-ratio path; the
+    public one-trap functions are its reference."""
+
+    @pytest.mark.parametrize("count", [10, 20, 30])
+    @pytest.mark.parametrize("temperature", [0.05, 2.0, 10.0])
+    def test_equals_the_one_trap_functions(self, count, temperature):
+        spec = preset("fig5")
+        p = spec.params
+        trap = Harmonic(mass=p["mass"], omega=p["omega"])
+        row = sweeps._eval_partition_ratio({"N": count, "T": temperature},
+                                           spec)
+        mus = chemical_potentials(trap, count, temperature,
+                                  MuMode(p["mu_mode"]), spec.policy)
+        assert row["log_ratio"] == log_relative_partition(
+            trap, mus, temperature, spec.policy)
+        for mode in MuMode:
+            pair = chemical_potentials(trap, count, temperature, mode,
+                                       spec.policy)
+            assert (pair.pre_insertion, pair.post_insertion) == tuple(
+                chemical_potential(trap, count, temperature, barrier, mode,
+                                   spec.policy)
+                for barrier in (Barrier.ABSENT, Barrier.INSERTED))
 
 
 class TestConfigOverlay:
@@ -468,7 +547,6 @@ class TestValidate:
         assert report.ok                  # runnable, failures are per point
         assert report.points == 41
         assert len(report.predicted_failures) == 30
-        assert "expected failures: 30" in str(report)
 
     def test_structural_errors(self):
         spec = preset("fig9")
