@@ -110,15 +110,15 @@ def _stage_terms(potentials, ensemble, count, baths, mu_mode, policy):
     live = [i for i, error in enumerate(out) if error is None]
     grand = ensemble is Ensemble.GRAND_BOSE
     terms = []
-    for batch, grounds in ladder_batches([potentials[i] for i in live],
-                                         1 if grand else count, baths.hot,
-                                         policy):
+    for batch, grounds, heads in ladder_batches(
+            [potentials[i] for i in live], 1 if grand else count, baths.hot,
+            policy, heads=not grand):
         terms += (grand_stage_sums(batch, grounds, count, baths, mu_mode,
                                    policy)
                   if grand else
                   [sums if isinstance(sums, SzilardError) else (*sums, None)
                    for sums in canonical_stage_sums(batch, grounds, count,
-                                                    baths, policy)])
+                                                    baths, policy, heads)])
     for i, value in zip(live, terms):
         out[i] = value
     return out

@@ -14,10 +14,10 @@ Three statistical treatments share this module:
 
 Every route sums many traps at once, as one numpy pass per step over all
 their ladders.  ladder_batches splits a run of traps into consecutive
-batches of a bounded number of estimated ladder terms, at the canonical
-decay rate N beta of the hot bath (beta for the grand route) and at most a
-Morse well's bound count, and looks up each trap's two ground levels once
-for every sum of its batch.
+batches of a bounded number of estimated terms, at the canonical decay rate
+N beta of the hot bath (beta for the grand route) and at most a Morse well's
+bound count, counting a canonical sum's head rather than its whole ladder,
+and looks up each trap's two ground levels once for every sum of its batch.
 
 Stage labels follow the cycle diagram: A = barrier absent at the hot bath,
 B = inserted at the hot bath, C = inserted at the cold bath, D = absent at
@@ -28,8 +28,14 @@ _series_sums.  A cutoff index is estimated from the exponential decay of the
 terms, the tail is verified against the policy's rel_tol (a Morse ladder
 summed to its last bound level needs none), and exceeding max_terms while
 terms still matter raises TruncationError rather than silently capping.  A
-trap's sums share one barrier-free ladder, extended when a sum outgrows it;
-an inserted sum takes every other level of it (see _level_ladders).
+canonical or Morse sum over a geometric or Morse ladder longer than its
+head (see _head) sums only the head there, at least 16 terms, and adds the
+rest of the ladder as a closed-form Euler-Maclaurin tail (see _tails),
+whose remainder on the Boltzmann sum is bounded below rel_tol e^{-35} of
+it (the energy sum shares the head and rests on that margin); max_terms
+then caps the head.  A trap's sums share one barrier-free ladder, extended
+when a sum outgrows it; an inserted sum takes every other level of it (see
+_level_ladders).
 """
 
 import math
@@ -38,6 +44,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+from scipy.special import dawsn
 
 from .constants import K_B
 from .errors import (ConvergenceViolationError, EnsembleMismatchError,
@@ -81,6 +88,21 @@ class BathPair:
 
 @dataclass(frozen=True)
 class TruncationPolicy:
+    """How far each level sum runs.
+
+    Grand-canonical sums (occupancies, log ratios, energies and the ladders
+    of the chemical-potential roots) stop once their last term is below
+    rel_tol of the summed magnitudes, and max_terms caps their length.
+    Canonical and Morse sums over a geometric or Morse ladder longer than
+    its head sum the head exactly and the rest as a closed-form tail; the
+    head is chosen so that the tail's remainder bound on the Boltzmann sum
+    is below rel_tol e^{-35} of it, and the energy sum shares that head.
+    max_terms caps the head, not the ladder.  A shorter ladder, or a
+    non-geometric power law, is summed whole, as on the grand route.  A sum
+    that needs more than max_terms terms is a TruncationError, never a
+    silent cut.
+    """
+
     rel_tol: float = 1e-12
     max_terms: int = 1_000_000
 
@@ -135,6 +157,11 @@ def _degeneracy(barrier):
     return 2.0 if barrier is Barrier.INSERTED else 1.0
 
 
+def _stride(barrier):
+    """Inserted level n is barrier-free level 2n."""
+    return 2 if barrier is Barrier.INSERTED else 1
+
+
 # ---------------------------------------------------------------------------
 # truncated series evaluation
 #
@@ -154,7 +181,7 @@ def _first_index_beyond(potential, barrier, beta, mu, x_cut):
     admits that ladder.
     """
     target = x_cut / beta + max(mu, 0.0)
-    step = 2.0 if barrier is Barrier.INSERTED else 1.0
+    step = _stride(barrier)
     try:
         if isinstance(potential, Morse):
             chi, q = potential.anharmonicity, potential.quantum
@@ -179,12 +206,19 @@ def _cutoff(potential, rungs):
     cap = potential.bound_count if isinstance(potential, Morse) else None
     if cap is None:
         return math.inf
-    return min(cap // 2 if barrier is Barrier.INSERTED else cap
-               for barrier, _ in rungs)
+    return min(cap // _stride(barrier) for barrier, _ in rungs)
 
 
 def _x_cut(policy):
     return -math.log(policy.rel_tol) + _XCUT_MARGIN
+
+
+def _ladder_length(potential, barrier, beta, e1, policy):
+    """The first size of a Boltzmann sum from E_1: its cutoff estimate,
+    clipped at a Morse well's bound count (see _series_sums)."""
+    return min(_first_index_beyond(potential, barrier, beta, e1,
+                                   _x_cut(policy)),
+               _cutoff(potential, ((barrier, e1),)))
 
 
 def _beta(temperature):
@@ -217,38 +251,48 @@ def _ground_levels(potential):
 _BATCH_TERMS = 8192
 
 
-def ladder_batches(potentials, count, temperature, policy=TruncationPolicy()):
+def ladder_batches(potentials, count, temperature, policy=TruncationPolicy(),
+                   heads=False):
     """Split traps into consecutive batches for the batched stage sums.
 
-    Returns (traps, grounds) per batch, grounds[i] holding trap i's ground
-    levels by barrier (each E_1 or the error of its lookup): they are looked
-    up here, once per trap, and every sum of the batch starts from them.  A
-    batch is closed once the barrier-free ladders of its traps are estimated
-    to reach _BATCH_TERMS terms, each from its ground level at the decay rate
-    count * beta of `temperature` (a canonical N-particle stage; the grand
-    sums, whose mu approaches E_1, pass count 1) and at most a Morse well's
-    bound count.  A trap whose estimate fails counts as none (its batch
-    reports the error).
+    Returns (traps, grounds, heads) per batch, grounds[i] holding trap i's
+    ground levels by barrier (each E_1 or the error of its lookup): they are
+    looked up here, once per trap, and every sum of the batch starts from
+    them.  A batch is closed once the barrier-free sums of its traps are
+    estimated to reach _BATCH_TERMS terms, each from its ground level at the
+    decay rate count * beta of `temperature` (a canonical N-particle stage;
+    the grand sums, whose mu approaches E_1, pass count 1) and at most a
+    Morse well's bound count.  With heads (the canonical and Morse routes) a
+    trap counts the terms that sum takes one by one, its head where an
+    Euler-Maclaurin tail adds the rest (see _head), and heads[i] is that
+    head, or None where the sum takes no tail; it is stage A's, which
+    canonical_stage_sums takes from here.  Without, every heads[i] is None.
+    A trap whose estimate fails counts as none (its batch reports the
+    error).
     """
     beta = count * _beta(temperature)
-    x_cut = _x_cut(policy)
-    batches, batch, grounds, terms = [], [], [], 0
+    batches, batch, grounds, tailed, terms = [], [], [], [], 0
     for potential in potentials:
         batch.append(potential)
         grounds.append(_ground_levels(potential))
+        tailed.append(None)
         e1 = grounds[-1][Barrier.ABSENT]
         if not _failed(e1):
             try:
-                terms += min(_first_index_beyond(potential, Barrier.ABSENT,
-                                                 beta, e1, x_cut),
-                             _cutoff(potential, ((Barrier.ABSENT, e1),)))
+                if heads:
+                    n, tail = _head(potential, Barrier.ABSENT, beta, e1, policy)
+                    tailed[-1] = n if tail else None
+                else:
+                    n = _ladder_length(potential, Barrier.ABSENT, beta, e1,
+                                       policy)
+                terms += n
             except SzilardError:
                 pass        # the batch reports it
         if terms >= _BATCH_TERMS:
-            batches.append((batch, grounds))
-            batch, grounds, terms = [], [], 0
+            batches.append((batch, grounds, tailed))
+            batch, grounds, tailed, terms = [], [], [], 0
     if batch:
-        batches.append((batch, grounds))
+        batches.append((batch, grounds, tailed))
     return batches
 
 
@@ -308,16 +352,19 @@ def _one_sum(segment, terms, policy):
     return value_or_raise(_series_sums([segment], terms, policy, {})[0])[0]
 
 
-def _series_sums(segments, terms, policy, levels):
+def _series_sums(segments, terms, policy, levels, heads=None):
     """Converged sums of many truncated series at once.
 
     A segment is (potential, rungs, beta) with rungs ((barrier, mu), ...):
     its series runs over levels 1..n of every rung's barrier configuration
     at once.  n starts at the largest of the rungs' cutoff estimates (at
     least 8), and doubles until the last term is negligible against the
-    summed magnitudes; more than max_terms terms, or a fifth try, is a
-    TruncationError.  A bounded (Morse) ladder is clipped at its cutoff, and
-    a segment that reaches it is a complete sum, taken without a tail test.
+    summed magnitudes (rel_tol of them); more than max_terms terms, or a
+    fifth try, is a TruncationError.  A bounded (Morse) ladder is clipped at
+    its cutoff, and a segment that reaches it is a complete sum, taken
+    without a tail test.  heads[j], where given and not None, is segment j's
+    head: exactly that many terms, whose tail the caller adds (see _head),
+    and max_terms caps it too.
     terms(beta, [(g, E - mu) per rung]) maps the joined ladders to their
     flat terms, with the degeneracy g spread over them.  `levels` holds the
     level ladders built so far (see _level_ladders), so sums over the same
@@ -327,6 +374,9 @@ def _series_sums(segments, terms, policy, levels):
     x_cut = _x_cut(policy)
     out, sizes, caps = [None] * len(segments), {}, {}
     for j, (potential, rungs, beta) in enumerate(segments):
+        if heads and heads[j]:
+            caps[j] = sizes[j] = heads[j]
+            continue
         try:
             n_first = max(_first_index_beyond(potential, barrier, beta, mu, x_cut)
                           for barrier, mu in rungs)
@@ -382,8 +432,7 @@ def _level_ladders(segments, sizes, levels):
     """
     reach = {}
     for (potential, rungs, _), n in zip(segments, sizes):
-        top = max(2 * n if barrier is Barrier.INSERTED else n
-                  for barrier, _ in rungs)
+        top = max(_stride(barrier) * n for barrier, _ in rungs)
         if reach.get(id(potential), (0,))[0] < top:
             reach[id(potential)] = top, potential
     for key, (n, potential) in reach.items():
@@ -443,6 +492,179 @@ def _log_ratio_terms(beta, rungs):
 
 
 # ---------------------------------------------------------------------------
+# Euler-Maclaurin tails of the canonical sums
+#
+# A canonical sum over a long ladder is its first K terms, summed exactly,
+# plus the rest in closed form.  Over the ladder index x (level s = step x +
+# 1/2, step 2 with the barrier in) take f(x) = e^{-beta (E(x) - E_1)}; from
+# A = K + 1 to the ladder's last index B, DLMF 2.10.1 gives
+#     sum_{n=A}^{B} f(n) = int_A^B f + (f(A) + f(B))/2
+#         + sum_{j=1}^{m} B_2j/(2j)! (f^(2j-1)(B) - f^(2j-1)(A)) + R,
+#     |R| <= 2 |B_2m+2|/(2m+2)! int_A^B |f^(2m+2)|,
+# where the terms at B appear only on a bounded (Morse) ladder.  The
+# integrals are closed forms.  A finite Morse well has f = e^{-beta (D -
+# E_1)} e^{a u^2}, with a = beta q chi step^2 and u = x* - x the distance to
+# the top x* of the well, and int_x^{x*} f = f F(sqrt(a) u)/sqrt(a) with F
+# Dawson's function.  A geometric ladder (harmonic, infinite-depth Morse,
+# power law at p = 1) sums in closed form outright.  The energy sum, of E f,
+# is -d/dbeta of the same forms.  Other power laws take no tail: their sums
+# run whole through _series_sums, as on the grand route.
+
+_EM_PAIRS = 4           # m: derivative-correction pairs
+_HEAD_FLOOR = 16        # no head is shorter
+# Bernoulli numbers B_2, B_4, ..., B_{2m+2}
+_BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66)
+_EM_REMAINDER = (2 * abs(_BERNOULLI[_EM_PAIRS])
+                 / math.factorial(2 * _EM_PAIRS + 2))
+
+
+def _geometric(potential):
+    """Whether the trap's levels are evenly spaced."""
+    if isinstance(potential, Morse):
+        return potential.anharmonicity == 0.0
+    return isinstance(potential, Harmonic) or potential.level_power == 1.0
+
+
+def _head(potential, barrier, beta, e1, policy):
+    """(n, tailed): the terms a canonical sum from E_1 takes one by one, and
+    whether a closed-form tail (see _tails) adds the rest.
+
+    The head K is the smallest, at least _HEAD_FLOOR, whose remainder bound
+    on the sum of f is below the error the cutoff estimate leaves: rel_tol
+    e^{-_XCUT_MARGIN} of the sum, which holds at least its ground term, 1.
+    A geometric tail is exact, so its head is the floor.  The energy sum,
+    of E f, takes the same head, and its tail is the beta-derivative of the
+    same form; its remainder has no bound of its own and rests on the
+    e^{-_XCUT_MARGIN} margin.  A ladder no longer than its head, and any
+    power-law ladder that is not geometric, is summed whole, as (its
+    _ladder_length, False).
+    """
+    n = _ladder_length(potential, barrier, beta, e1, policy)
+    if _geometric(potential):
+        head = _HEAD_FLOOR
+    elif isinstance(potential, Morse) and n > _HEAD_FLOOR:
+        # f^(2m+2) > 0, so the remainder is at most the bound times
+        # |f^(2m+1)(A)| = Q_2m+1(u_A) f(A), where Q_0 = 1, Q_1 = 2 a u and
+        # Q_k+1 = 2 a u Q_k + 2k a Q_k-1 fall with u: Q at the shortest head
+        # holds for every longer one, and _first_index_beyond inverts the
+        # f(A) that leaves (with two spare terms)
+        chi, q = potential.anharmonicity, potential.quantum
+        step = _stride(barrier)
+        a = beta * q * chi * step * step
+        slope = 2 * a * ((0.5 / chi - 0.5) / step - (_HEAD_FLOOR + 1))
+        lower, upper = 1.0, slope
+        for k in range(1, 2 * _EM_PAIRS + 1):
+            lower, upper = upper, slope * upper + 2 * k * a * lower
+        ratio = (_EM_REMAINDER * upper
+                 / (policy.rel_tol * math.exp(-_XCUT_MARGIN)))
+        head = max(_first_index_beyond(potential, barrier, beta, e1,
+                                       math.log(ratio) if ratio > 1.0 else 0.0)
+                   - 1, _HEAD_FLOOR)
+    else:
+        return n, False
+    return (head, True) if head < n else (n, False)
+
+
+def _taylor(g, order):
+    """Taylor coefficients w_0..w_order of e^{-(g(x) - g(x0))} at x0, from
+    g[j-1] = g^(j)(x0)/j!; elementwise on floats or arrays."""
+    w = [1.0]
+    for k in range(1, order + 1):
+        w.append(-sum(j * g[j - 1] * w[k - j]
+                      for j in range(1, min(k, len(g)) + 1)) / k)
+    return w
+
+
+def _em_end(f, rests, g, e_taylor, half):
+    """An end's share of the Euler-Maclaurin sums of f and of E f.
+
+    rests are the integrals of f and of E f from the end to the ladder's
+    end, g and e_taylor the Taylor coefficients of beta (E - E_1), from the
+    first, and of E, from the zeroth, at the end; half is 1/2 at the head
+    end A and -1/2 at the top B, whose share is subtracted.
+    """
+    w = _taylor(g, 2 * _EM_PAIRS - 1)
+    # the Taylor coefficients of E f/f(x0): those of E times w
+    wh = [sum(e_taylor[j] * w[k - j]
+              for j in range(min(k, len(e_taylor) - 1) + 1))
+          for k in range(len(w))]
+    return [rest + f * (half * v[0] - sum(
+        b / (2 * j) * v[2 * j - 1]
+        for j, b in enumerate(_BERNOULLI[:_EM_PAIRS], 1)))
+        for rest, v in zip(rests, (w, wh))]
+
+
+def _dawson_r(t):
+    """(2t^2 + 1) F(t) - t, F Dawson's function.  Past t = 7 it is summed
+    from the asymptotic series 2t F = sum (2k-1)!!/(2t^2)^k, in which it is
+    t sum_{k>=1} 2k (2k-3)!!/(2t^2)^k, to the last term above 1e-17 of the
+    first (before the terms turn to grow); the direct form loses 2t^2 of
+    its precision, at most 98 ulps below t = 7."""
+    small, big = np.minimum(t, 7.0), np.maximum(t, 7.0)
+    y = 0.5 / (big * big)
+    y_max = float(np.max(y))
+    total, term, k, size = 0.0, 2.0 * y, 1, 1.0     # size: term/first at y_max
+    while size > 1e-17:
+        total = total + term
+        k += 1
+        ratio = (2 * k - 3) * k / (k - 1)
+        term = term * y * ratio
+        size *= y_max * ratio
+    return np.where(t < 7.0, (2 * small * small + 1) * dawsn(small) - small,
+                    big * total)
+
+
+def _tails(requests):
+    """sum_{n > K} f_n and sum_{n > K} E_n f_n, f_n = e^{-beta (E_n - E_1)},
+    of (trap, barrier, beta, E_1, K) requests, each after its head of K
+    terms (see the section comment): one row each."""
+    out = np.zeros((2, len(requests)))
+    kinds = {}
+    for i, (trap, *_) in enumerate(requests):
+        kind = "geometric" if _geometric(trap) else "morse"
+        kinds.setdefault(kind, []).append(i)
+    for kind, rows in kinds.items():
+        traps, barriers, beta, e1, head = zip(*(requests[i] for i in rows))
+        step = np.array([_stride(barrier) for barrier in barriers], float)
+        beta, e1, head = np.array(beta), np.array(e1), np.array(head, float)
+        if kind == "geometric":
+            # E_n = E_1 + delta (n - 1): r^K/(1 - r) with r = e^{-beta delta},
+            # and its mean energy E_{K+1} + delta r/(1 - r)
+            delta = step * np.array([t.quantum if isinstance(t, Morse)
+                                     else omega_prefactor(t) for t in traps])
+            gap = -np.expm1(-beta * delta)
+            rest = np.exp(-beta * delta * head) / gap
+            sums = rest, rest * (e1 + delta * head + delta * (1 - gap) / gap)
+        elif kind == "morse":
+            q = np.array([t.quantum for t in traps])
+            chi = np.array([t.anharmonicity for t in traps])
+            a = beta * q * chi * step * step
+            root = np.sqrt(a)
+
+            def end(x, half):
+                """_em_end at index x, or None where f(x) underflows."""
+                s = step * x + 0.5
+                e = q * s - q * chi * s * s
+                f = np.exp(-beta * (e - e1))
+                if not f.any():
+                    return None
+                u = (0.5 / chi - 0.5) / step - x
+                t = root * u
+                dawson = dawsn(t) / root
+                return _em_end(f, (f * dawson, f * (e * dawson + _dawson_r(t)
+                                                    / (2 * beta * root))),
+                               (2 * a * u, -a), (e, 2 * a * u / beta,
+                                                 -a / beta), half)
+
+            sums = end(head + 1, 0.5)
+            top = end(np.array([t.bound_count for t in traps]) // step, -0.5)
+            if top is not None:     # the top of the well is within reach
+                sums = np.subtract(sums, top)
+        out[:, rows] = sums
+    return out
+
+
+# ---------------------------------------------------------------------------
 # canonical N-particle sums (harmonic / power-law ladders, Morse at N = 1)
 
 def _require_power_family(potential, who):
@@ -450,32 +672,70 @@ def _require_power_family(potential, who):
         raise EnsembleMismatchError(f"{who} needs a harmonic or power-law trap")
 
 
-def _canonical_stages(traps, grounds, barrier, count, temperature, policy,
-                      levels):
-    """canonical_stage_properties of many traps in one barrier configuration
-    at one bath, as one _series_sums call on the ladders in `levels`, from
-    each trap's ground level there (or its error): (log sum, energy) or the
-    error, each."""
-    beta = count * _beta(temperature)      # N beta
-    out = list(grounds)
-    rows = [j for j, e1 in enumerate(grounds) if not _failed(e1)]
-    segments = [(traps[j], ((barrier, grounds[j]),), beta) for j in rows]
-    # an N beta that overflows makes the ground term inf * 0 = nan; on an
-    # unbounded ladder a nan sum never passes the tail test, so it ends as a
-    # TruncationError and its warning says nothing more
-    quiet = math.isinf(beta) and all(_cutoff(p, rungs) == math.inf
-                                     for p, rungs, _ in segments)
-    with np.errstate(invalid="ignore") if quiet else nullcontext():
-        results = _series_sums(segments, _boltzmann_terms, policy, levels)
-    log_g = count * math.log(_degeneracy(barrier))
-    for j, result in zip(rows, results):
-        if _failed(result):
-            out[j] = result
-            continue
-        total, (e,), w = result
-        out[j] = (log_g - beta * grounds[j] + math.log(total),
-                  count * (float(np.sum(e * w)) / total))
-    return out
+def _canonical_stages(traps, grounds, stages, count, policy, first=None):
+    """canonical_stage_properties of many traps in a sequence of (barrier,
+    temperature) stages: per trap, its (log sum, energy) in each stage, or
+    the error of its first failing stage.
+
+    grounds[i] holds trap i's ground levels by barrier (each E_1 or the
+    error of its lookup).  Each stage is one _series_sums call over the
+    traps still without an error, from their ground levels, and the stages
+    share each trap's barrier-free ladder (see _level_ladders).  A sum
+    longer than its head (see _head) sums the head there, and the tails of
+    every stage are then one _tails call.  first[i], where given, is trap
+    i's head in the first stage, or None where it takes no tail, as
+    ladder_batches returns it.
+    """
+    out, levels, tails = [[] for _ in traps], {}, []
+    for k, (barrier, temperature) in enumerate(stages):
+        beta = count * _beta(temperature)      # N beta
+        live = [i for i, sums in enumerate(out) if not _failed(sums)]
+        for i in live:
+            if _failed(grounds[i][barrier]):
+                out[i] = grounds[i][barrier]
+        rows = [i for i in live if not _failed(out[i])]
+        segments = [(traps[i], ((barrier, grounds[i][barrier]),), beta)
+                    for i in rows]
+        heads = ([first[i] for i in rows] if k == 0 and first is not None
+                 else [_tail_head(trap, barrier, beta, e1, policy)
+                       for trap, ((_, e1),), _ in segments])
+        # an N beta that overflows makes the ground term inf * 0 = nan; on
+        # an unbounded ladder a nan sum never passes the tail test, so it
+        # ends as a TruncationError and its warning says nothing more
+        quiet = math.isinf(beta) and all(_cutoff(p, rungs) == math.inf
+                                         for p, rungs, _ in segments)
+        with np.errstate(invalid="ignore") if quiet else nullcontext():
+            results = _series_sums(segments, _boltzmann_terms, policy,
+                                   levels, heads)
+        for i, (trap, ((_, e1),), _), head, result in zip(
+                rows, segments, heads, results):
+            if _failed(result):
+                out[i] = result
+                continue
+            total, (e,), w = result
+            # the stage's sum and energy sum, to which its tail is added
+            out[i].append([barrier, beta, e1, total, float(np.sum(e * w))])
+            if head:
+                tails.append((out[i][-1], (trap, barrier, beta, e1, head)))
+    if tails:
+        rests = _tails([request for _, request in tails])
+        for (stage, _), rest, rest_energy in zip(tails, *rests.tolist()):
+            stage[3] += rest
+            stage[4] += rest_energy
+    return [sums if _failed(sums) else tuple(
+        (count * math.log(_degeneracy(barrier)) - beta * e1 + math.log(total),
+         count * (energy / total))
+        for barrier, beta, e1, total, energy in sums) for sums in out]
+
+
+def _tail_head(trap, barrier, beta, e1, policy):
+    """The head of a sum that takes a tail (see _head), else None; also
+    where _head raises, since _series_sums then reports the error."""
+    try:
+        head, tailed = _head(trap, barrier, beta, e1, policy)
+    except SzilardError:
+        return None
+    return head if tailed else None
 
 
 def canonical_stage_properties(potential, barrier, count, temperature,
@@ -486,38 +746,35 @@ def canonical_stage_properties(potential, barrier, count, temperature,
     the energy is its -dlog/dbeta, an N-weighted Boltzmann average.  Ground
     energy is factored out so underflow never empties the sum, and at T -> 0
     the average collapses onto the lowest included level.  A bounded Morse
-    ladder is summed completely up to its last bound level.  The one-stage
-    case of canonical_stage_sums.
+    ladder is summed completely up to its last bound level.  A long ladder
+    is summed as an exact head plus a closed-form Euler-Maclaurin tail (see
+    _head).  The one-stage case of canonical_stage_sums.
     """
     return value_or_raise(_canonical_stages(
-        (potential,), (level_energy(potential, 1, barrier),), barrier, count,
-        temperature, policy, {})[0])
+        (potential,), ({barrier: level_energy(potential, 1, barrier)},),
+        ((barrier, temperature),), count, policy)[0])[0]
 
 
 def canonical_stage_sums(potentials, grounds, count, baths,
-                         policy=TruncationPolicy()):
+                         policy=TruncationPolicy(), heads=None):
     """Per-bath log ratios and the four stage energies of canonical traps.
 
-    potentials and grounds are a batch as ladder_batches returns it.  Each
-    trap gets (log ratio hot, log ratio cold, (U_A, U_B, U_C, U_D)), or the
-    error of its first failing stage, A to D.  Each stage is one _series_sums
-    call over the traps still without an error, and the four share each
-    trap's barrier-free ladder (see _level_ladders): the hot stages build
-    it, and the cold stages sum prefixes and views of it.
+    potentials, grounds and heads are a batch as ladder_batches returns it
+    (with heads; without, stage A's heads are found here).  Each trap gets
+    (log ratio hot, log ratio cold, (U_A, U_B, U_C, U_D)), or the error of
+    its first failing stage, A to D.  Each stage is one _series_sums call
+    over the traps still without an error, and the four share each trap's
+    barrier-free ladder (see _level_ladders): the hot stages build it, and
+    the cold stages sum prefixes and views of it.  The tails of all four
+    are one _tails call.
     """
-    out, levels = [() for _ in potentials], {}
-    for stage in Stage:
-        barrier, temperature = _stage_config(stage, baths)
-        live = [i for i, sums in enumerate(out) if not _failed(sums)]
-        stages = _canonical_stages(
-            [potentials[i] for i in live], [grounds[i][barrier] for i in live],
-            barrier, count, temperature, policy, levels)
-        for i, sums in zip(live, stages):
-            out[i] = sums if _failed(sums) else (*out[i], sums)
     return [sums if _failed(sums) else
             (sums[1][0] - sums[0][0], sums[2][0] - sums[3][0],
              tuple(u for _, u in sums))
-            for sums in out]
+            for sums in _canonical_stages(
+                potentials, grounds,
+                [_stage_config(stage, baths) for stage in Stage], count,
+                policy, heads)]
 
 
 # ---------------------------------------------------------------------------
@@ -671,8 +928,17 @@ def _chemical_potentials(roots, count, mode, policy, levels):
             out[j] = total
         elif abs(total - count) > 1e-10 * count:
             out[j] = SolverFailureError(
-                f"occupancy root off by {abs(total - count) / count:.3g} relative")
+                f"occupancy root off by {abs(total - count) / count:.3g} relative"
+                + _offset_ulps(out[j], roots[j][3]))
     return out
+
+
+def _offset_ulps(mu, e1):
+    """Why a re-sum can miss: where E_1 - mu spans at most 1e10 ulps of E_1,
+    rounding mu alone moves the occupancy by more than 1e-10."""
+    ulps = (e1 - mu) / math.ulp(e1)
+    return (f": the offset E_1 - mu spans only {ulps:.6g} ulps of E_1"
+            f" ({math.ulp(e1):.6g} J)" if ulps <= 1e10 else "")
 
 
 def _below_ground(mu, e1):

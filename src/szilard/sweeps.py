@@ -28,7 +28,8 @@ import numpy as np
 
 from . import __version__
 from .constants import ATOMIC_MASS, EV, K_B
-from .errors import ConfigError, OutputError, SzilardError, value_or_raise
+from .errors import (ConfigError, OutputError, SzilardError, TruncationError,
+                     value_or_raise)
 from .potentials import Barrier, Harmonic, Morse, PowerLaw, Spectrum
 from .barrier import even_levels, odd_level
 from .ensembles import (BathPair, MuMode, TruncationPolicy, _bath_ratios,
@@ -352,7 +353,8 @@ def _eval_partition_ratio(point, spec):
     trap = Harmonic(mass=p["mass"], omega=p["omega"])
     count = int(point["N"])
     temperature = float(point["T"])
-    (traps, grounds), = ladder_batches((trap,), 1, temperature, spec.policy)
+    (traps, grounds, _), = ladder_batches((trap,), 1, temperature,
+                                          spec.policy)
     _, (log_ratio,) = value_or_raise(_bath_ratios(
         traps, grounds, count, (temperature,), MuMode(p["mu_mode"]),
         spec.policy, {})[0])
@@ -361,8 +363,14 @@ def _eval_partition_ratio(point, spec):
 
 
 def _eval_barrier(point, spec):
+    """even_levels solves every branch up to the one asked for, so a branch
+    past max_terms is a TruncationError rather than that many solves."""
     strength = float(point["strength"])
     branch = int(point["branch"])
+    if branch >= spec.policy.max_terms:
+        raise TruncationError(
+            f"branch {branch:.6g} needs {branch + 1:.6g} even-level solves,"
+            f" policy caps at {spec.policy.max_terms}")
     solution = even_levels(strength, branch)[branch]
     return {"strength": strength, "branch": branch,
             "even_level": solution.energy,

@@ -3,7 +3,16 @@
 The acceptance module registers one line per criterion here; the hook below
 prints them as a block after the normal pytest summary so a full run ends
 with an at-a-glance verdict, failures included.
+
+Hypothesis runs derandomized and without an example database, so two runs
+of the same code draw the same examples and their results compare like for
+like.
 """
+
+from hypothesis import settings
+
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 ACCEPTANCE_LINES = []
 

@@ -7,6 +7,7 @@ Heavyweight preset grids run once per session and are shared.
 
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -337,3 +338,37 @@ def test_criterion_11_byte_determinism(sweeps):
                                    " byte-identical across worker counts,"
                                    " error rows included")
     assert identical
+
+
+REFERENCES = Path(__file__).resolve().parent.parent / "perfbench" / "reference"
+
+
+@pytest.mark.parametrize("target", ("fig2", "fig3", "fig4", "fig5", "fig8",
+                                    "fig9", "fig9-inset", "fig10"))
+def test_preset_matches_its_benchmark_reference(sweeps, target):
+    """Each preset the grids above run matches the benchmark's committed
+    reference (read only) row by row, keyed on its grid coordinates:
+    regime and error exactly, and every numeric cell to 1e-8 relative."""
+    outcome = sweeps(target)
+    keys = [name for name, _ in outcome.spec.grid()]
+
+    def table(path):
+        header, *rows = [line.split(",")
+                         for line in Path(path).read_text().splitlines()]
+        return header, len(rows), {
+            tuple(row[header.index(key)] for key in keys): row for row in rows}
+
+    header, count, got = table(outcome.csv_path)
+    want_header, want_count, want = table(REFERENCES / f"{target}.csv")
+    assert header == want_header
+    assert count == len(got) == want_count == len(want)
+    assert got.keys() == want.keys()
+    worst = 0.0
+    for key, row in want.items():
+        for name, cell, expected in zip(header, got[key], row):
+            if name in ("regime", "error") or not (cell and expected):
+                assert cell == expected, (key, name)
+            elif cell != expected:
+                a, b = float(cell), float(expected)
+                worst = max(worst, abs(a - b) / max(abs(a), abs(b)))
+    assert worst <= 1e-8

@@ -238,10 +238,11 @@ def test_batched_cycles_equal_single_cycles(data, ensemble, count, hot, cold,
 
 
 def test_long_and_short_ladders_share_batches():
-    """Canonical and Morse runs split where their estimated ladders reach
-    8192 terms: a long ladder closes the batch it joins, so short traps
-    before it share its batch, and each trap keeps its own outcome, the
-    errors of wells too shallow to hold or to split a level included."""
+    """Canonical and Morse runs split where the terms their sums take one
+    by one reach 8192: a long ladder counts only its head, so here long and
+    short traps share one batch (counting whole ladders split them 1, 3, 2
+    and 1, 3, 3), and each trap keeps its own outcome, the errors of wells
+    too shallow to hold or to split a level included."""
     baths = BathPair(2.0, 1.0)
     kt = K_B * baths.hot
     harmonic = [Harmonic(MASS, ratio * kt / HBAR)
@@ -251,10 +252,10 @@ def test_long_and_short_ladders_share_batches():
                                           (1e-3, 1e-5), (1.0, 0.2), (0.5, 0.0),
                                           (5e-3, 0.0))]
     for traps, ensemble, count, sizes in (
-            (harmonic, Ensemble.CANONICAL_N, 2, [1, 3, 2]),
-            (wells, Ensemble.MORSE_SINGLE, 1, [1, 3, 3])):
-        batches = ladder_batches(traps, count, baths.hot)
-        assert [len(batch) for batch, _ in batches] == sizes
+            (harmonic, Ensemble.CANONICAL_N, 2, [6]),
+            (wells, Ensemble.MORSE_SINGLE, 1, [7])):
+        batches = ladder_batches(traps, count, baths.hot, heads=True)
+        assert [len(batch) for batch, _, _ in batches] == sizes
         singles = [_outcome(trap, ensemble, count, baths) for trap in traps]
         assert any(isinstance(s, SzilardError) for s in singles) == (
             ensemble is Ensemble.MORSE_SINGLE)
@@ -278,7 +279,9 @@ def test_run_cycles_covers_every_route():
     baths = BathPair(0.1, 0.05)
     harmonic = [Harmonic(MASS, 1e10), Harmonic(MASS, 3e10)]
     well = [_nine_level_well()]
-    capped = TruncationPolicy(max_terms=60)    # the 1e10 trap needs 82 terms
+    # the 1e10 trap's ladder has 82 terms; its sums take a 16-term head and
+    # a geometric tail, so this cap splits nothing
+    capped = TruncationPolicy(max_terms=60)
     for traps, ensemble, count, policy, literal in (
             (harmonic, Ensemble.CANONICAL_N, 3, TruncationPolicy(), False),
             (harmonic, Ensemble.CANONICAL_N, 1, capped, False),
@@ -294,7 +297,15 @@ def test_run_cycles_covers_every_route():
                      literal_denominator=literal) for t in traps])
     assert isinstance(batched[0], EnsembleMismatchError)
     split = run_cycles(harmonic, Ensemble.CANONICAL_N, 1, baths, capped)
+    assert [type(r) for r in split] == [CycleResult, CycleResult]
+    # a cap below the 16-term head fails the 1e10 trap alone; the 1e11
+    # trap's whole ladder fits under it
+    short = TruncationPolicy(max_terms=12)
+    pair = [Harmonic(MASS, 1e10), Harmonic(MASS, 1e11)]
+    split = run_cycles(pair, Ensemble.CANONICAL_N, 1, baths, short)
     assert [type(r) for r in split] == [TruncationError, CycleResult]
+    _assert_same_outcomes(split, [
+        _outcome(t, Ensemble.CANONICAL_N, 1, baths, short) for t in pair])
     mixed = run_cycles(harmonic + well, Ensemble.GRAND_BOSE, 3, baths)
     assert [type(r) for r in mixed] == [CycleResult, CycleResult,
                                         EnsembleMismatchError]

@@ -528,10 +528,12 @@ class TestCanonicalOracle:
                 and abs(energy - want[1]) <= 1e-12 * abs(want[1]))
 
     def test_morse_wells_across_the_term_floor(self):
+        """Bound counts across the 8-term floor of the cutoff estimate and
+        the 16-term floor of a head (see ensembles._head)."""
         mpmath = pytest.importorskip("mpmath")
         q = HBAR * 1e13
         with mpmath.workdps(50):
-            for bound in range(1, 21):
+            for bound in range(1, 41):
                 well = Morse(mass=MASS, depth=q * (bound + 1.5) / 2, omega=1e13)
                 assert well.bound_count == bound
                 chi = mpmath.mpf(well.anharmonicity)
@@ -583,6 +585,128 @@ class TestCanonicalOracle:
                                                 temperature)
                             assert self._agrees(got, want), (
                                 nu, barrier, count, temperature)
+
+
+    # Long ladders: each canonical sum over a geometric or Morse ladder is a
+    # 16-term (or longer) head plus a closed-form Euler-Maclaurin tail; a
+    # power-law ladder that is not geometric is summed whole.  Geometric
+    # ladders are checked against their 50-digit closed form, the others
+    # against math.fsum of the whole ladder in chunks.
+
+    @staticmethod
+    def _geometric_oracle(mpmath, trap, barrier, count, temperature):
+        """g^N sum_n e^{-N beta E_n} over E_n = E_1 + delta (n - 1)."""
+        step = 2 if barrier is Barrier.INSERTED else 1
+        q = mpmath.mpf(trap.quantum if isinstance(trap, Morse)
+                       else HBAR * trap.omega)
+        e1, delta = q * (step + mpmath.mpf(0.5)), step * q
+        nb = count / (mpmath.mpf(K_B) * temperature)
+        r = mpmath.exp(-nb * delta)
+        return (count * mpmath.log(step) - nb * e1 - mpmath.log(1 - r),
+                count * (e1 + delta * r / (1 - r)))
+
+    @staticmethod
+    def _fsum_oracle(trap, barrier, count, temperature, chunk=1 << 16):
+        """The same from the whole ladder, to its last bound level or to
+        terms below 1e-40 of the first: math.fsum over the numpy sums of
+        consecutive chunks.  Returns it and the ladder's length."""
+        step = 2 if barrier is Barrier.INSERTED else 1
+        nb = count / (K_B * temperature)
+        top = (trap.bound_count // step if isinstance(trap, Morse)
+               else math.inf)
+        e1 = level_energy(trap, 1, barrier)
+        sums, energies, n = [], [], 1
+        while n <= top:
+            e = level_energy(trap, np.arange(n, min(n + chunk, top + 1)),
+                             barrier)
+            w = np.exp(-nb * (e - e1))
+            sums.append(float(np.sum(w)))
+            energies.append(float(np.sum(e * w)))
+            n += len(e)
+            if w[-1] < 1e-40:
+                break
+        total = math.fsum(sums)
+        return (count * math.log(step) - nb * e1 + math.log(total),
+                count * math.fsum(energies) / total), n - 1
+
+    def test_geometric_ladders_past_1e5_terms(self):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            for trap in (Harmonic(MASS, 1e7), Morse(MASS, math.inf,
+                                                    omega=3e6)):
+                for barrier in Barrier:
+                    for count, temperature in ((1, 1.0), (3, 20.0)):
+                        want = self._geometric_oracle(mpmath, trap, barrier,
+                                                      count, temperature)
+                        got = canonical_stage_properties(trap, barrier, count,
+                                                         temperature)
+                        assert self._agrees(got, want), (trap, barrier, count)
+
+    @pytest.mark.parametrize("nu, scale", [(0.3, 3.0), (2.6, 1e-4)])
+    def test_power_law_ladders_past_1e5_terms(self, nu, scale):
+        """Power-law ladders take no tail; summed whole past 1e5 terms, they
+        still meet the oracle."""
+        trap = PowerLaw.from_energy_scale(MASS, scale * K_B, nu)    # at 1 K
+        for barrier in Barrier:
+            for count in (1, 2):
+                want, length = self._fsum_oracle(trap, barrier, count, 1.0)
+                assert length > 60_000 * (3 - count)
+                got = canonical_stage_properties(trap, barrier, count, 1.0)
+                assert self._agrees(got, want), (barrier, count)
+
+    def test_morse_wells_past_1e5_levels(self):
+        """Wells of 200,000 bound levels, from one whose ladder fades long
+        before its top to ones whose top level lies within k_B T of the
+        depth, where the top end of the tail carries its share."""
+        for depth_kt in (1e4, 30.0, 3.0, 0.5):
+            depth = depth_kt * K_B          # at 1 K
+            well = Morse(MASS, depth, omega=2 * depth / 200_001.5 / HBAR)
+            assert well.bound_count == 200_000
+            for barrier in Barrier:
+                want, length = self._fsum_oracle(well, barrier, 1, 1.0)
+                assert length > 10_000
+                got = canonical_stage_properties(well, barrier, 1, 1.0)
+                assert self._agrees(got, want), (depth_kt, barrier)
+
+    @pytest.mark.parametrize("trap, ensemble", [
+        (Morse(1.1 * 1.66053906660e-27, 8.7 * 1.602176634e-19, omega=1e9),
+         Ensemble.MORSE_SINGLE),
+        (Harmonic(MASS, 1e10), Ensemble.CANONICAL_N)],
+        ids=["morse", "harmonic"])
+    def test_reach_cycles_at_2000_and_1000_kelvin(self, trap, ensemble):
+        """Each bath's ladder runs to millions of levels (a Morse well of
+        26 M bound levels, or a harmonic ladder past 1e6 terms), which the
+        term cap refused before the tails.  From the oracle's stage sums:
+        the heats to 1e-12 of their terms, and W to 1e-15 of the log sums it
+        cancels (it is about 1e-8 of them, so double rounding alone leaves
+        it near 1e-5 relative), and eta = W / q_hot with both."""
+        mpmath = pytest.importorskip("mpmath")
+        baths = BathPair(2000.0, 1000.0)
+        got = run_cycle(trap, ensemble, 1, baths)
+        with mpmath.workdps(50):
+            stages = [
+                self._geometric_oracle(mpmath, trap, barrier, 1, temperature)
+                if ensemble is Ensemble.CANONICAL_N else
+                self._fsum_oracle(trap, barrier, 1, temperature,
+                                  chunk=1 << 20)[0]
+                for barrier, temperature in (
+                    (Barrier.ABSENT, baths.hot), (Barrier.INSERTED, baths.hot),
+                    (Barrier.INSERTED, baths.cold),
+                    (Barrier.ABSENT, baths.cold))]
+            (l_a, u_a), (l_b, u_b), (l_c, u_c), (l_d, u_d) = (
+                (float(log_sum), float(energy)) for log_sum, energy in stages)
+        heat = K_B * baths.hot * (l_b - l_a)
+        work = heat - K_B * baths.cold * (l_c - l_d)
+        work_tol = 1e-15 * K_B * (baths.hot * (abs(l_a) + abs(l_b))
+                                  + baths.cold * (abs(l_c) + abs(l_d)))
+        assert abs(got.work - work) <= work_tol
+        supplied = u_b - u_d + heat
+        supplied_tol = 1e-12 * (abs(u_b) + abs(u_d) + abs(heat))
+        assert abs(got.q_hot - supplied) <= supplied_tol
+        assert abs(got.q_cold - (work - supplied)) <= supplied_tol + work_tol
+        eta = work / supplied
+        assert abs(got.efficiency - eta) <= (
+            work_tol + abs(eta) * supplied_tol) / supplied
 
 
 _TIGHT = TruncationPolicy(max_terms=10)

@@ -242,16 +242,18 @@ class TestSingleEvaluation:
                                                       monkeypatch):
         """A 50-point fig10 run sums its stages batch by batch.
 
-        Its traps' estimated ladders close a batch each time they reach 8192
-        terms: the 8 longest (the lowest frequencies) run alone, and the
-        other 42 share 5 batches.  Each batch is four _series_sums calls,
-        stages A to D, where one call per stage and point made 200."""
+        Its traps' stage-A heads (see ensembles._head) close a batch each
+        time they reach 8192 terms: the first 39 share one batch and the
+        other 11 a second.  Counting whole estimated ladders made 13
+        batches, the 8 longest alone.  Each batch is four _series_sums
+        calls, stages A to D, where one call per stage and point made
+        200."""
         sums = _count_calls(monkeypatch, "_series_sums")
         spec = replace(preset("fig10"),
                        lists={"depth": (4.7 * EV,), "T_hot": (4.0,)})
         outcome = _run(spec, tmp_path)
         assert outcome.points == 50 and outcome.failed == 0
-        sizes = [1] * 8 + [2, 2, 3, 5, 30]
+        sizes = [39, 11]
         assert [len(segments) for segments, *_ in sums] == [
             size for size in sizes for _ in range(4)]
         barriers = [segments[0][1][0][0] for segments, *_ in sums]
@@ -294,27 +296,31 @@ class TestSingleEvaluation:
     def test_morse_point_builds_one_ladder_per_trap(self, tmp_path,
                                                     monkeypatch):
         """The four stages share the trap's barrier-free ladder: stage A
-        builds it, stage B extends it by the levels its inserted rungs (every
-        other level of it) lack, and the cold stages sum prefixes.  One
-        ladder per barrier built 500 levels, where this builds 336."""
+        builds its head, stage B extends it by the levels its inserted head
+        (every other level of it) lacks, and the cold stages sum prefixes.
+        One ladder per barrier built 500 levels, and whole ladders 336,
+        where the heads take 198."""
         calls = _count_calls(monkeypatch, "level_energy")
         outcome = _run(_one_point("fig10", depth=4.7 * EV, T_hot=4.0,
                                   omega=1e11), tmp_path)
         assert outcome.points == 1 and outcome.failed == 0
         assert self._ladder_calls(calls) == 2
-        assert [len(args[1]) for args in calls if np.ndim(args[1])] == [332, 4]
+        assert [len(args[1]) for args in calls
+                if np.ndim(args[1])] == [164, 34]
 
     def test_canonical_point_builds_no_inserted_ladder(self, tmp_path,
                                                        monkeypatch):
         """A fig3 point: two ground lookups and one ladder, extended once
         for the inserted stages, whose rungs are every other level of it.
-        A ladder per barrier built 4100 more levels."""
+        Its geometric tails are exact, so each stage sums a 16-term head:
+        whole ladders built 8208 levels, and a ladder per barrier 4100
+        more."""
         calls = _count_calls(monkeypatch, "level_energy")
         outcome = _run(_one_point("fig3", N=2, omega=1e11), tmp_path)
         assert outcome.points == 1 and outcome.failed == 0
         assert len(calls) == 4
         assert self._ladder_calls(calls) == 2
-        assert sum(np.size(args[1]) for args in calls) == 8208
+        assert sum(np.size(args[1]) for args in calls) == 34
 
     def test_partition_ratio_run_builds_one_ladder_per_point(self, tmp_path,
                                                              monkeypatch):
@@ -418,7 +424,9 @@ class TestBatchedRuns:
                                                               tmp_path):
         """fig7 out to a trap scale of 1e300: where k_B T is below one ulp of
         E_1, mu rounds onto E_1, and each such row says so rather than print
-        two equal energies alone."""
+        two equal energies alone.  Where E_1 - mu spans a few thousand ulps,
+        mu carries it to about 1e-4 and the occupancy re-sum misses N; those
+        rows say so too, and every failing row names its cause."""
         config = tmp_path / "far.ini"
         config.write_text("[axis.scale_ratio]\nstop = 1e300\n")
         out = tmp_path / "far.csv"
@@ -433,6 +441,16 @@ class TestBatchedRuns:
                               r" the offset E_1 - mu is below one ulp of E_1"
                               r" \(\S+ J\)$", error).groups()
             assert mu == e1
+        offsets = [e for e in errors if "occupancy root off" in e]
+        assert len(offsets) == 2
+        for error in offsets:
+            assert re.match(r"SolverFailureError: occupancy root off by \S+"
+                            r" relative: the offset E_1 - mu spans only 8339"
+                            r" ulps of E_1 \(\S+ J\)$", error)
+        ranges = [e for e in errors if "out of floating-point range" in e]
+        assert len(ranges) == 49
+        assert len(grounds) + len(offsets) + len(ranges) == sum(
+            1 for e in errors if e) == 96
 
 
 class TestPartitionRatio:
@@ -709,6 +727,24 @@ class TestCli:
         assert all(row.split(",")[-1].startswith("TruncationError: ")
                    for row in rows)
         assert "Traceback" not in capsys.readouterr().err
+
+    def test_huge_branch_gives_a_row(self, tmp_path, capsys):
+        """even_levels solves every branch up to the one asked for: a branch
+        of 1e300 once ran until memory ran out.  Past max_terms it is a
+        typed row, and the other branches keep their preset values."""
+        config = tmp_path / "branch.ini"
+        config.write_text("[list.branch]\nvalues = 5, 1e300\n")
+        out = tmp_path / "x.csv"
+        assert main(["fig6", "--config", str(config), "--out", str(out)]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert len(rows) == 12
+        assert [row[-1] for row in rows if row[1] != "5"] == [
+            "TruncationError: branch 1e+300 needs 1e+300 even-level solves;"
+            "  policy caps at 1000000"] * 6
+        assert [",".join(row) for row in rows if row[1] == "5"] == [
+            line for line in open(_run(preset("fig6"), tmp_path).csv_path)
+            .read().splitlines() if line.split(",")[1] == "5"]
 
     @pytest.mark.parametrize("args, config", [
         (["fig2", "--N", "inf"], None),
