@@ -24,22 +24,18 @@ B = inserted at the hot bath, C = inserted at the cold bath, D = absent at
 the cold bath.
 
 Every level sum of the three routes runs through one series engine,
-_series_sums.  A cutoff index is estimated from the exponential decay of the
-terms, the tail is verified against the policy's rel_tol (a Morse ladder
-summed to its last bound level needs none), and exceeding max_terms while
-terms still matter raises TruncationError rather than silently capping.  A
-canonical or Morse sum over a geometric or Morse ladder longer than its
-head (see _head) sums only the head there, at least 16 terms, and adds the
-rest of the ladder as a closed-form Euler-Maclaurin tail (see _tails),
-whose remainder on the Boltzmann sum is bounded below rel_tol e^{-35} of
-it (the energy sum shares the head and rests on that margin); max_terms
-then caps the head.  A trap's sums share one barrier-free ladder, extended
-when a sum outgrows it; an inserted sum takes every other level of it (see
-_level_ladders).
+_series_sums, with one stopping rule: each sum's length is fixed from its
+ground level E_1 before any term is formed (see _ladder_length and _head),
+and the sum is taken once at that length, with no tail test.  A canonical
+or Morse sum over a geometric or Morse ladder longer than its head sums
+the head, at least 16 terms, and adds the rest of the ladder as a
+closed-form Euler-Maclaurin tail (see _tails).  A length past max_terms is
+a TruncationError, never a silent cut.  A trap's sums share one
+barrier-free ladder, extended when a sum outgrows it; an inserted sum
+takes every other level of it (see _level_ladders).
 """
 
 import math
-from contextlib import nullcontext
 from dataclasses import dataclass
 from enum import Enum
 
@@ -61,7 +57,8 @@ __all__ = [
     "grand_stage_sums",
 ]
 
-# exp(-x) beyond this is negligible against rel_tol with wide margin
+# the sizing margin: every sum runs until e^{-beta (E_n - E_1)} is below
+# rel_tol e^{-35} (see _series_sums for what that bounds)
 _XCUT_MARGIN = 35.0
 _EXP_CLIP = 700.0
 
@@ -90,17 +87,17 @@ class BathPair:
 class TruncationPolicy:
     """How far each level sum runs.
 
-    Grand-canonical sums (occupancies, log ratios, energies and the ladders
-    of the chemical-potential roots) stop once their last term is below
-    rel_tol of the summed magnitudes, and max_terms caps their length.
-    Canonical and Morse sums over a geometric or Morse ladder longer than
-    its head sum the head exactly and the rest as a closed-form tail; the
-    head is chosen so that the tail's remainder bound on the Boltzmann sum
-    is below rel_tol e^{-35} of it, and the energy sum shares that head.
-    max_terms caps the head, not the ladder.  A shorter ladder, or a
-    non-geometric power law, is summed whole, as on the grand route.  A sum
-    that needs more than max_terms terms is a TruncationError, never a
-    silent cut.
+    Every sum is sized before it is formed, from its ground level: it runs
+    to the first level whose factor e^{-beta (E_n - E_1)} is below rel_tol
+    e^{-35}, or to a Morse well's last bound level.  That factor bounds the
+    last term of every kind of sum against its first, within a factor the
+    e^{-35} margin covers (see ensembles._series_sums).  A canonical or
+    Morse sum over a geometric or Morse ladder longer than its head sums
+    the head exactly and the rest as a closed-form tail, whose remainder
+    bound on the Boltzmann sum is below rel_tol e^{-35} of it; the energy
+    sum shares that head.  max_terms caps every length, the head where a
+    tail adds the rest: a sum that needs more terms is a TruncationError,
+    never a silent cut.
     """
 
     rel_tol: float = 1e-12
@@ -168,19 +165,19 @@ def _stride(barrier):
 # _series_sums evaluates many segments, each one (trap, barrier, beta)
 # series, with their ladders laid end to end in one flat array (_Segments):
 # each elementwise step is one numpy pass over all of them, while per-segment
-# logic (cutoff estimates, Newton updates, stop tests) stays in Python floats.
+# logic (lengths, Newton updates, root stop tests) stays in Python floats.
 # A batched value equals the one-segment value bit for bit, and a failing
 # segment yields its SzilardError in place of a value.
 
-def _first_index_beyond(potential, barrier, beta, mu, x_cut):
-    """Estimate the first index whose exp(-beta(E_n - mu)) factor is dead.
+def _first_index_beyond(potential, barrier, beta, e1, x_cut):
+    """Estimate the first index whose e^{-beta (E_n - E_1)} is below e^-x_cut.
 
-    Inverts E(n) = x_cut/beta + max(mu, 0) for n; a target above the top of
-    a Morse well gives inf, every bound level.  An estimate past float range
-    (a power-law exponent near zero) raises TruncationError: no term cap
-    admits that ladder.
+    Inverts E(n) = x_cut/beta + E_1 for n; a target above the top of a Morse
+    well gives inf, every bound level.  An estimate past float range (a
+    power-law exponent near zero) raises TruncationError: no term cap admits
+    that ladder.
     """
-    target = x_cut / beta + max(mu, 0.0)
+    target = x_cut / beta + e1
     step = _stride(barrier)
     try:
         if isinstance(potential, Morse):
@@ -200,25 +197,26 @@ def _first_index_beyond(potential, barrier, beta, mu, x_cut):
             " than any cap") from None
 
 
-def _cutoff(potential, rungs):
-    """The last index of every rung's ladder: inf unless a finite Morse well
-    bounds them, at its bound count (half of it with the barrier in)."""
-    cap = potential.bound_count if isinstance(potential, Morse) else None
-    if cap is None:
-        return math.inf
-    return min(cap // _stride(barrier) for barrier, _ in rungs)
-
-
-def _x_cut(policy):
-    return -math.log(policy.rel_tol) + _XCUT_MARGIN
-
-
 def _ladder_length(potential, barrier, beta, e1, policy):
-    """The first size of a Boltzmann sum from E_1: its cutoff estimate,
-    clipped at a Morse well's bound count (see _series_sums)."""
-    return min(_first_index_beyond(potential, barrier, beta, e1,
-                                   _x_cut(policy)),
-               _cutoff(potential, ((barrier, e1),)))
+    """The length of a sum from E_1: its cutoff estimate at x_cut = -log
+    rel_tol + _XCUT_MARGIN, clipped at a Morse well's bound count (half of
+    it with the barrier in)."""
+    n = _first_index_beyond(potential, barrier, beta, e1,
+                            _XCUT_MARGIN - math.log(policy.rel_tol))
+    cap = potential.bound_count if isinstance(potential, Morse) else None
+    return n if cap is None else min(n, cap // _stride(barrier))
+
+
+def _grand_segment(potential, rungs, grounds, beta, policy):
+    """The _series_sums segment of grand-canonical rungs ((barrier, mu),
+    ...), sized from their ground levels grounds[barrier] = E_1: the largest
+    of their _ladder_lengths, or the error an estimate raises."""
+    try:
+        n = max(_ladder_length(potential, barrier, beta, grounds[barrier],
+                               policy) for barrier, _ in rungs)
+    except SzilardError as exc:
+        n = exc.with_traceback(None)
+    return potential, rungs, beta, n
 
 
 def _beta(temperature):
@@ -309,14 +307,11 @@ class _Segments:
 
     def __init__(self, lengths):
         self.single = len(lengths) == 1
-        if self.single:
-            self.last = slice(-1, None)
-        else:
+        if not self.single:
             self.lengths = np.asarray(lengths, dtype=np.intp)
             self.width = self.lengths + 1
             self.slots = np.zeros(len(self.lengths), dtype=np.intp)
             np.cumsum(self.width[:-1], out=self.slots[1:])
-            self.last = self.slots + self.lengths
 
     def join(self, ladders):
         """The ladders as one flat array.
@@ -352,67 +347,59 @@ def _one_sum(segment, terms, policy):
     return value_or_raise(_series_sums([segment], terms, policy, {})[0])[0]
 
 
-def _series_sums(segments, terms, policy, levels, heads=None):
-    """Converged sums of many truncated series at once.
+def _series_sums(segments, terms, policy, levels):
+    """Sums of many truncated series at once, each of the length it carries.
 
-    A segment is (potential, rungs, beta) with rungs ((barrier, mu), ...):
-    its series runs over levels 1..n of every rung's barrier configuration
-    at once.  n starts at the largest of the rungs' cutoff estimates (at
-    least 8), and doubles until the last term is negligible against the
-    summed magnitudes (rel_tol of them); more than max_terms terms, or a
-    fifth try, is a TruncationError.  A bounded (Morse) ladder is clipped at
-    its cutoff, and a segment that reaches it is a complete sum, taken
-    without a tail test.  heads[j], where given and not None, is segment j's
-    head: exactly that many terms, whose tail the caller adds (see _head),
-    and max_terms caps it too.
+    A segment is (potential, rungs, beta, n) with rungs ((barrier, mu), ...):
+    its series is levels 1..n of every rung's barrier configuration at once,
+    summed once, with no tail test.  n is fixed from the ground levels: a
+    canonical or Morse sum takes the n of _head, and a grand-canonical one
+    the largest _ladder_length of its rungs, each at its own E_1 (see
+    _grand_segment); an n that is a SzilardError is the segment's result.
+    At n, d = beta (E_n - E_1) has passed x_cut = -log rel_tol +
+    _XCUT_MARGIN.  With x = beta (E - mu) > 0, a last term against the
+    first, which no sum of magnitudes is below, is then at most e^{-d} for a
+    Boltzmann weight, (e^{x_1} - 1)/(e^{x_n} - 1) <= e^{-d} for an
+    occupancy, x_n (e^{x_1} - 1)/(x_1 (e^{x_n} - 1)) <= e (1 + d) e^{-d} for
+    an energy, and e^{-d}/(1 - e^{-x_n}) on each rung of a log ratio, as
+    -log(1 - e^{-x}) lies between e^{-x} and e^{-x}/(1 - e^{-x}); the margin
+    covers each factor.  An n past max_terms is a TruncationError, and a
+    sum that is not finite (terms past float range) a SolverFailureError.
     terms(beta, [(g, E - mu) per rung]) maps the joined ladders to their
     flat terms, with the degeneracy g spread over them.  `levels` holds the
     level ladders built so far (see _level_ladders), so sums over the same
     traps can share them.  Returns, per segment, (sum, its ladders, its
     terms) or the SzilardError it hit.
     """
-    x_cut = _x_cut(policy)
-    out, sizes, caps = [None] * len(segments), {}, {}
-    for j, (potential, rungs, beta) in enumerate(segments):
-        if heads and heads[j]:
-            caps[j] = sizes[j] = heads[j]
-            continue
-        try:
-            n_first = max(_first_index_beyond(potential, barrier, beta, mu, x_cut)
-                          for barrier, mu in rungs)
-        except SzilardError as exc:
-            out[j] = exc.with_traceback(None)
-        else:
-            caps[j] = _cutoff(potential, rungs)
-            sizes[j] = min(n_first, caps[j])
-    for attempt in range(5):        # the fifth attempt raises
-        for j in [j for j in sizes if attempt == 4 or sizes[j] > policy.max_terms]:
-            n = sizes.pop(j)
+    out, rows = [None] * len(segments), []
+    for j, (_, _, _, n) in enumerate(segments):
+        if _failed(n):
+            out[j] = n
+        elif n > policy.max_terms:
             out[j] = TruncationError(
-                "series failed to converge within the retry budget" if attempt == 4
-                else f"series needs {n} terms, policy caps at {policy.max_terms}")
-        rows = list(sizes)
-        counts = [sizes[j] for j in rows]
-        if not rows:
-            break
-        ladders = _level_ladders([segments[j] for j in rows], counts, levels)
-        flat = _Segments(counts)
-        rungs = zip(*(segments[j][1] for j in rows))
-        t = terms(flat.spread([segments[j][2] for j in rows]),
-                  [(flat.spread([_degeneracy(barrier) for barrier, _ in rung]),
-                    flat.join([ladder[k] for ladder in ladders])
-                    - flat.spread([mu for _, mu in rung]))
-                   for k, rung in enumerate(rungs)])
-        settled = np.abs(t[flat.last]) <= policy.rel_tol * np.maximum(
-            flat.sums(np.abs(t)), 1e-300)
-        totals = flat.sums(t)
-        for i, j in enumerate(rows):
-            if sizes[j] >= caps[j] or settled[i]:
-                out[j] = (float(totals[i]), ladders[i], t if flat.single
-                          else t[flat.slots[i] + 1:flat.last[i] + 1])
-                del sizes[j]
-            else:
-                sizes[j] = min(2 * sizes[j], caps[j])
+                f"series needs {n} terms, policy caps at {policy.max_terms}")
+        else:
+            rows.append(j)
+    if not rows:
+        return out
+    live = [segments[j] for j in rows]
+    ladders = _level_ladders(live, levels)
+    flat = _Segments([n for _, _, _, n in live])
+    rungs = zip(*(rungs for _, rungs, _, _ in live))
+    t = terms(flat.spread([beta for _, _, beta, _ in live]),
+              [(flat.spread([_degeneracy(barrier) for barrier, _ in rung]),
+                flat.join([ladder[k] for ladder in ladders])
+                - flat.spread([mu for _, mu in rung]))
+               for k, rung in enumerate(rungs)])
+    totals = flat.sums(t).tolist()
+    for i, (j, (_, _, _, n)) in enumerate(zip(rows, live)):
+        if not math.isfinite(totals[i]):
+            out[j] = SolverFailureError(
+                f"series sum is {totals[i]}, not finite: its terms leave"
+                " float range")
+        else:
+            start = 0 if flat.single else flat.slots[i] + 1
+            out[j] = totals[i], ladders[i], t[start:start + n]
     return out
 
 
@@ -421,7 +408,7 @@ def _totals(results):
     return [r if _failed(r) else r[0] for r in results]
 
 
-def _level_ladders(segments, sizes, levels):
+def _level_ladders(segments, levels):
     """Levels 1..n of each _series_sums segment, one array per rung.
 
     levels maps id(trap) to its barrier-free ladder, extended by the levels
@@ -431,7 +418,7 @@ def _level_ladders(segments, sizes, levels):
     has the bits of its own call.
     """
     reach = {}
-    for (potential, rungs, _), n in zip(segments, sizes):
+    for potential, rungs, _, n in segments:
         top = max(_stride(barrier) * n for barrier, _ in rungs)
         if reach.get(id(potential), (0,))[0] < top:
             reach[id(potential)] = top, potential
@@ -442,7 +429,7 @@ def _level_ladders(segments, sizes, levels):
                 potential, np.arange(len(ladder) + 1, n + 1))))
     return [[levels[id(p)][1:2 * n:2] if barrier is Barrier.INSERTED
              else levels[id(p)][:n] for barrier, _ in rungs]
-            for (p, rungs, _), n in zip(segments, sizes)]
+            for p, rungs, _, n in segments]
 
 
 # The terms of each series, from beta and per rung the degeneracy g and the
@@ -680,43 +667,46 @@ def _canonical_stages(traps, grounds, stages, count, policy, first=None):
     grounds[i] holds trap i's ground levels by barrier (each E_1 or the
     error of its lookup).  Each stage is one _series_sums call over the
     traps still without an error, from their ground levels, and the stages
-    share each trap's barrier-free ladder (see _level_ladders).  A sum
-    longer than its head (see _head) sums the head there, and the tails of
-    every stage are then one _tails call.  first[i], where given, is trap
-    i's head in the first stage, or None where it takes no tail, as
-    ladder_batches returns it.
+    share each trap's barrier-free ladder (see _level_ladders).  Each sum
+    takes the length _head gives it, its head or its whole ladder, and the
+    tails of every stage are then one _tails call.  first[i], where given,
+    is trap i's head in the first stage, or None where it takes no tail, as
+    ladder_batches returns it.  A stage whose N beta = N/(k_B T) overflows
+    is an EnsembleMismatchError for every trap that reaches it.
     """
     out, levels, tails = [[] for _ in traps], {}, []
     for k, (barrier, temperature) in enumerate(stages):
         beta = count * _beta(temperature)      # N beta
-        live = [i for i, sums in enumerate(out) if not _failed(sums)]
-        for i in live:
-            if _failed(grounds[i][barrier]):
-                out[i] = grounds[i][barrier]
-        rows = [i for i in live if not _failed(out[i])]
-        segments = [(traps[i], ((barrier, grounds[i][barrier]),), beta)
-                    for i in rows]
-        heads = ([first[i] for i in rows] if k == 0 and first is not None
-                 else [_tail_head(trap, barrier, beta, e1, policy)
-                       for trap, ((_, e1),), _ in segments])
-        # an N beta that overflows makes the ground term inf * 0 = nan; on
-        # an unbounded ladder a nan sum never passes the tail test, so it
-        # ends as a TruncationError and its warning says nothing more
-        quiet = math.isinf(beta) and all(_cutoff(p, rungs) == math.inf
-                                         for p, rungs, _ in segments)
-        with np.errstate(invalid="ignore") if quiet else nullcontext():
-            results = _series_sums(segments, _boltzmann_terms, policy,
-                                   levels, heads)
-        for i, (trap, ((_, e1),), _), head, result in zip(
-                rows, segments, heads, results):
+        segments, owners = [], []
+        for i, sums in enumerate(out):
+            if _failed(sums):
+                continue
+            e1 = grounds[i][barrier]
+            if _failed(e1) or math.isinf(beta):
+                out[i] = e1 if _failed(e1) else EnsembleMismatchError(
+                    f"N/(k_B T) overflows: N = {count:.6g} at"
+                    f" {temperature:.6g} K is past float range")
+                continue
+            if k == 0 and first is not None and first[i] is not None:
+                n, tailed = first[i], True
+            else:
+                try:
+                    n, tailed = _head(traps[i], barrier, beta, e1, policy)
+                except SzilardError as exc:
+                    n, tailed = exc.with_traceback(None), False
+            segments.append((traps[i], ((barrier, e1),), beta, n))
+            owners.append((i, tailed))
+        results = _series_sums(segments, _boltzmann_terms, policy, levels)
+        for (trap, ((_, e1),), _, n), (i, tailed), result in zip(
+                segments, owners, results):
             if _failed(result):
                 out[i] = result
                 continue
             total, (e,), w = result
             # the stage's sum and energy sum, to which its tail is added
             out[i].append([barrier, beta, e1, total, float(np.sum(e * w))])
-            if head:
-                tails.append((out[i][-1], (trap, barrier, beta, e1, head)))
+            if tailed:
+                tails.append((out[i][-1], (trap, barrier, beta, e1, n)))
     if tails:
         rests = _tails([request for _, request in tails])
         for (stage, _), rest, rest_energy in zip(tails, *rests.tolist()):
@@ -726,16 +716,6 @@ def _canonical_stages(traps, grounds, stages, count, policy, first=None):
         (count * math.log(_degeneracy(barrier)) - beta * e1 + math.log(total),
          count * (energy / total))
         for barrier, beta, e1, total, energy in sums) for sums in out]
-
-
-def _tail_head(trap, barrier, beta, e1, policy):
-    """The head of a sum that takes a tail (see _head), else None; also
-    where _head raises, since _series_sums then reports the error."""
-    try:
-        head, tailed = _head(trap, barrier, beta, e1, policy)
-    except SzilardError:
-        return None
-    return head if tailed else None
 
 
 def canonical_stage_properties(potential, barrier, count, temperature,
@@ -788,17 +768,17 @@ def _mu_offsets(roots, count, policy, levels):
     """Roots u = log(beta (E_1 - mu)) of the occupancy constraint for many
     (potential, barrier, temperature, E_1) roots; a root or an error each.
 
-    Each ladder is built once, as long as mu -> E_1 needs, and its tail is
-    checked in the mu -> -inf (Boltzmann) limit, whose last-term ratio bounds
-    the one at every mu below E_1.  With n = g/expm1(beta(E - E_1) + e^u)
-    (g = d_1 on every level), Newton runs on log N(u) - log count with the
+    Each ladder is built once, sized from its E_1 (see _series_sums), whose
+    Boltzmann factor bounds the last occupancy at every mu below E_1.  With
+    n = g/expm1(beta(E - E_1) + e^u) (g = d_1 on every level), Newton runs on log N(u) - log count with the
     slope dlog N/du = -e^u sum n (1 + n/g) / N, from the closed-form u,
     inside the bracket [log log(1 + d_1/(1e9 count)), k log 2] (k from
     doubling); a step that leaves the bracket bisects it (rtsafe, Numerical
     Recipes 9.4).  Every round evaluates all roots in one ladder pass; each
     root's bracket, step and stop test are its own.
     """
-    out = _series_sums([(p, ((barrier, e1),), _beta(temperature))
+    out = _series_sums([_grand_segment(p, ((barrier, e1),), {barrier: e1},
+                                       _beta(temperature), policy)
                         for p, barrier, temperature, e1 in roots],
                        _boltzmann_terms, policy, levels)
     rows = [j for j, result in enumerate(out) if not _failed(result)]
@@ -836,7 +816,7 @@ def _mu_offsets(roots, count, policy, levels):
                 if result is not None:
                     out[root.j] = result
                     keep[i] = False
-            if not all(keep):         # drop settled roots from the ladder pass
+            if not all(keep):   # drop finished roots from the ladder pass
                 live = [root for root, kept in zip(live, keep) if kept]
                 if live:
                     mask = flat.spread(keep)
@@ -865,7 +845,7 @@ class _Root:
 
     def update(self, f, slope):
         """Take log N - log count and its slope at u; the root (or its
-        SolverFailureError) once settled, else None."""
+        SolverFailureError) once it stops, else None."""
         u = self.u
         if self.step is not None:
             if f <= 0.0:
@@ -921,8 +901,10 @@ def _chemical_potentials(roots, count, mode, policy, levels):
             out[j] = _below_ground(e1 - K_B * temperature * math.exp(u), e1)
     rows = [j for j, mu in enumerate(out) if not _failed(mu)]
     recovered = _occupancy_checks(
-        [(roots[j][0], ((roots[j][1], out[j]),), _beta(roots[j][2]))
-         for j in rows], policy, levels)
+        [_grand_segment(p, ((barrier, out[j]),), {barrier: e1},
+                        _beta(temperature), policy)
+         for j in rows for p, barrier, temperature, e1 in (roots[j],)],
+        policy, levels)
     for j, total in zip(rows, recovered):
         if _failed(total):
             out[j] = total
@@ -958,8 +940,10 @@ def _occupancy_checks(segments, policy, levels):
 def occupancy_total(potential, barrier, mu, temperature, policy=TruncationPolicy()):
     """Mean boson number sum_n g/(e^{beta(E_n - mu)} - 1) at fixed mu."""
     _require_power_family(potential, "grand-canonical occupancy")
-    return _one_sum((potential, ((barrier, mu),), _beta(temperature)),
-                    _occupancy_terms, policy)
+    e1 = level_energy(potential, 1, barrier)
+    return _one_sum(_grand_segment(
+        potential, ((barrier, value_or_raise(_below_ground(mu, e1))),),
+        {barrier: e1}, _beta(temperature), policy), _occupancy_terms, policy)
 
 
 def chemical_potential(potential, count, temperature, barrier, mode,
@@ -1030,7 +1014,8 @@ def _bath_ratios(potentials, grounds, count, temperatures, mode, policy,
                     count, temperatures, mode)
     live = [i for i, pairs in enumerate(out) if not _failed(pairs)]
     ratios = _totals(_series_sums(
-        [(potentials[i], _both_rungs(pair), _beta(pair.temperature))
+        [_grand_segment(potentials[i], _both_rungs(pair), grounds[i],
+                        _beta(pair.temperature), policy)
          for i in live for pair in out[i]], _log_ratio_terms, policy, levels))
     k = len(temperatures)
     for j, i in enumerate(live):
@@ -1059,8 +1044,9 @@ def grand_stage_sums(potentials, grounds, count, baths, mode,
         mus_hot, mus_cold = out[i][0]
         for stage, mus in zip(Stage, (mus_hot, mus_hot, mus_cold, mus_cold)):
             barrier, temperature = _stage_config(stage, baths)
-            segments.append((potentials[i], (_both_rungs(mus)[
-                barrier is Barrier.INSERTED],), _beta(temperature)))
+            rung = _both_rungs(mus)[barrier is Barrier.INSERTED]
+            segments.append(_grand_segment(potentials[i], (rung,), grounds[i],
+                                           _beta(temperature), policy))
     energies = _totals(_series_sums(segments, _energy_terms, policy, levels))
     for k, i in enumerate(live):
         stages = tuple(energies[4 * k:4 * k + 4])
@@ -1078,8 +1064,8 @@ def _both_rungs(mu_pair):
 
 def _checked_rungs(potential, mu_pair, temperature):
     """_both_rungs of a pair solved at `temperature` whose mus lie below
-    their ground levels (see _below_ground), or None for a Morse well, which
-    takes no pair; raises otherwise."""
+    their ground levels (see _below_ground), with those levels by barrier;
+    or None for a Morse well, which takes no pair; raises otherwise."""
     if isinstance(potential, Morse):
         if mu_pair is not None:
             raise EnsembleMismatchError(
@@ -1087,13 +1073,14 @@ def _checked_rungs(potential, mu_pair, temperature):
         return None
     if mu_pair is None:
         raise EnsembleMismatchError("bosonic sums need chemical potentials")
-    rungs = tuple((barrier, value_or_raise(_below_ground(
-        mu, level_energy(potential, 1, barrier))))
-        for barrier, mu in _both_rungs(mu_pair))
+    grounds = {barrier: level_energy(potential, 1, barrier)
+               for barrier in Barrier}
+    rungs = tuple((b, value_or_raise(_below_ground(mu, grounds[b])))
+                  for b, mu in _both_rungs(mu_pair))
     if mu_pair.temperature != temperature:
         raise EnsembleMismatchError(
             "chemical potentials were solved at a different temperature")
-    return rungs
+    return rungs, grounds
 
 
 def log_relative_partition(potential, mu_pair, temperature,
@@ -1108,14 +1095,14 @@ def log_relative_partition(potential, mu_pair, temperature,
 
     Morse potentials take the canonical mu-free route: pass mu_pair = None.
     """
-    rungs = _checked_rungs(potential, mu_pair, temperature)
-    if rungs is None:
+    checked = _checked_rungs(potential, mu_pair, temperature)
+    if checked is None:
         (log_post, _), (log_pre, _) = (canonical_stage_properties(
             potential, barrier, 1, temperature, policy)
             for barrier in (Barrier.INSERTED, Barrier.ABSENT))
         return log_post - log_pre
-    return _one_sum((potential, rungs, _beta(temperature)), _log_ratio_terms,
-                    policy)
+    return _one_sum(_grand_segment(potential, *checked, _beta(temperature),
+                                   policy), _log_ratio_terms, policy)
 
 
 def internal_energy(stage, potential, mu_pair, baths, policy=TruncationPolicy()):
@@ -1127,9 +1114,11 @@ def internal_energy(stage, potential, mu_pair, baths, policy=TruncationPolicy())
     the stage dictates.  Morse stages are plain Boltzmann averages.
     """
     barrier, temperature = _stage_config(stage, baths)
-    rungs = _checked_rungs(potential, mu_pair, temperature)
-    if rungs is None:
+    checked = _checked_rungs(potential, mu_pair, temperature)
+    if checked is None:
         return canonical_stage_properties(potential, barrier, 1, temperature,
                                           policy)[1]
-    return _one_sum((potential, (rungs[barrier is Barrier.INSERTED],),
-                     _beta(temperature)), _energy_terms, policy)
+    rungs, grounds = checked
+    return _one_sum(_grand_segment(
+        potential, (rungs[barrier is Barrier.INSERTED],), grounds,
+        _beta(temperature), policy), _energy_terms, policy)

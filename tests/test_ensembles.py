@@ -4,6 +4,7 @@ import contextlib
 import gc
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -290,6 +291,8 @@ class TestBoseRatio:
                                  mode=MuMode.CLOSED_FORM)
         with pytest.raises(ConvergenceViolationError):
             log_relative_partition(trap, bad, 1.0)
+        with pytest.raises(ConvergenceViolationError):
+            occupancy_total(trap, Barrier.ABSENT, 2.0 * q, 1.0)
 
     def test_missing_mu_rejected(self):
         with pytest.raises(EnsembleMismatchError):
@@ -378,9 +381,9 @@ def test_inserted_ladder_is_every_other_barrier_free_level(
 
     levels = {}
     (absent,), = ensembles._level_ladders(
-        [(trap, ((Barrier.ABSENT, 0.0),), 1.0)], [first], levels)
+        [(trap, ((Barrier.ABSENT, 0.0),), 1.0, first)], levels)
     (view,), = ensembles._level_ladders(
-        [(trap, ((Barrier.INSERTED, 0.0),), 1.0)], [inserted], levels)
+        [(trap, ((Barrier.INSERTED, 0.0),), 1.0, inserted)], levels)
     assert absent.tobytes() == whole[:first].tobytes()
     assert view.tobytes() == ladder.tobytes()
     assert levels[id(trap)].tobytes() == whole.tobytes()
@@ -504,6 +507,29 @@ class TestTruncation:
             with pytest.raises(EnsembleMismatchError,
                                match="not finite and positive"):
                 call()
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_sum_that_is_not_finite_is_an_error(self, value):
+        """A series whose terms leave float range is a typed error in its
+        own segment, never a float; the other segments of its batch still
+        sum."""
+        trap = Harmonic(MASS, 1e10)
+        rungs = ((Barrier.ABSENT, level_energy(trap, 1)),)
+
+        def terms(beta, rungs):
+            (_, gap), = rungs
+            return np.where(beta == 2.0, value, np.ones_like(gap))
+
+        policy = TruncationPolicy()
+        (one,) = ensembles._series_sums([(trap, rungs, 2.0, 20)], terms,
+                                        policy, {})
+        both = ensembles._series_sums(
+            [(trap, rungs, 1.0, 20), (trap, rungs, 2.0, 30)], terms, policy,
+            {})
+        for result in (one, both[1]):
+            assert isinstance(result, SzilardError)
+            assert "not finite" in str(result)
+        assert both[0][0] == 20.0
 
 
 class TestCanonicalOracle:
@@ -706,6 +732,168 @@ class TestCanonicalOracle:
         assert abs(got.q_cold - (work - supplied)) <= supplied_tol + work_tol
         eta = work / supplied
         assert abs(got.efficiency - eta) <= (
+            work_tol + abs(eta) * supplied_tol) / supplied
+
+
+def _sums_of(call):
+    """Every segment that _series_sums sums while call() runs, each with its
+    terms function, policy and result; and whether call() succeeded (it may
+    raise a SzilardError)."""
+    log, original = [], ensembles._series_sums
+
+    def spy(segments, terms, policy, levels):
+        results = original(segments, terms, policy, levels)
+        log.extend((segment, terms, policy, result)
+                   for segment, result in zip(segments, results))
+        return results
+
+    with mock.patch.object(ensembles, "_series_sums", spy):
+        try:
+            call()
+        except SzilardError:
+            return log, False
+    return log, True
+
+
+def _checked_last_terms(log):
+    """Assert that each sum that runs to its size, rather than to a Morse
+    well's last bound level or to a head that a closed-form tail completes,
+    ends on a term below rel_tol of its summed magnitudes.  Returns the
+    term functions of the sums checked."""
+    kinds = []
+    for (trap, rungs, beta, n), terms, policy, result in log:
+        if isinstance(result, SzilardError):
+            continue
+        (barrier, e1), *_ = rungs
+        if isinstance(trap, Morse) and trap.bound_count is not None and (
+                n == trap.bound_count // (2 if barrier is Barrier.INSERTED
+                                          else 1)):
+            continue        # a complete bound ladder
+        if terms is ensembles._boltzmann_terms and ensembles._head(
+                trap, barrier, beta, e1, policy) == (n, True):
+            continue        # a canonical head
+        t = np.abs(result[2])
+        assert t[-1] <= policy.rel_tol * t.sum(), (trap, rungs, beta, n)
+        kinds.append(terms)
+    return kinds
+
+
+_SMALL_CAP = TruncationPolicy(max_terms=20_000)
+
+
+@settings(max_examples=60, deadline=None)
+@given(nu=st.floats(0.05, 4.0), log_scale=st.floats(-3.0, 6.0),
+       count=st.integers(1, 1000))
+def test_grand_sums_end_below_rel_tol(nu, log_scale, count):
+    """A grand-canonical sum sized once from its rungs' ground levels needs
+    no tail test: across nu 0.05-4, trap scales 1e-3-1e6 k_B T and N
+    1-1000, every root ladder, occupancy re-check, log ratio and stage
+    energy of a cycle, at both baths, ends below rel_tol of its summed
+    magnitudes.  A cap of 20,000 terms keeps each draw short."""
+    baths = BathPair(hot=2.0, cold=1.0)
+    trap = PowerLaw.from_energy_scale(MASS, 10 ** log_scale * K_B, nu)
+    log, ran = _sums_of(lambda: run_cycle(trap, Ensemble.GRAND_BOSE, count,
+                                          baths, _SMALL_CAP))
+    kinds = _checked_last_terms(log)
+    if ran:
+        assert set(kinds) == {ensembles._boltzmann_terms,
+                              ensembles._occupancy_terms,
+                              ensembles._log_ratio_terms,
+                              ensembles._energy_terms}
+
+
+@settings(max_examples=30, deadline=None)
+@given(kind=st.sampled_from(("harmonic", "power-law", "morse")),
+       gap=st.floats(4.5, 100.0), nu=st.floats(0.5, 4.0),
+       anharmonicity=st.floats(1e-4, 0.02), count=st.integers(1, 50))
+def test_whole_canonical_sums_end_below_rel_tol(kind, gap, nu, anharmonicity,
+                                                count):
+    """The canonical and Morse sums that run whole, with no tail: a hot
+    stage's ground gap N beta E_scale (beta q for a Morse well) of 4.5 or
+    more keeps a geometric ladder within its 16-term head, and a power law
+    that is not geometric always runs whole.  Each ends below rel_tol of
+    its summed magnitudes."""
+    baths = BathPair(hot=2.0, cold=1.0)
+    scale = gap * K_B * baths.hot
+    if kind == "morse":
+        trap, count = Morse.from_anharmonicity(
+            MASS, scale / HBAR, anharmonicity), 1
+        ensemble = Ensemble.MORSE_SINGLE
+    else:
+        scale /= count
+        trap = (Harmonic(MASS, scale / HBAR) if kind == "harmonic"
+                else PowerLaw.from_energy_scale(MASS, scale, nu))
+        ensemble = Ensemble.CANONICAL_N
+    log, _ = _sums_of(lambda: run_cycle(trap, ensemble, count, baths,
+                                        _SMALL_CAP))
+    assert _checked_last_terms(log)
+
+
+class TestGrandOracle:
+    """The grand-canonical route against 50-digit sums at its own solved
+    chemical potentials, run on the same float levels to beta (E - E_1) =
+    100 at the hot bath, where the engine cuts near 63."""
+
+    # (nu, N, trap scale in k_B T_cold, T_hot, T_cold): fig7 and fig8 points
+    TRAPS = ((1.6, 20, 1.0, 20.0, 10.0), (2.0, 20, 50.0, 20.0, 10.0),
+             (1.6, 10, 0.5, 2.0, 1.0), (2.2, 20, 1.0, 2.0, 1.0),
+             (2.6, 30, 40.0, 2.0, 1.0), (2.0, 10, 5.0, 2.0, 1.0))
+
+    @pytest.mark.parametrize("nu, count, ratio, hot, cold", TRAPS)
+    def test_stage_sums_and_cycle_match_50_digit_sums(self, nu, count, ratio,
+                                                      hot, cold):
+        """Each stage energy to 1e-12 relative; each log ratio, which can
+        cancel to near zero, to 1e-12 of its summed magnitudes; W and eta
+        from both."""
+        mpmath = pytest.importorskip("mpmath")
+        baths = BathPair(hot, cold)
+        trap = PowerLaw.from_energy_scale(MASS, ratio * K_B * cold, nu)
+        (batch, grounds, _), = ensembles.ladder_batches((trap,), 1, hot)
+        (l_hot, l_cold, energies, mus), = ensembles.grand_stage_sums(
+            batch, grounds, count, baths, MuMode.SOLVED)
+        e1 = level_energy(trap, 1)
+        m = 8
+        while (level_energy(trap, m) - e1) / (K_B * hot) < 100:
+            m *= 2
+        ladder = level_energy(trap, np.arange(1, 2 * m + 1))
+        m = int(np.searchsorted((ladder - e1) / (K_B * hot), 100.0)) + 1
+        with mpmath.workdps(50):
+            ladder = [mpmath.mpf(e) for e in ladder[:2 * m]]
+            absent, inserted = ladder[:m], ladder[1::2]
+            logs, magnitudes, want = [], [], []
+            for pair in mus:
+                beta = 1 / (mpmath.mpf(K_B) * pair.temperature)
+                pre = mpmath.mpf(pair.pre_insertion)
+                post = mpmath.mpf(pair.post_insertion)
+                terms = [mpmath.log(-mpmath.expm1(-beta * (a - pre)))
+                         - 2 * mpmath.log(-mpmath.expm1(-beta * (b - post)))
+                         for a, b in zip(absent, inserted)]
+                logs.append(mpmath.fsum(terms))
+                magnitudes.append(float(mpmath.fsum(abs(t) for t in terms)))
+                # stages A and B at the hot bath, D and C at the cold
+                want += [mpmath.fsum(g * (e - mu) / mpmath.expm1(beta * (e - mu))
+                                     for e in levels)
+                         for g, levels, mu in ((1, absent, pre),
+                                               (2, inserted, post))]
+            u_a, u_b, u_d, u_c = (float(u) for u in want)
+            l_h, l_c = (float(value) for value in logs)
+        for got, value in zip(energies, (u_a, u_b, u_c, u_d)):
+            assert abs(got / value - 1) <= 1e-12
+        for got, value, magnitude in zip((l_hot, l_cold), (l_h, l_c),
+                                         magnitudes):
+            assert abs(got - value) <= 1e-12 * magnitude
+
+        cycle = run_cycle(trap, Ensemble.GRAND_BOSE, count, baths)
+        assert cycle.mus == mus
+        kt_h, kt_c = K_B * hot, K_B * cold
+        work = kt_h * l_h - kt_c * l_c
+        work_tol = 1e-12 * (kt_h * magnitudes[0] + kt_c * magnitudes[1])
+        assert abs(cycle.work - work) <= work_tol
+        supplied = u_b - u_d + kt_h * l_h
+        supplied_tol = 1e-12 * (abs(u_b) + abs(u_d) + kt_h * magnitudes[0])
+        assert supplied > 0.0
+        eta = work / supplied
+        assert abs(cycle.efficiency - eta) <= (
             work_tol + abs(eta) * supplied_tol) / supplied
 
 

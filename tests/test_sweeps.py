@@ -1,7 +1,10 @@
 """Sweep grids, CSV/manifest emission, config overlays, and the CLI."""
 
 import math
+import os
 import re
+import subprocess
+import sys
 from configparser import ConfigParser
 from dataclasses import replace
 from itertools import product
@@ -779,7 +782,8 @@ class TestCli:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_huge_particle_count_gives_rows(self, tmp_path, capsys):
         """A count past 1e290 once overflowed the root's lower bracket, and
-        N beta past float range made numpy warn before the typed row."""
+        N beta past float range made numpy warn before the typed row; the
+        canonical row names that overflow as its cause."""
         for args, points in ((["fig8", "--nu", "2"], 40), (["fig2"], 1)):
             out = tmp_path / f"{args[0]}.csv"
             assert main(args + ["--N", "1e300", "--out", str(out)]) in (0, 2)
@@ -791,6 +795,8 @@ class TestCli:
             for row in rows:
                 assert (row[work] and not row[-1]) or (
                     not row[work] and re.match(r"^[A-Za-z]+Error: ", row[-1]))
+        assert rows[0][-1] == ("EnsembleMismatchError: N/(k_B T) overflows:"
+                               " N = 1e+300 at 200 K is past float range")
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("target, section, line, code", [
@@ -914,3 +920,22 @@ class TestCli:
     def test_help_exits_cleanly(self, capsys):
         assert main(["--help"]) == 0
         assert "szilard-sim" in capsys.readouterr().out
+
+    def test_import_loads_no_heavy_module(self):
+        """Importing the CLI and validating every preset, which is what a
+        fresh run does before its first point, loads numpy and
+        scipy.special but none of the heavier scientific or test-only
+        modules: each would add to the start-up time of every run."""
+        heavy = ("scipy.optimize", "scipy.integrate", "scipy.stats",
+                 "mpmath", "hypothesis")
+        code = ("import sys\n"
+                "import szilard.cli\n"
+                "from szilard.sweeps import preset, preset_names, validate\n"
+                "assert all(validate(preset(name)).ok\n"
+                "           for name in preset_names() if name != 'custom')\n"
+                f"print([m for m in {heavy!r} if m in sys.modules])\n")
+        src = str(Path(sweeps.__file__).resolve().parents[1])
+        done = subprocess.run([sys.executable, "-c", code], check=True,
+                              capture_output=True, text=True, timeout=120,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert done.stdout.strip() == "[]"
