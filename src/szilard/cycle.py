@@ -20,13 +20,14 @@ grand-canonical route its chemical potentials, from one stage-sum call.
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import groupby
 
 from .constants import K_B
 from .errors import (EnsembleMismatchError, SolverFailureError, SzilardError,
                      value_or_raise)
 from .potentials import Harmonic, Morse, PowerLaw
-from .ensembles import (BathPair, MuMode, TruncationPolicy,
-                        canonical_stage_sums, grand_stage_sums, ladder_batches)
+from .ensembles import (BathPair, MuMode, TruncationPolicy, _batches, _beta,
+                        _cycle_sums, grand_stage_sums, ladder_batches)
 # chemical_potentials stays bound here for wrappers that patch it per module
 from .ensembles import chemical_potentials  # noqa: F401
 
@@ -94,33 +95,45 @@ def _route_error(potential, ensemble, count):
     return None
 
 
-def _stage_terms(potentials, ensemble, count, baths, mu_mode, policy):
-    """Per potential: the per-bath log ratios, the four stage energies and,
-    for the grand-canonical route, the (hot, cold) chemical potentials; or
-    the SzilardError that stops that potential.
+def _stage_terms(potentials, ensemble, counts, baths, mu_mode, policy):
+    """Per potential, trap i with counts[i] particles between baths[i]: the
+    per-bath log ratios, the four stage energies and, for the
+    grand-canonical route, the (hot, cold) chemical potentials; or the
+    SzilardError that stops that potential.
 
     Every route runs batch by batch (see ensembles.ladder_batches), from the
     ground levels the batching looked up.  The canonical and Morse routes
-    share the canonical stage sums; a Morse well is their single-particle
-    case on a bounded ladder.  The grand-canonical stage sums produce a
-    batch's chemical potentials themselves, in every MuMode, and sum its log
-    ratios and stage energies on the same ladders.
+    share the canonical stage sums, whose batches mix counts and baths; a
+    Morse well is their single-particle case on a bounded ladder.  The
+    grand-canonical stage sums batch each run of consecutive traps with one
+    count and baths: they produce its chemical potentials themselves, in
+    every MuMode, and sum its log ratios and stage energies on the same
+    ladders.
     """
-    out = [_route_error(trap, ensemble, count) for trap in potentials]
+    out = [_route_error(trap, ensemble, count)
+           for trap, count in zip(potentials, counts)]
     live = [i for i, error in enumerate(out) if error is None]
-    grand = ensemble is Ensemble.GRAND_BOSE
-    terms = []
-    for batch, grounds, heads in ladder_batches(
-            [potentials[i] for i in live], 1 if grand else count, baths.hot,
-            policy, heads=not grand):
-        terms += (grand_stage_sums(batch, grounds, count, baths, mu_mode,
-                                   policy)
-                  if grand else
-                  [sums if isinstance(sums, SzilardError) else (*sums, None)
-                   for sums in canonical_stage_sums(batch, grounds, count,
-                                                    baths, policy, heads)])
-    for i, value in zip(live, terms):
-        out[i] = value
+    if ensemble is Ensemble.GRAND_BOSE:
+        for (count, pair), run in groupby(live, key=lambda i: (counts[i],
+                                                               baths[i])):
+            run, terms = list(run), []
+            for batch, grounds, _ in ladder_batches(
+                    [potentials[i] for i in run], 1, pair.hot, policy):
+                terms += grand_stage_sums(batch, grounds, count, pair,
+                                          mu_mode, policy)
+            for i, value in zip(run, terms):
+                out[i] = value
+        return out
+    # a lone trap is one batch: its stage A head is sized with its others
+    batches = _batches([potentials[i] for i in live],
+                       [counts[i] * _beta(baths[i].hot) for i in live],
+                       policy, len(live) > 1)
+    for batch, grounds, heads in batches:
+        own, live = live[:len(batch)], live[len(batch):]
+        for i, sums in zip(own, _cycle_sums(
+                batch, grounds, [counts[i] for i in own],
+                [baths[i] for i in own], policy, heads)):
+            out[i] = sums if isinstance(sums, SzilardError) else (*sums, None)
     return out
 
 
@@ -135,11 +148,22 @@ def run_cycles(potentials, ensemble, count, baths, policy=TruncationPolicy(),
     ensembles.ladder_batches): the grand-canonical route through
     ensembles.grand_stage_sums, the canonical and Morse routes through
     ensembles.canonical_stage_sums, four multi-trap stage sums per batch.
+    The case of _run_cycles with one count and baths for every trap.
     """
+    return _run_cycles(potentials, ensemble, [count] * len(potentials),
+                       [baths] * len(potentials), policy, mu_mode,
+                       literal_denominator)
+
+
+def _run_cycles(potentials, ensemble, counts, baths, policy, mu_mode,
+                literal_denominator):
+    """run_cycles of traps each with its own count and baths: on the
+    canonical and Morse routes they share batches all the same."""
     return [terms if isinstance(terms, SzilardError)
-            else _cycle_result(terms, ensemble, baths, literal_denominator)
-            for terms in _stage_terms(potentials, ensemble, count, baths,
-                                      mu_mode, policy)]
+            else _cycle_result(terms, ensemble, pair, literal_denominator)
+            for terms, pair in zip(_stage_terms(potentials, ensemble, counts,
+                                                baths, mu_mode, policy),
+                                   baths)]
 
 
 def run_cycle(potential, ensemble, count, baths, policy=TruncationPolicy(),
@@ -174,7 +198,7 @@ def _cycle_result(terms, ensemble, baths, literal_denominator):
     closure = abs(work - (q_insert + q_cool + q_remove + q_reheat))
     scale = max(abs(work), abs(q_insert), abs(q_cool), abs(q_remove),
                 abs(q_reheat), 1e-300)
-    if closure > 1e-10 * scale:
+    if not closure <= 1e-10 * scale:     # a nan closure fails too
         return SolverFailureError(
             f"first-law closure off by {closure / scale:.3g} relative")
 

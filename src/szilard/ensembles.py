@@ -18,6 +18,14 @@ batches of a bounded number of estimated terms, at the canonical decay rate
 N beta of the hot bath (beta for the grand route) and at most a Morse well's
 bound count, counting a canonical sum's head rather than its whole ladder,
 and looks up each trap's two ground levels once for every sum of its batch.
+Each step of a batch is one array pass over all its traps: the sizes of
+its sums (_heads on the canonical and Morse routes, where one pass sizes
+all four stages, and _grand_segments), the levels its sums lack (one
+_Wells expression for harmonic and Morse traps, see _level_ladders), each
+stage's sums and energy sums (_series_sums), and the tails (_tails).
+Only exactly rounded operations run on arrays; a log, exp or fractional
+power that sets a length or a logged total runs in math, element by
+element, so every value keeps the bits of its one-trap evaluation.
 
 Stage labels follow the cycle diagram: A = barrier absent at the hot bath,
 B = inserted at the hot bath, C = inserted at the cold bath, D = absent at
@@ -25,7 +33,7 @@ the cold bath.
 
 Every level sum of the three routes runs through one series engine,
 _series_sums, with one stopping rule: each sum's length is fixed from its
-ground level E_1 before any term is formed (see _ladder_length and _head),
+ground level E_1 before any term is formed (see _lengths and _heads),
 and the sum is taken once at that length, with no tail test.  A canonical
 or Morse sum over a geometric or Morse ladder longer than its head sums
 the head, at least 16 terms, and adds the rest of the ladder as a
@@ -46,8 +54,8 @@ from .constants import K_B
 from .errors import (ConvergenceViolationError, EnsembleMismatchError,
                      SolverFailureError, SzilardError, TruncationError,
                      value_or_raise)
-from .potentials import (Barrier, Harmonic, Morse, PowerLaw, level_energy,
-                         omega_prefactor)
+from .potentials import (Barrier, Harmonic, Morse, PowerLaw, _absent_energy,
+                         _Wells, level_energy)
 
 __all__ = [
     "BathPair", "TruncationPolicy", "MuMode", "ChemicalPotentials", "Stage",
@@ -140,13 +148,15 @@ class Stage(Enum):
     D = "absent-cold"
 
 
+# each stage's barrier and bath
+_STAGES = {Stage.A: (Barrier.ABSENT, "hot"), Stage.B: (Barrier.INSERTED, "hot"),
+           Stage.C: (Barrier.INSERTED, "cold"),
+           Stage.D: (Barrier.ABSENT, "cold")}
+
+
 def _stage_config(stage, baths):
-    return {
-        Stage.A: (Barrier.ABSENT, baths.hot),
-        Stage.B: (Barrier.INSERTED, baths.hot),
-        Stage.C: (Barrier.INSERTED, baths.cold),
-        Stage.D: (Barrier.ABSENT, baths.cold),
-    }[stage]
+    barrier, bath = _STAGES[stage]
+    return barrier, getattr(baths, bath)
 
 
 def _degeneracy(barrier):
@@ -169,54 +179,138 @@ def _stride(barrier):
 # A batched value equals the one-segment value bit for bit, and a failing
 # segment yields its SzilardError in place of a value.
 
-def _first_index_beyond(potential, barrier, beta, e1, x_cut):
-    """Estimate the first index whose e^{-beta (E_n - E_1)} is below e^-x_cut.
+class _Shapes:
+    """Ladder shapes of many traps, one array entry each: level n is scale
+    s^power - scale chi s^2 at s = n + 1/2, one of the terms zero (scale is
+    hbar omega or a power law's energy scale, chi a Morse anharmonicity,
+    power a power law's level power), cut at a Morse well's bound count
+    cap (inf if unbounded).  wells, powers, bounded: whether any chi != 0,
+    any power != 1, any Morse well."""
 
-    Inverts E(n) = x_cut/beta + E_1 for n; a target above the top of a Morse
-    well gives inf, every bound level.  An estimate past float range (a
-    power-law exponent near zero) raises TruncationError: no term cap admits
-    that ladder.
-    """
+    __slots__ = ("scale", "chi", "power", "cap", "morse", "wells", "powers",
+                 "bounded")
+
+    def __init__(self, scale, chi, power, cap, morse):
+        self.scale, self.chi, self.power, self.cap, self.morse = (
+            scale, chi, power, cap, morse)
+        self.wells = bool(np.count_nonzero(chi))
+        self.powers = bool(np.count_nonzero(power != 1.0))
+        self.bounded = bool(np.count_nonzero(morse))
+
+    @classmethod
+    def of(cls, traps):
+        table = np.array([_shape(trap) for trap in traps],
+                         dtype=float).reshape(-1, 5).T
+        return cls(*table[:4], table[4] != 0.0)
+
+    def take(self, rows):
+        return _Shapes(self.scale[rows], self.chi[rows], self.power[rows],
+                       self.cap[rows], self.morse[rows])
+
+
+def _shape(trap):
+    if isinstance(trap, Morse):
+        cap = trap.bound_count
+        return (trap.quantum, trap.anharmonicity, 1.0,
+                math.inf if cap is None else cap, 1.0)
+    if isinstance(trap, PowerLaw):
+        return trap.energy_scale, 0.0, trap.level_power, math.inf, 0.0
+    return trap.quantum, 0.0, 1.0, math.inf, 0.0
+
+
+def _estimates(traps, step, beta, e1, x_cut):
+    """Per trap, ceil((s - 1/2)/step) at the level s where e^{-beta (E(s) -
+    E_1)} = e^-x_cut, as floats: inf where that is above the top of a Morse
+    well (every bound level), nan past float range.  Exactly rounded array
+    operations give each entry the bits of Python floats; a fractional
+    power is Python's (the C library's pow), element by element.  Callers
+    silence numpy, as Python floats overflow silently."""
+    if not len(e1):
+        return np.empty(0)
     target = x_cut / beta + e1
-    step = _stride(barrier)
-    try:
-        if isinstance(potential, Morse):
-            chi, q = potential.anharmonicity, potential.quantum
-            disc = 1.0 - 4.0 * chi * target / q
-            if disc <= 0.0:
-                return math.inf
-            s = target / q if chi == 0.0 else (1 - math.sqrt(disc)) / (2 * chi)
-        else:
-            power = (potential.level_power if isinstance(potential, PowerLaw)
-                     else 1.0)
-            s = (target / omega_prefactor(potential)) ** (1.0 / power)
-        return max(8, int(math.ceil((s - 0.5) / step)) + 2)
-    except OverflowError:
-        raise TruncationError(
+    s = target / traps.scale
+    unbounded = None
+    if traps.wells:
+        wells = traps.chi.nonzero()[0]
+        chi, q = traps.chi[wells], traps.scale[wells]
+        disc = 1.0 - 4.0 * chi * target[wells] / q
+        s[wells] = (1 - np.sqrt(disc)) / (2 * chi)
+        unbounded = wells[disc <= 0.0]
+    if traps.powers:
+        exponent = 1.0 / traps.power
+        for i in (exponent != 1.0).nonzero()[0].tolist():
+            try:
+                s[i] = float(s[i]) ** float(exponent[i])
+            except OverflowError:
+                s[i] = math.inf
+    c = np.ceil((s - 0.5) / step)
+    c[np.isinf(c)] = np.nan
+    if unbounded is not None:
+        c[unbounded] = np.inf
+    return c
+
+
+def _lengths(traps, step, beta, e1, policy):
+    """Per trap, the length of a sum from E_1, at least 8 (two spare terms)
+    and clipped at a Morse well's bound count (half of it with the barrier
+    in, step 2), as floats (nan past float range); and its estimate at the
+    sizing cut -log rel_tol + _XCUT_MARGIN."""
+    c = _estimates(traps, step, beta, e1, _XCUT_MARGIN - math.log(
+        policy.rel_tol))
+    n = np.maximum(c + 2.0, 8.0)
+    if traps.bounded:
+        n = np.minimum(n, np.floor(traps.cap / step))
+    return n, c
+
+
+def _exact(c, cap, step):
+    """The length of an estimate c (see _lengths) in Python ints."""
+    n = max(8, int(c) + 2) if math.isfinite(c) else math.inf
+    return n if math.isinf(cap) else min(n, int(cap) // int(step))
+
+
+def _counts(n, exact):
+    """Float lengths as Python ints; an entry at or past 2^53, which float
+    arithmetic may have rounded, from exact(i), and a nan as the
+    TruncationError of an estimate past float range."""
+    whole = n < 2.0 ** 53
+    out = np.where(whole, n, 0.0).astype(np.int64).tolist()
+    for i in (~whole).nonzero()[0].tolist():
+        out[i] = exact(i) if n[i] == n[i] else TruncationError(
             "series cutoff estimate overflows: the ladder needs more terms"
-            " than any cap") from None
+            " than any cap")
+    return out
 
 
-def _ladder_length(potential, barrier, beta, e1, policy):
-    """The length of a sum from E_1: its cutoff estimate at x_cut = -log
-    rel_tol + _XCUT_MARGIN, clipped at a Morse well's bound count (half of
-    it with the barrier in)."""
-    n = _first_index_beyond(potential, barrier, beta, e1,
-                            _XCUT_MARGIN - math.log(policy.rel_tol))
-    cap = potential.bound_count if isinstance(potential, Morse) else None
-    return n if cap is None else min(n, cap // _stride(barrier))
-
-
-def _grand_segment(potential, rungs, grounds, beta, policy):
-    """The _series_sums segment of grand-canonical rungs ((barrier, mu),
-    ...), sized from their ground levels grounds[barrier] = E_1: the largest
-    of their _ladder_lengths, or the error an estimate raises."""
-    try:
-        n = max(_ladder_length(potential, barrier, beta, grounds[barrier],
-                               policy) for barrier, _ in rungs)
-    except SzilardError as exc:
-        n = exc.with_traceback(None)
-    return potential, rungs, beta, n
+def _grand_segments(requests, policy, sizes=None):
+    """The _series_sums segments of grand-canonical requests (potential,
+    rungs, grounds, beta), each as long as the longest of its rungs
+    ((barrier, mu), ...) from its ground level grounds[barrier], or the
+    error of its estimate.  Rungs are sized in one array pass and kept in
+    `sizes` (a batch's `levels`) by (id(trap), barrier, beta), as a batch
+    sizes each rung for its root, re-check, log ratio and energy."""
+    sizes = {} if sizes is None else sizes
+    todo = {}
+    for potential, rungs, grounds, beta in requests:
+        for barrier, _ in rungs:
+            key = id(potential), barrier is Barrier.INSERTED, beta
+            if key not in sizes:
+                todo[key] = potential, _stride(barrier), grounds[barrier], beta
+    if todo:
+        trap, step, e1, beta = zip(*todo.values())
+        traps = _Shapes.of(trap)
+        with np.errstate(all="ignore"):
+            n, c = _lengths(traps, np.array(step), np.array(beta),
+                            np.array(e1), policy)
+        sizes.update(zip(todo, _counts(n, lambda i: _exact(
+            c[i], traps.cap[i], step[i]))))
+    out = []
+    for potential, rungs, _, beta in requests:
+        lengths = [sizes[id(potential), barrier is Barrier.INSERTED, beta]
+                   for barrier, _ in rungs]
+        out.append((potential, rungs, beta, next(
+            (n for n in lengths if _failed(n)), None) or max(lengths)))
+    return out
 
 
 def _beta(temperature):
@@ -260,37 +354,48 @@ def ladder_batches(potentials, count, temperature, policy=TruncationPolicy(),
     estimated to reach _BATCH_TERMS terms, each from its ground level at the
     decay rate count * beta of `temperature` (a canonical N-particle stage;
     the grand sums, whose mu approaches E_1, pass count 1) and at most a
-    Morse well's bound count.  With heads (the canonical and Morse routes) a
-    trap counts the terms that sum takes one by one, its head where an
-    Euler-Maclaurin tail adds the rest (see _head), and heads[i] is that
-    head, or None where the sum takes no tail; it is stage A's, which
-    canonical_stage_sums takes from here.  Without, every heads[i] is None.
-    A trap whose estimate fails counts as none (its batch reports the
-    error).
+    Morse well's bound count, all in one array pass.  With heads (the
+    canonical and Morse routes) a trap counts the terms that sum takes one
+    by one, its head where an Euler-Maclaurin tail adds the rest (see
+    _heads), and heads[i] is that head, or None where the sum takes no
+    tail; it is stage A's, which canonical_stage_sums takes from here.
+    Without, every heads[i] is None, and a lone trap is not sized.  A trap
+    whose estimate fails counts as none (its batch reports the error).
     """
     beta = count * _beta(temperature)
-    batches, batch, grounds, tailed, terms = [], [], [], [], 0
-    for potential in potentials:
-        batch.append(potential)
-        grounds.append(_ground_levels(potential))
-        tailed.append(None)
-        e1 = grounds[-1][Barrier.ABSENT]
-        if not _failed(e1):
-            try:
-                if heads:
-                    n, tail = _head(potential, Barrier.ABSENT, beta, e1, policy)
-                    tailed[-1] = n if tail else None
-                else:
-                    n = _ladder_length(potential, Barrier.ABSENT, beta, e1,
-                                       policy)
-                terms += n
-            except SzilardError:
-                pass        # the batch reports it
-        if terms >= _BATCH_TERMS:
-            batches.append((batch, grounds, tailed))
-            batch, grounds, tailed, terms = [], [], [], 0
-    if batch:
-        batches.append((batch, grounds, tailed))
+    potentials = list(potentials)
+    return _batches(potentials, [beta] * len(potentials), policy, heads)
+
+
+def _batches(potentials, betas, policy, heads):
+    """ladder_batches of traps each sized at its own decay rate betas[i]."""
+    grounds = [_ground_levels(potential) for potential in potentials]
+    if len(potentials) == 1 and not heads:
+        return [(potentials, grounds, [None])]    # one batch, unsized
+    live = [i for i, ground in enumerate(grounds)
+            if not _failed(ground[Barrier.ABSENT])]
+    traps = _Shapes.of([potentials[i] for i in live])
+    e1 = np.array([grounds[i][Barrier.ABSENT] for i in live], dtype=float)
+    beta = np.array([betas[i] for i in live], dtype=float)
+    if heads:
+        lengths, tailed = _heads(traps, 1, beta, e1, policy)
+    else:
+        with np.errstate(all="ignore"):
+            n, c = _lengths(traps, 1, beta, e1, policy)
+        lengths = _counts(n, lambda i: _exact(c[i], traps.cap[i], 1))
+        tailed = [False] * len(live)
+    terms, first = [0] * len(potentials), [None] * len(potentials)
+    for i, n, tail in zip(live, lengths, tailed):
+        if not _failed(n):      # else the batch reports it
+            terms[i] = n
+            first[i] = n if tail else None
+    batches, start, total = [], 0, 0
+    for end, n in enumerate(terms, 1):
+        total += n
+        if total >= _BATCH_TERMS or end == len(terms):
+            batches.append((list(potentials[start:end]), grounds[start:end],
+                            first[start:end]))
+            start, total = end, 0
     return batches
 
 
@@ -347,15 +452,15 @@ def _one_sum(segment, terms, policy):
     return value_or_raise(_series_sums([segment], terms, policy, {})[0])[0]
 
 
-def _series_sums(segments, terms, policy, levels):
+def _series_sums(segments, terms, policy, levels, weighted=False):
     """Sums of many truncated series at once, each of the length it carries.
 
     A segment is (potential, rungs, beta, n) with rungs ((barrier, mu), ...):
     its series is levels 1..n of every rung's barrier configuration at once,
     summed once, with no tail test.  n is fixed from the ground levels: a
-    canonical or Morse sum takes the n of _head, and a grand-canonical one
-    the largest _ladder_length of its rungs, each at its own E_1 (see
-    _grand_segment); an n that is a SzilardError is the segment's result.
+    canonical or Morse sum takes the n of _heads, and a grand-canonical one
+    the largest length of its rungs, each at its own E_1 (see
+    _grand_segments); an n that is a SzilardError is the segment's result.
     At n, d = beta (E_n - E_1) has passed x_cut = -log rel_tol +
     _XCUT_MARGIN.  With x = beta (E - mu) > 0, a last term against the
     first, which no sum of magnitudes is below, is then at most e^{-d} for a
@@ -363,43 +468,55 @@ def _series_sums(segments, terms, policy, levels):
     occupancy, x_n (e^{x_1} - 1)/(x_1 (e^{x_n} - 1)) <= e (1 + d) e^{-d} for
     an energy, and e^{-d}/(1 - e^{-x_n}) on each rung of a log ratio, as
     -log(1 - e^{-x}) lies between e^{-x} and e^{-x}/(1 - e^{-x}); the margin
-    covers each factor.  An n past max_terms is a TruncationError, and a
-    sum that is not finite (terms past float range) a SolverFailureError.
+    covers each factor.  An n past max_terms is a TruncationError, a trap
+    whose levels cannot be built the error of level_energy, and a sum that
+    is not finite (terms past float range) a SolverFailureError.
     terms(beta, [(g, E - mu) per rung]) maps the joined ladders to their
     flat terms, with the degeneracy g spread over them.  `levels` holds the
     level ladders built so far (see _level_ladders), so sums over the same
     traps can share them.  Returns, per segment, (sum, its ladders, its
-    terms) or the SzilardError it hit.
+    terms) or the SzilardError it hit; weighted (one rung) appends the sum
+    of E times the terms, from the same flat arrays in one more reduceat.
     """
     out, rows = [None] * len(segments), []
     for j, (_, _, _, n) in enumerate(segments):
-        if _failed(n):
+        if isinstance(n, SzilardError):
             out[j] = n
         elif n > policy.max_terms:
             out[j] = TruncationError(
                 f"series needs {n} terms, policy caps at {policy.max_terms}")
         else:
             rows.append(j)
-    if not rows:
-        return out
-    live = [segments[j] for j in rows]
-    ladders = _level_ladders(live, levels)
-    flat = _Segments([n for _, _, _, n in live])
-    rungs = zip(*(rungs for _, rungs, _, _ in live))
-    t = terms(flat.spread([beta for _, _, beta, _ in live]),
-              [(flat.spread([_degeneracy(barrier) for barrier, _ in rung]),
-                flat.join([ladder[k] for ladder in ladders])
-                - flat.spread([mu for _, mu in rung]))
-               for k, rung in enumerate(rungs)])
-    totals = flat.sums(t).tolist()
-    for i, (j, (_, _, _, n)) in enumerate(zip(rows, live)):
-        if not math.isfinite(totals[i]):
-            out[j] = SolverFailureError(
-                f"series sum is {totals[i]}, not finite: its terms leave"
-                " float range")
+    live = []
+    for j, ladders in zip(rows, _level_ladders([segments[j] for j in rows],
+                                               levels)):
+        if isinstance(ladders, SzilardError):
+            out[j] = ladders
         else:
-            start = 0 if flat.single else flat.slots[i] + 1
-            out[j] = totals[i], ladders[i], t[start:start + n]
+            live.append((j, segments[j], ladders))
+    if not live:
+        return out
+    flat = _Segments([segment[3] for _, segment, _ in live])
+    gaps = []
+    for k, rung in enumerate(zip(*(segment[1] for _, segment, _ in live))):
+        energies = flat.join([ladders[k] for _, _, ladders in live])
+        gaps.append((flat.spread([_degeneracy(barrier) for barrier, _ in rung]),
+                     energies - flat.spread([mu for _, mu in rung])))
+        if not weighted:
+            energies = None     # free each joined ladder once it is used
+    t = terms(flat.spread([segment[2] for _, segment, _ in live]), gaps)
+    totals = flat.sums(t).tolist()
+    if weighted:    # a joined ladder is a fresh array, a single one a view
+        totals = zip(totals, flat.sums(np.multiply(
+            energies, t, out=None if flat.single else energies)).tolist())
+    else:
+        totals = zip(totals)
+    starts = [0] if flat.single else (flat.slots + 1).tolist()
+    for (j, segment, ladders), sums, start in zip(live, totals, starts):
+        out[j] = ((sums[0], ladders, t[start:start + segment[3]], *sums[1:])
+                  if math.isfinite(sums[0]) else SolverFailureError(
+                      f"series sum is {sums[0]}, not finite: its terms leave"
+                      " float range"))
     return out
 
 
@@ -409,27 +526,80 @@ def _totals(results):
 
 
 def _level_ladders(segments, levels):
-    """Levels 1..n of each _series_sums segment, one array per rung.
+    """Levels 1..n of each _series_sums segment, one array per rung, or the
+    SzilardError level_energy raises for the levels of its trap.
 
     levels maps id(trap) to its barrier-free ladder, extended by the levels
     a request lacks.  Inserted level n is barrier-free level 2n (see
     potentials), so an inserted rung takes the view ladder[1:2n:2] and an
-    absent rung the prefix ladder[:n]; level_energy is elementwise, so each
-    has the bits of its own call.
+    absent rung the prefix ladder[:n].  The missing levels of a request's
+    harmonic and Morse traps are one array expression (_absent_energy on
+    _Wells), those of a power law its own level_energy call, so that its
+    fractional power keeps its bits; every level has the bits of its own
+    level_energy call.
     """
     reach = {}
     for potential, rungs, _, n in segments:
-        top = max(_stride(barrier) * n for barrier, _ in rungs)
-        if reach.get(id(potential), (0,))[0] < top:
+        top = n
+        for barrier, _ in rungs:
+            if barrier is Barrier.INSERTED:
+                top = 2 * n
+        if top > reach.get(id(potential), (0,))[0]:
             reach[id(potential)] = top, potential
-    for key, (n, potential) in reach.items():
-        ladder = levels.get(key, np.empty(0))
-        if len(ladder) < n:
-            levels[key] = np.concatenate((ladder, level_energy(
-                potential, np.arange(len(ladder) + 1, n + 1))))
-    return [[levels[id(p)][1:2 * n:2] if barrier is Barrier.INSERTED
-             else levels[id(p)][:n] for barrier, _ in rungs]
-            for p, rungs, _, n in segments]
+    missing = [(key, top, potential) for key, (top, potential) in reach.items()
+               if key not in levels or len(levels[key]) < top]
+    errors = _extend(missing, levels) if missing else {}
+    out = []
+    for potential, rungs, _, n in segments:
+        ladder = levels.get(id(potential))
+        out.append(errors[id(potential)] if id(potential) in errors else [
+            ladder[1:2 * n:2] if barrier is Barrier.INSERTED else ladder[:n]
+            for barrier, _ in rungs])
+    return out
+
+
+def _extend(requests, levels):
+    """Extend levels[key] to `top` levels for each (key, top, trap) request,
+    and return by key the SzilardError level_energy raises for a trap's
+    levels.  Two or more harmonic and Morse traps are one _Wells
+    expression, where a Morse index past the bound count or a level not
+    positive marks a trap whose error level_energy then raises; a power
+    law, or a lone trap, is its own level_energy call."""
+    def store(key, part):
+        levels[key] = (np.concatenate((levels[key], part)) if key in levels
+                       else part)
+
+    wells = [request for request in requests
+             if not isinstance(request[2], PowerLaw)]
+    wells, errors = wells if len(wells) > 1 else [], {}
+    for key, top, trap in requests:
+        try:
+            if not wells or isinstance(trap, PowerLaw):
+                store(key, level_energy(trap, np.arange(
+                    len(levels.get(key, ())) + 1, top + 1)))
+        except SzilardError as exc:
+            errors[key] = exc.with_traceback(None)
+    if not wells:
+        return errors
+    keys, top, traps = zip(*wells)
+    shapes = _Shapes.of(traps)
+    have = [len(levels.get(key, ())) for key in keys]
+    counts = np.subtract(top, have)
+    starts = np.cumsum(counts) - counts
+    e = _absent_energy(_Wells(np.repeat(shapes.scale, counts), np.repeat(
+        shapes.chi, counts) if shapes.bounded else None), np.arange(
+        counts.sum()) + np.repeat(np.add(have, 1) - starts, counts))
+    refused = shapes.morse & ((np.array(top) > shapes.cap)
+                              | ~(np.minimum.reduceat(e, starts) > 0.0))
+    for i in refused.nonzero()[0].tolist():
+        try:
+            level_energy(traps[i], np.arange(have[i] + 1, top[i] + 1))
+        except SzilardError as exc:
+            errors[keys[i]] = exc.with_traceback(None)
+    for key, start, count in zip(keys, starts.tolist(), counts.tolist()):
+        if key not in errors:
+            store(key, e[start:start + count])
+    return errors
 
 
 # The terms of each series, from beta and per rung the degeneracy g and the
@@ -505,16 +675,13 @@ _EM_REMAINDER = (2 * abs(_BERNOULLI[_EM_PAIRS])
                  / math.factorial(2 * _EM_PAIRS + 2))
 
 
-def _geometric(potential):
-    """Whether the trap's levels are evenly spaced."""
-    if isinstance(potential, Morse):
-        return potential.anharmonicity == 0.0
-    return isinstance(potential, Harmonic) or potential.level_power == 1.0
-
-
-def _head(potential, barrier, beta, e1, policy):
-    """(n, tailed): the terms a canonical sum from E_1 takes one by one, and
-    whether a closed-form tail (see _tails) adds the rest.
+def _heads(traps, step, beta, e1, policy):
+    """(n, tailed) of canonical sums over the _Shapes traps from their
+    ground levels e1 (an array), at stride step (2 with the barrier in) and
+    beta = N/(k_B T), each a number or an array like e1, in one array pass:
+    per sum, the terms it takes one by one (a Python int, or the
+    TruncationError of an estimate past float range), and whether a
+    closed-form tail (see _tails) adds the rest (a bool array).
 
     The head K is the smallest, at least _HEAD_FLOOR, whose remainder bound
     on the sum of f is below the error the cutoff estimate leaves: rel_tol
@@ -523,33 +690,42 @@ def _head(potential, barrier, beta, e1, policy):
     of E f, takes the same head, and its tail is the beta-derivative of the
     same form; its remainder has no bound of its own and rests on the
     e^{-_XCUT_MARGIN} margin.  A ladder no longer than its head, and any
-    power-law ladder that is not geometric, is summed whole, as (its
-    _ladder_length, False).
+    power-law ladder that is not geometric, is summed whole.
     """
-    n = _ladder_length(potential, barrier, beta, e1, policy)
-    if _geometric(potential):
-        head = _HEAD_FLOOR
-    elif isinstance(potential, Morse) and n > _HEAD_FLOOR:
-        # f^(2m+2) > 0, so the remainder is at most the bound times
-        # |f^(2m+1)(A)| = Q_2m+1(u_A) f(A), where Q_0 = 1, Q_1 = 2 a u and
-        # Q_k+1 = 2 a u Q_k + 2k a Q_k-1 fall with u: Q at the shortest head
-        # holds for every longer one, and _first_index_beyond inverts the
-        # f(A) that leaves (with two spare terms)
-        chi, q = potential.anharmonicity, potential.quantum
-        step = _stride(barrier)
-        a = beta * q * chi * step * step
-        slope = 2 * a * ((0.5 / chi - 0.5) / step - (_HEAD_FLOOR + 1))
-        lower, upper = 1.0, slope
-        for k in range(1, 2 * _EM_PAIRS + 1):
-            lower, upper = upper, slope * upper + 2 * k * a * lower
-        ratio = (_EM_REMAINDER * upper
-                 / (policy.rel_tol * math.exp(-_XCUT_MARGIN)))
-        head = max(_first_index_beyond(potential, barrier, beta, e1,
-                                       math.log(ratio) if ratio > 1.0 else 0.0)
-                   - 1, _HEAD_FLOOR)
-    else:
-        return n, False
-    return (head, True) if head < n else (n, False)
+    with np.errstate(all="ignore"):     # as for Python floats
+        n, c = _lengths(traps, step, beta, e1, policy)
+        head = np.where((traps.chi == 0.0) & (traps.power == 1.0),
+                        float(_HEAD_FLOOR), math.inf)
+        wells = (((traps.chi != 0.0) & (n > _HEAD_FLOOR)).nonzero()[0]
+                 if traps.wells else ())
+        if len(wells):
+            # f^(2m+2) > 0, so the remainder is at most the bound times
+            # |f^(2m+1)(A)| = Q_2m+1(u_A) f(A), where Q_0 = 1, Q_1 = 2 a u
+            # and Q_k+1 = 2 a u Q_k + 2k a Q_k-1 fall with u: Q at the
+            # shortest head holds for every longer one, and _estimates
+            # inverts the f(A) that leaves (with two spare terms)
+            by, at = (v[wells] if np.ndim(v) else v for v in (step, beta))
+            chi, q = traps.chi[wells], traps.scale[wells]
+            a = at * q * chi * by * by
+            slope = 2 * a * ((0.5 / chi - 0.5) / by - (_HEAD_FLOOR + 1))
+            lower, upper = 1.0, slope
+            for ka in np.multiply.outer(2.0 * np.arange(1, 2 * _EM_PAIRS + 1),
+                                        a):     # 2k a, k = 1..2m
+                lower, upper = upper, slope * upper + ka * lower
+            ratio = (_EM_REMAINDER * upper
+                     / (policy.rel_tol * math.exp(-_XCUT_MARGIN)))
+            # log(max(ratio, 1)) by math, element by element: it sets a length
+            cut = np.array(list(map(math.log, np.fmax(ratio, 1.0).tolist())))
+            c_head = _estimates(traps.take(wells), by, at, e1[wells], cut)
+            head[wells] = np.maximum(np.maximum(c_head + 2.0, 8.0) - 1.0,
+                                     float(_HEAD_FLOOR))
+        tailed = head < n
+        lengths = np.where(tailed, head, n)
+        lengths[np.isnan(head)] = np.nan
+    # a head is never near 2^53: where beta q is that small, the bound
+    # leaves the 16-term floor, so only a whole length needs _exact
+    return _counts(lengths, lambda i: _exact(
+        c[i], traps.cap[i], np.broadcast_to(step, n.shape)[i])), tailed
 
 
 def _taylor(g, order):
@@ -601,53 +777,52 @@ def _dawson_r(t):
                     big * total)
 
 
-def _tails(requests):
+def _tails(traps, step, beta, e1, head):
     """sum_{n > K} f_n and sum_{n > K} E_n f_n, f_n = e^{-beta (E_n - E_1)},
-    of (trap, barrier, beta, E_1, K) requests, each after its head of K
-    terms (see the section comment): one row each."""
-    out = np.zeros((2, len(requests)))
-    kinds = {}
-    for i, (trap, *_) in enumerate(requests):
-        kind = "geometric" if _geometric(trap) else "morse"
-        kinds.setdefault(kind, []).append(i)
-    for kind, rows in kinds.items():
-        traps, barriers, beta, e1, head = zip(*(requests[i] for i in rows))
-        step = np.array([_stride(barrier) for barrier in barriers], float)
-        beta, e1, head = np.array(beta), np.array(e1), np.array(head, float)
-        if kind == "geometric":
-            # E_n = E_1 + delta (n - 1): r^K/(1 - r) with r = e^{-beta delta},
-            # and its mean energy E_{K+1} + delta r/(1 - r)
-            delta = step * np.array([t.quantum if isinstance(t, Morse)
-                                     else omega_prefactor(t) for t in traps])
-            gap = -np.expm1(-beta * delta)
-            rest = np.exp(-beta * delta * head) / gap
-            sums = rest, rest * (e1 + delta * head + delta * (1 - gap) / gap)
-        elif kind == "morse":
-            q = np.array([t.quantum for t in traps])
-            chi = np.array([t.anharmonicity for t in traps])
-            a = beta * q * chi * step * step
+    each after its head of K terms (see the section comment), per row of
+    the _Shapes traps and the float arrays step, beta, E_1 and K: one row
+    each.  A tail past float range is not finite (numpy is silenced here;
+    _canonical_stages makes its stage a SolverFailureError)."""
+    out = np.zeros((2, len(head)))
+    for kind in ("geometric", "morse"):
+        rows = (traps.chi == 0.0) if kind == "geometric" else traps.chi != 0.0
+        if not rows.any():
+            continue
+        step_, beta_, e1_, head_ = step[rows], beta[rows], e1[rows], head[rows]
+        q, chi = traps.scale[rows], traps.chi[rows]
+        with np.errstate(all="ignore"):
+            if kind == "geometric":
+                # E_n = E_1 + delta (n - 1): r^K/(1 - r), r = e^{-beta delta},
+                # and its mean energy E_{K+1} + delta r/(1 - r)
+                delta = step_ * q
+                gap = -np.expm1(-beta_ * delta)
+                rest = np.exp(-beta_ * delta * head_) / gap
+                out[:, rows] = rest, rest * (e1_ + delta * head_
+                                             + delta * (1 - gap) / gap)
+                continue
+            a = beta_ * q * chi * step_ * step_
             root = np.sqrt(a)
 
             def end(x, half):
                 """_em_end at index x, or None where f(x) underflows."""
-                s = step * x + 0.5
-                e = q * s - q * chi * s * s
-                f = np.exp(-beta * (e - e1))
+                e = _absent_energy(_Wells(q, chi), step_ * x)
+                f = np.exp(-beta_ * (e - e1_))
                 if not f.any():
                     return None
-                u = (0.5 / chi - 0.5) / step - x
+                u = (0.5 / chi - 0.5) / step_ - x
                 t = root * u
                 dawson = dawsn(t) / root
                 return _em_end(f, (f * dawson, f * (e * dawson + _dawson_r(t)
-                                                    / (2 * beta * root))),
-                               (2 * a * u, -a), (e, 2 * a * u / beta,
-                                                 -a / beta), half)
+                                                    / (2 * beta_ * root))),
+                               (2 * a * u, -a),
+                               (e, 2 * a * u / beta_, -a / beta_), half)
 
-            sums = end(head + 1, 0.5)
-            top = end(np.array([t.bound_count for t in traps]) // step, -0.5)
+            sums = end(head_ + 1, 0.5)
+            top = end(traps.cap[rows] // step_, -0.5)
             if top is not None:     # the top of the well is within reach
-                sums = np.subtract(sums, top)
-        out[:, rows] = sums
+                sums = np.subtract(0.0 if sums is None else sums, top)
+            if sums is not None:
+                out[:, rows] = sums
     return out
 
 
@@ -659,63 +834,95 @@ def _require_power_family(potential, who):
         raise EnsembleMismatchError(f"{who} needs a harmonic or power-law trap")
 
 
-def _canonical_stages(traps, grounds, stages, count, policy, first=None):
-    """canonical_stage_properties of many traps in a sequence of (barrier,
-    temperature) stages: per trap, its (log sum, energy) in each stage, or
-    the error of its first failing stage.
+def _canonical_stages(traps, grounds, stages, counts, policy, first=None):
+    """canonical_stage_properties of many traps, trap i with counts[i]
+    particles, in a sequence of (barrier, temperatures) stages, trap i at
+    temperatures[i]: per trap, its (log sum, energy) in each stage, or the
+    error of its first failing stage.
 
     grounds[i] holds trap i's ground levels by barrier (each E_1 or the
-    error of its lookup).  Each stage is one _series_sums call over the
-    traps still without an error, from their ground levels, and the stages
-    share each trap's barrier-free ladder (see _level_ladders).  Each sum
-    takes the length _head gives it, its head or its whole ladder, and the
-    tails of every stage are then one _tails call.  first[i], where given,
-    is trap i's head in the first stage, or None where it takes no tail, as
-    ladder_batches returns it.  A stage whose N beta = N/(k_B T) overflows
-    is an EnsembleMismatchError for every trap that reaches it.
+    error of its lookup).  The heads of all stages are one _heads pass;
+    then each stage is one weighted _series_sums call over the traps still
+    without an error, all sharing each trap's barrier-free ladder (see
+    _level_ladders), and the tails of all stages one _tails call.  A stage
+    whose sum or energy sum is then not finite is a SolverFailureError.
+    first[i], where given, is trap i's stage A head, or None where it takes
+    no tail, as ladder_batches returns it.  A stage whose N beta = N/(k_B
+    T) overflows is an EnsembleMismatchError for every trap reaching it.
     """
-    out, levels, tails = [[] for _ in traps], {}, []
-    for k, (barrier, temperature) in enumerate(stages):
-        beta = count * _beta(temperature)      # N beta
-        segments, owners = [], []
-        for i, sums in enumerate(out):
-            if _failed(sums):
+    betas = [[count * _beta(temperature)
+              for count, temperature in zip(counts, temperatures)]
+             for _, temperatures in stages]
+    steps = [_stride(barrier) for barrier, _ in stages]
+    shapes = _Shapes.of(traps)
+    columns = {barrier: [ground[barrier] for ground in grounds]
+               for barrier in dict.fromkeys(barrier for barrier, _ in stages)}
+    e1s = [columns[barrier] for barrier, _ in stages]
+
+    def table(rows):
+        """The traps, strides, betas and E_1 of (stage, trap) rows."""
+        k, i = np.array(rows, dtype=np.intp).T
+        return (shapes.take(i), np.array(steps)[k],
+                np.array([betas[k][i] for k, i in rows]),
+                np.array([e1s[k][i] for k, i in rows]))
+
+    # per stage and trap, the length of its sum or the error it meets
+    # before any sum; rows are the (stage, trap) pairs _heads sizes
+    lengths, rows, tails = [list(e1) for e1 in e1s], [], []
+    for k, (_, temperatures) in enumerate(stages):
+        for i, ground in enumerate(e1s[k]):
+            if _failed(ground):
                 continue
-            e1 = grounds[i][barrier]
-            if _failed(e1) or math.isinf(beta):
-                out[i] = e1 if _failed(e1) else EnsembleMismatchError(
-                    f"N/(k_B T) overflows: N = {count:.6g} at"
-                    f" {temperature:.6g} K is past float range")
-                continue
-            if k == 0 and first is not None and first[i] is not None:
-                n, tailed = first[i], True
+            if math.isinf(betas[k][i]):
+                lengths[k][i] = EnsembleMismatchError(
+                    f"N/(k_B T) overflows: N = {counts[i]:.6g} at"
+                    f" {temperatures[i]:.6g} K is past float range")
+            elif k == 0 and first and first[i] is not None:
+                lengths[k][i] = first[i]
+                tails.append((k, i))
             else:
-                try:
-                    n, tailed = _head(traps[i], barrier, beta, e1, policy)
-                except SzilardError as exc:
-                    n, tailed = exc.with_traceback(None), False
-            segments.append((traps[i], ((barrier, e1),), beta, n))
-            owners.append((i, tailed))
-        results = _series_sums(segments, _boltzmann_terms, policy, levels)
-        for (trap, ((_, e1),), _, n), (i, tailed), result in zip(
-                segments, owners, results):
+                rows.append((k, i))
+    if rows:
+        own, tailed = _heads(*table(rows), policy)
+        for (k, i), n in zip(rows, own):
+            lengths[k][i] = n
+        tails += [row for row, tail in zip(rows, tailed.tolist()) if tail]
+    errors, failed_at, levels = [None] * len(traps), {}, {}
+    totals = [[math.nan] * len(traps) for _ in stages]
+    energies = [[math.nan] * len(traps) for _ in stages]
+    for k, (barrier, _) in enumerate(stages):
+        live = [i for i, error in enumerate(errors) if error is None]
+        for i, result in zip(live, _series_sums(
+                [(traps[i], ((barrier, e1s[k][i]),), betas[k][i],
+                  lengths[k][i]) for i in live], _boltzmann_terms, policy,
+                levels, True)):
             if _failed(result):
-                out[i] = result
-                continue
-            total, (e,), w = result
-            # the stage's sum and energy sum, to which its tail is added
-            out[i].append([barrier, beta, e1, total, float(np.sum(e * w))])
-            if tailed:
-                tails.append((out[i][-1], (trap, barrier, beta, e1, n)))
+                errors[i], failed_at[i] = result, k
+            else:
+                totals[k][i], energies[k][i] = result[0], result[-1]
+    tails = [(k, i) for k, i in tails if totals[k][i] == totals[k][i]]
     if tails:
-        rests = _tails([request for _, request in tails])
-        for (stage, _), rest, rest_energy in zip(tails, *rests.tolist()):
-            stage[3] += rest
-            stage[4] += rest_energy
-    return [sums if _failed(sums) else tuple(
-        (count * math.log(_degeneracy(barrier)) - beta * e1 + math.log(total),
-         count * (energy / total))
-        for barrier, beta, e1, total, energy in sums) for sums in out]
+        wells, step, beta, e1 = table(tails)
+        rests = _tails(wells, step.astype(float), beta, e1,
+                       np.array([lengths[k][i] for k, i in tails], dtype=float))
+        for (k, i), rest, rest_energy in zip(tails, *rests.tolist()):
+            totals[k][i] += rest
+            energies[k][i] += rest_energy
+    logs = [math.log(_degeneracy(barrier)) for barrier, _ in stages]
+    for i, (error, count) in enumerate(zip(errors, counts)):
+        own = []
+        for k in range(failed_at.get(i, len(stages))):
+            total, energy = totals[k][i], energies[k][i]
+            if not (0.0 < total < math.inf and math.isfinite(energy)):
+                error = SolverFailureError(
+                    f"stage sum {total:.6g} with energy sum {energy:.6g}"
+                    " after its tail is not finite: the ladder's terms"
+                    " leave float range")
+                break
+            own.append((count * logs[k] - betas[k][i] * e1s[k][i]
+                        + math.log(total), count * (energy / total)))
+        errors[i] = error or tuple(own)
+    return errors
 
 
 def canonical_stage_properties(potential, barrier, count, temperature,
@@ -728,11 +935,11 @@ def canonical_stage_properties(potential, barrier, count, temperature,
     the average collapses onto the lowest included level.  A bounded Morse
     ladder is summed completely up to its last bound level.  A long ladder
     is summed as an exact head plus a closed-form Euler-Maclaurin tail (see
-    _head).  The one-stage case of canonical_stage_sums.
+    _heads).  The one-stage case of canonical_stage_sums.
     """
     return value_or_raise(_canonical_stages(
         (potential,), ({barrier: level_energy(potential, 1, barrier)},),
-        ((barrier, temperature),), count, policy)[0])[0]
+        ((barrier, (temperature,)),), (count,), policy)[0])[0]
 
 
 def canonical_stage_sums(potentials, grounds, count, baths,
@@ -748,13 +955,21 @@ def canonical_stage_sums(potentials, grounds, count, baths,
     the cold stages sum prefixes and views of it.  The tails of all four
     are one _tails call.
     """
+    return _cycle_sums(potentials, grounds, [count] * len(potentials),
+                       [baths] * len(potentials), policy, heads)
+
+
+def _cycle_sums(potentials, grounds, counts, baths, policy, heads):
+    """canonical_stage_sums of traps each with its own counts[i] and
+    baths[i]."""
     return [sums if _failed(sums) else
             (sums[1][0] - sums[0][0], sums[2][0] - sums[3][0],
              tuple(u for _, u in sums))
             for sums in _canonical_stages(
                 potentials, grounds,
-                [_stage_config(stage, baths) for stage in Stage], count,
-                policy, heads)]
+                [(barrier, [getattr(pair, bath) for pair in baths])
+                 for barrier, bath in _STAGES.values()], counts, policy,
+                heads)]
 
 
 # ---------------------------------------------------------------------------
@@ -777,10 +992,10 @@ def _mu_offsets(roots, count, policy, levels):
     Recipes 9.4).  Every round evaluates all roots in one ladder pass; each
     root's bracket, step and stop test are its own.
     """
-    out = _series_sums([_grand_segment(p, ((barrier, e1),), {barrier: e1},
-                                       _beta(temperature), policy)
-                        for p, barrier, temperature, e1 in roots],
-                       _boltzmann_terms, policy, levels)
+    out = _series_sums(_grand_segments(
+        [(p, ((barrier, e1),), {barrier: e1}, _beta(temperature))
+         for p, barrier, temperature, e1 in roots], policy, levels),
+        _boltzmann_terms, policy, levels)
     rows = [j for j, result in enumerate(out) if not _failed(result)]
     if not rows:
         return out
@@ -900,11 +1115,10 @@ def _chemical_potentials(roots, count, mode, policy, levels):
             _, _, temperature, e1 = roots[j]
             out[j] = _below_ground(e1 - K_B * temperature * math.exp(u), e1)
     rows = [j for j, mu in enumerate(out) if not _failed(mu)]
-    recovered = _occupancy_checks(
-        [_grand_segment(p, ((barrier, out[j]),), {barrier: e1},
-                        _beta(temperature), policy)
+    recovered = _occupancy_checks(_grand_segments(
+        [(p, ((barrier, out[j]),), {barrier: e1}, _beta(temperature))
          for j in rows for p, barrier, temperature, e1 in (roots[j],)],
-        policy, levels)
+        policy, levels), policy, levels)
     for j, total in zip(rows, recovered):
         if _failed(total):
             out[j] = total
@@ -941,9 +1155,10 @@ def occupancy_total(potential, barrier, mu, temperature, policy=TruncationPolicy
     """Mean boson number sum_n g/(e^{beta(E_n - mu)} - 1) at fixed mu."""
     _require_power_family(potential, "grand-canonical occupancy")
     e1 = level_energy(potential, 1, barrier)
-    return _one_sum(_grand_segment(
+    return _one_sum(_grand_segments([(
         potential, ((barrier, value_or_raise(_below_ground(mu, e1))),),
-        {barrier: e1}, _beta(temperature), policy), _occupancy_terms, policy)
+        {barrier: e1}, _beta(temperature))], policy)[0], _occupancy_terms,
+        policy)
 
 
 def chemical_potential(potential, count, temperature, barrier, mode,
@@ -1013,10 +1228,10 @@ def _bath_ratios(potentials, grounds, count, temperatures, mode, policy,
     out = _mu_pairs(_chemical_potentials(roots, count, mode, policy, levels),
                     count, temperatures, mode)
     live = [i for i, pairs in enumerate(out) if not _failed(pairs)]
-    ratios = _totals(_series_sums(
-        [_grand_segment(potentials[i], _both_rungs(pair), grounds[i],
-                        _beta(pair.temperature), policy)
-         for i in live for pair in out[i]], _log_ratio_terms, policy, levels))
+    ratios = _totals(_series_sums(_grand_segments(
+        [(potentials[i], _both_rungs(pair), grounds[i],
+          _beta(pair.temperature)) for i in live for pair in out[i]], policy,
+        levels), _log_ratio_terms, policy, levels))
     k = len(temperatures)
     for j, i in enumerate(live):
         own = tuple(ratios[k * j:k * (j + 1)])
@@ -1045,9 +1260,10 @@ def grand_stage_sums(potentials, grounds, count, baths, mode,
         for stage, mus in zip(Stage, (mus_hot, mus_hot, mus_cold, mus_cold)):
             barrier, temperature = _stage_config(stage, baths)
             rung = _both_rungs(mus)[barrier is Barrier.INSERTED]
-            segments.append(_grand_segment(potentials[i], (rung,), grounds[i],
-                                           _beta(temperature), policy))
-    energies = _totals(_series_sums(segments, _energy_terms, policy, levels))
+            segments.append((potentials[i], (rung,), grounds[i],
+                             _beta(temperature)))
+    energies = _totals(_series_sums(_grand_segments(segments, policy, levels),
+                                    _energy_terms, policy, levels))
     for k, i in enumerate(live):
         stages = tuple(energies[4 * k:4 * k + 4])
         error = next((u for u in stages if _failed(u)), None)
@@ -1101,8 +1317,9 @@ def log_relative_partition(potential, mu_pair, temperature,
             potential, barrier, 1, temperature, policy)
             for barrier in (Barrier.INSERTED, Barrier.ABSENT))
         return log_post - log_pre
-    return _one_sum(_grand_segment(potential, *checked, _beta(temperature),
-                                   policy), _log_ratio_terms, policy)
+    return _one_sum(_grand_segments([(potential, *checked,
+                                      _beta(temperature))], policy)[0],
+                    _log_ratio_terms, policy)
 
 
 def internal_energy(stage, potential, mu_pair, baths, policy=TruncationPolicy()):
@@ -1119,6 +1336,6 @@ def internal_energy(stage, potential, mu_pair, baths, policy=TruncationPolicy())
         return canonical_stage_properties(potential, barrier, 1, temperature,
                                           policy)[1]
     rungs, grounds = checked
-    return _one_sum(_grand_segment(
+    return _one_sum(_grand_segments([(
         potential, (rungs[barrier is Barrier.INSERTED],), grounds,
-        _beta(temperature), policy), _energy_terms, policy)
+        _beta(temperature))], policy)[0], _energy_terms, policy)

@@ -54,15 +54,18 @@ def _log_gamma_ratio(exponent):
 
 @dataclass(frozen=True)
 class Harmonic:
-    """Harmonic trap: levels (n + 1/2) * hbar * omega, n >= 1."""
+    """Harmonic trap: levels (n + 1/2) * hbar * omega, n >= 1.  `quantum`
+    is hbar*omega, computed once when the trap is built."""
 
     mass: float        # kg
     omega: float       # rad/s
+    quantum: float = field(init=False, repr=False, compare=False)   # J
 
     def __post_init__(self):
         _require_positive_finite(self.mass, "mass")
         _require_positive_finite(self.omega, "omega")
         _require_positive_finite(HBAR * self.omega, "level spacing hbar*omega")
+        object.__setattr__(self, "quantum", HBAR * self.omega)
 
 
 @dataclass(frozen=True)
@@ -137,8 +140,9 @@ class Morse:
     range parameter `steepness` (omega = steepness*sqrt(2*depth/mass)).
     depth = inf is the harmonic limit (anharmonicity 0, unbounded ladder).
     `position` is the well minimum; it never enters any energy.
-    `bound_count` is floor(2*depth/quantum - 1), computed once when the well
-    is built: None at infinite depth, below 1 for a well that holds no level
+    `quantum`, `anharmonicity` and `bound_count`, floor(2*depth/quantum -
+    1), are computed once when the well is built; `bound_count` is None at
+    infinite depth, and below 1 for a well that holds no level
     (morse_bound_count raises then).
     """
 
@@ -147,6 +151,8 @@ class Morse:
     omega: float = None    # rad/s
     steepness: float = None   # 1/m
     position: float = 0.0     # m
+    quantum: float = field(init=False, repr=False, compare=False)   # J
+    anharmonicity: float = field(init=False, repr=False, compare=False)
     bound_count: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -170,6 +176,10 @@ class Morse:
                     self.omega * math.sqrt(self.mass / (2.0 * self.depth)))
             else:
                 object.__setattr__(self, "steepness", 0.0)
+        # the level-spacing scale hbar*omega, and quantum/(4*depth)
+        object.__setattr__(self, "quantum", HBAR * self.omega)
+        object.__setattr__(self, "anharmonicity",
+                           self.quantum / (4.0 * self.depth))
         try:
             count = (math.floor(2.0 * self.depth / self.quantum - 1.0)
                      if math.isfinite(self.depth) else None)
@@ -177,15 +187,6 @@ class Morse:
             raise InvalidPotentialError(
                 "Morse bound count is out of floating-point range") from None
         object.__setattr__(self, "bound_count", count)
-
-    @property
-    def quantum(self):
-        """Level-spacing scale hbar*omega in J."""
-        return HBAR * self.omega
-
-    @property
-    def anharmonicity(self):
-        return self.quantum / (4.0 * self.depth)
 
     @classmethod
     def from_anharmonicity(cls, mass, omega, anharmonicity):
@@ -209,7 +210,7 @@ def omega_prefactor(potential):
     Harmonic: hbar*omega.
     """
     if isinstance(potential, Harmonic):
-        return HBAR * potential.omega
+        return potential.quantum
     if not isinstance(potential, PowerLaw):
         raise InvalidPotentialError(
             "omega_prefactor applies to harmonic and power-law traps")
@@ -232,17 +233,31 @@ def morse_bound_count(potential):
     return count
 
 
+class _Wells:
+    """The levels of many harmonic and Morse traps at once, for
+    _absent_energy: each level's quantum and anharmonicity, as arrays spread
+    like its indices.  A harmonic level is the Morse form at anharmonicity
+    0, whose second term is exactly 0.0; anharmonicity None means harmonic
+    traps only."""
+
+    __slots__ = ("quantum", "anharmonicity")
+
+    def __init__(self, quantum, anharmonicity=None):
+        self.quantum, self.anharmonicity = quantum, anharmonicity
+
+
 def _absent_energy(potential, n):
     """Energy at absolute index n (an int, in Python floats, or an array),
-    barrier absent."""
+    barrier absent; a _Wells evaluates many traps elementwise, each level
+    with its own trap's parameters."""
     s = n + 0.5 if isinstance(n, int) else np.asarray(n, dtype=float) + 0.5
-    if isinstance(potential, Harmonic):
-        e = HBAR * potential.omega * s
-    elif isinstance(potential, PowerLaw):
+    if isinstance(potential, PowerLaw):
         e = omega_prefactor(potential) * s**potential.level_power
-    elif isinstance(potential, Morse):
-        q = potential.quantum
-        e = q * s - q * potential.anharmonicity * s * s
+    elif isinstance(potential, Harmonic):
+        e = potential.quantum * s
+    elif isinstance(potential, (Morse, _Wells)):
+        q, chi = potential.quantum, potential.anharmonicity
+        e = q * s if chi is None else q * s - q * chi * s * s
     else:
         raise InvalidPotentialError(f"unknown potential {potential!r}")
     return e if isinstance(e, np.ndarray) else float(e)

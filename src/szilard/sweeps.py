@@ -22,7 +22,7 @@ import re
 import time
 from configparser import ConfigParser
 from dataclasses import dataclass, field
-from itertools import groupby, product
+from itertools import product
 
 import numpy as np
 
@@ -35,7 +35,7 @@ from .barrier import even_levels, odd_level
 from .ensembles import (BathPair, MuMode, TruncationPolicy, _bath_ratios,
                         chemical_potentials, ladder_batches)
 # run_cycle stays bound here for wrappers that patch it per module
-from .cycle import Ensemble, run_cycle, run_cycles  # noqa: F401
+from .cycle import Ensemble, _run_cycles, run_cycle, run_cycles  # noqa: F401
 
 __all__ = ["Axis", "SweepSpec", "RunManifest", "SweepOutcome",
            "ValidationReport", "preset", "preset_names", "run_sweep",
@@ -300,8 +300,10 @@ def _cycle_cells(result, t_cold):
 
 
 def _cycle_rows(spec, points):
-    """Rows of the points of a cycle family: one run_cycles call per run of
-    consecutive points that share the particle count and baths."""
+    """Rows of the points of a cycle family, all from one cycle evaluation
+    (see cycle._run_cycles: the canonical and Morse routes batch points
+    whatever their count and baths, the grand-canonical route each run of
+    consecutive points that share them)."""
     ensemble, build = _CYCLES[spec.family]
     p = spec.params
     mu_mode = MuMode(p.get("mu_mode", MuMode.SOLVED.value))
@@ -315,14 +317,14 @@ def _cycle_rows(spec, points):
             rows[index] = _error_row(spec, point, exc)
         else:
             jobs.append(((count, baths), index, trap, cells))
-    for (count, baths), group in groupby(jobs, key=lambda job: job[0]):
-        group = list(group)
-        results = run_cycles([trap for _, _, trap, _ in group], ensemble,
-                             count, baths, spec.policy, mu_mode, literal)
-        for (_, index, _, cells), result in zip(group, results):
-            rows[index] = (_error_row(spec, points[index], result)
-                           if isinstance(result, SzilardError)
-                           else {**cells, **_cycle_cells(result, baths.cold)})
+    results = _run_cycles([trap for _, _, trap, _ in jobs], ensemble,
+                          [count for (count, _), *_ in jobs],
+                          [baths for (_, baths), *_ in jobs], spec.policy,
+                          mu_mode, literal)
+    for ((_, baths), index, _, cells), result in zip(jobs, results):
+        rows[index] = (_error_row(spec, points[index], result)
+                       if isinstance(result, SzilardError)
+                       else {**cells, **_cycle_cells(result, baths.cold)})
     return rows
 
 
@@ -472,18 +474,17 @@ def validate(spec):
 # CSV / manifest plumbing
 
 def _format_cell(value):
+    """A CSV cell: floats (inf, -inf and nan included) in 17 significant
+    digits, ints as ints, None as empty."""
+    if type(value) is float:
+        return f"{value:.16e}"
     if value is None:
         return ""
     if isinstance(value, str):
         return value
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    value = float(value)
-    if math.isinf(value):
-        return "inf" if value > 0 else "-inf"
-    if math.isnan(value):
-        return "nan"
-    return f"{value:.16e}"
+    return f"{float(value):.16e}"
 
 
 def _write_csv(path, columns, rows):

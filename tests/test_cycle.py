@@ -7,9 +7,11 @@ from hypothesis import event, given, settings, strategies as st
 
 from szilard import (BathPair, CycleResult, Ensemble, EnsembleMismatchError,
                      HBAR, Harmonic, K_B, Morse, MuMode, PowerLaw, Regime,
-                     SzilardError, TruncationError, TruncationPolicy,
+                     SolverFailureError, SzilardError, TruncationError,
+                     TruncationPolicy,
                      carnot_bound, chemical_potentials, run_cycle,
                      run_cycles)
+from szilard import cycle
 from szilard.ensembles import ladder_batches
 
 MASS = 19.11e-11
@@ -318,3 +320,13 @@ def test_run_cycles_covers_every_route():
     assert [type(r) for r in unknown] == [EnsembleMismatchError] * 2
     assert unknown[0] is not unknown[1]
     assert "unknown chemical-potential mode 'solved'" in str(unknown[0])
+
+
+def test_nan_first_law_closure_fails():
+    """closure > tol is false for a nan closure: stage terms that are not
+    finite must still fail the first-law check, not classify a cycle."""
+    result = cycle._cycle_result((math.nan, 0.0, (0.0, 0.0, 0.0, 0.0), None),
+                                 Ensemble.CANONICAL_N, BathPair(2.0, 1.0),
+                                 False)
+    assert isinstance(result, SolverFailureError)
+    assert "first-law closure" in str(result)

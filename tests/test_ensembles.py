@@ -13,13 +13,15 @@ from hypothesis import given, settings, strategies as st
 from szilard import (Barrier, BathPair, ChemicalPotentials,
                      ConvergenceViolationError, Ensemble,
                      EnsembleMismatchError, HBAR, Harmonic, K_B, Morse, MuMode,
-                     PowerLaw, SpectrumRangeError, Stage, SzilardError,
+                     PowerLaw, SolverFailureError, SpectrumRangeError, Stage,
+                     SzilardError,
                      TruncationError,
                      TruncationPolicy,
                      canonical_stage_properties, chemical_potential,
                      chemical_potentials, internal_energy, level_energy,
                      log_relative_partition, occupancy_total, run_cycle)
 from szilard import ensembles
+from szilard.barrier import even_levels, odd_level
 
 MASS = 19.11e-11
 OMEGA = 1e11
@@ -119,6 +121,14 @@ class TestCanonical:
         for count in (0, -1):
             with pytest.raises(EnsembleMismatchError):
                 _canonical_work(Harmonic(MASS, OMEGA), count, BATHS)
+
+
+    def test_tail_past_float_range_is_an_error(self):
+        """At 1e300 K beta hbar omega underflows, so the geometric tail of
+        the stage sum leaves float range: a SolverFailureError, not nan."""
+        with pytest.raises(SolverFailureError, match="after its tail"):
+            canonical_stage_properties(Harmonic(MASS, OMEGA), Barrier.ABSENT,
+                                       1, 1e300)
 
 
 class TestChemicalPotential:
@@ -389,6 +399,47 @@ def test_inserted_ladder_is_every_other_barrier_free_level(
     assert levels[id(trap)].tobytes() == whole.tobytes()
 
 
+@settings(max_examples=100, deadline=None)
+@given(traps=st.lists(st.tuples(st.booleans(), st.floats(1e8, 1e14),
+                                st.one_of(st.just(0.0), st.floats(1e-5, 0.1)),
+                                st.integers(1, 3000), st.integers(0, 3000)),
+                      min_size=2, max_size=6))
+def test_batched_levels_equal_level_energy(traps):
+    """The harmonic and Morse levels of a request are one _Wells array
+    expression over all its traps: every level, first built or extended,
+    has the bits of its own trap's level_energy call."""
+    built = []
+    for harmonic, omega, chi, first, more in traps:
+        trap = (Harmonic(MASS, omega) if harmonic
+                else Morse.from_anharmonicity(MASS, omega, chi))
+        cap = getattr(trap, "bound_count", None) or first + more  # >= 4
+        built.append((trap, min(first, cap), min(first + more, cap)))
+    levels = {}
+    for part in (1, 2):
+        segments = [(trap, ((Barrier.ABSENT, 0.0),), 1.0, n)
+                    for trap, *lengths in built for n in (lengths[part - 1],)]
+        for (trap, _, _, n), (ladder,) in zip(
+                segments, ensembles._level_ladders(segments, levels)):
+            assert ladder.tobytes() == level_energy(
+                trap, np.arange(1, n + 1)).tobytes()
+
+
+def test_refused_levels_fail_their_own_trap():
+    """A Morse request past the bound count fails that trap alone with the
+    error level_energy raises for it; the other traps of the batch sum."""
+    deep, shallow = (Morse.from_anharmonicity(MASS, 1e13, chi)
+                     for chi in (0.001, 0.02))
+    rungs = ((Barrier.ABSENT, 0.0),)
+    results = ensembles._series_sums(
+        [(deep, rungs, 1e20, 30), (shallow, rungs, 1e20, shallow.bound_count
+                                   + 1)], ensembles._boltzmann_terms,
+        TruncationPolicy(), {})
+    assert not isinstance(results[0], SzilardError)
+    assert isinstance(results[1], SpectrumRangeError)
+    assert str(results[1]) == (f"index {shallow.bound_count + 1} beyond the"
+                               f" {shallow.bound_count} bound Morse levels")
+
+
 class TestMorseSums:
 
     # 9-level well: quantum hbar*1e10 J, depth 5.35 quanta
@@ -532,6 +583,95 @@ class TestTruncation:
         assert both[0][0] == 20.0
 
 
+class TestPhysicalLadders:
+    """The canonical cycle against the harmonic ladders of the barrier
+    solver, which share no code with level_energy.
+
+    The physical ladder without a barrier is the even levels at strength 0
+    with the odd levels between them, 0.5, 1.5, 2.5, ... hbar omega.  With
+    the barrier fully in, each even level has risen onto the odd level
+    above it, so the ladder is 1.5, 3.5, 5.5, ... hbar omega, each level
+    doubly degenerate.  The cycle's ladders, indexed from n = 1, are both
+    these shifted up by exactly hbar omega, which cancels from every log
+    ratio and every energy difference.  Both physical ladders are
+    geometric, so 50-digit closed forms sum them.
+    """
+
+    # (omega, N): fig2's trap at three counts, and fig3's deep end
+    CASES = ((1e11, 1), (1e11, 5), (1e11, 20), (5e13, 1), (5e13, 2),
+             (5e13, 3))
+
+    @staticmethod
+    def _ladders():
+        """(ground, spacing, degeneracy) of the absent and inserted
+        ladders, in units of hbar omega, read off the barrier solver."""
+        k = 4
+        unsplit = sorted([s.energy for s in even_levels(0.0, k)]
+                         + [odd_level(b) for b in range(k + 1)])
+        split = [s.energy for s in even_levels(math.inf, k)]
+        assert split == [odd_level(b) for b in range(k + 1)]
+        assert np.allclose(np.diff(unsplit), 1.0, rtol=0, atol=0)
+        assert np.allclose(np.diff(split), 2.0, rtol=0, atol=0)
+        # a strong finite barrier solves to just below the same levels
+        strong = np.array([s.energy for s in even_levels(1e4, k)])
+        assert np.all((strong < split) & (strong > np.subtract(split, 3e-4)))
+        return (unsplit[0], 1.0, 1), (split[0], 2.0, 2)
+
+    @staticmethod
+    def _stage(mpmath, ladder, q, count, temperature):
+        """log of g^N sum_j e^{-N beta E_j} and N times its mean level."""
+        ground, spacing, g = ladder
+        nb = count / (mpmath.mpf(K_B) * temperature)
+        r = mpmath.exp(-nb * spacing * q)
+        return (count * mpmath.log(g) - nb * ground * q - mpmath.log(1 - r),
+                count * (ground * q + spacing * q * r / (1 - r)))
+
+    @pytest.mark.parametrize("omega, count", CASES)
+    def test_cycle_matches_the_physical_ladders(self, omega, count):
+        """Log ratios to 1e-12 relative; energy differences to 1e-12 of
+        the two stage energies each cancels (at fig2's N = 1, U_B - U_A is
+        8,000 times smaller than U, and 3e-11 off relative); W and the four
+        heats to 1e-12 of the k_B T |L| and energy magnitudes they cancel,
+        as W rounds near the classical limit."""
+        mpmath = pytest.importorskip("mpmath")
+        absent, inserted = self._ladders()
+        baths = BathPair(hot=200.0, cold=100.0)
+        trap = Harmonic(MASS, omega)
+        (batch, grounds, heads), = ensembles.ladder_batches(
+            (trap,), count, baths.hot, heads=True)
+        (l_hot, l_cold, energies), = ensembles.canonical_stage_sums(
+            batch, grounds, count, baths, TruncationPolicy(), heads)
+        got = run_cycle(trap, Ensemble.CANONICAL_N, count, baths)
+        with mpmath.workdps(50):
+            q = mpmath.mpf(HBAR * omega)
+            stages = [self._stage(mpmath, ladder, q, count, temperature)
+                      for ladder, temperature in (
+                          (absent, baths.hot), (inserted, baths.hot),
+                          (inserted, baths.cold), (absent, baths.cold))]
+            (z_a, u_a), (z_b, u_b), (z_c, u_c), (z_d, u_d) = stages
+            kt_h, kt_c = (mpmath.mpf(K_B) * t for t in (baths.hot, baths.cold))
+            want_l = (z_b - z_a, z_c - z_d)
+            want_du = (u_b - u_a, u_c - u_b, u_d - u_c, u_a - u_d)
+            hot, cold = kt_h * abs(want_l[0]), kt_c * abs(want_l[1])
+            u = [abs(value) for value in energies]
+            # each cycle quantity, and the magnitudes it cancels
+            want = {"work": (kt_h * want_l[0] - kt_c * want_l[1], hot + cold),
+                    "q_insert": (want_du[0] + kt_h * want_l[0],
+                                 hot + u[0] + u[1]),
+                    "q_cool": (want_du[1], u[1] + u[2]),
+                    "q_remove": (want_du[2] - kt_c * want_l[1],
+                                 cold + u[2] + u[3]),
+                    "q_reheat": (want_du[3], u[3] + u[0])}
+            for value, exact in zip((l_hot, l_cold), want_l):
+                assert abs(value - exact) <= 1e-12 * abs(exact)
+            for (i, j), exact in zip(((1, 0), (2, 1), (3, 2), (0, 3)),
+                                     want_du):
+                assert abs(energies[i] - energies[j] - exact) <= 1e-12 * (
+                    u[i] + u[j])
+            for name, (exact, scale) in want.items():
+                assert abs(getattr(got, name) - exact) <= 1e-12 * scale, name
+
+
 class TestCanonicalOracle:
     """canonical_stage_properties against 50-digit sums, on Morse ladders
     whose bound cutoffs cross the 8-term floor and on power-law traps."""
@@ -555,7 +695,7 @@ class TestCanonicalOracle:
 
     def test_morse_wells_across_the_term_floor(self):
         """Bound counts across the 8-term floor of the cutoff estimate and
-        the 16-term floor of a head (see ensembles._head)."""
+        the 16-term floor of a head (see ensembles._heads)."""
         mpmath = pytest.importorskip("mpmath")
         q = HBAR * 1e13
         with mpmath.workdps(50):
@@ -741,8 +881,8 @@ def _sums_of(call):
     raise a SzilardError)."""
     log, original = [], ensembles._series_sums
 
-    def spy(segments, terms, policy, levels):
-        results = original(segments, terms, policy, levels)
+    def spy(segments, terms, policy, levels, weighted=False):
+        results = original(segments, terms, policy, levels, weighted)
         log.extend((segment, terms, policy, result)
                    for segment, result in zip(segments, results))
         return results
@@ -753,6 +893,112 @@ def _sums_of(call):
         except SzilardError:
             return log, False
     return log, True
+
+
+def _head_of(trap, barrier, beta, e1, policy):
+    """One trap's _heads entry, as (n, tailed)."""
+    (n,), (tailed,) = ensembles._heads(ensembles._Shapes.of([trap]),
+                                       ensembles._stride(barrier), beta,
+                                       np.array([e1]), policy)
+    return n, bool(tailed)
+
+
+# A scalar reference of the head and length of a canonical sum, as math
+# evaluates them on Python floats, one trap at a time: the lengths set which
+# terms every sum adds, so _heads must match it entry for entry.
+
+def _reference_index_beyond(trap, barrier, beta, e1, x_cut):
+    target = x_cut / beta + e1
+    step = 2 if barrier is Barrier.INSERTED else 1
+    try:
+        if isinstance(trap, Morse):
+            chi, q = trap.anharmonicity, trap.quantum
+            disc = 1.0 - 4.0 * chi * target / q
+            if disc <= 0.0:
+                return math.inf
+            s = target / q if chi == 0.0 else (1 - math.sqrt(disc)) / (2 * chi)
+        else:
+            power = trap.level_power if isinstance(trap, PowerLaw) else 1.0
+            scale = (trap.energy_scale if isinstance(trap, PowerLaw)
+                     else HBAR * trap.omega)
+            s = (target / scale) ** (1.0 / power)
+        return max(8, int(math.ceil((s - 0.5) / step)) + 2)
+    except OverflowError:
+        raise TruncationError("series cutoff estimate overflows: the ladder"
+                              " needs more terms than any cap") from None
+
+
+def _reference_head(trap, barrier, beta, e1, policy):
+    step = 2 if barrier is Barrier.INSERTED else 1
+    n = _reference_index_beyond(trap, barrier, beta, e1,
+                                35.0 - math.log(policy.rel_tol))
+    if isinstance(trap, Morse) and trap.bound_count is not None:
+        n = min(n, trap.bound_count // step)
+    geometric = (trap.anharmonicity == 0.0 if isinstance(trap, Morse)
+                 else isinstance(trap, Harmonic) or trap.level_power == 1.0)
+    if geometric:
+        head = 16
+    elif isinstance(trap, Morse) and n > 16:
+        chi, q = trap.anharmonicity, trap.quantum
+        a = beta * q * chi * step * step
+        slope = 2 * a * ((0.5 / chi - 0.5) / step - 17)
+        lower, upper = 1.0, slope
+        for k in range(1, 9):
+            lower, upper = upper, slope * upper + 2 * k * a * lower
+        ratio = ensembles._EM_REMAINDER * upper / (policy.rel_tol
+                                                   * math.exp(-35.0))
+        head = max(_reference_index_beyond(
+            trap, barrier, beta, e1, math.log(ratio) if ratio > 1.0 else 0.0)
+            - 1, 16)
+    else:
+        return n, False
+    return (head, True) if head < n else (n, False)
+
+
+_TRAP_KINDS = ("harmonic", "power-law", "morse-infinite", "morse")
+
+
+@settings(max_examples=150, deadline=None)
+@given(traps=st.lists(st.tuples(st.sampled_from(_TRAP_KINDS),
+                                st.floats(-4.0, 4.0), st.floats(0.01, 4.0),
+                                st.floats(-6.0, -0.7)), min_size=1, max_size=8),
+       inserted=st.booleans(), count=st.integers(1, 50),
+       rel_tol=st.sampled_from((1e-12, 1e-6)))
+def test_heads_match_the_scalar_reference(traps, inserted, count, rel_tol):
+    """_heads, one array pass over a batch, equals the scalar math
+    reference entry for entry: harmonic traps, power laws (nu down to 0.01,
+    whose lengths pass 2^53 and leave float range), infinite-depth and
+    finite Morse wells, both barriers, N 1-50 and level scales 1e-4 to 1e4
+    k_B T."""
+    temperature = 2.0
+    barrier = Barrier.INSERTED if inserted else Barrier.ABSENT
+    beta = count / (K_B * temperature)
+    policy = TruncationPolicy(rel_tol=rel_tol)
+    batch, e1 = [], []
+    for kind, log_scale, nu, log_chi in traps:
+        scale, chi = 10 ** log_scale * K_B * temperature, 10 ** log_chi
+        try:
+            trap = {"harmonic": lambda: Harmonic(MASS, scale / HBAR),
+                    "power-law": lambda: PowerLaw.from_energy_scale(
+                        MASS, scale, nu),
+                    "morse-infinite": lambda: Morse.from_anharmonicity(
+                        MASS, scale / HBAR, 0.0),
+                    "morse": lambda: Morse.from_anharmonicity(
+                        MASS, scale / HBAR, chi)}[kind]()
+            e1.append(level_energy(trap, 1, barrier))
+        except SzilardError:
+            continue        # a well too shallow for an inserted level
+        batch.append(trap)
+    lengths, tailed = ensembles._heads(ensembles._Shapes.of(batch),
+                                       ensembles._stride(barrier), beta,
+                                       np.array(e1), policy)
+    for trap, ground, n, tail in zip(batch, e1, lengths, tailed.tolist()):
+        try:
+            want = _reference_head(trap, barrier, beta, ground, policy)
+        except TruncationError as exc:
+            assert isinstance(n, TruncationError) and str(n) == str(exc)
+            continue
+        assert type(n) is int and (n, tail) == want, (trap, n, tail, want)
 
 
 def _checked_last_terms(log):
@@ -769,7 +1015,7 @@ def _checked_last_terms(log):
                 n == trap.bound_count // (2 if barrier is Barrier.INSERTED
                                           else 1)):
             continue        # a complete bound ladder
-        if terms is ensembles._boltzmann_terms and ensembles._head(
+        if terms is ensembles._boltzmann_terms and _head_of(
                 trap, barrier, beta, e1, policy) == (n, True):
             continue        # a canonical head
         t = np.abs(result[2])

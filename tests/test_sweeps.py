@@ -245,7 +245,7 @@ class TestSingleEvaluation:
                                                       monkeypatch):
         """A 50-point fig10 run sums its stages batch by batch.
 
-        Its traps' stage-A heads (see ensembles._head) close a batch each
+        Its traps' stage-A heads (see ensembles._heads) close a batch each
         time they reach 8192 terms: the first 39 share one batch and the
         other 11 a second.  Counting whole estimated ladders made 13
         batches, the 8 longest alone.  Each batch is four _series_sums
@@ -264,6 +264,44 @@ class TestSingleEvaluation:
                             potentials.Barrier.INSERTED,
                             potentials.Barrier.INSERTED,
                             potentials.Barrier.ABSENT] * len(sizes)
+
+    def test_morse_run_sizes_and_builds_in_array_passes(self, tmp_path,
+                                                        monkeypatch):
+        """The 50-point fig10 run above makes no per-trap head or level
+        call.  Its heads are three _heads passes: the batching's stage A
+        over all 50 traps, then per batch stages B to D (3 x 39 and
+        3 x 11 rows) and the 4 stage A heads that take no tail.  Each
+        stage request builds the levels it lacks in at most one _Wells
+        expression, and level_energy runs only for the 100 ground
+        levels."""
+        log = []
+        for name in ("_heads", "_series_sums", "_absent_energy",
+                     "level_energy"):
+            original = getattr(ensembles, name)
+
+            def spy(*args, name=name, original=original, **kwargs):
+                log.append((name, args))
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(ensembles, name, spy)
+        spec = replace(preset("fig10"),
+                       lists={"depth": (4.7 * EV,), "T_hot": (4.0,)})
+        outcome = _run(spec, tmp_path)
+        assert outcome.points == 50 and outcome.failed == 0
+        assert [len(args[3]) for name, args in log
+                if name == "_heads"] == [50, 117, 37]
+        builds = []
+        for name, args in log:
+            if name == "_series_sums":
+                builds.append(0)
+            elif (name == "_absent_energy"
+                  and isinstance(args[0], potentials._Wells)
+                  and np.issubdtype(args[1].dtype, np.integer)):
+                builds[-1] += 1
+        assert builds == [1, 1, 1, 0, 1, 1, 0, 0]
+        grounds = [args for name, args in log if name == "level_energy"]
+        assert len(grounds) == 100
+        assert all(np.ndim(args[1]) == 0 for args in grounds)
 
     @pytest.mark.parametrize("point", [
         _one_point("fig8", nu=2.0, N=10, scale_ratio=1.0),
@@ -423,6 +461,22 @@ class TestBatchedRuns:
         assert outcome.points == 41 and outcome.failed == 30
         lines = open(outcome.csv_path).read().splitlines()
         assert lines[1:] == self._single_rows(preset("fig9-inset"), tmp_path)
+
+    @pytest.mark.parametrize("target", ["fig2", "fig9"])
+    def test_points_of_other_baths_share_batches(self, tmp_path,
+                                                 monkeypatch, target):
+        """fig2 changes N and fig9 T_hot from point to point, so a run per
+        count and baths made one batch, four stage sums, per point.  The
+        canonical and Morse routes batch a sweep's points whatever their
+        count and baths: one batch of all of them, and each point keeps
+        the row it gets alone."""
+        sums = _count_calls(monkeypatch, "_series_sums")
+        outcome = _run(preset(target), tmp_path)
+        assert outcome.failed == 0
+        assert [len(segments) for segments, *_ in sums] == [outcome.points] * 4
+        lines = open(outcome.csv_path).read().splitlines()
+        assert lines[1:] == self._single_rows(preset(target), tmp_path)
+
     def test_mu_rounded_onto_the_ground_level_names_the_cause(self,
                                                               tmp_path):
         """fig7 out to a trap scale of 1e300: where k_B T is below one ulp of
@@ -701,7 +755,16 @@ class TestCli:
                      id="fig7-scale_ratio to 1e300"),
         # p = 2 nu/(nu + 2) rounds to 2
         pytest.param("fig7", "[list.nu]\nvalues = 1e300\n",
-                     "InvalidPotentialError", 50, id="fig7-nu = 1e300")])
+                     "InvalidPotentialError", 50, id="fig7-nu = 1e300"),
+        # beta E_scale underflows, so a closed-form tail leaves float range
+        pytest.param("fig2", "[parameters]\nT_hot = 1e300\nT_cold = 1e299\n",
+                     "SolverFailureError", 20, id="fig2-T = 1e300"),
+        pytest.param("fig3", "[parameters]\nT_hot = 1e300\n",
+                     "SolverFailureError", 180, id="fig3-T_hot = 1e300"),
+        pytest.param("fig9", "[parameters]\nT_cold = 1e300\n",
+                     "SolverFailureError", 50, id="fig9-T_cold = 1e300"),
+        pytest.param("fig10", "[list.T_hot]\nvalues = 1e300\n",
+                     "SolverFailureError", 200, id="fig10-T_hot = 1e300")])
     def test_non_finite_parameters_give_error_rows(self, tmp_path, capsys,
                                                    target, config, error,
                                                    points):
