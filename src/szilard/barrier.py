@@ -16,8 +16,7 @@ uses the fully-inserted limit.
 import math
 from dataclasses import dataclass
 
-from scipy.special import gammaln, gammasgn
-
+from ._special import gammaln, gammasgn
 from .errors import PoleError, SolverFailureError
 
 __all__ = ["BarrierStrength", "EvenLevelSolution", "gamma_ratio",

@@ -48,8 +48,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.special import dawsn
 
+from ._special import dawson
 from .constants import K_B
 from .errors import (ConvergenceViolationError, EnsembleMismatchError,
                      SolverFailureError, SzilardError, TruncationError,
@@ -757,26 +757,6 @@ def _em_end(f, rests, g, e_taylor, half):
         for rest, v in zip(rests, (w, wh))]
 
 
-def _dawson_r(t):
-    """(2t^2 + 1) F(t) - t, F Dawson's function.  Past t = 7 it is summed
-    from the asymptotic series 2t F = sum (2k-1)!!/(2t^2)^k, in which it is
-    t sum_{k>=1} 2k (2k-3)!!/(2t^2)^k, to the last term above 1e-17 of the
-    first (before the terms turn to grow); the direct form loses 2t^2 of
-    its precision, at most 98 ulps below t = 7."""
-    small, big = np.minimum(t, 7.0), np.maximum(t, 7.0)
-    y = 0.5 / (big * big)
-    y_max = float(np.max(y))
-    total, term, k, size = 0.0, 2.0 * y, 1, 1.0     # size: term/first at y_max
-    while size > 1e-17:
-        total = total + term
-        k += 1
-        ratio = (2 * k - 3) * k / (k - 1)
-        term = term * y * ratio
-        size *= y_max * ratio
-    return np.where(t < 7.0, (2 * small * small + 1) * dawsn(small) - small,
-                    big * total)
-
-
 def _tails(traps, step, beta, e1, head):
     """sum_{n > K} f_n and sum_{n > K} E_n f_n, f_n = e^{-beta (E_n - E_1)},
     each after its head of K terms (see the section comment), per row of
@@ -811,8 +791,9 @@ def _tails(traps, step, beta, e1, head):
                     return None
                 u = (0.5 / chi - 0.5) / step_ - x
                 t = root * u
-                dawson = dawsn(t) / root
-                return _em_end(f, (f * dawson, f * (e * dawson + _dawson_r(t)
+                f_t, r_t = dawson(t)
+                scaled = f_t / root
+                return _em_end(f, (f * scaled, f * (e * scaled + r_t
                                                     / (2 * beta_ * root))),
                                (2 * a * u, -a),
                                (e, 2 * a * u / beta_, -a / beta_), half)

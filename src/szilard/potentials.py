@@ -13,10 +13,11 @@ Level indices start at n = 1 throughout.
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln
 
+from ._special import gammaln
 from .constants import HBAR
 from .errors import InvalidPotentialError, NoBoundStatesError, SpectrumRangeError
 
@@ -47,9 +48,15 @@ def _require_positive_finite(value, name):
              f"{name} must be positive and finite")
 
 
+@lru_cache(maxsize=256)
 def _log_gamma_ratio(exponent):
-    """log G of the WKB quantisation, G = Gamma(1/nu + 3/2)/Gamma(1 + 1/nu)."""
-    return gammaln(1.0 / exponent + 1.5) - gammaln(1.0 + 1.0 / exponent)
+    """log G of the WKB quantisation, G = Gamma(1/nu + 3/2)/Gamma(1 + 1/nu),
+    once per exponent: a sweep builds many traps of one exponent."""
+    ratio = gammaln(1.0 / exponent + 1.5) - gammaln(1.0 + 1.0 / exponent)
+    _require(math.isfinite(ratio), InvalidPotentialError,
+             f"power-law exponent {exponent:g} is too small: the gamma "
+             f"ratio of its WKB prefactor is out of floating-point range")
+    return ratio
 
 
 @dataclass(frozen=True)
@@ -118,7 +125,7 @@ class PowerLaw:
         p = 2.0 * exponent / (exponent + 2.0)
         # in Python floats, so that p rounding to 2 or omega leaving float
         # range raises here rather than warning in numpy
-        log_base = (math.log(HBAR) + float(_log_gamma_ratio(exponent))
+        log_base = (math.log(HBAR) + _log_gamma_ratio(exponent)
                     + 0.5 * math.log(math.pi) - math.log(mass))
         try:
             omega = math.exp((math.log(2.0 * scale / mass) - p * log_base)

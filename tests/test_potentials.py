@@ -107,6 +107,14 @@ def test_parameter_validation():
                   lambda: PowerLaw.from_energy_scale(MASS, 1e-22, 1e300)):
         with pytest.raises(InvalidPotentialError):
             build()
+    # 1/nu overflows the gamma ratio of the WKB prefactor (a numpy warning
+    # and a nan energy scale once)
+    for build in (lambda: PowerLaw(mass=MASS, omega=1e10, exponent=1e-307),
+                  lambda: PowerLaw.from_energy_scale(MASS, 1e-22, 1e-307),
+                  lambda: PowerLaw(mass=MASS, omega=1e10, exponent=5e-324)):
+        with pytest.raises(InvalidPotentialError,
+                           match="power-law exponent .* is too small"):
+            build()
 
 
 def test_morse_needs_exactly_one_frequency_parameter():
