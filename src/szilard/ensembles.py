@@ -16,31 +16,42 @@ Every route sums many traps at once, as one numpy pass per step over all
 their ladders.  ladder_batches splits a run of traps into consecutive
 batches of a bounded number of estimated terms, at the canonical decay rate
 N beta of the hot bath (beta for the grand route) and at most a Morse well's
-bound count, counting a canonical sum's head rather than its whole ladder,
-and looks up each trap's two ground levels once for every sum of its batch.
-Each step of a batch is one array pass over all its traps: the sizes of
-its sums (_heads on the canonical and Morse routes, where one pass sizes
-all four stages, and _grand_segments), the levels its sums lack (one
-_Wells expression for harmonic and Morse traps, see _level_ladders), each
-stage's sums and energy sums (_series_sums), and the tails (_tails).
-Only exactly rounded operations run on arrays; a log, exp or fractional
-power that sets a length or a logged total runs in math, element by
-element, so every value keeps the bits of its one-trap evaluation.
+bound count, counting a canonical sum's head, and a geometric grand rung's,
+rather than its whole ladder, and looks up each trap's two ground levels
+once for every sum of its batch (one _Wells expression for its harmonic and
+Morse traps).  Each step of a batch is one array pass over all its traps:
+the sizes of its sums (_heads on the canonical and Morse routes, where one
+pass sizes all four stages, and _grand_rungs), the levels its sums lack
+(one _Wells expression for harmonic and Morse traps, see _level_ladders),
+each stage's sums and energy sums (_series_sums), and the tails (see
+_tail_sums).  Only exactly rounded operations run on arrays; a log, exp
+or fractional power that sets a length or a logged total runs in math,
+element by element, so every value keeps the bits of its one-trap
+evaluation.
 
 Stage labels follow the cycle diagram: A = barrier absent at the hot bath,
 B = inserted at the hot bath, C = inserted at the cold bath, D = absent at
 the cold bath.
 
-Every level sum of the three routes runs through one series engine,
-_series_sums, with one stopping rule: each sum's length is fixed from its
-ground level E_1 before any term is formed (see _lengths and _heads),
-and the sum is taken once at that length, with no tail test.  A canonical
-or Morse sum over a geometric or Morse ladder longer than its head sums
-the head, at least 16 terms, and adds the rest of the ladder as a
-closed-form Euler-Maclaurin tail (see _tails).  A length past max_terms is
-a TruncationError, never a silent cut.  A trap's sums share one
-barrier-free ladder, extended when a sum outgrows it; an inserted sum
-takes every other level of it (see _level_ladders).
+Every ladder of the three routes is built and weighed by one series
+engine, _series_sums, with one stopping rule: each sum's length is fixed
+from its ground level E_1 before any term is formed (see _lengths, _heads
+and _grand_rungs), and the sum is taken once at that length, with no tail
+test.  A canonical or Morse sum over a geometric or Morse ladder longer
+than its head sums the head, at least 16 terms, and adds the rest of the
+ladder as a closed-form Euler-Maclaurin tail.  No grand-canonical sum runs
+whole either: each rung, the ladder of a (trap, barrier, bath), is a head
+summed term by term and a tail that is a short k-series in e^{-beta (E_1 -
+mu)} over moments that do not depend on mu, formed once per rung.  On a
+geometric ladder the head is 16 levels and the moments are closed forms;
+on any other power law the head runs to the first level with beta (E_K -
+E_1) >= 4, and at least 16 levels, and the moments are sums over the rest
+of its ladder, which is built to its size.  Every Newton round, occupancy
+re-check, log ratio and stage energy then sums heads and k-series only
+(see _tail_sums for both kinds of tail).  A length past max_terms is a
+TruncationError, never a silent cut.  A trap's sums share one barrier-free
+ladder, extended when a sum outgrows it; an inserted sum takes every other
+level of it (see _level_ladders).
 """
 
 import math
@@ -49,7 +60,8 @@ from enum import Enum
 
 import numpy as np
 
-from ._special import dawson
+from ._tail_sums import (_EM_PAIRS, _EM_REMAINDER, _HEAD_FLOOR, _Heads,
+                         _Rungs, _tails)
 from .constants import K_B
 from .errors import (ConvergenceViolationError, EnsembleMismatchError,
                      SolverFailureError, SzilardError, TruncationError,
@@ -68,7 +80,6 @@ __all__ = [
 # the sizing margin: every sum runs until e^{-beta (E_n - E_1)} is below
 # rel_tol e^{-35} (see _series_sums for what that bounds)
 _XCUT_MARGIN = 35.0
-_EXP_CLIP = 700.0
 
 
 @dataclass(frozen=True)
@@ -103,9 +114,12 @@ class TruncationPolicy:
     Morse sum over a geometric or Morse ladder longer than its head sums
     the head exactly and the rest as a closed-form tail, whose remainder
     bound on the Boltzmann sum is below rel_tol e^{-35} of it; the energy
-    sum shares that head.  max_terms caps every length, the head where a
-    tail adds the rest: a sum that needs more terms is a TruncationError,
-    never a silent cut.
+    sum shares that head.  A grand-canonical sum is a head and a k-series
+    over the tail moments of its ladder, each series run until its terms
+    fall below e^{-35} rel_tol of its first (see szilard._tail_sums).
+    max_terms caps every length, the head where a tail adds the rest, and
+    a geometric k-series whose length is set at evaluation: a sum that
+    needs more terms is a TruncationError, never a silent cut.
     """
 
     rel_tol: float = 1e-12
@@ -282,37 +296,6 @@ def _counts(n, exact):
     return out
 
 
-def _grand_segments(requests, policy, sizes=None):
-    """The _series_sums segments of grand-canonical requests (potential,
-    rungs, grounds, beta), each as long as the longest of its rungs
-    ((barrier, mu), ...) from its ground level grounds[barrier], or the
-    error of its estimate.  Rungs are sized in one array pass and kept in
-    `sizes` (a batch's `levels`) by (id(trap), barrier, beta), as a batch
-    sizes each rung for its root, re-check, log ratio and energy."""
-    sizes = {} if sizes is None else sizes
-    todo = {}
-    for potential, rungs, grounds, beta in requests:
-        for barrier, _ in rungs:
-            key = id(potential), barrier is Barrier.INSERTED, beta
-            if key not in sizes:
-                todo[key] = potential, _stride(barrier), grounds[barrier], beta
-    if todo:
-        trap, step, e1, beta = zip(*todo.values())
-        traps = _Shapes.of(trap)
-        with np.errstate(all="ignore"):
-            n, c = _lengths(traps, np.array(step), np.array(beta),
-                            np.array(e1), policy)
-        sizes.update(zip(todo, _counts(n, lambda i: _exact(
-            c[i], traps.cap[i], step[i]))))
-    out = []
-    for potential, rungs, _, beta in requests:
-        lengths = [sizes[id(potential), barrier is Barrier.INSERTED, beta]
-                   for barrier, _ in rungs]
-        out.append((potential, rungs, beta, next(
-            (n for n in lengths if _failed(n)), None) or max(lengths)))
-    return out
-
-
 def _beta(temperature):
     """1/(k_B T); a temperature for which it is not positive and finite
     (T <= 0, T = inf, or T so low that it overflows) raises."""
@@ -325,15 +308,33 @@ def _beta(temperature):
     return beta
 
 
-def _ground_levels(potential):
-    """E_1 of both barrier configurations, by barrier: each the level or
-    the SzilardError its lookup raises."""
-    grounds = {}
-    for barrier in Barrier:
-        try:    # int lookups: an array one would change E_1's last bits
-            grounds[barrier] = level_energy(potential, 1, barrier)
-        except SzilardError as exc:
-            grounds[barrier] = exc.with_traceback(None)
+def _ground_levels(potentials):
+    """E_1 of both barrier configurations of each trap, by barrier: each the
+    level or the SzilardError its lookup raises.  The harmonic and Morse
+    traps are one _Wells expression at barrier-free indices 1 and 2 (the
+    inserted E_1), with the bits of their int lookups; a power law, whose
+    fractional power an array would round differently, and a Morse well
+    that refuses either level take level_energy, which raises its error."""
+    grounds = [None] * len(potentials)
+    wells = [i for i, trap in enumerate(potentials)
+             if not isinstance(trap, PowerLaw)]
+    if wells:
+        shapes = _Shapes.of([potentials[i] for i in wells])
+        e = _absent_energy(_Wells(np.repeat(shapes.scale, 2), np.repeat(
+            shapes.chi, 2) if shapes.bounded else None), np.tile(
+            np.arange(1, 3), len(wells))).reshape(-1, 2)
+        refused = shapes.morse & ((shapes.cap < 2) | ~(e.min(axis=1) > 0.0))
+        for i, pair, bad in zip(wells, e.tolist(), refused.tolist()):
+            if not bad:
+                grounds[i] = dict(zip(Barrier, pair))
+    for i, trap in enumerate(potentials):
+        if grounds[i] is None:
+            grounds[i] = {}
+            for barrier in Barrier:
+                try:    # int lookups: an array one would change the bits
+                    grounds[i][barrier] = level_energy(trap, 1, barrier)
+                except SzilardError as exc:
+                    grounds[i][barrier] = exc.with_traceback(None)
     return grounds
 
 
@@ -359,8 +360,10 @@ def ladder_batches(potentials, count, temperature, policy=TruncationPolicy(),
     by one, its head where an Euler-Maclaurin tail adds the rest (see
     _heads), and heads[i] is that head, or None where the sum takes no
     tail; it is stage A's, which canonical_stage_sums takes from here.
-    Without, every heads[i] is None, and a lone trap is not sized.  A trap
-    whose estimate fails counts as none (its batch reports the error).
+    Without (the grand route), a geometric trap counts the 16-term head
+    its rungs build, every heads[i] is None, and a lone trap is not
+    sized.  A trap whose estimate fails counts as none (its batch
+    reports the error).
     """
     beta = count * _beta(temperature)
     potentials = list(potentials)
@@ -369,7 +372,7 @@ def ladder_batches(potentials, count, temperature, policy=TruncationPolicy(),
 
 def _batches(potentials, betas, policy, heads):
     """ladder_batches of traps each sized at its own decay rate betas[i]."""
-    grounds = [_ground_levels(potential) for potential in potentials]
+    grounds = _ground_levels(potentials)
     if len(potentials) == 1 and not heads:
         return [(potentials, grounds, [None])]    # one batch, unsized
     live = [i for i, ground in enumerate(grounds)
@@ -382,6 +385,9 @@ def _batches(potentials, betas, policy, heads):
     else:
         with np.errstate(all="ignore"):
             n, c = _lengths(traps, 1, beta, e1, policy)
+        # a geometric grand rung builds only its head (see _grand_rungs)
+        geometric = (traps.chi == 0.0) & (traps.power == 1.0)
+        n[geometric] = np.minimum(n[geometric], _HEAD_FLOOR)
         lengths = _counts(n, lambda i: _exact(c[i], traps.cap[i], 1))
         tailed = [False] * len(live)
     terms, first = [0] * len(potentials), [None] * len(potentials)
@@ -447,30 +453,21 @@ def _failed(value):
     return isinstance(value, SzilardError)
 
 
-def _one_sum(segment, terms, policy):
-    """The sum of one _series_sums segment, or its error raised."""
-    return value_or_raise(_series_sums([segment], terms, policy, {})[0])[0]
-
-
 def _series_sums(segments, terms, policy, levels, weighted=False):
     """Sums of many truncated series at once, each of the length it carries.
 
     A segment is (potential, rungs, beta, n) with rungs ((barrier, mu), ...):
     its series is levels 1..n of every rung's barrier configuration at once,
     summed once, with no tail test.  n is fixed from the ground levels: a
-    canonical or Morse sum takes the n of _heads, and a grand-canonical one
-    the largest length of its rungs, each at its own E_1 (see
-    _grand_segments); an n that is a SzilardError is the segment's result.
-    At n, d = beta (E_n - E_1) has passed x_cut = -log rel_tol +
-    _XCUT_MARGIN.  With x = beta (E - mu) > 0, a last term against the
-    first, which no sum of magnitudes is below, is then at most e^{-d} for a
-    Boltzmann weight, (e^{x_1} - 1)/(e^{x_n} - 1) <= e^{-d} for an
-    occupancy, x_n (e^{x_1} - 1)/(x_1 (e^{x_n} - 1)) <= e (1 + d) e^{-d} for
-    an energy, and e^{-d}/(1 - e^{-x_n}) on each rung of a log ratio, as
-    -log(1 - e^{-x}) lies between e^{-x} and e^{-x}/(1 - e^{-x}); the margin
-    covers each factor.  An n past max_terms is a TruncationError, a trap
-    whose levels cannot be built the error of level_energy, and a sum that
-    is not finite (terms past float range) a SolverFailureError.
+    canonical or Morse sum takes the n of _heads, and a grand-canonical
+    rung the n of _grand_rungs, a geometric head or a power law's whole
+    ladder; an n that is a SzilardError is the segment's result.  A whole
+    ladder ends where d = beta (E_n - E_1) has passed x_cut = -log rel_tol
+    + _XCUT_MARGIN, and there the last Boltzmann weight against the first,
+    which no sum of magnitudes is below, is e^{-d}; a head leaves the rest
+    to a tail (see _tail_sums).  An n past max_terms is a TruncationError,
+    a trap whose levels cannot be built the error of level_energy, and a
+    sum that is not finite (terms past float range) a SolverFailureError.
     terms(beta, [(g, E - mu) per rung]) maps the joined ladders to their
     flat terms, with the degeneracy g spread over them.  `levels` holds the
     level ladders built so far (see _level_ladders), so sums over the same
@@ -518,11 +515,6 @@ def _series_sums(segments, terms, policy, levels, weighted=False):
                       f"series sum is {sums[0]}, not finite: its terms leave"
                       " float range"))
     return out
-
-
-def _totals(results):
-    """The sums of _series_sums results, errors passed through."""
-    return [r if _failed(r) else r[0] for r in results]
 
 
 def _level_ladders(segments, levels):
@@ -606,73 +598,12 @@ def _extend(requests, levels):
 # gap E - mu, with x = beta (E - mu).  They overwrite their arguments, which
 # keeps a batch's peak memory low.
 
-def _clip(x):
-    """x clipped in place to [1e-300, _EXP_CLIP], where expm1 is safe."""
-    return np.minimum(np.maximum(x, 1e-300, out=x), _EXP_CLIP, out=x)
-
-
 def _boltzmann_terms(beta, rungs):
     """e^{-x}: the canonical weights at beta = N/(k_B T) and mu = E_1, and
     the mu -> -inf limit of every occupation."""
     (_, gap), = rungs
     gap *= beta
     return np.exp(np.negative(gap, out=gap), out=gap)
-
-
-def _occupancy_terms(beta, rungs):
-    """g / (e^x - 1), the mean occupation."""
-    (g, gap), = rungs
-    x = _clip(beta * gap)
-    return np.divide(g, np.expm1(x, out=x), out=x)
-
-
-def _energy_terms(beta, rungs):
-    """g (E - mu) / (e^x - 1), the occupation-weighted energy."""
-    (g, gap), = rungs
-    x = _clip(beta * gap)
-    np.expm1(x, out=x)
-    gap *= g
-    return np.divide(gap, x, out=gap)
-
-
-def _log_ratio_terms(beta, rungs):
-    """log(1 - e^{-x_pre}) - 2 log(1 - e^{-x_post}), x clipped above."""
-    (_, pre), (_, post) = rungs
-    for gap in (pre, post):
-        gap *= beta
-        np.minimum(gap, _EXP_CLIP, out=gap)
-        np.exp(np.negative(gap, out=gap), out=gap)
-        np.log1p(np.negative(gap, out=gap), out=gap)
-    post *= 2.0
-    pre -= post
-    return pre
-
-
-# ---------------------------------------------------------------------------
-# Euler-Maclaurin tails of the canonical sums
-#
-# A canonical sum over a long ladder is its first K terms, summed exactly,
-# plus the rest in closed form.  Over the ladder index x (level s = step x +
-# 1/2, step 2 with the barrier in) take f(x) = e^{-beta (E(x) - E_1)}; from
-# A = K + 1 to the ladder's last index B, DLMF 2.10.1 gives
-#     sum_{n=A}^{B} f(n) = int_A^B f + (f(A) + f(B))/2
-#         + sum_{j=1}^{m} B_2j/(2j)! (f^(2j-1)(B) - f^(2j-1)(A)) + R,
-#     |R| <= 2 |B_2m+2|/(2m+2)! int_A^B |f^(2m+2)|,
-# where the terms at B appear only on a bounded (Morse) ladder.  The
-# integrals are closed forms.  A finite Morse well has f = e^{-beta (D -
-# E_1)} e^{a u^2}, with a = beta q chi step^2 and u = x* - x the distance to
-# the top x* of the well, and int_x^{x*} f = f F(sqrt(a) u)/sqrt(a) with F
-# Dawson's function.  A geometric ladder (harmonic, infinite-depth Morse,
-# power law at p = 1) sums in closed form outright.  The energy sum, of E f,
-# is -d/dbeta of the same forms.  Other power laws take no tail: their sums
-# run whole through _series_sums, as on the grand route.
-
-_EM_PAIRS = 4           # m: derivative-correction pairs
-_HEAD_FLOOR = 16        # no head is shorter
-# Bernoulli numbers B_2, B_4, ..., B_{2m+2}
-_BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66)
-_EM_REMAINDER = (2 * abs(_BERNOULLI[_EM_PAIRS])
-                 / math.factorial(2 * _EM_PAIRS + 2))
 
 
 def _heads(traps, step, beta, e1, policy):
@@ -726,85 +657,6 @@ def _heads(traps, step, beta, e1, policy):
     # leaves the 16-term floor, so only a whole length needs _exact
     return _counts(lengths, lambda i: _exact(
         c[i], traps.cap[i], np.broadcast_to(step, n.shape)[i])), tailed
-
-
-def _taylor(g, order):
-    """Taylor coefficients w_0..w_order of e^{-(g(x) - g(x0))} at x0, from
-    g[j-1] = g^(j)(x0)/j!; elementwise on floats or arrays."""
-    w = [1.0]
-    for k in range(1, order + 1):
-        w.append(-sum(j * g[j - 1] * w[k - j]
-                      for j in range(1, min(k, len(g)) + 1)) / k)
-    return w
-
-
-def _em_end(f, rests, g, e_taylor, half):
-    """An end's share of the Euler-Maclaurin sums of f and of E f.
-
-    rests are the integrals of f and of E f from the end to the ladder's
-    end, g and e_taylor the Taylor coefficients of beta (E - E_1), from the
-    first, and of E, from the zeroth, at the end; half is 1/2 at the head
-    end A and -1/2 at the top B, whose share is subtracted.
-    """
-    w = _taylor(g, 2 * _EM_PAIRS - 1)
-    # the Taylor coefficients of E f/f(x0): those of E times w
-    wh = [sum(e_taylor[j] * w[k - j]
-              for j in range(min(k, len(e_taylor) - 1) + 1))
-          for k in range(len(w))]
-    return [rest + f * (half * v[0] - sum(
-        b / (2 * j) * v[2 * j - 1]
-        for j, b in enumerate(_BERNOULLI[:_EM_PAIRS], 1)))
-        for rest, v in zip(rests, (w, wh))]
-
-
-def _tails(traps, step, beta, e1, head):
-    """sum_{n > K} f_n and sum_{n > K} E_n f_n, f_n = e^{-beta (E_n - E_1)},
-    each after its head of K terms (see the section comment), per row of
-    the _Shapes traps and the float arrays step, beta, E_1 and K: one row
-    each.  A tail past float range is not finite (numpy is silenced here;
-    _canonical_stages makes its stage a SolverFailureError)."""
-    out = np.zeros((2, len(head)))
-    for kind in ("geometric", "morse"):
-        rows = (traps.chi == 0.0) if kind == "geometric" else traps.chi != 0.0
-        if not rows.any():
-            continue
-        step_, beta_, e1_, head_ = step[rows], beta[rows], e1[rows], head[rows]
-        q, chi = traps.scale[rows], traps.chi[rows]
-        with np.errstate(all="ignore"):
-            if kind == "geometric":
-                # E_n = E_1 + delta (n - 1): r^K/(1 - r), r = e^{-beta delta},
-                # and its mean energy E_{K+1} + delta r/(1 - r)
-                delta = step_ * q
-                gap = -np.expm1(-beta_ * delta)
-                rest = np.exp(-beta_ * delta * head_) / gap
-                out[:, rows] = rest, rest * (e1_ + delta * head_
-                                             + delta * (1 - gap) / gap)
-                continue
-            a = beta_ * q * chi * step_ * step_
-            root = np.sqrt(a)
-
-            def end(x, half):
-                """_em_end at index x, or None where f(x) underflows."""
-                e = _absent_energy(_Wells(q, chi), step_ * x)
-                f = np.exp(-beta_ * (e - e1_))
-                if not f.any():
-                    return None
-                u = (0.5 / chi - 0.5) / step_ - x
-                t = root * u
-                f_t, r_t = dawson(t)
-                scaled = f_t / root
-                return _em_end(f, (f * scaled, f * (e * scaled + r_t
-                                                    / (2 * beta_ * root))),
-                               (2 * a * u, -a),
-                               (e, 2 * a * u / beta_, -a / beta_), half)
-
-            sums = end(head_ + 1, 0.5)
-            top = end(traps.cap[rows] // step_, -0.5)
-            if top is not None:     # the top of the well is within reach
-                sums = np.subtract(0.0 if sums is None else sums, top)
-            if sums is not None:
-                out[:, rows] = sums
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -956,68 +808,117 @@ def _cycle_sums(potentials, grounds, counts, baths, policy, heads):
 # ---------------------------------------------------------------------------
 # grand-canonical bosons
 #
-# Every grand-canonical quantity is a _series_sums sum over the ladder of one
-# (trap, barrier, bath) segment, and runs for many traps at once; the public
-# one-trap functions are one-segment calls of the same code.
+# A grand-canonical sum runs over one rung, the ladder of a (trap, barrier,
+# bath), at the rung's chemical potential: a head of K levels summed term
+# by term, and a short k-series over the rung's mu-free tail moments (see
+# _tail_sums).  _grand_rungs builds a batch's rungs once, and every Newton
+# round, occupancy re-check, log ratio and stage energy reuses them.
 
-def _mu_offsets(roots, count, policy, levels):
-    """Roots u = log(beta (E_1 - mu)) of the occupancy constraint for many
-    (potential, barrier, temperature, E_1) roots; a root or an error each.
+def _grand_rungs(requests, policy):
+    """The _Rungs of (potential, barrier, beta, E_1) requests, in order.
 
-    Each ladder is built once, sized from its E_1 (see _series_sums), whose
-    Boltzmann factor bounds the last occupancy at every mu below E_1.  With
-    n = g/expm1(beta(E - E_1) + e^u) (g = d_1 on every level), Newton runs on log N(u) - log count with the
-    slope dlog N/du = -e^u sum n (1 + n/g) / N, from the closed-form u,
-    inside the bracket [log log(1 + d_1/(1e9 count)), k log 2] (k from
-    doubling); a step that leaves the bracket bisects it (rtsafe, Numerical
-    Recipes 9.4).  Every round evaluates all roots in one ladder pass; each
-    root's bracket, step and stop test are its own.
+    Each rung is sized from its E_1 (_lengths), in one array pass, and its
+    levels built and weighed in one Boltzmann _series_sums call: a
+    geometric rung's 16-term head, and any other power law's whole ladder,
+    whose weights e^{-x} then give its head length and moments, for all
+    rungs at once.  An E_1 that is an error, an estimate past float range,
+    a length past max_terms (the head, where closed-form moments add the
+    rest) and a level that cannot be built are the row's error.
     """
-    out = _series_sums(_grand_segments(
-        [(p, ((barrier, e1),), {barrier: e1}, _beta(temperature))
-         for p, barrier, temperature, e1 in roots], policy, levels),
-        _boltzmann_terms, policy, levels)
-    rows = [j for j, result in enumerate(out) if not _failed(result)]
+    errors = [e1 if _failed(e1) else None for *_, e1 in requests]
+    live = [r for r, error in enumerate(errors) if error is None]
+    g = np.array([_degeneracy(barrier) for _, barrier, _, _ in requests])
+    betas = np.array([beta for _, _, beta, _ in requests], dtype=float)
+    e1 = np.zeros(len(requests))
+    e1[live] = [requests[r][3] for r in live]
+    rows, built = [], []
+    if live:
+        traps = _Shapes.of([requests[r][0] for r in live])
+        step = np.array([_stride(requests[r][1]) for r in live], dtype=float)
+        beta = betas[live]
+        with np.errstate(all="ignore"):
+            n, c = _lengths(traps, step, beta, e1[live], policy)
+        delta = np.where(traps.power == 1.0, traps.scale * step, 0.0)
+        lengths = _counts(n, lambda i: _exact(c[i], traps.cap[i], step[i]))
+        for i, (r, result) in enumerate(zip(live, _series_sums(
+                [(requests[r][0], ((requests[r][1], requests[r][3]),),
+                  requests[r][2], length if not d or _failed(length)
+                  else min(length, _HEAD_FLOOR))   # a geometric head
+                 for r, length, d in zip(live, lengths, delta.tolist())],
+                _boltzmann_terms, policy, {}))):
+            if _failed(result):
+                errors[r] = result
+            else:
+                rows.append(r)
+                built.append((result[1][0], result[2], float(lengths[i]),
+                              delta[i]))
+    return _Rungs(g, betas, e1, errors, rows, built,
+                  _XCUT_MARGIN - math.log(policy.rel_tol), policy.max_terms)
+
+
+def _rung_sums(rungs, rows, mus, kind):
+    """Per row of rungs in `rows` at its chemical potential in `mus`: the
+    first sum of _Heads.sums of `kind`, or the row's error, or a
+    SolverFailureError where the sum is not finite."""
+    out = [rungs.errors[r] for r in rows]
+    live = [i for i, error in enumerate(out) if error is None]
+    if live:
+        at = np.array([rows[i] for i in live], dtype=np.intp)
+        d = rungs.e1[at] - np.array([mus[i] for i in live])
+        heads = _Heads.of(rungs, at, kind == "energy")
+        sums = heads.sums(rungs.beta[at] * d, kind, d)[0]
+        for j, (i, total) in enumerate(zip(live, sums.tolist())):
+            out[i] = heads.error(j) or (
+                total if math.isfinite(total) else SolverFailureError(
+                    f"series sum is {total}, not finite: its terms leave"
+                    " float range"))
+    return out
+
+
+def _mu_offsets(roots, count, policy, rungs):
+    """Roots u = log(beta (E_1 - mu)) of the occupancy constraint for many
+    (potential, barrier, temperature, E_1) roots, root j on row j of the
+    _Rungs rungs; a root or an error each.
+
+    With n = g/expm1(beta(E - E_1) + e^u) (g = d_1 on every level), Newton
+    runs on log N(u) - log count with the slope dlog N/du = -e^u sum n (1 +
+    n/g) / N, from the closed-form u, inside the bracket [log log(1 +
+    d_1/(1e9 count)), k log 2] (k from doubling); a step that leaves the
+    bracket bisects it (rtsafe, Numerical Recipes 9.4).  Every round
+    evaluates all roots at once, each its head and the k-series of its
+    tail (_Heads.sums); each root's bracket, step and stop test are its
+    own.
+    """
+    out = list(rungs.errors)
+    rows = [j for j, error in enumerate(out) if error is None]
     if not rows:
         return out
-    flat = _Segments([len(out[j][1][0]) for j in rows])
-    x = flat.spread([_beta(roots[j][2]) for j in rows]) * (
-        flat.join([out[j][1][0] for j in rows])
-        - flat.spread([roots[j][3] for j in rows]))
-    g = flat.spread([_degeneracy(roots[j][1]) for j in rows])
+    heads = _Heads.of(rungs, np.array(rows, dtype=np.intp))
     log_count = math.log(count)
     live = [_Root(j, _degeneracy(roots[j][1]), count) for j in rows]
     # an occupation past 1e154 overflows n (1 + n/g) to inf, which makes
     # the step 0: the root stops there, and like every root it is then
     # checked against mu < E_1 and its occupancy re-sum
-    with np.errstate(over="ignore"):
-        while live:
-            shift = [math.exp(root.u) for root in live]
-            n = x + flat.spread(shift)
-            np.expm1(_clip(n), out=n)
-            np.divide(g, n, out=n)
-            weight = n / g          # n (1 + n/g), without a second temporary
-            weight += 1.0
-            weight *= n
-            weight = flat.sums(weight).tolist()
-            totals = flat.sums(n).tolist()
-            keep = [True] * len(live)
-            for i, root in enumerate(live):
-                if totals[i] == 0.0:  # every term underflowed: N below any count
-                    f, slope = -math.inf, math.nan
-                else:
-                    slope = -shift[i] * weight[i] / totals[i]
-                    f = math.log(totals[i]) - log_count
-                result = root.update(f, slope)
-                if result is not None:
-                    out[root.j] = result
-                    keep[i] = False
-            if not all(keep):   # drop finished roots from the ladder pass
-                live = [root for root, kept in zip(live, keep) if kept]
-                if live:
-                    mask = flat.spread(keep)
-                    flat = _Segments(flat.lengths[keep])
-                    x, g = x[mask][flat.single:], g[mask][flat.single:]
+    while live:
+        shift = [math.exp(root.u) for root in live]
+        totals, weight = (s.tolist() for s in heads.sums(np.array(shift),
+                                                         "occupancy"))
+        keep = [True] * len(live)
+        for i, root in enumerate(live):
+            if totals[i] == 0.0:  # every term underflowed: N below any count
+                f, slope = -math.inf, math.nan
+            else:
+                slope = -shift[i] * weight[i] / totals[i]
+                f = math.log(totals[i]) - log_count
+            result = (heads.refused and heads.error(i)) or root.update(
+                f, slope)
+            if result is not None:
+                out[root.j] = result
+                keep[i] = False
+        if not all(keep):   # drop finished roots from the next round
+            live = [root for root, kept in zip(live, keep) if kept]
+            if live:
+                heads = heads.take(np.array(keep))
     return out
 
 
@@ -1075,13 +976,21 @@ class _Root:
         return None
 
 
-def _chemical_potentials(roots, count, mode, policy, levels):
+def _rungs_of(roots, policy):
+    """The _Rungs of (potential, barrier, temperature, E_1) roots."""
+    return _grand_rungs([(potential, barrier, _beta(temperature), e1)
+                         for potential, barrier, temperature, e1 in roots],
+                        policy)
+
+
+def _chemical_potentials(roots, count, mode, policy, rungs=None):
     """Chemical potentials of (potential, barrier, temperature, E_1) roots in
     `mode`; a mu or an error each, every mu strictly below E_1.
 
     CLOSED_FORM is E_1 - k_B T log1p(d_1/count); SOLVED runs every root
-    through one Newton loop (see _mu_offsets) on the ladders in `levels`,
-    and re-sums the occupancy at each mu, which must recover count to 1e-10.
+    through one Newton loop (see _mu_offsets) on the _Rungs of the roots,
+    root j on row j (built here where not given), and re-sums the
+    occupancy at each mu, which must recover count to 1e-10.
     """
     if mode is MuMode.CLOSED_FORM:
         return [_below_ground(e1 - K_B * temperature
@@ -1090,16 +999,15 @@ def _chemical_potentials(roots, count, mode, policy, levels):
     if mode is not MuMode.SOLVED:
         return [EnsembleMismatchError(
             f"unknown chemical-potential mode {mode!r}") for _ in roots]
-    out = _mu_offsets(roots, count, policy, levels)
+    if rungs is None:
+        rungs = _rungs_of(roots, policy)
+    out = _mu_offsets(roots, count, policy, rungs)
     for j, u in enumerate(out):
         if not _failed(u):
             _, _, temperature, e1 = roots[j]
             out[j] = _below_ground(e1 - K_B * temperature * math.exp(u), e1)
     rows = [j for j, mu in enumerate(out) if not _failed(mu)]
-    recovered = _occupancy_checks(_grand_segments(
-        [(p, ((barrier, out[j]),), {barrier: e1}, _beta(temperature))
-         for j in rows for p, barrier, temperature, e1 in (roots[j],)],
-        policy, levels), policy, levels)
+    recovered = _occupancy_checks([(j, out[j]) for j in rows], rungs)
     for j, total in zip(rows, recovered):
         if _failed(total):
             out[j] = total
@@ -1127,19 +1035,21 @@ def _below_ground(mu, e1):
            f" ({math.ulp(e1):.6g} J)" if mu == e1 else ""))
 
 
-def _occupancy_checks(segments, policy, levels):
-    """The occupancy re-sums behind solved chemical potentials."""
-    return _totals(_series_sums(segments, _occupancy_terms, policy, levels))
+def _occupancy_checks(checks, rungs):
+    """The occupancy re-sums behind solved chemical potentials: one per
+    (row of rungs, mu) check."""
+    rows, mus = zip(*checks) if checks else ((), ())
+    return _rung_sums(rungs, rows, mus, "occupancy")
 
 
 def occupancy_total(potential, barrier, mu, temperature, policy=TruncationPolicy()):
     """Mean boson number sum_n g/(e^{beta(E_n - mu)} - 1) at fixed mu."""
     _require_power_family(potential, "grand-canonical occupancy")
     e1 = level_energy(potential, 1, barrier)
-    return _one_sum(_grand_segments([(
-        potential, ((barrier, value_or_raise(_below_ground(mu, e1))),),
-        {barrier: e1}, _beta(temperature))], policy)[0], _occupancy_terms,
-        policy)
+    mu = value_or_raise(_below_ground(mu, e1))
+    return value_or_raise(_rung_sums(_grand_rungs(
+        [(potential, barrier, _beta(temperature), e1)], policy), (0,), (mu,),
+        "occupancy")[0])
 
 
 def chemical_potential(potential, count, temperature, barrier, mode,
@@ -1148,14 +1058,14 @@ def chemical_potential(potential, count, temperature, barrier, mode,
 
     CLOSED_FORM uses mu = E_1 - k_B T log(1 + d_1/count) with d_1 = 1 before
     insertion and 2 after.  SOLVED finds u = log(beta (E_1 - mu)) by a
-    bracketed Newton step on one level ladder per solve (see _mu_offsets);
-    working in u keeps the offset below E_1 resolved even when
-    E_1 >> k_B T.  The occupancy at the returned mu is re-summed and verified
-    to |dN/N| < 1e-10, and the result is always strictly below E_1.
+    bracketed Newton step on the level ladder's head and tail moments (see
+    _mu_offsets); working in u keeps the offset below E_1 resolved even
+    when E_1 >> k_B T.  The occupancy at the returned mu is re-summed and
+    verified to |dN/N| < 1e-10, and the result is always strictly below E_1.
     """
     return value_or_raise(_chemical_potentials(
         _one_trap_roots(potential, count, temperature, (barrier,)), count,
-        mode, policy, {})[0])
+        mode, policy)[0])
 
 
 def chemical_potentials(potential, count, temperature, mode,
@@ -1164,8 +1074,8 @@ def chemical_potentials(potential, count, temperature, mode,
     roots = _one_trap_roots(potential, count, temperature,
                             (Barrier.ABSENT, Barrier.INSERTED))
     return value_or_raise(_mu_pairs(
-        _chemical_potentials(roots, count, mode, policy, {}), count,
-        (temperature,), mode)[0])[0]
+        _chemical_potentials(roots, count, mode, policy), count,
+        [(temperature,)], mode)[0])[0]
 
 
 def _one_trap_roots(potential, count, temperature, barriers):
@@ -1179,45 +1089,57 @@ def _one_trap_roots(potential, count, temperature, barriers):
 
 
 def _mu_pairs(mus, count, temperatures, mode):
-    """Per trap, its ChemicalPotentials at each temperature, from its mus in
-    the order absent, inserted at each temperature in turn; or its first
-    error."""
-    k = 2 * len(temperatures)
+    """Per trap, its ChemicalPotentials at each of its temperatures
+    (temperatures[i], a tuple of one length for every trap), from its mus
+    in the order absent, inserted at each temperature in turn; or its
+    first error."""
+    k = 2 * len(temperatures[0]) if temperatures else 0
     return [next((mu for mu in own if _failed(mu)), None) or tuple(
         ChemicalPotentials(pre_insertion=pre, post_insertion=post,
                            temperature=temperature, count=count, mode=mode)
-        for pre, post, temperature in zip(own[::2], own[1::2], temperatures))
-        for own in (mus[i:i + k] for i in range(0, len(mus), k))]
+        for pre, post, temperature in zip(own[::2], own[1::2], temps))
+        for own, temps in zip((mus[i:i + k] for i in range(0, len(mus), k)),
+                              temperatures)]
 
 
-def _bath_ratios(potentials, grounds, count, temperatures, mode, policy,
-                 levels):
-    """Chemical potentials and log ratios of grand-canonical traps at each of
-    a tuple of temperatures: per trap (ChemicalPotentials, log ratio) per
-    temperature, or the error of its first failing root (see _mu_pairs),
-    else of its first failing log ratio.
+def _log_ratios(logs):
+    """log ratios from the log terms of their rungs, absent and inserted in
+    turn: sum log(1 - e^{-x_pre}) - 2 sum log(1 - e^{-x_post}) each, or the
+    first error."""
+    return [pre if _failed(pre) else post if _failed(post) else
+            pre - 2.0 * post for pre, post in zip(logs[::2], logs[1::2])]
 
-    potentials and grounds are a batch as ladder_batches returns it.  All
-    the roots are produced together in `mode`, from the ground levels (see
-    _chemical_potentials), and the log ratios are one _series_sums call on
-    the same ladders in `levels`.
+
+def _bath_ratios(potentials, grounds, count, temperatures, mode, policy):
+    """Chemical potentials and log ratios of grand-canonical traps, trap i
+    at each of its tuple of temperatures[i] (all of one length): per trap
+    (ChemicalPotentials, log ratio) per temperature, or the error of its
+    first failing root (see _mu_pairs), else of its first failing log
+    ratio; and the _Rungs they ran on.
+
+    potentials and grounds are a batch as ladder_batches returns it.  Its
+    rungs are built once, absent and inserted at each temperature in turn
+    for each trap, from the ground levels; all the roots are produced
+    together in `mode` (see _chemical_potentials), and each log ratio is
+    the log terms of its two rungs at their chemical potentials.
     """
     roots = [(potential, barrier, temperature, ground[barrier])
-             for potential, ground in zip(potentials, grounds)
-             for temperature in temperatures
+             for potential, ground, own in zip(potentials, grounds,
+                                               temperatures)
+             for temperature in own
              for barrier in (Barrier.ABSENT, Barrier.INSERTED)]
-    out = _mu_pairs(_chemical_potentials(roots, count, mode, policy, levels),
-                    count, temperatures, mode)
+    rungs = _rungs_of(roots, policy)
+    mus = _chemical_potentials(roots, count, mode, policy, rungs)
+    out = _mu_pairs(mus, count, temperatures, mode)
+    k = len(temperatures[0]) if temperatures else 0
     live = [i for i, pairs in enumerate(out) if not _failed(pairs)]
-    ratios = _totals(_series_sums(_grand_segments(
-        [(potentials[i], _both_rungs(pair), grounds[i],
-          _beta(pair.temperature)) for i in live for pair in out[i]], policy,
-        levels), _log_ratio_terms, policy, levels))
-    k = len(temperatures)
+    rows = [2 * k * i + j for i in live for j in range(2 * k)]
+    ratios = _log_ratios(_rung_sums(rungs, rows, [mus[r] for r in rows],
+                                    "log"))
     for j, i in enumerate(live):
-        own = tuple(ratios[k * j:k * (j + 1)])
+        own = tuple(ratios[j * k:(j + 1) * k])
         out[i] = next((r for r in own if _failed(r)), None) or (out[i], own)
-    return out
+    return out, rungs
 
 
 def grand_stage_sums(potentials, grounds, count, baths, mode,
@@ -1227,24 +1149,22 @@ def grand_stage_sums(potentials, grounds, count, baths, mode,
 
     potentials and grounds are a batch as ladder_batches returns it.  Each
     trap gets (log ratio hot, log ratio cold, (U_A, U_B, U_C, U_D),
-    (hot, cold) ChemicalPotentials): _bath_ratios at (hot, cold), then the
-    stage energies in one more _series_sums call on the same ladders; or
-    the first error of _bath_ratios, else of its first failing energy.
+    (hot, cold) ChemicalPotentials): _bath_ratios at (hot, cold), then each
+    stage energy on its rung, at that rung's chemical potential; or the
+    first error of _bath_ratios, else of its first failing energy.
     """
-    levels = {}
-    out = _bath_ratios(potentials, grounds, count, (baths.hot, baths.cold),
-                       mode, policy, levels)
+    out, rungs = _bath_ratios(potentials, grounds, count,
+                              [(baths.hot, baths.cold)] * len(potentials),
+                              mode, policy)
     live = [i for i, terms in enumerate(out) if not _failed(terms)]
-    segments = []
+    rows, mus = [], []
     for i in live:
-        mus_hot, mus_cold = out[i][0]
-        for stage, mus in zip(Stage, (mus_hot, mus_hot, mus_cold, mus_cold)):
-            barrier, temperature = _stage_config(stage, baths)
-            rung = _both_rungs(mus)[barrier is Barrier.INSERTED]
-            segments.append((potentials[i], (rung,), grounds[i],
-                             _beta(temperature)))
-    energies = _totals(_series_sums(_grand_segments(segments, policy, levels),
-                                    _energy_terms, policy, levels))
+        (hot, cold), _ = out[i]
+        # rows absent, inserted at the hot bath, then at the cold: A B D C
+        rows += [4 * i, 4 * i + 1, 4 * i + 3, 4 * i + 2]
+        mus += [hot.pre_insertion, hot.post_insertion, cold.post_insertion,
+                cold.pre_insertion]
+    energies = _rung_sums(rungs, rows, mus, "energy")
     for k, i in enumerate(live):
         stages = tuple(energies[4 * k:4 * k + 4])
         error = next((u for u in stages if _failed(u)), None)
@@ -1253,16 +1173,11 @@ def grand_stage_sums(potentials, grounds, count, baths, mode,
     return out
 
 
-def _both_rungs(mu_pair):
-    """A log ratio's rungs, indexed by `barrier is Barrier.INSERTED`."""
-    return ((Barrier.ABSENT, mu_pair.pre_insertion),
-            (Barrier.INSERTED, mu_pair.post_insertion))
-
-
 def _checked_rungs(potential, mu_pair, temperature):
-    """_both_rungs of a pair solved at `temperature` whose mus lie below
-    their ground levels (see _below_ground), with those levels by barrier;
-    or None for a Morse well, which takes no pair; raises otherwise."""
+    """The (barrier, mu) rungs, absent then inserted, of a pair solved at
+    `temperature` whose mus lie below their ground levels (see
+    _below_ground), with those levels by barrier; or None for a Morse well,
+    which takes no pair; raises otherwise."""
     if isinstance(potential, Morse):
         if mu_pair is not None:
             raise EnsembleMismatchError(
@@ -1273,11 +1188,21 @@ def _checked_rungs(potential, mu_pair, temperature):
     grounds = {barrier: level_energy(potential, 1, barrier)
                for barrier in Barrier}
     rungs = tuple((b, value_or_raise(_below_ground(mu, grounds[b])))
-                  for b, mu in _both_rungs(mu_pair))
+                  for b, mu in ((Barrier.ABSENT, mu_pair.pre_insertion),
+                                (Barrier.INSERTED, mu_pair.post_insertion)))
     if mu_pair.temperature != temperature:
         raise EnsembleMismatchError(
             "chemical potentials were solved at a different temperature")
     return rungs, grounds
+
+
+def _one_trap_sums(potential, checked, temperature, rungs, kind, policy):
+    """_rung_sums of some of one trap's checked (barrier, mu) rungs."""
+    beta, grounds = _beta(temperature), checked[1]
+    table = _grand_rungs([(potential, barrier, beta, grounds[barrier])
+                          for barrier, _ in rungs], policy)
+    return _rung_sums(table, range(len(rungs)), [mu for _, mu in rungs],
+                      kind)
 
 
 def log_relative_partition(potential, mu_pair, temperature,
@@ -1286,9 +1211,11 @@ def log_relative_partition(potential, mu_pair, temperature,
 
     Product over levels of
         (1 - e^{-beta(E_n - mu_pre)}) / (1 - e^{-beta(E_{2n} - mu_post)})^2,
-    evaluated as a sum of log1p terms.  The inserted-spectrum factor carries
-    the square of its double degeneracy, keeping the ratio consistent with
-    the factor-2 occupancy sums used for the internal energies.
+    evaluated as two sums of log1p terms, one per rung, each a head and a
+    tail of Bose functions (see _grand_rungs).  The inserted-spectrum factor
+    carries the square of its double degeneracy, keeping the ratio
+    consistent with the factor-2 occupancy sums used for the internal
+    energies.
 
     Morse potentials take the canonical mu-free route: pass mu_pair = None.
     """
@@ -1298,9 +1225,8 @@ def log_relative_partition(potential, mu_pair, temperature,
             potential, barrier, 1, temperature, policy)
             for barrier in (Barrier.INSERTED, Barrier.ABSENT))
         return log_post - log_pre
-    return _one_sum(_grand_segments([(potential, *checked,
-                                      _beta(temperature))], policy)[0],
-                    _log_ratio_terms, policy)
+    return value_or_raise(_log_ratios(_one_trap_sums(
+        potential, checked, temperature, checked[0], "log", policy))[0])
 
 
 def internal_energy(stage, potential, mu_pair, baths, policy=TruncationPolicy()):
@@ -1316,7 +1242,6 @@ def internal_energy(stage, potential, mu_pair, baths, policy=TruncationPolicy())
     if checked is None:
         return canonical_stage_properties(potential, barrier, 1, temperature,
                                           policy)[1]
-    rungs, grounds = checked
-    return _one_sum(_grand_segments([(
-        potential, (rungs[barrier is Barrier.INSERTED],), grounds,
-        _beta(temperature))], policy)[0], _energy_terms, policy)
+    return value_or_raise(_one_trap_sums(
+        potential, checked, temperature,
+        (checked[0][barrier is Barrier.INSERTED],), "energy", policy)[0])

@@ -22,7 +22,7 @@ import re
 import time
 from configparser import ConfigParser
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import groupby, product
 
 import numpy as np
 
@@ -33,7 +33,8 @@ from .errors import (ConfigError, OutputError, SzilardError, TruncationError,
 from .potentials import Barrier, Harmonic, Morse, PowerLaw, Spectrum
 from .barrier import even_levels, odd_level
 from .ensembles import (BathPair, MuMode, TruncationPolicy, _bath_ratios,
-                        chemical_potentials, ladder_batches)
+                        _batches, _beta, _chemical_potentials, _mu_pairs,
+                        _one_trap_roots)
 # run_cycle stays bound here for wrappers that patch it per module
 from .cycle import Ensemble, _run_cycles, run_cycle, run_cycles  # noqa: F401
 
@@ -328,15 +329,50 @@ def _cycle_rows(spec, points):
     return rows
 
 
-def _eval_chemical_potential(point, spec):
+def _harmonic_points(spec, points, prepare):
+    """Per point, the harmonic trap of spec, its N and T, and what
+    prepare(trap, count, temperature) gives; or the SzilardError of a
+    point that fails there.  Then the runs of consecutive points with one
+    N, as (N, point indices)."""
     p = spec.params
-    trap = Harmonic(mass=p["mass"], omega=p["omega"])
-    count = int(point["N"])
-    temperature = float(point["T"])
-    closed = chemical_potentials(trap, count, temperature,
-                                 MuMode.CLOSED_FORM, spec.policy)
-    solved = chemical_potentials(trap, count, temperature,
-                                 MuMode.SOLVED, spec.policy)
+    out = []
+    for point in points:
+        try:
+            trap = Harmonic(mass=p["mass"], omega=p["omega"])
+            count, temperature = int(point["N"]), float(point["T"])
+            out.append((trap, count, temperature,
+                        prepare(trap, count, temperature)))
+        except SzilardError as exc:
+            out.append(exc)
+    live = [i for i, job in enumerate(out)
+            if not isinstance(job, SzilardError)]
+    return out, [(count, list(run)) for count, run in
+                 groupby(live, key=lambda i: out[i][1])]
+
+
+def _chemical_potential_values(spec, points):
+    """Per point, its row values or SzilardError.  The points of each run
+    with one N solve the roots of all their temperatures together, in both
+    modes (see ensembles._chemical_potentials); each point keeps the values
+    it gets alone, the closed form's error first."""
+    barriers = (Barrier.ABSENT, Barrier.INSERTED)
+    out, runs = _harmonic_points(spec, points, lambda trap, count, t: (
+        _one_trap_roots(trap, count, t, barriers)))
+    for count, run in runs:
+        roots = [root for i in run for root in out[i][3]]
+        temperatures = [(out[i][2],) for i in run]
+        closed, solved = (_mu_pairs(_chemical_potentials(
+            roots, count, mode, spec.policy), count, temperatures, mode)
+            for mode in (MuMode.CLOSED_FORM, MuMode.SOLVED))
+        for i, pairs in zip(run, zip(closed, solved)):
+            error = next((e for e in pairs if isinstance(e, SzilardError)),
+                         None)
+            out[i] = error or _mu_cells(out[i][2], count, pairs[0][0],
+                                        pairs[1][0])
+    return out
+
+
+def _mu_cells(temperature, count, closed, solved):
     return {
         "T": temperature, "N": count,
         "mu_pre": closed.pre_insertion,
@@ -350,18 +386,31 @@ def _eval_chemical_potential(point, spec):
     }
 
 
+def _partition_ratio_values(spec, points):
+    """Per point, its row values or SzilardError.  The points of each run
+    with one N share the batches of the grand-canonical cycle's
+    root-and-ratio path (ensembles._bath_ratios), each trap at its own
+    temperature; each point keeps the values it gets alone."""
+    mode = MuMode(spec.params["mu_mode"])
+    out, runs = _harmonic_points(spec, points, lambda trap, count, t: (
+        _beta(t)))
+    for count, run in runs:
+        for traps, grounds, _ in _batches([out[i][0] for i in run],
+                                          [out[i][3] for i in run],
+                                          spec.policy, False):
+            own, run = run[:len(traps)], run[len(traps):]
+            for i, value in zip(own, _bath_ratios(
+                    traps, grounds, count, [(out[i][2],) for i in own],
+                    mode, spec.policy)[0]):
+                out[i] = value if isinstance(value, SzilardError) else {
+                    "T": out[i][2], "N": count, "log_ratio": value[1][0],
+                    "ratio": math.exp(value[1][0])}
+    return out
+
+
 def _eval_partition_ratio(point, spec):
-    p = spec.params
-    trap = Harmonic(mass=p["mass"], omega=p["omega"])
-    count = int(point["N"])
-    temperature = float(point["T"])
-    (traps, grounds, _), = ladder_batches((trap,), 1, temperature,
-                                          spec.policy)
-    _, (log_ratio,) = value_or_raise(_bath_ratios(
-        traps, grounds, count, (temperature,), MuMode(p["mu_mode"]),
-        spec.policy, {})[0])
-    return {"T": temperature, "N": count,
-            "log_ratio": log_ratio, "ratio": math.exp(log_ratio)}
+    """The row values of one partition-ratio point; raises its error."""
+    return value_or_raise(_partition_ratio_values(spec, [point])[0])
 
 
 def _eval_barrier(point, spec):
@@ -380,10 +429,23 @@ def _eval_barrier(point, spec):
             "residual": solution.residual}
 
 
-_EVALUATORS = {
-    "chemical-potential": _eval_chemical_potential,
-    "partition-ratio": _eval_partition_ratio,
-    "barrier-levels": _eval_barrier,
+def _barrier_values(spec, points):
+    """Per point, its row values or SzilardError, one point at a time."""
+    out = []
+    for point in points:
+        try:
+            out.append(_eval_barrier(point, spec))
+        except SzilardError as exc:
+            out.append(exc)
+    return out
+
+
+# Each other family's per-point row values or SzilardErrors, from all its
+# points at once
+_VALUES = {
+    "chemical-potential": _chemical_potential_values,
+    "partition-ratio": _partition_ratio_values,
+    "barrier-levels": _barrier_values,
 }
 
 
@@ -398,14 +460,12 @@ def _error_row(spec, point, exc):
     return row
 
 
-def _evaluate_point(spec, point):
-    """The row of one point of the other families."""
-    try:
-        row = _EVALUATORS[spec.family](point, spec)
-    except SzilardError as exc:
-        return _error_row(spec, point, exc)
-    row["error"] = ""
-    return row
+def _value_rows(spec, points):
+    """The rows of the points of the other families."""
+    return [_error_row(spec, point, value) if isinstance(value, SzilardError)
+            else {**value, "error": ""}
+            for point, value in zip(points, _VALUES[spec.family](spec,
+                                                                 points))]
 
 
 # ---------------------------------------------------------------------------
@@ -731,7 +791,7 @@ def run_sweep(spec, csv_path=None):
     if spec.family in _CYCLES:
         rows = _cycle_rows(spec, points)
     else:
-        rows = [_evaluate_point(spec, point) for point in points]
+        rows = _value_rows(spec, points)
     wall = time.perf_counter() - started
     errors = [(index, row["error"]) for index, row in enumerate(rows)
               if row["error"]]

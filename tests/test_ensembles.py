@@ -1031,21 +1031,81 @@ _SMALL_CAP = TruncationPolicy(max_terms=20_000)
 @given(nu=st.floats(0.05, 4.0), log_scale=st.floats(-3.0, 6.0),
        count=st.integers(1, 1000))
 def test_grand_sums_end_below_rel_tol(nu, log_scale, count):
-    """A grand-canonical sum sized once from its rungs' ground levels needs
-    no tail test: across nu 0.05-4, trap scales 1e-3-1e6 k_B T and N
-    1-1000, every root ladder, occupancy re-check, log ratio and stage
-    energy of a cycle, at both baths, ends below rel_tol of its summed
-    magnitudes.  A cap of 20,000 terms keeps each draw short."""
+    """A grand-canonical rung sized once from its ground level needs no
+    tail test: across nu 0.05-4, trap scales 1e-3-1e6 k_B T and N 1-1000,
+    every rung ladder of a cycle that a power law weighs whole, at both
+    baths, ends below rel_tol of its summed magnitudes.  A geometric rung
+    weighs only its 16-term head, as on the canonical route; every
+    occupancy, log ratio and energy is a head and a k-series over the
+    rung's moments, which test_heads_and_moments_match_whole_sums checks
+    against whole sums.  A cap of 20,000 terms keeps each draw short."""
     baths = BathPair(hot=2.0, cold=1.0)
     trap = PowerLaw.from_energy_scale(MASS, 10 ** log_scale * K_B, nu)
     log, ran = _sums_of(lambda: run_cycle(trap, Ensemble.GRAND_BOSE, count,
                                           baths, _SMALL_CAP))
     kinds = _checked_last_terms(log)
-    if ran:
-        assert set(kinds) == {ensembles._boltzmann_terms,
-                              ensembles._occupancy_terms,
-                              ensembles._log_ratio_terms,
-                              ensembles._energy_terms}
+    if ran and trap.level_power != 1.0:     # else it may weigh heads only
+        assert set(kinds) == {ensembles._boltzmann_terms}
+
+
+def _whole_sums(trap, barrier, mu, temperature, x_top=75.0):
+    """The occupancy, log term sum_n log(1 - e^{-x_n}) and energy of one
+    rung at mu, x_n = beta (E_n - mu), from its whole ladder to beta (E_n
+    - E_1) = x_top, each math.fsum over the numpy sums of consecutive
+    chunks of up to 2^18 levels; and the sum of each one's magnitudes."""
+    g = 2.0 if barrier is Barrier.INSERTED else 1.0
+    beta = 1.0 / (K_B * temperature)
+    e1 = level_energy(trap, 1, barrier)
+    parts, n, chunk = [], 1, 256
+    while True:
+        e = level_energy(trap, np.arange(n, n + chunk), barrier)
+        x = beta * (e - mu)
+        with np.errstate(over="ignore"):    # terms past x_top are 0
+            occupancy = g / np.expm1(x)
+        terms = (occupancy, np.log1p(-np.exp(-x)), occupancy * (e - mu))
+        parts.append([(float(np.sum(t)), float(np.sum(np.abs(t))))
+                      for t in terms])
+        n, chunk = n + chunk, min(2 * chunk, 1 << 18)
+        if beta * (e[-1] - e1) > x_top:
+            break
+    return [(math.fsum(p[k][0] for p in parts),
+             math.fsum(p[k][1] for p in parts)) for k in range(3)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(nu=st.one_of(st.just(2.0), st.floats(0.05, 4.0)),
+       log_scale=st.floats(-3.0, 6.0), count=st.integers(1, 1000),
+       mode=st.sampled_from(MuMode))
+def test_heads_and_moments_match_whole_sums(nu, log_scale, count, mode):
+    """Each rung of a Bose cycle is a head summed term by term and a tail
+    summed as a k-series over its mu-free moments (see
+    ensembles._grand_rungs): at the cycle's chemical potentials, solved or
+    closed-form, its occupancy, log term and energy each meet the whole
+    ladder summed term by term, to 1e-12 of the summed magnitudes.  nu
+    0.05-4, with nu = 2 (a 16-term head, closed-form moments and a series
+    whose length is set at each evaluation) drawn often; trap scales
+    1e-3-1e6 k_B T; N 1-1000.  A rung past the 20,000-term cap meets its
+    TruncationError and is not checked."""
+    baths = BathPair(hot=2.0, cold=1.0)
+    trap = PowerLaw.from_energy_scale(MASS, 10 ** log_scale * K_B, nu)
+    (batch, grounds, _), = ensembles.ladder_batches((trap,), 1, baths.hot,
+                                                    _SMALL_CAP)
+    (pairs,), rungs = ensembles._bath_ratios(
+        batch, grounds, count, [(baths.hot, baths.cold)], mode, _SMALL_CAP)
+    if isinstance(pairs, SzilardError):
+        return
+    (hot, cold), _ = pairs
+    rows = ((Barrier.ABSENT, hot.pre_insertion, baths.hot),
+            (Barrier.INSERTED, hot.post_insertion, baths.hot),
+            (Barrier.ABSENT, cold.pre_insertion, baths.cold),
+            (Barrier.INSERTED, cold.post_insertion, baths.cold))
+    for row, (barrier, mu, temperature) in enumerate(rows):
+        got = [ensembles._rung_sums(rungs, [row], [mu], kind)[0]
+               for kind in ("occupancy", "log", "energy")]
+        for value, (want, magnitude) in zip(got, _whole_sums(
+                trap, barrier, mu, temperature)):
+            assert abs(value - want) <= 1e-12 * magnitude, (
+                barrier, temperature, value, want)
 
 
 @settings(max_examples=30, deadline=None)
@@ -1138,6 +1198,51 @@ class TestGrandOracle:
         supplied = u_b - u_d + kt_h * l_h
         supplied_tol = 1e-12 * (abs(u_b) + abs(u_d) + kt_h * magnitudes[0])
         assert supplied > 0.0
+        eta = work / supplied
+        assert abs(cycle.efficiency - eta) <= (
+            work_tol + abs(eta) * supplied_tol) / supplied
+
+    @pytest.mark.parametrize("hot, cold", [(200.0, 100.0), (2000.0, 1000.0)])
+    def test_reach_cycles_match_whole_ladder_sums(self, hot, cold):
+        """The nu = 2 trap of energy scale 0.01 k_B 1 K with N = 10, whose
+        ladders run to 1.25 M terms at 200 K (past the term cap) and
+        12.5 M at 2000 K: each rung takes a 16-term head and a k-series,
+        and at the cycle's own solved chemical potentials they meet the
+        whole ladders summed term by term (math.fsum over numpy chunks,
+        to beta (E - E_1) = 75).  Each occupancy recovers N to 1e-10, as
+        the root's own re-check demands; each stage energy to 1e-12
+        relative; each log ratio, W and eta as above."""
+        trap = PowerLaw.from_energy_scale(MASS, 0.01 * K_B, 2.0)
+        baths = BathPair(hot, cold)
+        cycle = run_cycle(trap, Ensemble.GRAND_BOSE, 10, baths)
+        logs, magnitudes, energies = [], [], {}
+        for pair, stages in zip(cycle.mus, (("A", "B"), ("D", "C"))):
+            sums = [_whole_sums(trap, barrier, mu, pair.temperature)
+                    for barrier, mu in ((Barrier.ABSENT, pair.pre_insertion),
+                                        (Barrier.INSERTED,
+                                         pair.post_insertion))]
+            for stage, (occupancy, _, energy) in zip(stages, sums):
+                assert abs(occupancy[0] - 10) <= 1e-10 * 10
+                energies[stage] = energy[0]
+            (_, (log_pre, pre), _), (_, (log_post, post), _) = sums
+            logs.append(log_pre - 2.0 * log_post)
+            magnitudes.append(pre + 2.0 * post)
+        (batch, grounds, _), = ensembles.ladder_batches((trap,), 1, hot)
+        (l_hot, l_cold, got, mus), = ensembles.grand_stage_sums(
+            batch, grounds, 10, baths, MuMode.SOLVED)
+        assert mus == cycle.mus
+        for value, stage in zip(got, "ABCD"):
+            assert abs(value / energies[stage] - 1) <= 1e-12
+        for value, want, magnitude in zip((l_hot, l_cold), logs,
+                                          magnitudes):
+            assert abs(value - want) <= 1e-12 * magnitude
+        kt_h, kt_c = K_B * hot, K_B * cold
+        work = kt_h * logs[0] - kt_c * logs[1]
+        work_tol = 1e-12 * (kt_h * magnitudes[0] + kt_c * magnitudes[1])
+        assert abs(cycle.work - work) <= work_tol
+        supplied = energies["B"] - energies["D"] + kt_h * logs[0]
+        supplied_tol = 1e-12 * (abs(energies["B"]) + abs(energies["D"])
+                                + kt_h * magnitudes[0])
         eta = work / supplied
         assert abs(cycle.efficiency - eta) <= (
             work_tol + abs(eta) * supplied_tol) / supplied

@@ -53,6 +53,22 @@ def test_prefactor_log_slope(nu):
     assert slope == pytest.approx(4.0 / (nu + 2.0), abs=1e-8)
 
 
+@pytest.mark.parametrize("nu", [1e-6, 1e-9, 1e-12, 1e-15, 1e-20, 1e-100,
+                                1 / 12])
+def test_log_gamma_ratio_matches_60_digits(nu):
+    """log Gamma(1/nu + 3/2) - log Gamma(1 + 1/nu), from 1/nu = 12 on an
+    asymptotic series, to 2e-16 relative down to nu = 1e-100: the
+    difference of two gammaln values was 3.7e-8 off at nu = 1e-9 and read
+    exactly 0 below about 1.1e-16.  The reference carries 60 digits past
+    the log10(1/nu) its own difference cancels."""
+    mpmath = pytest.importorskip("mpmath")
+    from szilard.potentials import _log_gamma_ratio
+    with mpmath.workdps(60 + round(-math.log10(nu))):
+        x = 1 / mpmath.mpf(nu)
+        want = mpmath.loggamma(x + 1.5) - mpmath.loggamma(x + 1)
+        assert abs(_log_gamma_ratio(nu) - want) <= 2e-16 * want
+
+
 def test_level_power_values():
     assert PowerLaw(MASS, 1e10, 2.0).level_power == pytest.approx(1.0, rel=1e-15)
     assert PowerLaw(MASS, 1e10, 1.6).level_power == pytest.approx(8.0 / 9.0)

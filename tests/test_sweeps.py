@@ -270,10 +270,10 @@ class TestSingleEvaluation:
         """The 50-point fig10 run above makes no per-trap head or level
         call.  Its heads are three _heads passes: the batching's stage A
         over all 50 traps, then per batch stages B to D (3 x 39 and
-        3 x 11 rows) and the 4 stage A heads that take no tail.  Each
-        stage request builds the levels it lacks in at most one _Wells
-        expression, and level_energy runs only for the 100 ground
-        levels."""
+        3 x 11 rows) and the 4 stage A heads that take no tail.  The
+        batching looks up the 100 ground levels in one _Wells expression,
+        each stage request builds the levels it lacks in at most one more,
+        and level_energy never runs: it made 100 scalar ground lookups."""
         log = []
         for name in ("_heads", "_series_sums", "_absent_energy",
                      "level_energy"):
@@ -290,7 +290,7 @@ class TestSingleEvaluation:
         assert outcome.points == 50 and outcome.failed == 0
         assert [len(args[3]) for name, args in log
                 if name == "_heads"] == [50, 117, 37]
-        builds = []
+        builds = [0]    # the ground levels, then per _series_sums call
         for name, args in log:
             if name == "_series_sums":
                 builds.append(0)
@@ -298,10 +298,10 @@ class TestSingleEvaluation:
                   and isinstance(args[0], potentials._Wells)
                   and np.issubdtype(args[1].dtype, np.integer)):
                 builds[-1] += 1
-        assert builds == [1, 1, 1, 0, 1, 1, 0, 0]
-        grounds = [args for name, args in log if name == "level_energy"]
-        assert len(grounds) == 100
-        assert all(np.ndim(args[1]) == 0 for args in grounds)
+        assert builds == [1, 1, 1, 1, 0, 1, 1, 0, 0]
+        grounds = next(args for name, args in log if name == "_absent_energy")
+        assert grounds[1].tolist() == [1, 2] * 50
+        assert not any(name == "level_energy" for name, _ in log)
 
     @pytest.mark.parametrize("point", [
         _one_point("fig8", nu=2.0, N=10, scale_ratio=1.0),
@@ -312,15 +312,25 @@ class TestSingleEvaluation:
     def test_point_looks_up_its_ground_levels_once(self, tmp_path,
                                                    monkeypatch, point):
         """E_1 with the barrier absent and inserted, looked up once for the
-        batching and every sum after it.  A fig8 point made 5 such calls:
+        batching and every sum after it: a power law's two int lookups, and
+        a Morse well's one _Wells expression at barrier-free indices 1 and
+        2, which made two int lookups.  A fig8 point made 5 such calls:
         four in its root solve and one in the batching.  Under the closed
         form it made 6: the two of the batching and one per mu."""
         calls = _count_calls(monkeypatch, "level_energy")
+        wells = _count_calls(monkeypatch, "_absent_energy")
         outcome = _run(point, tmp_path)
         assert outcome.points == 1 and outcome.failed == 0
-        grounds = [args for args in calls if np.ndim(args[1]) == 0]
-        assert [args[1:] for args in grounds] == [
-            (1, potentials.Barrier.ABSENT), (1, potentials.Barrier.INSERTED)]
+        grounds = [args[1:] for args in calls if np.ndim(args[1]) == 0]
+        lookups = [args[1].tolist() for args in wells
+                   if isinstance(args[0], potentials._Wells)
+                   and args[1].tolist() == [1, 2]]
+        if point.family == "morse-cycle":
+            assert (grounds, lookups) == ([], [[1, 2]])
+        else:
+            assert (grounds, lookups) == ([(1, potentials.Barrier.ABSENT),
+                                           (1, potentials.Barrier.INSERTED)],
+                                          [])
 
     @staticmethod
     def _ladder_calls(calls):
@@ -351,7 +361,8 @@ class TestSingleEvaluation:
 
     def test_canonical_point_builds_no_inserted_ladder(self, tmp_path,
                                                        monkeypatch):
-        """A fig3 point: two ground lookups and one ladder, extended once
+        """A fig3 point: its ground levels from the batching's one _Wells
+        expression (two int lookups before) and one ladder, extended once
         for the inserted stages, whose rungs are every other level of it.
         Its geometric tails are exact, so each stage sums a 16-term head:
         whole ladders built 8208 levels, and a ladder per barrier 4100
@@ -359,20 +370,25 @@ class TestSingleEvaluation:
         calls = _count_calls(monkeypatch, "level_energy")
         outcome = _run(_one_point("fig3", N=2, omega=1e11), tmp_path)
         assert outcome.points == 1 and outcome.failed == 0
-        assert len(calls) == 4
+        assert len(calls) == 2
         assert self._ladder_calls(calls) == 2
-        assert sum(np.size(args[1]) for args in calls) == 34
+        assert sum(np.size(args[1]) for args in calls) == 32
 
     def test_partition_ratio_run_builds_one_ladder_per_point(self, tmp_path,
                                                              monkeypatch):
-        """fig5: each point looks up its two ground levels, builds one
-        barrier-free ladder for its two roots and extends it once for the
-        occupancy re-checks and log ratio; solving and summing each barrier
-        apart made 960 calls."""
+        """fig5: the 40 temperatures of each N are one batch, whose 80
+        ground levels are one _Wells expression and whose barrier-free
+        ladders, one per point and each the 32 levels its two 16-term
+        heads read, are one more; level_energy never runs.  A point per
+        batch made 480 level_energy calls (two ground levels and one
+        ladder, extended once, per point), and solving and summing each
+        barrier apart 960."""
         calls = _count_calls(monkeypatch, "level_energy")
+        wells = _count_calls(monkeypatch, "_absent_energy")
         outcome = _run(preset("fig5"), tmp_path)
         assert outcome.points == 120 and outcome.failed == 0
-        assert len(calls) == 480
+        assert len(calls) == 0
+        assert [args[1].size for args in wells] == [80, 40 * 32] * 3
 
     def test_bose_roots_sum_one_ladder_each(self, tmp_path, monkeypatch):
         """One occupancy re-check per root, and the trap prefactor's gamma
@@ -399,15 +415,30 @@ class TestSingleEvaluation:
 
         Its traps' estimated ladders (6670, 5501, ... 8 terms) close a batch
         each time they reach 8192 terms: five batches, each one solve and
-        one re-check pass, where one solve per root would make 160."""
+        one re-check pass, where one solve per root would make 160.  Each
+        Newton round sums its live roots' heads, each behind one slot, and
+        their k-series, not their ladders: the 160 heads hold 5089 levels,
+        and the 45 rounds sum 41,829 head elements."""
         solves = _count_calls(monkeypatch, "_mu_offsets")
         checks = _count_calls(monkeypatch, "_occupancy_checks")
+        rounds, sums = [], ensembles._Heads.sums
+
+        def counted(heads, v, kind, d=None):
+            if kind == "occupancy" and d is None:   # a Newton round
+                rounds.append((heads.x.size, heads.rungs.heads[heads.rows]))
+            return sums(heads, v, kind, d)
+
+        monkeypatch.setattr(ensembles._Heads, "sums", counted)
         spec = replace(preset("fig8"), lists={"nu": (1.6,), "N": (10,)})
         outcome = _run(spec, tmp_path)
         assert outcome.points == 40 and outcome.failed == 0
         assert len(solves) == 5 and len(checks) == 5
         assert sum(len(roots) for roots, *_ in solves) == 160
         assert sum(len(segments) for segments, *_ in checks) == 160
+        assert sum(int(rungs.heads.sum()) for *_, rungs in solves) == 5089
+        assert all(size == int(heads.sum()) + len(heads)
+                   for size, heads in rounds)
+        assert (len(rounds), sum(size for size, _ in rounds)) == (45, 41829)
 
 
 class TestBatchedRuns:
