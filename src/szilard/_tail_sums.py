@@ -1,13 +1,15 @@
 """Tail sums of level ladders past their heads.
 
 A level sum over a long ladder is its head, its first K terms summed one
-by one in ensembles._series_sums, and the rest of the ladder in another
-form, here: on the canonical and Morse routes a closed-form
-Euler-Maclaurin tail of the Boltzmann sum (_tails); on the grand-canonical
-route the mu-free moments of each rung, over which every Bose sum's tail is
-a short k-series (_Rungs, _moments, _Heads).  Everything here runs on
-numpy arrays over many sums at once, each sum reduced on its own, so a
-batched value equals its one-trap value bit for bit.
+by one, and the rest of the ladder in another form, here: on the canonical
+and Morse routes a closed-form Euler-Maclaurin tail (_tails) of the
+Boltzmann sum whose head ensembles._series_sums takes; on the
+grand-canonical route the mu-free moments of each rung, over which every
+Bose sum's tail is a short k-series (_Rungs, _moments, _Heads), from the
+levels ensembles._grand_rungs builds at the lengths ensembles._heads sets.
+Everything here runs on numpy arrays over many sums at once, each sum
+reduced on its own, so a batched value equals its one-trap value bit for
+bit.
 """
 
 import math
@@ -141,12 +143,13 @@ def _tails(traps, step, beta, e1, head):
 # ensembles._grand_rungs forms each rung's head and moments once, and
 # every Newton round, occupancy re-check, log ratio and stage energy of its
 # batch reuses them.  With x_cut = -log rel_tol + 35, the sizing cut of
-# ensembles._series_sums, a k-series stops once k (x_{K+1} + v) reaches
-# x_cut.  A geometric ladder (harmonic, or a power law at p = 1) builds only
-# its 16-term head, and its moments are closed forms, T_k = r^{kK}/(1 -
-# r^k) with r = e^{-beta delta} (the geometric tail of _tails at k beta),
-# for a series whose length is set at each evaluation and capped by
-# max_terms.  Any other power law builds its ladder to its size; its head
+# ensembles._heads, a k-series stops once k (x_{K+1} + v) reaches x_cut.
+# A geometric ladder (harmonic, or a power law at p = 1) builds only the
+# 16-term head _heads gives it, and its moments are closed forms, T_k =
+# r^{kK}/(1 - r^k) with r = e^{-beta delta} (the geometric tail of _tails
+# at k beta), for a series whose length is set at each evaluation and
+# capped by max_terms.  Any other power law builds the whole ladder _heads
+# sizes, and forms e^{-x} only over the tail past its head; its head
 # ends at the first level with x_K >= _HEAD_CUT, and has at least 16
 # levels, so x_{K+1} > _HEAD_CUT and its series stops by kmax =
 # ceil(x_cut/_HEAD_CUT), and its moments are summed once over the rest of
@@ -179,10 +182,12 @@ class _Rungs:
     def __init__(self, g, beta, e1, errors, rows, built, x_cut, max_terms):
         """The rungs of requests with degeneracies g, betas and ground
         levels e1 (arrays, e1 0 where it is an error) and their errors, and
-        for the requests at rows what their Boltzmann sums built, (levels,
-        weights e^{-x}, whole length, delta) each: delta is a geometric
-        ladder's spacing, whose head alone was built, and 0 for another
-        power law."""
+        for the requests at rows the (levels, tailed, delta) that
+        ensembles._grand_rungs built: delta is a geometric ladder's spacing,
+        whose head alone was built, tailed where its whole ladder is longer,
+        and 0 for another power law, whose whole ladder was built.  x is
+        formed once, and e^{-x} only over the tails whose moments are
+        summed."""
         size = len(errors)
         self.g, self.beta, self.e1, self.errors = g, beta, e1, errors
         self.x_cut, self.max_terms = x_cut, max_terms
@@ -194,10 +199,10 @@ class _Rungs:
         self.moments = np.zeros((2, 0, kmax))
         if not rows:
             return
-        ladders, weights, whole, delta = zip(*built)
-        whole, delta = np.array(whole), np.array(delta)
+        ladders, tailed, delta = zip(*built)
+        delta = np.array(delta)
         rows = np.array(rows, dtype=np.intp)
-        lens = np.array([len(w) for w in weights], dtype=np.intp)
+        lens = np.array([len(ladder) for ladder in ladders], dtype=np.intp)
         width = lens + 1
         starts = np.cumsum(width) - width
         gap = np.concatenate([part for ladder in ladders
@@ -212,14 +217,13 @@ class _Rungs:
         first = np.add.reduceat(x < _HEAD_CUT, starts)
         heads = np.where(geo, lens, np.minimum(np.maximum(first, _HEAD_FLOOR),
                                                lens))
-        kind = np.where(geo, np.where(whole > lens, 1, 0),
+        kind = np.where(geo, np.where(tailed, 1, 0),
                         np.where(heads < lens, 2, 0))
         x[starts] = math.inf
         # each head behind its slot, then the rest of its ladder
         own = np.repeat(np.tile((True, False), len(rows)), np.column_stack(
             (heads + 1, lens - heads)).ravel())
         self.x, self.gap = x[own], gap[own]
-        del x, gap, own     # the flat ladders; the tails take slices
         self.heads[rows] = heads
         self.starts[rows] = np.cumsum(heads + 1) - (heads + 1)
         self.kind[rows] = kind
@@ -228,16 +232,17 @@ class _Rungs:
         summed = kind == 2
         if summed.any():
             # each tail behind the last level of its head, as its slot
-            pick = summed.nonzero()[0].tolist()
-            at = heads.tolist()
-            w = np.concatenate([weights[i][at[i] - 1:] for i in pick])
-            gap = np.concatenate([ladders[i][at[i] - 1:] for i in pick])
+            ends = (starts + width)[summed].tolist()
+            at = (starts + heads)[summed].tolist()
+            w = np.concatenate([x[a:b] for a, b in zip(at, ends)])
+            tails = np.concatenate([gap[a:b] for a, b in zip(at, ends)])
+            del x, gap, own     # the flat ladders; the tails are copies
+            np.exp(np.negative(w, out=w), out=w)
             width = (lens - heads + 1)[summed]
-            gap -= np.repeat(self.e1[rows[summed]], width)
-            starts = np.cumsum(width) - width
-            w[starts] = gap[starts] = 0.0
-            self.moment[rows[summed]] = np.arange(len(pick))
-            self.moments = _moments(w, gap, starts, x_cut, kmax)
+            slots = np.cumsum(width) - width
+            w[slots] = tails[slots] = 0.0
+            self.moment[rows[summed]] = np.arange(len(width))
+            self.moments = _moments(w, tails, slots, x_cut, kmax)
 
 
 def _moments(w, gap, starts, x_cut, kmax):

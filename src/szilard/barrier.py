@@ -23,6 +23,7 @@ __all__ = ["BarrierStrength", "EvenLevelSolution", "gamma_ratio",
            "even_levels", "odd_level"]
 
 _POLE_TOL = 1e-13
+_ROOT_TOL = 1e-10     # the contract on eps: a root is within this of the truth
 
 
 @dataclass(frozen=True)
@@ -124,8 +125,35 @@ def even_levels(strength, k_max, tol=1e-12):
                 hi = mid
         root = 0.5 * (lo + hi)
         res = abs(gamma_ratio(root) + 0.5 * lam)
-        if res > 1e-8 * max(1.0, 0.5 * lam):
+        if not _within(root, lam, k):
             raise SolverFailureError(
-                f"residual {res:.3g} too large on branch {k} at strength {lam:g}")
+                f"root {root:.17g} is not within {_ROOT_TOL:g} of the"
+                f" solution on branch {k} at strength {lam:g}"
+                f" (residual {res:.3g})")
         out.append(EvenLevelSolution(k, root, res))
     return out
+
+
+def _within(eps, lam, k):
+    """Whether eps lies within _ROOT_TOL of the branch-k root.
+
+    On the branch, log|gamma_ratio| rises from -inf at the pole 1/2 + 2k to
+    +inf at 3/2 + 2k, so the root, where it equals log(L/2), lies within
+    _ROOT_TOL of eps exactly when it is below log(L/2) at lo = eps -
+    _ROOT_TOL and above it at hi = eps + _ROOT_TOL, each clipped at its
+    pole, where gammaln is inf.  Only log-gamma differences 1e-10 from the
+    root are compared, which is as well conditioned next to the numerator
+    pole as anywhere; the residual |ratio + L/2| at the root itself grows
+    there like L^2 times the bisection interval.
+    """
+    pole = 0.5 + 2.0 * k
+    if not pole < eps < pole + 1.0:
+        return False
+    lo, hi = max(eps - _ROOT_TOL, pole), min(eps + _ROOT_TOL, pole + 1.0)
+    return _log_ratio(lo) < math.log(0.5 * lam) < _log_ratio(hi)
+
+
+def _log_ratio(eps):
+    """log|gamma_ratio(eps)|: -inf at a denominator pole, inf at a
+    numerator pole."""
+    return gammaln(0.75 - 0.5 * eps) - gammaln(0.25 - 0.5 * eps)

@@ -124,10 +124,11 @@ def _stage_terms(potentials, ensemble, counts, baths, mu_mode, policy):
             for i, value in zip(run, terms):
                 out[i] = value
         return out
-    # a lone trap is one batch: its stage A head is sized with its others
+    # a lone trap is one unsized batch: its stage A head is sized with its
+    # others
     batches = _batches([potentials[i] for i in live],
                        [counts[i] * _beta(baths[i].hot) for i in live],
-                       policy, len(live) > 1)
+                       policy)
     for batch, grounds, heads in batches:
         own, live = live[:len(batch)], live[len(batch):]
         for i, sums in zip(own, _cycle_sums(

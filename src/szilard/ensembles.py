@@ -16,37 +16,37 @@ Every route sums many traps at once, as one numpy pass per step over all
 their ladders.  ladder_batches splits a run of traps into consecutive
 batches of a bounded number of estimated terms, at the canonical decay rate
 N beta of the hot bath (beta for the grand route) and at most a Morse well's
-bound count, counting a canonical sum's head, and a geometric grand rung's,
-rather than its whole ladder, and looks up each trap's two ground levels
-once for every sum of its batch (one _Wells expression for its harmonic and
-Morse traps).  Each step of a batch is one array pass over all its traps:
-the sizes of its sums (_heads on the canonical and Morse routes, where one
-pass sizes all four stages, and _grand_rungs), the levels its sums lack
-(one _Wells expression for harmonic and Morse traps, see _level_ladders),
-each stage's sums and energy sums (_series_sums), and the tails (see
-_tail_sums).  Only exactly rounded operations run on arrays; a log, exp
-or fractional power that sets a length or a logged total runs in math,
-element by element, so every value keeps the bits of its one-trap
-evaluation.
+bound count, counting the head of a sum that a tail completes rather than
+its whole ladder, and looks up each trap's two ground levels once for every
+sum of its batch (one _Wells expression for its harmonic and Morse traps);
+a lone trap is one unsized batch.  Each step of a batch is one array pass
+over all its traps: the sizes of its sums (_heads, which sizes every sum
+of every route), the levels its sums lack (one _Wells expression for
+harmonic and Morse traps, see _level_ladders), each canonical stage's sums
+and energy sums (_series_sums) or the grand rungs' heads and moments
+(_grand_rungs), and the tails (see _tail_sums).  Only exactly rounded
+operations run on arrays; a log, exp or fractional power that sets a
+length or a logged total runs in math, element by element, so every value
+keeps the bits of its one-trap evaluation.
 
 Stage labels follow the cycle diagram: A = barrier absent at the hot bath,
 B = inserted at the hot bath, C = inserted at the cold bath, D = absent at
 the cold bath.
 
-Every ladder of the three routes is built and weighed by one series
-engine, _series_sums, with one stopping rule: each sum's length is fixed
-from its ground level E_1 before any term is formed (see _lengths, _heads
-and _grand_rungs), and the sum is taken once at that length, with no tail
-test.  A canonical or Morse sum over a geometric or Morse ladder longer
-than its head sums the head, at least 16 terms, and adds the rest of the
-ladder as a closed-form Euler-Maclaurin tail.  No grand-canonical sum runs
-whole either: each rung, the ladder of a (trap, barrier, bath), is a head
-summed term by term and a tail that is a short k-series in e^{-beta (E_1 -
-mu)} over moments that do not depend on mu, formed once per rung.  On a
-geometric ladder the head is 16 levels and the moments are closed forms;
-on any other power law the head runs to the first level with beta (E_K -
-E_1) >= 4, and at least 16 levels, and the moments are sums over the rest
-of its ladder, which is built to its size.  Every Newton round, occupancy
+Every ladder of the three routes is sized by one rule, _heads: each sum's
+length is fixed from its ground level E_1 before any term is formed, and
+the sum is taken once at that length, with no tail test.  A canonical or
+Morse sum over a geometric or Morse ladder longer than its head sums the
+head, at least 16 terms, and adds the rest of the ladder as a closed-form
+Euler-Maclaurin tail; _series_sums is that Boltzmann stage sum.  No
+grand-canonical sum runs whole either: each rung, the ladder of a (trap,
+barrier, bath), is a head summed term by term and a tail that is a short
+k-series in e^{-beta (E_1 - mu)} over moments that do not depend on mu,
+formed once per rung.  On a geometric ladder the head is the 16 levels
+_heads gives it and the moments are closed forms; on any other power law
+_heads gives the whole ladder, which is built, and the head runs to its
+first level with beta (E_K - E_1) >= 4, and at least 16 levels, and the
+moments are sums over the rest of it.  Every Newton round, occupancy
 re-check, log ratio and stage energy then sums heads and k-series only
 (see _tail_sums for both kinds of tail).  A length past max_terms is a
 TruncationError, never a silent cut.  A trap's sums share one barrier-free
@@ -187,11 +187,11 @@ def _stride(barrier):
 # truncated series evaluation
 #
 # _series_sums evaluates many segments, each one (trap, barrier, beta)
-# series, with their ladders laid end to end in one flat array (_Segments):
-# each elementwise step is one numpy pass over all of them, while per-segment
-# logic (lengths, Newton updates, root stop tests) stays in Python floats.
-# A batched value equals the one-segment value bit for bit, and a failing
-# segment yields its SzilardError in place of a value.
+# Boltzmann sum, with their ladders laid end to end in one flat array
+# (_Segments): each elementwise step is one numpy pass over all of them,
+# while per-segment logic (lengths, errors) stays in Python.  A batched
+# value equals the one-segment value bit for bit, and a failing segment
+# yields its SzilardError in place of a value.
 
 class _Shapes:
     """Ladder shapes of many traps, one array entry each: level n is scale
@@ -264,21 +264,8 @@ def _estimates(traps, step, beta, e1, x_cut):
     return c
 
 
-def _lengths(traps, step, beta, e1, policy):
-    """Per trap, the length of a sum from E_1, at least 8 (two spare terms)
-    and clipped at a Morse well's bound count (half of it with the barrier
-    in, step 2), as floats (nan past float range); and its estimate at the
-    sizing cut -log rel_tol + _XCUT_MARGIN."""
-    c = _estimates(traps, step, beta, e1, _XCUT_MARGIN - math.log(
-        policy.rel_tol))
-    n = np.maximum(c + 2.0, 8.0)
-    if traps.bounded:
-        n = np.minimum(n, np.floor(traps.cap / step))
-    return n, c
-
-
 def _exact(c, cap, step):
-    """The length of an estimate c (see _lengths) in Python ints."""
+    """The length of an estimate c (see _heads) in Python ints."""
     n = max(8, int(c) + 2) if math.isfinite(c) else math.inf
     return n if math.isinf(cap) else min(n, int(cap) // int(step))
 
@@ -344,8 +331,7 @@ def _ground_levels(potentials):
 _BATCH_TERMS = 8192
 
 
-def ladder_batches(potentials, count, temperature, policy=TruncationPolicy(),
-                   heads=False):
+def ladder_batches(potentials, count, temperature, policy=TruncationPolicy()):
     """Split traps into consecutive batches for the batched stage sums.
 
     Returns (traps, grounds, heads) per batch, grounds[i] holding trap i's
@@ -355,43 +341,33 @@ def ladder_batches(potentials, count, temperature, policy=TruncationPolicy(),
     estimated to reach _BATCH_TERMS terms, each from its ground level at the
     decay rate count * beta of `temperature` (a canonical N-particle stage;
     the grand sums, whose mu approaches E_1, pass count 1) and at most a
-    Morse well's bound count, all in one array pass.  With heads (the
-    canonical and Morse routes) a trap counts the terms that sum takes one
-    by one, its head where an Euler-Maclaurin tail adds the rest (see
-    _heads), and heads[i] is that head, or None where the sum takes no
-    tail; it is stage A's, which canonical_stage_sums takes from here.
-    Without (the grand route), a geometric trap counts the 16-term head
-    its rungs build, every heads[i] is None, and a lone trap is not
-    sized.  A trap whose estimate fails counts as none (its batch
-    reports the error).
+    Morse well's bound count, all in one _heads pass: a trap counts the
+    terms its sum takes one by one, its head where a closed-form tail adds
+    the rest, and heads[i] is that head, or None where the sum takes no
+    tail (stage A's, which canonical_stage_sums takes from here; a
+    geometric grand rung builds the same head).  A lone trap is one unsized
+    batch, heads [None], on every route.  A trap whose estimate fails
+    counts as none (its batch reports the error).
     """
     beta = count * _beta(temperature)
     potentials = list(potentials)
-    return _batches(potentials, [beta] * len(potentials), policy, heads)
+    return _batches(potentials, [beta] * len(potentials), policy)
 
 
-def _batches(potentials, betas, policy, heads):
+def _batches(potentials, betas, policy):
     """ladder_batches of traps each sized at its own decay rate betas[i]."""
     grounds = _ground_levels(potentials)
-    if len(potentials) == 1 and not heads:
+    if len(potentials) == 1:
         return [(potentials, grounds, [None])]    # one batch, unsized
     live = [i for i, ground in enumerate(grounds)
             if not _failed(ground[Barrier.ABSENT])]
-    traps = _Shapes.of([potentials[i] for i in live])
-    e1 = np.array([grounds[i][Barrier.ABSENT] for i in live], dtype=float)
-    beta = np.array([betas[i] for i in live], dtype=float)
-    if heads:
-        lengths, tailed = _heads(traps, 1, beta, e1, policy)
-    else:
-        with np.errstate(all="ignore"):
-            n, c = _lengths(traps, 1, beta, e1, policy)
-        # a geometric grand rung builds only its head (see _grand_rungs)
-        geometric = (traps.chi == 0.0) & (traps.power == 1.0)
-        n[geometric] = np.minimum(n[geometric], _HEAD_FLOOR)
-        lengths = _counts(n, lambda i: _exact(c[i], traps.cap[i], 1))
-        tailed = [False] * len(live)
+    lengths, tailed = _heads(
+        _Shapes.of([potentials[i] for i in live]), 1,
+        np.array([betas[i] for i in live], dtype=float),
+        np.array([grounds[i][Barrier.ABSENT] for i in live], dtype=float),
+        policy)
     terms, first = [0] * len(potentials), [None] * len(potentials)
-    for i, n, tail in zip(live, lengths, tailed):
+    for i, n, tail in zip(live, lengths, tailed.tolist()):
         if not _failed(n):      # else the batch reports it
             terms[i] = n
             first[i] = n if tail else None
@@ -453,100 +429,77 @@ def _failed(value):
     return isinstance(value, SzilardError)
 
 
-def _series_sums(segments, terms, policy, levels, weighted=False):
-    """Sums of many truncated series at once, each of the length it carries.
+def _series_sums(segments, policy, levels):
+    """Canonical Boltzmann stage sums of many segments at once.
 
-    A segment is (potential, rungs, beta, n) with rungs ((barrier, mu), ...):
-    its series is levels 1..n of every rung's barrier configuration at once,
-    summed once, with no tail test.  n is fixed from the ground levels: a
-    canonical or Morse sum takes the n of _heads, and a grand-canonical
-    rung the n of _grand_rungs, a geometric head or a power law's whole
-    ladder; an n that is a SzilardError is the segment's result.  A whole
+    A segment is (potential, barrier, E_1, beta, n): levels 1..n of the
+    trap's barrier configuration, each weighed e^{-beta (E_n - E_1)}, summed
+    once at the length n _heads fixes from E_1, with no tail test.  A whole
     ladder ends where d = beta (E_n - E_1) has passed x_cut = -log rel_tol
-    + _XCUT_MARGIN, and there the last Boltzmann weight against the first,
-    which no sum of magnitudes is below, is e^{-d}; a head leaves the rest
-    to a tail (see _tail_sums).  An n past max_terms is a TruncationError,
-    a trap whose levels cannot be built the error of level_energy, and a
-    sum that is not finite (terms past float range) a SolverFailureError.
-    terms(beta, [(g, E - mu) per rung]) maps the joined ladders to their
-    flat terms, with the degeneracy g spread over them.  `levels` holds the
-    level ladders built so far (see _level_ladders), so sums over the same
-    traps can share them.  Returns, per segment, (sum, its ladders, its
-    terms) or the SzilardError it hit; weighted (one rung) appends the sum
-    of E times the terms, from the same flat arrays in one more reduceat.
+    + _XCUT_MARGIN, and there its last term against the sum, which holds
+    the first term, 1, is below e^{-d}; a head leaves the rest to a
+    closed-form tail (see _tail_sums).  `levels` holds the level ladders
+    built so far (see _level_ladders), so sums over the same traps share
+    them.  Returns, per segment, (sum, sum of E times its terms), the
+    energy sum from the same flat arrays in one more reduceat, or the
+    SzilardError it hit: its n, or that of _level_ladders, or a
+    SolverFailureError where the sum is not finite (terms past float
+    range).
     """
-    out, rows = [None] * len(segments), []
-    for j, (_, _, _, n) in enumerate(segments):
-        if isinstance(n, SzilardError):
-            out[j] = n
-        elif n > policy.max_terms:
-            out[j] = TruncationError(
-                f"series needs {n} terms, policy caps at {policy.max_terms}")
-        else:
-            rows.append(j)
-    live = []
-    for j, ladders in zip(rows, _level_ladders([segments[j] for j in rows],
-                                               levels)):
-        if isinstance(ladders, SzilardError):
-            out[j] = ladders
-        else:
-            live.append((j, segments[j], ladders))
+    out = _level_ladders([(trap, barrier, n)
+                          for trap, barrier, _, _, n in segments], levels,
+                         policy.max_terms)
+    live = [j for j, ladder in enumerate(out) if not _failed(ladder)]
     if not live:
         return out
-    flat = _Segments([segment[3] for _, segment, _ in live])
-    gaps = []
-    for k, rung in enumerate(zip(*(segment[1] for _, segment, _ in live))):
-        energies = flat.join([ladders[k] for _, _, ladders in live])
-        gaps.append((flat.spread([_degeneracy(barrier) for barrier, _ in rung]),
-                     energies - flat.spread([mu for _, mu in rung])))
-        if not weighted:
-            energies = None     # free each joined ladder once it is used
-    t = terms(flat.spread([segment[2] for _, segment, _ in live]), gaps)
+    flat = _Segments([segments[j][4] for j in live])
+    energies = flat.join([out[j] for j in live])
+    t = _boltzmann_terms(flat.spread([segments[j][3] for j in live]),
+                         energies - flat.spread([segments[j][2]
+                                                 for j in live]))
     totals = flat.sums(t).tolist()
-    if weighted:    # a joined ladder is a fresh array, a single one a view
-        totals = zip(totals, flat.sums(np.multiply(
-            energies, t, out=None if flat.single else energies)).tolist())
-    else:
-        totals = zip(totals)
-    starts = [0] if flat.single else (flat.slots + 1).tolist()
-    for (j, segment, ladders), sums, start in zip(live, totals, starts):
-        out[j] = ((sums[0], ladders, t[start:start + segment[3]], *sums[1:])
-                  if math.isfinite(sums[0]) else SolverFailureError(
-                      f"series sum is {sums[0]}, not finite: its terms leave"
-                      " float range"))
+    # a joined ladder is a fresh array, a single one a view
+    weighted = flat.sums(np.multiply(
+        energies, t, out=None if flat.single else energies)).tolist()
+    for j, total, energy in zip(live, totals, weighted):
+        out[j] = (total, energy) if math.isfinite(total) else (
+            SolverFailureError(f"series sum is {total}, not finite: its terms"
+                               " leave float range"))
     return out
 
 
-def _level_ladders(segments, levels):
-    """Levels 1..n of each _series_sums segment, one array per rung, or the
-    SzilardError level_energy raises for the levels of its trap.
+def _level_ladders(requests, levels, max_terms):
+    """Levels 1..n of each (potential, barrier, n) request, or its
+    SzilardError: n itself where it is one, a TruncationError where it
+    passes max_terms, else the error level_energy raises for the levels of
+    its trap.
 
     levels maps id(trap) to its barrier-free ladder, extended by the levels
     a request lacks.  Inserted level n is barrier-free level 2n (see
-    potentials), so an inserted rung takes the view ladder[1:2n:2] and an
-    absent rung the prefix ladder[:n].  The missing levels of a request's
+    potentials), so an inserted request takes the view ladder[1:2n:2] and
+    an absent one the prefix ladder[:n].  The missing levels of a request's
     harmonic and Morse traps are one array expression (_absent_energy on
     _Wells), those of a power law its own level_energy call, so that its
     fractional power keeps its bits; every level has the bits of its own
     level_energy call.
     """
+    out = [n if _failed(n) else TruncationError(
+        f"series needs {n} terms, policy caps at {max_terms}")
+        if n > max_terms else None for _, _, n in requests]
     reach = {}
-    for potential, rungs, _, n in segments:
-        top = n
-        for barrier, _ in rungs:
-            if barrier is Barrier.INSERTED:
-                top = 2 * n
-        if top > reach.get(id(potential), (0,))[0]:
-            reach[id(potential)] = top, potential
+    for (potential, barrier, n), error in zip(requests, out):
+        if error is None and n * _stride(barrier) > reach.get(
+                id(potential), (0,))[0]:
+            reach[id(potential)] = n * _stride(barrier), potential
     missing = [(key, top, potential) for key, (top, potential) in reach.items()
                if key not in levels or len(levels[key]) < top]
     errors = _extend(missing, levels) if missing else {}
-    out = []
-    for potential, rungs, _, n in segments:
-        ladder = levels.get(id(potential))
-        out.append(errors[id(potential)] if id(potential) in errors else [
-            ladder[1:2 * n:2] if barrier is Barrier.INSERTED else ladder[:n]
-            for barrier, _ in rungs])
+    for j, (potential, barrier, n) in enumerate(requests):
+        if out[j] is None:
+            key = id(potential)
+            out[j] = errors[key] if key in errors else (
+                levels[key][1:2 * n:2] if barrier is Barrier.INSERTED
+                else levels[key][:n])
     return out
 
 
@@ -594,37 +547,41 @@ def _extend(requests, levels):
     return errors
 
 
-# The terms of each series, from beta and per rung the degeneracy g and the
-# gap E - mu, with x = beta (E - mu).  They overwrite their arguments, which
-# keeps a batch's peak memory low.
-
-def _boltzmann_terms(beta, rungs):
-    """e^{-x}: the canonical weights at beta = N/(k_B T) and mu = E_1, and
-    the mu -> -inf limit of every occupation."""
-    (_, gap), = rungs
+def _boltzmann_terms(beta, gap):
+    """The canonical weights e^{-beta gap}, gap = E - E_1, at beta = N/(k_B
+    T), in place: overwriting gap keeps a batch's peak memory low."""
     gap *= beta
     return np.exp(np.negative(gap, out=gap), out=gap)
 
 
 def _heads(traps, step, beta, e1, policy):
-    """(n, tailed) of canonical sums over the _Shapes traps from their
-    ground levels e1 (an array), at stride step (2 with the barrier in) and
-    beta = N/(k_B T), each a number or an array like e1, in one array pass:
-    per sum, the terms it takes one by one (a Python int, or the
-    TruncationError of an estimate past float range), and whether a
-    closed-form tail (see _tails) adds the rest (a bool array).
+    """(n, tailed) of the sums over the _Shapes traps from their ground
+    levels e1 (an array), at stride step (2 with the barrier in) and beta
+    (N/(k_B T) on the canonical route), each a number or an array like e1,
+    in one array pass: per sum, the terms it takes one by one (a Python
+    int, or the TruncationError of an estimate past float range), and
+    whether a tail (see _tail_sums) adds the rest (a bool array).  It is
+    the one sizing rule: every canonical and Morse stage, every batch and
+    every grand-canonical rung is sized here.
 
-    The head K is the smallest, at least _HEAD_FLOOR, whose remainder bound
-    on the sum of f is below the error the cutoff estimate leaves: rel_tol
+    A whole ladder runs to the level whose e^{-beta (E_n - E_1)} is below
+    rel_tol e^{-_XCUT_MARGIN}, with two spare terms and at least 8, and at
+    most a Morse well's bound count (half of it with the barrier in).  The
+    head K is the smallest, at least _HEAD_FLOOR, whose remainder bound on
+    the sum of f is below the error that cutoff leaves: rel_tol
     e^{-_XCUT_MARGIN} of the sum, which holds at least its ground term, 1.
     A geometric tail is exact, so its head is the floor.  The energy sum,
     of E f, takes the same head, and its tail is the beta-derivative of the
     same form; its remainder has no bound of its own and rests on the
     e^{-_XCUT_MARGIN} margin.  A ladder no longer than its head, and any
-    power-law ladder that is not geometric, is summed whole.
+    power-law ladder that is not geometric, is taken whole.
     """
     with np.errstate(all="ignore"):     # as for Python floats
-        n, c = _lengths(traps, step, beta, e1, policy)
+        c = _estimates(traps, step, beta, e1, _XCUT_MARGIN - math.log(
+            policy.rel_tol))
+        n = np.maximum(c + 2.0, 8.0)
+        if traps.bounded:
+            n = np.minimum(n, np.floor(traps.cap / step))
         head = np.where((traps.chi == 0.0) & (traps.power == 1.0),
                         float(_HEAD_FLOOR), math.inf)
         wells = (((traps.chi != 0.0) & (n > _HEAD_FLOOR)).nonzero()[0]
@@ -675,12 +632,13 @@ def _canonical_stages(traps, grounds, stages, counts, policy, first=None):
 
     grounds[i] holds trap i's ground levels by barrier (each E_1 or the
     error of its lookup).  The heads of all stages are one _heads pass;
-    then each stage is one weighted _series_sums call over the traps still
+    then each stage is one _series_sums call over the traps still
     without an error, all sharing each trap's barrier-free ladder (see
     _level_ladders), and the tails of all stages one _tails call.  A stage
     whose sum or energy sum is then not finite is a SolverFailureError.
-    first[i], where given, is trap i's stage A head, or None where it takes
-    no tail, as ladder_batches returns it.  A stage whose N beta = N/(k_B
+    first[i], where given, is trap i's stage A head as ladder_batches
+    returns it, or None where it takes no tail or its batch was not sized,
+    and _heads sizes it here.  A stage whose N beta = N/(k_B
     T) overflows is an EnsembleMismatchError for every trap reaching it.
     """
     betas = [[count * _beta(temperature)
@@ -726,13 +684,12 @@ def _canonical_stages(traps, grounds, stages, counts, policy, first=None):
     for k, (barrier, _) in enumerate(stages):
         live = [i for i, error in enumerate(errors) if error is None]
         for i, result in zip(live, _series_sums(
-                [(traps[i], ((barrier, e1s[k][i]),), betas[k][i],
-                  lengths[k][i]) for i in live], _boltzmann_terms, policy,
-                levels, True)):
+                [(traps[i], barrier, e1s[k][i], betas[k][i], lengths[k][i])
+                 for i in live], policy, levels)):
             if _failed(result):
                 errors[i], failed_at[i] = result, k
             else:
-                totals[k][i], energies[k][i] = result[0], result[-1]
+                totals[k][i], energies[k][i] = result
     tails = [(k, i) for k, i in tails if totals[k][i] == totals[k][i]]
     if tails:
         wells, step, beta, e1 = table(tails)
@@ -780,7 +737,7 @@ def canonical_stage_sums(potentials, grounds, count, baths,
     """Per-bath log ratios and the four stage energies of canonical traps.
 
     potentials, grounds and heads are a batch as ladder_batches returns it
-    (with heads; without, stage A's heads are found here).  Each trap gets
+    (where heads[i] is None, stage A's head is found here).  Each trap gets
     (log ratio hot, log ratio cold, (U_A, U_B, U_C, U_D)), or the error of
     its first failing stage, A to D.  Each stage is one _series_sums call
     over the traps still without an error, and the four share each trap's
@@ -817,13 +774,14 @@ def _cycle_sums(potentials, grounds, counts, baths, policy, heads):
 def _grand_rungs(requests, policy):
     """The _Rungs of (potential, barrier, beta, E_1) requests, in order.
 
-    Each rung is sized from its E_1 (_lengths), in one array pass, and its
-    levels built and weighed in one Boltzmann _series_sums call: a
-    geometric rung's 16-term head, and any other power law's whole ladder,
-    whose weights e^{-x} then give its head length and moments, for all
-    rungs at once.  An E_1 that is an error, an estimate past float range,
-    a length past max_terms (the head, where closed-form moments add the
-    rest) and a level that cannot be built are the row's error.
+    Each rung is sized from its E_1 by _heads, in one array pass, and its
+    levels built by _level_ladders: a geometric rung's 16-term head, tailed
+    where its whole ladder is longer, and any other power law's whole
+    ladder, whose x = beta (E - E_1) then give its head length and
+    moments, for all rungs at once (see _Rungs).  An E_1 that is an error,
+    an estimate past float range, a length past max_terms (the head, where
+    closed-form moments add the rest) and a level that cannot be built are
+    the row's error.
     """
     errors = [e1 if _failed(e1) else None for *_, e1 in requests]
     live = [r for r, error in enumerate(errors) if error is None]
@@ -835,23 +793,16 @@ def _grand_rungs(requests, policy):
     if live:
         traps = _Shapes.of([requests[r][0] for r in live])
         step = np.array([_stride(requests[r][1]) for r in live], dtype=float)
-        beta = betas[live]
-        with np.errstate(all="ignore"):
-            n, c = _lengths(traps, step, beta, e1[live], policy)
+        lengths, tailed = _heads(traps, step, betas[live], e1[live], policy)
         delta = np.where(traps.power == 1.0, traps.scale * step, 0.0)
-        lengths = _counts(n, lambda i: _exact(c[i], traps.cap[i], step[i]))
-        for i, (r, result) in enumerate(zip(live, _series_sums(
-                [(requests[r][0], ((requests[r][1], requests[r][3]),),
-                  requests[r][2], length if not d or _failed(length)
-                  else min(length, _HEAD_FLOOR))   # a geometric head
-                 for r, length, d in zip(live, lengths, delta.tolist())],
-                _boltzmann_terms, policy, {}))):
-            if _failed(result):
-                errors[r] = result
+        for r, ladder, tail, d in zip(live, _level_ladders(
+                [(*requests[r][:2], n) for r, n in zip(live, lengths)], {},
+                policy.max_terms), tailed.tolist(), delta.tolist()):
+            if _failed(ladder):
+                errors[r] = ladder
             else:
                 rows.append(r)
-                built.append((result[1][0], result[2], float(lengths[i]),
-                              delta[i]))
+                built.append((ladder, tail, d))
     return _Rungs(g, betas, e1, errors, rows, built,
                   _XCUT_MARGIN - math.log(policy.rel_tol), policy.max_terms)
 
@@ -965,10 +916,13 @@ class _Root:
             self.near = u
         else:
             self.far = u
+        # only a step past the stop tolerance is clamped to the bracket, so
+        # a converged step that lands on a bracket end stops there
         u_next = u - f / slope
-        if not self.near < u_next < self.far:
+        tol = 4e-16 * max(1.0, abs(u))
+        if abs(u_next - u) > tol and not self.near < u_next < self.far:
             u_next = 0.5 * (self.near + self.far)
-        if abs(u_next - u) <= 4e-16 * max(1.0, abs(u)):
+        if abs(u_next - u) <= tol:
             return u_next
         if self.rounds == 200:
             return SolverFailureError("occupancy root did not converge")
@@ -1007,7 +961,7 @@ def _chemical_potentials(roots, count, mode, policy, rungs=None):
             _, _, temperature, e1 = roots[j]
             out[j] = _below_ground(e1 - K_B * temperature * math.exp(u), e1)
     rows = [j for j, mu in enumerate(out) if not _failed(mu)]
-    recovered = _occupancy_checks([(j, out[j]) for j in rows], rungs)
+    recovered = _rung_sums(rungs, rows, [out[j] for j in rows], "occupancy")
     for j, total in zip(rows, recovered):
         if _failed(total):
             out[j] = total
@@ -1033,13 +987,6 @@ def _below_ground(mu, e1):
         f"chemical potential {mu:.6g} J reaches the ground level {e1:.6g} J"
         + (f": the offset E_1 - mu is below one ulp of E_1"
            f" ({math.ulp(e1):.6g} J)" if mu == e1 else ""))
-
-
-def _occupancy_checks(checks, rungs):
-    """The occupancy re-sums behind solved chemical potentials: one per
-    (row of rungs, mu) check."""
-    rows, mus = zip(*checks) if checks else ((), ())
-    return _rung_sums(rungs, rows, mus, "occupancy")
 
 
 def occupancy_total(potential, barrier, mu, temperature, policy=TruncationPolicy()):

@@ -145,13 +145,14 @@ class PowerLaw:
         _require_positive_finite(exponent, "power-law exponent")
         p = 2.0 * exponent / (exponent + 2.0)
         # in Python floats, so that p rounding to 2 or omega leaving float
-        # range raises here rather than warning in numpy
+        # range raises here rather than warning in numpy; 2 scale/mass
+        # underflowing to 0 is a ValueError of math.log
         log_base = (math.log(HBAR) + _log_gamma_ratio(exponent)
                     + 0.5 * math.log(math.pi) - math.log(mass))
         try:
             omega = math.exp((math.log(2.0 * scale / mass) - p * log_base)
                              / (2.0 - p))
-        except ArithmeticError:
+        except (ArithmeticError, ValueError):
             raise InvalidPotentialError(
                 "power-law trap frequency is out of floating-point range"
                 ) from None

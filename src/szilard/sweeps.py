@@ -28,8 +28,7 @@ import numpy as np
 
 from . import __version__
 from .constants import ATOMIC_MASS, EV, K_B
-from .errors import (ConfigError, OutputError, SzilardError, TruncationError,
-                     value_or_raise)
+from .errors import ConfigError, OutputError, SzilardError, TruncationError
 from .potentials import Barrier, Harmonic, Morse, PowerLaw, Spectrum
 from .barrier import even_levels, odd_level
 from .ensembles import (BathPair, MuMode, TruncationPolicy, _bath_ratios,
@@ -397,7 +396,7 @@ def _partition_ratio_values(spec, points):
     for count, run in runs:
         for traps, grounds, _ in _batches([out[i][0] for i in run],
                                           [out[i][3] for i in run],
-                                          spec.policy, False):
+                                          spec.policy):
             own, run = run[:len(traps)], run[len(traps):]
             for i, value in zip(own, _bath_ratios(
                     traps, grounds, count, [(out[i][2],) for i in own],
@@ -406,11 +405,6 @@ def _partition_ratio_values(spec, points):
                     "T": out[i][2], "N": count, "log_ratio": value[1][0],
                     "ratio": math.exp(value[1][0])}
     return out
-
-
-def _eval_partition_ratio(point, spec):
-    """The row values of one partition-ratio point; raises its error."""
-    return value_or_raise(_partition_ratio_values(spec, [point])[0])
 
 
 def _eval_barrier(point, spec):

@@ -6,6 +6,7 @@ import pytest
 
 from szilard import (BarrierStrength, PoleError, SolverFailureError,
                      even_levels, gamma_ratio, odd_level)
+from szilard.barrier import _within
 
 # 60-digit independent roots of Gamma(3/4 - e/2)/Gamma(1/4 - e/2) = -L/2
 FROZEN_ROOTS = {
@@ -101,3 +102,48 @@ def test_strength_wrapper():
 def test_tight_tolerance_still_converges():
     sol = even_levels(1.0, 0, tol=1e-15)[0]
     assert sol.energy == pytest.approx(FROZEN_ROOTS[(1.0, 0)], abs=1e-12)
+
+
+STRONG = (1e4, 1e5, 1e6, 1e7, 1e8, 1e9)
+
+
+def _mp_root(mpmath, lam, k):
+    """The branch-k root of Gamma(3/4 - e/2)/Gamma(1/4 - e/2) = -L/2 by
+    bisection at 50 digits, in the reciprocal form Gamma(1/4 - e/2)/Gamma(3/4
+    - e/2) + 2/L, which is finite at the numerator pole and falls through
+    zero at the root."""
+    with mpmath.workdps(50):
+        lo, hi = mpmath.mpf(0.5 + 2 * k), mpmath.mpf(1.5 + 2 * k)
+        for _ in range(180):
+            mid = (lo + hi) / 2
+            value = (mpmath.gamma(0.25 - mid / 2) * mpmath.rgamma(0.75 - mid / 2)
+                     + 2 / mpmath.mpf(lam))
+            if value < 0:
+                lo = mid
+            else:
+                hi = mid
+        return (lo + hi) / 2
+
+
+@pytest.mark.parametrize("lam", STRONG)
+def test_strong_barriers_match_50_digits(lam):
+    """From strength 1e5 up the residual |ratio + L/2| at the root grows
+    like L^2 times the bisection interval next to the numerator pole, and
+    a check on it refused every strong barrier.  The root test is now a
+    bracket of 1e-10 in eps, and branches 0-4 solve to within 1e-10 of a
+    50-digit root."""
+    mpmath = pytest.importorskip("mpmath")
+    for sol in even_levels(lam, 4):
+        want = _mp_root(mpmath, lam, sol.branch)
+        assert abs(sol.energy - float(want)) <= 1e-10
+        assert sol.energy < odd_level(sol.branch)
+
+
+@pytest.mark.parametrize("lam", (0.3, 1.0, 100.0) + STRONG)
+def test_root_test_rejects_a_root_off_by_more_than_1e_10(lam):
+    """The root test accepts each solved root and refuses it moved by
+    2e-10 either way, the conditioning next to the pole included."""
+    for sol in even_levels(lam, 4):
+        assert _within(sol.energy, lam, sol.branch)
+        for shift in (-2e-10, 2e-10):
+            assert not _within(sol.energy + shift, lam, sol.branch)

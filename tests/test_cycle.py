@@ -256,7 +256,7 @@ def test_long_and_short_ladders_share_batches():
     for traps, ensemble, count, sizes in (
             (harmonic, Ensemble.CANONICAL_N, 2, [6]),
             (wells, Ensemble.MORSE_SINGLE, 1, [7])):
-        batches = ladder_batches(traps, count, baths.hot, heads=True)
+        batches = ladder_batches(traps, count, baths.hot)
         assert [len(batch) for batch, _, _ in batches] == sizes
         singles = [_outcome(trap, ensemble, count, baths) for trap in traps]
         assert any(isinstance(s, SzilardError) for s in singles) == (

@@ -389,11 +389,11 @@ def test_inserted_ladder_is_every_other_barrier_free_level(
     ladder = level_energy(trap, np.arange(1, inserted + 1), Barrier.INSERTED)
     assert whole[1::2].tobytes() == ladder.tobytes()
 
-    levels = {}
-    (absent,), = ensembles._level_ladders(
-        [(trap, ((Barrier.ABSENT, 0.0),), 1.0, first)], levels)
-    (view,), = ensembles._level_ladders(
-        [(trap, ((Barrier.INSERTED, 0.0),), 1.0, inserted)], levels)
+    levels, cap = {}, TruncationPolicy().max_terms
+    absent, = ensembles._level_ladders([(trap, Barrier.ABSENT, first)],
+                                       levels, cap)
+    view, = ensembles._level_ladders([(trap, Barrier.INSERTED, inserted)],
+                                     levels, cap)
     assert absent.tobytes() == whole[:first].tobytes()
     assert view.tobytes() == ladder.tobytes()
     assert levels[id(trap)].tobytes() == whole.tobytes()
@@ -416,10 +416,10 @@ def test_batched_levels_equal_level_energy(traps):
         built.append((trap, min(first, cap), min(first + more, cap)))
     levels = {}
     for part in (1, 2):
-        segments = [(trap, ((Barrier.ABSENT, 0.0),), 1.0, n)
-                    for trap, *lengths in built for n in (lengths[part - 1],)]
-        for (trap, _, _, n), (ladder,) in zip(
-                segments, ensembles._level_ladders(segments, levels)):
+        requests = [(trap, Barrier.ABSENT, lengths[part - 1])
+                    for trap, *lengths in built]
+        for (trap, _, n), ladder in zip(requests, ensembles._level_ladders(
+                requests, levels, TruncationPolicy().max_terms)):
             assert ladder.tobytes() == level_energy(
                 trap, np.arange(1, n + 1)).tobytes()
 
@@ -429,10 +429,9 @@ def test_refused_levels_fail_their_own_trap():
     error level_energy raises for it; the other traps of the batch sum."""
     deep, shallow = (Morse.from_anharmonicity(MASS, 1e13, chi)
                      for chi in (0.001, 0.02))
-    rungs = ((Barrier.ABSENT, 0.0),)
     results = ensembles._series_sums(
-        [(deep, rungs, 1e20, 30), (shallow, rungs, 1e20, shallow.bound_count
-                                   + 1)], ensembles._boltzmann_terms,
+        [(deep, Barrier.ABSENT, 0.0, 1e20, 30),
+         (shallow, Barrier.ABSENT, 0.0, 1e20, shallow.bound_count + 1)],
         TruncationPolicy(), {})
     assert not isinstance(results[0], SzilardError)
     assert isinstance(results[1], SpectrumRangeError)
@@ -563,20 +562,21 @@ class TestTruncation:
     def test_sum_that_is_not_finite_is_an_error(self, value):
         """A series whose terms leave float range is a typed error in its
         own segment, never a float; the other segments of its batch still
-        sum."""
+        sum.  The Boltzmann kernel is patched to give such terms at beta =
+        2."""
         trap = Harmonic(MASS, 1e10)
-        rungs = ((Barrier.ABSENT, level_energy(trap, 1)),)
+        e1 = level_energy(trap, 1)
 
-        def terms(beta, rungs):
-            (_, gap), = rungs
+        def terms(beta, gap):
             return np.where(beta == 2.0, value, np.ones_like(gap))
 
         policy = TruncationPolicy()
-        (one,) = ensembles._series_sums([(trap, rungs, 2.0, 20)], terms,
-                                        policy, {})
-        both = ensembles._series_sums(
-            [(trap, rungs, 1.0, 20), (trap, rungs, 2.0, 30)], terms, policy,
-            {})
+        with mock.patch.object(ensembles, "_boltzmann_terms", terms):
+            (one,) = ensembles._series_sums(
+                [(trap, Barrier.ABSENT, e1, 2.0, 20)], policy, {})
+            both = ensembles._series_sums(
+                [(trap, Barrier.ABSENT, e1, 1.0, 20),
+                 (trap, Barrier.ABSENT, e1, 2.0, 30)], policy, {})
         for result in (one, both[1]):
             assert isinstance(result, SzilardError)
             assert "not finite" in str(result)
@@ -638,7 +638,7 @@ class TestPhysicalLadders:
         baths = BathPair(hot=200.0, cold=100.0)
         trap = Harmonic(MASS, omega)
         (batch, grounds, heads), = ensembles.ladder_batches(
-            (trap,), count, baths.hot, heads=True)
+            (trap,), count, baths.hot)
         (l_hot, l_cold, energies), = ensembles.canonical_stage_sums(
             batch, grounds, count, baths, TruncationPolicy(), heads)
         got = run_cycle(trap, Ensemble.CANONICAL_N, count, baths)
@@ -877,13 +877,13 @@ class TestCanonicalOracle:
 
 def _sums_of(call):
     """Every segment that _series_sums sums while call() runs, each with its
-    terms function, policy and result; and whether call() succeeded (it may
-    raise a SzilardError)."""
+    policy and result; and whether call() succeeded (it may raise a
+    SzilardError)."""
     log, original = [], ensembles._series_sums
 
-    def spy(segments, terms, policy, levels, weighted=False):
-        results = original(segments, terms, policy, levels, weighted)
-        log.extend((segment, terms, policy, result)
+    def spy(segments, policy, levels):
+        results = original(segments, policy, levels)
+        log.extend((segment, policy, result)
                    for segment, result in zip(segments, results))
         return results
 
@@ -1001,27 +1001,94 @@ def test_heads_match_the_scalar_reference(traps, inserted, count, rel_tol):
         assert type(n) is int and (n, tail) == want, (trap, n, tail, want)
 
 
+@settings(max_examples=100, deadline=None)
+@given(traps=st.lists(st.tuples(st.booleans(), st.floats(-4.0, 4.0),
+                                st.floats(0.01, 4.0), st.booleans()),
+                      min_size=1, max_size=8))
+def test_grand_rungs_size_by_the_scalar_reference(traps):
+    """_grand_rungs sizes every rung by _heads, the one sizing rule, in one
+    array pass: for harmonic and power-law traps (nu 0.01-4, both barriers,
+    level scales 1e-4 to 1e4 k_B T), each rung's head and tail kind follow
+    the scalar reference.  A geometric rung is its reference head, 16
+    levels and a closed-form series (kind 1) where the whole ladder is
+    longer, else the whole ladder (kind 0).  Any other power law builds
+    its whole reference ladder, and its head runs to the first level with
+    beta (E_K - E_1) >= 4, at least 16 levels and at most the ladder, with
+    summed moments (kind 2) where levels are left.  A rung past the
+    20,000-term cap, or whose estimate leaves float range, is its
+    TruncationError."""
+    beta = 1.0 / (K_B * 2.0)
+    requests = []
+    for harmonic, log_scale, nu, inserted in traps:
+        scale = 10 ** log_scale * K_B * 2.0
+        barrier = Barrier.INSERTED if inserted else Barrier.ABSENT
+        trap = (Harmonic(MASS, scale / HBAR) if harmonic
+                else PowerLaw.from_energy_scale(MASS, scale, nu))
+        requests.append((trap, barrier, beta, level_energy(trap, 1, barrier)))
+    rungs = ensembles._grand_rungs(requests, _SMALL_CAP)
+    for r, (trap, barrier, _, e1) in enumerate(requests):
+        error = rungs.errors[r]
+        try:
+            n, tailed = _reference_head(trap, barrier, beta, e1, _SMALL_CAP)
+        except TruncationError as exc:
+            assert isinstance(error, TruncationError) and str(error) == str(
+                exc)
+            continue
+        if n > _SMALL_CAP.max_terms:
+            assert isinstance(error, TruncationError) and str(error) == (
+                f"series needs {n} terms, policy caps at 20000")
+            continue
+        assert error is None
+        got = int(rungs.heads[r]), int(rungs.kind[r])
+        if isinstance(trap, Harmonic) or trap.level_power == 1.0:
+            assert got == (n, int(tailed)), (trap, barrier, got, n)
+            continue
+        assert not tailed
+        x = beta * (level_energy(trap, np.arange(1, n + 1), barrier) - e1)
+        head = min(max(1 + int(np.count_nonzero(x < 4.0)), 16), n)
+        assert got == (head, 2 if head < n else 0), (trap, barrier, got, n)
+
+
 def _checked_last_terms(log):
-    """Assert that each sum that runs to its size, rather than to a Morse
-    well's last bound level or to a head that a closed-form tail completes,
-    ends on a term below rel_tol of its summed magnitudes.  Returns the
-    term functions of the sums checked."""
-    kinds = []
-    for (trap, rungs, beta, n), terms, policy, result in log:
+    """Assert that each canonical sum that runs to its size, rather than to
+    a Morse well's last bound level or to a head that a closed-form tail
+    completes, ends on a term e^{-beta (E_n - E_1)} below rel_tol of its
+    sum, which is the sum of its magnitudes.  Returns the segments
+    checked."""
+    checked = []
+    for (trap, barrier, e1, beta, n), policy, result in log:
         if isinstance(result, SzilardError):
             continue
-        (barrier, e1), *_ = rungs
         if isinstance(trap, Morse) and trap.bound_count is not None and (
                 n == trap.bound_count // (2 if barrier is Barrier.INSERTED
                                           else 1)):
             continue        # a complete bound ladder
-        if terms is ensembles._boltzmann_terms and _head_of(
-                trap, barrier, beta, e1, policy) == (n, True):
+        if _head_of(trap, barrier, beta, e1, policy) == (n, True):
             continue        # a canonical head
-        t = np.abs(result[2])
-        assert t[-1] <= policy.rel_tol * t.sum(), (trap, rungs, beta, n)
-        kinds.append(terms)
-    return kinds
+        last = math.exp(-beta * (level_energy(trap, n, barrier) - e1))
+        assert last <= policy.rel_tol * result[0], (trap, barrier, beta, n)
+        checked.append((trap, barrier, beta, n))
+    return checked
+
+
+def _rung_ladders(call):
+    """The (ladder, beta, E_1, delta) of every rung _grand_rungs builds
+    while call() runs, delta a geometric rung's spacing and 0 for another
+    power law; and whether call() succeeded (it may raise a
+    SzilardError)."""
+    log, original = [], ensembles._Rungs
+
+    def spy(g, beta, e1, errors, rows, built, *rest):
+        log.extend((ladder, beta[r], e1[r], delta)
+                   for r, (ladder, _, delta) in zip(rows, built))
+        return original(g, beta, e1, errors, rows, built, *rest)
+
+    with mock.patch.object(ensembles, "_Rungs", spy):
+        try:
+            call()
+        except SzilardError:
+            return log, False
+    return log, True
 
 
 _SMALL_CAP = TruncationPolicy(max_terms=20_000)
@@ -1033,19 +1100,24 @@ _SMALL_CAP = TruncationPolicy(max_terms=20_000)
 def test_grand_sums_end_below_rel_tol(nu, log_scale, count):
     """A grand-canonical rung sized once from its ground level needs no
     tail test: across nu 0.05-4, trap scales 1e-3-1e6 k_B T and N 1-1000,
-    every rung ladder of a cycle that a power law weighs whole, at both
-    baths, ends below rel_tol of its summed magnitudes.  A geometric rung
-    weighs only its 16-term head, as on the canonical route; every
-    occupancy, log ratio and energy is a head and a k-series over the
-    rung's moments, which test_heads_and_moments_match_whole_sums checks
-    against whole sums.  A cap of 20,000 terms keeps each draw short."""
+    every rung ladder _grand_rungs builds whole for a power law, at both
+    baths, ends on a Boltzmann weight e^{-beta (E_n - E_1)} below rel_tol
+    of the weights' sum.  A geometric rung builds only its 16-term head,
+    as on the canonical route; every occupancy, log ratio and energy is a
+    head and a k-series over the rung's moments, which
+    test_heads_and_moments_match_whole_sums checks against whole sums.  A
+    cap of 20,000 terms keeps each draw short."""
     baths = BathPair(hot=2.0, cold=1.0)
     trap = PowerLaw.from_energy_scale(MASS, 10 ** log_scale * K_B, nu)
-    log, ran = _sums_of(lambda: run_cycle(trap, Ensemble.GRAND_BOSE, count,
-                                          baths, _SMALL_CAP))
-    kinds = _checked_last_terms(log)
-    if ran and trap.level_power != 1.0:     # else it may weigh heads only
-        assert set(kinds) == {ensembles._boltzmann_terms}
+    log, ran = _rung_ladders(lambda: run_cycle(
+        trap, Ensemble.GRAND_BOSE, count, baths, _SMALL_CAP))
+    whole = [(ladder, beta, e1) for ladder, beta, e1, delta in log
+             if not delta]
+    for ladder, beta, e1 in whole:
+        w = np.exp(-beta * (ladder - e1))
+        assert w[-1] <= _SMALL_CAP.rel_tol * w.sum(), (trap, beta, len(w))
+    if ran and trap.level_power != 1.0:     # else it builds heads only
+        assert len(whole) == 4
 
 
 def _whole_sums(trap, barrier, mu, temperature, x_top=75.0):
@@ -1202,8 +1274,13 @@ class TestGrandOracle:
         assert abs(cycle.efficiency - eta) <= (
             work_tol + abs(eta) * supplied_tol) / supplied
 
+    # per reach cycle, the Newton rounds of its roots, absent and inserted
+    # at the hot bath, then at the cold
+    ROUNDS = {200.0: [10, 9, 9, 9], 2000.0: [9, 9, 9, 8]}
+
     @pytest.mark.parametrize("hot, cold", [(200.0, 100.0), (2000.0, 1000.0)])
-    def test_reach_cycles_match_whole_ladder_sums(self, hot, cold):
+    def test_reach_cycles_match_whole_ladder_sums(self, hot, cold,
+                                                  monkeypatch):
         """The nu = 2 trap of energy scale 0.01 k_B 1 K with N = 10, whose
         ladders run to 1.25 M terms at 200 K (past the term cap) and
         12.5 M at 2000 K: each rung takes a 16-term head and a k-series,
@@ -1211,10 +1288,23 @@ class TestGrandOracle:
         whole ladders summed term by term (math.fsum over numpy chunks,
         to beta (E - E_1) = 75).  Each occupancy recovers N to 1e-10, as
         the root's own re-check demands; each stage energy to 1e-12
-        relative; each log ratio, W and eta as above."""
+        relative; each log ratio, W and eta as above.  Each root stops
+        within 10 Newton rounds: a converged step that lands on a bracket
+        end stops there, where clamping it to the bracket first bisected
+        three of these roots for 57 to 59 rounds."""
         trap = PowerLaw.from_energy_scale(MASS, 0.01 * K_B, 2.0)
         baths = BathPair(hot, cold)
+        stops, update = {}, ensembles._Root.update
+
+        def counted(root, f, slope):
+            result = update(root, f, slope)
+            if result is not None:
+                stops[root.j] = root.rounds
+            return result
+
+        monkeypatch.setattr(ensembles._Root, "update", counted)
         cycle = run_cycle(trap, Ensemble.GRAND_BOSE, 10, baths)
+        assert [stops[j] for j in range(4)] == self.ROUNDS[hot]
         logs, magnitudes, energies = [], [], {}
         for pair, stages in zip(cycle.mus, (("A", "B"), ("D", "C"))):
             sums = [_whole_sums(trap, barrier, mu, pair.temperature)

@@ -219,6 +219,12 @@ def _count_calls(monkeypatch, name):
     return calls
 
 
+def _occupancy(calls):
+    """The occupancy calls of a _rung_sums log, (rungs, rows, mus, kind)
+    each: the re-checks of solved chemical potentials."""
+    return [args for args in calls if args[3] == "occupancy"]
+
+
 def _one_point(target, **values):
     return replace(preset(target), axes=(),
                    lists={k: (v,) for k, v in values.items()})
@@ -259,7 +265,7 @@ class TestSingleEvaluation:
         sizes = [39, 11]
         assert [len(segments) for segments, *_ in sums] == [
             size for size in sizes for _ in range(4)]
-        barriers = [segments[0][1][0][0] for segments, *_ in sums]
+        barriers = [segments[0][1] for segments, *_ in sums]
         assert barriers == [potentials.Barrier.ABSENT,
                             potentials.Barrier.INSERTED,
                             potentials.Barrier.INSERTED,
@@ -394,7 +400,7 @@ class TestSingleEvaluation:
         """One occupancy re-check per root, and the trap prefactor's gamma
         ratio evaluated once per exponent: building the trap from its
         energy scale and checking it read one cached ratio."""
-        checks = _count_calls(monkeypatch, "_occupancy_checks")
+        sums = _count_calls(monkeypatch, "_rung_sums")
         potentials._log_gamma_ratio.cache_clear()
         gammas = []
         original = potentials.gammaln
@@ -407,7 +413,7 @@ class TestSingleEvaluation:
         outcome = _run(_one_point("fig8", nu=1.6, N=10, scale_ratio=1.0),
                        tmp_path)
         assert outcome.points == 1 and outcome.failed == 0
-        assert sum(len(segments) for segments, *_ in checks) == 4
+        assert sum(len(rows) for _, rows, *_ in _occupancy(sums)) == 4
         assert gammas == [1.0 / 1.6 + 1.5, 1.0 + 1.0 / 1.6]
 
     def test_bose_run_solves_in_batches(self, tmp_path, monkeypatch):
@@ -415,12 +421,13 @@ class TestSingleEvaluation:
 
         Its traps' estimated ladders (6670, 5501, ... 8 terms) close a batch
         each time they reach 8192 terms: five batches, each one solve and
-        one re-check pass, where one solve per root would make 160.  Each
+        one re-check pass (an occupancy _rung_sums call), where one solve
+        per root would make 160.  Each
         Newton round sums its live roots' heads, each behind one slot, and
         their k-series, not their ladders: the 160 heads hold 5089 levels,
         and the 45 rounds sum 41,829 head elements."""
         solves = _count_calls(monkeypatch, "_mu_offsets")
-        checks = _count_calls(monkeypatch, "_occupancy_checks")
+        checks = _count_calls(monkeypatch, "_rung_sums")
         rounds, sums = [], ensembles._Heads.sums
 
         def counted(heads, v, kind, d=None):
@@ -432,9 +439,10 @@ class TestSingleEvaluation:
         spec = replace(preset("fig8"), lists={"nu": (1.6,), "N": (10,)})
         outcome = _run(spec, tmp_path)
         assert outcome.points == 40 and outcome.failed == 0
+        checks = _occupancy(checks)
         assert len(solves) == 5 and len(checks) == 5
         assert sum(len(roots) for roots, *_ in solves) == 160
-        assert sum(len(segments) for segments, *_ in checks) == 160
+        assert sum(len(rows) for _, rows, *_ in checks) == 160
         assert sum(int(rungs.heads.sum()) for *_, rungs in solves) == 5089
         assert all(size == int(heads.sum()) + len(heads)
                    for size, heads in rounds)
@@ -553,8 +561,8 @@ class TestPartitionRatio:
         spec = preset("fig5")
         p = spec.params
         trap = Harmonic(mass=p["mass"], omega=p["omega"])
-        row = sweeps._eval_partition_ratio({"N": count, "T": temperature},
-                                           spec)
+        row, = sweeps._partition_ratio_values(
+            spec, [{"N": count, "T": temperature}])
         mus = chemical_potentials(trap, count, temperature,
                                   MuMode(p["mu_mode"]), spec.policy)
         assert row["log_ratio"] == log_relative_partition(
@@ -789,6 +797,9 @@ class TestCli:
         # p = 2 nu/(nu + 2) rounds to 2
         pytest.param("fig7", "[list.nu]\nvalues = 1e300\n",
                      "InvalidPotentialError", 50, id="fig7-nu = 1e300"),
+        # 2 scale/mass underflows to 0, whose log is a math domain error
+        pytest.param("fig8", "[parameters]\nmass = 1e300\n",
+                     "InvalidPotentialError", 480, id="fig8-mass = 1e300"),
         # beta E_scale underflows, so a closed-form tail leaves float range
         pytest.param("fig2", "[parameters]\nT_hot = 1e300\nT_cold = 1e299\n",
                      "SolverFailureError", 20, id="fig2-T = 1e300"),
