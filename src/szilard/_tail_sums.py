@@ -4,19 +4,21 @@ A level sum over a long ladder is its head, its first K terms summed one
 by one, and the rest of the ladder in another form, here: on the canonical
 and Morse routes a closed-form Euler-Maclaurin tail (_tails) of the
 Boltzmann sum whose head ensembles._series_sums takes; on the
-grand-canonical route the mu-free moments of each rung, over which every
-Bose sum's tail is a short k-series (_Rungs, _moments, _Heads), from the
-levels ensembles._grand_rungs builds at the lengths ensembles._heads sets.
+grand-canonical route the mu-free moments of each rung, the same tails at
+k beta, over which every Bose sum's tail is a short k-series (_Rungs,
+_Heads), from the heads ensembles._grand_rungs builds at the lengths
+ensembles._heads sets.
 Everything here runs on numpy arrays over many sums at once, each sum
 reduced on its own, so a batched value equals its one-trap value bit for
 bit.
 """
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
-from ._special import dawson
+from ._special import dawson, upper_gamma
 from .errors import TruncationError
 from .potentials import _absent_energy, _Wells
 
@@ -34,45 +36,59 @@ from .potentials import _absent_energy, _Wells
 # integrals are closed forms.  A finite Morse well has f = e^{-beta (D -
 # E_1)} e^{a u^2}, with a = beta q chi step^2 and u = x* - x the distance to
 # the top x* of the well, and int_x^{x*} f = f F(sqrt(a) u)/sqrt(a) with F
-# Dawson's function.  A geometric ladder (harmonic, infinite-depth Morse,
-# power law at p = 1) sums in closed form outright.  The energy sum, of E f,
-# is -d/dbeta of the same forms.  Other power laws take no tail: their sums
-# run whole through _series_sums.
+# Dawson's function.  A power law E = q s^p has, with y = beta E(x) and
+# a = 1/p, int_x^inf f = f s S(a, y)/(step p) and int_x^inf E f = f s (a
+# S(a, y) + 1)/(beta step p), where S(a, y) = e^y y^-a Gamma(a, y) is the
+# scaled upper incomplete gamma function (DLMF 8.2.2), the second by
+# Gamma(a + 1, y) = a Gamma(a, y) + y^a e^-y.  A geometric ladder
+# (harmonic, infinite-depth Morse, power law at p = 1) sums in closed form
+# outright.  The energy sum, of E f, is -d/dbeta of the same forms.
 
 _EM_PAIRS = 4           # m: derivative-correction pairs
+_POWER_PAIRS = 6        # m of a power-law tail (see _power_table)
 _HEAD_FLOOR = 16        # no head is shorter
-# Bernoulli numbers B_2, B_4, ..., B_{2m+2}
-_BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66)
-_EM_REMAINDER = (2 * abs(_BERNOULLI[_EM_PAIRS])
-                 / math.factorial(2 * _EM_PAIRS + 2))
+# Bernoulli numbers B_2, B_4, ..., B_14
+_BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6)
+
+
+def _remainder(pairs):
+    """2 |B_2m+2|/(2m+2)!, the Euler-Maclaurin remainder factor."""
+    return 2 * abs(_BERNOULLI[pairs]) / math.factorial(2 * pairs + 2)
+
+
+_EM_REMAINDER = _remainder(_EM_PAIRS)
 
 
 def _taylor(g, order):
     """Taylor coefficients w_0..w_order of e^{-(g(x) - g(x0))} at x0, from
-    g[j-1] = g^(j)(x0)/j!; elementwise on floats or arrays."""
-    w = [1.0]
+    g[j-1] = g^(j)(x0)/j!; elementwise on arrays, as the rows of one."""
+    jg = np.array([j * c for j, c in enumerate(g, 1)])
+    w = np.empty((order + 1, *np.shape(g[0])))
+    w[0] = 1.0
     for k in range(1, order + 1):
-        w.append(-sum(j * g[j - 1] * w[k - j]
-                      for j in range(1, min(k, len(g)) + 1)) / k)
+        top = min(k, len(g))
+        # summed in order of j, over axis 0
+        w[k] = -(jg[:top] * w[k - 1::-1][:top]).sum(axis=0) / k
     return w
 
 
-def _em_end(f, rests, g, e_taylor, half):
-    """An end's share of the Euler-Maclaurin sums of f and of E f.
+def _em_end(f, rests, g, e_taylor, half, pairs=_EM_PAIRS):
+    """An end's share of the Euler-Maclaurin sums of f and of E f, with
+    `pairs` derivative corrections.
 
     rests are the integrals of f and of E f from the end to the ladder's
     end, g and e_taylor the Taylor coefficients of beta (E - E_1), from the
     first, and of E, from the zeroth, at the end; half is 1/2 at the head
     end A and -1/2 at the top B, whose share is subtracted.
     """
-    w = _taylor(g, 2 * _EM_PAIRS - 1)
+    w = _taylor(g, 2 * pairs - 1)
     # the Taylor coefficients of E f/f(x0): those of E times w
-    wh = [sum(e_taylor[j] * w[k - j]
-              for j in range(min(k, len(e_taylor) - 1) + 1))
+    e = np.array(e_taylor)
+    wh = [(e[:min(k, len(e) - 1) + 1] * w[k::-1][:len(e)]).sum(axis=0)
           for k in range(len(w))]
     return [rest + f * (half * v[0] - sum(
         b / (2 * j) * v[2 * j - 1]
-        for j, b in enumerate(_BERNOULLI[:_EM_PAIRS], 1)))
+        for j, b in enumerate(_BERNOULLI[:pairs], 1)))
         for rest, v in zip(rests, (w, wh))]
 
 
@@ -83,8 +99,9 @@ def _tails(traps, step, beta, e1, head):
     each.  A tail past float range is not finite (numpy is silenced here;
     _canonical_stages makes its stage a SolverFailureError)."""
     out = np.zeros((2, len(head)))
-    for kind in ("geometric", "morse"):
-        rows = (traps.chi == 0.0) if kind == "geometric" else traps.chi != 0.0
+    kinds = {"geometric": (traps.chi == 0.0) & (traps.power == 1.0),
+             "power": traps.power != 1.0, "morse": traps.chi != 0.0}
+    for kind, rows in kinds.items():
         if not rows.any():
             continue
         step_, beta_, e1_, head_ = step[rows], beta[rows], e1[rows], head[rows]
@@ -98,6 +115,13 @@ def _tails(traps, step, beta, e1, head):
                 rest = np.exp(-beta_ * delta * head_) / gap
                 out[:, rows] = rest, rest * (e1_ + delta * head_
                                              + delta * (1 - gap) / gap)
+                continue
+            if kind == "power":
+                power = traps.power[rows]
+                s = step_ * (head_ + 1.0) + 0.5
+                total, gaps = _power_tails(q * s ** power, s, power, step_,
+                                           beta_, e1_)
+                out[:, rows] = total, gaps + e1_ * total
                 continue
             a = beta_ * q * chi * step_ * step_
             root = np.sqrt(a)
@@ -126,6 +150,96 @@ def _tails(traps, step, beta, e1, head):
     return out
 
 
+def _power_tails(e, s, power, step, beta, e1):
+    """sum_{n >= A} f_n and sum_{n >= A} (E_n - E_1) f_n, f_n = e^{-beta (E_n
+    - E_1)}, over power-law ladders from index A, at level s = step A + 1/2
+    and energy E_A = e (arrays, one element per tail): the integrals of the
+    section comment and the derivative corrections at A, with the Taylor
+    coefficients E_A C(p, j) (step/s)^j of E there.  Callers silence
+    numpy."""
+    f = np.exp(-beta * (e - e1))
+    a = 1.0 / power
+    scaled = upper_gamma(a, beta * e)
+    lead = f * s / (step * power)
+    taylor, h = [e], step / s
+    for j in range(1, 2 * _POWER_PAIRS):
+        taylor.append(taylor[-1] * ((power - (j - 1)) / j) * h)
+    return _em_end(f, (lead * scaled,
+                       lead * ((a * scaled + 1.0) / beta - e1 * scaled)),
+                   [beta * c for c in taylor[1:]], (e - e1, *taylor[1:]),
+                   0.5, _POWER_PAIRS)
+
+
+def _power_floor(power, step, y1):
+    """A lower bound on int_1^inf f over power-law ladders (the section
+    comment's f, from index 1, where f = 1, at y_1 = beta E_1), and so on
+    their sums: s_1 S(a, y_1)/(step p), with S(a, y) >= 1/(y + max(1 - a,
+    0)), as (1 + t)^{a-1} >= e^{-(1-a) t} under the integral of S."""
+    return (step + 0.5) / (step * power * (y1 + np.fmax(1.0 - 1.0 / power,
+                                                        0.0)))
+
+
+# The remainder bound of a power-law tail from A on (see the section
+# comment).  With y = beta E_A, k = 2m + 2 and s = step A + 1/2, every
+# Taylor coefficient of s^p has |C(p, j)| <= p/j for 0 < p <= 2, so e^{-beta
+# q s^p} has its derivatives bounded by those of (1 - h/s)^{-p y}: |f^(k)|
+# <= f (p y)(p y + 1)...(p y + k - 1)/s^k in s.  Expanded in powers (p y)^i
+# (c(k, i), the unsigned Stirling numbers of the first kind), each
+# integrates past A, after s^{ip-k} <= s^{ip-1} s_A^{1-k}, into an
+# incomplete gamma function of integer order, p^{i-1} (i-1)! e^-y e_{i-1}(y)
+# with e_n(y) = sum_{l<=n} y^l/l!, or, where ip < k - 1, after e^-y <=
+# e^-y_A, into e^-y_A (p y)^i/(k - 1 - ip).  With (step/s)^{k-1} =
+# step^{k-1} (beta q/y)^{(k-1)/p}, int_A^inf |f^(k)| is at most
+#     e^{y_1} step^{k-1} (beta q)^{(k-1)/p} H(y_A),
+#     H(y) = e^-y y^{-(k-1)/p} sum_i c(k, i) min(p^{i-1} (i-1)! e_{i-1}(y),
+#                                                (p y)^i/(k - 1 - ip)),
+# and every term of H falls as y grows, for every p: H is a function of y
+# and p alone, which _power_table tabulates once per p.
+
+_POWER_GRID = np.geomspace(1e-30, 1e4, 2500)    # y, 3.2% apart
+# c(2m+2, i), i = 1..2m+2: the coefficients of z (z + 1) ... (z + 2m + 1)
+_STIRLING = [1]
+for _j in range(2 * _POWER_PAIRS + 2):
+    _STIRLING = [a * _j + b for a, b in zip(_STIRLING + [0], [0] + _STIRLING)]
+_STIRLING = tuple(_STIRLING[1:])
+
+
+@lru_cache(maxsize=256)
+def _power_table(power):
+    """log H (falling) at the y of _POWER_GRID (rising), for one power."""
+    y = _POWER_GRID
+    total, partial, term, factorial = 0.0, 0.0, 1.0, 1.0
+    k = 2 * _POWER_PAIRS + 2
+    for i, c in enumerate(_STIRLING, 1):
+        partial = partial + term        # e_{i-1}(y)
+        exponent = k - 1 - i * power
+        powers = ((power * y) ** i / exponent if exponent > 0.0
+                  else math.inf)
+        total = total + c * np.minimum(factorial * partial, powers)
+        factorial = factorial * power * i
+        term = term * y / i
+    return np.log(total) - y - (k - 1) / power * np.log(y)
+
+
+def _power_cuts(scale, power, step, beta, e1, limit):
+    """Per power-law ladder (arrays), an x = beta (E_A - E_1) from which on
+    its tail's remainder is at most `limit`: the first y of _POWER_GRID
+    with H(y) below it (see above), less y_1, or 0 where y_1 already holds
+    it; inf past the grid."""
+    k = 2 * _POWER_PAIRS + 1
+    y1 = beta * e1
+    log_h = (np.log(limit / _remainder(_POWER_PAIRS)) - y1 - k * np.log(step)
+             - k / power * np.log(beta * scale))
+    cut = np.full(len(power), math.inf)
+    for p in set(power.tolist()):
+        rows = (power == p).nonzero()[0]
+        j = np.searchsorted(-_power_table(p), -log_h[rows])
+        inside = j < len(_POWER_GRID)
+        cut[rows[inside]] = np.fmax(_POWER_GRID[j[inside]] - y1[rows[inside]],
+                                    0.0)
+    return cut
+
+
 # Bose-function tails of the grand-canonical sums
 #
 # A grand-canonical sum runs over one rung, the ladder of a (trap, barrier,
@@ -140,70 +254,72 @@ def _tails(traps, step, beta, e1, head):
 #     occupancy        g sum_k e^{-kv} T_k
 #     log term         -sum_k e^{-kv} T_k/k   (of sum_n log(1 - e^{-x_n-v}))
 #     energy           g sum_k e^{-kv} (W_k + (E_1 - mu) T_k)
-# ensembles._grand_rungs forms each rung's head and moments once, and
-# every Newton round, occupancy re-check, log ratio and stage energy of its
-# batch reuses them.  With x_cut = -log rel_tol + 35, the sizing cut of
-# ensembles._heads, a k-series stops once k (x_{K+1} + v) reaches x_cut.
-# A geometric ladder (harmonic, or a power law at p = 1) builds only the
-# 16-term head _heads gives it, and its moments are closed forms, T_k =
-# r^{kK}/(1 - r^k) with r = e^{-beta delta} (the geometric tail of _tails
-# at k beta), for a series whose length is set at each evaluation and
-# capped by max_terms.  Any other power law builds the whole ladder _heads
-# sizes, and forms e^{-x} only over the tail past its head; its head
-# ends at the first level with x_K >= _HEAD_CUT, and has at least 16
-# levels, so x_{K+1} > _HEAD_CUT and its series stops by kmax =
-# ceil(x_cut/_HEAD_CUT), and its moments are summed once over the rest of
-# the ladder, the k-th over the levels with k x_n < x_cut.  As T_k <=
+# The moments are the canonical tails of the section above at k beta: on a
+# geometric ladder (harmonic, or a power law at p = 1) the closed forms
+# T_k = r^{kK}/(1 - r^k), r = e^{-beta delta}, formed in each term; on any
+# other power law _power_tails at k beta, formed once per rung, in one pass
+# per batch.  ensembles._grand_rungs builds only the heads ensembles._heads
+# sizes, and every Newton round, occupancy re-check, log ratio and stage
+# energy of its batch reuses them.  With x_cut = -log rel_tol + 35, the
+# sizing cut of ensembles._heads, a k-series runs to k = ceil(x_cut/(x_{K+1}
+# + v)), capped by max_terms: a geometric one at each evaluation's v, a
+# power law's at the least v its rung is summed at (see _Rungs).  As T_k <=
 # e^{-(k-1) x_{K+1}} T_1 (and so for W_k), a k-series term against the
 # first is at most e^{-(k-1)(x_{K+1} + v)}: the first term left out is
-# below e^{-x_cut} of the sum, like a ladder's own last term.
-
-_HEAD_CUT = 4.0     # a power-law rung's head ends at the first x_K >= this
+# below e^{-x_cut} of the sum, like a ladder's own last term.  A power
+# law's tail at k beta keeps the head sized at beta; its remainder there,
+# like an energy sum's, rests on the e^-35 margin.
 
 
 class _Rungs:
-    """Heads and tail moments of grand-canonical rungs, one row each (see
-    the section comment and ensembles._grand_rungs).
+    """Heads and tails of grand-canonical rungs, one row each (see the
+    section comment and ensembles._grand_rungs).
 
     errors[r] is None, or the SzilardError row r met while it was built.
     Per row, as arrays: the degeneracy g, beta, e1 = E_1, the head length
     K (heads), where the row's head starts in the flat arrays x = beta (E
-    - E_1) and gap = E - E_1, behind a slot with x = inf (starts), and the
-    kind of its tail: 0 none; 1 a geometric series of length set at each
-    evaluation, from bd = beta delta and delta, its level spacing; 2 the
-    summed moments T_k and W_k at moments[:, moment[r]], k = 1..kmax.
-    x_cut and max_terms are the policy's.
+    - E_1) and gap = E - E_1, behind a slot with x = inf (starts), the kind
+    of its tail (0 none, 1 geometric, 2 another power law) and x_{K+1}
+    (x_tail); a geometric tail's bd = beta delta and delta, its level
+    spacing; a power-law tail's moments T_k and W_k, k = 1..terms[r], in
+    the flat arrays moments from offset[r] on, behind a slot.  x_cut and
+    max_terms are the policy's.
     """
 
     __slots__ = ("errors", "g", "beta", "e1", "heads", "starts", "x", "gap",
-                 "kind", "bd", "delta", "moment", "moments", "x_cut",
-                 "max_terms")
+                 "kind", "x_tail", "bd", "delta", "terms", "offset",
+                 "moments", "x_cut", "max_terms")
 
     def __init__(self, g, beta, e1, errors, rows, built, x_cut, max_terms):
         """The rungs of requests with degeneracies g, betas and ground
         levels e1 (arrays, e1 0 where it is an error) and their errors, and
-        for the requests at rows the (levels, tailed, delta) that
-        ensembles._grand_rungs built: delta is a geometric ladder's spacing,
-        whose head alone was built, tailed where its whole ladder is longer,
-        and 0 for another power law, whose whole ladder was built.  x is
-        formed once, and e^{-x} only over the tails whose moments are
-        summed."""
+        for the requests at rows the (head, tailed, scale, power, step, v,
+        count) that ensembles._grand_rungs built: the head's levels,
+        whether a tail adds the rest of the ladder, the level scale s^power
+        of the ladder at s = step n + 1/2, and the least v = beta (E_1 - mu)
+        the rung is summed at, raised, for the root of an occupancy count
+        (inf for none), to log(1 + j g/count) - x_j at every level j of the
+        head, whose first j terms alone reach count there.  A power-law
+        tail's k-series runs to k = ceil(x_cut/(x_{K+1} + v)) at that v,
+        past max_terms an error, and its moments are formed here, in one
+        _power_tails pass; at a v below it, which a Newton step may try,
+        the series is that length too, short of its full sum."""
         size = len(errors)
         self.g, self.beta, self.e1, self.errors = g, beta, e1, errors
         self.x_cut, self.max_terms = x_cut, max_terms
-        kmax = math.ceil(x_cut / _HEAD_CUT)
-        self.heads, self.starts, self.kind, self.moment = (
-            np.zeros(size, dtype=np.intp) for _ in range(4))
-        self.bd, self.delta = np.zeros(size), np.zeros(size)
+        self.heads, self.starts, self.kind, self.terms, self.offset = (
+            np.zeros(size, dtype=np.intp) for _ in range(5))
+        self.x_tail, self.bd, self.delta = (np.zeros(size) for _ in range(3))
         self.x = self.gap = np.zeros(0)
-        self.moments = np.zeros((2, 0, kmax))
+        self.moments = np.zeros((2, 0))
         if not rows:
             return
-        ladders, tailed, delta = zip(*built)
-        delta = np.array(delta)
+        ladders, tailed, scale, power, step, v, count = (
+            np.array(column) if i else column
+            for i, column in enumerate(zip(*built)))
         rows = np.array(rows, dtype=np.intp)
-        lens = np.array([len(ladder) for ladder in ladders], dtype=np.intp)
-        width = lens + 1
+        heads = np.array([len(ladder) for ladder in ladders], dtype=np.intp)
+        width = heads + 1
         starts = np.cumsum(width) - width
         gap = np.concatenate([part for ladder in ladders
                               for part in (ladder[:1], ladder)])
@@ -211,61 +327,59 @@ class _Rungs:
         gap[starts] = 0.0
         x = np.repeat(self.beta[rows], width)
         x *= gap
-        geo = delta != 0.0
-        # the slot and the levels below _HEAD_CUT: the first level at or
-        # past it
-        first = np.add.reduceat(x < _HEAD_CUT, starts)
-        heads = np.where(geo, lens, np.minimum(np.maximum(first, _HEAD_FLOOR),
-                                               lens))
-        kind = np.where(geo, np.where(tailed, 1, 0),
-                        np.where(heads < lens, 2, 0))
         x[starts] = math.inf
-        # each head behind its slot, then the rest of its ladder
-        own = np.repeat(np.tile((True, False), len(rows)), np.column_stack(
-            (heads + 1, lens - heads)).ravel())
-        self.x, self.gap = x[own], gap[own]
-        self.heads[rows] = heads
-        self.starts[rows] = np.cumsum(heads + 1) - (heads + 1)
+        self.x, self.gap = x, gap
+        self.heads[rows], self.starts[rows] = heads, starts
+        geometric = power == 1.0
+        kind = np.where(tailed, np.where(geometric, 1, 2), 0)
+        delta = np.where(geometric, scale * step, 0.0)
+        bd = self.beta[rows] * delta
+        self.delta[rows], self.bd[rows], self.x_tail[rows] = (delta, bd,
+                                                             bd * heads)
+        at = (kind == 2).nonzero()[0]
+        if len(at):
+            r, p, st, n = rows[at], power[at], step[at], heads[at]
+            s = st * (n + 1.0) + 0.5
+            j = _within(n) + 1.0
+            floor = np.log1p(j * np.repeat(self.g[r] / count[at], n))
+            floor -= x[np.repeat(starts[at] + 1, n) + _within(n)]
+            floor = np.fmax(v[at], np.maximum.reduceat(floor, np.cumsum(n)
+                                                       - n))
+            with np.errstate(all="ignore"):
+                e = scale[at] * s ** p
+                self.x_tail[r] = self.beta[r] * (e - self.e1[r])
+                length = np.ceil(x_cut / (self.x_tail[r] + floor))
+            refused = ~(length <= max_terms)
+            for i in refused.nonzero()[0].tolist():
+                self.errors[r[i]] = TruncationError(
+                    f"series needs {_count(length[i])} terms, policy caps at"
+                    f" {max_terms}")
+            kind[at[refused]] = 0
+            keep = ~refused
+            r, p, st, s, e, n = (a[keep] for a in (r, p, st, s, e, length))
+            n = n.astype(np.intp)
+            self.terms[r] = n
+            self.offset[r] = np.cumsum(n + 1) - (n + 1)
+            # every row's k = 1..n behind a slot, whose moments are 0
+            k = _within(n) + 1.0
+            spread = np.repeat(np.arange(len(r)), n)
+            self.moments = np.zeros((2, int(n.sum()) + len(r)))
+            with np.errstate(all="ignore"):
+                self.moments[:, np.repeat(self.offset[r] + 1, n)
+                             + _within(n)] = _power_tails(
+                    e[spread], s[spread], p[spread], st[spread],
+                    k * self.beta[r][spread], self.e1[r][spread])
         self.kind[rows] = kind
-        self.delta[rows] = delta
-        self.bd[rows] = self.beta[rows] * delta
-        summed = kind == 2
-        if summed.any():
-            # each tail behind the last level of its head, as its slot
-            ends = (starts + width)[summed].tolist()
-            at = (starts + heads)[summed].tolist()
-            w = np.concatenate([x[a:b] for a, b in zip(at, ends)])
-            tails = np.concatenate([gap[a:b] for a, b in zip(at, ends)])
-            del x, gap, own     # the flat ladders; the tails are copies
-            np.exp(np.negative(w, out=w), out=w)
-            width = (lens - heads + 1)[summed]
-            slots = np.cumsum(width) - width
-            w[slots] = tails[slots] = 0.0
-            self.moment[rows[summed]] = np.arange(len(width))
-            self.moments = _moments(w, tails, slots, x_cut, kmax)
 
 
-def _moments(w, gap, starts, x_cut, kmax):
-    """T_k = sum w^k and W_k = sum gap w^k over each segment of the flat
-    weights w and gaps, behind a slot holding 0.0 at each of starts, for
-    k = 1..kmax: the k-th over the terms with w^k above e^{-x_cut}, which
-    w > e^{-x_cut/k} keeps.  One array, T over W, of a row per segment."""
-    moments = np.zeros((2, len(starts), kmax))
-    power = w.copy()
-    for k in range(kmax):
-        if k:
-            keep = w > math.exp(-x_cut / (k + 1))
-            keep[starts] = True
-            counts = np.add.reduceat(keep, starts)
-            if len(counts) == counts.sum():
-                break       # every segment is down to its slot
-            starts = np.cumsum(counts) - counts
-            keep = keep.nonzero()[0]
-            w, gap, power = w[keep], gap[keep], power[keep]
-            power *= w
-        moments[0, :, k] = np.add.reduceat(power, starts)
-        moments[1, :, k] = np.add.reduceat(gap * power, starts)
-    return moments
+def _count(n):
+    """A series length for a message: an int, or inf or nan as they are."""
+    return int(n) if math.isfinite(n) else n
+
+
+def _within(width):
+    """0..width[i] - 1 for each i, laid end to end."""
+    return np.arange(width.sum()) - np.repeat(np.cumsum(width) - width, width)
 
 
 class _Heads:
@@ -274,27 +388,30 @@ class _Heads:
 
     sums() evaluates them at one v = beta (E_1 - mu) per row, each row its
     head and its k-series, so a Newton round sums its roots' heads and
-    short k-series, not their ladders.  A geometric series longer than
+    short k-series, not their ladders.  A geometric k-series longer than
     max_terms is refused: its row's sums are nan, and error(i) is its
     TruncationError.  take() keeps some rows.
     """
 
-    __slots__ = ("rungs", "rows", "width", "slots", "x", "gap", "g", "fixed",
-                 "moments", "series", "geometric", "refused")
+    __slots__ = ("rungs", "rows", "width", "slots", "x", "gap", "g",
+                 "series", "power", "refused")
 
-    def __init__(self, rungs, rows, width, x, gap):
+    def __init__(self, rungs, rows, width, x, gap, power=None):
         self.rungs, self.rows, self.width = rungs, rows, width
         self.slots = np.cumsum(width) - width
         self.x, self.gap, self.g = x, gap, rungs.g[rows]
         kind = rungs.kind[rows]
-        self.fixed = (kind == 2).nonzero()[0]
-        self.moments = rungs.moments[:, rungs.moment[rows[self.fixed]]]
         self.series = (kind == 1).nonzero()[0]
-        # the series rows' beta delta, x_{K+1} = beta delta K, K and delta
-        series = rows[self.series]
-        bd = rungs.bd[series]
-        self.geometric = (bd, bd * rungs.heads[series], rungs.heads[series],
-                          rungs.delta[series])
+        # the power-law rows, their k and moments, each behind its slot
+        at = (kind == 2).nonzero()[0] if power is None else ()
+        self.power = power
+        if len(at):
+            n = rungs.terms[rows[at]] + 1
+            index = np.repeat(rungs.offset[rows[at]], n) + _within(n)
+            k = _within(n).astype(float)
+            slots = np.cumsum(n) - n
+            k[slots] = 1.0      # a finite term, zeroed below
+            self.power = at, n, slots, k, rungs.moments[:, index]
         self.refused = {}
 
     @classmethod
@@ -309,16 +426,25 @@ class _Heads:
 
     def take(self, keep):
         spread = np.repeat(keep, self.width)
+        power = None
+        if self.power is not None:
+            at, n, _, k, moments = self.power
+            kept = keep[at]
+            if kept.any():
+                within = np.repeat(kept, n)
+                n = n[kept]
+                power = ((np.cumsum(keep) - 1)[at[kept]], n, np.cumsum(n) - n,
+                         k[within], moments[:, within])
         return _Heads(self.rungs, self.rows[keep], self.width[keep],
                       self.x[spread],
-                      None if self.gap is None else self.gap[spread])
+                      None if self.gap is None else self.gap[spread], power)
 
     def error(self, i):
         """The TruncationError of row i's last sums, or None."""
         n = self.refused.get(i)
         return None if n is None else TruncationError(
-            f"series needs {int(n) if math.isfinite(n) else n} terms, policy"
-            f" caps at {self.rungs.max_terms}")
+            f"series needs {_count(n)} terms, policy caps at"
+            f" {self.rungs.max_terms}")
 
     def sums(self, v, kind, d=None):
         """Per row at v (an array), as arrays: for kind "occupancy" sum
@@ -343,42 +469,26 @@ class _Heads:
                     weight *= n
                     terms = n, weight
             out = [np.add.reduceat(t, self.slots) for t in terms]
-            if len(self.fixed):
-                self._fixed(out, v, kind, d)
             self.refused = {}
             if len(self.series):
                 self._series(out, v, kind, d)
-        if kind != "log":
-            for total in out:
+            if self.power is not None:
+                self._power(out, v, kind, d)
+        for total in out:
+            if self.refused:
+                total[list(self.refused)] = math.nan
+            if kind != "log":
                 total *= self.g
         return out
 
-    def _fixed(self, out, v, kind, d):
-        """Add the k-series of the rows with moments, k = 1..kmax."""
-        at = self.fixed
-        k = np.arange(1.0, self.moments.shape[-1] + 1)
-        a = np.exp(np.multiply.outer(-v[at], k))       # e^{-kv}
-        t, w = self.moments
-        t = a * t
-        if kind == "log":
-            out[0][at] -= (t / k).sum(axis=1)
-            return
-        if kind == "energy":
-            t *= d[at, None]
-            t += a * w
-        out[0][at] += t.sum(axis=1)
-        if kind == "occupancy":
-            out[1][at] += (t * k).sum(axis=1)
-
     def _series(self, out, v, kind, d):
         """Add the geometric k-series whose length is set at v: each row's
-        terms k = 1..ceil(x_cut/(x_{K+1} + v)) behind one slot, summed by
-        reduceat, so a row's value is its own in any batch.  With r =
+        terms k = 1..ceil(x_cut/(x_{K+1} + v)) behind one slot.  With r =
         e^{-beta delta}, e^{-kv} T_k = e^{-k (x_{K+1} + v)}/(1 - r^k) and
         W_k = delta T_k (K + r^k/(1 - r^k)), as x_{K+1} = beta delta K."""
         rungs, at = self.rungs, self.series
-        bd, y, heads, delta = self.geometric
-        y = y + v[at]
+        rows = self.rows[at]
+        y = rungs.x_tail[rows] + v[at]
         length = np.ceil(rungs.x_cut / y)
         refused = ~(length <= rungs.max_terms)
         if refused.any():
@@ -389,27 +499,45 @@ class _Heads:
         slots = np.cumsum(width) - width
         k = np.arange(float(width.sum())) - np.repeat(slots, width)
         k[slots] = 1.0      # a finite term, zeroed below
-        c = np.repeat(-bd, width)
+        c = np.repeat(-rungs.bd[rows], width)
         c *= k
         np.negative(np.expm1(c, out=c), out=c)          # 1 - r^k
         t = np.repeat(-y, width)
         t *= k
         np.exp(t, out=t)
         t /= c
+        w = None
         if kind == "energy":
             w = 1.0 - c
             w /= c
-            w += np.repeat(heads, width)
-            w *= np.repeat(delta, width)
+            w += np.repeat(rungs.heads[rows], width)
+            w *= np.repeat(rungs.delta[rows], width)
             w *= t
-            t *= np.repeat(d[at], width)
-            t += w
-        elif kind == "log":
-            t /= k
-        terms = (t, k * t) if kind == "occupancy" else (t,)
-        for total, t in zip(out, terms):
-            t[slots] = 0.0
-            s = np.add.reduceat(t, slots)
-            total[at] += -s if kind == "log" else s
-            if self.refused:
-                total[list(self.refused)] = math.nan
+        _add(out, at, kind, d, t, w, k, width, slots)
+
+    def _power(self, out, v, kind, d):
+        """Add the k-series of the power-law rows over their moments: each
+        row's e^{-kv} T_k (and e^{-kv} W_k), k = 1..terms behind one
+        slot."""
+        at, width, slots, k, (t, w) = self.power
+        a = np.repeat(-v[at], width)
+        a *= k
+        np.exp(a, out=a)
+        _add(out, at, kind, d, a * t, a * w if kind == "energy" else None, k,
+             width, slots)
+
+
+def _add(out, at, kind, d, t, w, k, width, slots):
+    """Add to the sums out of rows at their k-series of kind, from the terms
+    t = e^{-kv} T_k and, for an energy, w = e^{-kv} W_k over k (arrays,
+    each row's behind a slot, at slots): occupancy sum t and sum k t, log
+    -sum t/k, energy sum t d + w.  Each row is reduced on its own."""
+    if kind == "energy":
+        t *= np.repeat(d[at], width)
+        t += w
+    elif kind == "log":
+        t /= k
+    for total, t in zip(out, (t, k * t) if kind == "occupancy" else (t,)):
+        t[slots] = 0.0
+        s = np.add.reduceat(t, slots)
+        total[at] += -s if kind == "log" else s

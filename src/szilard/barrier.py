@@ -104,27 +104,31 @@ def even_levels(strength, k_max, tol=1e-12):
             continue
         left, right = _pole_slopes(k)
         # Endpoint offsets sized so f = gamma_ratio + L/2 changes sign:
-        # f(lo) ~ L/2 - left*d_lo > 0, f(hi) ~ L/2 - right/d_hi < 0.
+        # f(lo) ~ L/2 - left*d_lo > 0, f(hi) ~ L/2 - right/d_hi < 0; from
+        # L ~ 1e15 the root lies within 4 ulps of the pole, and hi is the
+        # pole itself, where f is -inf
         d_lo = min(1e-9, 0.25 * lam / left)
         d_hi = max(min(1e-9, right / lam), 4.0 * math.ulp(hi_pole))
         lo = lo_pole + d_lo
         hi = hi_pole - d_hi
-        f_lo = gamma_ratio(lo) + 0.5 * lam
-        f_hi = gamma_ratio(hi) + 0.5 * lam
-        if not (f_lo > 0.0 and f_hi < 0.0):
+        if _above(hi, lam):
+            hi = hi_pole
+        if not (_above(lo, lam) and not _above(hi, lam)):
             raise SolverFailureError(
-                f"bracket failure on branch {k} at strength {lam:g}: "
-                f"f({lo:.17g}) = {f_lo:.3g}, f({hi:.17g}) = {f_hi:.3g}")
+                f"bracket failure on branch {k} at strength {lam:g}:"
+                f" f({lo:.17g}) = {_residual(lo, lam):.3g} in size and"
+                f" f({hi:.17g}) = {_residual(hi, lam):.3g} in size do not"
+                " change sign")
         while hi - lo > tol:
             mid = 0.5 * (lo + hi)
             if mid == lo or mid == hi:
                 break
-            if gamma_ratio(mid) + 0.5 * lam > 0.0:
+            if _above(mid, lam):
                 lo = mid
             else:
                 hi = mid
         root = 0.5 * (lo + hi)
-        res = abs(gamma_ratio(root) + 0.5 * lam)
+        res = _residual(root, lam)
         if not _within(root, lam, k):
             raise SolverFailureError(
                 f"root {root:.17g} is not within {_ROOT_TOL:g} of the"
@@ -132,6 +136,27 @@ def even_levels(strength, k_max, tol=1e-12):
                 f" (residual {res:.3g})")
         out.append(EvenLevelSolution(k, root, res))
     return out
+
+
+def _above(eps, lam):
+    """Whether f = gamma_ratio(eps) + L/2 > 0 on a branch: from the ratio
+    itself, or, within the pole guard of gamma_ratio, where it raises, in
+    the log form of _within, |ratio| < L/2 (the ratio is negative between
+    the poles)."""
+    try:
+        return gamma_ratio(eps) + 0.5 * lam > 0.0
+    except PoleError:
+        return _log_ratio(eps) < math.log(0.5 * lam)
+
+
+def _residual(eps, lam):
+    """|gamma_ratio(eps) + L/2|: within the pole guard of gamma_ratio, as
+    L/2 |e^{log|ratio| - log(L/2)} - 1|, inf at the pole."""
+    try:
+        return abs(gamma_ratio(eps) + 0.5 * lam)
+    except PoleError:
+        gap = _log_ratio(eps) - math.log(0.5 * lam)
+        return 0.5 * lam * abs(math.expm1(gap)) if gap < 700.0 else math.inf
 
 
 def _within(eps, lam, k):

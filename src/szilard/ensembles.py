@@ -35,23 +35,20 @@ the cold bath.
 
 Every ladder of the three routes is sized by one rule, _heads: each sum's
 length is fixed from its ground level E_1 before any term is formed, and
-the sum is taken once at that length, with no tail test.  A canonical or
-Morse sum over a geometric or Morse ladder longer than its head sums the
-head, at least 16 terms, and adds the rest of the ladder as a closed-form
-Euler-Maclaurin tail; _series_sums is that Boltzmann stage sum.  No
+the sum is taken once at that length, with no tail test.  A sum over a
+ladder longer than its head sums the head, at least 16 terms, and adds the
+rest of the ladder as a closed-form Euler-Maclaurin tail: geometric,
+Dawson (Morse) or incomplete gamma (any other power law).  On the
+canonical and Morse routes _series_sums is that Boltzmann stage sum.  No
 grand-canonical sum runs whole either: each rung, the ladder of a (trap,
 barrier, bath), is a head summed term by term and a tail that is a short
 k-series in e^{-beta (E_1 - mu)} over moments that do not depend on mu,
-formed once per rung.  On a geometric ladder the head is the 16 levels
-_heads gives it and the moments are closed forms; on any other power law
-_heads gives the whole ladder, which is built, and the head runs to its
-first level with beta (E_K - E_1) >= 4, and at least 16 levels, and the
-moments are sums over the rest of it.  Every Newton round, occupancy
-re-check, log ratio and stage energy then sums heads and k-series only
-(see _tail_sums for both kinds of tail).  A length past max_terms is a
-TruncationError, never a silent cut.  A trap's sums share one barrier-free
-ladder, extended when a sum outgrows it; an inserted sum takes every other
-level of it (see _level_ladders).
+the same tails at k beta, formed once per rung.  Every Newton round,
+occupancy re-check, log ratio and stage energy then sums heads and
+k-series only (see _tail_sums for every kind of tail).  A length past
+max_terms is a TruncationError, never a silent cut.  A trap's sums share
+one barrier-free ladder, extended when a sum outgrows it; an inserted sum
+takes every other level of it (see _level_ladders).
 """
 
 import math
@@ -61,7 +58,8 @@ from enum import Enum
 import numpy as np
 
 from ._tail_sums import (_EM_PAIRS, _EM_REMAINDER, _HEAD_FLOOR, _Heads,
-                         _Rungs, _tails)
+                         _Rungs, _power_cuts, _power_floor,
+                         _tails)
 from .constants import K_B
 from .errors import (ConvergenceViolationError, EnsembleMismatchError,
                      SolverFailureError, SzilardError, TruncationError,
@@ -111,15 +109,15 @@ class TruncationPolicy:
     e^{-35}, or to a Morse well's last bound level.  That factor bounds the
     last term of every kind of sum against its first, within a factor the
     e^{-35} margin covers (see ensembles._series_sums).  A canonical or
-    Morse sum over a geometric or Morse ladder longer than its head sums
-    the head exactly and the rest as a closed-form tail, whose remainder
+    Morse sum over a ladder longer than its head sums the head exactly and
+    the rest as a closed-form tail, whose remainder
     bound on the Boltzmann sum is below rel_tol e^{-35} of it; the energy
     sum shares that head.  A grand-canonical sum is a head and a k-series
     over the tail moments of its ladder, each series run until its terms
     fall below e^{-35} rel_tol of its first (see szilard._tail_sums).
     max_terms caps every length, the head where a tail adds the rest, and
-    a geometric k-series whose length is set at evaluation: a sum that
-    needs more terms is a TruncationError, never a silent cut.
+    every k-series: a sum that needs more terms is a TruncationError, never
+    a silent cut.
     """
 
     rel_tol: float = 1e-12
@@ -343,11 +341,11 @@ def ladder_batches(potentials, count, temperature, policy=TruncationPolicy()):
     the grand sums, whose mu approaches E_1, pass count 1) and at most a
     Morse well's bound count, all in one _heads pass: a trap counts the
     terms its sum takes one by one, its head where a closed-form tail adds
-    the rest, and heads[i] is that head, or None where the sum takes no
-    tail (stage A's, which canonical_stage_sums takes from here; a
-    geometric grand rung builds the same head).  A lone trap is one unsized
-    batch, heads [None], on every route.  A trap whose estimate fails
-    counts as none (its batch reports the error).
+    the rest, and heads[i] is that length and whether a tail adds to it,
+    (n, tailed) (stage A's, which canonical_stage_sums takes from here; a
+    grand rung at the hot bath builds the same head).  A lone trap is one
+    unsized batch, heads [None], on every route.  A trap whose estimate
+    fails counts as none, heads[i] None (its batch reports the error).
     """
     beta = count * _beta(temperature)
     potentials = list(potentials)
@@ -369,8 +367,7 @@ def _batches(potentials, betas, policy):
     terms, first = [0] * len(potentials), [None] * len(potentials)
     for i, n, tail in zip(live, lengths, tailed.tolist()):
         if not _failed(n):      # else the batch reports it
-            terms[i] = n
-            first[i] = n if tail else None
+            terms[i], first[i] = n, (n, tail)
     batches, start, total = [], 0, 0
     for end, n in enumerate(terms, 1):
         total += n
@@ -569,12 +566,15 @@ def _heads(traps, step, beta, e1, policy):
     most a Morse well's bound count (half of it with the barrier in).  The
     head K is the smallest, at least _HEAD_FLOOR, whose remainder bound on
     the sum of f is below the error that cutoff leaves: rel_tol
-    e^{-_XCUT_MARGIN} of the sum, which holds at least its ground term, 1.
-    A geometric tail is exact, so its head is the floor.  The energy sum,
-    of E f, takes the same head, and its tail is the beta-derivative of the
-    same form; its remainder has no bound of its own and rests on the
-    e^{-_XCUT_MARGIN} margin.  A ladder no longer than its head, and any
-    power-law ladder that is not geometric, is taken whole.
+    e^{-_XCUT_MARGIN} of the sum, which holds at least its ground term, 1,
+    and for a power law the integral of f from index 1.  A geometric tail
+    is exact, so its head is the floor; a Morse well's remainder bound is
+    below, a power law's that of _tail_sums (its H, tabulated per power).
+    The energy sum, of E f, takes the same head, and its tail is the
+    beta-derivative of the same form; its remainder has no bound of its
+    own and rests on the e^{-_XCUT_MARGIN} margin.  A ladder no longer
+    than its head is taken whole.  The canonical route sizes at N beta and
+    the grand route at beta, with no flag between them.
     """
     with np.errstate(all="ignore"):     # as for Python floats
         c = _estimates(traps, step, beta, e1, _XCUT_MARGIN - math.log(
@@ -584,29 +584,47 @@ def _heads(traps, step, beta, e1, policy):
             n = np.minimum(n, np.floor(traps.cap / step))
         head = np.where((traps.chi == 0.0) & (traps.power == 1.0),
                         float(_HEAD_FLOOR), math.inf)
-        wells = (((traps.chi != 0.0) & (n > _HEAD_FLOOR)).nonzero()[0]
-                 if traps.wells else ())
-        if len(wells):
-            # f^(2m+2) > 0, so the remainder is at most the bound times
-            # |f^(2m+1)(A)| = Q_2m+1(u_A) f(A), where Q_0 = 1, Q_1 = 2 a u
-            # and Q_k+1 = 2 a u Q_k + 2k a Q_k-1 fall with u: Q at the
-            # shortest head holds for every longer one, and _estimates
-            # inverts the f(A) that leaves (with two spare terms)
-            by, at = (v[wells] if np.ndim(v) else v for v in (step, beta))
-            chi, q = traps.chi[wells], traps.scale[wells]
-            a = at * q * chi * by * by
-            slope = 2 * a * ((0.5 / chi - 0.5) / by - (_HEAD_FLOOR + 1))
-            lower, upper = 1.0, slope
-            for ka in np.multiply.outer(2.0 * np.arange(1, 2 * _EM_PAIRS + 1),
-                                        a):     # 2k a, k = 1..2m
-                lower, upper = upper, slope * upper + ka * lower
-            ratio = (_EM_REMAINDER * upper
-                     / (policy.rel_tol * math.exp(-_XCUT_MARGIN)))
-            # log(max(ratio, 1)) by math, element by element: it sets a length
-            cut = np.array(list(map(math.log, np.fmax(ratio, 1.0).tolist())))
-            c_head = _estimates(traps.take(wells), by, at, e1[wells], cut)
-            head[wells] = np.maximum(np.maximum(c_head + 2.0, 8.0) - 1.0,
-                                     float(_HEAD_FLOOR))
+        sized = (((traps.power != 1.0) | (traps.chi != 0.0))
+                 & (n > _HEAD_FLOOR)).nonzero()[0]
+        if len(sized):
+            by, at = (np.broadcast_to(v, n.shape)[sized] for v in (step, beta))
+            chi, q = traps.chi[sized], traps.scale[sized]
+            # per sum, the x = beta (E_A - E_1) past which its tail's
+            # remainder bound is below the cutoff's error, rel_tol e^-35 of
+            # the sum; _estimates inverts it (with two spare terms)
+            cut = np.zeros(len(sized))
+            target = policy.rel_tol * math.exp(-_XCUT_MARGIN)
+            wells = (chi != 0.0).nonzero()[0]
+            if len(wells):
+                # f^(2m+2) > 0, so the remainder is at most the bound times
+                # |f^(2m+1)(A)| = Q_2m+1(u_A) f(A), where Q_0 = 1, Q_1 = 2 a
+                # u and Q_k+1 = 2 a u Q_k + 2k a Q_k-1 fall with u: Q at the
+                # shortest head holds for every longer one, and the sum holds
+                # its ground term, 1
+                by_, chi_ = by[wells], chi[wells]
+                a = at[wells] * q[wells] * chi_ * by_ * by_
+                slope = 2 * a * ((0.5 / chi_ - 0.5) / by_ - (_HEAD_FLOOR + 1))
+                lower, upper = 1.0, slope
+                for ka in np.multiply.outer(
+                        2.0 * np.arange(1, 2 * _EM_PAIRS + 1), a):  # 2k a
+                    lower, upper = upper, slope * upper + ka * lower
+                ratio = _EM_REMAINDER * upper / target
+                # log(max(ratio, 1)) by math, element by element: it sets a
+                # length
+                cut[wells] = list(map(math.log,
+                                      np.fmax(ratio, 1.0).tolist()))
+            laws = (chi == 0.0).nonzero()[0]
+            if len(laws):
+                # a power law's bound falls as A grows (see _tail_sums), and
+                # its sum holds 1 and the integral of f from index 1
+                p, by_, at_, e1_ = (traps.power[sized[laws]], by[laws],
+                                    at[laws], e1[sized[laws]])
+                cut[laws] = _power_cuts(
+                    q[laws], p, by_, at_, e1_, target * np.fmax(
+                        _power_floor(p, by_, at_ * e1_), 1.0))
+            c_head = _estimates(traps.take(sized), by, at, e1[sized], cut)
+            head[sized] = np.where(cut < math.inf, np.maximum(np.maximum(
+                c_head + 2.0, 8.0) - 1.0, float(_HEAD_FLOOR)), math.inf)
         tailed = head < n
         lengths = np.where(tailed, head, n)
         lengths[np.isnan(head)] = np.nan
@@ -636,10 +654,11 @@ def _canonical_stages(traps, grounds, stages, counts, policy, first=None):
     without an error, all sharing each trap's barrier-free ladder (see
     _level_ladders), and the tails of all stages one _tails call.  A stage
     whose sum or energy sum is then not finite is a SolverFailureError.
-    first[i], where given, is trap i's stage A head as ladder_batches
-    returns it, or None where it takes no tail or its batch was not sized,
-    and _heads sizes it here.  A stage whose N beta = N/(k_B
-    T) overflows is an EnsembleMismatchError for every trap reaching it.
+    first[i], where given, is trap i's stage A (length, tailed) as
+    ladder_batches returns it, or None where its batch was not sized or its
+    estimate failed, and _heads sizes it here.  A stage whose N beta =
+    N/(k_B T) overflows is an EnsembleMismatchError for every trap reaching
+    it.
     """
     betas = [[count * _beta(temperature)
               for count, temperature in zip(counts, temperatures)]
@@ -669,8 +688,9 @@ def _canonical_stages(traps, grounds, stages, counts, policy, first=None):
                     f"N/(k_B T) overflows: N = {counts[i]:.6g} at"
                     f" {temperatures[i]:.6g} K is past float range")
             elif k == 0 and first and first[i] is not None:
-                lengths[k][i] = first[i]
-                tails.append((k, i))
+                lengths[k][i], tail = first[i]
+                if tail:
+                    tails.append((k, i))
             else:
                 rows.append((k, i))
     if rows:
@@ -737,7 +757,7 @@ def canonical_stage_sums(potentials, grounds, count, baths,
     """Per-bath log ratios and the four stage energies of canonical traps.
 
     potentials, grounds and heads are a batch as ladder_batches returns it
-    (where heads[i] is None, stage A's head is found here).  Each trap gets
+    (where heads[i] is None, stage A's length is found here).  Each trap gets
     (log ratio hot, log ratio cold, (U_A, U_B, U_C, U_D)), or the error of
     its first failing stage, A to D.  Each stage is one _series_sums call
     over the traps still without an error, and the four share each trap's
@@ -772,21 +792,21 @@ def _cycle_sums(potentials, grounds, counts, baths, policy, heads):
 # round, occupancy re-check, log ratio and stage energy reuses them.
 
 def _grand_rungs(requests, policy):
-    """The _Rungs of (potential, barrier, beta, E_1) requests, in order.
+    """The _Rungs of (potential, barrier, beta, E_1, v, count) requests, in
+    order, v the least beta (E_1 - mu) each is summed at and count the
+    occupancy its root solves for, or inf (see _Rungs).
 
-    Each rung is sized from its E_1 by _heads, in one array pass, and its
-    levels built by _level_ladders: a geometric rung's 16-term head, tailed
-    where its whole ladder is longer, and any other power law's whole
-    ladder, whose x = beta (E - E_1) then give its head length and
-    moments, for all rungs at once (see _Rungs).  An E_1 that is an error,
-    an estimate past float range, a length past max_terms (the head, where
-    closed-form moments add the rest) and a level that cannot be built are
-    the row's error.
+    Each rung is sized from its E_1 by _heads, in one array pass, and only
+    its head is built, by _level_ladders: the whole ladder where it is no
+    longer than its head, else a head to which a tail adds the rest (see
+    _tail_sums).  An E_1 that is an error, an estimate past float range, a
+    head or a power-law k-series past max_terms and a level that cannot be
+    built are the row's error.
     """
-    errors = [e1 if _failed(e1) else None for *_, e1 in requests]
+    errors = [e1 if _failed(e1) else None for _, _, _, e1, *_ in requests]
     live = [r for r, error in enumerate(errors) if error is None]
-    g = np.array([_degeneracy(barrier) for _, barrier, _, _ in requests])
-    betas = np.array([beta for _, _, beta, _ in requests], dtype=float)
+    g = np.array([_degeneracy(request[1]) for request in requests])
+    betas = np.array([request[2] for request in requests], dtype=float)
     e1 = np.zeros(len(requests))
     e1[live] = [requests[r][3] for r in live]
     rows, built = [], []
@@ -794,15 +814,15 @@ def _grand_rungs(requests, policy):
         traps = _Shapes.of([requests[r][0] for r in live])
         step = np.array([_stride(requests[r][1]) for r in live], dtype=float)
         lengths, tailed = _heads(traps, step, betas[live], e1[live], policy)
-        delta = np.where(traps.power == 1.0, traps.scale * step, 0.0)
-        for r, ladder, tail, d in zip(live, _level_ladders(
+        for r, ladder, *shape in zip(live, _level_ladders(
                 [(*requests[r][:2], n) for r, n in zip(live, lengths)], {},
-                policy.max_terms), tailed.tolist(), delta.tolist()):
+                policy.max_terms), tailed.tolist(), traps.scale.tolist(),
+                traps.power.tolist(), step.tolist()):
             if _failed(ladder):
                 errors[r] = ladder
             else:
                 rows.append(r)
-                built.append((ladder, tail, d))
+                built.append((ladder, *shape, *requests[r][4:]))
     return _Rungs(g, betas, e1, errors, rows, built,
                   _XCUT_MARGIN - math.log(policy.rel_tol), policy.max_terms)
 
@@ -930,9 +950,15 @@ class _Root:
         return None
 
 
-def _rungs_of(roots, policy):
-    """The _Rungs of (potential, barrier, temperature, E_1) roots."""
-    return _grand_rungs([(potential, barrier, _beta(temperature), e1)
+def _rungs_of(roots, count, mode, policy):
+    """The _Rungs of (potential, barrier, temperature, E_1) roots of count
+    bosons in `mode`.  Each is summed at v = beta (E_1 - mu) >= log(1 +
+    d_1/count), the closed form, as its ground term alone, d_1/(e^v - 1),
+    stays below count at a root; a solved root's head bounds it further
+    (see _Rungs)."""
+    solved = count if mode is MuMode.SOLVED else math.inf
+    return _grand_rungs([(potential, barrier, _beta(temperature), e1,
+                          math.log1p(_degeneracy(barrier) / count), solved)
                          for potential, barrier, temperature, e1 in roots],
                         policy)
 
@@ -954,7 +980,7 @@ def _chemical_potentials(roots, count, mode, policy, rungs=None):
         return [EnsembleMismatchError(
             f"unknown chemical-potential mode {mode!r}") for _ in roots]
     if rungs is None:
-        rungs = _rungs_of(roots, policy)
+        rungs = _rungs_of(roots, count, mode, policy)
     out = _mu_offsets(roots, count, policy, rungs)
     for j, u in enumerate(out):
         if not _failed(u):
@@ -994,9 +1020,10 @@ def occupancy_total(potential, barrier, mu, temperature, policy=TruncationPolicy
     _require_power_family(potential, "grand-canonical occupancy")
     e1 = level_energy(potential, 1, barrier)
     mu = value_or_raise(_below_ground(mu, e1))
+    beta = _beta(temperature)
     return value_or_raise(_rung_sums(_grand_rungs(
-        [(potential, barrier, _beta(temperature), e1)], policy), (0,), (mu,),
-        "occupancy")[0])
+        [(potential, barrier, beta, e1, beta * (e1 - mu), math.inf)],
+        policy), (0,), (mu,), "occupancy")[0])
 
 
 def chemical_potential(potential, count, temperature, barrier, mode,
@@ -1075,7 +1102,7 @@ def _bath_ratios(potentials, grounds, count, temperatures, mode, policy):
                                                temperatures)
              for temperature in own
              for barrier in (Barrier.ABSENT, Barrier.INSERTED)]
-    rungs = _rungs_of(roots, policy)
+    rungs = _rungs_of(roots, count, mode, policy)
     mus = _chemical_potentials(roots, count, mode, policy, rungs)
     out = _mu_pairs(mus, count, temperatures, mode)
     k = len(temperatures[0]) if temperatures else 0
@@ -1146,8 +1173,9 @@ def _checked_rungs(potential, mu_pair, temperature):
 def _one_trap_sums(potential, checked, temperature, rungs, kind, policy):
     """_rung_sums of some of one trap's checked (barrier, mu) rungs."""
     beta, grounds = _beta(temperature), checked[1]
-    table = _grand_rungs([(potential, barrier, beta, grounds[barrier])
-                          for barrier, _ in rungs], policy)
+    table = _grand_rungs([(potential, barrier, beta, grounds[barrier],
+                           beta * (grounds[barrier] - mu), math.inf)
+                          for barrier, mu in rungs], policy)
     return _rung_sums(table, range(len(rungs)), [mu for _, mu in rungs],
                       kind)
 

@@ -139,6 +139,22 @@ def test_strong_barriers_match_50_digits(lam):
         assert sol.energy < odd_level(sol.branch)
 
 
+@pytest.mark.parametrize("lam", (1e12, 1e13, 1e14, 1e15))
+def test_barriers_inside_the_pole_guard_match_50_digits(lam):
+    """From strength about 1e13 the upper bracket end of branches 1 and up
+    lies within the 2e-13 guard of gamma_ratio at the numerator pole, where
+    it raises, and from 1e15 the root lies within 4 ulps of the pole; the
+    bisection then compares in log form, and the bracket may end at the
+    pole.  Branches 0-4 solve to within 1e-10 of a 50-digit root, each with
+    a finite residual."""
+    mpmath = pytest.importorskip("mpmath")
+    for sol in even_levels(lam, 4):
+        want = _mp_root(mpmath, lam, sol.branch)
+        assert abs(sol.energy - float(want)) <= 1e-10
+        assert sol.energy < odd_level(sol.branch)
+        assert math.isfinite(sol.residual)
+
+
 @pytest.mark.parametrize("lam", (0.3, 1.0, 100.0) + STRONG)
 def test_root_test_rejects_a_root_off_by_more_than_1e_10(lam):
     """The root test accepts each solved root and refuses it moved by

@@ -1,9 +1,11 @@
 """Stage sums: canonical ladders, grand-canonical bosons, Morse averages."""
 
+import bisect
 import contextlib
 import gc
 import itertools
 import math
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -20,7 +22,7 @@ from szilard import (Barrier, BathPair, ChemicalPotentials,
                      canonical_stage_properties, chemical_potential,
                      chemical_potentials, internal_energy, level_energy,
                      log_relative_partition, occupancy_total, run_cycle)
-from szilard import ensembles
+from szilard import _tail_sums, ensembles
 from szilard.barrier import even_levels, odd_level
 
 MASS = 19.11e-11
@@ -928,6 +930,27 @@ def _reference_index_beyond(trap, barrier, beta, e1, x_cut):
                               " needs more terms than any cap") from None
 
 
+def _power_cut(trap, barrier, beta, e1, policy):
+    """The x = beta (E_A - E_1) past which a power law's tail meets its
+    remainder bound (see szilard._tail_sums), in math on Python floats: the
+    first y of the tabulated bound H below its target, less y_1; None past
+    the table."""
+    step = 2 if barrier is Barrier.INSERTED else 1
+    p, y1 = trap.level_power, beta * e1
+    # the sum holds 1 and the integral of f from index 1
+    floor = (step + 0.5) / (step * p * (y1 + max(1.0 - 1.0 / p, 0.0)))
+    limit = policy.rel_tol * math.exp(-35.0) * max(floor, 1.0)
+    k = 2 * _tail_sums._POWER_PAIRS + 1
+    log_h = (math.log(limit / _tail_sums._remainder(_tail_sums._POWER_PAIRS))
+             - y1 - k * math.log(step) - k / p * math.log(
+                 beta * trap.energy_scale))
+    table = (-_tail_sums._power_table(p)).tolist()
+    j = bisect.bisect_left(table, -log_h)
+    if j == len(table):
+        return None
+    return max(float(_tail_sums._POWER_GRID[j]) - y1, 0.0)
+
+
 def _reference_head(trap, barrier, beta, e1, policy):
     step = 2 if barrier is Barrier.INSERTED else 1
     n = _reference_index_beyond(trap, barrier, beta, e1,
@@ -950,6 +973,12 @@ def _reference_head(trap, barrier, beta, e1, policy):
         head = max(_reference_index_beyond(
             trap, barrier, beta, e1, math.log(ratio) if ratio > 1.0 else 0.0)
             - 1, 16)
+    elif isinstance(trap, PowerLaw) and n > 16:
+        cut = _power_cut(trap, barrier, beta, e1, policy)
+        if cut is None:
+            return n, False
+        head = max(_reference_index_beyond(trap, barrier, beta, e1, cut) - 1,
+                   16)
     else:
         return n, False
     return (head, True) if head < n else (n, False)
@@ -1009,52 +1038,60 @@ def test_grand_rungs_size_by_the_scalar_reference(traps):
     """_grand_rungs sizes every rung by _heads, the one sizing rule, in one
     array pass: for harmonic and power-law traps (nu 0.01-4, both barriers,
     level scales 1e-4 to 1e4 k_B T), each rung's head and tail kind follow
-    the scalar reference.  A geometric rung is its reference head, 16
-    levels and a closed-form series (kind 1) where the whole ladder is
-    longer, else the whole ladder (kind 0).  Any other power law builds
-    its whole reference ladder, and its head runs to the first level with
-    beta (E_K - E_1) >= 4, at least 16 levels and at most the ladder, with
-    summed moments (kind 2) where levels are left.  A rung past the
-    20,000-term cap, or whose estimate leaves float range, is its
-    TruncationError."""
+    the scalar reference.  A rung is its reference head with a tail where
+    the whole ladder is longer, else the whole ladder (kind 0): a
+    geometric tail is a closed-form series (kind 1), any other power law's
+    a k-series over moments (kind 2), which runs to k = ceil(x_cut/(x_{K+1}
+    + v)) at the least v it is summed at, here log(1 + 1/10).  A rung past
+    the 20,000-term cap, head or k-series, or whose estimate leaves float
+    range, is its TruncationError."""
     beta = 1.0 / (K_B * 2.0)
+    v = math.log1p(1.0 / 10)
     requests = []
     for harmonic, log_scale, nu, inserted in traps:
         scale = 10 ** log_scale * K_B * 2.0
         barrier = Barrier.INSERTED if inserted else Barrier.ABSENT
         trap = (Harmonic(MASS, scale / HBAR) if harmonic
                 else PowerLaw.from_energy_scale(MASS, scale, nu))
-        requests.append((trap, barrier, beta, level_energy(trap, 1, barrier)))
+        requests.append((trap, barrier, beta,
+                         level_energy(trap, 1, barrier), v, math.inf))
     rungs = ensembles._grand_rungs(requests, _SMALL_CAP)
-    for r, (trap, barrier, _, e1) in enumerate(requests):
+    for r, (trap, barrier, _, e1, *_) in enumerate(requests):
         error = rungs.errors[r]
         try:
             n, tailed = _reference_head(trap, barrier, beta, e1, _SMALL_CAP)
         except TruncationError as exc:
-            assert isinstance(error, TruncationError) and str(error) == str(
-                exc)
+            assert isinstance(error, TruncationError) and str(error) == (
+                str(exc))
             continue
         if n > _SMALL_CAP.max_terms:
             assert isinstance(error, TruncationError) and str(error) == (
                 f"series needs {n} terms, policy caps at 20000")
             continue
+        geometric = isinstance(trap, Harmonic) or trap.level_power == 1.0
+        if tailed and not geometric:
+            x = beta * (level_energy(trap, np.array([n + 1]), barrier)[0]
+                        - e1)
+            length = math.ceil((ensembles._XCUT_MARGIN
+                                - math.log(_SMALL_CAP.rel_tol)) / (x + v))
+            if length > _SMALL_CAP.max_terms:
+                assert isinstance(error, TruncationError) and str(error) == (
+                    f"series needs {length} terms, policy caps at 20000")
+                continue
+            assert int(rungs.terms[r]) == length
         assert error is None
         got = int(rungs.heads[r]), int(rungs.kind[r])
-        if isinstance(trap, Harmonic) or trap.level_power == 1.0:
-            assert got == (n, int(tailed)), (trap, barrier, got, n)
-            continue
-        assert not tailed
-        x = beta * (level_energy(trap, np.arange(1, n + 1), barrier) - e1)
-        head = min(max(1 + int(np.count_nonzero(x < 4.0)), 16), n)
-        assert got == (head, 2 if head < n else 0), (trap, barrier, got, n)
+        kind = (1 if geometric else 2) if tailed else 0
+        assert got == (n, kind), (trap, barrier, got, n, tailed)
 
 
 def _checked_last_terms(log):
     """Assert that each canonical sum that runs to its size, rather than to
     a Morse well's last bound level or to a head that a closed-form tail
     completes, ends on a term e^{-beta (E_n - E_1)} below rel_tol of its
-    sum, which is the sum of its magnitudes.  Returns the segments
-    checked."""
+    sum, which is the sum of its magnitudes; and that a power-law head
+    and its tail (see ensembles._tails) meet the whole ladder, summed term
+    by term with math.fsum, to rel_tol.  Returns the segments checked."""
     checked = []
     for (trap, barrier, e1, beta, n), policy, result in log:
         if isinstance(result, SzilardError):
@@ -1064,6 +1101,19 @@ def _checked_last_terms(log):
                                           else 1)):
             continue        # a complete bound ladder
         if _head_of(trap, barrier, beta, e1, policy) == (n, True):
+            if isinstance(trap, PowerLaw) and trap.level_power != 1.0:
+                (tail,), _ = ensembles._tails(
+                    ensembles._Shapes.of([trap]),
+                    np.array([float(ensembles._stride(barrier))]),
+                    np.array([beta]), np.array([e1]), np.array([float(n)]))
+                whole, m = [], 1
+                while not whole or whole[-1] > 1e-40:
+                    e = level_energy(trap, np.arange(m, m + 4096), barrier)
+                    whole.extend(np.exp(-beta * (e - e1)).tolist())
+                    m += 4096
+                want = math.fsum(whole)
+                assert abs(result[0] + tail - want) <= policy.rel_tol * want
+                checked.append((trap, barrier, beta, n))
             continue        # a canonical head
         last = math.exp(-beta * (level_energy(trap, n, barrier) - e1))
         assert last <= policy.rel_tol * result[0], (trap, barrier, beta, n)
@@ -1072,15 +1122,15 @@ def _checked_last_terms(log):
 
 
 def _rung_ladders(call):
-    """The (ladder, beta, E_1, delta) of every rung _grand_rungs builds
-    while call() runs, delta a geometric rung's spacing and 0 for another
-    power law; and whether call() succeeded (it may raise a
-    SzilardError)."""
+    """The (ladder, tailed, barrier, beta, E_1) of every rung _grand_rungs
+    builds while call() runs, each its head where tailed; and whether
+    call() succeeded (it may raise a SzilardError)."""
     log, original = [], ensembles._Rungs
 
     def spy(g, beta, e1, errors, rows, built, *rest):
-        log.extend((ladder, beta[r], e1[r], delta)
-                   for r, (ladder, _, delta) in zip(rows, built))
+        log.extend((ladder, tailed, Barrier.INSERTED if step == 2.0
+                    else Barrier.ABSENT, beta[r], e1[r])
+                   for r, (ladder, tailed, _, _, step, *_) in zip(rows, built))
         return original(g, beta, e1, errors, rows, built, *rest)
 
     with mock.patch.object(ensembles, "_Rungs", spy):
@@ -1094,37 +1144,82 @@ def _rung_ladders(call):
 _SMALL_CAP = TruncationPolicy(max_terms=20_000)
 
 
+def _bernoulli(n):
+    """B_n as a Fraction (the Akiyama-Tanigawa algorithm)."""
+    a = [Fraction(0)] * (n + 1)
+    for m in range(n + 1):
+        a[m] = Fraction(1, m + 1)
+        for j in range(m, 0, -1):
+            a[j - 1] = j * (a[j - 1] - a[j])
+    return a[0]
+
+
+def _power_remainder(trap, step, beta, e1, index):
+    """The Euler-Maclaurin remainder bound of a power-law tail from
+    `index` on, 2 |B_k|/k! int |f^(k)| with m = _POWER_PAIRS correction
+    pairs and k = 2m + 2, from the derivative bound of szilard._tail_sums,
+    in math: f(A) (step/s)^(k-1) sum_i c(k, i) min(p^{i-1} (i-1)!
+    e_{i-1}(y), (p y)^i/(k - 1 - ip)) with s = step A + 1/2 and y = beta
+    E_A."""
+    k = 2 * _tail_sums._POWER_PAIRS + 2
+    p = trap.level_power
+    s = step * index + 0.5
+    y = beta * trap.energy_scale * s ** p
+    rising = [1]        # the coefficients of z (z + 1) ... (z + k - 1)
+    for j in range(k):
+        rising = [a * j + b for a, b in zip(rising + [0], [0] + rising)]
+    total = 0.0
+    for i, c in enumerate(rising[1:], 1):
+        partial = math.fsum(y ** l / math.factorial(l) for l in range(i))
+        form = p ** (i - 1) * math.factorial(i - 1) * partial
+        if i * p < k - 1:
+            form = min(form, (p * y) ** i / (k - 1 - i * p))
+        total += c * form
+    return (2 * abs(float(_bernoulli(k))) / math.factorial(k)
+            * math.exp(beta * e1 - y) * (step / s) ** (k - 1) * total)
+
+
 @settings(max_examples=60, deadline=None)
 @given(nu=st.floats(0.05, 4.0), log_scale=st.floats(-3.0, 6.0),
        count=st.integers(1, 1000))
 def test_grand_sums_end_below_rel_tol(nu, log_scale, count):
     """A grand-canonical rung sized once from its ground level needs no
     tail test: across nu 0.05-4, trap scales 1e-3-1e6 k_B T and N 1-1000,
-    every rung ladder _grand_rungs builds whole for a power law, at both
-    baths, ends on a Boltzmann weight e^{-beta (E_n - E_1)} below rel_tol
-    of the weights' sum.  A geometric rung builds only its 16-term head,
-    as on the canonical route; every occupancy, log ratio and energy is a
-    head and a k-series over the rung's moments, which
-    test_heads_and_moments_match_whole_sums checks against whole sums.  A
-    cap of 20,000 terms keeps each draw short."""
+    every rung _grand_rungs builds, at both baths, is its reference head
+    (see _reference_head).  A rung built whole ends on a Boltzmann weight
+    e^{-beta (E_n - E_1)} below rel_tol of the weights' sum; a power-law
+    head leaves a tail whose Euler-Maclaurin remainder bound, evaluated
+    here in math at A = K + 1, is below rel_tol e^-35 of its sum (at
+    least 1 and the integral of f from index 1), as a Morse head's is.
+    Every occupancy, log ratio and energy is a head and a k-series over
+    the rung's moments, which test_heads_and_moments_match_whole_sums
+    checks against whole sums.  A cap of 20,000 terms keeps each draw
+    short."""
     baths = BathPair(hot=2.0, cold=1.0)
     trap = PowerLaw.from_energy_scale(MASS, 10 ** log_scale * K_B, nu)
     log, ran = _rung_ladders(lambda: run_cycle(
         trap, Ensemble.GRAND_BOSE, count, baths, _SMALL_CAP))
-    whole = [(ladder, beta, e1) for ladder, beta, e1, delta in log
-             if not delta]
-    for ladder, beta, e1 in whole:
-        w = np.exp(-beta * (ladder - e1))
-        assert w[-1] <= _SMALL_CAP.rel_tol * w.sum(), (trap, beta, len(w))
-    if ran and trap.level_power != 1.0:     # else it builds heads only
-        assert len(whole) == 4
+    for ladder, tailed, barrier, beta, e1 in log:
+        step = 2 if barrier is Barrier.INSERTED else 1
+        assert (len(ladder), tailed) == _reference_head(
+            trap, barrier, beta, e1, _SMALL_CAP)
+        if not tailed:
+            w = np.exp(-beta * (ladder - e1))
+            assert w[-1] <= _SMALL_CAP.rel_tol * w.sum(), (trap, beta, len(w))
+        elif trap.level_power != 1.0:
+            p, y1 = trap.level_power, beta * e1
+            floor = (step + 0.5) / (step * p * (y1 + max(1 - 1 / p, 0.0)))
+            assert _power_remainder(trap, step, beta, e1, len(ladder) + 1) <= (
+                _SMALL_CAP.rel_tol * math.exp(-35.0) * max(floor, 1.0))
+    if ran:
+        assert len(log) == 4
 
 
 def _whole_sums(trap, barrier, mu, temperature, x_top=75.0):
     """The occupancy, log term sum_n log(1 - e^{-x_n}) and energy of one
     rung at mu, x_n = beta (E_n - mu), from its whole ladder to beta (E_n
     - E_1) = x_top, each math.fsum over the numpy sums of consecutive
-    chunks of up to 2^18 levels; and the sum of each one's magnitudes."""
+    chunks of up to 2^20 levels; and the sum of each one's magnitudes."""
     g = 2.0 if barrier is Barrier.INSERTED else 1.0
     beta = 1.0 / (K_B * temperature)
     e1 = level_energy(trap, 1, barrier)
@@ -1137,7 +1232,7 @@ def _whole_sums(trap, barrier, mu, temperature, x_top=75.0):
         terms = (occupancy, np.log1p(-np.exp(-x)), occupancy * (e - mu))
         parts.append([(float(np.sum(t)), float(np.sum(np.abs(t))))
                       for t in terms])
-        n, chunk = n + chunk, min(2 * chunk, 1 << 18)
+        n, chunk = n + chunk, min(2 * chunk, 1 << 20)
         if beta * (e[-1] - e1) > x_top:
             break
     return [(math.fsum(p[k][0] for p in parts),
@@ -1157,7 +1252,10 @@ def test_heads_and_moments_match_whole_sums(nu, log_scale, count, mode):
     0.05-4, with nu = 2 (a 16-term head, closed-form moments and a series
     whose length is set at each evaluation) drawn often; trap scales
     1e-3-1e6 k_B T; N 1-1000.  A rung past the 20,000-term cap meets its
-    TruncationError and is not checked."""
+    TruncationError and is not checked; nor is a power law whose whole
+    ladder passes the cap, which its heads and moments now sum but no
+    whole sum here reaches (it was a TruncationError when power-law rungs
+    were built whole)."""
     baths = BathPair(hot=2.0, cold=1.0)
     trap = PowerLaw.from_energy_scale(MASS, 10 ** log_scale * K_B, nu)
     (batch, grounds, _), = ensembles.ladder_batches((trap,), 1, baths.hot,
@@ -1171,6 +1269,13 @@ def test_heads_and_moments_match_whole_sums(nu, log_scale, count, mode):
             (Barrier.INSERTED, hot.post_insertion, baths.hot),
             (Barrier.ABSENT, cold.pre_insertion, baths.cold),
             (Barrier.INSERTED, cold.post_insertion, baths.cold))
+    if trap.level_power != 1.0 and any(
+            _reference_index_beyond(
+                trap, barrier, 1.0 / (K_B * temperature),
+                level_energy(trap, 1, barrier),
+                35.0 - math.log(_SMALL_CAP.rel_tol)) > _SMALL_CAP.max_terms
+            for barrier, _, temperature in rows):
+        return
     for row, (barrier, mu, temperature) in enumerate(rows):
         got = [ensembles._rung_sums(rungs, [row], [mu], kind)[0]
                for kind in ("occupancy", "log", "energy")]
@@ -1188,9 +1293,10 @@ def test_whole_canonical_sums_end_below_rel_tol(kind, gap, nu, anharmonicity,
                                                 count):
     """The canonical and Morse sums that run whole, with no tail: a hot
     stage's ground gap N beta E_scale (beta q for a Morse well) of 4.5 or
-    more keeps a geometric ladder within its 16-term head, and a power law
-    that is not geometric always runs whole.  Each ends below rel_tol of
-    its summed magnitudes."""
+    more keeps a geometric ladder within its 16-term head.  Each ends below
+    rel_tol of its summed magnitudes.  A power law that is not geometric
+    ran whole before its Euler-Maclaurin tail; where it takes a head now,
+    head and tail meet its whole ladder to rel_tol."""
     baths = BathPair(hot=2.0, cold=1.0)
     scale = gap * K_B * baths.hot
     if kind == "morse":
@@ -1274,25 +1380,40 @@ class TestGrandOracle:
         assert abs(cycle.efficiency - eta) <= (
             work_tol + abs(eta) * supplied_tol) / supplied
 
-    # per reach cycle, the Newton rounds of its roots, absent and inserted
-    # at the hot bath, then at the cold
-    ROUNDS = {200.0: [10, 9, 9, 9], 2000.0: [9, 9, 9, 8]}
+    # per reach cycle (nu, T_hot), the Newton rounds of its roots, absent
+    # and inserted at the hot bath, then at the cold
+    ROUNDS = {(2.0, 200.0): [10, 9, 9, 9], (2.0, 2000.0): [9, 9, 9, 8],
+              (1.6, 200.0): [9, 8, 8, 8], (2.6, 2000.0): [9, 8, 10, 10]}
 
     @pytest.mark.parametrize("hot, cold", [(200.0, 100.0), (2000.0, 1000.0)])
     def test_reach_cycles_match_whole_ladder_sums(self, hot, cold,
                                                   monkeypatch):
         """The nu = 2 trap of energy scale 0.01 k_B 1 K with N = 10, whose
         ladders run to 1.25 M terms at 200 K (past the term cap) and
-        12.5 M at 2000 K: each rung takes a 16-term head and a k-series,
-        and at the cycle's own solved chemical potentials they meet the
-        whole ladders summed term by term (math.fsum over numpy chunks,
-        to beta (E - E_1) = 75).  Each occupancy recovers N to 1e-10, as
-        the root's own re-check demands; each stage energy to 1e-12
-        relative; each log ratio, W and eta as above.  Each root stops
-        within 10 Newton rounds: a converged step that lands on a bracket
-        end stops there, where clamping it to the bracket first bisected
-        three of these roots for 57 to 59 rounds."""
-        trap = PowerLaw.from_energy_scale(MASS, 0.01 * K_B, 2.0)
+        12.5 M at 2000 K: each rung takes a 16-term head and a closed-form
+        k-series (see _check_reach_cycle)."""
+        self._check_reach_cycle(2.0, hot, cold, monkeypatch)
+
+    @pytest.mark.parametrize("nu, hot, cold", [(1.6, 200.0, 100.0),
+                                               (2.6, 2000.0, 1000.0)])
+    def test_power_law_reach_cycles_match_whole_ladder_sums(
+            self, nu, hot, cold, monkeypatch):
+        """The same trap at nu = 1.6 (200/100 K) and 2.6 (2000/1000 K),
+        which raised TruncationError at 7.2 M and 1.9 M terms while
+        power-law rungs were built whole: each rung is a short head and a
+        k-series over Euler-Maclaurin moments (see _check_reach_cycle)."""
+        self._check_reach_cycle(nu, hot, cold, monkeypatch)
+
+    def _check_reach_cycle(self, nu, hot, cold, monkeypatch):
+        """At the cycle's own solved chemical potentials the rungs meet the
+        whole ladders summed term by term (math.fsum over numpy chunks, to
+        beta (E - E_1) = 75).  Each occupancy recovers N to 1e-10, as the
+        root's own re-check demands; each stage energy to 1e-12 relative;
+        each log ratio, W and eta as above.  Each root's Newton rounds are
+        pinned: a converged step that lands on a bracket end stops there,
+        where clamping it to the bracket first bisected three nu = 2 roots
+        for 57 to 59 rounds."""
+        trap = PowerLaw.from_energy_scale(MASS, 0.01 * K_B, nu)
         baths = BathPair(hot, cold)
         stops, update = {}, ensembles._Root.update
 
@@ -1304,7 +1425,7 @@ class TestGrandOracle:
 
         monkeypatch.setattr(ensembles._Root, "update", counted)
         cycle = run_cycle(trap, Ensemble.GRAND_BOSE, 10, baths)
-        assert [stops[j] for j in range(4)] == self.ROUNDS[hot]
+        assert [stops[j] for j in range(4)] == self.ROUNDS[nu, hot]
         logs, magnitudes, energies = [], [], {}
         for pair, stages in zip(cycle.mus, (("A", "B"), ("D", "C"))):
             sums = [_whole_sums(trap, barrier, mu, pair.temperature)
@@ -1337,6 +1458,16 @@ class TestGrandOracle:
         assert abs(cycle.efficiency - eta) <= (
             work_tol + abs(eta) * supplied_tol) / supplied
 
+
+    def test_reach_cycle_past_ten_million_levels_evaluates(self):
+        """nu = 1.6 at 2000/1000 K, whose ladders run to 97 M levels (a
+        TruncationError while power-law rungs were built whole): a cycle
+        with no error, W below Carnot's share of the heat it takes in."""
+        trap = PowerLaw.from_energy_scale(MASS, 0.01 * K_B, 1.6)
+        cycle = run_cycle(trap, Ensemble.GRAND_BOSE, 10,
+                          BathPair(2000.0, 1000.0))
+        assert math.isfinite(cycle.work) and math.isfinite(cycle.efficiency)
+        assert cycle.efficiency <= 0.5
 
 _TIGHT = TruncationPolicy(max_terms=10)
 _TRAP = Harmonic(MASS, OMEGA)       # about 16k terms at 200 K: past the cap

@@ -126,3 +126,48 @@ def test_gamma_bits_equal_scipy():
 
     assert bits([gammaln(v) for v in x]) == bits(special.gammaln(x))
     assert bits([gammasgn(v) for v in x]) == bits(special.gammasgn(x))
+
+
+def _upper_gamma_points():
+    """a over 0.5-25 (1/p and 1/p + 1 of the power laws nu 0.05-4, p =
+    2 nu/(nu + 2)), and x over 1e-3 to 1e4 with the switch at a + 1 and
+    its neighbours."""
+    rng = np.random.default_rng(19)
+    a = np.concatenate([[0.5, 0.75, 1.0, 1.125, 2.0, 20.5, 21.5, 25.0],
+                        rng.uniform(0.5, 25.0, 24)])
+    points = []
+    for value in a.tolist():
+        switch = value + 1.0
+        xs = np.concatenate([np.geomspace(1e-3, 1e4, 25), [
+            switch, np.nextafter(switch, 0.0), np.nextafter(switch, 1e9),
+            0.5 * switch, 2.0 * switch], rng.uniform(0.0, 3.0 * switch, 4)])
+        points += [(value, x) for x in xs.tolist()]
+    return np.array(points).T
+
+
+def test_upper_gamma_matches_mpmath():
+    """S(a, x) = e^x x^-a Gamma(a, x) within 1e-14 relative of 50-digit
+    mpmath gammainc, on both sides of the switch from the series to the
+    continued fraction at x = a + 1."""
+    mpmath = pytest.importorskip("mpmath")
+    a, x = _upper_gamma_points()
+    got = _special.upper_gamma(a, x)
+    with mpmath.workdps(50):
+        for ai, xi, gi in zip(a.tolist(), x.tolist(), got.tolist()):
+            aa, xx = mpmath.mpf(ai), mpmath.mpf(xi)
+            ref = mpmath.gammainc(aa, xx) * mpmath.exp(xx) * xx ** -aa
+            assert abs(mpmath.mpf(gi) - ref) <= 1e-14 * ref, (ai, xi)
+
+
+def test_upper_gamma_edges_and_batches():
+    """inf at x = 0, 0 at x = inf, nan at nan; and an array call gives each
+    element the bits of its one-element call."""
+    a, x = _upper_gamma_points()
+    edges = _special.upper_gamma(np.array([1.5, 1.5, 0.5, 1.5]),
+                                 np.array([0.0, np.inf, 0.0, np.nan]))
+    assert edges[:3].tolist() == [math.inf, 0.0, math.inf]
+    assert math.isnan(edges[3])
+    whole = _special.upper_gamma(a, x)
+    alone = [_special.upper_gamma(np.array([ai]), np.array([xi]))[0]
+             for ai, xi in zip(a.tolist(), x.tolist())]
+    assert whole.tolist() == alone

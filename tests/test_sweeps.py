@@ -275,8 +275,10 @@ class TestSingleEvaluation:
                                                         monkeypatch):
         """The 50-point fig10 run above makes no per-trap head or level
         call.  Its heads are three _heads passes: the batching's stage A
-        over all 50 traps, then per batch stages B to D (3 x 39 and
-        3 x 11 rows) and the 4 stage A heads that take no tail.  The
+        over all 50 traps, whose lengths and tails the batches hand on,
+        then per batch stages B to D (3 x 39 and 3 x 11 rows); the second
+        batch sized stage A again for its 4 traps whose sum takes no tail,
+        37 rows where it now sizes 33.  The
         batching looks up the 100 ground levels in one _Wells expression,
         each stage request builds the levels it lacks in at most one more,
         and level_energy never runs: it made 100 scalar ground lookups."""
@@ -295,7 +297,7 @@ class TestSingleEvaluation:
         outcome = _run(spec, tmp_path)
         assert outcome.points == 50 and outcome.failed == 0
         assert [len(args[3]) for name, args in log
-                if name == "_heads"] == [50, 117, 37]
+                if name == "_heads"] == [50, 117, 33]
         builds = [0]    # the ground levels, then per _series_sums call
         for name, args in log:
             if name == "_series_sums":
@@ -419,13 +421,14 @@ class TestSingleEvaluation:
     def test_bose_run_solves_in_batches(self, tmp_path, monkeypatch):
         """A 40-point run shares its Newton loops and re-check passes.
 
-        Its traps' estimated ladders (6670, 5501, ... 8 terms) close a batch
-        each time they reach 8192 terms: five batches, each one solve and
-        one re-check pass (an occupancy _rung_sums call), where one solve
-        per root would make 160.  Each
-        Newton round sums its live roots' heads, each behind one slot, and
-        their k-series, not their ladders: the 160 heads hold 5089 levels,
-        and the 45 rounds sum 41,829 head elements."""
+        Its traps' stage sums count their heads toward the 8192 terms that
+        close a batch: one batch, one solve and one re-check pass (an
+        occupancy _rung_sums call), where one solve per root would make
+        160 (and whole power-law ladders of 6670, 5501, ... 8 terms made
+        five batches).  Each Newton round sums its live roots' heads, each
+        behind one slot, and their k-series, not their ladders: the 160
+        heads hold 9177 levels, and the 13 rounds sum 65,005 head
+        elements."""
         solves = _count_calls(monkeypatch, "_mu_offsets")
         checks = _count_calls(monkeypatch, "_rung_sums")
         rounds, sums = [], ensembles._Heads.sums
@@ -440,13 +443,13 @@ class TestSingleEvaluation:
         outcome = _run(spec, tmp_path)
         assert outcome.points == 40 and outcome.failed == 0
         checks = _occupancy(checks)
-        assert len(solves) == 5 and len(checks) == 5
+        assert len(solves) == 1 and len(checks) == 1
         assert sum(len(roots) for roots, *_ in solves) == 160
         assert sum(len(rows) for _, rows, *_ in checks) == 160
-        assert sum(int(rungs.heads.sum()) for *_, rungs in solves) == 5089
+        assert sum(int(rungs.heads.sum()) for *_, rungs in solves) == 9177
         assert all(size == int(heads.sum()) + len(heads)
                    for size, heads in rounds)
-        assert (len(rounds), sum(size for size, _ in rounds)) == (45, 41829)
+        assert (len(rounds), sum(size for size, _ in rounds)) == (13, 65005)
 
 
 class TestBatchedRuns:
@@ -468,32 +471,36 @@ class TestBatchedRuns:
         return rows
 
     def test_failing_points_keep_their_own_rows(self, tmp_path):
+        """At a cap of 100 terms, 16 rows fail: the finest traps on their
+        power-law k-series (101 to 119 terms) or their heads, the others
+        on their heads (101 to 126 levels)."""
         out = tmp_path / "run.csv"
         assert main(["fig8", "--nu", "1.6", "--N", "10", "--max-terms",
-                     "2000", "--out", str(out)]) == 0
+                     "100", "--out", str(out)]) == 0
         lines = out.read_text().splitlines()
         errors = [line.split(",")[-1] for line in lines[1:]]
         needed = [int(m.group(1)) for m in
                   (re.match(r"TruncationError: series needs (\d+) terms;"
-                            r"  policy caps at 2000$", e) for e in errors if e)
+                            r"  policy caps at 100$", e) for e in errors if e)
                   if m]
-        assert needed == [6670, 5501, 4537, 3743, 3087, 2547, 2101]
-        assert sum(1 for e in errors if e) == 7
+        assert needed == [118, 101, 110, 112, 119, 104, 109, 115, 122, 124,
+                          126, 124, 122, 116, 110, 101]
+        assert sum(1 for e in errors if e) == 16
 
         spec = replace(preset("fig8"), lists={"nu": (1.6,), "N": (10,)},
-                       policy=TruncationPolicy(max_terms=2000))
+                       policy=TruncationPolicy(max_terms=100))
         assert lines[1:] == self._single_rows(spec, tmp_path)
 
     def test_failing_run_solves_each_root_once(self, tmp_path, monkeypatch):
-        """The run above solves its 160 roots in its five batches and runs
+        """The run above solves its 160 roots in its one batch and runs
         none again; re-running the failing batch point by point made 41
         solves over 168 roots."""
         solves = _count_calls(monkeypatch, "_mu_offsets")
         spec = replace(preset("fig8"), lists={"nu": (1.6,), "N": (10,)},
-                       policy=TruncationPolicy(max_terms=2000))
+                       policy=TruncationPolicy(max_terms=100))
         outcome = _run(spec, tmp_path)
-        assert outcome.points == 40 and outcome.failed == 7
-        assert len(solves) == 5
+        assert outcome.points == 40 and outcome.failed == 16
+        assert len(solves) == 1
         assert sum(len(roots) for roots, *_ in solves) == 160
 
     def test_morse_run_rows_equal_one_point_sweeps(self, tmp_path):
