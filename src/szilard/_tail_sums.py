@@ -257,10 +257,11 @@ def _power_cuts(scale, power, step, beta, e1, limit):
 # The moments are the canonical tails of the section above at k beta: on a
 # geometric ladder (harmonic, or a power law at p = 1) the closed forms
 # T_k = r^{kK}/(1 - r^k), r = e^{-beta delta}, formed in each term; on any
-# other power law _power_tails at k beta, formed once per rung, in one pass
-# per batch.  ensembles._grand_rungs builds only the heads ensembles._heads
-# sizes, and every Newton round, occupancy re-check, log ratio and stage
-# energy of its batch reuses them.  With x_cut = -log rel_tol + 35, the
+# other power law _power_tails at k beta, formed once per rung, to the
+# longest series of the roots that read it, in one pass per batch.
+# ensembles._grand_rungs builds only the heads ensembles._heads sizes, each
+# rung once, and every Newton round, occupancy re-check, log ratio and
+# stage energy of its batch reuses them.  With x_cut = -log rel_tol + 35, the
 # sizing cut of ensembles._heads, a k-series runs to k = ceil(x_cut/(x_{K+1}
 # + v)), capped by max_terms: a geometric one at each evaluation's v, a
 # power law's at the least v its rung is summed at (see _Rungs).  As T_k <=
@@ -272,38 +273,42 @@ def _power_cuts(scale, power, step, beta, e1, limit):
 
 
 class _Rungs:
-    """Heads and tails of grand-canonical rungs, one row each (see the
-    section comment and ensembles._grand_rungs).
+    """Heads and tails of grand-canonical rungs, read by requests, one row
+    each (see the section comment and ensembles._grand_rungs).
 
     errors[r] is None, or the SzilardError row r met while it was built.
     Per row, as arrays: the degeneracy g, beta, e1 = E_1, the head length
-    K (heads), where the row's head starts in the flat arrays x = beta (E
-    - E_1) and gap = E - E_1, behind a slot with x = inf (starts), the kind
-    of its tail (0 none, 1 geometric, 2 another power law) and x_{K+1}
-    (x_tail); a geometric tail's bd = beta delta and delta, its level
-    spacing; a power-law tail's moments T_k and W_k, k = 1..terms[r], in
-    the flat arrays moments from offset[r] on, behind a slot.  x_cut and
-    max_terms are the policy's.
+    K (heads), where the head of the row's rung starts in the flat arrays x
+    = beta (E - E_1) and gap = E - E_1, behind a slot with x = inf
+    (starts), the kind of its tail (0 none, 1 geometric, 2 another power
+    law) and x_{K+1} (x_tail); a geometric tail's bd = beta delta and
+    delta, its level spacing; a power-law tail's moments T_k and W_k, k =
+    1..terms[r], in the flat arrays moments from offset[r] on, behind a
+    slot.  Rows that read one rung share its head and its moments.  x_cut
+    and max_terms are the policy's.
     """
 
     __slots__ = ("errors", "g", "beta", "e1", "heads", "starts", "x", "gap",
                  "kind", "x_tail", "bd", "delta", "terms", "offset",
                  "moments", "x_cut", "max_terms")
 
-    def __init__(self, g, beta, e1, errors, rows, built, x_cut, max_terms):
-        """The rungs of requests with degeneracies g, betas and ground
-        levels e1 (arrays, e1 0 where it is an error) and their errors, and
-        for the requests at rows the (head, tailed, scale, power, step, v,
-        count) that ensembles._grand_rungs built: the head's levels,
-        whether a tail adds the rest of the ladder, the level scale s^power
-        of the ladder at s = step n + 1/2, and the least v = beta (E_1 - mu)
-        the rung is summed at, raised, for the root of an occupancy count
-        (inf for none), to log(1 + j g/count) - x_j at every level j of the
-        head, whose first j terms alone reach count there.  A power-law
-        tail's k-series runs to k = ceil(x_cut/(x_{K+1} + v)) at that v,
-        past max_terms an error, and its moments are formed here, in one
-        _power_tails pass; at a v below it, which a Newton step may try,
-        the series is that length too, short of its full sum."""
+    def __init__(self, g, beta, e1, errors, readers, built, v, count, x_cut,
+                 max_terms):
+        """The rungs of requests with degeneracies g, betas, ground levels
+        e1, least v and occupancy counts (arrays, e1 0 where it is an error)
+        and their errors.  built[m] is the (head, tailed, scale, power,
+        step) of a rung that ensembles._grand_rungs built, which the rows
+        readers[m] read, all of one g, beta and E_1: the head's levels,
+        whether a tail adds the rest of the ladder, and the level scale
+        s^power of the ladder at s = step n + 1/2.  Each row is summed at v
+        = beta (E_1 - mu) from its v on, raised, for the root of an
+        occupancy count (inf for none), to log(1 + j g/count) - x_j at every
+        level j of the head, whose first j terms alone reach count there.
+        A row's power-law k-series runs to k = ceil(x_cut/(x_{K+1} + v)) at
+        that v, past max_terms an error, and each rung's moments are formed
+        here, to the longest series of its rows, in one _power_tails pass;
+        at a v below it, which a Newton step may try, the series is that
+        length too, short of its full sum."""
         size = len(errors)
         self.g, self.beta, self.e1, self.errors = g, beta, e1, errors
         self.x_cut, self.max_terms = x_cut, max_terms
@@ -312,42 +317,50 @@ class _Rungs:
         self.x_tail, self.bd, self.delta = (np.zeros(size) for _ in range(3))
         self.x = self.gap = np.zeros(0)
         self.moments = np.zeros((2, 0))
-        if not rows:
+        if not built:
             return
-        ladders, tailed, scale, power, step, v, count = (
+        # per rung
+        ladders, tailed, scale, power, step = (
             np.array(column) if i else column
             for i, column in enumerate(zip(*built)))
-        rows = np.array(rows, dtype=np.intp)
+        first = np.array([rows[0] for rows in readers], dtype=np.intp)
+        rung_beta, rung_e1 = beta[first], e1[first]
         heads = np.array([len(ladder) for ladder in ladders], dtype=np.intp)
         width = heads + 1
         starts = np.cumsum(width) - width
         gap = np.concatenate([part for ladder in ladders
                               for part in (ladder[:1], ladder)])
-        gap -= np.repeat(self.e1[rows], width)
+        gap -= np.repeat(rung_e1, width)
         gap[starts] = 0.0
-        x = np.repeat(self.beta[rows], width)
+        x = np.repeat(rung_beta, width)
         x *= gap
         x[starts] = math.inf
         self.x, self.gap = x, gap
-        self.heads[rows], self.starts[rows] = heads, starts
         geometric = power == 1.0
         kind = np.where(tailed, np.where(geometric, 1, 2), 0)
         delta = np.where(geometric, scale * step, 0.0)
-        bd = self.beta[rows] * delta
-        self.delta[rows], self.bd[rows], self.x_tail[rows] = (delta, bd,
-                                                             bd * heads)
+        bd = rung_beta * delta
+        x_tail = bd * heads
+        laws = (kind == 2).nonzero()[0]
+        s = step[laws] * (heads[laws] + 1.0) + 0.5
+        with np.errstate(all="ignore"):
+            e = scale[laws] * s ** power[laws]
+            x_tail[laws] = rung_beta[laws] * (e - rung_e1[laws])
+        # per row
+        rows = np.concatenate(readers)
+        m = np.repeat(np.arange(len(built)), [len(r) for r in readers])
+        self.heads[rows], self.starts[rows], self.x_tail[rows] = (
+            heads[m], starts[m], x_tail[m])
+        self.delta[rows], self.bd[rows] = delta[m], bd[m]
+        kind = kind[m]
         at = (kind == 2).nonzero()[0]
         if len(at):
-            r, p, st, n = rows[at], power[at], step[at], heads[at]
-            s = st * (n + 1.0) + 0.5
+            r, m, n = rows[at], m[at], heads[m[at]]
             j = _within(n) + 1.0
-            floor = np.log1p(j * np.repeat(self.g[r] / count[at], n))
-            floor -= x[np.repeat(starts[at] + 1, n) + _within(n)]
-            floor = np.fmax(v[at], np.maximum.reduceat(floor, np.cumsum(n)
-                                                       - n))
+            floor = np.log1p(j * np.repeat(self.g[r] / count[r], n))
+            floor -= x[np.repeat(starts[m] + 1, n) + _within(n)]
+            floor = np.fmax(v[r], np.maximum.reduceat(floor, np.cumsum(n) - n))
             with np.errstate(all="ignore"):
-                e = scale[at] * s ** p
-                self.x_tail[r] = self.beta[r] * (e - self.e1[r])
                 length = np.ceil(x_cut / (self.x_tail[r] + floor))
             refused = ~(length <= max_terms)
             for i in refused.nonzero()[0].tolist():
@@ -356,19 +369,25 @@ class _Rungs:
                     f" {max_terms}")
             kind[at[refused]] = 0
             keep = ~refused
-            r, p, st, s, e, n = (a[keep] for a in (r, p, st, s, e, length))
-            n = n.astype(np.intp)
+            r, m, n = r[keep], m[keep], length[keep].astype(np.intp)
             self.terms[r] = n
-            self.offset[r] = np.cumsum(n + 1) - (n + 1)
-            # every row's k = 1..n behind a slot, whose moments are 0
-            k = _within(n) + 1.0
-            spread = np.repeat(np.arange(len(r)), n)
-            self.moments = np.zeros((2, int(n.sum()) + len(r)))
+            # each rung's k = 1..its rows' longest series behind a slot,
+            # whose moments are 0
+            longest = np.zeros(len(built), dtype=np.intp)
+            np.maximum.at(longest, m, n)
+            longest = longest[laws]
+            offset = np.zeros(len(built), dtype=np.intp)
+            offset[laws] = np.cumsum(longest + 1) - (longest + 1)
+            self.offset[r] = offset[m]
+            k = _within(longest) + 1.0
+            spread = np.repeat(np.arange(len(laws)), longest)
+            self.moments = np.zeros((2, int(longest.sum()) + len(laws)))
             with np.errstate(all="ignore"):
-                self.moments[:, np.repeat(self.offset[r] + 1, n)
-                             + _within(n)] = _power_tails(
-                    e[spread], s[spread], p[spread], st[spread],
-                    k * self.beta[r][spread], self.e1[r][spread])
+                self.moments[:, np.repeat(offset[laws] + 1, longest)
+                             + _within(longest)] = _power_tails(
+                    e[spread], s[spread], power[laws][spread],
+                    step[laws][spread], k * rung_beta[laws][spread],
+                    rung_e1[laws][spread])
         self.kind[rows] = kind
 
 

@@ -20,14 +20,13 @@ grand-canonical route its chemical potentials, from one stage-sum call.
 import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import groupby
 
 from .constants import K_B
 from .errors import (EnsembleMismatchError, SolverFailureError, SzilardError,
                      value_or_raise)
 from .potentials import Harmonic, Morse, PowerLaw
 from .ensembles import (BathPair, MuMode, TruncationPolicy, _batches, _beta,
-                        _cycle_sums, grand_stage_sums, ladder_batches)
+                        _cycle_sums, _grand_sums, _grouped)
 # chemical_potentials stays bound here for wrappers that patch it per module
 from .ensembles import chemical_potentials  # noqa: F401
 
@@ -102,39 +101,37 @@ def _stage_terms(potentials, ensemble, counts, baths, mu_mode, policy):
     SzilardError that stops that potential.
 
     Every route runs batch by batch (see ensembles.ladder_batches), from the
-    ground levels the batching looked up.  The canonical and Morse routes
-    share the canonical stage sums, whose batches mix counts and baths; a
-    Morse well is their single-particle case on a bounded ladder.  The
-    grand-canonical stage sums batch each run of consecutive traps with one
-    count and baths: they produce its chemical potentials themselves, in
-    every MuMode, and sum its log ratios and stage energies on the same
-    ladders.
+    ground levels the batching looked up, and its batches mix counts and
+    baths.  The canonical and Morse routes share the canonical stage sums;
+    a Morse well is their single-particle case on a bounded ladder.  The
+    grand-canonical stage sums produce a batch's chemical potentials
+    themselves, in every MuMode, and sum its log ratios and stage energies
+    on the same rungs.  Its points of equal trap and hot bath run side by
+    side, so each batch holds all of them and builds their rungs once,
+    whatever their counts (see ensembles._grouped).
     """
     out = [_route_error(trap, ensemble, count)
            for trap, count in zip(potentials, counts)]
     live = [i for i, error in enumerate(out) if error is None]
-    if ensemble is Ensemble.GRAND_BOSE:
-        for (count, pair), run in groupby(live, key=lambda i: (counts[i],
-                                                               baths[i])):
-            run, terms = list(run), []
-            for batch, grounds, _ in ladder_batches(
-                    [potentials[i] for i in run], 1, pair.hot, policy):
-                terms += grand_stage_sums(batch, grounds, count, pair,
-                                          mu_mode, policy)
-            for i, value in zip(run, terms):
-                out[i] = value
-        return out
+    grand = ensemble is Ensemble.GRAND_BOSE
+    # the decay rate of each trap's stage A: N beta, or beta for the grand
+    # sums, whose mu approaches E_1
+    betas = {i: (1 if grand else counts[i]) * _beta(baths[i].hot)
+             for i in live}
+    if grand:
+        live = _grouped(live, lambda i: (potentials[i], betas[i]))
     # a lone trap is one unsized batch: its stage A head is sized with its
     # others
-    batches = _batches([potentials[i] for i in live],
-                       [counts[i] * _beta(baths[i].hot) for i in live],
-                       policy)
-    for batch, grounds, heads in batches:
+    for batch, grounds, heads in _batches(
+            [potentials[i] for i in live], [betas[i] for i in live], policy,
+            2 if grand else 1):
         own, live = live[:len(batch)], live[len(batch):]
-        for i, sums in zip(own, _cycle_sums(
-                batch, grounds, [counts[i] for i in own],
-                [baths[i] for i in own], policy, heads)):
-            out[i] = sums if isinstance(sums, SzilardError) else (*sums, None)
+        args = (batch, grounds, [counts[i] for i in own],
+                [baths[i] for i in own])
+        for i, sums in zip(own, _grand_sums(*args, mu_mode, policy, heads)
+                           if grand else _cycle_sums(*args, policy, heads)):
+            out[i] = sums if grand or isinstance(sums, SzilardError) else (
+                *sums, None)
     return out
 
 

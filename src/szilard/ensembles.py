@@ -17,17 +17,21 @@ their ladders.  ladder_batches splits a run of traps into consecutive
 batches of a bounded number of estimated terms, at the canonical decay rate
 N beta of the hot bath (beta for the grand route) and at most a Morse well's
 bound count, counting the head of a sum that a tail completes rather than
-its whole ladder, and looks up each trap's two ground levels once for every
-sum of its batch (one _Wells expression for its harmonic and Morse traps);
-a lone trap is one unsized batch.  Each step of a batch is one array pass
-over all its traps: the sizes of its sums (_heads, which sizes every sum
-of every route), the levels its sums lack (one _Wells expression for
-harmonic and Morse traps, see _level_ladders), each canonical stage's sums
-and energy sums (_series_sums) or the grand rungs' heads and moments
-(_grand_rungs), and the tails (see _tail_sums).  Only exactly rounded
-operations run on arrays; a log, exp or fractional power that sets a
-length or a logged total runs in math, element by element, so every value
-keeps the bits of its one-trap evaluation.
+its whole ladder (a grand trap's once per bath), and looks up each distinct
+trap's two ground levels once for every sum of its batch (one _Wells
+expression for its harmonic and Morse traps); a lone trap is one unsized
+batch.  A batch closes only between traps of different trap or decay
+rate, so the grand route, which puts the points of equal trap and hot bath
+side by side, builds each rung of a batch once for all its counts.  Each
+step of a batch is one array pass over all its traps: the sizes of its
+sums (_heads, which sizes every sum of every route), the levels its sums
+lack (one _Wells expression for harmonic and Morse traps, see
+_level_ladders), each canonical stage's sums and energy sums
+(_series_sums) or the grand rungs' heads and moments (_grand_rungs), and
+the tails (see _tail_sums).  Only exactly rounded operations run on
+arrays; a log, exp or fractional power that sets a length or a logged
+total runs in math, element by element, so every value keeps the bits of
+its one-trap evaluation.
 
 Stage labels follow the cycle diagram: A = barrier absent at the hot bath,
 B = inserted at the hot bath, C = inserted at the cold bath, D = absent at
@@ -334,48 +338,70 @@ def ladder_batches(potentials, count, temperature, policy=TruncationPolicy()):
 
     Returns (traps, grounds, heads) per batch, grounds[i] holding trap i's
     ground levels by barrier (each E_1 or the error of its lookup): they are
-    looked up here, once per trap, and every sum of the batch starts from
-    them.  A batch is closed once the barrier-free sums of its traps are
-    estimated to reach _BATCH_TERMS terms, each from its ground level at the
-    decay rate count * beta of `temperature` (a canonical N-particle stage;
-    the grand sums, whose mu approaches E_1, pass count 1) and at most a
-    Morse well's bound count, all in one _heads pass: a trap counts the
-    terms its sum takes one by one, its head where a closed-form tail adds
-    the rest, and heads[i] is that length and whether a tail adds to it,
-    (n, tailed) (stage A's, which canonical_stage_sums takes from here; a
-    grand rung at the hot bath builds the same head).  A lone trap is one
-    unsized batch, heads [None], on every route.  A trap whose estimate
-    fails counts as none, heads[i] None (its batch reports the error).
+    looked up here, once per distinct trap, and every sum of the batch
+    starts from them.  A batch is closed once the barrier-free sums of its
+    traps are estimated to reach _BATCH_TERMS terms, each from its ground
+    level at the decay rate count * beta of `temperature` (a canonical
+    N-particle stage; the grand sums, whose mu approaches E_1, pass count 1)
+    and at most a Morse well's bound count, all in one _heads pass over the
+    distinct traps: a trap counts the terms its sum takes one by one, its
+    head where a closed-form tail adds the rest, and heads[i] is that length
+    and whether a tail adds to it, (n, tailed) (stage A's, which
+    canonical_stage_sums takes from here; a grand rung at the hot bath
+    builds the same head).  A lone trap is one unsized batch, heads [None],
+    on every route.  A trap whose estimate fails counts as none, heads[i]
+    None (its batch reports the error).
     """
     beta = count * _beta(temperature)
     potentials = list(potentials)
     return _batches(potentials, [beta] * len(potentials), policy)
 
 
-def _batches(potentials, betas, policy):
-    """ladder_batches of traps each sized at its own decay rate betas[i]."""
-    grounds = _ground_levels(potentials)
+def _batches(potentials, betas, policy, baths=1):
+    """ladder_batches of traps each sized at its own decay rate betas[i],
+    each counting its head once per bath: `baths` is 2 for a grand
+    cycle, whose per-root arrays hold a head of each barrier at each bath.
+    Equal traps are looked up once, and equal (trap, beta) rows sized once;
+    a batch closes only between two different rows, so rows that share
+    rungs (see _grouped) share a batch."""
+    traps = {}      # each distinct trap: its index
+    index = [traps.setdefault(trap, len(traps)) for trap in potentials]
+    traps, levels = list(traps), _ground_levels(list(traps))
+    grounds = [levels[k] for k in index]
     if len(potentials) == 1:
         return [(potentials, grounds, [None])]    # one batch, unsized
-    live = [i for i, ground in enumerate(grounds)
-            if not _failed(ground[Barrier.ABSENT])]
+    rows = list(zip(index, betas))
+    sizes = dict.fromkeys(rows)     # each distinct row's (n, tailed)
+    live = [(k, beta) for k, beta in sizes
+            if not _failed(levels[k][Barrier.ABSENT])]
     lengths, tailed = _heads(
-        _Shapes.of([potentials[i] for i in live]), 1,
-        np.array([betas[i] for i in live], dtype=float),
-        np.array([grounds[i][Barrier.ABSENT] for i in live], dtype=float),
+        _Shapes.of([traps[k] for k, _ in live]), 1,
+        np.array([beta for _, beta in live], dtype=float),
+        np.array([levels[k][Barrier.ABSENT] for k, _ in live], dtype=float),
         policy)
-    terms, first = [0] * len(potentials), [None] * len(potentials)
-    for i, n, tail in zip(live, lengths, tailed.tolist()):
+    for row, n, tail in zip(live, lengths, tailed.tolist()):
         if not _failed(n):      # else the batch reports it
-            terms[i], first[i] = n, (n, tail)
+            sizes[row] = (n, tail)
+    heads = [sizes[row] for row in rows]
     batches, start, total = [], 0, 0
-    for end, n in enumerate(terms, 1):
-        total += n
-        if total >= _BATCH_TERMS or end == len(terms):
-            batches.append((list(potentials[start:end]), grounds[start:end],
-                            first[start:end]))
+    for end, head in enumerate(heads, 1):
+        total += baths * head[0] if head else 0
+        if end == len(rows) or (total >= _BATCH_TERMS
+                                and rows[end] != rows[end - 1]):
+            batches.append((potentials[start:end], grounds[start:end],
+                            heads[start:end]))
             start, total = end, 0
     return batches
+
+
+def _grouped(indices, key):
+    """indices reordered so that those of equal key(i) sit side by side,
+    each group in order of first appearance: points whose rungs are equal
+    then share a batch (see _batches), which builds each rung once."""
+    groups = {}
+    for i in indices:
+        groups.setdefault(key(i), []).append(i)
+    return [i for group in groups.values() for i in group]
 
 
 class _Segments:
@@ -788,42 +814,65 @@ def _cycle_sums(potentials, grounds, counts, baths, policy, heads):
 # A grand-canonical sum runs over one rung, the ladder of a (trap, barrier,
 # bath), at the rung's chemical potential: a head of K levels summed term
 # by term, and a short k-series over the rung's mu-free tail moments (see
-# _tail_sums).  _grand_rungs builds a batch's rungs once, and every Newton
-# round, occupancy re-check, log ratio and stage energy reuses them.
+# _tail_sums).  _grand_rungs builds each distinct rung of a batch once, for
+# every count that reads it, and every Newton round, occupancy re-check,
+# log ratio and stage energy reuses them.
 
-def _grand_rungs(requests, policy):
+def _grand_rungs(requests, policy, sized=None):
     """The _Rungs of (potential, barrier, beta, E_1, v, count) requests, in
     order, v the least beta (E_1 - mu) each is summed at and count the
     occupancy its root solves for, or inf (see _Rungs).
 
-    Each rung is sized from its E_1 by _heads, in one array pass, and only
-    its head is built, by _level_ladders: the whole ladder where it is no
-    longer than its head, else a head to which a tail adds the rest (see
-    _tail_sums).  An E_1 that is an error, an estimate past float range, a
-    head or a power-law k-series past max_terms and a level that cannot be
-    built are the row's error.
+    Requests of equal traps, barrier and beta read one rung, built once:
+    sized from its E_1 by _heads, in one array pass over the rungs that
+    `sized` lacks (it maps a (trap, beta) to the (n, tailed)
+    ladder_batches found for its barrier-free rung), and only its head
+    built, by _level_ladders: the whole ladder where it is no longer than
+    its head, else a head to which a tail adds the rest (see _tail_sums).
+    Equal traps share one barrier-free ladder.  An E_1 that is an error, an
+    estimate past float range, a head or a power-law k-series past
+    max_terms and a level that cannot be built are the row's error.
     """
     errors = [e1 if _failed(e1) else None for _, _, _, e1, *_ in requests]
-    live = [r for r, error in enumerate(errors) if error is None]
     g = np.array([_degeneracy(request[1]) for request in requests])
     betas = np.array([request[2] for request in requests], dtype=float)
-    e1 = np.zeros(len(requests))
-    e1[live] = [requests[r][3] for r in live]
-    rows, built = [], []
-    if live:
-        traps = _Shapes.of([requests[r][0] for r in live])
-        step = np.array([_stride(requests[r][1]) for r in live], dtype=float)
-        lengths, tailed = _heads(traps, step, betas[live], e1[live], policy)
-        for r, ladder, *shape in zip(live, _level_ladders(
-                [(*requests[r][:2], n) for r, n in zip(live, lengths)], {},
-                policy.max_terms), tailed.tolist(), traps.scale.tolist(),
-                traps.power.tolist(), step.tolist()):
-            if _failed(ladder):
+    e1, v, count = (np.array([request[k] if error is None else 0.0
+                              for request, error in zip(requests, errors)],
+                             dtype=float) for k in (3, 4, 5))
+    # the rows that read each rung (trap k of traps, stride, beta); each
+    # trap object is looked up by value once, and equal traps are one
+    traps, index, rungs = {}, {}, {}
+    for r, (trap, barrier, beta, *_) in enumerate(requests):
+        if errors[r] is None:
+            k = index.get(id(trap))
+            if k is None:
+                k = index[id(trap)] = traps.setdefault(trap, len(traps))
+            rungs.setdefault((k, _stride(barrier), beta), []).append(r)
+    traps, keys = list(traps), list(rungs)
+    first = [rows[0] for rows in rungs.values()]
+    shapes = _Shapes.of([traps[k] for k, _, _ in keys])
+    step = np.array([stride for _, stride, _ in keys], dtype=float)
+    sizes = [sized.get((traps[k], beta)) if sized and stride == 1 else None
+             for k, stride, beta in keys]
+    todo = [m for m, size in enumerate(sizes) if size is None]
+    at = [first[m] for m in todo]
+    for m, *size in zip(todo, *_heads(shapes.take(todo), step[todo],
+                                      betas[at], e1[at], policy)):
+        sizes[m] = size
+    readers, built = [], []
+    for rows, ladder, (_, tail), *shape in zip(
+            rungs.values(), _level_ladders(
+                [(traps[k], requests[r][1], n) for (k, _, _), r, (n, _)
+                 in zip(keys, first, sizes)], {}, policy.max_terms),
+            sizes, shapes.scale.tolist(), shapes.power.tolist(),
+            step.tolist()):
+        if _failed(ladder):
+            for r in rows:
                 errors[r] = ladder
-            else:
-                rows.append(r)
-                built.append((ladder, *shape, *requests[r][4:]))
-    return _Rungs(g, betas, e1, errors, rows, built,
+        else:
+            readers.append(rows)
+            built.append((ladder, tail, *shape))
+    return _Rungs(g, betas, e1, errors, readers, built, v, count,
                   _XCUT_MARGIN - math.log(policy.rel_tol), policy.max_terms)
 
 
@@ -846,10 +895,10 @@ def _rung_sums(rungs, rows, mus, kind):
     return out
 
 
-def _mu_offsets(roots, count, policy, rungs):
+def _mu_offsets(roots, counts, policy, rungs):
     """Roots u = log(beta (E_1 - mu)) of the occupancy constraint for many
-    (potential, barrier, temperature, E_1) roots, root j on row j of the
-    _Rungs rungs; a root or an error each.
+    (potential, barrier, temperature, E_1) roots, root j of counts[j]
+    bosons on row j of the _Rungs rungs; a root or an error each.
 
     With n = g/expm1(beta(E - E_1) + e^u) (g = d_1 on every level), Newton
     runs on log N(u) - log count with the slope dlog N/du = -e^u sum n (1 +
@@ -865,8 +914,7 @@ def _mu_offsets(roots, count, policy, rungs):
     if not rows:
         return out
     heads = _Heads.of(rungs, np.array(rows, dtype=np.intp))
-    log_count = math.log(count)
-    live = [_Root(j, _degeneracy(roots[j][1]), count) for j in rows]
+    live = [_Root(j, _degeneracy(roots[j][1]), counts[j]) for j in rows]
     # an occupation past 1e154 overflows n (1 + n/g) to inf, which makes
     # the step 0: the root stops there, and like every root it is then
     # checked against mu < E_1 and its occupancy re-sum
@@ -880,7 +928,7 @@ def _mu_offsets(roots, count, policy, rungs):
                 f, slope = -math.inf, math.nan
             else:
                 slope = -shift[i] * weight[i] / totals[i]
-                f = math.log(totals[i]) - log_count
+                f = math.log(totals[i]) - root.log_count
             result = (heads.refused and heads.error(i)) or root.update(
                 f, slope)
             if result is not None:
@@ -901,10 +949,12 @@ class _Root:
     Newton runs; `u` is where the root is evaluated next.
     """
 
-    __slots__ = ("j", "d1", "count", "near", "far", "u", "step", "rounds")
+    __slots__ = ("j", "d1", "count", "log_count", "near", "far", "u", "step",
+                 "rounds")
 
     def __init__(self, j, d1, count):
         self.j, self.d1, self.count = j, d1, count
+        self.log_count = math.log(count)
         y = d1 / (count * 1e9)      # 0.0 once count * 1e9 overflows
         self.near = math.log(math.log1p(y) if y else d1 / count / 1e9)
         self.far = self.u = 0.0
@@ -950,22 +1000,24 @@ class _Root:
         return None
 
 
-def _rungs_of(roots, count, mode, policy):
-    """The _Rungs of (potential, barrier, temperature, E_1) roots of count
-    bosons in `mode`.  Each is summed at v = beta (E_1 - mu) >= log(1 +
-    d_1/count), the closed form, as its ground term alone, d_1/(e^v - 1),
-    stays below count at a root; a solved root's head bounds it further
-    (see _Rungs)."""
-    solved = count if mode is MuMode.SOLVED else math.inf
+def _rungs_of(roots, counts, mode, policy, sized=None):
+    """The _Rungs of (potential, barrier, temperature, E_1) roots, root j of
+    counts[j] bosons, in `mode`; `sized` as _grand_rungs takes it.  Each is
+    summed at v = beta (E_1 - mu) >= log(1 + d_1/count), the closed form,
+    as its ground term alone, d_1/(e^v - 1), stays below count at a root;
+    a solved root's head bounds it further (see _Rungs)."""
+    solved = mode is MuMode.SOLVED
     return _grand_rungs([(potential, barrier, _beta(temperature), e1,
-                          math.log1p(_degeneracy(barrier) / count), solved)
-                         for potential, barrier, temperature, e1 in roots],
-                        policy)
+                          math.log1p(_degeneracy(barrier) / count),
+                          count if solved else math.inf)
+                         for (potential, barrier, temperature, e1), count
+                         in zip(roots, counts)], policy, sized)
 
 
-def _chemical_potentials(roots, count, mode, policy, rungs=None):
-    """Chemical potentials of (potential, barrier, temperature, E_1) roots in
-    `mode`; a mu or an error each, every mu strictly below E_1.
+def _chemical_potentials(roots, counts, mode, policy, rungs=None):
+    """Chemical potentials of (potential, barrier, temperature, E_1) roots,
+    root j of counts[j] bosons, in `mode`; a mu or an error each, every mu
+    strictly below E_1.
 
     CLOSED_FORM is E_1 - k_B T log1p(d_1/count); SOLVED runs every root
     through one Newton loop (see _mu_offsets) on the _Rungs of the roots,
@@ -975,13 +1027,13 @@ def _chemical_potentials(roots, count, mode, policy, rungs=None):
     if mode is MuMode.CLOSED_FORM:
         return [_below_ground(e1 - K_B * temperature
                               * math.log1p(_degeneracy(barrier) / count), e1)
-                for _, barrier, temperature, e1 in roots]
+                for (_, barrier, temperature, e1), count in zip(roots, counts)]
     if mode is not MuMode.SOLVED:
         return [EnsembleMismatchError(
             f"unknown chemical-potential mode {mode!r}") for _ in roots]
     if rungs is None:
-        rungs = _rungs_of(roots, count, mode, policy)
-    out = _mu_offsets(roots, count, policy, rungs)
+        rungs = _rungs_of(roots, counts, mode, policy)
+    out = _mu_offsets(roots, counts, policy, rungs)
     for j, u in enumerate(out):
         if not _failed(u):
             _, _, temperature, e1 = roots[j]
@@ -989,6 +1041,7 @@ def _chemical_potentials(roots, count, mode, policy, rungs=None):
     rows = [j for j, mu in enumerate(out) if not _failed(mu)]
     recovered = _rung_sums(rungs, rows, [out[j] for j in rows], "occupancy")
     for j, total in zip(rows, recovered):
+        count = counts[j]
         if _failed(total):
             out[j] = total
         elif abs(total - count) > 1e-10 * count:
@@ -1038,7 +1091,7 @@ def chemical_potential(potential, count, temperature, barrier, mode,
     verified to |dN/N| < 1e-10, and the result is always strictly below E_1.
     """
     return value_or_raise(_chemical_potentials(
-        _one_trap_roots(potential, count, temperature, (barrier,)), count,
+        _one_trap_roots(potential, count, temperature, (barrier,)), (count,),
         mode, policy)[0])
 
 
@@ -1048,7 +1101,7 @@ def chemical_potentials(potential, count, temperature, mode,
     roots = _one_trap_roots(potential, count, temperature,
                             (Barrier.ABSENT, Barrier.INSERTED))
     return value_or_raise(_mu_pairs(
-        _chemical_potentials(roots, count, mode, policy), count,
+        _chemical_potentials(roots, (count, count), mode, policy), (count,),
         [(temperature,)], mode)[0])[0]
 
 
@@ -1062,18 +1115,19 @@ def _one_trap_roots(potential, count, temperature, barriers):
              level_energy(potential, 1, barrier)) for barrier in barriers]
 
 
-def _mu_pairs(mus, count, temperatures, mode):
-    """Per trap, its ChemicalPotentials at each of its temperatures
-    (temperatures[i], a tuple of one length for every trap), from its mus
-    in the order absent, inserted at each temperature in turn; or its
-    first error."""
+def _mu_pairs(mus, counts, temperatures, mode):
+    """Per trap, its ChemicalPotentials of counts[i] bosons at each of its
+    temperatures (temperatures[i], a tuple of one length for every trap),
+    from its mus in the order absent, inserted at each temperature in
+    turn; or its first error."""
     k = 2 * len(temperatures[0]) if temperatures else 0
     return [next((mu for mu in own if _failed(mu)), None) or tuple(
         ChemicalPotentials(pre_insertion=pre, post_insertion=post,
                            temperature=temperature, count=count, mode=mode)
         for pre, post, temperature in zip(own[::2], own[1::2], temps))
-        for own, temps in zip((mus[i:i + k] for i in range(0, len(mus), k)),
-                              temperatures)]
+        for own, count, temps in zip(
+            (mus[i:i + k] for i in range(0, len(mus), k)), counts,
+            temperatures)]
 
 
 def _log_ratios(logs):
@@ -1084,28 +1138,35 @@ def _log_ratios(logs):
             pre - 2.0 * post for pre, post in zip(logs[::2], logs[1::2])]
 
 
-def _bath_ratios(potentials, grounds, count, temperatures, mode, policy):
+def _bath_ratios(potentials, grounds, counts, temperatures, mode, policy,
+                 heads=None):
     """Chemical potentials and log ratios of grand-canonical traps, trap i
-    at each of its tuple of temperatures[i] (all of one length): per trap
-    (ChemicalPotentials, log ratio) per temperature, or the error of its
-    first failing root (see _mu_pairs), else of its first failing log
-    ratio; and the _Rungs they ran on.
+    of counts[i] bosons at each of its tuple of temperatures[i] (all of one
+    length): per trap (ChemicalPotentials, log ratio) per temperature, or
+    the error of its first failing root (see _mu_pairs), else of its first
+    failing log ratio; and the _Rungs they ran on.
 
-    potentials and grounds are a batch as ladder_batches returns it.  Its
-    rungs are built once, absent and inserted at each temperature in turn
-    for each trap, from the ground levels; all the roots are produced
-    together in `mode` (see _chemical_potentials), and each log ratio is
-    the log terms of its two rungs at their chemical potentials.
+    potentials, grounds and heads are a batch as _batches returns it, each
+    trap sized at its first temperature (heads None: every rung is sized
+    here).  Its rungs are read absent and inserted at each temperature in
+    turn for each trap, and built once each from the ground levels (see
+    _grand_rungs), so traps that differ only in count share them; all the
+    roots are produced together in `mode` (see _chemical_potentials), and
+    each log ratio is the log terms of its two rungs at their chemical
+    potentials.
     """
     roots = [(potential, barrier, temperature, ground[barrier])
              for potential, ground, own in zip(potentials, grounds,
                                                temperatures)
              for temperature in own
              for barrier in (Barrier.ABSENT, Barrier.INSERTED)]
-    rungs = _rungs_of(roots, count, mode, policy)
-    mus = _chemical_potentials(roots, count, mode, policy, rungs)
-    out = _mu_pairs(mus, count, temperatures, mode)
     k = len(temperatures[0]) if temperatures else 0
+    each = [count for count in counts for _ in range(2 * k)]
+    sized = {(trap, _beta(own[0])): head for trap, own, head
+             in zip(potentials, temperatures, heads or ()) if head}
+    rungs = _rungs_of(roots, each, mode, policy, sized)
+    mus = _chemical_potentials(roots, each, mode, policy, rungs)
+    out = _mu_pairs(mus, counts, temperatures, mode)
     live = [i for i, pairs in enumerate(out) if not _failed(pairs)]
     rows = [2 * k * i + j for i in live for j in range(2 * k)]
     ratios = _log_ratios(_rung_sums(rungs, rows, [mus[r] for r in rows],
@@ -1127,9 +1188,17 @@ def grand_stage_sums(potentials, grounds, count, baths, mode,
     stage energy on its rung, at that rung's chemical potential; or the
     first error of _bath_ratios, else of its first failing energy.
     """
-    out, rungs = _bath_ratios(potentials, grounds, count,
-                              [(baths.hot, baths.cold)] * len(potentials),
-                              mode, policy)
+    return _grand_sums(potentials, grounds, [count] * len(potentials),
+                       [baths] * len(potentials), mode, policy)
+
+
+def _grand_sums(potentials, grounds, counts, baths, mode, policy,
+                heads=None):
+    """grand_stage_sums of traps each with its own counts[i] and baths[i],
+    heads as _batches gives them."""
+    out, rungs = _bath_ratios(potentials, grounds, counts,
+                              [(pair.hot, pair.cold) for pair in baths],
+                              mode, policy, heads)
     live = [i for i, terms in enumerate(out) if not _failed(terms)]
     rows, mus = [], []
     for i in live:

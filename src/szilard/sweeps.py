@@ -4,9 +4,9 @@ A sweep is a cartesian grid: discrete lists (particle counts, exponents,
 well depths, ...) crossed with at most one continuous axis.  Eleven presets
 pre-load published parameter sets; `custom` reads everything from a config
 file instead.  The three cycle families (canonical, bose-cycle, morse-cycle)
-share one path: each point builds its trap, and consecutive points that
-share the ensemble, particle count and baths go through one run_cycles
-call, which gives each trap the result or error it gets alone.  Rows are
+share one path: each point builds its trap, and all the points go through
+one cycle evaluation, each with its own particle count and baths, which
+gives each trap the result or error it gets alone.  Rows are
 written in grid order and all floats are formatted to 17 significant
 digits, which makes the CSV byte-identical across runs.
 
@@ -22,7 +22,7 @@ import re
 import time
 from configparser import ConfigParser
 from dataclasses import dataclass, field
-from itertools import groupby, product
+from itertools import product
 
 import numpy as np
 
@@ -32,8 +32,8 @@ from .errors import ConfigError, OutputError, SzilardError, TruncationError
 from .potentials import Barrier, Harmonic, Morse, PowerLaw, Spectrum
 from .barrier import even_levels, odd_level
 from .ensembles import (BathPair, MuMode, TruncationPolicy, _bath_ratios,
-                        _batches, _beta, _chemical_potentials, _mu_pairs,
-                        _one_trap_roots)
+                        _batches, _beta, _chemical_potentials, _grouped,
+                        _mu_pairs, _one_trap_roots)
 # run_cycle stays bound here for wrappers that patch it per module
 from .cycle import Ensemble, _run_cycles, run_cycle, run_cycles  # noqa: F401
 
@@ -301,9 +301,9 @@ def _cycle_cells(result, t_cold):
 
 def _cycle_rows(spec, points):
     """Rows of the points of a cycle family, all from one cycle evaluation
-    (see cycle._run_cycles: the canonical and Morse routes batch points
-    whatever their count and baths, the grand-canonical route each run of
-    consecutive points that share them)."""
+    (see cycle._run_cycles: every route batches points whatever their count
+    and baths, and the grand-canonical route builds the rungs its points
+    share once)."""
     ensemble, build = _CYCLES[spec.family]
     p = spec.params
     mu_mode = MuMode(p.get("mu_mode", MuMode.SOLVED.value))
@@ -330,9 +330,12 @@ def _cycle_rows(spec, points):
 
 def _harmonic_points(spec, points, prepare):
     """Per point, the harmonic trap of spec, its N and T, and what
-    prepare(trap, count, temperature) gives; or the SzilardError of a
-    point that fails there.  Then the runs of consecutive points with one
-    N, as (N, point indices)."""
+    prepare(trap, count, temperature) gives (it checks T); or the
+    SzilardError of a point that fails there.  Then the points that did
+    not fail, those of equal trap and T, whatever their N, side by side
+    (see ensembles._grouped), in batches of their traps sized at beta =
+    1/(k_B T) (see ensembles._batches), as (point indices, traps, grounds,
+    heads)."""
     p = spec.params
     out = []
     for point in points:
@@ -343,30 +346,41 @@ def _harmonic_points(spec, points, prepare):
                         prepare(trap, count, temperature)))
         except SzilardError as exc:
             out.append(exc)
-    live = [i for i, job in enumerate(out)
-            if not isinstance(job, SzilardError)]
-    return out, [(count, list(run)) for count, run in
-                 groupby(live, key=lambda i: out[i][1])]
+    live = _grouped([i for i, job in enumerate(out)
+                     if not isinstance(job, SzilardError)],
+                    lambda i: (out[i][0], out[i][2]))
+    batches = []
+    for traps, grounds, heads in _batches(
+            [out[i][0] for i in live], [_beta(out[i][2]) for i in live],
+            spec.policy):
+        own, live = live[:len(traps)], live[len(traps):]
+        batches.append((own, traps, grounds, heads))
+    return out, batches
 
 
 def _chemical_potential_values(spec, points):
-    """Per point, its row values or SzilardError.  The points of each run
-    with one N solve the roots of all their temperatures together, in both
-    modes (see ensembles._chemical_potentials); each point keeps the values
-    it gets alone, the closed form's error first."""
+    """Per point, its row values or SzilardError.  The points of each batch
+    solve the roots of all their counts and temperatures together, in both
+    modes (see ensembles._chemical_potentials), from the ground levels of
+    the batch, each rung once; each point keeps the values it gets alone,
+    the closed form's error first."""
     barriers = (Barrier.ABSENT, Barrier.INSERTED)
-    out, runs = _harmonic_points(spec, points, lambda trap, count, t: (
-        _one_trap_roots(trap, count, t, barriers)))
-    for count, run in runs:
-        roots = [root for i in run for root in out[i][3]]
+    # every mode's checks of a point, with no root of its own
+    out, batches = _harmonic_points(spec, points, lambda trap, count, t: (
+        _one_trap_roots(trap, count, t, ())))
+    for run, _, grounds, _ in batches:
+        roots = [(out[i][0], barrier, out[i][2], ground[barrier])
+                 for i, ground in zip(run, grounds) for barrier in barriers]
+        counts = [out[i][1] for i in run]
         temperatures = [(out[i][2],) for i in run]
         closed, solved = (_mu_pairs(_chemical_potentials(
-            roots, count, mode, spec.policy), count, temperatures, mode)
+            roots, [count for count in counts for _ in barriers], mode,
+            spec.policy), counts, temperatures, mode)
             for mode in (MuMode.CLOSED_FORM, MuMode.SOLVED))
         for i, pairs in zip(run, zip(closed, solved)):
             error = next((e for e in pairs if isinstance(e, SzilardError)),
                          None)
-            out[i] = error or _mu_cells(out[i][2], count, pairs[0][0],
+            out[i] = error or _mu_cells(out[i][2], out[i][1], pairs[0][0],
                                         pairs[1][0])
     return out
 
@@ -386,24 +400,21 @@ def _mu_cells(temperature, count, closed, solved):
 
 
 def _partition_ratio_values(spec, points):
-    """Per point, its row values or SzilardError.  The points of each run
-    with one N share the batches of the grand-canonical cycle's
-    root-and-ratio path (ensembles._bath_ratios), each trap at its own
-    temperature; each point keeps the values it gets alone."""
+    """Per point, its row values or SzilardError.  The points of each batch
+    run through the grand-canonical cycle's root-and-ratio path
+    (ensembles._bath_ratios) together, each trap with its own count at its
+    own temperature, each rung once; each point keeps the values it gets
+    alone."""
     mode = MuMode(spec.params["mu_mode"])
-    out, runs = _harmonic_points(spec, points, lambda trap, count, t: (
+    out, batches = _harmonic_points(spec, points, lambda trap, count, t: (
         _beta(t)))
-    for count, run in runs:
-        for traps, grounds, _ in _batches([out[i][0] for i in run],
-                                          [out[i][3] for i in run],
-                                          spec.policy):
-            own, run = run[:len(traps)], run[len(traps):]
-            for i, value in zip(own, _bath_ratios(
-                    traps, grounds, count, [(out[i][2],) for i in own],
-                    mode, spec.policy)[0]):
-                out[i] = value if isinstance(value, SzilardError) else {
-                    "T": out[i][2], "N": count, "log_ratio": value[1][0],
-                    "ratio": math.exp(value[1][0])}
+    for run, traps, grounds, heads in batches:
+        for i, value in zip(run, _bath_ratios(
+                traps, grounds, [out[i][1] for i in run],
+                [(out[i][2],) for i in run], mode, spec.policy, heads)[0]):
+            out[i] = value if isinstance(value, SzilardError) else {
+                "T": out[i][2], "N": out[i][1], "log_ratio": value[1][0],
+                "ratio": math.exp(value[1][0])}
     return out
 
 

@@ -199,12 +199,12 @@ _fine_scale = st.one_of(_scale, st.floats(1e-4, 1e-2))
 
 @settings(max_examples=60, deadline=None)
 @given(data=st.data(), ensemble=st.sampled_from(Ensemble),
-       count=st.integers(1, 50), hot=_kelvin, cold=_kelvin,
        mode=st.sampled_from((MuMode.SOLVED, MuMode.CLOSED_FORM)),
        max_terms=st.sampled_from((1_000_000, 60, 10)), literal=st.booleans())
-def test_batched_cycles_equal_single_cycles(data, ensemble, count, hot, cold,
-                                            mode, max_terms, literal):
-    """A batch of traps gives each trap its own outcome, on every route.
+def test_batched_cycles_equal_single_cycles(data, ensemble, mode, max_terms,
+                                            literal):
+    """A batch of traps gives each trap its own outcome, on every route,
+    each trap with its own count and baths.
 
     Power-law exponents run 1.2-4 and level scales 0.05-20 kT.  On the
     canonical and Morse routes the scales are in units of kT/N, the decay
@@ -212,31 +212,44 @@ def test_batched_cycles_equal_single_cycles(data, ensemble, count, hot, cold,
     into batches that mix long ladders with short ones.  Morse anharmonicities
     run 0 (infinite depth) to 0.7, so some wells are too shallow to hold or
     to split a level and others hold long bounded ladders, and a 60- or
-    10-term cap makes some series fail."""
+    10-term cap makes some series fail.  Counts and baths are drawn per
+    trap from small pools, and some traps repeat, built again equal, at
+    the same or another count and baths, in any order: the points of a
+    sweep over counts, whose grand-canonical rungs are built once for all
+    the counts that read them."""
     grand = ensemble is Ensemble.GRAND_BOSE
-    specs = data.draw(st.lists(
+    morse = ensemble is Ensemble.MORSE_SINGLE
+    literal = literal and morse
+    pairs = [BathPair(hot, cold) for hot, cold in data.draw(st.lists(
+        st.tuples(_kelvin, _kelvin), min_size=1, max_size=2))]
+    counts = [1] if morse else data.draw(st.lists(st.integers(1, 50),
+                                                  min_size=1, max_size=3))
+    jobs = data.draw(st.lists(
         st.tuples(st.sampled_from(_KINDS[ensemble]), st.floats(1.2, 4.0),
                   _scale if grand else _fine_scale,
                   st.one_of(st.just(0.0), st.floats(1e-7, 1e-3),
-                            st.floats(1e-3, 0.7))),
+                            st.floats(1e-3, 0.7)),
+                  st.sampled_from(counts), st.sampled_from(pairs)),
         min_size=1, max_size=6))
-    if ensemble is Ensemble.MORSE_SINGLE:
-        count = 1
-    else:
-        literal = False
+    # a repeat takes the trap of an earlier job at its own count and baths
+    jobs += [(*jobs[i][:4], count, baths) for i, count, baths in data.draw(
+        st.lists(st.tuples(st.integers(0, len(jobs) - 1),
+                           st.sampled_from(counts), st.sampled_from(pairs)),
+                 max_size=4))]
+    jobs = data.draw(st.permutations(jobs))
     policy = TruncationPolicy(max_terms=max_terms)
-    baths = BathPair(hot, cold)
-    kt = K_B * max(hot, cold) / (1 if grand else count)
-    traps = [_batch_trap(*spec, kt) for spec in specs]
-    singles = [_outcome(trap, ensemble, count, baths, policy, mode, literal)
-               for trap in traps]
+    # scales in units of the first bath pair and count, so repeats are equal
+    kt = K_B * max(pairs[0].hot, pairs[0].cold) / (1 if grand else counts[0])
+    traps = [_batch_trap(*job[:4], kt) for job in jobs]
+    counts = [count for *_, count, _ in jobs]
+    baths = [pair for *_, pair in jobs]
+    singles = [_outcome(trap, ensemble, count, pair, policy, mode, literal)
+               for trap, count, pair in zip(traps, counts, baths)]
     event(f"{ensemble.name}: {sum(isinstance(s, SzilardError) for s in singles)}"
           f" of {len(traps)} fail")
-    batches = ladder_batches(traps, 1 if grand else count, baths.hot, policy)
-    event(f"{ensemble.name}: {len(batches)} batches")
-    _assert_same_outcomes(
-        run_cycles(traps, ensemble, count, baths, policy, mode, literal),
-        singles)
+    event(f"{ensemble.name}: {len(traps) - len(set(traps))} repeated traps")
+    _assert_same_outcomes(cycle._run_cycles(traps, ensemble, counts, baths,
+                                            policy, mode, literal), singles)
 
 
 def test_long_and_short_ladders_share_batches():

@@ -1127,11 +1127,12 @@ def _rung_ladders(call):
     call() succeeded (it may raise a SzilardError)."""
     log, original = [], ensembles._Rungs
 
-    def spy(g, beta, e1, errors, rows, built, *rest):
+    def spy(g, beta, e1, errors, readers, built, *rest):
         log.extend((ladder, tailed, Barrier.INSERTED if step == 2.0
-                    else Barrier.ABSENT, beta[r], e1[r])
-                   for r, (ladder, tailed, _, _, step, *_) in zip(rows, built))
-        return original(g, beta, e1, errors, rows, built, *rest)
+                    else Barrier.ABSENT, beta[rows[0]], e1[rows[0]])
+                   for rows, (ladder, tailed, _, _, step) in zip(readers,
+                                                                 built))
+        return original(g, beta, e1, errors, readers, built, *rest)
 
     with mock.patch.object(ensembles, "_Rungs", spy):
         try:
@@ -1261,7 +1262,7 @@ def test_heads_and_moments_match_whole_sums(nu, log_scale, count, mode):
     (batch, grounds, _), = ensembles.ladder_batches((trap,), 1, baths.hot,
                                                     _SMALL_CAP)
     (pairs,), rungs = ensembles._bath_ratios(
-        batch, grounds, count, [(baths.hot, baths.cold)], mode, _SMALL_CAP)
+        batch, grounds, [count], [(baths.hot, baths.cold)], mode, _SMALL_CAP)
     if isinstance(pairs, SzilardError):
         return
     (hot, cold), _ = pairs

@@ -384,19 +384,22 @@ class TestSingleEvaluation:
 
     def test_partition_ratio_run_builds_one_ladder_per_point(self, tmp_path,
                                                              monkeypatch):
-        """fig5: the 40 temperatures of each N are one batch, whose 80
-        ground levels are one _Wells expression and whose barrier-free
-        ladders, one per point and each the 32 levels its two 16-term
-        heads read, are one more; level_energy never runs.  A point per
-        batch made 480 level_energy calls (two ground levels and one
-        ladder, extended once, per point), and solving and summing each
-        barrier apart 960."""
+        """fig5: its 120 points, one trap at 40 temperatures and 3 counts,
+        are one batch, which builds each of its 80 rungs (a temperature and
+        a barrier) once for its 3 counts.  The trap's two ground levels are
+        one _Wells expression, and its one barrier-free ladder, the 32
+        levels its 16-term heads read, one level_energy call, as a lone
+        trap's levels are.  A batch per N looked up 80 ground levels and
+        built 40 ladders of 32 levels, one per point, in two _Wells
+        expressions per N; a point per batch made 480 level_energy calls
+        (two ground levels and one ladder, extended once, per point), and
+        solving and summing each barrier apart 960."""
         calls = _count_calls(monkeypatch, "level_energy")
         wells = _count_calls(monkeypatch, "_absent_energy")
         outcome = _run(preset("fig5"), tmp_path)
         assert outcome.points == 120 and outcome.failed == 0
-        assert len(calls) == 0
-        assert [args[1].size for args in wells] == [80, 40 * 32] * 3
+        assert [args[1].size for args in calls] == [32]
+        assert [args[1].size for args in wells] == [2]
 
     def test_bose_roots_sum_one_ladder_each(self, tmp_path, monkeypatch):
         """One occupancy re-check per root, and the trap prefactor's gamma
@@ -421,14 +424,14 @@ class TestSingleEvaluation:
     def test_bose_run_solves_in_batches(self, tmp_path, monkeypatch):
         """A 40-point run shares its Newton loops and re-check passes.
 
-        Its traps' stage sums count their heads toward the 8192 terms that
-        close a batch: one batch, one solve and one re-check pass (an
-        occupancy _rung_sums call), where one solve per root would make
-        160 (and whole power-law ladders of 6670, 5501, ... 8 terms made
-        five batches).  Each Newton round sums its live roots' heads, each
-        behind one slot, and their k-series, not their ladders: the 160
-        heads hold 9177 levels, and the 13 rounds sum 65,005 head
-        elements."""
+        Its traps count their stage-A heads, 2605 levels, once per bath
+        toward the 8192 terms that close a batch: 5210 terms, one batch,
+        one solve and one re-check pass (an occupancy _rung_sums call),
+        where one solve per root would make 160 (and whole power-law
+        ladders of 6670, 5501, ... 8 terms made five batches).  Each Newton
+        round sums its live roots' heads, each behind one slot, and their
+        k-series, not their ladders: the 160 heads hold 9177 levels, and
+        the 13 rounds sum 65,005 head elements."""
         solves = _count_calls(monkeypatch, "_mu_offsets")
         checks = _count_calls(monkeypatch, "_rung_sums")
         rounds, sums = [], ensembles._Heads.sums
@@ -524,6 +527,56 @@ class TestBatchedRuns:
         assert [len(segments) for segments, *_ in sums] == [outcome.points] * 4
         lines = open(outcome.csv_path).read().splitlines()
         assert lines[1:] == self._single_rows(preset(target), tmp_path)
+
+    def test_points_of_other_counts_share_rungs(self, tmp_path,
+                                                monkeypatch):
+        """fig8 with 2 exponents, 3 counts and 8 scale ratios: a run per
+        count and baths made six batches, one per exponent and count, and
+        built each rung once per count.  The grand-canonical route batches
+        a sweep's points whatever their count: its 16 traps, each at 3
+        counts, are one batch, which builds 64 rungs, one per trap, barrier
+        and bath, and solves its 192 roots once each; each point keeps the
+        row it gets alone."""
+        solves = _count_calls(monkeypatch, "_mu_offsets")
+        checks = _count_calls(monkeypatch, "_rung_sums")
+        rungs = _count_calls(monkeypatch, "_Rungs")
+        spec = replace(preset("fig8"), lists={"nu": (1.6, 2.0),
+                                              "N": (10, 20, 30)},
+                       axes=(Axis("scale_ratio", 0.05, 40.0, 8, "log"),))
+        outcome = _run(spec, tmp_path)
+        assert outcome.points == 48 and outcome.failed == 0
+        assert [len(roots) for roots, *_ in solves] == [192]
+        assert [len(rows) for _, rows, *_ in _occupancy(checks)] == [192]
+        assert [len(args[5]) for args in rungs] == [64]
+        lines = open(outcome.csv_path).read().splitlines()
+        assert lines[1:] == self._single_rows(spec, tmp_path)
+
+    def test_bose_sweep_builds_each_rung_once(self, tmp_path, monkeypatch):
+        """A fig8 pass: 480 points, 160 traps at 3 counts each.  Its
+        batches close only between traps, each trap's stage-A head counted
+        once per bath, so its 1,920 roots run in 6 batches (a batch per
+        count made 12), and each batch builds the rungs of its traps once:
+        640 rungs (it built 1,920).  Each distinct trap's ground levels are
+        looked up once, two int lookups of a power law (960 before), and
+        its barrier-free ladder built by one level_energy call (480
+        before); _heads sizes each trap's hot barrier-free rung once, in
+        the batching, and each other rung once, in its batch: 640 rows
+        (2,400 before, when each point was sized in the batching and each
+        of its rungs again)."""
+        solves = _count_calls(monkeypatch, "_mu_offsets")
+        rungs = _count_calls(monkeypatch, "_Rungs")
+        sizes = _count_calls(monkeypatch, "_heads")
+        levels = _count_calls(monkeypatch, "level_energy")
+        outcome = _run(preset("fig8"), tmp_path)
+        assert outcome.points == 480 and outcome.failed == 0
+        assert [len(roots) for roots, *_ in solves] == [156, 444, 444, 216,
+                                                        288, 372]
+        assert [len(args[5]) for args in rungs] == [52, 148, 148, 72, 96,
+                                                    124]
+        assert [len(e1) for *_, e1, _ in sizes] == [160, 39, 111, 111, 54,
+                                                    72, 93]
+        assert sum(1 for _, n, *_ in levels if np.ndim(n) == 0) == 320
+        assert sum(1 for _, n, *_ in levels if np.ndim(n) == 1) == 160
 
     def test_mu_rounded_onto_the_ground_level_names_the_cause(self,
                                                               tmp_path):
@@ -807,6 +860,10 @@ class TestCli:
         # 2 scale/mass underflows to 0, whose log is a math domain error
         pytest.param("fig8", "[parameters]\nmass = 1e300\n",
                      "InvalidPotentialError", 480, id="fig8-mass = 1e300"),
+        # a count past int64 at every exponent: each mu rounds onto E_1
+        # (its power-law rungs once raised a TypeError on an object array)
+        pytest.param("fig8", "[list.N]\nvalues = 1e300\n",
+                     "ConvergenceViolationError", 160, id="fig8-N = 1e300"),
         # beta E_scale underflows, so a closed-form tail leaves float range
         pytest.param("fig2", "[parameters]\nT_hot = 1e300\nT_cold = 1e299\n",
                      "SolverFailureError", 20, id="fig2-T = 1e300"),
