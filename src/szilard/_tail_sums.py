@@ -44,19 +44,13 @@ from .potentials import _absent_energy, _Wells
 # (harmonic, infinite-depth Morse, power law at p = 1) sums in closed form
 # outright.  The energy sum, of E f, is -d/dbeta of the same forms.
 
-_EM_PAIRS = 4           # m: derivative-correction pairs
-_POWER_PAIRS = 6        # m of a power-law tail (see _power_table)
+_EM_PAIRS = 6           # m: derivative-correction pairs, of every tail
 _HEAD_FLOOR = 16        # no head is shorter
 # Bernoulli numbers B_2, B_4, ..., B_14
 _BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6)
-
-
-def _remainder(pairs):
-    """2 |B_2m+2|/(2m+2)!, the Euler-Maclaurin remainder factor."""
-    return 2 * abs(_BERNOULLI[pairs]) / math.factorial(2 * pairs + 2)
-
-
-_EM_REMAINDER = _remainder(_EM_PAIRS)
+# 2 |B_2m+2|/(2m+2)!, the Euler-Maclaurin remainder factor
+_EM_REMAINDER = 2 * abs(_BERNOULLI[_EM_PAIRS]) / math.factorial(
+    2 * _EM_PAIRS + 2)
 
 
 def _taylor(g, order):
@@ -72,23 +66,23 @@ def _taylor(g, order):
     return w
 
 
-def _em_end(f, rests, g, e_taylor, half, pairs=_EM_PAIRS):
+def _em_end(f, rests, g, e_taylor, half):
     """An end's share of the Euler-Maclaurin sums of f and of E f, with
-    `pairs` derivative corrections.
+    _EM_PAIRS derivative corrections.
 
     rests are the integrals of f and of E f from the end to the ladder's
     end, g and e_taylor the Taylor coefficients of beta (E - E_1), from the
     first, and of E, from the zeroth, at the end; half is 1/2 at the head
     end A and -1/2 at the top B, whose share is subtracted.
     """
-    w = _taylor(g, 2 * pairs - 1)
+    w = _taylor(g, 2 * _EM_PAIRS - 1)
     # the Taylor coefficients of E f/f(x0): those of E times w
     e = np.array(e_taylor)
     wh = [(e[:min(k, len(e) - 1) + 1] * w[k::-1][:len(e)]).sum(axis=0)
           for k in range(len(w))]
     return [rest + f * (half * v[0] - sum(
         b / (2 * j) * v[2 * j - 1]
-        for j, b in enumerate(_BERNOULLI[:pairs], 1)))
+        for j, b in enumerate(_BERNOULLI[:_EM_PAIRS], 1)))
         for rest, v in zip(rests, (w, wh))]
 
 
@@ -162,12 +156,12 @@ def _power_tails(e, s, power, step, beta, e1):
     scaled = upper_gamma(a, beta * e)
     lead = f * s / (step * power)
     taylor, h = [e], step / s
-    for j in range(1, 2 * _POWER_PAIRS):
+    for j in range(1, 2 * _EM_PAIRS):
         taylor.append(taylor[-1] * ((power - (j - 1)) / j) * h)
     return _em_end(f, (lead * scaled,
                        lead * ((a * scaled + 1.0) / beta - e1 * scaled)),
                    [beta * c for c in taylor[1:]], (e - e1, *taylor[1:]),
-                   0.5, _POWER_PAIRS)
+                   0.5)
 
 
 def _power_floor(power, step, y1):
@@ -199,7 +193,7 @@ def _power_floor(power, step, y1):
 _POWER_GRID = np.geomspace(1e-30, 1e4, 2500)    # y, 3.2% apart
 # c(2m+2, i), i = 1..2m+2: the coefficients of z (z + 1) ... (z + 2m + 1)
 _STIRLING = [1]
-for _j in range(2 * _POWER_PAIRS + 2):
+for _j in range(2 * _EM_PAIRS + 2):
     _STIRLING = [a * _j + b for a, b in zip(_STIRLING + [0], [0] + _STIRLING)]
 _STIRLING = tuple(_STIRLING[1:])
 
@@ -209,7 +203,7 @@ def _power_table(power):
     """log H (falling) at the y of _POWER_GRID (rising), for one power."""
     y = _POWER_GRID
     total, partial, term, factorial = 0.0, 0.0, 1.0, 1.0
-    k = 2 * _POWER_PAIRS + 2
+    k = 2 * _EM_PAIRS + 2
     for i, c in enumerate(_STIRLING, 1):
         partial = partial + term        # e_{i-1}(y)
         exponent = k - 1 - i * power
@@ -226,9 +220,9 @@ def _power_cuts(scale, power, step, beta, e1, limit):
     its tail's remainder is at most `limit`: the first y of _POWER_GRID
     with H(y) below it (see above), less y_1, or 0 where y_1 already holds
     it; inf past the grid."""
-    k = 2 * _POWER_PAIRS + 1
+    k = 2 * _EM_PAIRS + 1
     y1 = beta * e1
-    log_h = (np.log(limit / _remainder(_POWER_PAIRS)) - y1 - k * np.log(step)
+    log_h = (np.log(limit / _EM_REMAINDER) - y1 - k * np.log(step)
              - k / power * np.log(beta * scale))
     cut = np.full(len(power), math.inf)
     for p in set(power.tolist()):

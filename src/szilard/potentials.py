@@ -286,7 +286,10 @@ def _absent_energy(potential, n):
         e = potential.quantum * s
     elif isinstance(potential, (Morse, _Wells)):
         q, chi = potential.quantum, potential.anharmonicity
-        e = q * s if chi is None else q * s - q * chi * s * s
+        # a level past float range is -inf, silently: such a well has no
+        # bound level, which its callers' checks name
+        with np.errstate(over="ignore"):
+            e = q * s if chi is None else q * s - q * chi * s * s
     else:
         raise InvalidPotentialError(f"unknown potential {potential!r}")
     return e if isinstance(e, np.ndarray) else float(e)

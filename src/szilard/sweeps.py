@@ -66,7 +66,10 @@ class Axis:
 
     def values(self):
         if self.scale == "log":
-            return np.geomspace(self.start, self.stop, self.points)
+            # towards the largest double the powers geomspace forms
+            # overflow; the values it returns are still finite
+            with np.errstate(over="ignore"):
+                return np.geomspace(self.start, self.stop, self.points)
         return np.linspace(self.start, self.stop, self.points)
 
 

@@ -836,6 +836,28 @@ class TestCanonicalOracle:
                 got = canonical_stage_properties(well, barrier, 1, 1.0)
                 assert self._agrees(got, want), (depth_kt, barrier)
 
+    @settings(max_examples=60, deadline=None)
+    @given(rate=st.floats(-3.0, -1.0), bound=st.floats(3.0, 6.5),
+           inserted=st.booleans())
+    def test_morse_heads_in_the_figure_regime(self, rate, bound, inserted):
+        """The wells of fig9 and fig10: beta q 1e-3 to 0.1 per level and
+        1e3 to 3e6 bound levels, where each sum is a head of 16 to about
+        110 levels and an Euler-Maclaurin tail that, over the shallower
+        wells, runs to the top of the well.  Head and tail meet the whole
+        bound ladder."""
+        q = 10 ** rate * K_B                # at 1 K
+        count = int(10 ** bound)
+        well = Morse(MASS, q * (count + 1.5) / 2, omega=q / HBAR)
+        assert well.bound_count == count
+        barrier = Barrier.INSERTED if inserted else Barrier.ABSENT
+        beta = 1.0 / K_B
+        e1 = level_energy(well, 1, barrier)
+        _, tailed = _head_of(well, barrier, beta, e1, TruncationPolicy())
+        assert tailed
+        want, length = self._fsum_oracle(well, barrier, 1, 1.0)
+        got = canonical_stage_properties(well, barrier, 1, 1.0)
+        assert self._agrees(got, want), (well, barrier, length)
+
     @pytest.mark.parametrize("trap, ensemble", [
         (Morse(1.1 * 1.66053906660e-27, 8.7 * 1.602176634e-19, omega=1e9),
          Ensemble.MORSE_SINGLE),
@@ -908,6 +930,25 @@ def _head_of(trap, barrier, beta, e1, policy):
 # A scalar reference of the head and length of a canonical sum, as math
 # evaluates them on Python floats, one trap at a time: the lengths set which
 # terms every sum adds, so _heads must match it entry for entry.
+#
+# Every tail, Morse or power law, takes m = 6 Euler-Maclaurin correction
+# pairs, so its remainder is at most 2 |B_2m+2|/(2m+2)! int |f^(2m+2)|
+# (DLMF 2.10.1), the factor from the Bernoulli numbers below.
+
+def _bernoulli(n):
+    """B_n as a Fraction (the Akiyama-Tanigawa algorithm)."""
+    a = [Fraction(0)] * (n + 1)
+    for m in range(n + 1):
+        a[m] = Fraction(1, m + 1)
+        for j in range(m, 0, -1):
+            a[j - 1] = j * (a[j - 1] - a[j])
+    return a[0]
+
+
+_PAIRS = 6
+_REMAINDER = float(2 * abs(_bernoulli(2 * _PAIRS + 2))
+                   / math.factorial(2 * _PAIRS + 2))
+
 
 def _reference_index_beyond(trap, barrier, beta, e1, x_cut):
     target = x_cut / beta + e1
@@ -940,10 +981,9 @@ def _power_cut(trap, barrier, beta, e1, policy):
     # the sum holds 1 and the integral of f from index 1
     floor = (step + 0.5) / (step * p * (y1 + max(1.0 - 1.0 / p, 0.0)))
     limit = policy.rel_tol * math.exp(-35.0) * max(floor, 1.0)
-    k = 2 * _tail_sums._POWER_PAIRS + 1
-    log_h = (math.log(limit / _tail_sums._remainder(_tail_sums._POWER_PAIRS))
-             - y1 - k * math.log(step) - k / p * math.log(
-                 beta * trap.energy_scale))
+    k = 2 * _PAIRS + 1
+    log_h = (math.log(limit / _REMAINDER) - y1 - k * math.log(step)
+             - k / p * math.log(beta * trap.energy_scale))
     table = (-_tail_sums._power_table(p)).tolist()
     j = bisect.bisect_left(table, -log_h)
     if j == len(table):
@@ -966,10 +1006,9 @@ def _reference_head(trap, barrier, beta, e1, policy):
         a = beta * q * chi * step * step
         slope = 2 * a * ((0.5 / chi - 0.5) / step - 17)
         lower, upper = 1.0, slope
-        for k in range(1, 9):
+        for k in range(1, 2 * _PAIRS + 1):     # to Q_2m+1
             lower, upper = upper, slope * upper + 2 * k * a * lower
-        ratio = ensembles._EM_REMAINDER * upper / (policy.rel_tol
-                                                   * math.exp(-35.0))
+        ratio = _REMAINDER * upper / (policy.rel_tol * math.exp(-35.0))
         head = max(_reference_index_beyond(
             trap, barrier, beta, e1, math.log(ratio) if ratio > 1.0 else 0.0)
             - 1, 16)
@@ -1145,24 +1184,14 @@ def _rung_ladders(call):
 _SMALL_CAP = TruncationPolicy(max_terms=20_000)
 
 
-def _bernoulli(n):
-    """B_n as a Fraction (the Akiyama-Tanigawa algorithm)."""
-    a = [Fraction(0)] * (n + 1)
-    for m in range(n + 1):
-        a[m] = Fraction(1, m + 1)
-        for j in range(m, 0, -1):
-            a[j - 1] = j * (a[j - 1] - a[j])
-    return a[0]
-
-
 def _power_remainder(trap, step, beta, e1, index):
     """The Euler-Maclaurin remainder bound of a power-law tail from
-    `index` on, 2 |B_k|/k! int |f^(k)| with m = _POWER_PAIRS correction
-    pairs and k = 2m + 2, from the derivative bound of szilard._tail_sums,
+    `index` on, 2 |B_k|/k! int |f^(k)| with m = _PAIRS correction pairs
+    and k = 2m + 2, from the derivative bound of szilard._tail_sums,
     in math: f(A) (step/s)^(k-1) sum_i c(k, i) min(p^{i-1} (i-1)!
     e_{i-1}(y), (p y)^i/(k - 1 - ip)) with s = step A + 1/2 and y = beta
     E_A."""
-    k = 2 * _tail_sums._POWER_PAIRS + 2
+    k = 2 * _PAIRS + 2
     p = trap.level_power
     s = step * index + 0.5
     y = beta * trap.energy_scale * s ** p
@@ -1176,8 +1205,8 @@ def _power_remainder(trap, step, beta, e1, index):
         if i * p < k - 1:
             form = min(form, (p * y) ** i / (k - 1 - i * p))
         total += c * form
-    return (2 * abs(float(_bernoulli(k))) / math.factorial(k)
-            * math.exp(beta * e1 - y) * (step / s) ** (k - 1) * total)
+    return (_REMAINDER * math.exp(beta * e1 - y) * (step / s) ** (k - 1)
+            * total)
 
 
 @settings(max_examples=60, deadline=None)
