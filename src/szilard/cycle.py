@@ -102,13 +102,14 @@ def _stage_terms(potentials, ensemble, counts, baths, mu_mode, policy):
 
     Every route runs batch by batch (see ensembles.ladder_batches), from the
     ground levels the batching looked up, and its batches mix counts and
-    baths.  The canonical and Morse routes share the canonical stage sums;
-    a Morse well is their single-particle case on a bounded ladder.  The
-    grand-canonical stage sums produce a batch's chemical potentials
+    baths.  Points of equal trap run side by side, so each batch holds all
+    of them (see ensembles._grouped).  The canonical and Morse routes share
+    the canonical stage sums, which sum each distinct (trap, count, bath)
+    of a batch once, in both barrier configurations, on one ladder per
+    trap; a Morse well is their single-particle case on a bounded ladder.
+    The grand-canonical stage sums produce a batch's chemical potentials
     themselves, in every MuMode, and sum its log ratios and stage energies
-    on the same rungs.  Its points of equal trap and hot bath run side by
-    side, so each batch holds all of them and builds their rungs once,
-    whatever their counts (see ensembles._grouped).
+    on the same rungs, each built once whatever the counts that read it.
     """
     out = [_route_error(trap, ensemble, count)
            for trap, count in zip(potentials, counts)]
@@ -118,8 +119,7 @@ def _stage_terms(potentials, ensemble, counts, baths, mu_mode, policy):
     # sums, whose mu approaches E_1
     betas = {i: (1 if grand else counts[i]) * _beta(baths[i].hot)
              for i in live}
-    if grand:
-        live = _grouped(live, lambda i: (potentials[i], betas[i]))
+    live = _grouped(live, lambda i: potentials[i])
     # a lone trap is one unsized batch: its stage A head is sized with its
     # others
     for batch, grounds, heads in _batches(
@@ -145,8 +145,9 @@ def run_cycles(potentials, ensemble, count, baths, policy=TruncationPolicy(),
     in batches of a bounded number of ladder terms (see
     ensembles.ladder_batches): the grand-canonical route through
     ensembles.grand_stage_sums, the canonical and Morse routes through
-    ensembles.canonical_stage_sums, four multi-trap stage sums per batch.
-    The case of _run_cycles with one count and baths for every trap.
+    ensembles.canonical_stage_sums, one multi-trap call per batch that
+    sums each distinct stage once.  The case of _run_cycles with one count
+    and baths for every trap.
     """
     return _run_cycles(potentials, ensemble, [count] * len(potentials),
                        [baths] * len(potentials), policy, mu_mode,

@@ -20,13 +20,14 @@ bound count, counting the head of a sum that a tail completes rather than
 its whole ladder (a grand trap's once per bath), and looks up each distinct
 trap's two ground levels once for every sum of its batch (one _Wells
 expression for its harmonic and Morse traps); a lone trap is one unsized
-batch.  A batch closes only between traps of different trap or decay
-rate, so the grand route, which puts the points of equal trap and hot bath
-side by side, builds each rung of a batch once for all its counts.  Each
-step of a batch is one array pass over all its traps: the sizes of its
-sums (_heads, which sizes every sum of every route), the levels its sums
-lack (one _Wells expression for harmonic and Morse traps, see
-_level_ladders), each canonical stage's sums and energy sums
+batch.  A batch closes only between two different traps, and the cycle
+routes put the points of equal trap side by side, so a batch builds each
+grand rung once for all its counts, and sums each distinct canonical
+(trap, count, bath) once for every point that reads it.  Each step of a
+batch is one array pass over all its traps: the sizes of its sums
+(_heads, which sizes every sum of every route), the levels its sums lack
+(one _Wells expression for harmonic and Morse traps, see _level_ladders),
+the canonical sums and energy sums of each barrier configuration
 (_series_sums) or the grand rungs' heads and moments (_grand_rungs), and
 the tails (see _tail_sums).  Only exactly rounded operations run on
 arrays; a log, exp or fractional power that sets a length or a logged
@@ -168,11 +169,6 @@ class Stage(Enum):
 _STAGES = {Stage.A: (Barrier.ABSENT, "hot"), Stage.B: (Barrier.INSERTED, "hot"),
            Stage.C: (Barrier.INSERTED, "cold"),
            Stage.D: (Barrier.ABSENT, "cold")}
-
-
-def _stage_config(stage, baths):
-    barrier, bath = _STAGES[stage]
-    return barrier, getattr(baths, bath)
 
 
 def _degeneracy(barrier):
@@ -362,8 +358,9 @@ def _batches(potentials, betas, policy, baths=1):
     each counting its head once per bath: `baths` is 2 for a grand
     cycle, whose per-root arrays hold a head of each barrier at each bath.
     Equal traps are looked up once, and equal (trap, beta) rows sized once;
-    a batch closes only between two different rows, so rows that share
-    rungs (see _grouped) share a batch."""
+    a batch closes only between two different traps, so the points of one
+    trap (see _grouped), which share its ladder and its rungs, share a
+    batch."""
     traps = {}      # each distinct trap: its index
     index = [traps.setdefault(trap, len(traps)) for trap in potentials]
     traps, levels = list(traps), _ground_levels(list(traps))
@@ -387,7 +384,7 @@ def _batches(potentials, betas, policy, baths=1):
     for end, head in enumerate(heads, 1):
         total += baths * head[0] if head else 0
         if end == len(rows) or (total >= _BATCH_TERMS
-                                and rows[end] != rows[end - 1]):
+                                and index[end] != index[end - 1]):
             batches.append((potentials[start:end], grounds[start:end],
                             heads[start:end]))
             start, total = end, 0
@@ -396,8 +393,9 @@ def _batches(potentials, betas, policy, baths=1):
 
 def _grouped(indices, key):
     """indices reordered so that those of equal key(i) sit side by side,
-    each group in order of first appearance: points whose rungs are equal
-    then share a batch (see _batches), which builds each rung once."""
+    each group in order of first appearance: points of equal trap then
+    share a batch (see _batches), which builds each of its ladders, rungs
+    and stage sums once."""
     groups = {}
     for i in indices:
         groups.setdefault(key(i), []).append(i)
@@ -668,97 +666,91 @@ def _require_power_family(potential, who):
         raise EnsembleMismatchError(f"{who} needs a harmonic or power-law trap")
 
 
-def _canonical_stages(traps, grounds, stages, counts, policy, first=None):
-    """canonical_stage_properties of many traps, trap i with counts[i]
-    particles, in a sequence of (barrier, temperatures) stages, trap i at
-    temperatures[i]: per trap, its (log sum, energy) in each stage, or the
-    error of its first failing stage.
+def _canonical_stages(traps, grounds, temperatures, counts, first, policy):
+    """canonical_stage_properties of many units, unit i trap i with
+    counts[i] particles at temperatures[i], in each barrier configuration
+    of grounds[i] (its ground levels by barrier, each E_1 or the error of
+    its lookup): per unit, an (absent, inserted) pair, each the (log sum,
+    energy), the error that stops the sum, or None where grounds[i] lacks
+    that configuration.
 
-    grounds[i] holds trap i's ground levels by barrier (each E_1 or the
-    error of its lookup).  The heads of all stages are one _heads pass;
-    then each stage is one _series_sums call over the traps still
-    without an error, all sharing each trap's barrier-free ladder (see
-    _level_ladders), and the tails of all stages one _tails call.  A stage
-    whose sum or energy sum is then not finite is a SolverFailureError.
-    first[i], where given, is trap i's stage A (length, tailed) as
-    ladder_batches returns it, or None where its batch was not sized or its
-    estimate failed, and _heads sizes it here.  A stage whose N beta =
-    N/(k_B T) overflows is an EnsembleMismatchError for every trap reaching
-    it.
+    The heads of all sums are one _heads pass, their tails one _tails
+    call, and the sums one _series_sums call per configuration, which
+    keeps its flat arrays near the terms the batching counted: the absent
+    sums build each trap's barrier-free ladder, and the inserted ones
+    extend it (see _level_ladders).  A sum not finite after its tail is a
+    SolverFailureError.  first[i] is unit i's absent (length, tailed) as
+    ladder_batches returns it, or None, and _heads sizes it here.  A unit whose N beta = N/(k_B T) overflows is an
+    EnsembleMismatchError.
     """
-    betas = [[count * _beta(temperature)
-              for count, temperature in zip(counts, temperatures)]
-             for _, temperatures in stages]
-    steps = [_stride(barrier) for barrier, _ in stages]
+    betas = [count * _beta(temperature)
+             for count, temperature in zip(counts, temperatures)]
+    rows = [(i, barrier, e1) for i, ground in enumerate(grounds)
+            for barrier, e1 in ground.items()]
     shapes = _Shapes.of(traps)
-    columns = {barrier: [ground[barrier] for ground in grounds]
-               for barrier in dict.fromkeys(barrier for barrier, _ in stages)}
-    e1s = [columns[barrier] for barrier, _ in stages]
 
-    def table(rows):
-        """The traps, strides, betas and E_1 of (stage, trap) rows."""
-        k, i = np.array(rows, dtype=np.intp).T
-        return (shapes.take(i), np.array(steps)[k],
-                np.array([betas[k][i] for k, i in rows]),
-                np.array([e1s[k][i] for k, i in rows]))
+    def table(at):
+        """The traps, strides, betas and E_1 of the rows at indices at."""
+        picked = [rows[r] for r in at]
+        return (shapes.take([i for i, _, _ in picked]),
+                np.array([_stride(barrier) for _, barrier, _ in picked]),
+                np.array([betas[i] for i, _, _ in picked]),
+                np.array([e1 for _, _, e1 in picked]))
 
-    # per stage and trap, the length of its sum or the error it meets
-    # before any sum; rows are the (stage, trap) pairs _heads sizes
-    lengths, rows, tails = [list(e1) for e1 in e1s], [], []
-    for k, (_, temperatures) in enumerate(stages):
-        for i, ground in enumerate(e1s[k]):
-            if _failed(ground):
-                continue
-            if math.isinf(betas[k][i]):
-                lengths[k][i] = EnsembleMismatchError(
-                    f"N/(k_B T) overflows: N = {counts[i]:.6g} at"
-                    f" {temperatures[i]:.6g} K is past float range")
-            elif k == 0 and first and first[i] is not None:
-                lengths[k][i], tail = first[i]
-                if tail:
-                    tails.append((k, i))
-            else:
-                rows.append((k, i))
-    if rows:
-        own, tailed = _heads(*table(rows), policy)
-        for (k, i), n in zip(rows, own):
-            lengths[k][i] = n
-        tails += [row for row, tail in zip(rows, tailed.tolist()) if tail]
-    errors, failed_at, levels = [None] * len(traps), {}, {}
-    totals = [[math.nan] * len(traps) for _ in stages]
-    energies = [[math.nan] * len(traps) for _ in stages]
-    for k, (barrier, _) in enumerate(stages):
-        live = [i for i, error in enumerate(errors) if error is None]
-        for i, result in zip(live, _series_sums(
-                [(traps[i], barrier, e1s[k][i], betas[k][i], lengths[k][i])
-                 for i in live], policy, levels)):
-            if _failed(result):
-                errors[i], failed_at[i] = result, k
-            else:
-                totals[k][i], energies[k][i] = result
-    tails = [(k, i) for k, i in tails if totals[k][i] == totals[k][i]]
+    # per row, the length of its sum or the error it meets before any sum
+    lengths, sized, tails = [], [], []
+    for r, (i, barrier, e1) in enumerate(rows):
+        if _failed(e1):
+            lengths.append(e1)
+        elif math.isinf(betas[i]):
+            lengths.append(EnsembleMismatchError(
+                f"N/(k_B T) overflows: N = {counts[i]:.6g} at"
+                f" {temperatures[i]:.6g} K is past float range"))
+        elif barrier is Barrier.ABSENT and first[i] is not None:
+            n, tail = first[i]
+            lengths.append(n)
+            if tail:
+                tails.append(r)
+        else:
+            lengths.append(None)
+            sized.append(r)
+    if sized:
+        own, tailed = _heads(*table(sized), policy)
+        for r, n in zip(sized, own):
+            lengths[r] = n
+        tails += [r for r, tail in zip(sized, tailed.tolist()) if tail]
+    sums, levels = [None] * len(rows), {}
+    for barrier in Barrier:
+        at = [r for r, row in enumerate(rows) if row[1] is barrier]
+        for r, result in zip(at, _series_sums(
+                [(traps[rows[r][0]], barrier, rows[r][2], betas[rows[r][0]],
+                  lengths[r]) for r in at], policy, levels)):
+            sums[r] = result
+    tails = [r for r in tails if not _failed(sums[r])]
     if tails:
         wells, step, beta, e1 = table(tails)
         rests = _tails(wells, step.astype(float), beta, e1,
-                       np.array([lengths[k][i] for k, i in tails], dtype=float))
-        for (k, i), rest, rest_energy in zip(tails, *rests.tolist()):
-            totals[k][i] += rest
-            energies[k][i] += rest_energy
-    logs = [math.log(_degeneracy(barrier)) for barrier, _ in stages]
-    for i, (error, count) in enumerate(zip(errors, counts)):
-        own = []
-        for k in range(failed_at.get(i, len(stages))):
-            total, energy = totals[k][i], energies[k][i]
-            if not (0.0 < total < math.inf and math.isfinite(energy)):
-                error = SolverFailureError(
+                       np.array([lengths[r] for r in tails], dtype=float))
+        for r, rest, rest_energy in zip(tails, *rests.tolist()):
+            total, energy = sums[r]
+            sums[r] = total + rest, energy + rest_energy
+    out = [[None, None] for _ in traps]
+    logs = [math.log(_degeneracy(barrier))
+            for barrier in (Barrier.ABSENT, Barrier.INSERTED)]
+    for (i, barrier, e1), result in zip(rows, sums):
+        inserted = barrier is Barrier.INSERTED
+        if not _failed(result):
+            total, energy = result
+            if 0.0 < total < math.inf and math.isfinite(energy):
+                result = (counts[i] * logs[inserted] - betas[i] * e1
+                          + math.log(total), counts[i] * (energy / total))
+            else:
+                result = SolverFailureError(
                     f"stage sum {total:.6g} with energy sum {energy:.6g}"
                     " after its tail is not finite: the ladder's terms"
                     " leave float range")
-                break
-            own.append((count * logs[k] - betas[k][i] * e1s[k][i]
-                        + math.log(total), count * (energy / total)))
-        errors[i] = error or tuple(own)
-    return errors
+        out[i][inserted] = result
+    return out
 
 
 def canonical_stage_properties(potential, barrier, count, temperature,
@@ -775,7 +767,8 @@ def canonical_stage_properties(potential, barrier, count, temperature,
     """
     return value_or_raise(_canonical_stages(
         (potential,), ({barrier: level_energy(potential, 1, barrier)},),
-        ((barrier, (temperature,)),), (count,), policy)[0])[0]
+        (temperature,), (count,), (None,), policy)[0][
+            barrier is Barrier.INSERTED])
 
 
 def canonical_stage_sums(potentials, grounds, count, baths,
@@ -785,11 +778,7 @@ def canonical_stage_sums(potentials, grounds, count, baths,
     potentials, grounds and heads are a batch as ladder_batches returns it
     (where heads[i] is None, stage A's length is found here).  Each trap gets
     (log ratio hot, log ratio cold, (U_A, U_B, U_C, U_D)), or the error of
-    its first failing stage, A to D.  Each stage is one _series_sums call
-    over the traps still without an error, and the four share each trap's
-    barrier-free ladder (see _level_ladders): the hot stages build it, and
-    the cold stages sum prefixes and views of it.  The tails of all four
-    are one _tails call.
+    its first failing stage, A to D.  All are one _canonical_stages call.
     """
     return _cycle_sums(potentials, grounds, [count] * len(potentials),
                        [baths] * len(potentials), policy, heads)
@@ -797,15 +786,29 @@ def canonical_stage_sums(potentials, grounds, count, baths,
 
 def _cycle_sums(potentials, grounds, counts, baths, policy, heads):
     """canonical_stage_sums of traps each with its own counts[i] and
-    baths[i]."""
-    return [sums if _failed(sums) else
-            (sums[1][0] - sums[0][0], sums[2][0] - sums[3][0],
-             tuple(u for _, u in sums))
-            for sums in _canonical_stages(
-                potentials, grounds,
-                [(barrier, [getattr(pair, bath) for pair in baths])
-                 for barrier, bath in _STAGES.values()], counts, policy,
-                heads)]
+    baths[i].  Each distinct (trap by value, count, bath) is one unit of
+    _canonical_stages, summed once for every point that reads it: at its
+    hot bath for stages A and B, at its cold one for C and D."""
+    equal, same, units, reads = {}, {}, {}, []
+    for i, (trap, count, pair) in enumerate(zip(potentials, counts, baths)):
+        # equal traps are one object, and share a ladder
+        if id(trap) not in same:
+            same[id(trap)] = equal.setdefault(trap, trap)
+        trap = same[id(trap)]
+        read = (id(trap), count, pair.hot), (id(trap), count, pair.cold)
+        for key in read:
+            units.setdefault(key, [trap, grounds[i], key[2], count, None])
+        if heads and heads[i] is not None:
+            units[read[0]][4] = heads[i]    # stage A's, from the batching
+        reads.append(read)
+    stages = dict(zip(units, _canonical_stages(*zip(*units.values()), policy)
+                      if units else ()))
+    out = []
+    for hot, cold in reads:
+        (a, b), (d, c) = stages[hot], stages[cold]
+        out.append(next(filter(_failed, (a, b, c, d)), None) or (
+            b[0] - a[0], c[0] - d[0], (a[1], b[1], c[1], d[1])))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -1281,7 +1284,8 @@ def internal_energy(stage, potential, mu_pair, baths, policy=TruncationPolicy())
     with the barrier configuration, bath temperature, and chemical potential
     the stage dictates.  Morse stages are plain Boltzmann averages.
     """
-    barrier, temperature = _stage_config(stage, baths)
+    barrier, bath = _STAGES[stage]
+    temperature = getattr(baths, bath)
     checked = _checked_rungs(potential, mu_pair, temperature)
     if checked is None:
         return canonical_stage_properties(potential, barrier, 1, temperature,

@@ -4,9 +4,10 @@ A sweep is a cartesian grid: discrete lists (particle counts, exponents,
 well depths, ...) crossed with at most one continuous axis.  Eleven presets
 pre-load published parameter sets; `custom` reads everything from a config
 file instead.  The three cycle families (canonical, bose-cycle, morse-cycle)
-share one path: each point builds its trap, and all the points go through
-one cycle evaluation, each with its own particle count and baths, which
-gives each trap the result or error it gets alone.  Rows are
+share one path: each distinct trap is built once, its points share it,
+and all the points go through one cycle evaluation, each with its own
+particle count and baths, which gives each trap the result or error it
+gets alone.  Rows are
 written in grid order and all floats are formatted to 17 significant
 digits, which makes the CSV byte-identical across runs.
 
@@ -139,8 +140,9 @@ def preset(target):
     try:
         make = _PRESETS[target]
     except KeyError:
-        raise ConfigError(f"unknown preset {target!r}; know"
-                          f" {', '.join(preset_names())}") from None
+        raise ConfigError(f"unknown preset {target!r}; the presets are"
+                          f" {', '.join(_PRESETS)} (a custom sweep needs"
+                          " --config)") from None
     return make()
 
 
@@ -256,28 +258,30 @@ def _morse_potential(point, params):
 
 
 # How a point of each cycle family builds its particle count, baths, trap
-# and input cells.
+# and input cells; `trap` is the trap an earlier point of the sweep built
+# from the same inputs, or None.
 
-def _canonical_point(point, p):
+def _canonical_point(point, p, trap):
     omega = float(point.get("omega", p.get("omega")))
     baths = BathPair(hot=p["T_hot"], cold=p["T_cold"])
-    trap = Harmonic(mass=p["mass"], omega=omega)
+    trap = trap or Harmonic(mass=p["mass"], omega=omega)
     return point["N"], baths, trap, {**point, "omega": omega}
 
 
-def _bose_point(point, p):
+def _bose_point(point, p, trap):
     baths = BathPair(hot=p["T_hot"], cold=p["T_cold"])
     scale = float(point["scale_ratio"]) * K_B * baths.cold
-    trap = PowerLaw.from_energy_scale(p["mass"], scale, float(point["nu"]))
+    trap = trap or PowerLaw.from_energy_scale(p["mass"], scale,
+                                              float(point["nu"]))
     return point["N"], baths, trap, {**point, "energy_scale": scale,
                                      "omega": trap.omega}
 
 
-def _morse_point(point, p):
+def _morse_point(point, p, trap):
     t_hot = float(point.get("T_hot", p.get("T_hot")))
     t_cold = p["T_cold"] if "T_cold" in p else t_hot * p["cold_to_hot"]
     baths = BathPair(hot=t_hot, cold=float(t_cold))
-    trap = _morse_potential(point, p)
+    trap = trap or _morse_potential(point, p)
     return 1, baths, trap, {
         "T_hot": baths.hot, "T_cold": baths.cold, "omega": trap.omega,
         "depth": trap.depth, "anharmonicity": trap.anharmonicity}
@@ -288,6 +292,13 @@ _CYCLES = {
     "bose-cycle": (Ensemble.GRAND_BOSE, _bose_point),
     "morse-cycle": (Ensemble.MORSE_SINGLE, _morse_point),
 }
+
+
+def _trap_names(family):
+    """The grid names whose values, with the sweep's parameters, build a
+    point's trap: all but its particle count and hot bath.  Points of one
+    sweep with equal values of them have equal traps."""
+    return sorted(_POINT_NAMES[family] - {"N", "T_hot"})
 
 
 def _cycle_cells(result, t_cold):
@@ -305,20 +316,24 @@ def _cycle_cells(result, t_cold):
 def _cycle_rows(spec, points):
     """Rows of the points of a cycle family, all from one cycle evaluation
     (see cycle._run_cycles: every route batches points whatever their count
-    and baths, and the grand-canonical route builds the rungs its points
-    share once)."""
+    and baths, and sums or builds each stage and rung its points share
+    once).  Each distinct trap of the sweep is built once, and the points
+    of equal trap inputs share that one object."""
     ensemble, build = _CYCLES[spec.family]
     p = spec.params
     mu_mode = MuMode(p.get("mu_mode", MuMode.SOLVED.value))
     literal = (ensemble is Ensemble.MORSE_SINGLE
                and bool(p.get("literal_denominator")))
-    rows, jobs = [None] * len(points), []
+    rows, jobs, traps = [None] * len(points), [], {}
+    names = _trap_names(spec.family)
     for index, point in enumerate(points):
+        key = tuple(map(point.get, names))
         try:
-            count, baths, trap, cells = build(point, p)
+            count, baths, trap, cells = build(point, p, traps.get(key))
         except SzilardError as exc:
             rows[index] = _error_row(spec, point, exc)
         else:
+            traps[key] = trap
             jobs.append(((count, baths), index, trap, cells))
     results = _run_cycles([trap for _, _, trap, _ in jobs], ensemble,
                           [count for (count, _), *_ in jobs],
@@ -529,12 +544,19 @@ def validate(spec):
     report.points = len(points)
     if report.spec_errors or spec.family != "morse-cycle":
         return report
+    forecasts = {}      # per distinct well, its failure or ""
+    names = _trap_names(spec.family)
     for index, point in enumerate(points):
-        try:
-            Spectrum(_morse_potential(point, spec.params), Barrier.INSERTED)
-        except SzilardError as exc:
-            report.predicted_failures.append(
-                (index, _sanitize(f"{type(exc).__name__}: {exc}")))
+        key = tuple(map(point.get, names))
+        if key not in forecasts:
+            try:
+                Spectrum(_morse_potential(point, spec.params),
+                         Barrier.INSERTED)
+                forecasts[key] = ""
+            except SzilardError as exc:
+                forecasts[key] = _sanitize(f"{type(exc).__name__}: {exc}")
+        if forecasts[key]:
+            report.predicted_failures.append((index, forecasts[key]))
     return report
 
 

@@ -5,12 +5,12 @@ import math
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
-from szilard import (BathPair, CycleResult, Ensemble, EnsembleMismatchError,
-                     HBAR, Harmonic, K_B, Morse, MuMode, PowerLaw, Regime,
-                     SolverFailureError, SzilardError, TruncationError,
-                     TruncationPolicy,
-                     carnot_bound, chemical_potentials, run_cycle,
-                     run_cycles)
+from szilard import (Barrier, BathPair, CycleResult, Ensemble,
+                     EnsembleMismatchError, HBAR, Harmonic, K_B, Morse, MuMode,
+                     PowerLaw, Regime, SolverFailureError, SzilardError,
+                     TruncationError, TruncationPolicy, carnot_bound,
+                     canonical_stage_properties, chemical_potentials,
+                     run_cycle, run_cycles)
 from szilard import cycle
 from szilard.ensembles import ladder_batches
 
@@ -250,6 +250,67 @@ def test_batched_cycles_equal_single_cycles(data, ensemble, mode, max_terms,
     event(f"{ensemble.name}: {len(traps) - len(set(traps))} repeated traps")
     _assert_same_outcomes(cycle._run_cycles(traps, ensemble, counts, baths,
                                             policy, mode, literal), singles)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), morse=st.booleans(),
+       max_terms=st.sampled_from((1_000_000, 500, 60, 10)))
+def test_points_that_share_stage_sums_keep_their_own_outcomes(data, morse,
+                                                              max_terms):
+    """The canonical and Morse routes sum each distinct (trap, count, bath)
+    of a batch once, for every point that reads it.  Here traps repeat, as
+    one shared object and as equal objects built again; the baths come from
+    a pool T, 2T and 4T, so one point's cold bath is often another's hot
+    one; the points run in any order; and level scales down to 1e-4 kT
+    under a cap of 500, 60 or 10 terms make some stages of a point fail,
+    each needing its own number of terms, and others not.  Each point gets
+    its own run_cycle outcome, the error of its first failing stage, A to
+    D, included."""
+    ensemble = Ensemble.MORSE_SINGLE if morse else Ensemble.CANONICAL_N
+    base = data.draw(_kelvin)
+    pool = (base, 2.0 * base, 4.0 * base)
+    counts = [1] if morse else data.draw(st.lists(st.integers(1, 20),
+                                                  min_size=1, max_size=2))
+    shapes = data.draw(st.lists(st.tuples(
+        st.sampled_from(_KINDS[ensemble]), st.floats(1.2, 4.0), _fine_scale,
+        st.one_of(st.just(0.0), st.floats(1e-4, 0.7))), min_size=1,
+        max_size=3))
+    kt = K_B * base
+    shared = [_batch_trap(*shape, kt) for shape in shapes]
+    jobs = data.draw(st.permutations(data.draw(st.lists(st.tuples(
+        st.integers(0, len(shapes) - 1), st.booleans(),
+        st.sampled_from(counts), st.sampled_from(pool),
+        st.sampled_from(pool)), min_size=2, max_size=10))))
+    traps = [shared[k] if same else _batch_trap(*shapes[k], kt)
+             for k, same, *_ in jobs]
+    counts = [count for _, _, count, _, _ in jobs]
+    baths = [BathPair(hot, cold) for *_, hot, cold in jobs]
+    policy = TruncationPolicy(max_terms=max_terms)
+    singles = [_outcome(trap, ensemble, count, pair, policy)
+               for trap, count, pair in zip(traps, counts, baths)]
+    # a failing point's error is that of its first failing stage, A to D,
+    # each stage summed alone
+    for trap, count, pair, single in zip(traps, counts, baths, singles):
+        errors = []
+        for barrier, temperature in (
+                (Barrier.ABSENT, pair.hot), (Barrier.INSERTED, pair.hot),
+                (Barrier.INSERTED, pair.cold), (Barrier.ABSENT, pair.cold)):
+            try:
+                canonical_stage_properties(trap, barrier, count, temperature,
+                                           policy)
+            except SzilardError as exc:
+                errors.append(exc)
+        if errors:
+            assert (type(single), str(single)) == (type(errors[0]),
+                                                   str(errors[0]))
+    reads = [(pair.hot, pair.cold) for pair in baths]
+    event(f"{ensemble.name}: a cold bath is another point's hot one:"
+          f" {any(c == h for _, c in reads for h, _ in reads)}")
+    event(f"{ensemble.name}: {sum(isinstance(s, SzilardError) for s in singles)}"
+          f" of {len(traps)} fail")
+    _assert_same_outcomes(cycle._run_cycles(traps, ensemble, counts, baths,
+                                            policy, MuMode.SOLVED, False),
+                          singles)
 
 
 def test_long_and_short_ladders_share_batches():

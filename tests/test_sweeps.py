@@ -1,10 +1,13 @@
 """Sweep grids, CSV/manifest emission, config overlays, and the CLI."""
 
+import contextlib
+import io
 import math
 import os
 import re
 import subprocess
 import sys
+import warnings
 from configparser import ConfigParser
 from dataclasses import replace
 from itertools import product
@@ -12,11 +15,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from szilard import (ATOMIC_MASS, Axis, Barrier, ConfigError, EV, Harmonic,
-                     K_B, MuMode, TruncationPolicy, chemical_potential,
-                     chemical_potentials, even_levels, load_config,
+                     K_B, MuMode, SzilardError, TruncationPolicy,
+                     chemical_potential, chemical_potentials, even_levels,
+                     load_config,
                      log_relative_partition, parse_quantity, preset,
                      preset_names, run_sweep, spec_from_config, validate)
 from szilard import cycle, ensembles, potentials, sweeps
@@ -37,6 +41,19 @@ def test_preset_names_cover_all_targets():
         assert target in names
     with pytest.raises(ConfigError):
         preset("fig1")
+
+
+def test_custom_is_named_apart_from_the_presets():
+    """preset("custom") once answered that it knew custom: custom is no
+    preset grid but a config file's sweep, and the message says so."""
+    for target in ("custom", "fig1"):
+        with pytest.raises(ConfigError) as raised:
+            preset(target)
+        assert str(raised.value) == (
+            f"unknown preset {target!r}; the presets are"
+            f" {', '.join(preset_names()[:-1])} (a custom sweep needs"
+            " --config)")
+    assert preset_names()[-1] == "custom"
 
 
 def test_grid_order_lists_before_axes():
@@ -241,11 +258,14 @@ class TestSingleEvaluation:
         assert sum(len(roots) for roots, *_ in solves) == 4
 
     def test_morse_point_sums_four_stages(self, tmp_path, monkeypatch):
+        """Its four stages are its two baths in both barrier configurations:
+        one _series_sums call per configuration, each over both baths,
+        where one call per stage made four of one segment each."""
         sums = _count_calls(monkeypatch, "_series_sums")
         outcome = _run(_one_point("fig10", depth=4.7 * EV, T_hot=4.0,
                                   omega=1e11), tmp_path)
         assert outcome.points == 1 and outcome.failed == 0
-        assert [len(segments) for segments, *_ in sums] == [1, 1, 1, 1]
+        assert [len(segments) for segments, *_ in sums] == [2, 2]
 
     def test_morse_run_sums_each_stage_once_per_batch(self, tmp_path,
                                                       monkeypatch):
@@ -256,32 +276,36 @@ class TestSingleEvaluation:
         Morse tails they take 1775 terms, so all 50 share one batch; four
         pairs took 8432 and split them 39 and 11, and counting whole
         estimated ladders made 13 batches, the 8 longest alone.  Each batch
-        is four _series_sums calls, stages A to D, where one call per stage
-        and point made 200."""
+        is two _series_sums calls, one per barrier configuration, each over
+        the 100 distinct (well, bath) pairs of its points; one call per
+        stage, A to D, made four calls of 50, and one call per stage and
+        point made 200."""
         sums = _count_calls(monkeypatch, "_series_sums")
         spec = replace(preset("fig10"),
                        lists={"depth": (4.7 * EV,), "T_hot": (4.0,)})
         outcome = _run(spec, tmp_path)
         assert outcome.points == 50 and outcome.failed == 0
-        sizes = [50]
+        sizes = [100]
         assert [len(segments) for segments, *_ in sums] == [
-            size for size in sizes for _ in range(4)]
-        barriers = [segments[0][1] for segments, *_ in sums]
-        assert barriers == [potentials.Barrier.ABSENT,
-                            potentials.Barrier.INSERTED,
-                            potentials.Barrier.INSERTED,
-                            potentials.Barrier.ABSENT] * len(sizes)
+            size for size in sizes for _ in range(2)]
+        barriers = [{segment[1] for segment in segments}
+                    for segments, *_ in sums]
+        assert barriers == [{potentials.Barrier.ABSENT},
+                            {potentials.Barrier.INSERTED}] * len(sizes)
 
     def test_morse_run_sizes_and_builds_in_array_passes(self, tmp_path,
                                                         monkeypatch):
         """The 50-point fig10 run above makes no per-trap head or level
         call.  Its heads are two _heads passes: the batching's stage A
         over all 50 traps, whose lengths and tails its one batch is handed,
-        then stages B to D (3 x 50 rows); in two batches, as four-pair
-        tails split the run, they were three (50, 117 and 33 rows).  The
-        batching looks up the 100 ground levels in one _Wells expression,
-        each stage request builds the levels it lacks in at most one more,
-        and level_energy never runs: it made 100 scalar ground lookups."""
+        then the other 150 distinct sums (the inserted one at the hot bath,
+        both at the cold); in two batches, as four-pair tails split the
+        run, they were three (50, 117 and 33 rows).  The batching looks up
+        the 100 ground levels in one _Wells expression, each _series_sums
+        call builds the levels it lacks in at most one more (the absent
+        sums their ladders, the inserted ones their extensions; one call
+        per stage made four, stage D's building none), and
+        level_energy never runs: it made 100 scalar ground lookups."""
         log = []
         for name in ("_heads", "_series_sums", "_absent_energy",
                      "level_energy"):
@@ -306,7 +330,7 @@ class TestSingleEvaluation:
                   and isinstance(args[0], potentials._Wells)
                   and np.issubdtype(args[1].dtype, np.integer)):
                 builds[-1] += 1
-        assert builds == [1, 1, 1, 1, 0]
+        assert builds == [1, 1, 1]
         grounds = next(args for name, args in log if name == "_absent_energy")
         assert grounds[1].tolist() == [1, 2] * 50
         assert not any(name == "level_energy" for name, _ in log)
@@ -521,13 +545,54 @@ class TestBatchedRuns:
         count and baths made one batch, four stage sums, per point.  The
         canonical and Morse routes batch a sweep's points whatever their
         count and baths: one batch of all of them, and each point keeps
-        the row it gets alone."""
+        the row it gets alone.  The batch sums each distinct (trap, count,
+        bath) once per barrier configuration: fig2's 20 counts at two
+        baths are 40 per call, and fig9's 50 hot baths and their halves,
+        25 of which are hot baths too, 75 (one call per stage, A to D,
+        summed 50 each)."""
         sums = _count_calls(monkeypatch, "_series_sums")
         outcome = _run(preset(target), tmp_path)
         assert outcome.failed == 0
-        assert [len(segments) for segments, *_ in sums] == [outcome.points] * 4
+        distinct = {"fig2": 40, "fig9": 75}[target]
+        assert [len(segments) for segments, *_ in sums] == [distinct] * 2
         lines = open(outcome.csv_path).read().splitlines()
         assert lines[1:] == self._single_rows(preset(target), tmp_path)
+
+    @pytest.mark.parametrize("target, points, wells, segments", [
+        ("fig10", 800, 200, 2400), ("fig9", 50, 1, 150)])
+    def test_morse_sweep_builds_one_ladder_per_well(self, tmp_path,
+                                                    monkeypatch, target,
+                                                    points, wells, segments):
+        """fig10: 200 wells, each at 4 hot baths, whose halves (1 to 4 K)
+        are hot baths too; fig9: one well at 50 hot baths.  Each well is
+        built once, and its points share it; its barrier-free ladder is
+        built once, by the absent sums of its batch, and extended once, by
+        the inserted ones.  A fig10 pass built 800 ladders, one per point,
+        and fig9 50.  Each distinct (well, bath) is summed once per barrier
+        configuration: fig10's 200 wells at 6 temperatures are 2,400
+        segments, where four stages per point made 3,200."""
+        runs, built, extended = [], [], []
+        run_cycles, extend = sweeps._run_cycles, ensembles._extend
+
+        def spy_runs(traps, *args):
+            runs.extend(traps)
+            return run_cycles(traps, *args)
+
+        def spy_extend(requests, levels):
+            for key, _, trap in requests:
+                (extended if key in levels else built).append(trap)
+            return extend(requests, levels)
+
+        monkeypatch.setattr(sweeps, "_run_cycles", spy_runs)
+        monkeypatch.setattr(ensembles, "_extend", spy_extend)
+        sums = _count_calls(monkeypatch, "_series_sums")
+        outcome = _run(preset(target), tmp_path)
+        assert outcome.points == points and outcome.failed == 0
+        assert (len(runs), len({id(trap) for trap in runs})) == (points,
+                                                                 wells)
+        assert len(built) == len({id(trap) for trap in built}) == wells
+        assert len(extended) == wells
+        assert sum(len(args[0]) for args in sums) == segments
 
     def test_points_of_other_counts_share_rungs(self, tmp_path,
                                                 monkeypatch):
@@ -754,6 +819,43 @@ class TestValidate:
         assert len(calls) == 41
 
 
+    def test_forecast_builds_each_well_once(self, tmp_path, monkeypatch):
+        """fig10 at a depth of 2 eV and one of 1e-22 J, which holds no level
+        or too few to split from about 1e12 rad/s up, at two hot baths: 200
+        points, 100 wells.  The forecast builds each well once, where it
+        built one per point, and predicts the failures the per-point
+        forecast did, at the same indices with the same messages; the run
+        builds each well once too."""
+        spec = replace(preset("fig10"), lists={"depth": (2.0 * EV, 1e-22),
+                                               "T_hot": (2.0, 4.0)})
+        want = []
+        for index, point in enumerate(sweeps._points(spec)):
+            try:
+                potentials.Spectrum(sweeps._morse_potential(point, spec.params),
+                                    Barrier.INSERTED)
+            except SzilardError as exc:
+                want.append((index, sweeps._sanitize(
+                    f"{type(exc).__name__}: {exc}")))
+        calls = []
+        original = sweeps._morse_potential
+
+        def counted(point, params):
+            calls.append(point)
+            return original(point, params)
+
+        monkeypatch.setattr(sweeps, "_morse_potential", counted)
+        report = validate(spec)
+        assert (report.points, len(calls)) == (200, 100)
+        assert report.predicted_failures == want
+        assert {message.split(":")[0] for _, message in want} == {
+            "NoBoundStatesError", "SpectrumRangeError"}
+        calls.clear()
+        outcome = _run(spec, tmp_path)
+        assert (outcome.points, len(calls)) == (200, 100)
+        assert [index for index, _ in outcome.errors] == [
+            index for index, _ in want]
+
+
 class TestCli:
 
     def test_preset_run(self, tmp_path, capsys):
@@ -935,6 +1037,43 @@ class TestCli:
         assert main([target, "--config", str(tmp_path / "big.ini"),
                      "--out", str(tmp_path / "x.csv")]) == code
         assert capsys.readouterr().err == ""
+
+    _EDGES = ("0", "-1", "inf", "-inf", "nan", "5e-324", "1e300", "1e-300",
+              "1.7976931348623157e308")
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), target=st.sampled_from(preset_names()[:-1]),
+           value=st.sampled_from(_EDGES))
+    def test_edge_values_exit_cleanly(self, tmp_path_factory, data, target,
+                                      value):
+        """A preset config with one [parameters] value, one [list.X] or one
+        axis end at an edge of float range: the run exits 0 to 3 with no
+        traceback and no RuntimeWarning, and its stderr is empty or one
+        error line."""
+        spec = preset(target)
+        names = [*spec.lists, *(axis.name for axis in spec.axes)]
+        slot = data.draw(st.sampled_from(
+            [("parameters", key) for key in spec.params]
+            + [(f"list.{name}", "values") for name in names]
+            + [(f"axis.{axis.name}", end) for axis in spec.axes
+               for end in ("start", "stop")]))
+        folder = tmp_path_factory.mktemp("edge")
+        (folder / "edge.ini").write_text(f"[{slot[0]}]\n{slot[1]} = {value}\n")
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = main([target, "--config", str(folder / "edge.ini"),
+                         "--out", str(folder / "edge.csv")])
+        event(f"{target} [{slot[0]}] exits {code}")
+        assert 0 <= code <= 3
+        assert [str(w.message) for w in caught
+                if issubclass(w.category, RuntimeWarning)] == []
+        lines = err.getvalue().splitlines()
+        assert "Traceback" not in err.getvalue()
+        assert lines == [] or (len(lines) == 1 and lines[0].startswith(
+            ("config error: ", "error: ")))
 
     def test_huge_branch_gives_a_row(self, tmp_path, capsys):
         """even_levels solves every branch up to the one asked for: a branch
