@@ -1,4 +1,4 @@
-"""Tail sums of level ladders past their heads.
+"""Head sizing and tail sums of level ladders.
 
 A level sum over a long ladder is its head, its first K terms summed one
 by one, and the rest of the ladder in another form, here: on the canonical
@@ -6,11 +6,11 @@ and Morse routes a closed-form Euler-Maclaurin tail (_tails) of the
 Boltzmann sum whose head ensembles._series_sums takes; on the
 grand-canonical route the mu-free moments of each rung, the same tails at
 k beta, over which every Bose sum's tail is a short k-series (_Rungs,
-_Heads), from the heads ensembles._grand_rungs builds at the lengths
-ensembles._heads sets.
-Everything here runs on numpy arrays over many sums at once, each sum
-reduced on its own, so a batched value equals its one-trap value bit for
-bit.
+_Heads), from the heads ensembles._grand_rungs builds.  _heads, the one
+sizing rule of every route, sets each length K from the remainder bounds
+of these tails.  Everything here runs on numpy arrays over many sums at
+once, each sum reduced on its own, so a batched value equals its one-trap
+value bit for bit.
 """
 
 import math
@@ -20,7 +20,7 @@ import numpy as np
 
 from ._special import dawson, upper_gamma
 from .errors import TruncationError
-from .potentials import _absent_energy, _Wells
+from .potentials import Morse, PowerLaw, _absent_energy, _Wells
 
 
 # Euler-Maclaurin tails of the canonical sums
@@ -234,6 +234,183 @@ def _power_cuts(scale, power, step, beta, e1, limit):
     return cut
 
 
+# Head sizing.  The margin: every sum runs until e^{-beta (E_n - E_1)} is
+# below rel_tol e^{-35} (see ensembles._series_sums for what that bounds)
+_XCUT_MARGIN = 35.0
+
+
+class _Shapes:
+    """Ladder shapes of many traps, one array entry each: level n is scale
+    s^power - scale chi s^2 at s = n + 1/2, one of the terms zero (scale is
+    hbar omega or a power law's energy scale, chi a Morse anharmonicity,
+    power a power law's level power), cut at a Morse well's bound count
+    cap (inf if unbounded).  wells, powers, bounded: whether any chi != 0,
+    any power != 1, any Morse well."""
+
+    __slots__ = ("scale", "chi", "power", "cap", "morse", "wells", "powers",
+                 "bounded")
+
+    def __init__(self, scale, chi, power, cap, morse):
+        self.scale, self.chi, self.power, self.cap, self.morse = (
+            scale, chi, power, cap, morse)
+        self.wells = bool(np.count_nonzero(chi))
+        self.powers = bool(np.count_nonzero(power != 1.0))
+        self.bounded = bool(np.count_nonzero(morse))
+
+    @classmethod
+    def of(cls, traps):
+        table = np.array([_shape(trap) for trap in traps],
+                         dtype=float).reshape(-1, 5).T
+        return cls(*table[:4], table[4] != 0.0)
+
+    def take(self, rows):
+        return _Shapes(self.scale[rows], self.chi[rows], self.power[rows],
+                       self.cap[rows], self.morse[rows])
+
+
+def _shape(trap):
+    if isinstance(trap, Morse):
+        cap = trap.bound_count
+        return (trap.quantum, trap.anharmonicity, 1.0,
+                math.inf if cap is None else cap, 1.0)
+    if isinstance(trap, PowerLaw):
+        return trap.energy_scale, 0.0, trap.level_power, math.inf, 0.0
+    return trap.quantum, 0.0, 1.0, math.inf, 0.0
+
+
+def _estimates(traps, step, beta, e1, x_cut):
+    """Per trap, ceil((s - 1/2)/step) at the level s where e^{-beta (E(s) -
+    E_1)} = e^-x_cut, as floats: inf where that is above the top of a Morse
+    well (every bound level), nan past float range.  Exactly rounded array
+    operations give each entry the bits of Python floats; a fractional
+    power is Python's (the C library's pow), element by element.  Callers
+    silence numpy, as Python floats overflow silently."""
+    if not len(e1):
+        return np.empty(0)
+    target = x_cut / beta + e1
+    s = target / traps.scale
+    unbounded = None
+    if traps.wells:
+        wells = traps.chi.nonzero()[0]
+        chi, q = traps.chi[wells], traps.scale[wells]
+        disc = 1.0 - 4.0 * chi * target[wells] / q
+        s[wells] = (1 - np.sqrt(disc)) / (2 * chi)
+        unbounded = wells[disc <= 0.0]
+    if traps.powers:
+        exponent = 1.0 / traps.power
+        for i in (exponent != 1.0).nonzero()[0].tolist():
+            try:
+                s[i] = float(s[i]) ** float(exponent[i])
+            except OverflowError:
+                s[i] = math.inf
+    c = np.ceil((s - 0.5) / step)
+    c[np.isinf(c)] = np.nan
+    if unbounded is not None:
+        c[unbounded] = np.inf
+    return c
+
+
+def _counts(n, c, cap, step):
+    """Float lengths n (see _heads) as Python ints; an entry at or past
+    2^53, which float arithmetic may have rounded, exactly from its
+    estimate c, cap and step (arrays like n), and a nan as the
+    TruncationError of an estimate past float range."""
+    whole = n < 2.0 ** 53
+    out = np.where(whole, n, 0.0).astype(np.int64).tolist()
+    for i in (~whole).nonzero()[0].tolist():
+        if n[i] != n[i]:
+            out[i] = TruncationError("series cutoff estimate overflows: the"
+                                     " ladder needs more terms than any cap")
+            continue
+        out[i] = max(8, int(c[i]) + 2) if math.isfinite(c[i]) else math.inf
+        if math.isfinite(cap[i]):
+            out[i] = min(out[i], int(cap[i]) // int(step[i]))
+    return out
+
+
+def _heads(traps, step, beta, e1, policy):
+    """(n, tailed) of the sums over the _Shapes traps from their ground
+    levels e1 (an array), at stride step (2 with the barrier in) and beta
+    (N/(k_B T) on the canonical route), each a number or an array like e1,
+    in one array pass: per sum, the terms it takes one by one (a Python
+    int, or the TruncationError of an estimate past float range), and
+    whether a tail (see _tails) adds the rest (a bool array).  It is
+    the one sizing rule: every canonical and Morse stage, every batch and
+    every grand-canonical rung is sized here.
+
+    A whole ladder runs to the level whose e^{-beta (E_n - E_1)} is below
+    rel_tol e^{-_XCUT_MARGIN}, with two spare terms and at least 8, and at
+    most a Morse well's bound count (half of it with the barrier in).  The
+    head K is the smallest, at least _HEAD_FLOOR, whose remainder bound on
+    the sum of f is below the error that cutoff leaves: rel_tol
+    e^{-_XCUT_MARGIN} of the sum, which holds at least its ground term, 1,
+    and for a power law the integral of f from index 1.  A geometric tail
+    is exact, so its head is the floor; a Morse well's remainder bound is
+    below, a power law's that of _power_cuts (its H, tabulated per power).
+    The energy sum, of E f, takes the same head, and its tail is the
+    beta-derivative of the same form; its remainder has no bound of its
+    own and rests on the e^{-_XCUT_MARGIN} margin.  A ladder no longer
+    than its head is taken whole.  The canonical route sizes at N beta and
+    the grand route at beta, with no flag between them.
+    """
+    with np.errstate(all="ignore"):     # as for Python floats
+        c = _estimates(traps, step, beta, e1, _XCUT_MARGIN - math.log(
+            policy.rel_tol))
+        n = np.maximum(c + 2.0, 8.0)
+        if traps.bounded:
+            n = np.minimum(n, np.floor(traps.cap / step))
+        head = np.where((traps.chi == 0.0) & (traps.power == 1.0),
+                        float(_HEAD_FLOOR), math.inf)
+        sized = (((traps.power != 1.0) | (traps.chi != 0.0))
+                 & (n > _HEAD_FLOOR)).nonzero()[0]
+        if len(sized):
+            by, at = (np.broadcast_to(v, n.shape)[sized] for v in (step, beta))
+            chi, q = traps.chi[sized], traps.scale[sized]
+            # per sum, the x = beta (E_A - E_1) past which its tail's
+            # remainder bound is below the cutoff's error, rel_tol e^-35 of
+            # the sum; _estimates inverts it (with two spare terms)
+            cut = np.zeros(len(sized))
+            target = policy.rel_tol * math.exp(-_XCUT_MARGIN)
+            wells = (chi != 0.0).nonzero()[0]
+            if len(wells):
+                # f^(2m+2) > 0, so the remainder is at most the bound times
+                # |f^(2m+1)(A)| = Q_2m+1(u_A) f(A), where Q_0 = 1, Q_1 = 2 a
+                # u and Q_k+1 = 2 a u Q_k + 2k a Q_k-1 fall with u: Q at the
+                # shortest head holds for every longer one, and the sum holds
+                # its ground term, 1
+                by_, chi_ = by[wells], chi[wells]
+                a = at[wells] * q[wells] * chi_ * by_ * by_
+                slope = 2 * a * ((0.5 / chi_ - 0.5) / by_ - (_HEAD_FLOOR + 1))
+                lower, upper = 1.0, slope
+                for ka in np.multiply.outer(
+                        2.0 * np.arange(1, 2 * _EM_PAIRS + 1), a):  # 2k a
+                    lower, upper = upper, slope * upper + ka * lower
+                ratio = _EM_REMAINDER * upper / target
+                # log(max(ratio, 1)) by math, element by element: it sets a
+                # length
+                cut[wells] = list(map(math.log,
+                                      np.fmax(ratio, 1.0).tolist()))
+            laws = (chi == 0.0).nonzero()[0]
+            if len(laws):
+                # a power law's bound falls as A grows (see _power_cuts), and
+                # its sum holds 1 and the integral of f from index 1
+                p, by_, at_, e1_ = (traps.power[sized[laws]], by[laws],
+                                    at[laws], e1[sized[laws]])
+                cut[laws] = _power_cuts(
+                    q[laws], p, by_, at_, e1_, target * np.fmax(
+                        _power_floor(p, by_, at_ * e1_), 1.0))
+            c_head = _estimates(traps.take(sized), by, at, e1[sized], cut)
+            head[sized] = np.where(cut < math.inf, np.maximum(np.maximum(
+                c_head + 2.0, 8.0) - 1.0, float(_HEAD_FLOOR)), math.inf)
+        tailed = head < n
+        lengths = np.where(tailed, head, n)
+        lengths[np.isnan(head)] = np.nan
+    # a head is never near 2^53: where beta q is that small, the bound
+    # leaves the 16-term floor, so only a whole length needs its estimate
+    return _counts(lengths, c, traps.cap,
+                   np.broadcast_to(step, n.shape)), tailed
+
+
 # Bose-function tails of the grand-canonical sums
 #
 # A grand-canonical sum runs over one rung, the ladder of a (trap, barrier,
@@ -248,16 +425,16 @@ def _power_cuts(scale, power, step, beta, e1, limit):
 #     occupancy        g sum_k e^{-kv} T_k
 #     log term         -sum_k e^{-kv} T_k/k   (of sum_n log(1 - e^{-x_n-v}))
 #     energy           g sum_k e^{-kv} (W_k + (E_1 - mu) T_k)
-# The moments are the canonical tails of the section above at k beta: on a
+# The moments are the canonical tails of the first section at k beta: on a
 # geometric ladder (harmonic, or a power law at p = 1) the closed forms
 # T_k = r^{kK}/(1 - r^k), r = e^{-beta delta}, formed in each term; on any
 # other power law _power_tails at k beta, formed once per rung, to the
 # longest series of the roots that read it, in one pass per batch.
-# ensembles._grand_rungs builds only the heads ensembles._heads sizes, each
-# rung once, and every Newton round, occupancy re-check, log ratio and
-# stage energy of its batch reuses them.  With x_cut = -log rel_tol + 35, the
-# sizing cut of ensembles._heads, a k-series runs to k = ceil(x_cut/(x_{K+1}
-# + v)), capped by max_terms: a geometric one at each evaluation's v, a
+# ensembles._grand_rungs builds only the heads _heads sizes, each rung once,
+# and every Newton round, occupancy re-check, log ratio and stage energy of
+# its batch reuses them.  With x_cut = -log rel_tol + 35, the sizing cut of
+# _heads, a k-series runs to k = ceil(x_cut/(x_{K+1} + v)), capped by
+# max_terms: a geometric one at each evaluation's v, a
 # power law's at the least v its rung is summed at (see _Rungs).  As T_k <=
 # e^{-(k-1) x_{K+1}} T_1 (and so for W_k), a k-series term against the
 # first is at most e^{-(k-1)(x_{K+1} + v)}: the first term left out is

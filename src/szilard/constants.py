@@ -5,6 +5,8 @@ this package reproduces was computed with the rounded values below, and
 regression anchors in the test suite depend on them bit for bit.
 """
 
+__all__ = ["HBAR", "PLANCK", "K_B", "EV", "ATOMIC_MASS"]
+
 HBAR = 1.0545e-34     # J s
 PLANCK = 6.6260e-34   # J s
 K_B = 1.3806e-23      # J / K

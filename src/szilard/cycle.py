@@ -100,10 +100,11 @@ def _stage_terms(potentials, ensemble, counts, baths, mu_mode, policy):
     grand-canonical route, the (hot, cold) chemical potentials; or the
     SzilardError that stops that potential.
 
-    Every route runs batch by batch (see ensembles.ladder_batches), from the
-    ground levels the batching looked up, and its batches mix counts and
-    baths.  Points of equal trap run side by side, so each batch holds all
-    of them (see ensembles._grouped).  The canonical and Morse routes share
+    Every route runs batch by batch (see ensembles._batches), a lone trap
+    as a batch of one, from the ground levels and stage A heads the
+    batching found, and its batches mix counts and baths.  Points of equal
+    trap run side by side, so each batch holds all of them (see
+    ensembles._grouped).  The canonical and Morse routes share
     the canonical stage sums, which sum each distinct (trap, count, bath)
     of a batch once, in both barrier configurations, on one ladder per
     trap; a Morse well is their single-particle case on a bounded ladder.
@@ -120,8 +121,6 @@ def _stage_terms(potentials, ensemble, counts, baths, mu_mode, policy):
     betas = {i: (1 if grand else counts[i]) * _beta(baths[i].hot)
              for i in live}
     live = _grouped(live, lambda i: potentials[i])
-    # a lone trap is one unsized batch: its stage A head is sized with its
-    # others
     for batch, grounds, heads in _batches(
             [potentials[i] for i in live], [betas[i] for i in live], policy,
             2 if grand else 1):
@@ -142,12 +141,11 @@ def run_cycles(potentials, ensemble, count, baths, policy=TruncationPolicy(),
     Returns, for each potential, the CycleResult run_cycle returns for it
     alone, field for field, or the SzilardError run_cycle raises for it
     alone; it raises none itself.  Every route evaluates its traps together,
-    in batches of a bounded number of ladder terms (see
-    ensembles.ladder_batches): the grand-canonical route through
-    ensembles.grand_stage_sums, the canonical and Morse routes through
-    ensembles.canonical_stage_sums, one multi-trap call per batch that
-    sums each distinct stage once.  The case of _run_cycles with one count
-    and baths for every trap.
+    in batches of a bounded number of ladder terms (see ensembles._batches):
+    the grand-canonical route through ensembles._grand_sums, the canonical
+    and Morse routes through ensembles._cycle_sums, one multi-trap call per
+    batch that sums each distinct stage once.  The case of _run_cycles with
+    one count and baths for every trap.
     """
     return _run_cycles(potentials, ensemble, [count] * len(potentials),
                        [baths] * len(potentials), policy, mu_mode,

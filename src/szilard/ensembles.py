@@ -13,32 +13,33 @@ Three statistical treatments share this module:
   bound-state ladder.
 
 Every route sums many traps at once, as one numpy pass per step over all
-their ladders.  ladder_batches splits a run of traps into consecutive
-batches of a bounded number of estimated terms, at the canonical decay rate
-N beta of the hot bath (beta for the grand route) and at most a Morse well's
-bound count, counting the head of a sum that a tail completes rather than
-its whole ladder (a grand trap's once per bath), and looks up each distinct
-trap's two ground levels once for every sum of its batch (one _Wells
-expression for its harmonic and Morse traps); a lone trap is one unsized
-batch.  A batch closes only between two different traps, and the cycle
-routes put the points of equal trap side by side, so a batch builds each
-grand rung once for all its counts, and sums each distinct canonical
-(trap, count, bath) once for every point that reads it.  Each step of a
-batch is one array pass over all its traps: the sizes of its sums
-(_heads, which sizes every sum of every route), the levels its sums lack
-(one _Wells expression for harmonic and Morse traps, see _level_ladders),
-the canonical sums and energy sums of each barrier configuration
-(_series_sums) or the grand rungs' heads and moments (_grand_rungs), and
-the tails (see _tail_sums).  Only exactly rounded operations run on
-arrays; a log, exp or fractional power that sets a length or a logged
-total runs in math, element by element, so every value keeps the bits of
-its one-trap evaluation.
+their ladders, and a lone trap is a batch of one on the same path.
+_batches splits a run of traps into consecutive batches of a bounded number
+of estimated terms, at the canonical decay rate N beta of the hot bath
+(beta for the grand route) and at most a Morse well's bound count, counting
+the head of a sum that a tail completes rather than its whole ladder (a
+grand trap's once per bath), and looks up each distinct trap's two ground
+levels once for every sum of its batch (one _Wells expression for its
+harmonic and Morse traps).  A batch closes only between two different
+traps, and the cycle routes put the points of equal trap side by side, so a
+batch builds each grand rung once for all its counts, and sums each
+distinct canonical (trap, count, bath) once for every point that reads it.
+Each step of a batch is one array pass over all its traps: the sizes of its
+sums (_heads, which sizes every sum of every route), the levels its sums
+lack (one _Wells expression for harmonic and Morse traps, see
+_level_ladders), the canonical sums and energy sums of each barrier
+configuration (_series_sums) or the grand rungs' heads and moments
+(_grand_rungs), and the tails (see _tail_sums).  Only exactly rounded
+operations run on arrays; a log, exp or fractional power that sets a length
+or a logged total runs in math, element by element, so every value keeps
+the bits of its one-trap evaluation.
 
 Stage labels follow the cycle diagram: A = barrier absent at the hot bath,
 B = inserted at the hot bath, C = inserted at the cold bath, D = absent at
 the cold bath.
 
-Every ladder of the three routes is sized by one rule, _heads: each sum's
+Every ladder of the three routes is sized by one rule, _heads (in
+_tail_sums, beside the tails whose remainders it bounds): each sum's
 length is fixed from its ground level E_1 before any term is formed, and
 the sum is taken once at that length, with no tail test.  A sum over a
 ladder longer than its head sums the head, at least 16 terms, and adds the
@@ -62,9 +63,7 @@ from enum import Enum
 
 import numpy as np
 
-from ._tail_sums import (_EM_PAIRS, _EM_REMAINDER, _HEAD_FLOOR, _Heads,
-                         _Rungs, _power_cuts, _power_floor,
-                         _tails)
+from ._tail_sums import _XCUT_MARGIN, _Heads, _Rungs, _Shapes, _heads, _tails
 from .constants import K_B
 from .errors import (ConvergenceViolationError, EnsembleMismatchError,
                      SolverFailureError, SzilardError, TruncationError,
@@ -74,15 +73,9 @@ from .potentials import (Barrier, Harmonic, Morse, PowerLaw, _absent_energy,
 
 __all__ = [
     "BathPair", "TruncationPolicy", "MuMode", "ChemicalPotentials", "Stage",
-    "canonical_stage_properties", "canonical_stage_sums",
-    "chemical_potential", "chemical_potentials", "occupancy_total",
-    "log_relative_partition", "internal_energy", "ladder_batches",
-    "grand_stage_sums",
+    "canonical_stage_properties", "chemical_potential", "chemical_potentials",
+    "occupancy_total", "log_relative_partition", "internal_energy",
 ]
-
-# the sizing margin: every sum runs until e^{-beta (E_n - E_1)} is below
-# rel_tol e^{-35} (see _series_sums for what that bounds)
-_XCUT_MARGIN = 35.0
 
 
 @dataclass(frozen=True)
@@ -191,95 +184,6 @@ def _stride(barrier):
 # value equals the one-segment value bit for bit, and a failing segment
 # yields its SzilardError in place of a value.
 
-class _Shapes:
-    """Ladder shapes of many traps, one array entry each: level n is scale
-    s^power - scale chi s^2 at s = n + 1/2, one of the terms zero (scale is
-    hbar omega or a power law's energy scale, chi a Morse anharmonicity,
-    power a power law's level power), cut at a Morse well's bound count
-    cap (inf if unbounded).  wells, powers, bounded: whether any chi != 0,
-    any power != 1, any Morse well."""
-
-    __slots__ = ("scale", "chi", "power", "cap", "morse", "wells", "powers",
-                 "bounded")
-
-    def __init__(self, scale, chi, power, cap, morse):
-        self.scale, self.chi, self.power, self.cap, self.morse = (
-            scale, chi, power, cap, morse)
-        self.wells = bool(np.count_nonzero(chi))
-        self.powers = bool(np.count_nonzero(power != 1.0))
-        self.bounded = bool(np.count_nonzero(morse))
-
-    @classmethod
-    def of(cls, traps):
-        table = np.array([_shape(trap) for trap in traps],
-                         dtype=float).reshape(-1, 5).T
-        return cls(*table[:4], table[4] != 0.0)
-
-    def take(self, rows):
-        return _Shapes(self.scale[rows], self.chi[rows], self.power[rows],
-                       self.cap[rows], self.morse[rows])
-
-
-def _shape(trap):
-    if isinstance(trap, Morse):
-        cap = trap.bound_count
-        return (trap.quantum, trap.anharmonicity, 1.0,
-                math.inf if cap is None else cap, 1.0)
-    if isinstance(trap, PowerLaw):
-        return trap.energy_scale, 0.0, trap.level_power, math.inf, 0.0
-    return trap.quantum, 0.0, 1.0, math.inf, 0.0
-
-
-def _estimates(traps, step, beta, e1, x_cut):
-    """Per trap, ceil((s - 1/2)/step) at the level s where e^{-beta (E(s) -
-    E_1)} = e^-x_cut, as floats: inf where that is above the top of a Morse
-    well (every bound level), nan past float range.  Exactly rounded array
-    operations give each entry the bits of Python floats; a fractional
-    power is Python's (the C library's pow), element by element.  Callers
-    silence numpy, as Python floats overflow silently."""
-    if not len(e1):
-        return np.empty(0)
-    target = x_cut / beta + e1
-    s = target / traps.scale
-    unbounded = None
-    if traps.wells:
-        wells = traps.chi.nonzero()[0]
-        chi, q = traps.chi[wells], traps.scale[wells]
-        disc = 1.0 - 4.0 * chi * target[wells] / q
-        s[wells] = (1 - np.sqrt(disc)) / (2 * chi)
-        unbounded = wells[disc <= 0.0]
-    if traps.powers:
-        exponent = 1.0 / traps.power
-        for i in (exponent != 1.0).nonzero()[0].tolist():
-            try:
-                s[i] = float(s[i]) ** float(exponent[i])
-            except OverflowError:
-                s[i] = math.inf
-    c = np.ceil((s - 0.5) / step)
-    c[np.isinf(c)] = np.nan
-    if unbounded is not None:
-        c[unbounded] = np.inf
-    return c
-
-
-def _exact(c, cap, step):
-    """The length of an estimate c (see _heads) in Python ints."""
-    n = max(8, int(c) + 2) if math.isfinite(c) else math.inf
-    return n if math.isinf(cap) else min(n, int(cap) // int(step))
-
-
-def _counts(n, exact):
-    """Float lengths as Python ints; an entry at or past 2^53, which float
-    arithmetic may have rounded, from exact(i), and a nan as the
-    TruncationError of an estimate past float range."""
-    whole = n < 2.0 ** 53
-    out = np.where(whole, n, 0.0).astype(np.int64).tolist()
-    for i in (~whole).nonzero()[0].tolist():
-        out[i] = exact(i) if n[i] == n[i] else TruncationError(
-            "series cutoff estimate overflows: the ladder needs more terms"
-            " than any cap")
-    return out
-
 
 def _beta(temperature):
     """1/(k_B T); a temperature for which it is not positive and finite
@@ -329,44 +233,26 @@ def _ground_levels(potentials):
 _BATCH_TERMS = 8192
 
 
-def ladder_batches(potentials, count, temperature, policy=TruncationPolicy()):
+def _batches(potentials, betas, policy, baths=1):
     """Split traps into consecutive batches for the batched stage sums.
 
-    Returns (traps, grounds, heads) per batch, grounds[i] holding trap i's
-    ground levels by barrier (each E_1 or the error of its lookup): they are
-    looked up here, once per distinct trap, and every sum of the batch
-    starts from them.  A batch is closed once the barrier-free sums of its
-    traps are estimated to reach _BATCH_TERMS terms, each from its ground
-    level at the decay rate count * beta of `temperature` (a canonical
-    N-particle stage; the grand sums, whose mu approaches E_1, pass count 1)
-    and at most a Morse well's bound count, all in one _heads pass over the
-    distinct traps: a trap counts the terms its sum takes one by one, its
-    head where a closed-form tail adds the rest, and heads[i] is that length
-    and whether a tail adds to it, (n, tailed) (stage A's, which
-    canonical_stage_sums takes from here; a grand rung at the hot bath
-    builds the same head).  A lone trap is one unsized batch, heads [None],
-    on every route.  A trap whose estimate fails counts as none, heads[i]
-    None (its batch reports the error).
+    Returns (traps, grounds, heads) per batch.  grounds[i] holds trap i's
+    ground levels by barrier (each E_1 or the error of its lookup), looked
+    up once per distinct trap for every sum of the batch.  heads[i] is the
+    (n, tailed) of trap i's barrier-free sum at its decay rate betas[i] (N
+    beta of the hot bath for a canonical stage A, beta for a grand rung,
+    whose mu approaches E_1), from one _heads pass over the distinct (trap,
+    beta) rows, or None where its estimate fails (its batch reports it).
+    A batch closes once those lengths, each counted `baths` times (2 for a
+    grand cycle, whose per-root arrays hold a head of each barrier at each
+    bath), reach _BATCH_TERMS, but only between two different traps: the
+    points of one trap (see _grouped) share its ladder, its rungs and its
+    batch.
     """
-    beta = count * _beta(temperature)
-    potentials = list(potentials)
-    return _batches(potentials, [beta] * len(potentials), policy)
-
-
-def _batches(potentials, betas, policy, baths=1):
-    """ladder_batches of traps each sized at its own decay rate betas[i],
-    each counting its head once per bath: `baths` is 2 for a grand
-    cycle, whose per-root arrays hold a head of each barrier at each bath.
-    Equal traps are looked up once, and equal (trap, beta) rows sized once;
-    a batch closes only between two different traps, so the points of one
-    trap (see _grouped), which share its ladder and its rungs, share a
-    batch."""
     traps = {}      # each distinct trap: its index
     index = [traps.setdefault(trap, len(traps)) for trap in potentials]
     traps, levels = list(traps), _ground_levels(list(traps))
     grounds = [levels[k] for k in index]
-    if len(potentials) == 1:
-        return [(potentials, grounds, [None])]    # one batch, unsized
     rows = list(zip(index, betas))
     sizes = dict.fromkeys(rows)     # each distinct row's (n, tailed)
     live = [(k, beta) for k, beta in sizes
@@ -408,18 +294,14 @@ class _Segments:
     np.sum adds the pairwise sum of its array to 0.0, while np.add.reduceat
     adds the pairwise sum of the rest of each segment to its first element.
     Leading every segment with a slot that holds 0.0 makes the two agree bit
-    for bit, so a segment's batched sum equals its own np.sum.  A single
-    segment needs no slot: it is summed by np.sum itself, and its
-    per-segment values stay scalars.
+    for bit, so a segment's batched sum equals its own np.sum, alone or
+    among others.
     """
 
     def __init__(self, lengths):
-        self.single = len(lengths) == 1
-        if not self.single:
-            self.lengths = np.asarray(lengths, dtype=np.intp)
-            self.width = self.lengths + 1
-            self.slots = np.zeros(len(self.lengths), dtype=np.intp)
-            np.cumsum(self.width[:-1], out=self.slots[1:])
+        self.width = np.asarray(lengths, dtype=np.intp) + 1
+        self.slots = np.zeros(len(self.width), dtype=np.intp)
+        np.cumsum(self.width[:-1], out=self.slots[1:])
 
     def join(self, ladders):
         """The ladders as one flat array.
@@ -427,21 +309,15 @@ class _Segments:
         Each slot repeats its ladder's first value, so every term function
         stays finite there; sums() zeroes the slots of the terms.
         """
-        if self.single:
-            return ladders[0]
         return np.concatenate([part for ladder in ladders
                                for part in (ladder[:1], ladder)])
 
     def spread(self, values):
         """One value per segment, repeated over its slot and ladder."""
-        if self.single:
-            return values[0]
         return np.repeat(values, self.width)
 
     def sums(self, terms):
         """Each segment's sum of terms; overwrites the slots with 0.0."""
-        if self.single:
-            return np.add.reduce(terms, keepdims=True)    # what np.sum runs
         terms[self.slots] = 0.0
         return np.add.reduceat(terms, self.slots)
 
@@ -479,9 +355,8 @@ def _series_sums(segments, policy, levels):
                          energies - flat.spread([segments[j][2]
                                                  for j in live]))
     totals = flat.sums(t).tolist()
-    # a joined ladder is a fresh array, a single one a view
-    weighted = flat.sums(np.multiply(
-        energies, t, out=None if flat.single else energies)).tolist()
+    # the joined ladders are a fresh array, not the stored levels
+    weighted = flat.sums(np.multiply(energies, t, out=energies)).tolist()
     for j, total, energy in zip(live, totals, weighted):
         out[j] = (total, energy) if math.isfinite(total) else (
             SolverFailureError(f"series sum is {total}, not finite: its terms"
@@ -527,22 +402,22 @@ def _level_ladders(requests, levels, max_terms):
 def _extend(requests, levels):
     """Extend levels[key] to `top` levels for each (key, top, trap) request,
     and return by key the SzilardError level_energy raises for a trap's
-    levels.  Two or more harmonic and Morse traps are one _Wells
-    expression, where a Morse index past the bound count or a level not
-    positive marks a trap whose error level_energy then raises; a power
-    law, or a lone trap, is its own level_energy call."""
+    levels.  The harmonic and Morse traps are one _Wells expression, where
+    a Morse index past the bound count or a level not positive marks a trap
+    whose error level_energy then raises; a power law is its own
+    level_energy call."""
     def store(key, part):
         levels[key] = (np.concatenate((levels[key], part)) if key in levels
                        else part)
 
-    wells = [request for request in requests
-             if not isinstance(request[2], PowerLaw)]
-    wells, errors = wells if len(wells) > 1 else [], {}
+    wells, errors = [], {}
     for key, top, trap in requests:
+        if not isinstance(trap, PowerLaw):
+            wells.append((key, top, trap))
+            continue
         try:
-            if not wells or isinstance(trap, PowerLaw):
-                store(key, level_energy(trap, np.arange(
-                    len(levels.get(key, ())) + 1, top + 1)))
+            store(key, level_energy(trap, np.arange(
+                len(levels.get(key, ())) + 1, top + 1)))
         except SzilardError as exc:
             errors[key] = exc.with_traceback(None)
     if not wells:
@@ -575,89 +450,6 @@ def _boltzmann_terms(beta, gap):
     return np.exp(np.negative(gap, out=gap), out=gap)
 
 
-def _heads(traps, step, beta, e1, policy):
-    """(n, tailed) of the sums over the _Shapes traps from their ground
-    levels e1 (an array), at stride step (2 with the barrier in) and beta
-    (N/(k_B T) on the canonical route), each a number or an array like e1,
-    in one array pass: per sum, the terms it takes one by one (a Python
-    int, or the TruncationError of an estimate past float range), and
-    whether a tail (see _tail_sums) adds the rest (a bool array).  It is
-    the one sizing rule: every canonical and Morse stage, every batch and
-    every grand-canonical rung is sized here.
-
-    A whole ladder runs to the level whose e^{-beta (E_n - E_1)} is below
-    rel_tol e^{-_XCUT_MARGIN}, with two spare terms and at least 8, and at
-    most a Morse well's bound count (half of it with the barrier in).  The
-    head K is the smallest, at least _HEAD_FLOOR, whose remainder bound on
-    the sum of f is below the error that cutoff leaves: rel_tol
-    e^{-_XCUT_MARGIN} of the sum, which holds at least its ground term, 1,
-    and for a power law the integral of f from index 1.  A geometric tail
-    is exact, so its head is the floor; a Morse well's remainder bound is
-    below, a power law's that of _tail_sums (its H, tabulated per power).
-    The energy sum, of E f, takes the same head, and its tail is the
-    beta-derivative of the same form; its remainder has no bound of its
-    own and rests on the e^{-_XCUT_MARGIN} margin.  A ladder no longer
-    than its head is taken whole.  The canonical route sizes at N beta and
-    the grand route at beta, with no flag between them.
-    """
-    with np.errstate(all="ignore"):     # as for Python floats
-        c = _estimates(traps, step, beta, e1, _XCUT_MARGIN - math.log(
-            policy.rel_tol))
-        n = np.maximum(c + 2.0, 8.0)
-        if traps.bounded:
-            n = np.minimum(n, np.floor(traps.cap / step))
-        head = np.where((traps.chi == 0.0) & (traps.power == 1.0),
-                        float(_HEAD_FLOOR), math.inf)
-        sized = (((traps.power != 1.0) | (traps.chi != 0.0))
-                 & (n > _HEAD_FLOOR)).nonzero()[0]
-        if len(sized):
-            by, at = (np.broadcast_to(v, n.shape)[sized] for v in (step, beta))
-            chi, q = traps.chi[sized], traps.scale[sized]
-            # per sum, the x = beta (E_A - E_1) past which its tail's
-            # remainder bound is below the cutoff's error, rel_tol e^-35 of
-            # the sum; _estimates inverts it (with two spare terms)
-            cut = np.zeros(len(sized))
-            target = policy.rel_tol * math.exp(-_XCUT_MARGIN)
-            wells = (chi != 0.0).nonzero()[0]
-            if len(wells):
-                # f^(2m+2) > 0, so the remainder is at most the bound times
-                # |f^(2m+1)(A)| = Q_2m+1(u_A) f(A), where Q_0 = 1, Q_1 = 2 a
-                # u and Q_k+1 = 2 a u Q_k + 2k a Q_k-1 fall with u: Q at the
-                # shortest head holds for every longer one, and the sum holds
-                # its ground term, 1
-                by_, chi_ = by[wells], chi[wells]
-                a = at[wells] * q[wells] * chi_ * by_ * by_
-                slope = 2 * a * ((0.5 / chi_ - 0.5) / by_ - (_HEAD_FLOOR + 1))
-                lower, upper = 1.0, slope
-                for ka in np.multiply.outer(
-                        2.0 * np.arange(1, 2 * _EM_PAIRS + 1), a):  # 2k a
-                    lower, upper = upper, slope * upper + ka * lower
-                ratio = _EM_REMAINDER * upper / target
-                # log(max(ratio, 1)) by math, element by element: it sets a
-                # length
-                cut[wells] = list(map(math.log,
-                                      np.fmax(ratio, 1.0).tolist()))
-            laws = (chi == 0.0).nonzero()[0]
-            if len(laws):
-                # a power law's bound falls as A grows (see _tail_sums), and
-                # its sum holds 1 and the integral of f from index 1
-                p, by_, at_, e1_ = (traps.power[sized[laws]], by[laws],
-                                    at[laws], e1[sized[laws]])
-                cut[laws] = _power_cuts(
-                    q[laws], p, by_, at_, e1_, target * np.fmax(
-                        _power_floor(p, by_, at_ * e1_), 1.0))
-            c_head = _estimates(traps.take(sized), by, at, e1[sized], cut)
-            head[sized] = np.where(cut < math.inf, np.maximum(np.maximum(
-                c_head + 2.0, 8.0) - 1.0, float(_HEAD_FLOOR)), math.inf)
-        tailed = head < n
-        lengths = np.where(tailed, head, n)
-        lengths[np.isnan(head)] = np.nan
-    # a head is never near 2^53: where beta q is that small, the bound
-    # leaves the 16-term floor, so only a whole length needs _exact
-    return _counts(lengths, lambda i: _exact(
-        c[i], traps.cap[i], np.broadcast_to(step, n.shape)[i])), tailed
-
-
 # ---------------------------------------------------------------------------
 # canonical N-particle sums (harmonic / power-law ladders, Morse at N = 1)
 
@@ -680,8 +472,8 @@ def _canonical_stages(traps, grounds, temperatures, counts, first, policy):
     sums build each trap's barrier-free ladder, and the inserted ones
     extend it (see _level_ladders).  A sum not finite after its tail is a
     SolverFailureError.  first[i] is unit i's absent (length, tailed) as
-    ladder_batches returns it, or None, and _heads sizes it here.  A unit whose N beta = N/(k_B T) overflows is an
-    EnsembleMismatchError.
+    _batches returns it, or None, and _heads sizes it here.  A unit whose
+    N beta = N/(k_B T) overflows is an EnsembleMismatchError.
     """
     betas = [count * _beta(temperature)
              for count, temperature in zip(counts, temperatures)]
@@ -763,7 +555,7 @@ def canonical_stage_properties(potential, barrier, count, temperature,
     the average collapses onto the lowest included level.  A bounded Morse
     ladder is summed completely up to its last bound level.  A long ladder
     is summed as an exact head plus a closed-form Euler-Maclaurin tail (see
-    _heads).  The one-stage case of canonical_stage_sums.
+    _heads).  The one-stage case of _canonical_stages.
     """
     return value_or_raise(_canonical_stages(
         (potential,), ({barrier: level_energy(potential, 1, barrier)},),
@@ -771,24 +563,13 @@ def canonical_stage_properties(potential, barrier, count, temperature,
             barrier is Barrier.INSERTED])
 
 
-def canonical_stage_sums(potentials, grounds, count, baths,
-                         policy=TruncationPolicy(), heads=None):
-    """Per-bath log ratios and the four stage energies of canonical traps.
-
-    potentials, grounds and heads are a batch as ladder_batches returns it
-    (where heads[i] is None, stage A's length is found here).  Each trap gets
-    (log ratio hot, log ratio cold, (U_A, U_B, U_C, U_D)), or the error of
-    its first failing stage, A to D.  All are one _canonical_stages call.
-    """
-    return _cycle_sums(potentials, grounds, [count] * len(potentials),
-                       [baths] * len(potentials), policy, heads)
-
-
 def _cycle_sums(potentials, grounds, counts, baths, policy, heads):
-    """canonical_stage_sums of traps each with its own counts[i] and
-    baths[i].  Each distinct (trap by value, count, bath) is one unit of
-    _canonical_stages, summed once for every point that reads it: at its
-    hot bath for stages A and B, at its cold one for C and D."""
+    """Per trap of a batch as _batches returns it, with counts[i] particles
+    between baths[i]: (log ratio hot, log ratio cold, (U_A, U_B, U_C,
+    U_D)), or the error of its first failing stage, A to D.  Each distinct
+    (trap by value, count, bath) is one unit of _canonical_stages, summed
+    once for every point that reads it: at its hot bath for stages A and
+    B, at its cold one for C and D."""
     equal, same, units, reads = {}, {}, {}, []
     for i, (trap, count, pair) in enumerate(zip(potentials, counts, baths)):
         # equal traps are one object, and share a ladder
@@ -798,7 +579,7 @@ def _cycle_sums(potentials, grounds, counts, baths, policy, heads):
         read = (id(trap), count, pair.hot), (id(trap), count, pair.cold)
         for key in read:
             units.setdefault(key, [trap, grounds[i], key[2], count, None])
-        if heads and heads[i] is not None:
+        if heads[i] is not None:
             units[read[0]][4] = heads[i]    # stage A's, from the batching
         reads.append(read)
     stages = dict(zip(units, _canonical_stages(*zip(*units.values()), policy)
@@ -829,7 +610,7 @@ def _grand_rungs(requests, policy, sized=None):
     Requests of equal traps, barrier and beta read one rung, built once:
     sized from its E_1 by _heads, in one array pass over the rungs that
     `sized` lacks (it maps a (trap, beta) to the (n, tailed)
-    ladder_batches found for its barrier-free rung), and only its head
+    _batches found for its barrier-free rung), and only its head
     built, by _level_ladders: the whole ladder where it is no longer than
     its head, else a head to which a tail adds the rest (see _tail_sums).
     Equal traps share one barrier-free ladder.  An E_1 that is an error, an
@@ -1180,25 +961,12 @@ def _bath_ratios(potentials, grounds, counts, temperatures, mode, policy,
     return out, rungs
 
 
-def grand_stage_sums(potentials, grounds, count, baths, mode,
-                     policy=TruncationPolicy()):
-    """Per-bath log ratios, the four stage energies and the chemical
-    potentials of many grand-canonical traps.
-
-    potentials and grounds are a batch as ladder_batches returns it.  Each
-    trap gets (log ratio hot, log ratio cold, (U_A, U_B, U_C, U_D),
-    (hot, cold) ChemicalPotentials): _bath_ratios at (hot, cold), then each
-    stage energy on its rung, at that rung's chemical potential; or the
-    first error of _bath_ratios, else of its first failing energy.
-    """
-    return _grand_sums(potentials, grounds, [count] * len(potentials),
-                       [baths] * len(potentials), mode, policy)
-
-
-def _grand_sums(potentials, grounds, counts, baths, mode, policy,
-                heads=None):
-    """grand_stage_sums of traps each with its own counts[i] and baths[i],
-    heads as _batches gives them."""
+def _grand_sums(potentials, grounds, counts, baths, mode, policy, heads):
+    """Per trap of a batch as _batches returns it, with counts[i] bosons
+    between baths[i]: (log ratio hot, log ratio cold, (U_A, U_B, U_C, U_D),
+    (hot, cold) ChemicalPotentials), from _bath_ratios at (hot, cold) and
+    each stage energy on its rung at that rung's chemical potential; or
+    the first error of _bath_ratios, else of its first failing energy."""
     out, rungs = _bath_ratios(potentials, grounds, counts,
                               [(pair.hot, pair.cold) for pair in baths],
                               mode, policy, heads)

@@ -4,6 +4,11 @@ Everything raised on purpose derives from SzilardError so callers can catch
 one type at sweep level and record the point as failed instead of aborting.
 """
 
+__all__ = ["SzilardError", "InvalidPotentialError", "SpectrumRangeError",
+           "NoBoundStatesError", "PoleError", "SolverFailureError",
+           "ConvergenceViolationError", "TruncationError",
+           "EnsembleMismatchError", "ConfigError", "OutputError"]
+
 
 class SzilardError(Exception):
     """Base class for all deliberate failures in this package."""

@@ -40,7 +40,7 @@ from .cycle import Ensemble, _run_cycles, run_cycle, run_cycles  # noqa: F401
 
 __all__ = ["Axis", "SweepSpec", "RunManifest", "SweepOutcome",
            "ValidationReport", "preset", "preset_names", "run_sweep",
-           "validate", "load_config", "spec_from_config"]
+           "validate", "load_config", "spec_from_config", "parse_quantity"]
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ from szilard import (Barrier, BathPair, CycleResult, Ensemble,
                      canonical_stage_properties, chemical_potentials,
                      run_cycle, run_cycles)
 from szilard import cycle
-from szilard.ensembles import ladder_batches
+from szilard.ensembles import _batches, _beta
 
 MASS = 19.11e-11
 
@@ -330,7 +330,8 @@ def test_long_and_short_ladders_share_batches():
     for traps, ensemble, count, sizes in (
             (harmonic, Ensemble.CANONICAL_N, 2, [6]),
             (wells, Ensemble.MORSE_SINGLE, 1, [7])):
-        batches = ladder_batches(traps, count, baths.hot)
+        batches = _batches(traps, [count * _beta(baths.hot)] * len(traps),
+                           TruncationPolicy())
         assert [len(batch) for batch, _, _ in batches] == sizes
         singles = [_outcome(trap, ensemble, count, baths) for trap in traps]
         assert any(isinstance(s, SzilardError) for s in singles) == (

@@ -36,6 +36,14 @@ W_CANONICAL = {1: 5.0338870773722705e-27,
                20: 1.8184231095252045e-20}
 
 
+def _one_batch(trap, count, temperature, policy=TruncationPolicy()):
+    """The batch _batches makes of a lone trap at the decay rate count
+    beta of `temperature`: (traps, grounds, heads)."""
+    batch, = ensembles._batches((trap,), [count * ensembles._beta(
+        temperature)], policy)
+    return batch
+
+
 def _closed_form_work(count, omega, baths):
     """Geometric stage sums of the shared-level harmonic ladder."""
     q = HBAR * omega
@@ -405,11 +413,11 @@ def test_inserted_ladder_is_every_other_barrier_free_level(
 @given(traps=st.lists(st.tuples(st.booleans(), st.floats(1e8, 1e14),
                                 st.one_of(st.just(0.0), st.floats(1e-5, 0.1)),
                                 st.integers(1, 3000), st.integers(0, 3000)),
-                      min_size=2, max_size=6))
+                      min_size=1, max_size=6))
 def test_batched_levels_equal_level_energy(traps):
     """The harmonic and Morse levels of a request are one _Wells array
-    expression over all its traps: every level, first built or extended,
-    has the bits of its own trap's level_energy call."""
+    expression over all its traps, a lone trap's too: every level, first
+    built or extended, has the bits of its own trap's level_energy call."""
     built = []
     for harmonic, omega, chi, first, more in traps:
         trap = (Harmonic(MASS, omega) if harmonic
@@ -424,6 +432,33 @@ def test_batched_levels_equal_level_energy(traps):
                 requests, levels, TruncationPolicy().max_terms)):
             assert ladder.tobytes() == level_energy(
                 trap, np.arange(1, n + 1)).tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(ladders=st.lists(st.tuples(
+    st.integers(1, 5000), st.floats(1e-3, 1e3), st.floats(0.0, 10.0),
+    st.integers(0, 2 ** 32 - 1)), min_size=1, max_size=6))
+def test_segment_sums_equal_numpy_sums(ladders):
+    """_Segments lays one ladder or 2-6 of them end to end: each one's sum
+    of Boltzmann terms and of energy times terms, formed as _series_sums
+    forms them, equals np.sum over that ladder alone, bit for bit."""
+    built, want = [], []
+    for n, beta, spread, seed in ladders:
+        levels = np.cumsum(np.random.default_rng(seed).uniform(0.0, spread,
+                                                               n))
+        terms = np.exp(-(beta * (levels - levels[0])))
+        built.append((levels, beta, levels[0]))
+        want.append((np.sum(terms), np.sum(levels * terms)))
+    flat = ensembles._Segments([len(levels) for levels, _, _ in built])
+    energies = flat.join([levels for levels, _, _ in built])
+    t = ensembles._boltzmann_terms(
+        flat.spread([beta for _, beta, _ in built]),
+        energies - flat.spread([e1 for _, _, e1 in built]))
+    totals = flat.sums(t)
+    weighted = flat.sums(np.multiply(energies, t, out=energies))
+    for (total, energy), got, got_energy in zip(want, totals, weighted):
+        assert (got.tobytes(), got_energy.tobytes()) == (
+            total.tobytes(), energy.tobytes())
 
 
 def test_refused_levels_fail_their_own_trap():
@@ -639,10 +674,9 @@ class TestPhysicalLadders:
         absent, inserted = self._ladders()
         baths = BathPair(hot=200.0, cold=100.0)
         trap = Harmonic(MASS, omega)
-        (batch, grounds, heads), = ensembles.ladder_batches(
-            (trap,), count, baths.hot)
-        (l_hot, l_cold, energies), = ensembles.canonical_stage_sums(
-            batch, grounds, count, baths, TruncationPolicy(), heads)
+        batch, grounds, heads = _one_batch(trap, count, baths.hot)
+        (l_hot, l_cold, energies), = ensembles._cycle_sums(
+            batch, grounds, [count], [baths], TruncationPolicy(), heads)
         got = run_cycle(trap, Ensemble.CANONICAL_N, count, baths)
         with mpmath.workdps(50):
             q = mpmath.mpf(HBAR * omega)
@@ -1288,8 +1322,7 @@ def test_heads_and_moments_match_whole_sums(nu, log_scale, count, mode):
     were built whole)."""
     baths = BathPair(hot=2.0, cold=1.0)
     trap = PowerLaw.from_energy_scale(MASS, 10 ** log_scale * K_B, nu)
-    (batch, grounds, _), = ensembles.ladder_batches((trap,), 1, baths.hot,
-                                                    _SMALL_CAP)
+    batch, grounds, _ = _one_batch(trap, 1, baths.hot, _SMALL_CAP)
     (pairs,), rungs = ensembles._bath_ratios(
         batch, grounds, [count], [(baths.hot, baths.cold)], mode, _SMALL_CAP)
     if isinstance(pairs, SzilardError):
@@ -1362,9 +1395,10 @@ class TestGrandOracle:
         mpmath = pytest.importorskip("mpmath")
         baths = BathPair(hot, cold)
         trap = PowerLaw.from_energy_scale(MASS, ratio * K_B * cold, nu)
-        (batch, grounds, _), = ensembles.ladder_batches((trap,), 1, hot)
-        (l_hot, l_cold, energies, mus), = ensembles.grand_stage_sums(
-            batch, grounds, count, baths, MuMode.SOLVED)
+        batch, grounds, heads = _one_batch(trap, 1, hot)
+        (l_hot, l_cold, energies, mus), = ensembles._grand_sums(
+            batch, grounds, [count], [baths], MuMode.SOLVED,
+            TruncationPolicy(), heads)
         e1 = level_energy(trap, 1)
         m = 8
         while (level_energy(trap, m) - e1) / (K_B * hot) < 100:
@@ -1468,9 +1502,10 @@ class TestGrandOracle:
             (_, (log_pre, pre), _), (_, (log_post, post), _) = sums
             logs.append(log_pre - 2.0 * log_post)
             magnitudes.append(pre + 2.0 * post)
-        (batch, grounds, _), = ensembles.ladder_batches((trap,), 1, hot)
-        (l_hot, l_cold, got, mus), = ensembles.grand_stage_sums(
-            batch, grounds, 10, baths, MuMode.SOLVED)
+        batch, grounds, heads = _one_batch(trap, 1, hot)
+        (l_hot, l_cold, got, mus), = ensembles._grand_sums(
+            batch, grounds, [10], [baths], MuMode.SOLVED, TruncationPolicy(),
+            heads)
         assert mus == cycle.mus
         for value, stage in zip(got, "ABCD"):
             assert abs(value / energies[stage] - 1) <= 1e-12

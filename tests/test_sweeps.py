@@ -365,16 +365,17 @@ class TestSingleEvaluation:
                                           [])
 
     @staticmethod
-    def _ladder_calls(calls):
-        """The array level_energy calls of a call log: each one barrier-free,
-        and their index ranges disjoint and contiguous from 1, so no level
-        is built twice.  Returns their count."""
-        ladders = [args for args in calls if np.ndim(args[1]) == 1]
-        assert all(args[2:] in ((), (potentials.Barrier.ABSENT,))
-                   for args in ladders)
-        indices = np.concatenate([args[1] for args in ladders])
+    def _well_builds(wells):
+        """The sizes of the _Wells builds in a log of _absent_energy calls:
+        first the ground levels, one lookup at barrier-free indices 1 and
+        2, then ladders whose index ranges are disjoint and contiguous from
+        1, so no level is built twice."""
+        builds = [args[1] for args in wells
+                  if isinstance(args[0], potentials._Wells)]
+        assert builds[0].tolist() == [1, 2]
+        indices = np.concatenate(builds[1:])
         assert np.array_equal(indices, np.arange(1, len(indices) + 1))
-        return len(ladders)
+        return [len(levels) for levels in builds]
 
     def test_morse_point_builds_one_ladder_per_trap(self, tmp_path,
                                                     monkeypatch):
@@ -383,29 +384,31 @@ class TestSingleEvaluation:
         (every other level of it) lacks, and the cold stages sum prefixes.
         One ladder per barrier built 500 levels, and whole ladders 336;
         the heads took 198 with four correction pairs in their tails, and
-        take 140 with six."""
+        take 140 with six.  A lone well is built like a batch of wells, by
+        _Wells expressions, where it made two array level_energy calls."""
         calls = _count_calls(monkeypatch, "level_energy")
+        wells = _count_calls(monkeypatch, "_absent_energy")
         outcome = _run(_one_point("fig10", depth=4.7 * EV, T_hot=4.0,
                                   omega=1e11), tmp_path)
         assert outcome.points == 1 and outcome.failed == 0
-        assert self._ladder_calls(calls) == 2
-        assert [len(args[1]) for args in calls
-                if np.ndim(args[1])] == [90, 50]
+        assert calls == []
+        assert self._well_builds(wells) == [2, 90, 50]
 
     def test_canonical_point_builds_no_inserted_ladder(self, tmp_path,
                                                        monkeypatch):
         """A fig3 point: its ground levels from the batching's one _Wells
         expression (two int lookups before) and one ladder, extended once
-        for the inserted stages, whose rungs are every other level of it.
-        Its geometric tails are exact, so each stage sums a 16-term head:
-        whole ladders built 8208 levels, and a ladder per barrier 4100
-        more."""
+        for the inserted stages, whose rungs are every other level of it,
+        each build a _Wells expression (two array level_energy calls
+        before).  Its geometric tails are exact, so each stage sums a
+        16-term head: whole ladders built 8208 levels, and a ladder per
+        barrier 4100 more."""
         calls = _count_calls(monkeypatch, "level_energy")
+        wells = _count_calls(monkeypatch, "_absent_energy")
         outcome = _run(_one_point("fig3", N=2, omega=1e11), tmp_path)
         assert outcome.points == 1 and outcome.failed == 0
-        assert len(calls) == 2
-        assert self._ladder_calls(calls) == 2
-        assert sum(np.size(args[1]) for args in calls) == 32
+        assert calls == []
+        assert self._well_builds(wells) == [2, 16, 16]
 
     def test_partition_ratio_run_builds_one_ladder_per_point(self, tmp_path,
                                                              monkeypatch):
@@ -413,8 +416,8 @@ class TestSingleEvaluation:
         are one batch, which builds each of its 80 rungs (a temperature and
         a barrier) once for its 3 counts.  The trap's two ground levels are
         one _Wells expression, and its one barrier-free ladder, the 32
-        levels its 16-term heads read, one level_energy call, as a lone
-        trap's levels are.  A batch per N looked up 80 ground levels and
+        levels its 16-term heads read, one more (a lone trap's levels were
+        one level_energy call).  A batch per N looked up 80 ground levels and
         built 40 ladders of 32 levels, one per point, in two _Wells
         expressions per N; a point per batch made 480 level_energy calls
         (two ground levels and one ladder, extended once, per point), and
@@ -423,8 +426,8 @@ class TestSingleEvaluation:
         wells = _count_calls(monkeypatch, "_absent_energy")
         outcome = _run(preset("fig5"), tmp_path)
         assert outcome.points == 120 and outcome.failed == 0
-        assert [args[1].size for args in calls] == [32]
-        assert [args[1].size for args in wells] == [2]
+        assert calls == []
+        assert self._well_builds(wells) == [2, 32]
 
     def test_bose_roots_sum_one_ladder_each(self, tmp_path, monkeypatch):
         """One occupancy re-check per root, and the trap prefactor's gamma
