@@ -9,8 +9,9 @@ k beta, over which every Bose sum's tail is a short k-series (_Rungs,
 _Heads), from the heads ensembles._grand_rungs builds.  _heads, the one
 sizing rule of every route, sets each length K from the remainder bounds
 of these tails.  Everything here runs on numpy arrays over many sums at
-once, each sum reduced on its own, so a batched value equals its one-trap
-value bit for bit.
+once, laid out by _Segments, the one flat layout of both routes' ladders,
+heads, moments and k-series, and each sum is reduced on its own, so a
+batched value equals its one-trap value bit for bit.
 """
 
 import math
@@ -21,6 +22,45 @@ import numpy as np
 from ._special import dawson, upper_gamma
 from .errors import TruncationError
 from .potentials import Morse, PowerLaw, _absent_energy, _Wells
+
+
+class _Segments:
+    """Ragged arrays laid end to end, each behind one slot: the one flat
+    layout of every batched sum (ladders, heads, moments, k-series).
+
+    np.sum adds the pairwise sum of its array to 0.0, while np.add.reduceat
+    adds the pairwise sum of the rest of each segment to its first element.
+    Leading every segment with a slot that holds 0.0 makes the two agree bit
+    for bit, so a segment's batched sum equals its own np.sum, alone or
+    among others.
+    """
+
+    def __init__(self, lengths):
+        self.width = np.asarray(lengths, dtype=np.intp) + 1
+        self.slots = np.zeros(len(self.width), dtype=np.intp)
+        np.cumsum(self.width[:-1], out=self.slots[1:])
+
+    def join(self, ladders):
+        """The ladders as one flat array.
+
+        Each slot repeats its ladder's first value, so every term function
+        stays finite there; sums() zeroes the slots of the terms.
+        """
+        return np.concatenate([part for ladder in ladders
+                               for part in (ladder[:1], ladder)])
+
+    def spread(self, values):
+        """One value per segment, repeated over its slot and ladder."""
+        return np.repeat(values, self.width)
+
+    def within(self):
+        """Each place's index in its segment: 0 at the slot, then 1..n."""
+        return np.arange(self.width.sum()) - self.spread(self.slots)
+
+    def sums(self, terms):
+        """Each segment's sum of terms; overwrites the slots with 0.0."""
+        terms[self.slots] = 0.0
+        return np.add.reduceat(terms, self.slots)
 
 
 # Euler-Maclaurin tails of the canonical sums
@@ -496,14 +536,12 @@ class _Rungs:
             for i, column in enumerate(zip(*built)))
         first = np.array([rows[0] for rows in readers], dtype=np.intp)
         rung_beta, rung_e1 = beta[first], e1[first]
-        heads = np.array([len(ladder) for ladder in ladders], dtype=np.intp)
-        width = heads + 1
-        starts = np.cumsum(width) - width
-        gap = np.concatenate([part for ladder in ladders
-                              for part in (ladder[:1], ladder)])
-        gap -= np.repeat(rung_e1, width)
+        flat = _Segments([len(ladder) for ladder in ladders])
+        heads, starts = flat.width - 1, flat.slots
+        gap = flat.join(ladders)
+        gap -= flat.spread(rung_e1)
         gap[starts] = 0.0
-        x = np.repeat(rung_beta, width)
+        x = flat.spread(rung_beta)
         x *= gap
         x[starts] = math.inf
         self.x, self.gap = x, gap
@@ -526,11 +564,14 @@ class _Rungs:
         kind = kind[m]
         at = (kind == 2).nonzero()[0]
         if len(at):
-            r, m, n = rows[at], m[at], heads[m[at]]
-            j = _within(n) + 1.0
-            floor = np.log1p(j * np.repeat(self.g[r] / count[r], n))
-            floor -= x[np.repeat(starts[m] + 1, n) + _within(n)]
-            floor = np.fmax(v[r], np.maximum.reduceat(floor, np.cumsum(n) - n))
+            r, m = rows[at], m[at]
+            # each row's head levels j behind its slot, where j = 0 and x =
+            # inf give -inf, which the maximum passes over
+            levels = _Segments(heads[m])
+            j = levels.within()
+            floor = np.log1p(j * levels.spread(self.g[r] / count[r]))
+            floor -= x[levels.spread(starts[m]) + j]
+            floor = np.fmax(v[r], np.maximum.reduceat(floor, levels.slots))
             with np.errstate(all="ignore"):
                 length = np.ceil(x_cut / (self.x_tail[r] + floor))
             refused = ~(length <= max_terms)
@@ -546,19 +587,19 @@ class _Rungs:
             # whose moments are 0
             longest = np.zeros(len(built), dtype=np.intp)
             np.maximum.at(longest, m, n)
-            longest = longest[laws]
+            table = _Segments(longest[laws])
             offset = np.zeros(len(built), dtype=np.intp)
-            offset[laws] = np.cumsum(longest + 1) - (longest + 1)
+            offset[laws] = table.slots
             self.offset[r] = offset[m]
-            k = _within(longest) + 1.0
-            spread = np.repeat(np.arange(len(laws)), longest)
-            self.moments = np.zeros((2, int(longest.sum()) + len(laws)))
+            k = table.within()
+            place = k.nonzero()[0]
+            law = table.spread(np.arange(len(laws)))[place]
+            rung = laws[law]
+            self.moments = np.zeros((2, len(k)))
             with np.errstate(all="ignore"):
-                self.moments[:, np.repeat(offset[laws] + 1, longest)
-                             + _within(longest)] = _power_tails(
-                    e[spread], s[spread], power[laws][spread],
-                    step[laws][spread], k * rung_beta[laws][spread],
-                    rung_e1[laws][spread])
+                self.moments[:, place] = _power_tails(
+                    e[law], s[law], power[rung], step[rung],
+                    k[place] * rung_beta[rung], rung_e1[rung])
         self.kind[rows] = kind
 
 
@@ -567,67 +608,44 @@ def _count(n):
     return int(n) if math.isfinite(n) else n
 
 
-def _within(width):
-    """0..width[i] - 1 for each i, laid end to end."""
-    return np.arange(width.sum()) - np.repeat(np.cumsum(width) - width, width)
-
-
 class _Heads:
-    """The heads of some rows of a _Rungs, gathered behind one slot each,
-    and their tails.
+    """The heads of some rows of a _Rungs, gathered behind one slot each
+    (a _Segments, flat), and their tails.
 
     sums() evaluates them at one v = beta (E_1 - mu) per row, each row its
     head and its k-series, so a Newton round sums its roots' heads and
     short k-series, not their ladders.  A geometric k-series longer than
     max_terms is refused: its row's sums are nan, and error(i) is its
-    TruncationError.  take() keeps some rows.
+    TruncationError.
     """
 
-    __slots__ = ("rungs", "rows", "width", "slots", "x", "gap", "g",
-                 "series", "power", "refused")
+    __slots__ = ("rungs", "rows", "flat", "x", "gap", "g", "series", "power",
+                 "refused")
 
-    def __init__(self, rungs, rows, width, x, gap, power=None):
-        self.rungs, self.rows, self.width = rungs, rows, width
-        self.slots = np.cumsum(width) - width
-        self.x, self.gap, self.g = x, gap, rungs.g[rows]
+    def __init__(self, rungs, rows, gap=False):
+        """The heads of rows (an index array), with their gaps E - E_1
+        where an energy needs them."""
+        self.rungs, self.rows = rungs, rows
+        self.flat = _Segments(rungs.heads[rows])
+        # the places of each row's head: starts + within(), in one spread
+        index = self.flat.spread(rungs.starts[rows] - self.flat.slots)
+        index += np.arange(len(index))
+        self.x, self.g = rungs.x[index], rungs.g[rows]
+        self.gap = rungs.gap[index] if gap else None
         kind = rungs.kind[rows]
         self.series = (kind == 1).nonzero()[0]
         # the power-law rows, their k and moments, each behind its slot
-        at = (kind == 2).nonzero()[0] if power is None else ()
-        self.power = power
+        at = (kind == 2).nonzero()[0]
+        self.power = None
         if len(at):
-            n = rungs.terms[rows[at]] + 1
-            index = np.repeat(rungs.offset[rows[at]], n) + _within(n)
-            k = _within(n).astype(float)
-            slots = np.cumsum(n) - n
-            k[slots] = 1.0      # a finite term, zeroed below
-            self.power = at, n, slots, k, rungs.moments[:, index]
+            laws = rows[at]
+            terms = _Segments(rungs.terms[laws])
+            k = terms.within()
+            moments = rungs.moments[:, terms.spread(rungs.offset[laws]) + k]
+            k = k.astype(float)
+            k[terms.slots] = 1.0     # a finite term, zeroed below
+            self.power = at, terms, k, moments
         self.refused = {}
-
-    @classmethod
-    def of(cls, rungs, rows, gap=False):
-        """The heads of rows, with their gaps E - E_1 where an energy needs
-        them."""
-        width = rungs.heads[rows] + 1
-        index = np.arange(width.sum()) + np.repeat(
-            rungs.starts[rows] - (np.cumsum(width) - width), width)
-        return cls(rungs, rows, width, rungs.x[index],
-                   rungs.gap[index] if gap else None)
-
-    def take(self, keep):
-        spread = np.repeat(keep, self.width)
-        power = None
-        if self.power is not None:
-            at, n, _, k, moments = self.power
-            kept = keep[at]
-            if kept.any():
-                within = np.repeat(kept, n)
-                n = n[kept]
-                power = ((np.cumsum(keep) - 1)[at[kept]], n, np.cumsum(n) - n,
-                         k[within], moments[:, within])
-        return _Heads(self.rungs, self.rows[keep], self.width[keep],
-                      self.x[spread],
-                      None if self.gap is None else self.gap[spread], power)
 
     def error(self, i):
         """The TruncationError of row i's last sums, or None."""
@@ -644,21 +662,21 @@ class _Heads:
         g = 1 and scaled by g, 1 or 2, which is exact.  numpy is silenced:
         a sum past float range is not finite."""
         with np.errstate(all="ignore"):
-            y = self.x + np.repeat(v, self.width)
+            y = self.x + self.flat.spread(v)
             if kind == "log":
                 np.exp(np.negative(y, out=y), out=y)
                 terms = (np.log1p(np.negative(y, out=y), out=y),)
             else:   # a slot's x = inf makes its terms 0
                 np.expm1(np.maximum(y, 1e-300, out=y), out=y)
                 if kind == "energy":
-                    t = self.gap + np.repeat(d, self.width)
+                    t = self.gap + self.flat.spread(d)
                     terms = (np.divide(t, y, out=t),)
                 else:
                     n = np.divide(1.0, y, out=y)
                     weight = n + 1.0
                     weight *= n
                     terms = n, weight
-            out = [np.add.reduceat(t, self.slots) for t in terms]
+            out = [np.add.reduceat(t, self.flat.slots) for t in terms]
             self.refused = {}
             if len(self.series):
                 self._series(out, v, kind, d)
@@ -685,14 +703,13 @@ class _Heads:
             self.refused = dict(zip(at[refused].tolist(),
                                     length[refused].tolist()))
             length[refused] = 0.0
-        width = length.astype(np.intp) + 1
-        slots = np.cumsum(width) - width
-        k = np.arange(float(width.sum())) - np.repeat(slots, width)
-        k[slots] = 1.0      # a finite term, zeroed below
-        c = np.repeat(-rungs.bd[rows], width)
+        series = _Segments(length.astype(np.intp))
+        k = series.within().astype(float)
+        k[series.slots] = 1.0      # a finite term, zeroed below
+        c = series.spread(-rungs.bd[rows])
         c *= k
         np.negative(np.expm1(c, out=c), out=c)          # 1 - r^k
-        t = np.repeat(-y, width)
+        t = series.spread(-y)
         t *= k
         np.exp(t, out=t)
         t /= c
@@ -700,34 +717,34 @@ class _Heads:
         if kind == "energy":
             w = 1.0 - c
             w /= c
-            w += np.repeat(rungs.heads[rows], width)
-            w *= np.repeat(rungs.delta[rows], width)
+            w += series.spread(rungs.heads[rows])
+            w *= series.spread(rungs.delta[rows])
             w *= t
-        _add(out, at, kind, d, t, w, k, width, slots)
+        _add(out, at, kind, d, t, w, k, series)
 
     def _power(self, out, v, kind, d):
         """Add the k-series of the power-law rows over their moments: each
         row's e^{-kv} T_k (and e^{-kv} W_k), k = 1..terms behind one
         slot."""
-        at, width, slots, k, (t, w) = self.power
-        a = np.repeat(-v[at], width)
+        at, terms, k, (t, w) = self.power
+        a = terms.spread(-v[at])
         a *= k
         np.exp(a, out=a)
         _add(out, at, kind, d, a * t, a * w if kind == "energy" else None, k,
-             width, slots)
+             terms)
 
 
-def _add(out, at, kind, d, t, w, k, width, slots):
+def _add(out, at, kind, d, t, w, k, series):
     """Add to the sums out of rows at their k-series of kind, from the terms
-    t = e^{-kv} T_k and, for an energy, w = e^{-kv} W_k over k (arrays,
-    each row's behind a slot, at slots): occupancy sum t and sum k t, log
-    -sum t/k, energy sum t d + w.  Each row is reduced on its own."""
+    t = e^{-kv} T_k and, for an energy, w = e^{-kv} W_k over k (arrays laid
+    out by the _Segments series, each row's behind a slot): occupancy sum t
+    and sum k t, log -sum t/k, energy sum t d + w.  Each row is reduced on
+    its own."""
     if kind == "energy":
-        t *= np.repeat(d[at], width)
+        t *= series.spread(d[at])
         t += w
     elif kind == "log":
         t /= k
     for total, t in zip(out, (t, k * t) if kind == "occupancy" else (t,)):
-        t[slots] = 0.0
-        s = np.add.reduceat(t, slots)
+        s = series.sums(t)
         total[at] += -s if kind == "log" else s

@@ -26,7 +26,7 @@ from .errors import (EnsembleMismatchError, SolverFailureError, SzilardError,
                      value_or_raise)
 from .potentials import Harmonic, Morse, PowerLaw
 from .ensembles import (BathPair, MuMode, TruncationPolicy, _batches, _beta,
-                        _cycle_sums, _grand_sums, _grouped)
+                        _count_error, _cycle_sums, _grand_sums, _grouped)
 # chemical_potentials stays bound here for wrappers that patch it per module
 from .ensembles import chemical_potentials  # noqa: F401
 
@@ -89,9 +89,7 @@ def _route_error(potential, ensemble, count):
         return EnsembleMismatchError(message)
     if ensemble is Ensemble.MORSE_SINGLE and count != 1:
         return EnsembleMismatchError("the Morse cycle is single-particle")
-    if count < 1:
-        return EnsembleMismatchError("particle count must be at least 1")
-    return None
+    return _count_error(count)
 
 
 def _stage_terms(potentials, ensemble, counts, baths, mu_mode, policy):

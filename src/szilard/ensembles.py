@@ -29,7 +29,8 @@ sums (_heads, which sizes every sum of every route), the levels its sums
 lack (one _Wells expression for harmonic and Morse traps, see
 _level_ladders), the canonical sums and energy sums of each barrier
 configuration (_series_sums) or the grand rungs' heads and moments
-(_grand_rungs), and the tails (see _tail_sums).  Only exactly rounded
+(_grand_rungs), and the tails (see _tail_sums), each laid out flat by the
+one _Segments of both routes.  Only exactly rounded
 operations run on arrays; a log, exp or fractional power that sets a length
 or a logged total runs in math, element by element, so every value keeps
 the bits of its one-trap evaluation.
@@ -63,7 +64,8 @@ from enum import Enum
 
 import numpy as np
 
-from ._tail_sums import _XCUT_MARGIN, _Heads, _Rungs, _Shapes, _heads, _tails
+from ._tail_sums import (_XCUT_MARGIN, _Heads, _Rungs, _Segments,
+                         _Shapes, _heads, _tails)
 from .constants import K_B
 from .errors import (ConvergenceViolationError, EnsembleMismatchError,
                      SolverFailureError, SzilardError, TruncationError,
@@ -178,8 +180,9 @@ def _stride(barrier):
 # truncated series evaluation
 #
 # _series_sums evaluates many segments, each one (trap, barrier, beta)
-# Boltzmann sum, with their ladders laid end to end in one flat array
-# (_Segments): each elementwise step is one numpy pass over all of them,
+# Boltzmann sum, with their ladders laid end to end in one flat array by
+# _tail_sums._Segments, the layout the grand route's heads, moments and
+# k-series share: each elementwise step is one numpy pass over all of them,
 # while per-segment logic (lengths, errors) stays in Python.  A batched
 # value equals the one-segment value bit for bit, and a failing segment
 # yields its SzilardError in place of a value.
@@ -286,40 +289,6 @@ def _grouped(indices, key):
     for i in indices:
         groups.setdefault(key(i), []).append(i)
     return [i for group in groups.values() for i in group]
-
-
-class _Segments:
-    """Ladders of different lengths laid end to end, each behind one slot.
-
-    np.sum adds the pairwise sum of its array to 0.0, while np.add.reduceat
-    adds the pairwise sum of the rest of each segment to its first element.
-    Leading every segment with a slot that holds 0.0 makes the two agree bit
-    for bit, so a segment's batched sum equals its own np.sum, alone or
-    among others.
-    """
-
-    def __init__(self, lengths):
-        self.width = np.asarray(lengths, dtype=np.intp) + 1
-        self.slots = np.zeros(len(self.width), dtype=np.intp)
-        np.cumsum(self.width[:-1], out=self.slots[1:])
-
-    def join(self, ladders):
-        """The ladders as one flat array.
-
-        Each slot repeats its ladder's first value, so every term function
-        stays finite there; sums() zeroes the slots of the terms.
-        """
-        return np.concatenate([part for ladder in ladders
-                               for part in (ladder[:1], ladder)])
-
-    def spread(self, values):
-        """One value per segment, repeated over its slot and ladder."""
-        return np.repeat(values, self.width)
-
-    def sums(self, terms):
-        """Each segment's sum of terms; overwrites the slots with 0.0."""
-        terms[self.slots] = 0.0
-        return np.add.reduceat(terms, self.slots)
 
 
 def _failed(value):
@@ -458,6 +427,13 @@ def _require_power_family(potential, who):
         raise EnsembleMismatchError(f"{who} needs a harmonic or power-law trap")
 
 
+def _count_error(count):
+    """The EnsembleMismatchError of a particle count that is not a finite
+    number of at least 1 (nan and inf are not), or None."""
+    return None if 1 <= count < math.inf else EnsembleMismatchError(
+        "particle count must be finite and at least 1")
+
+
 def _canonical_stages(traps, grounds, temperatures, counts, first, policy):
     """canonical_stage_properties of many units, unit i trap i with
     counts[i] particles at temperatures[i], in each barrier configuration
@@ -557,6 +533,7 @@ def canonical_stage_properties(potential, barrier, count, temperature,
     is summed as an exact head plus a closed-form Euler-Maclaurin tail (see
     _heads).  The one-stage case of _canonical_stages.
     """
+    value_or_raise(_count_error(count))
     return value_or_raise(_canonical_stages(
         (potential,), ({barrier: level_energy(potential, 1, barrier)},),
         (temperature,), (count,), (None,), policy)[0][
@@ -669,8 +646,9 @@ def _rung_sums(rungs, rows, mus, kind):
     if live:
         at = np.array([rows[i] for i in live], dtype=np.intp)
         d = rungs.e1[at] - np.array([mus[i] for i in live])
-        heads = _Heads.of(rungs, at, kind == "energy")
-        sums = heads.sums(rungs.beta[at] * d, kind, d)[0]
+        heads = _Heads(rungs, at, kind == "energy")
+        with np.errstate(over="ignore"):    # v is inf for a mu far below E_1
+            sums = heads.sums(rungs.beta[at] * d, kind, d)[0]
         for j, (i, total) in enumerate(zip(live, sums.tolist())):
             out[i] = heads.error(j) or (
                 total if math.isfinite(total) else SolverFailureError(
@@ -689,15 +667,14 @@ def _mu_offsets(roots, counts, policy, rungs):
     n/g) / N, from the closed-form u, inside the bracket [log log(1 +
     d_1/(1e9 count)), k log 2] (k from doubling); a step that leaves the
     bracket bisects it (rtsafe, Numerical Recipes 9.4).  Every round
-    evaluates all roots at once, each its head and the k-series of its
+    evaluates all live roots at once, each its head and the k-series of its
     tail (_Heads.sums); each root's bracket, step and stop test are its
-    own.
+    own.  Once some roots stop, the heads of the rest are gathered afresh
+    from the rungs, so each row keeps the bits of its own evaluation.
     """
     out = list(rungs.errors)
     rows = [j for j, error in enumerate(out) if error is None]
-    if not rows:
-        return out
-    heads = _Heads.of(rungs, np.array(rows, dtype=np.intp))
+    heads = _Heads(rungs, np.array(rows, dtype=np.intp))
     live = [_Root(j, _degeneracy(roots[j][1]), counts[j]) for j in rows]
     # an occupation past 1e154 overflows n (1 + n/g) to inf, which makes
     # the step 0: the root stops there, and like every root it is then
@@ -718,10 +695,11 @@ def _mu_offsets(roots, counts, policy, rungs):
             if result is not None:
                 out[root.j] = result
                 keep[i] = False
-        if not all(keep):   # drop finished roots from the next round
+        if not all(keep):   # gather the heads of the roots left
             live = [root for root, kept in zip(live, keep) if kept]
             if live:
-                heads = heads.take(np.array(keep))
+                heads = _Heads(rungs, np.array([root.j for root in live],
+                                               dtype=np.intp))
     return out
 
 
@@ -892,8 +870,7 @@ def chemical_potentials(potential, count, temperature, mode,
 def _one_trap_roots(potential, count, temperature, barriers):
     """One trap's _chemical_potentials roots, after every mode's checks."""
     _require_power_family(potential, "the chemical potential")
-    if count < 1:
-        raise EnsembleMismatchError("particle count must be at least 1")
+    value_or_raise(_count_error(count))
     _beta(temperature)      # raises where 1/(k_B T) overflows, in every mode
     return [(potential, barrier, temperature,
              level_energy(potential, 1, barrier)) for barrier in barriers]

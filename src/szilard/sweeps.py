@@ -305,33 +305,32 @@ def _cycle_cells(result, t_cold):
     cells = {"work": result.work,
              "work_per_kT_cold": result.work / (K_B * t_cold),
              "efficiency": result.efficiency, "q_hot": result.q_hot,
-             "q_cold": result.q_cold, "regime": result.regime.value,
-             "error": ""}
+             "q_cold": result.q_cold, "regime": result.regime.value}
     for bath, mus in zip(("hot", "cold"), result.mus or ()):
         cells[f"mu_pre_{bath}"] = mus.pre_insertion
         cells[f"mu_post_{bath}"] = mus.post_insertion
     return cells
 
 
-def _cycle_rows(spec, points):
-    """Rows of the points of a cycle family, all from one cycle evaluation
-    (see cycle._run_cycles: every route batches points whatever their count
-    and baths, and sums or builds each stage and rung its points share
-    once).  Each distinct trap of the sweep is built once, and the points
-    of equal trap inputs share that one object."""
+def _cycle_values(spec, points):
+    """Per point of a cycle family, its row values or SzilardError, all from
+    one cycle evaluation (see cycle._run_cycles: every route batches points
+    whatever their count and baths, and sums or builds each stage and rung
+    its points share once).  Each distinct trap of the sweep is built once,
+    and the points of equal trap inputs share that one object."""
     ensemble, build = _CYCLES[spec.family]
     p = spec.params
     mu_mode = MuMode(p.get("mu_mode", MuMode.SOLVED.value))
     literal = (ensemble is Ensemble.MORSE_SINGLE
                and bool(p.get("literal_denominator")))
-    rows, jobs, traps = [None] * len(points), [], {}
+    out, jobs, traps = [None] * len(points), [], {}
     names = _trap_names(spec.family)
     for index, point in enumerate(points):
         key = tuple(map(point.get, names))
         try:
             count, baths, trap, cells = build(point, p, traps.get(key))
         except SzilardError as exc:
-            rows[index] = _error_row(spec, point, exc)
+            out[index] = exc
         else:
             traps[key] = trap
             jobs.append(((count, baths), index, trap, cells))
@@ -340,10 +339,9 @@ def _cycle_rows(spec, points):
                           [baths for (_, baths), *_ in jobs], spec.policy,
                           mu_mode, literal)
     for ((_, baths), index, _, cells), result in zip(jobs, results):
-        rows[index] = (_error_row(spec, points[index], result)
-                       if isinstance(result, SzilardError)
-                       else {**cells, **_cycle_cells(result, baths.cold)})
-    return rows
+        out[index] = (result if isinstance(result, SzilardError)
+                      else {**cells, **_cycle_cells(result, baths.cold)})
+    return out
 
 
 def _harmonic_points(spec, points, prepare):
@@ -463,9 +461,10 @@ def _barrier_values(spec, points):
     return out
 
 
-# Each other family's per-point row values or SzilardErrors, from all its
-# points at once
+# Each family's per-point row values or SzilardErrors, from all its points
+# at once
 _VALUES = {
+    **dict.fromkeys(_CYCLES, _cycle_values),
     "chemical-potential": _chemical_potential_values,
     "partition-ratio": _partition_ratio_values,
     "barrier-levels": _barrier_values,
@@ -481,14 +480,6 @@ def _error_row(spec, point, exc):
     row = {name: point.get(name) for name in _SCHEMAS[spec.family]}
     row["error"] = _sanitize(f"{type(exc).__name__}: {exc}")
     return row
-
-
-def _value_rows(spec, points):
-    """The rows of the points of the other families."""
-    return [_error_row(spec, point, value) if isinstance(value, SzilardError)
-            else {**value, "error": ""}
-            for point, value in zip(points, _VALUES[spec.family](spec,
-                                                                 points))]
 
 
 # ---------------------------------------------------------------------------
@@ -808,9 +799,9 @@ def spec_from_config(base, cp):
 def run_sweep(spec, csv_path=None):
     """Evaluate the grid, write CSV + manifest, return the outcome.
 
-    Points are evaluated in grid order in this thread (cycle families by
-    runs, see _cycle_rows); spec.workers is recorded in the manifest and
-    changes nothing.  Per-point failures are recorded in the row and the
+    Points are evaluated in this thread, all of a family's at once (see
+    _VALUES); spec.workers is recorded in the manifest and changes
+    nothing.  Per-point failures are recorded in the row and the
     manifest.
     """
     errors = _spec_errors(spec)
@@ -818,10 +809,10 @@ def run_sweep(spec, csv_path=None):
         raise ConfigError("; ".join(errors))
     points = _points(spec)
     started = time.perf_counter()
-    if spec.family in _CYCLES:
-        rows = _cycle_rows(spec, points)
-    else:
-        rows = _value_rows(spec, points)
+    values = _VALUES[spec.family](spec, points)
+    rows = [_error_row(spec, point, value) if isinstance(value, SzilardError)
+            else {**value, "error": ""}
+            for point, value in zip(points, values)]
     wall = time.perf_counter() - started
     errors = [(index, row["error"]) for index, row in enumerate(rows)
               if row["error"]]

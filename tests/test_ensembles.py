@@ -5,6 +5,7 @@ import contextlib
 import gc
 import itertools
 import math
+import warnings
 from fractions import Fraction
 from unittest import mock
 
@@ -441,7 +442,8 @@ def test_batched_levels_equal_level_energy(traps):
 def test_segment_sums_equal_numpy_sums(ladders):
     """_Segments lays one ladder or 2-6 of them end to end: each one's sum
     of Boltzmann terms and of energy times terms, formed as _series_sums
-    forms them, equals np.sum over that ladder alone, bit for bit."""
+    forms them, equals np.sum over that ladder alone, bit for bit, and
+    within() numbers each segment's places 0 (its slot) to n."""
     built, want = [], []
     for n, beta, spread, seed in ladders:
         levels = np.cumsum(np.random.default_rng(seed).uniform(0.0, spread,
@@ -449,7 +451,9 @@ def test_segment_sums_equal_numpy_sums(ladders):
         terms = np.exp(-(beta * (levels - levels[0])))
         built.append((levels, beta, levels[0]))
         want.append((np.sum(terms), np.sum(levels * terms)))
-    flat = ensembles._Segments([len(levels) for levels, _, _ in built])
+    flat = _tail_sums._Segments([len(levels) for levels, _, _ in built])
+    assert flat.within().tolist() == [
+        j for levels, _, _ in built for j in range(len(levels) + 1)]
     energies = flat.join([levels for levels, _, _ in built])
     t = ensembles._boltzmann_terms(
         flat.spread([beta for _, beta, _ in built]),
@@ -1158,6 +1162,71 @@ def test_grand_rungs_size_by_the_scalar_reference(traps):
         assert got == (n, kind), (trap, barrier, got, n, tailed)
 
 
+@settings(max_examples=60, deadline=None)
+@given(traps=st.lists(st.tuples(st.booleans(), st.floats(-3.0, 3.0),
+                                st.floats(0.3, 3.0), st.booleans(),
+                                st.integers(0, 2), st.integers(1, 1000)),
+                      min_size=1, max_size=8),
+       temperatures=st.lists(st.floats(0.5, 8.0), min_size=1, max_size=3),
+       data=st.data())
+def test_heads_of_any_rows_keep_each_rows_bits(traps, temperatures, data):
+    """A _Heads gathers the heads of any rows of a _Rungs, in any order,
+    from its flat arrays (a _mu_offsets round re-gathers those of the roots
+    left).  Over random rungs (harmonic and power-law traps with nu 0.3-3,
+    both barriers, 1-3 betas, counts 1-1000), each row's occupancy, Newton
+    weight, log and energy sums keep the bits of that row's own one-row
+    _Heads; and those of a rung with no tail equal np.sum of its own head's
+    terms."""
+    betas = [1.0 / (K_B * t) for t in temperatures]
+    requests = []
+    for harmonic, log_scale, nu, inserted, b, count in traps:
+        scale = 10 ** log_scale * K_B * 2.0
+        barrier = Barrier.INSERTED if inserted else Barrier.ABSENT
+        trap = (Harmonic(MASS, scale / HBAR) if harmonic
+                else PowerLaw.from_energy_scale(MASS, scale, nu))
+        g = 2.0 if inserted else 1.0
+        requests.append((trap, barrier, betas[b % len(betas)],
+                         level_energy(trap, 1, barrier),
+                         math.log1p(g / count), count))
+    rungs = ensembles._grand_rungs(requests, _SMALL_CAP)
+    live = [r for r, error in enumerate(rungs.errors) if error is None]
+    if not live:
+        return
+    rows = data.draw(st.lists(st.sampled_from(live), min_size=1,
+                              unique=True))
+    at = np.array(rows, dtype=np.intp)
+    v = np.array([requests[r][4] + data.draw(st.floats(0.0, 20.0))
+                  for r in rows])
+    d = v / rungs.beta[at]
+    heads = ensembles._Heads(rungs, at, True)
+    for kind in ("occupancy", "log", "energy"):
+        got = heads.sums(v, kind, d)
+        for i, r in enumerate(rows):
+            own = ensembles._Heads(rungs, at[i:i + 1], True).sums(
+                v[i:i + 1], kind, d[i:i + 1])
+            assert [t[i].tobytes() for t in got] == [
+                t[0].tobytes() for t in own], (r, kind)
+            if rungs.kind[r]:
+                continue
+            start, n = int(rungs.starts[r]) + 1, int(rungs.heads[r])
+            y = rungs.x[start:start + n] + v[i]
+            g = rungs.g[r]
+            if kind == "log":
+                want = [np.sum(np.log1p(-np.exp(-y)))]
+            else:
+                with np.errstate(over="ignore"):    # far levels: terms 0
+                    m = np.expm1(np.maximum(y, 1e-300))
+                if kind == "energy":
+                    want = [np.sum((rungs.gap[start:start + n] + d[i]) / m)
+                            * g]
+                else:
+                    occupation = 1.0 / m
+                    want = [np.sum(occupation) * g,
+                            np.sum(occupation * (occupation + 1.0)) * g]
+            assert [t[i].tobytes() for t in got] == [
+                w.tobytes() for w in want], (r, kind)
+
+
 def _checked_last_terms(log):
     """Assert that each canonical sum that runs to its size, rather than to
     a Morse well's last bound level or to a head that a closed-form tail
@@ -1569,3 +1638,57 @@ class TestRaisedErrors:
             finally:
                 gc.enable()
         assert garbage == 0
+
+
+_COUNT_HARMONIC = Harmonic(MASS, 1e10)
+_COUNT_POWER_LAW = PowerLaw(MASS, 1e10, 1.6)
+_COUNT_BATHS = BathPair(2.0, 1.0)
+_COUNT_CALLS = [
+    pytest.param(lambda count: canonical_stage_properties(
+        _COUNT_HARMONIC, Barrier.ABSENT, count, 2.0),
+        id="canonical_stage_properties"),
+    pytest.param(lambda count: chemical_potential(
+        _COUNT_POWER_LAW, count, 2.0, Barrier.ABSENT, MuMode.SOLVED),
+        id="chemical_potential"),
+    pytest.param(lambda count: chemical_potentials(
+        _COUNT_POWER_LAW, count, 2.0, MuMode.CLOSED_FORM),
+        id="chemical_potentials"),
+    pytest.param(lambda count: run_cycle(
+        _COUNT_POWER_LAW, Ensemble.GRAND_BOSE, count, _COUNT_BATHS),
+        id="run_cycle-grand"),
+    pytest.param(lambda count: run_cycle(
+        _COUNT_HARMONIC, Ensemble.CANONICAL_N, count, _COUNT_BATHS),
+        id="run_cycle-canonical"),
+]
+
+
+@pytest.mark.parametrize("count", [0, -1, 0.5, math.nan, math.inf])
+@pytest.mark.parametrize("call", _COUNT_CALLS)
+def test_particle_count_outside_one_to_inf_is_refused(call, count):
+    """Every entry point that takes a particle count refuses one that is
+    not a finite number of at least 1 with the same EnsembleMismatchError,
+    before any sum, so that no such count reaches a sum or a root: -1 would
+    give a negative energy, inf a bare ValueError from log(0), nan a root
+    that fails."""
+    with pytest.raises(EnsembleMismatchError,
+                       match="particle count must be finite and at least 1"):
+        call(count)
+
+
+@pytest.mark.parametrize("call", _COUNT_CALLS)
+def test_fractional_particle_count_stays_legal(call):
+    """A count of 2.5 passes the check and evaluates."""
+    call(2.5)
+
+
+def test_mu_far_below_ground_sums_to_zero_without_warning():
+    """A chemical potential of -1e300 J puts v = beta (E_1 - mu) past float
+    range: it is inf, every Bose term is 0, and no RuntimeWarning leaks."""
+    mus = ChemicalPotentials(-1e300, -1e300, 2.0, 10, MuMode.SOLVED)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert occupancy_total(_COUNT_POWER_LAW, Barrier.ABSENT, -1e300,
+                               2.0) == 0.0
+        assert log_relative_partition(_COUNT_POWER_LAW, mus, 2.0) == 0.0
+        assert internal_energy(Stage.A, _COUNT_POWER_LAW, mus,
+                               _COUNT_BATHS) == 0.0
