@@ -18,12 +18,13 @@ _batches splits a run of traps into consecutive batches of a bounded number
 of estimated terms, at the canonical decay rate N beta of the hot bath
 (beta for the grand route) and at most a Morse well's bound count, counting
 the head of a sum that a tail completes rather than its whole ladder (a
-grand trap's once per bath), and looks up each distinct trap's two ground
-levels once for every sum of its batch (one _Wells expression for its
-harmonic and Morse traps).  A batch closes only between two different
-traps, and the cycle routes put the points of equal trap side by side, so a
-batch builds each grand rung once for all its counts, and sums each
-distinct canonical (trap, count, bath) once for every point that reads it.
+grand trap's once per bath), and looks up each trap's two ground levels
+once for every sum of its batch (one _Wells expression for its harmonic
+and Morse traps).  A trap is its object; a sweep builds each distinct trap
+once.  _batches puts the points of each trap side by side and closes a
+batch only between two traps, so a batch builds each grand rung once for
+all its counts, and sums each distinct canonical (trap, count, bath) once
+for every point that reads it.
 Each step of a batch is one array pass over all its traps: the sizes of its
 sums (_heads, which sizes every sum of every route), the levels its sums
 lack (one _Wells expression for harmonic and Morse traps, see
@@ -126,7 +127,7 @@ class TruncationPolicy:
     def __post_init__(self):
         if not (0.0 < self.rel_tol < 1.0):
             raise TruncationError("rel_tol must lie in (0, 1)")
-        if self.max_terms < 10:
+        if not self.max_terms >= 10:    # nan too
             raise TruncationError("max_terms must be at least 10")
 
 
@@ -239,29 +240,31 @@ _BATCH_TERMS = 8192
 def _batches(potentials, betas, policy, baths=1):
     """Split traps into consecutive batches for the batched stage sums.
 
-    Returns (traps, grounds, heads) per batch.  grounds[i] holds trap i's
-    ground levels by barrier (each E_1 or the error of its lookup), looked
-    up once per distinct trap for every sum of the batch.  heads[i] is the
-    (n, tailed) of trap i's barrier-free sum at its decay rate betas[i] (N
-    beta of the hot bath for a canonical stage A, beta for a grand rung,
-    whose mu approaches E_1), from one _heads pass over the distinct (trap,
-    beta) rows, or None where its estimate fails (its batch reports it).
-    A batch closes once those lengths, each counted `baths` times (2 for a
-    grand cycle, whose per-root arrays hold a head of each barrier at each
-    bath), reach _BATCH_TERMS, but only between two different traps: the
-    points of one trap (see _grouped) share its ladder, its rungs and its
-    batch.
+    A trap is its object: the indices of each trap object are grouped, in
+    order of first appearance, and share its ladder, its rungs and its
+    batch.  Returns (at, grounds, heads) per batch, at the indices into
+    potentials of its points.  grounds[j] holds trap at[j]'s ground levels
+    by barrier (each E_1 or the error of its lookup), looked up once per
+    trap for every sum of the batch.  heads[j] is the (n, tailed) of trap
+    at[j]'s barrier-free sum at its decay rate betas[at[j]] (N beta of the
+    hot bath for a canonical stage A, beta for a grand rung, whose mu
+    approaches E_1), from one _heads pass over the distinct (trap, beta)
+    rows, or None where its estimate fails (its batch reports it).  A batch
+    closes once those lengths, each counted `baths` times (2 for a grand
+    cycle, whose per-root arrays hold a head of each barrier at each bath),
+    reach _BATCH_TERMS, but only between two traps.
     """
-    traps = {}      # each distinct trap: its index
-    index = [traps.setdefault(trap, len(traps)) for trap in potentials]
-    traps, levels = list(traps), _ground_levels(list(traps))
-    grounds = [levels[k] for k in index]
-    rows = list(zip(index, betas))
+    rows = [(id(trap), beta) for trap, beta in zip(potentials, betas)]
+    groups = {}     # each trap's indices
+    for i, (key, _) in enumerate(rows):
+        groups.setdefault(key, []).append(i)
+    levels = dict(zip(groups, _ground_levels(
+        [potentials[at[0]] for at in groups.values()])))
     sizes = dict.fromkeys(rows)     # each distinct row's (n, tailed)
     live = [(k, beta) for k, beta in sizes
             if not _failed(levels[k][Barrier.ABSENT])]
     lengths, tailed = _heads(
-        _Shapes.of([traps[k] for k, _ in live]), 1,
+        _Shapes.of([potentials[groups[k][0]] for k, _ in live]), 1,
         np.array([beta for _, beta in live], dtype=float),
         np.array([levels[k][Barrier.ABSENT] for k, _ in live], dtype=float),
         policy)
@@ -269,26 +272,15 @@ def _batches(potentials, betas, policy, baths=1):
         if not _failed(n):      # else the batch reports it
             sizes[row] = (n, tail)
     heads = [sizes[row] for row in rows]
-    batches, start, total = [], 0, 0
-    for end, head in enumerate(heads, 1):
-        total += baths * head[0] if head else 0
-        if end == len(rows) or (total >= _BATCH_TERMS
-                                and index[end] != index[end - 1]):
-            batches.append((potentials[start:end], grounds[start:end],
-                            heads[start:end]))
-            start, total = end, 0
-    return batches
-
-
-def _grouped(indices, key):
-    """indices reordered so that those of equal key(i) sit side by side,
-    each group in order of first appearance: points of equal trap then
-    share a batch (see _batches), which builds each of its ladders, rungs
-    and stage sums once."""
-    groups = {}
-    for i in indices:
-        groups.setdefault(key(i), []).append(i)
-    return [i for group in groups.values() for i in group]
+    batches, at, total = [], [], 0
+    for own in groups.values():
+        at += own
+        total += sum(baths * heads[i][0] for i in own if heads[i])
+        if total >= _BATCH_TERMS:
+            batches.append(at)
+            at, total = [], 0
+    return [(run, [levels[rows[i][0]] for i in run], [heads[i] for i in run])
+            for run in batches + [at] if run]
 
 
 def _failed(value):
@@ -544,15 +536,11 @@ def _cycle_sums(potentials, grounds, counts, baths, policy, heads):
     """Per trap of a batch as _batches returns it, with counts[i] particles
     between baths[i]: (log ratio hot, log ratio cold, (U_A, U_B, U_C,
     U_D)), or the error of its first failing stage, A to D.  Each distinct
-    (trap by value, count, bath) is one unit of _canonical_stages, summed
-    once for every point that reads it: at its hot bath for stages A and
-    B, at its cold one for C and D."""
-    equal, same, units, reads = {}, {}, {}, []
+    (trap, count, bath) is one unit of _canonical_stages, summed once for
+    every point that reads it: at its hot bath for stages A and B, at its
+    cold one for C and D."""
+    units, reads = {}, []
     for i, (trap, count, pair) in enumerate(zip(potentials, counts, baths)):
-        # equal traps are one object, and share a ladder
-        if id(trap) not in same:
-            same[id(trap)] = equal.setdefault(trap, trap)
-        trap = same[id(trap)]
         read = (id(trap), count, pair.hot), (id(trap), count, pair.cold)
         for key in read:
             units.setdefault(key, [trap, grounds[i], key[2], count, None])
@@ -584,13 +572,13 @@ def _grand_rungs(requests, policy, sized=None):
     order, v the least beta (E_1 - mu) each is summed at and count the
     occupancy its root solves for, or inf (see _Rungs).
 
-    Requests of equal traps, barrier and beta read one rung, built once:
+    Requests of one trap, barrier and beta read one rung, built once:
     sized from its E_1 by _heads, in one array pass over the rungs that
-    `sized` lacks (it maps a (trap, beta) to the (n, tailed)
+    `sized` lacks (it maps an (id(trap), beta) to the (n, tailed)
     _batches found for its barrier-free rung), and only its head
     built, by _level_ladders: the whole ladder where it is no longer than
     its head, else a head to which a tail adds the rest (see _tail_sums).
-    Equal traps share one barrier-free ladder.  An E_1 that is an error, an
+    A trap's rungs share its barrier-free ladder.  An E_1 that is an error, an
     estimate past float range, a head or a power-law k-series past
     max_terms and a level that cannot be built are the row's error.
     """
@@ -600,20 +588,14 @@ def _grand_rungs(requests, policy, sized=None):
     e1, v, count = (np.array([request[k] if error is None else 0.0
                               for request, error in zip(requests, errors)],
                              dtype=float) for k in (3, 4, 5))
-    # the rows that read each rung (trap k of traps, stride, beta); each
-    # trap object is looked up by value once, and equal traps are one
-    traps, index, rungs = {}, {}, {}
+    rungs = {}      # the rows that read each rung: (id(trap), stride, beta)
     for r, (trap, barrier, beta, *_) in enumerate(requests):
         if errors[r] is None:
-            k = index.get(id(trap))
-            if k is None:
-                k = index[id(trap)] = traps.setdefault(trap, len(traps))
-            rungs.setdefault((k, _stride(barrier), beta), []).append(r)
-    traps, keys = list(traps), list(rungs)
-    first = [rows[0] for rows in rungs.values()]
-    shapes = _Shapes.of([traps[k] for k, _, _ in keys])
+            rungs.setdefault((id(trap), _stride(barrier), beta), []).append(r)
+    keys, first = list(rungs), [rows[0] for rows in rungs.values()]
+    shapes = _Shapes.of([requests[r][0] for r in first])
     step = np.array([stride for _, stride, _ in keys], dtype=float)
-    sizes = [sized.get((traps[k], beta)) if sized and stride == 1 else None
+    sizes = [sized.get((k, beta)) if sized and stride == 1 else None
              for k, stride, beta in keys]
     todo = [m for m, size in enumerate(sizes) if size is None]
     at = [first[m] for m in todo]
@@ -623,8 +605,8 @@ def _grand_rungs(requests, policy, sized=None):
     readers, built = [], []
     for rows, ladder, (_, tail), *shape in zip(
             rungs.values(), _level_ladders(
-                [(traps[k], requests[r][1], n) for (k, _, _), r, (n, _)
-                 in zip(keys, first, sizes)], {}, policy.max_terms),
+                [(*requests[r][:2], n) for r, (n, _) in zip(first, sizes)],
+                {}, policy.max_terms),
             sizes, shapes.scale.tolist(), shapes.power.tolist(),
             step.tolist()):
         if _failed(ladder):
@@ -911,10 +893,10 @@ def _bath_ratios(potentials, grounds, counts, temperatures, mode, policy,
     trap sized at its first temperature (heads None: every rung is sized
     here).  Its rungs are read absent and inserted at each temperature in
     turn for each trap, and built once each from the ground levels (see
-    _grand_rungs), so traps that differ only in count share them; all the
-    roots are produced together in `mode` (see _chemical_potentials), and
-    each log ratio is the log terms of its two rungs at their chemical
-    potentials.
+    _grand_rungs), so the points of a trap that differ only in count share
+    them; all the roots are produced together in `mode` (see
+    _chemical_potentials), and each log ratio is the log terms of its two
+    rungs at their chemical potentials.
     """
     roots = [(potential, barrier, temperature, ground[barrier])
              for potential, ground, own in zip(potentials, grounds,
@@ -923,7 +905,7 @@ def _bath_ratios(potentials, grounds, counts, temperatures, mode, policy,
              for barrier in (Barrier.ABSENT, Barrier.INSERTED)]
     k = len(temperatures[0]) if temperatures else 0
     each = [count for count in counts for _ in range(2 * k)]
-    sized = {(trap, _beta(own[0])): head for trap, own, head
+    sized = {(id(trap), _beta(own[0])): head for trap, own, head
              in zip(potentials, temperatures, heads or ()) if head}
     rungs = _rungs_of(roots, each, mode, policy, sized)
     mus = _chemical_potentials(roots, each, mode, policy, rungs)

@@ -30,10 +30,10 @@ import numpy as np
 from . import __version__
 from .constants import ATOMIC_MASS, EV, K_B
 from .errors import ConfigError, OutputError, SzilardError, TruncationError
-from .potentials import Barrier, Harmonic, Morse, PowerLaw, Spectrum
+from .potentials import Barrier, Harmonic, Morse, PowerLaw
 from .barrier import even_levels, odd_level
 from .ensembles import (BathPair, MuMode, TruncationPolicy, _bath_ratios,
-                        _batches, _beta, _chemical_potentials, _grouped,
+                        _batches, _beta, _chemical_potentials, _ground_levels,
                         _mu_pairs, _one_trap_roots)
 # run_cycle stays bound here for wrappers that patch it per module
 from .cycle import Ensemble, _run_cycles, run_cycle, run_cycles  # noqa: F401
@@ -345,33 +345,31 @@ def _cycle_values(spec, points):
 
 
 def _harmonic_points(spec, points, prepare):
-    """Per point, the harmonic trap of spec, its N and T, and what
+    """Per point, the one harmonic trap of spec, its N and T, and what
     prepare(trap, count, temperature) gives (it checks T); or the
-    SzilardError of a point that fails there.  Then the points that did
-    not fail, those of equal trap and T, whatever their N, side by side
-    (see ensembles._grouped), in batches of their traps sized at beta =
-    1/(k_B T) (see ensembles._batches), as (point indices, traps, grounds,
-    heads)."""
+    SzilardError of a point that fails there, the trap's own first.  Then
+    the points that did not fail, whatever their N and T, in batches sized
+    at beta = 1/(k_B T) (see ensembles._batches), as (point indices,
+    grounds, heads)."""
     p = spec.params
+    try:
+        trap = Harmonic(mass=p["mass"], omega=p["omega"])
+    except SzilardError as exc:
+        return [exc] * len(points), []
     out = []
     for point in points:
         try:
-            trap = Harmonic(mass=p["mass"], omega=p["omega"])
             count, temperature = int(point["N"]), float(point["T"])
             out.append((trap, count, temperature,
                         prepare(trap, count, temperature)))
         except SzilardError as exc:
             out.append(exc)
-    live = _grouped([i for i, job in enumerate(out)
-                     if not isinstance(job, SzilardError)],
-                    lambda i: (out[i][0], out[i][2]))
-    batches = []
-    for traps, grounds, heads in _batches(
-            [out[i][0] for i in live], [_beta(out[i][2]) for i in live],
-            spec.policy):
-        own, live = live[:len(traps)], live[len(traps):]
-        batches.append((own, traps, grounds, heads))
-    return out, batches
+    live = [i for i, job in enumerate(out)
+            if not isinstance(job, SzilardError)]
+    return out, [([live[j] for j in at], grounds, heads)
+                 for at, grounds, heads in _batches(
+                     [trap] * len(live), [_beta(out[i][2]) for i in live],
+                     spec.policy)]
 
 
 def _chemical_potential_values(spec, points):
@@ -384,7 +382,7 @@ def _chemical_potential_values(spec, points):
     # every mode's checks of a point, with no root of its own
     out, batches = _harmonic_points(spec, points, lambda trap, count, t: (
         _one_trap_roots(trap, count, t, ())))
-    for run, _, grounds, _ in batches:
+    for run, grounds, _ in batches:
         roots = [(out[i][0], barrier, out[i][2], ground[barrier])
                  for i, ground in zip(run, grounds) for barrier in barriers]
         counts = [out[i][1] for i in run]
@@ -424,9 +422,9 @@ def _partition_ratio_values(spec, points):
     mode = MuMode(spec.params["mu_mode"])
     out, batches = _harmonic_points(spec, points, lambda trap, count, t: (
         _beta(t)))
-    for run, traps, grounds, heads in batches:
+    for run, grounds, heads in batches:
         for i, value in zip(run, _bath_ratios(
-                traps, grounds, [out[i][1] for i in run],
+                [out[i][0] for i in run], grounds, [out[i][1] for i in run],
                 [(out[i][2],) for i in run], mode, spec.policy, heads)[0]):
             out[i] = value if isinstance(value, SzilardError) else {
                 "T": out[i][2], "N": out[i][1], "log_ratio": value[1][0],
@@ -525,8 +523,9 @@ def validate(spec):
 
     Structural problems (bad masses, temperatures, axis ranges) make the
     whole sweep unrunnable; per-point predictions mirror the errors the
-    evaluation would record (shallow wells, series past the term cap)
-    without running any sums.
+    evaluation would record for wells too shallow to hold or to split a
+    level, from the ground-level lookup the run makes, without running any
+    sums.
     """
     report = ValidationReport(spec_errors=_spec_errors(spec))
     if spec.family not in _SCHEMAS:
@@ -535,19 +534,24 @@ def validate(spec):
     report.points = len(points)
     if report.spec_errors or spec.family != "morse-cycle":
         return report
-    forecasts = {}      # per distinct well, its failure or ""
+    wells = {}      # per distinct well, the well, its failure or None
     names = _trap_names(spec.family)
-    for index, point in enumerate(points):
-        key = tuple(map(point.get, names))
-        if key not in forecasts:
+    keys = [tuple(map(point.get, names)) for point in points]
+    for key, point in zip(keys, points):
+        if key not in wells:
             try:
-                Spectrum(_morse_potential(point, spec.params),
-                         Barrier.INSERTED)
-                forecasts[key] = ""
+                wells[key] = _morse_potential(point, spec.params)
             except SzilardError as exc:
-                forecasts[key] = _sanitize(f"{type(exc).__name__}: {exc}")
-        if forecasts[key]:
-            report.predicted_failures.append((index, forecasts[key]))
+                wells[key] = exc
+    built = [key for key, well in wells.items()
+             if not isinstance(well, SzilardError)]
+    for key, grounds in zip(built, _ground_levels([wells[k] for k in built])):
+        # the run's stage A is absent, its stage B inserted
+        wells[key] = next((e for e in grounds.values()
+                           if isinstance(e, SzilardError)), None)
+    report.predicted_failures = [
+        (index, _sanitize(f"{type(wells[key]).__name__}: {wells[key]}"))
+        for index, key in enumerate(keys) if wells[key] is not None]
     return report
 
 

@@ -11,7 +11,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from szilard import (Barrier, BathPair, ChemicalPotentials,
                      ConvergenceViolationError, Ensemble,
@@ -40,9 +40,10 @@ W_CANONICAL = {1: 5.0338870773722705e-27,
 def _one_batch(trap, count, temperature, policy=TruncationPolicy()):
     """The batch _batches makes of a lone trap at the decay rate count
     beta of `temperature`: (traps, grounds, heads)."""
-    batch, = ensembles._batches((trap,), [count * ensembles._beta(
-        temperature)], policy)
-    return batch
+    (at, grounds, heads), = ensembles._batches((trap,), [
+        count * ensembles._beta(temperature)], policy)
+    assert at == [0]
+    return (trap,), grounds, heads
 
 
 def _closed_form_work(count, omega, baths):
@@ -480,6 +481,73 @@ def test_refused_levels_fail_their_own_trap():
                                f" {shallow.bound_count} bound Morse levels")
 
 
+def _same_bits(got, want):
+    """A ground level, head or error that equals want: each float with its
+    bits (repr round-trips them), an error of its type and message."""
+    if isinstance(want, SzilardError):
+        return (type(got), str(got)) == (type(want), str(want))
+    return repr(got) == repr(want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(shapes=st.lists(st.tuples(
+    st.sampled_from(("harmonic", "power-law", "morse")), st.floats(0.5, 4.0),
+    st.floats(-4.0, 1.0), st.one_of(st.just(0.0), st.floats(1e-5, 0.7))),
+    min_size=1, max_size=4), data=st.data(),
+    max_terms=st.sampled_from((1_000_000, 60)), baths=st.sampled_from((1, 2)),
+    close=st.sampled_from((1, 64, 8192)))
+def test_batches_group_each_trap_object(shapes, data, max_terms, baths,
+                                        close):
+    """A trap is its object: _batches groups the indices of each trap
+    object, in order of first appearance, and a batch closes (here after 1,
+    64 or 8192 counted terms) only between two objects.  The traps come
+    from a small pool, each drawn as the pool's object or rebuilt equal,
+    at a pool temperature of its own; level scales 1e-4 to 10 kT, Morse
+    wells too shallow to hold or to split a level, and a 60-term cap give
+    some indices a ground level or head that fails.  Each index gets the
+    grounds and heads of its own one-trap _batches call, bit for bit."""
+    kt = K_B * 10.0
+
+    def build(kind, nu, log_ratio, chi):
+        scale = 10.0 ** log_ratio * kt
+        if kind == "harmonic":
+            return Harmonic(MASS, scale / HBAR)
+        if kind == "morse":
+            return Morse.from_anharmonicity(MASS, scale / HBAR, chi)
+        return PowerLaw.from_energy_scale(MASS, scale, nu)
+
+    pool = [build(*shape) for shape in shapes]
+    picks = data.draw(st.lists(st.tuples(
+        st.integers(0, len(pool) - 1), st.booleans(),
+        st.sampled_from((1.0, 2.0, 40.0))), min_size=1, max_size=12))
+    traps = [pool[k] if same else build(*shapes[k]) for k, same, _ in picks]
+    betas = [ensembles._beta(temperature) for *_, temperature in picks]
+    policy = TruncationPolicy(max_terms=max_terms)
+    with mock.patch.object(ensembles, "_BATCH_TERMS", close):
+        batches = ensembles._batches(traps, betas, policy, baths)
+    order = [i for at, _, _ in batches for i in at]
+    assert sorted(order) == list(range(len(traps)))
+    # each object's indices side by side, in input order, the objects in
+    # order of first appearance
+    firsts = [i for i, trap in enumerate(traps)
+              if not any(other is trap for other in traps[:i])]
+    assert order == [i for first in firsts for i in range(len(traps))
+                     if traps[i] is traps[first]]
+    for (at, _, _), (following, _, _) in zip(batches, batches[1:]):
+        assert traps[at[-1]] is not traps[following[0]]
+    event(f"{len(batches)} batches")
+    failed = any(head is None for _, _, heads in batches for head in heads)
+    event(f"a ground level or a head fails: {failed}")
+    for at, grounds, heads in batches:
+        assert len(grounds) == len(heads) == len(at)
+        for i, ground, head in zip(at, grounds, heads):
+            (_, (own,), (own_head,)), = ensembles._batches(
+                (traps[i],), [betas[i]], policy, baths)
+            assert list(ground) == list(own)
+            assert all(_same_bits(ground[b], own[b]) for b in own)
+            assert _same_bits(head, own_head)
+
+
 class TestMorseSums:
 
     # 9-level well: quantum hbar*1e10 J, depth 5.35 quanta
@@ -538,6 +606,8 @@ class TestTruncation:
             TruncationPolicy(rel_tol=2.0)
         with pytest.raises(TruncationError):
             TruncationPolicy(max_terms=5)
+        with pytest.raises(TruncationError, match="at least 10"):
+            TruncationPolicy(max_terms=math.nan)
 
     def test_term_cap_refuses_long_series(self):
         # 10 K at 1e10 rad/s needs thousands of levels

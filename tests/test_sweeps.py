@@ -364,6 +364,22 @@ class TestSingleEvaluation:
                                            (1, potentials.Barrier.INSERTED)],
                                           [])
 
+    @pytest.mark.parametrize("name, points", [("fig4", 240), ("fig5", 120)])
+    def test_harmonic_grid_builds_its_trap_once(self, tmp_path, monkeypatch,
+                                                name, points):
+        """fig4 and fig5 sweep N and T over one harmonic trap, which a run
+        builds once, where it built one per point: 240 and 120."""
+        calls = []
+        original = sweeps.Harmonic
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(sweeps, "Harmonic", counted)
+        outcome = _run(preset(name), tmp_path)
+        assert (outcome.points, outcome.failed, len(calls)) == (points, 0, 1)
+
     @staticmethod
     def _well_builds(wells):
         """The sizes of the _Wells builds in a log of _absent_energy calls:
@@ -787,11 +803,14 @@ class TestValidate:
         assert report.points == 480
         assert report.predicted_failures == []
 
-    def test_predicts_shallow_wells(self):
+    def test_predicts_shallow_wells(self, tmp_path):
+        """The forecast is the run's own errors, indices and messages."""
         report = validate(preset("fig9-inset"))
         assert report.ok                  # runnable, failures are per point
         assert report.points == 41
         assert len(report.predicted_failures) == 30
+        assert report.predicted_failures == _run(preset("fig9-inset"),
+                                                 tmp_path).errors
 
     def test_structural_errors(self):
         spec = preset("fig9")
@@ -826,16 +845,18 @@ class TestValidate:
         """fig10 at a depth of 2 eV and one of 1e-22 J, which holds no level
         or too few to split from about 1e12 rad/s up, at two hot baths: 200
         points, 100 wells.  The forecast builds each well once, where it
-        built one per point, and predicts the failures the per-point
-        forecast did, at the same indices with the same messages; the run
-        builds each well once too."""
+        built one per point, and predicts what each point's own ground
+        levels give, absent then inserted as the run's stages A and B look
+        them up, at the same indices with the same messages as the run's
+        errors; the run builds each well once too."""
         spec = replace(preset("fig10"), lists={"depth": (2.0 * EV, 1e-22),
                                                "T_hot": (2.0, 4.0)})
         want = []
         for index, point in enumerate(sweeps._points(spec)):
             try:
-                potentials.Spectrum(sweeps._morse_potential(point, spec.params),
-                                    Barrier.INSERTED)
+                well = sweeps._morse_potential(point, spec.params)
+                for barrier in (Barrier.ABSENT, Barrier.INSERTED):
+                    potentials.level_energy(well, 1, barrier)
             except SzilardError as exc:
                 want.append((index, sweeps._sanitize(
                     f"{type(exc).__name__}: {exc}")))
@@ -855,8 +876,7 @@ class TestValidate:
         calls.clear()
         outcome = _run(spec, tmp_path)
         assert (outcome.points, len(calls)) == (200, 100)
-        assert [index for index, _ in outcome.errors] == [
-            index for index, _ in want]
+        assert report.predicted_failures == outcome.errors
 
 
 class TestCli:
