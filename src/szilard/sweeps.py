@@ -3,13 +3,14 @@
 A sweep is a cartesian grid: discrete lists (particle counts, exponents,
 well depths, ...) crossed with at most one continuous axis.  Eleven presets
 pre-load published parameter sets; `custom` reads everything from a config
-file instead.  The three cycle families (canonical, bose-cycle, morse-cycle)
-share one path: each distinct trap is built once, its points share it,
-and all the points go through one cycle evaluation, each with its own
-particle count and baths, which gives each trap the result or error it
-gets alone.  Rows are
-written in grid order and all floats are formatted to 17 significant
-digits, which makes the CSV byte-identical across runs.
+file instead.  The five trap families (every one but barrier-levels)
+share one point builder, which the run and `validate` both use: each
+distinct trap is built once and its points share it.  The points of the
+three cycle families (canonical, bose-cycle, morse-cycle) then go through
+one cycle evaluation, each with its own particle count and baths, which
+gives each trap the result or error it gets alone.  Rows are written in
+grid order and all floats are formatted to 17 significant digits, which
+makes the CSV byte-identical across runs.
 
 A failed point (shallow well, series past the term cap, ...) becomes a row
 whose numeric cells are empty and whose last column carries the reason; it
@@ -29,12 +30,13 @@ import numpy as np
 
 from . import __version__
 from .constants import ATOMIC_MASS, EV, K_B
-from .errors import ConfigError, OutputError, SzilardError, TruncationError
+from .errors import (ConfigError, OutputError, SzilardError, TruncationError,
+                     value_or_raise)
 from .potentials import Barrier, Harmonic, Morse, PowerLaw
 from .barrier import even_levels, odd_level
 from .ensembles import (BathPair, MuMode, TruncationPolicy, _bath_ratios,
-                        _batches, _beta, _chemical_potentials, _ground_levels,
-                        _mu_pairs, _one_trap_roots)
+                        _batches, _beta, _chemical_potentials, _count_error,
+                        _failed, _ground_levels, _mu_pairs)
 # run_cycle stays bound here for wrappers that patch it per module
 from .cycle import Ensemble, _run_cycles, run_cycle, run_cycles  # noqa: F401
 
@@ -257,9 +259,18 @@ def _morse_potential(point, params):
     return Morse(mass=params["mass"], depth=depth, omega=omega)
 
 
-# How a point of each cycle family builds its particle count, baths, trap
-# and input cells; `trap` is the trap an earlier point of the sweep built
-# from the same inputs, or None.
+# How a point of each trap family builds its particle count, bath, trap
+# and input cells: a cycle's bath is its BathPair, a harmonic grid's its
+# temperature.  `trap` is the trap an earlier point of the sweep built from
+# the same inputs, or None.
+
+def _harmonic_point(point, p, trap):
+    trap = trap or Harmonic(mass=p["mass"], omega=p["omega"])
+    value_or_raise(_count_error(point["N"]))
+    count, temperature = int(point["N"]), float(point["T"])
+    _beta(temperature)      # raises where 1/(k_B T) overflows
+    return count, temperature, trap, {"T": temperature, "N": count}
+
 
 def _canonical_point(point, p, trap):
     omega = float(point.get("omega", p.get("omega")))
@@ -287,18 +298,39 @@ def _morse_point(point, p, trap):
         "depth": trap.depth, "anharmonicity": trap.anharmonicity}
 
 
-_CYCLES = {
-    "canonical": (Ensemble.CANONICAL_N, _canonical_point),
-    "bose-cycle": (Ensemble.GRAND_BOSE, _bose_point),
-    "morse-cycle": (Ensemble.MORSE_SINGLE, _morse_point),
+_BUILDERS = {
+    "canonical": _canonical_point,
+    "chemical-potential": _harmonic_point,
+    "partition-ratio": _harmonic_point,
+    "bose-cycle": _bose_point,
+    "morse-cycle": _morse_point,
+}
+
+_ENSEMBLES = {
+    "canonical": Ensemble.CANONICAL_N,
+    "bose-cycle": Ensemble.GRAND_BOSE,
+    "morse-cycle": Ensemble.MORSE_SINGLE,
 }
 
 
-def _trap_names(family):
-    """The grid names whose values, with the sweep's parameters, build a
-    point's trap: all but its particle count and hot bath.  Points of one
-    sweep with equal values of them have equal traps."""
-    return sorted(_POINT_NAMES[family] - {"N", "T_hot"})
+def _jobs(spec, points):
+    """Per point, the (count, bath, trap, cells) of its family's builder, or
+    the SzilardError it raises.  Points with equal values of the grid names
+    other than a count or a bath share one trap object, built by the first
+    of them whose job succeeds."""
+    build = _BUILDERS[spec.family]
+    names = sorted(_POINT_NAMES[spec.family] - {"N", "T", "T_hot"})
+    out, traps = [], {}
+    for point in points:
+        key = tuple(map(point.get, names))
+        try:
+            job = build(point, spec.params, traps.get(key))
+        except SzilardError as exc:
+            job = exc
+        else:
+            traps[key] = job[2]
+        out.append(job)
+    return out
 
 
 def _cycle_cells(result, t_cold):
@@ -314,62 +346,36 @@ def _cycle_cells(result, t_cold):
 
 def _cycle_values(spec, points):
     """Per point of a cycle family, its row values or SzilardError, all from
-    one cycle evaluation (see cycle._run_cycles: every route batches points
-    whatever their count and baths, and sums or builds each stage and rung
-    its points share once).  Each distinct trap of the sweep is built once,
-    and the points of equal trap inputs share that one object."""
-    ensemble, build = _CYCLES[spec.family]
+    one cycle evaluation of its jobs (see cycle._run_cycles: every route
+    batches points whatever their count and baths, and sums or builds each
+    stage and rung its points share once)."""
     p = spec.params
     mu_mode = MuMode(p.get("mu_mode", MuMode.SOLVED.value))
-    literal = (ensemble is Ensemble.MORSE_SINGLE
+    literal = (spec.family == "morse-cycle"
                and bool(p.get("literal_denominator")))
-    out, jobs, traps = [None] * len(points), [], {}
-    names = _trap_names(spec.family)
-    for index, point in enumerate(points):
-        key = tuple(map(point.get, names))
-        try:
-            count, baths, trap, cells = build(point, p, traps.get(key))
-        except SzilardError as exc:
-            out[index] = exc
-        else:
-            traps[key] = trap
-            jobs.append(((count, baths), index, trap, cells))
-    results = _run_cycles([trap for _, _, trap, _ in jobs], ensemble,
-                          [count for (count, _), *_ in jobs],
-                          [baths for (_, baths), *_ in jobs], spec.policy,
-                          mu_mode, literal)
-    for ((_, baths), index, _, cells), result in zip(jobs, results):
-        out[index] = (result if isinstance(result, SzilardError)
-                      else {**cells, **_cycle_cells(result, baths.cold)})
+    out = _jobs(spec, points)
+    live = [i for i, job in enumerate(out) if not _failed(job)]
+    results = _run_cycles([out[i][2] for i in live], _ENSEMBLES[spec.family],
+                          [out[i][0] for i in live], [out[i][1] for i in live],
+                          spec.policy, mu_mode, literal)
+    for i, result in zip(live, results):
+        _, baths, _, cells = out[i]
+        out[i] = (result if _failed(result)
+                  else {**cells, **_cycle_cells(result, baths.cold)})
     return out
 
 
-def _harmonic_points(spec, points, prepare):
-    """Per point, the one harmonic trap of spec, its N and T, and what
-    prepare(trap, count, temperature) gives (it checks T); or the
-    SzilardError of a point that fails there, the trap's own first.  Then
-    the points that did not fail, whatever their N and T, in batches sized
-    at beta = 1/(k_B T) (see ensembles._batches), as (point indices,
-    grounds, heads)."""
-    p = spec.params
-    try:
-        trap = Harmonic(mass=p["mass"], omega=p["omega"])
-    except SzilardError as exc:
-        return [exc] * len(points), []
-    out = []
-    for point in points:
-        try:
-            count, temperature = int(point["N"]), float(point["T"])
-            out.append((trap, count, temperature,
-                        prepare(trap, count, temperature)))
-        except SzilardError as exc:
-            out.append(exc)
-    live = [i for i, job in enumerate(out)
-            if not isinstance(job, SzilardError)]
+def _harmonic_points(spec, points):
+    """Per point, its job (see _jobs), or its SzilardError; then the points
+    that did not fail, whatever their N and T, in batches sized at beta =
+    1/(k_B T) (see ensembles._batches), as (point indices, grounds,
+    heads)."""
+    out = _jobs(spec, points)
+    live = [i for i, job in enumerate(out) if not _failed(job)]
     return out, [([live[j] for j in at], grounds, heads)
                  for at, grounds, heads in _batches(
-                     [trap] * len(live), [_beta(out[i][2]) for i in live],
-                     spec.policy)]
+                     [out[i][2] for i in live],
+                     [_beta(out[i][1]) for i in live], spec.policy)]
 
 
 def _chemical_potential_values(spec, points):
@@ -379,29 +385,25 @@ def _chemical_potential_values(spec, points):
     the batch, each rung once; each point keeps the values it gets alone,
     the closed form's error first."""
     barriers = (Barrier.ABSENT, Barrier.INSERTED)
-    # every mode's checks of a point, with no root of its own
-    out, batches = _harmonic_points(spec, points, lambda trap, count, t: (
-        _one_trap_roots(trap, count, t, ())))
+    out, batches = _harmonic_points(spec, points)
     for run, grounds, _ in batches:
-        roots = [(out[i][0], barrier, out[i][2], ground[barrier])
+        roots = [(out[i][2], barrier, out[i][1], ground[barrier])
                  for i, ground in zip(run, grounds) for barrier in barriers]
-        counts = [out[i][1] for i in run]
-        temperatures = [(out[i][2],) for i in run]
+        counts = [out[i][0] for i in run]
+        temperatures = [(out[i][1],) for i in run]
         closed, solved = (_mu_pairs(_chemical_potentials(
             roots, [count for count in counts for _ in barriers], mode,
             spec.policy), counts, temperatures, mode)
             for mode in (MuMode.CLOSED_FORM, MuMode.SOLVED))
         for i, pairs in zip(run, zip(closed, solved)):
-            error = next((e for e in pairs if isinstance(e, SzilardError)),
-                         None)
-            out[i] = error or _mu_cells(out[i][2], out[i][1], pairs[0][0],
-                                        pairs[1][0])
+            error = next((e for e in pairs if _failed(e)), None)
+            out[i] = error or {**out[i][3], **_mu_cells(pairs[0][0],
+                                                        pairs[1][0])}
     return out
 
 
-def _mu_cells(temperature, count, closed, solved):
+def _mu_cells(closed, solved):
     return {
-        "T": temperature, "N": count,
         "mu_pre": closed.pre_insertion,
         "mu_post": closed.post_insertion,
         "mu_pre_solved": solved.pre_insertion,
@@ -420,14 +422,13 @@ def _partition_ratio_values(spec, points):
     own temperature, each rung once; each point keeps the values it gets
     alone."""
     mode = MuMode(spec.params["mu_mode"])
-    out, batches = _harmonic_points(spec, points, lambda trap, count, t: (
-        _beta(t)))
+    out, batches = _harmonic_points(spec, points)
     for run, grounds, heads in batches:
         for i, value in zip(run, _bath_ratios(
-                [out[i][0] for i in run], grounds, [out[i][1] for i in run],
-                [(out[i][2],) for i in run], mode, spec.policy, heads)[0]):
-            out[i] = value if isinstance(value, SzilardError) else {
-                "T": out[i][2], "N": out[i][1], "log_ratio": value[1][0],
+                [out[i][2] for i in run], grounds, [out[i][0] for i in run],
+                [(out[i][1],) for i in run], mode, spec.policy, heads)[0]):
+            out[i] = value if _failed(value) else {
+                **out[i][3], "log_ratio": value[1][0],
                 "ratio": math.exp(value[1][0])}
     return out
 
@@ -462,7 +463,7 @@ def _barrier_values(spec, points):
 # Each family's per-point row values or SzilardErrors, from all its points
 # at once
 _VALUES = {
-    **dict.fromkeys(_CYCLES, _cycle_values),
+    **dict.fromkeys(_ENSEMBLES, _cycle_values),
     "chemical-potential": _chemical_potential_values,
     "partition-ratio": _partition_ratio_values,
     "barrier-levels": _barrier_values,
@@ -522,36 +523,31 @@ def validate(spec):
     """Dry-run diagnostics: structural errors plus per-point failure forecast.
 
     Structural problems (bad masses, temperatures, axis ranges) make the
-    whole sweep unrunnable; per-point predictions mirror the errors the
-    evaluation would record for wells too shallow to hold or to split a
-    level, from the ground-level lookup the run makes, without running any
-    sums.
+    whole sweep unrunnable.  The forecast builds every point of a trap
+    family through the run's own point builder (see _jobs), so it predicts
+    the errors of its trap and bath builds, of the harmonic grids' count
+    and temperature checks, of each particle count the cycle routes
+    refuse, and of the ground levels of each distinct trap, absent then
+    inserted, as the run looks them up; with the run's indices and
+    messages.  It forms no sum: the failures of term caps, roots and stage
+    sums are left to the run, and so are all of `barrier-levels`.
     """
     report = ValidationReport(spec_errors=_spec_errors(spec))
     if spec.family not in _SCHEMAS:
         return report
     points = _points(spec)
     report.points = len(points)
-    if report.spec_errors or spec.family != "morse-cycle":
+    if report.spec_errors or spec.family not in _BUILDERS:
         return report
-    wells = {}      # per distinct well, the well, its failure or None
-    names = _trap_names(spec.family)
-    keys = [tuple(map(point.get, names)) for point in points]
-    for key, point in zip(keys, points):
-        if key not in wells:
-            try:
-                wells[key] = _morse_potential(point, spec.params)
-            except SzilardError as exc:
-                wells[key] = exc
-    built = [key for key, well in wells.items()
-             if not isinstance(well, SzilardError)]
-    for key, grounds in zip(built, _ground_levels([wells[k] for k in built])):
-        # the run's stage A is absent, its stage B inserted
-        wells[key] = next((e for e in grounds.values()
-                           if isinstance(e, SzilardError)), None)
-    report.predicted_failures = [
-        (index, _sanitize(f"{type(wells[key]).__name__}: {wells[key]}"))
-        for index, key in enumerate(keys) if wells[key] is not None]
+    jobs = _jobs(spec, points)
+    traps = {id(job[2]): job[2] for job in jobs if not _failed(job)}
+    grounds = dict(zip(traps, _ground_levels(list(traps.values()))))
+    for index, job in enumerate(jobs):
+        error = job if _failed(job) else _count_error(job[0]) or next(
+            (e for e in grounds[id(job[2])].values() if _failed(e)), None)
+        if error is not None:
+            report.predicted_failures.append(
+                (index, _sanitize(f"{type(error).__name__}: {error}")))
     return report
 
 

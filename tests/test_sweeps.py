@@ -247,6 +247,19 @@ def _one_point(target, **values):
                    lists={k: (v,) for k, v in values.items()})
 
 
+def _with_params(target, **params):
+    spec = preset(target)
+    return replace(spec, params={**spec.params, **params})
+
+
+def _with_lists(target, **lists):
+    """target with each named grid value a list, in place of its axis."""
+    spec = preset(target)
+    return replace(spec, axes=tuple(a for a in spec.axes
+                                    if a.name not in lists),
+                   lists={**spec.lists, **lists})
+
+
 class TestSingleEvaluation:
     """Each cycle solves its chemical potentials and stage sums once."""
 
@@ -368,7 +381,8 @@ class TestSingleEvaluation:
     def test_harmonic_grid_builds_its_trap_once(self, tmp_path, monkeypatch,
                                                 name, points):
         """fig4 and fig5 sweep N and T over one harmonic trap, which a run
-        builds once, where it built one per point: 240 and 120."""
+        builds once, where it built one per point: 240 and 120.  The
+        forecast builds it once too, through the same point builder."""
         calls = []
         original = sweeps.Harmonic
 
@@ -379,6 +393,9 @@ class TestSingleEvaluation:
         monkeypatch.setattr(sweeps, "Harmonic", counted)
         outcome = _run(preset(name), tmp_path)
         assert (outcome.points, outcome.failed, len(calls)) == (points, 0, 1)
+        calls.clear()
+        assert validate(preset(name)).predicted_failures == []
+        assert len(calls) == 1
 
     @staticmethod
     def _well_builds(wells):
@@ -877,6 +894,74 @@ class TestValidate:
         outcome = _run(spec, tmp_path)
         assert (outcome.points, len(calls)) == (200, 100)
         assert report.predicted_failures == outcome.errors
+
+    @pytest.mark.parametrize("spec", [
+        pytest.param(preset(name), id=name) for name in preset_names()[:-1]
+    ] + [pytest.param(_with_params(target, omega=omega),
+                      id=f"{target}-omega={omega}")
+         for target in ("fig2", "fig4", "fig5") for omega in (1e-300, math.inf)
+    ] + [pytest.param(_with_params(target, mass=mass),
+                      id=f"{target}-mass={mass}")
+         for target in ("fig7", "fig8") for mass in (1e-300, 1e300)
+    ] + [pytest.param(_with_params("fig8", T_cold=1e-320),
+                      id="fig8-T_cold=1e-320"),
+         pytest.param(_with_lists("fig8", N=(10, math.inf)),
+                      id="fig8-N=inf")])
+    def test_forecast_equals_the_run(self, tmp_path, spec):
+        """Every trap family is forecast by the run's own point builder and
+        ground levels.  Where the failures come from them, as on every
+        preset and on these edge specs, the forecast is the run's errors,
+        indices and messages; fig4 and fig5 with a bad omega were
+        forecast none of their 240 and 120 failures.  A cycle point's
+        count is forecast as its route refuses it."""
+        report = validate(spec)
+        assert report.ok
+        assert report.predicted_failures == _run(spec, tmp_path).errors
+
+    @pytest.mark.parametrize("spec, forecast, failed", [
+        pytest.param(_with_params("fig4", omega=1e300), 0, 240,
+                     id="fig4-omega=1e300"),
+        pytest.param(_with_lists("fig8", nu=(1e-3, 50.0)), 120, 240,
+                     id="fig8-nu"),
+        pytest.param(_with_lists("fig9", T_hot=(1e-320, 1.0, 1e308)),
+                     1, 2, id="fig9-T_hot"),
+        pytest.param(_with_params("fig2", T_hot=1e308), 0, 20,
+                     id="fig2-T_hot=1e308")])
+    def test_forecast_is_a_subset_of_the_run(self, tmp_path, spec, forecast,
+                                             failed):
+        """Where points fail later, in a root, a stage sum or the cycle's
+        bounds, the forecast names only the failures of its builds and
+        ground levels, each as the run does.  fig9's hot bath of 1e-320 K
+        is a bath error the Morse forecast missed."""
+        report = validate(spec)
+        errors = _run(spec, tmp_path).errors
+        assert (len(report.predicted_failures), len(errors)) == (forecast,
+                                                                 failed)
+        assert set(report.predicted_failures) <= set(errors)
+
+    @pytest.mark.parametrize("target", ["fig8", "fig10"])
+    def test_forecast_forms_no_sum(self, monkeypatch, target):
+        """The forecast builds traps and looks up ground levels; it sums no
+        stage, builds no rung and solves no root."""
+        calls = [_count_calls(monkeypatch, name) for name in (
+            "_series_sums", "_grand_rungs", "_mu_offsets")]
+        assert validate(preset(target)).predicted_failures == []
+        assert calls == [[], [], []]
+
+    @pytest.mark.parametrize("target", ["fig4", "fig5"])
+    @pytest.mark.parametrize("count", [math.inf, math.nan])
+    def test_non_finite_count_gives_error_rows(self, tmp_path, target,
+                                               count):
+        """A hand-built harmonic grid with N = inf or nan once crashed the
+        whole sweep with a bare OverflowError or ValueError; every point
+        gets the typed row of the cycle families, forecast by validate."""
+        spec = _with_lists(target, N=(count,))
+        outcome = _run(spec, tmp_path)
+        assert outcome.points == 40
+        assert outcome.errors == [
+            (index, "EnsembleMismatchError: particle count must be finite"
+                    " and at least 1") for index in range(40)]
+        assert validate(spec).predicted_failures == outcome.errors
 
 
 class TestCli:
