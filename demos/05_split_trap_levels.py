@@ -16,18 +16,18 @@ STRENGTHS = (0.0, 1.0, 10.0, 100.0, 1e4, math.inf)
 
 def main():
     branches = 4
+    # one call per strength solves all its branches, each once
+    levels = {lam: even_levels(lam, branches - 1) for lam in STRENGTHS}
     header = "  ".join(f"{('L = %g' % lam):>10}" for lam in STRENGTHS)
     print(f"{'branch':>6}  {header}  {'odd level':>10}")
     for k in range(branches):
-        row = []
-        for lam in STRENGTHS:
-            row.append(f"{even_levels(lam, k)[k].energy:10.6f}")
+        row = [f"{levels[lam][k].energy:10.6f}" for lam in STRENGTHS]
         print(f"{k:>6}  {'  '.join(row)}  {odd_level(k):10.6f}")
 
     print("\nEach row climbs from 1/2 + 2k to 3/2 + 2k, the odd level it"
           " merges with.  Fractional progress at L = 1:")
     for k in range(branches):
-        e = even_levels(1.0, k)[k].energy
+        e = levels[1.0][k].energy
         lo = 0.5 + 2.0 * k
         print(f"  branch {k}: {(e - lo):.4f} of the unit gap")
 

@@ -81,19 +81,25 @@ def _pole_slopes(branch):
     return left, right
 
 
-def even_levels(strength, k_max, tol=1e-12):
-    """Solve the shifted even levels for branches k = 0..k_max.
+def even_levels(strength, k_max, tol=1e-12, k_min=0):
+    """Solve the shifted even levels for branches k = k_min..k_max.
 
     Bisection between consecutive poles; the ratio is monotone there, so the
     bracket is certain once its endpoints straddle the root.  Refined until
     the interval collapses below tol (well inside the 1e-10 contract).
-    Strength 0 and inf short-circuit to the exact endpoints.
+    Strength 0 and inf short-circuit to the exact endpoints.  Each branch
+    is bracketed by its own two poles, so a branch solved alone gives the
+    same solution bit for bit as in a run from branch 0; k_min > k_max
+    gives no branches, and a negative k_min is a SolverFailureError.
     """
     if not isinstance(strength, BarrierStrength):
         strength = BarrierStrength(float(strength))
+    if k_min < 0:
+        raise SolverFailureError(
+            f"branches start at 0, not at k_min = {k_min}")
     lam = strength.value
     out = []
-    for k in range(k_max + 1):
+    for k in range(k_min, k_max + 1):
         lo_pole = 0.5 + 2.0 * k
         hi_pole = 1.5 + 2.0 * k
         if lam == 0.0:

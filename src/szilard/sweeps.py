@@ -261,38 +261,41 @@ def _morse_potential(point, params):
 
 # How a point of each trap family builds its particle count, bath, trap
 # and input cells: a cycle's bath is its BathPair, a harmonic grid's its
-# temperature.  `trap` is the trap an earlier point of the sweep built from
-# the same inputs, or None.
+# temperature.  `traps[key]` is the trap an earlier point of the sweep
+# built from the same inputs; a point that finds none there puts its own
+# there as soon as it is built, before any check of the point can fail.
 
-def _harmonic_point(point, p, trap):
-    trap = trap or Harmonic(mass=p["mass"], omega=p["omega"])
+def _harmonic_point(point, p, traps, key):
+    trap = traps[key] = traps.get(key) or Harmonic(mass=p["mass"],
+                                                   omega=p["omega"])
     value_or_raise(_count_error(point["N"]))
     count, temperature = int(point["N"]), float(point["T"])
     _beta(temperature)      # raises where 1/(k_B T) overflows
     return count, temperature, trap, {"T": temperature, "N": count}
 
 
-def _canonical_point(point, p, trap):
+def _canonical_point(point, p, traps, key):
     omega = float(point.get("omega", p.get("omega")))
     baths = BathPair(hot=p["T_hot"], cold=p["T_cold"])
-    trap = trap or Harmonic(mass=p["mass"], omega=omega)
+    trap = traps[key] = traps.get(key) or Harmonic(mass=p["mass"],
+                                                   omega=omega)
     return point["N"], baths, trap, {**point, "omega": omega}
 
 
-def _bose_point(point, p, trap):
+def _bose_point(point, p, traps, key):
     baths = BathPair(hot=p["T_hot"], cold=p["T_cold"])
     scale = float(point["scale_ratio"]) * K_B * baths.cold
-    trap = trap or PowerLaw.from_energy_scale(p["mass"], scale,
-                                              float(point["nu"]))
+    trap = traps[key] = traps.get(key) or PowerLaw.from_energy_scale(
+        p["mass"], scale, float(point["nu"]))
     return point["N"], baths, trap, {**point, "energy_scale": scale,
                                      "omega": trap.omega}
 
 
-def _morse_point(point, p, trap):
+def _morse_point(point, p, traps, key):
     t_hot = float(point.get("T_hot", p.get("T_hot")))
     t_cold = p["T_cold"] if "T_cold" in p else t_hot * p["cold_to_hot"]
     baths = BathPair(hot=t_hot, cold=float(t_cold))
-    trap = trap or _morse_potential(point, p)
+    trap = traps[key] = traps.get(key) or _morse_potential(point, p)
     return 1, baths, trap, {
         "T_hot": baths.hot, "T_cold": baths.cold, "omega": trap.omega,
         "depth": trap.depth, "anharmonicity": trap.anharmonicity}
@@ -317,19 +320,16 @@ def _jobs(spec, points):
     """Per point, the (count, bath, trap, cells) of its family's builder, or
     the SzilardError it raises.  Points with equal values of the grid names
     other than a count or a bath share one trap object, built by the first
-    of them whose job succeeds."""
+    of them that builds it, whether or not its own job then fails."""
     build = _BUILDERS[spec.family]
     names = sorted(_POINT_NAMES[spec.family] - {"N", "T", "T_hot"})
     out, traps = [], {}
     for point in points:
-        key = tuple(map(point.get, names))
         try:
-            job = build(point, spec.params, traps.get(key))
+            out.append(build(point, spec.params, traps,
+                             tuple(map(point.get, names))))
         except SzilardError as exc:
-            job = exc
-        else:
-            traps[key] = job[2]
-        out.append(job)
+            out.append(exc)
     return out
 
 
@@ -434,15 +434,17 @@ def _partition_ratio_values(spec, points):
 
 
 def _eval_barrier(point, spec):
-    """even_levels solves every branch up to the one asked for, so a branch
-    past max_terms is a TruncationError rather than that many solves."""
+    """The point's one branch, solved alone (k_min = branch).  A branch at
+    or past max_terms is still a TruncationError row, with the message it
+    had when each solve took every lower branch too: error rows are part of
+    the output contract."""
     strength = float(point["strength"])
     branch = int(point["branch"])
     if branch >= spec.policy.max_terms:
         raise TruncationError(
             f"branch {branch:.6g} needs {branch + 1:.6g} even-level solves,"
             f" policy caps at {spec.policy.max_terms}")
-    solution = even_levels(strength, branch)[branch]
+    solution = even_levels(strength, branch, k_min=branch)[0]
     return {"strength": strength, "branch": branch,
             "even_level": solution.energy,
             "odd_level": odd_level(branch),

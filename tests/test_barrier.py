@@ -3,6 +3,7 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from szilard import (BarrierStrength, PoleError, SolverFailureError,
                      even_levels, gamma_ratio, odd_level)
@@ -87,6 +88,33 @@ def test_odd_levels_untouched():
 def test_branch_count():
     assert len(even_levels(1.0, 0)) == 1
     assert len(even_levels(1.0, 5)) == 6
+
+
+def test_k_min_below_0_is_refused():
+    """Branches start at 0; a negative lower bound is no branch at all."""
+    for lam in (0.0, 1.0, math.inf):
+        with pytest.raises(SolverFailureError, match="branches start at 0"):
+            even_levels(lam, 3, k_min=-1)
+
+
+def test_k_min_past_k_max_gives_no_branches():
+    """Like a negative k_max, a lower bound past k_max leaves no branch."""
+    assert even_levels(1.0, -1) == []
+    for lam in (0.0, 1.0, math.inf):
+        assert even_levels(lam, 2, k_min=3) == []
+        assert even_levels(lam, 0, k_min=5) == []
+
+
+@settings(max_examples=100, deadline=None)
+@given(lam=st.one_of(st.sampled_from((0.0, math.inf)),
+                     st.floats(1e-300, 1e12)),
+       k_max=st.integers(0, 8), k_min=st.integers(0, 10))
+def test_branches_from_k_min_are_the_tail_of_a_run_from_0(lam, k_max, k_min):
+    """Each branch is bracketed by its own two poles, so a run from k_min
+    solves the same branches bit for bit as a run from 0: energies and
+    residuals equal as floats, not merely close."""
+    assert (even_levels(lam, k_max, k_min=k_min)
+            == even_levels(lam, k_max)[k_min:])
 
 
 def test_strength_wrapper():

@@ -23,7 +23,7 @@ from szilard import (ATOMIC_MASS, Axis, Barrier, ConfigError, EV, Harmonic,
                      load_config,
                      log_relative_partition, parse_quantity, preset,
                      preset_names, run_sweep, spec_from_config, validate)
-from szilard import cycle, ensembles, potentials, sweeps
+from szilard import barrier, cycle, ensembles, potentials, sweeps
 from szilard.cli import main
 from szilard.sweeps import parse_integer
 
@@ -396,6 +396,44 @@ class TestSingleEvaluation:
         calls.clear()
         assert validate(preset(name)).predicted_failures == []
         assert len(calls) == 1
+
+    def test_a_failing_point_shares_the_trap_it_built(self, tmp_path,
+                                                      monkeypatch):
+        """fig4 with counts inf and 5: each point at N = inf builds the
+        trap, then fails its count check.  The first of them shares its
+        trap with every later point, where each built one until a point's
+        job succeeded: 41 builds in a run and 41 in the forecast."""
+        calls = []
+        original = sweeps.Harmonic
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(sweeps, "Harmonic", counted)
+        spec = replace(preset("fig4"), lists={"N": (math.inf, 5)})
+        outcome = _run(spec, tmp_path)
+        assert (outcome.points, outcome.failed, len(calls)) == (80, 40, 1)
+        calls.clear()
+        assert validate(spec).predicted_failures == outcome.errors
+        assert len(calls) == 1
+
+    def test_barrier_levels_solve_each_row_once(self, tmp_path, monkeypatch):
+        """fig6 solves only the branch each row asks for: one bracket per
+        row at its 4 finite non-zero strengths times 6 branches, 24, where
+        solving every branch up to the one asked for took 84.  Strengths 0
+        and inf need no bracket."""
+        calls = []
+        original = barrier._pole_slopes
+
+        def counted(branch):
+            calls.append(branch)
+            return original(branch)
+
+        monkeypatch.setattr(barrier, "_pole_slopes", counted)
+        outcome = _run(preset("fig6"), tmp_path)
+        assert (outcome.points, outcome.failed) == (36, 0)
+        assert sorted(calls) == sorted(list(range(6)) * 4)
 
     @staticmethod
     def _well_builds(wells):
@@ -1184,9 +1222,10 @@ class TestCli:
             ("config error: ", "error: ")))
 
     def test_huge_branch_gives_a_row(self, tmp_path, capsys):
-        """even_levels solves every branch up to the one asked for: a branch
-        of 1e300 once ran until memory ran out.  Past max_terms it is a
-        typed row, and the other branches keep their preset values."""
+        """A branch of 1e300 once ran until memory ran out, when
+        even_levels solved every branch up to the one asked for.  Past
+        max_terms it is a typed row, and the other branches keep their
+        preset values."""
         config = tmp_path / "branch.ini"
         config.write_text("[list.branch]\nvalues = 5, 1e300\n")
         out = tmp_path / "x.csv"
