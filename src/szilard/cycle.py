@@ -25,7 +25,7 @@ from .constants import K_B
 from .errors import (EnsembleMismatchError, SolverFailureError, SzilardError,
                      value_or_raise)
 from .potentials import Harmonic, Morse, PowerLaw
-from .ensembles import (BathPair, MuMode, TruncationPolicy, _batches, _beta,
+from .ensembles import (MuMode, TruncationPolicy, _batches, _beta,
                         _count_error, _cycle_sums, _grand_sums)
 # chemical_potentials stays bound here for wrappers that patch it per module
 from .ensembles import chemical_potentials  # noqa: F401
@@ -99,16 +99,16 @@ def _stage_terms(potentials, ensemble, counts, baths, mu_mode, policy):
     SzilardError that stops that potential.
 
     Every route runs batch by batch (see ensembles._batches), a lone trap
-    as a batch of one, from the ground levels and stage A heads the
-    batching found, and its batches mix counts and baths.  A trap is its
-    object, and each batch holds all the points of its traps.  The
-    canonical and Morse routes share the canonical stage sums, which sum
-    each distinct (trap, count, bath) of a batch once, in both barrier
+    as a batch of one, from the ground levels the batching looked up, and
+    its batches mix counts and baths.  A trap is its object, and each
+    batch holds all the points of its traps.  The canonical and Morse
+    routes share the canonical stage sums, which size and sum each
+    distinct (trap, count, bath) of a batch once, in both barrier
     configurations, on one ladder per trap; a Morse well is their
     single-particle case on a bounded ladder.
     The grand-canonical stage sums produce a batch's chemical potentials
     themselves, in every MuMode, and sum its log ratios and stage energies
-    on the same rungs, each built once whatever the counts that read it.
+    on the same rungs, each sized and built once for every count.
     """
     out = [_route_error(trap, ensemble, count)
            for trap, count in zip(potentials, counts)]
@@ -116,15 +116,15 @@ def _stage_terms(potentials, ensemble, counts, baths, mu_mode, policy):
     grand = ensemble is Ensemble.GRAND_BOSE
     # the decay rate of each trap's stage A: N beta, or beta for the grand
     # sums, whose mu approaches E_1
-    for at, grounds, heads in _batches(
+    for at, grounds in _batches(
             [potentials[i] for i in live],
             [(1 if grand else counts[i]) * _beta(baths[i].hot) for i in live],
             policy, 2 if grand else 1):
         own = [live[j] for j in at]
         args = ([potentials[i] for i in own], grounds,
                 [counts[i] for i in own], [baths[i] for i in own])
-        for i, sums in zip(own, _grand_sums(*args, mu_mode, policy, heads)
-                           if grand else _cycle_sums(*args, policy, heads)):
+        for i, sums in zip(own, _grand_sums(*args, mu_mode, policy)
+                           if grand else _cycle_sums(*args, policy)):
             out[i] = sums if grand or isinstance(sums, SzilardError) else (
                 *sums, None)
     return out

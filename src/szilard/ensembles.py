@@ -26,15 +26,15 @@ batch only between two traps, so a batch builds each grand rung once for
 all its counts, and sums each distinct canonical (trap, count, bath) once
 for every point that reads it.
 Each step of a batch is one array pass over all its traps: the sizes of its
-sums (_heads, which sizes every sum of every route), the levels its sums
-lack (one _Wells expression for harmonic and Morse traps, see
-_level_ladders), the canonical sums and energy sums of each barrier
-configuration (_series_sums) or the grand rungs' heads and moments
-(_grand_rungs), and the tails (see _tail_sums), each laid out flat by the
-one _Segments of both routes.  Only exactly rounded
-operations run on arrays; a log, exp or fractional power that sets a length
-or a logged total runs in math, element by element, so every value keeps
-the bits of its one-trap evaluation.
+sums (_heads, which sizes every sum of every route where it is summed; the
+batching's estimate only bounds a batch), the levels its sums lack (one
+_Wells expression for harmonic and Morse traps, see _level_ladders), the
+canonical sums and energy sums of each barrier configuration (_series_sums)
+or the grand rungs' heads and moments (_grand_rungs), and the tails (see
+_tail_sums), each laid out flat by the one _Segments of both routes.  Only
+exactly rounded operations run on arrays; a log, exp or fractional power
+that sets a length or a logged total runs in math, element by element, so
+every value keeps the bits of its one-trap evaluation.
 
 Stage labels follow the cycle diagram: A = barrier absent at the hot bath,
 B = inserted at the hot bath, C = inserted at the cold bath, D = absent at
@@ -242,17 +242,16 @@ def _batches(potentials, betas, policy, baths=1):
 
     A trap is its object: the indices of each trap object are grouped, in
     order of first appearance, and share its ladder, its rungs and its
-    batch.  Returns (at, grounds, heads) per batch, at the indices into
-    potentials of its points.  grounds[j] holds trap at[j]'s ground levels
-    by barrier (each E_1 or the error of its lookup), looked up once per
-    trap for every sum of the batch.  heads[j] is the (n, tailed) of trap
-    at[j]'s barrier-free sum at its decay rate betas[at[j]] (N beta of the
-    hot bath for a canonical stage A, beta for a grand rung, whose mu
-    approaches E_1), from one _heads pass over the distinct (trap, beta)
-    rows, or None where its estimate fails (its batch reports it).  A batch
-    closes once those lengths, each counted `baths` times (2 for a grand
-    cycle, whose per-root arrays hold a head of each barrier at each bath),
-    reach _BATCH_TERMS, but only between two traps.
+    batch.  Returns (at, grounds) per batch, at the indices into potentials
+    of its points.  grounds[j] holds trap at[j]'s ground levels by barrier
+    (each E_1 or the error of its lookup), looked up once per trap for
+    every sum of the batch.  A batch closes, only between two traps, once
+    it counts _BATCH_TERMS: the head length of each point's barrier-free
+    sum at its decay rate betas[i] (N beta of the hot bath for a canonical
+    stage A, beta for a grand rung, whose mu approaches E_1), `baths` times
+    (2 for a grand cycle, whose per-root arrays hold a head of each barrier
+    at each bath), from one _heads pass over the distinct (trap, beta) rows;
+    a failed estimate counts 0.  Each sum is sized again where it is summed.
     """
     rows = [(id(trap), beta) for trap, beta in zip(potentials, betas)]
     groups = {}     # each trap's indices
@@ -260,26 +259,22 @@ def _batches(potentials, betas, policy, baths=1):
         groups.setdefault(key, []).append(i)
     levels = dict(zip(groups, _ground_levels(
         [potentials[at[0]] for at in groups.values()])))
-    sizes = dict.fromkeys(rows)     # each distinct row's (n, tailed)
-    live = [(k, beta) for k, beta in sizes
+    live = [(k, beta) for k, beta in dict.fromkeys(rows)
             if not _failed(levels[k][Barrier.ABSENT])]
-    lengths, tailed = _heads(
+    lengths, _ = _heads(
         _Shapes.of([potentials[groups[k][0]] for k, _ in live]), 1,
         np.array([beta for _, beta in live], dtype=float),
         np.array([levels[k][Barrier.ABSENT] for k, _ in live], dtype=float),
         policy)
-    for row, n, tail in zip(live, lengths, tailed.tolist()):
-        if not _failed(n):      # else the batch reports it
-            sizes[row] = (n, tail)
-    heads = [sizes[row] for row in rows]
+    sizes = {row: n for row, n in zip(live, lengths) if not _failed(n)}
     batches, at, total = [], [], 0
     for own in groups.values():
         at += own
-        total += sum(baths * heads[i][0] for i in own if heads[i])
+        total += sum(baths * sizes.get(rows[i], 0) for i in own)
         if total >= _BATCH_TERMS:
             batches.append(at)
             at, total = [], 0
-    return [(run, [levels[rows[i][0]] for i in run], [heads[i] for i in run])
+    return [(run, [levels[rows[i][0]] for i in run])
             for run in batches + [at] if run]
 
 
@@ -426,7 +421,7 @@ def _count_error(count):
         "particle count must be finite and at least 1")
 
 
-def _canonical_stages(traps, grounds, temperatures, counts, first, policy):
+def _canonical_stages(traps, grounds, temperatures, counts, policy):
     """canonical_stage_properties of many units, unit i trap i with
     counts[i] particles at temperatures[i], in each barrier configuration
     of grounds[i] (its ground levels by barrier, each E_1 or the error of
@@ -439,9 +434,8 @@ def _canonical_stages(traps, grounds, temperatures, counts, first, policy):
     keeps its flat arrays near the terms the batching counted: the absent
     sums build each trap's barrier-free ladder, and the inserted ones
     extend it (see _level_ladders).  A sum not finite after its tail is a
-    SolverFailureError.  first[i] is unit i's absent (length, tailed) as
-    _batches returns it, or None, and _heads sizes it here.  A unit whose
-    N beta = N/(k_B T) overflows is an EnsembleMismatchError.
+    SolverFailureError.  A unit whose N beta = N/(k_B T) overflows is an
+    EnsembleMismatchError.
     """
     betas = [count * _beta(temperature)
              for count, temperature in zip(counts, temperatures)]
@@ -457,28 +451,16 @@ def _canonical_stages(traps, grounds, temperatures, counts, first, policy):
                 np.array([betas[i] for i, _, _ in picked]),
                 np.array([e1 for _, _, e1 in picked]))
 
-    # per row, the length of its sum or the error it meets before any sum
-    lengths, sized, tails = [], [], []
-    for r, (i, barrier, e1) in enumerate(rows):
-        if _failed(e1):
-            lengths.append(e1)
-        elif math.isinf(betas[i]):
-            lengths.append(EnsembleMismatchError(
-                f"N/(k_B T) overflows: N = {counts[i]:.6g} at"
-                f" {temperatures[i]:.6g} K is past float range"))
-        elif barrier is Barrier.ABSENT and first[i] is not None:
-            n, tail = first[i]
-            lengths.append(n)
-            if tail:
-                tails.append(r)
-        else:
-            lengths.append(None)
-            sized.append(r)
-    if sized:
-        own, tailed = _heads(*table(sized), policy)
-        for r, n in zip(sized, own):
-            lengths[r] = n
-        tails += [r for r, tail in zip(sized, tailed.tolist()) if tail]
+    # per row, the error it meets before any sum, else the length of its sum
+    lengths = [e1 if _failed(e1) else EnsembleMismatchError(
+        f"N/(k_B T) overflows: N = {counts[i]:.6g} at {temperatures[i]:.6g}"
+        " K is past float range") if math.isinf(betas[i]) else None
+        for i, _, e1 in rows]
+    sized = [r for r, n in enumerate(lengths) if n is None]
+    own, tailed = _heads(*table(sized), policy)
+    for r, n in zip(sized, own):
+        lengths[r] = n
+    tails = [r for r, tail in zip(sized, tailed.tolist()) if tail]
     sums, levels = [None] * len(rows), {}
     for barrier in Barrier:
         at = [r for r, row in enumerate(rows) if row[1] is barrier]
@@ -528,24 +510,22 @@ def canonical_stage_properties(potential, barrier, count, temperature,
     value_or_raise(_count_error(count))
     return value_or_raise(_canonical_stages(
         (potential,), ({barrier: level_energy(potential, 1, barrier)},),
-        (temperature,), (count,), (None,), policy)[0][
+        (temperature,), (count,), policy)[0][
             barrier is Barrier.INSERTED])
 
 
-def _cycle_sums(potentials, grounds, counts, baths, policy, heads):
+def _cycle_sums(potentials, grounds, counts, baths, policy):
     """Per trap of a batch as _batches returns it, with counts[i] particles
     between baths[i]: (log ratio hot, log ratio cold, (U_A, U_B, U_C,
     U_D)), or the error of its first failing stage, A to D.  Each distinct
-    (trap, count, bath) is one unit of _canonical_stages, summed once for
-    every point that reads it: at its hot bath for stages A and B, at its
-    cold one for C and D."""
+    (trap, count, bath) is one unit of _canonical_stages, which sizes and
+    sums it once for every point that reads it: at its hot bath for stages
+    A and B, at its cold one for C and D."""
     units, reads = {}, []
     for i, (trap, count, pair) in enumerate(zip(potentials, counts, baths)):
         read = (id(trap), count, pair.hot), (id(trap), count, pair.cold)
         for key in read:
-            units.setdefault(key, [trap, grounds[i], key[2], count, None])
-        if heads[i] is not None:
-            units[read[0]][4] = heads[i]    # stage A's, from the batching
+            units.setdefault(key, (trap, grounds[i], key[2], count))
         reads.append(read)
     stages = dict(zip(units, _canonical_stages(*zip(*units.values()), policy)
                       if units else ()))
@@ -567,20 +547,19 @@ def _cycle_sums(potentials, grounds, counts, baths, policy, heads):
 # every count that reads it, and every Newton round, occupancy re-check,
 # log ratio and stage energy reuses them.
 
-def _grand_rungs(requests, policy, sized=None):
+def _grand_rungs(requests, policy):
     """The _Rungs of (potential, barrier, beta, E_1, v, count) requests, in
     order, v the least beta (E_1 - mu) each is summed at and count the
     occupancy its root solves for, or inf (see _Rungs).
 
     Requests of one trap, barrier and beta read one rung, built once:
-    sized from its E_1 by _heads, in one array pass over the rungs that
-    `sized` lacks (it maps an (id(trap), beta) to the (n, tailed)
-    _batches found for its barrier-free rung), and only its head
-    built, by _level_ladders: the whole ladder where it is no longer than
-    its head, else a head to which a tail adds the rest (see _tail_sums).
-    A trap's rungs share its barrier-free ladder.  An E_1 that is an error, an
-    estimate past float range, a head or a power-law k-series past
-    max_terms and a level that cannot be built are the row's error.
+    sized from its E_1 here, by one _heads pass over all the rungs, and
+    only its head built, by _level_ladders: the whole ladder where it is
+    no longer than its head, else a head to which a tail adds the rest (see
+    _tail_sums).  A trap's rungs share its barrier-free ladder.  An E_1
+    that is an error, an estimate past float range, a head or a power-law
+    k-series past max_terms and a level that cannot be built are the
+    row's error.
     """
     errors = [e1 if _failed(e1) else None for _, _, _, e1, *_ in requests]
     g = np.array([_degeneracy(request[1]) for request in requests])
@@ -595,19 +574,13 @@ def _grand_rungs(requests, policy, sized=None):
     keys, first = list(rungs), [rows[0] for rows in rungs.values()]
     shapes = _Shapes.of([requests[r][0] for r in first])
     step = np.array([stride for _, stride, _ in keys], dtype=float)
-    sizes = [sized.get((k, beta)) if sized and stride == 1 else None
-             for k, stride, beta in keys]
-    todo = [m for m, size in enumerate(sizes) if size is None]
-    at = [first[m] for m in todo]
-    for m, *size in zip(todo, *_heads(shapes.take(todo), step[todo],
-                                      betas[at], e1[at], policy)):
-        sizes[m] = size
+    lengths, tailed = _heads(shapes, step, betas[first], e1[first], policy)
     readers, built = [], []
-    for rows, ladder, (_, tail), *shape in zip(
+    for rows, ladder, tail, *shape in zip(
             rungs.values(), _level_ladders(
-                [(*requests[r][:2], n) for r, (n, _) in zip(first, sizes)],
+                [(*requests[r][:2], n) for r, n in zip(first, lengths)],
                 {}, policy.max_terms),
-            sizes, shapes.scale.tolist(), shapes.power.tolist(),
+            tailed.tolist(), shapes.scale.tolist(), shapes.power.tolist(),
             step.tolist()):
         if _failed(ladder):
             for r in rows:
@@ -744,18 +717,18 @@ class _Root:
         return None
 
 
-def _rungs_of(roots, counts, mode, policy, sized=None):
+def _rungs_of(roots, counts, mode, policy):
     """The _Rungs of (potential, barrier, temperature, E_1) roots, root j of
-    counts[j] bosons, in `mode`; `sized` as _grand_rungs takes it.  Each is
-    summed at v = beta (E_1 - mu) >= log(1 + d_1/count), the closed form,
-    as its ground term alone, d_1/(e^v - 1), stays below count at a root;
-    a solved root's head bounds it further (see _Rungs)."""
+    counts[j] bosons, in `mode`, each sized and built by _grand_rungs.
+    Each is summed at v = beta (E_1 - mu) >= log(1 + d_1/count), the closed
+    form, as its ground term alone, d_1/(e^v - 1), stays below count at a
+    root; a solved root's head bounds it further (see _Rungs)."""
     solved = mode is MuMode.SOLVED
     return _grand_rungs([(potential, barrier, _beta(temperature), e1,
                           math.log1p(_degeneracy(barrier) / count),
                           count if solved else math.inf)
                          for (potential, barrier, temperature, e1), count
-                         in zip(roots, counts)], policy, sized)
+                         in zip(roots, counts)], policy)
 
 
 def _chemical_potentials(roots, counts, mode, policy, rungs=None):
@@ -881,18 +854,16 @@ def _log_ratios(logs):
             pre - 2.0 * post for pre, post in zip(logs[::2], logs[1::2])]
 
 
-def _bath_ratios(potentials, grounds, counts, temperatures, mode, policy,
-                 heads=None):
+def _bath_ratios(potentials, grounds, counts, temperatures, mode, policy):
     """Chemical potentials and log ratios of grand-canonical traps, trap i
     of counts[i] bosons at each of its tuple of temperatures[i] (all of one
     length): per trap (ChemicalPotentials, log ratio) per temperature, or
     the error of its first failing root (see _mu_pairs), else of its first
     failing log ratio; and the _Rungs they ran on.
 
-    potentials, grounds and heads are a batch as _batches returns it, each
-    trap sized at its first temperature (heads None: every rung is sized
-    here).  Its rungs are read absent and inserted at each temperature in
-    turn for each trap, and built once each from the ground levels (see
+    potentials and grounds are a batch as _batches returns it.  Its rungs
+    are read absent and inserted at each temperature in turn for each
+    trap, and sized and built once each from the ground levels (see
     _grand_rungs), so the points of a trap that differ only in count share
     them; all the roots are produced together in `mode` (see
     _chemical_potentials), and each log ratio is the log terms of its two
@@ -905,9 +876,7 @@ def _bath_ratios(potentials, grounds, counts, temperatures, mode, policy,
              for barrier in (Barrier.ABSENT, Barrier.INSERTED)]
     k = len(temperatures[0]) if temperatures else 0
     each = [count for count in counts for _ in range(2 * k)]
-    sized = {(id(trap), _beta(own[0])): head for trap, own, head
-             in zip(potentials, temperatures, heads or ()) if head}
-    rungs = _rungs_of(roots, each, mode, policy, sized)
+    rungs = _rungs_of(roots, each, mode, policy)
     mus = _chemical_potentials(roots, each, mode, policy, rungs)
     out = _mu_pairs(mus, counts, temperatures, mode)
     live = [i for i, pairs in enumerate(out) if not _failed(pairs)]
@@ -920,15 +889,16 @@ def _bath_ratios(potentials, grounds, counts, temperatures, mode, policy,
     return out, rungs
 
 
-def _grand_sums(potentials, grounds, counts, baths, mode, policy, heads):
+def _grand_sums(potentials, grounds, counts, baths, mode, policy):
     """Per trap of a batch as _batches returns it, with counts[i] bosons
     between baths[i]: (log ratio hot, log ratio cold, (U_A, U_B, U_C, U_D),
-    (hot, cold) ChemicalPotentials), from _bath_ratios at (hot, cold) and
-    each stage energy on its rung at that rung's chemical potential; or
-    the first error of _bath_ratios, else of its first failing energy."""
+    (hot, cold) ChemicalPotentials), from _bath_ratios at (hot, cold), which
+    sizes and builds each rung, and each stage energy on its rung at that
+    rung's chemical potential; or the first error of _bath_ratios, else of
+    its first failing energy."""
     out, rungs = _bath_ratios(potentials, grounds, counts,
                               [(pair.hot, pair.cold) for pair in baths],
-                              mode, policy, heads)
+                              mode, policy)
     live = [i for i, terms in enumerate(out) if not _failed(terms)]
     rows, mus = [], []
     for i in live:

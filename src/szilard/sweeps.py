@@ -367,13 +367,12 @@ def _cycle_values(spec, points):
 
 def _harmonic_points(spec, points):
     """Per point, its job (see _jobs), or its SzilardError; then the points
-    that did not fail, whatever their N and T, in batches sized at beta =
-    1/(k_B T) (see ensembles._batches), as (point indices, grounds,
-    heads)."""
+    that did not fail, whatever their N and T, in batches bounded at beta
+    = 1/(k_B T) (see ensembles._batches), as (point indices, grounds)."""
     out = _jobs(spec, points)
     live = [i for i, job in enumerate(out) if not _failed(job)]
-    return out, [([live[j] for j in at], grounds, heads)
-                 for at, grounds, heads in _batches(
+    return out, [([live[j] for j in at], grounds)
+                 for at, grounds in _batches(
                      [out[i][2] for i in live],
                      [_beta(out[i][1]) for i in live], spec.policy)]
 
@@ -386,7 +385,7 @@ def _chemical_potential_values(spec, points):
     the closed form's error first."""
     barriers = (Barrier.ABSENT, Barrier.INSERTED)
     out, batches = _harmonic_points(spec, points)
-    for run, grounds, _ in batches:
+    for run, grounds in batches:
         roots = [(out[i][2], barrier, out[i][1], ground[barrier])
                  for i, ground in zip(run, grounds) for barrier in barriers]
         counts = [out[i][0] for i in run]
@@ -423,10 +422,10 @@ def _partition_ratio_values(spec, points):
     alone."""
     mode = MuMode(spec.params["mu_mode"])
     out, batches = _harmonic_points(spec, points)
-    for run, grounds, heads in batches:
+    for run, grounds in batches:
         for i, value in zip(run, _bath_ratios(
                 [out[i][2] for i in run], grounds, [out[i][0] for i in run],
-                [(out[i][1],) for i in run], mode, spec.policy, heads)[0]):
+                [(out[i][1],) for i in run], mode, spec.policy)[0]):
             out[i] = value if _failed(value) else {
                 **out[i][3], "log_ratio": value[1][0],
                 "ratio": math.exp(value[1][0])}
@@ -695,8 +694,28 @@ _POINT_NAMES = {
     "morse-cycle": {"T_hot", "omega", "depth", "anharmonicity"},
 }
 
-_STRING_PARAMS = {"mu_mode"}
-_BOOL_PARAMS = {"literal_denominator"}
+# The keys each config section takes, a manifest's run record and [errors]
+# included, and the [parameters] the points of each family read (each a
+# quantity but for the _PARSE ones): a key nothing reads would run the
+# defaults as if it were used.
+_SECTION_KEYS = {
+    "run": {"target", "output", "workers", "package", "created_utc",
+            "points", "failed_points", "wall_clock_seconds"},
+    "policy": {"rel_tol", "max_terms"},
+    "axis.": {"start", "stop", "points", "scale"},
+    "list.": {"values"},
+    "errors": None,
+}
+_PARAMETERS = {
+    "canonical": {"mass", "omega", "T_hot", "T_cold"},
+    "chemical-potential": {"mass", "omega"},
+    "partition-ratio": {"mass", "omega", "mu_mode"},
+    "barrier-levels": set(),
+    "bose-cycle": {"mass", "T_hot", "T_cold", "mu_mode"},
+    "morse-cycle": {"mass", "omega", "depth", "T_hot", "T_cold",
+                    "cold_to_hot", "literal_denominator"},
+}
+_PARSE = {"mu_mode": str.strip, "literal_denominator": _parse_bool}
 _INT_LISTS = {"N", "branch"}
 
 
@@ -709,15 +728,32 @@ def load_config(path=None):
     return cp
 
 
+def _check_keys(cp, base):
+    """Raise the ConfigError of a section or key `base` does not take."""
+    takes = {**_SECTION_KEYS, "parameters": _PARAMETERS[base.family]}
+    for section in cp.sections():
+        kind = section.partition(".")[0] + "." if "." in section else section
+        if kind not in takes:
+            raise ConfigError(f"unknown section [{section}]")
+        for key in cp.options(section):
+            if takes[kind] is None or key in takes[kind]:
+                continue
+            if section == "parameters" and key == "literal_denominator":
+                raise ConfigError("parameter literal_denominator applies to"
+                                  " the Morse targets only")
+            raise ConfigError(f"target {base.target!r} takes no key {key!r}"
+                              f" in [{section}]")
+
+
 def spec_from_config(base, cp):
     """Overlay a parsed config file onto a base SweepSpec (or None for custom).
 
     The config may redefine parameters, axis windows, value lists, the policy,
     the output path, and the worker count.  With no base, [run] target names
-    the preset to start from.  A list may not be empty; a [list.X] naming an
-    axis replaces that axis, so [axis.X] and [list.X] together are an error;
-    literal_denominator = true needs a Morse target.  A spec's manifest read
-    back here gives the spec again.
+    the preset to start from.  A section or key the target never reads is
+    an error.  A list may not be empty; a [list.X] naming an axis replaces
+    that axis, so [axis.X] and [list.X] together are an error.  A spec's
+    manifest read back here gives the spec again.
     """
     if base is None:
         if not cp.has_option("run", "target"):
@@ -726,19 +762,12 @@ def spec_from_config(base, cp):
         if target == "custom":
             raise ConfigError("[run] target must name a preset")
         base = preset(target)
+    _check_keys(cp, base)
 
     params = dict(base.params)
     if cp.has_section("parameters"):
         for key, raw in cp.items("parameters"):
-            if key in _STRING_PARAMS:
-                params[key] = raw.strip()
-            elif key in _BOOL_PARAMS:
-                params[key] = _parse_bool(raw)
-            else:
-                params[key] = parse_quantity(raw)
-    if params.get("literal_denominator") and base.family != "morse-cycle":
-        raise ConfigError(
-            "parameter literal_denominator applies to the Morse targets only")
+            params[key] = _PARSE.get(key, parse_quantity)(raw)
 
     lists = {k: tuple(v) for k, v in base.lists.items()}
     axes = {a.name: a for a in base.axes}

@@ -343,12 +343,14 @@ def test_criterion_11_byte_determinism(sweeps):
 REFERENCES = Path(__file__).resolve().parent.parent / "perfbench" / "reference"
 
 
-@pytest.mark.parametrize("target", ("fig2", "fig3", "fig4", "fig5", "fig8",
-                                    "fig9", "fig9-inset", "fig10"))
+@pytest.mark.parametrize("target", ("fig2", "fig3", "fig4", "fig5", "fig6",
+                                    "fig8", "fig9", "fig9-inset", "fig10",
+                                    "fig11"))
 def test_preset_matches_its_benchmark_reference(sweeps, target):
     """Each preset the grids above run matches the benchmark's committed
     reference (read only) row by row, keyed on its grid coordinates:
-    regime and error exactly, and every numeric cell to 1e-8 relative."""
+    regime and error exactly, and every numeric cell to 1e-8 relative.
+    fig11 is fig10's grid under its own name, so it reads fig10's."""
     outcome = sweeps(target)
     keys = [name for name, _ in outcome.spec.grid()]
 
@@ -359,7 +361,8 @@ def test_preset_matches_its_benchmark_reference(sweeps, target):
             tuple(row[header.index(key)] for key in keys): row for row in rows}
 
     header, count, got = table(outcome.csv_path)
-    want_header, want_count, want = table(REFERENCES / f"{target}.csv")
+    want_header, want_count, want = table(
+        REFERENCES / f"{'fig10' if target == 'fig11' else target}.csv")
     assert header == want_header
     assert count == len(got) == want_count == len(want)
     assert got.keys() == want.keys()

@@ -332,7 +332,7 @@ def test_long_and_short_ladders_share_batches():
             (wells, Ensemble.MORSE_SINGLE, 1, [7])):
         batches = _batches(traps, [count * _beta(baths.hot)] * len(traps),
                            TruncationPolicy())
-        assert [len(batch) for batch, _, _ in batches] == sizes
+        assert [len(batch) for batch, _ in batches] == sizes
         singles = [_outcome(trap, ensemble, count, baths) for trap in traps]
         assert any(isinstance(s, SzilardError) for s in singles) == (
             ensemble is Ensemble.MORSE_SINGLE)

@@ -39,11 +39,11 @@ W_CANONICAL = {1: 5.0338870773722705e-27,
 
 def _one_batch(trap, count, temperature, policy=TruncationPolicy()):
     """The batch _batches makes of a lone trap at the decay rate count
-    beta of `temperature`: (traps, grounds, heads)."""
-    (at, grounds, heads), = ensembles._batches((trap,), [
+    beta of `temperature`: (traps, grounds)."""
+    (at, grounds), = ensembles._batches((trap,), [
         count * ensembles._beta(temperature)], policy)
     assert at == [0]
-    return (trap,), grounds, heads
+    return (trap,), grounds
 
 
 def _closed_form_work(count, omega, baths):
@@ -505,7 +505,7 @@ def test_batches_group_each_trap_object(shapes, data, max_terms, baths,
     at a pool temperature of its own; level scales 1e-4 to 10 kT, Morse
     wells too shallow to hold or to split a level, and a 60-term cap give
     some indices a ground level or head that fails.  Each index gets the
-    grounds and heads of its own one-trap _batches call, bit for bit."""
+    grounds of its own one-trap _batches call, bit for bit."""
     kt = K_B * 10.0
 
     def build(kind, nu, log_ratio, chi):
@@ -525,7 +525,7 @@ def test_batches_group_each_trap_object(shapes, data, max_terms, baths,
     policy = TruncationPolicy(max_terms=max_terms)
     with mock.patch.object(ensembles, "_BATCH_TERMS", close):
         batches = ensembles._batches(traps, betas, policy, baths)
-    order = [i for at, _, _ in batches for i in at]
+    order = [i for at, _ in batches for i in at]
     assert sorted(order) == list(range(len(traps)))
     # each object's indices side by side, in input order, the objects in
     # order of first appearance
@@ -533,19 +533,19 @@ def test_batches_group_each_trap_object(shapes, data, max_terms, baths,
               if not any(other is trap for other in traps[:i])]
     assert order == [i for first in firsts for i in range(len(traps))
                      if traps[i] is traps[first]]
-    for (at, _, _), (following, _, _) in zip(batches, batches[1:]):
+    for (at, _), (following, _) in zip(batches, batches[1:]):
         assert traps[at[-1]] is not traps[following[0]]
     event(f"{len(batches)} batches")
-    failed = any(head is None for _, _, heads in batches for head in heads)
-    event(f"a ground level or a head fails: {failed}")
-    for at, grounds, heads in batches:
-        assert len(grounds) == len(heads) == len(at)
-        for i, ground, head in zip(at, grounds, heads):
-            (_, (own,), (own_head,)), = ensembles._batches(
+    failed = any(isinstance(e1, SzilardError) for _, grounds in batches
+                 for ground in grounds for e1 in ground.values())
+    event(f"a ground level fails: {failed}")
+    for at, grounds in batches:
+        assert len(grounds) == len(at)
+        for i, ground in zip(at, grounds):
+            (_, (own,)), = ensembles._batches(
                 (traps[i],), [betas[i]], policy, baths)
             assert list(ground) == list(own)
             assert all(_same_bits(ground[b], own[b]) for b in own)
-            assert _same_bits(head, own_head)
 
 
 class TestMorseSums:
@@ -748,9 +748,9 @@ class TestPhysicalLadders:
         absent, inserted = self._ladders()
         baths = BathPair(hot=200.0, cold=100.0)
         trap = Harmonic(MASS, omega)
-        batch, grounds, heads = _one_batch(trap, count, baths.hot)
+        batch, grounds = _one_batch(trap, count, baths.hot)
         (l_hot, l_cold, energies), = ensembles._cycle_sums(
-            batch, grounds, [count], [baths], TruncationPolicy(), heads)
+            batch, grounds, [count], [baths], TruncationPolicy())
         got = run_cycle(trap, Ensemble.CANONICAL_N, count, baths)
         with mpmath.workdps(50):
             q = mpmath.mpf(HBAR * omega)
@@ -1177,6 +1177,51 @@ def test_heads_match_the_scalar_reference(traps, inserted, count, rel_tol):
         assert type(n) is int and (n, tail) == want, (trap, n, tail, want)
 
 
+@settings(max_examples=150, deadline=None)
+@given(rows=st.lists(st.tuples(
+    st.sampled_from(("harmonic", "power-law", "morse")), st.floats(-4.0, 4.0),
+    st.floats(0.01, 4.0), st.one_of(st.just(0.0), st.floats(1e-5, 0.7)),
+    st.sampled_from((1, 2)), st.floats(0.0, 3.0)), min_size=1, max_size=8),
+    rel_tol=st.floats(1e-14, 1e-2), max_terms=st.sampled_from((60, 1_000_000)))
+def test_heads_of_a_mixed_pass_match_lone_passes(rows, rel_tol, max_terms):
+    """_heads sizes each row from that row's own shape, stride, beta, E_1
+    and policy alone: in one pass over mixed harmonic, power-law and Morse
+    rows (nu 0.01-4, strides 1 and 2, level scales 1e-4 to 1e4 kT, betas
+    1 to 1000 over kT), each row's (n, tailed) equals that of its lone
+    pass, an error by its type and message.  So a sum sized where it is
+    summed, among any other rows, has the length it has alone."""
+    kt = K_B * 2.0
+    policy = TruncationPolicy(rel_tol=rel_tol, max_terms=max_terms)
+    traps, steps, betas, e1 = [], [], [], []
+    for kind, log_scale, nu, chi, step, log_rate in rows:
+        scale = 10 ** log_scale * kt
+        try:
+            trap = (Harmonic(MASS, scale / HBAR) if kind == "harmonic"
+                    else PowerLaw.from_energy_scale(MASS, scale, nu)
+                    if kind == "power-law"
+                    else Morse.from_anharmonicity(MASS, scale / HBAR, chi))
+            e1.append(level_energy(trap, 1, (None, Barrier.ABSENT,
+                                             Barrier.INSERTED)[step]))
+        except SzilardError:
+            continue        # a well too shallow to hold or split a level
+        traps.append(trap)
+        steps.append(float(step))
+        betas.append(10 ** log_rate / kt)
+
+    def pass_of(at):
+        return _tail_sums._heads(
+            _tail_sums._Shapes.of([traps[i] for i in at]),
+            np.array([steps[i] for i in at]),
+            np.array([betas[i] for i in at]),
+            np.array([e1[i] for i in at]), policy)
+
+    lengths, tailed = pass_of(range(len(traps)))
+    event(f"{len(traps)} rows")
+    for i, (n, tail) in enumerate(zip(lengths, tailed.tolist())):
+        (own,), (own_tail,) = pass_of([i])
+        assert _same_bits(n, own) and tail == own_tail, (traps[i], n, own)
+
+
 @settings(max_examples=100, deadline=None)
 @given(traps=st.lists(st.tuples(st.booleans(), st.floats(-4.0, 4.0),
                                 st.floats(0.01, 4.0), st.booleans()),
@@ -1461,7 +1506,7 @@ def test_heads_and_moments_match_whole_sums(nu, log_scale, count, mode):
     were built whole)."""
     baths = BathPair(hot=2.0, cold=1.0)
     trap = PowerLaw.from_energy_scale(MASS, 10 ** log_scale * K_B, nu)
-    batch, grounds, _ = _one_batch(trap, 1, baths.hot, _SMALL_CAP)
+    batch, grounds = _one_batch(trap, 1, baths.hot, _SMALL_CAP)
     (pairs,), rungs = ensembles._bath_ratios(
         batch, grounds, [count], [(baths.hot, baths.cold)], mode, _SMALL_CAP)
     if isinstance(pairs, SzilardError):
@@ -1534,10 +1579,10 @@ class TestGrandOracle:
         mpmath = pytest.importorskip("mpmath")
         baths = BathPair(hot, cold)
         trap = PowerLaw.from_energy_scale(MASS, ratio * K_B * cold, nu)
-        batch, grounds, heads = _one_batch(trap, 1, hot)
+        batch, grounds = _one_batch(trap, 1, hot)
         (l_hot, l_cold, energies, mus), = ensembles._grand_sums(
             batch, grounds, [count], [baths], MuMode.SOLVED,
-            TruncationPolicy(), heads)
+            TruncationPolicy())
         e1 = level_energy(trap, 1)
         m = 8
         while (level_energy(trap, m) - e1) / (K_B * hot) < 100:
@@ -1641,10 +1686,9 @@ class TestGrandOracle:
             (_, (log_pre, pre), _), (_, (log_post, post), _) = sums
             logs.append(log_pre - 2.0 * log_post)
             magnitudes.append(pre + 2.0 * post)
-        batch, grounds, heads = _one_batch(trap, 1, hot)
+        batch, grounds = _one_batch(trap, 1, hot)
         (l_hot, l_cold, got, mus), = ensembles._grand_sums(
-            batch, grounds, [10], [baths], MuMode.SOLVED, TruncationPolicy(),
-            heads)
+            batch, grounds, [10], [baths], MuMode.SOLVED, TruncationPolicy())
         assert mus == cycle.mus
         for value, stage in zip(got, "ABCD"):
             assert abs(value / energies[stage] - 1) <= 1e-12

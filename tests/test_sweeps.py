@@ -310,15 +310,15 @@ class TestSingleEvaluation:
                                                         monkeypatch):
         """The 50-point fig10 run above makes no per-trap head or level
         call.  Its heads are two _heads passes: the batching's stage A
-        over all 50 traps, whose lengths and tails its one batch is handed,
-        then the other 150 distinct sums (the inserted one at the hot bath,
-        both at the cold); in two batches, as four-pair tails split the
-        run, they were three (50, 117 and 33 rows).  The batching looks up
-        the 100 ground levels in one _Wells expression, each _series_sums
-        call builds the levels it lacks in at most one more (the absent
-        sums their ladders, the inserted ones their extensions; one call
-        per stage made four, stage D's building none), and
-        level_energy never runs: it made 100 scalar ground lookups."""
+        over all 50 traps, which only bounds its batches, then all 200
+        distinct sums of its one batch, each sized where it is summed (the
+        batching's 50 handed down made the second pass 150 rows; in two
+        batches, as four-pair tails split the run, they were three).  The
+        batching looks up the 100 ground levels in one _Wells expression,
+        each _series_sums call builds the levels it lacks in at most one
+        more (the absent sums their ladders, the inserted ones their
+        extensions; one call per stage made four, stage D's building none),
+        and level_energy never runs: it made 100 scalar ground lookups."""
         log = []
         for name in ("_heads", "_series_sums", "_absent_energy",
                      "level_energy"):
@@ -334,7 +334,7 @@ class TestSingleEvaluation:
         outcome = _run(spec, tmp_path)
         assert outcome.points == 50 and outcome.failed == 0
         assert [len(args[3]) for name, args in log
-                if name == "_heads"] == [50, 150]
+                if name == "_heads"] == [50, 200]
         builds = [0]    # the ground levels, then per _series_sums call
         for name, args in log:
             if name == "_series_sums":
@@ -699,10 +699,11 @@ class TestBatchedRuns:
         640 rungs (it built 1,920).  Each distinct trap's ground levels are
         looked up once, two int lookups of a power law (960 before), and
         its barrier-free ladder built by one level_energy call (480
-        before); _heads sizes each trap's hot barrier-free rung once, in
-        the batching, and each other rung once, in its batch: 640 rows
-        (2,400 before, when each point was sized in the batching and each
-        of its rungs again)."""
+        before); _heads sizes each trap's hot barrier-free rung once in the
+        batching, only to bound the batches, and every rung once, in its
+        batch: 800 rows (640 when the batching's heads were handed down,
+        2,400 when each point was sized in the batching and each of its
+        rungs again)."""
         solves = _count_calls(monkeypatch, "_mu_offsets")
         rungs = _count_calls(monkeypatch, "_Rungs")
         sizes = _count_calls(monkeypatch, "_heads")
@@ -713,8 +714,8 @@ class TestBatchedRuns:
                                                         288, 372]
         assert [len(args[5]) for args in rungs] == [52, 148, 148, 72, 96,
                                                     124]
-        assert [len(e1) for *_, e1, _ in sizes] == [160, 39, 111, 111, 54,
-                                                    72, 93]
+        assert [len(e1) for *_, e1, _ in sizes] == [160, 52, 148, 148, 72,
+                                                    96, 124]
         assert sum(1 for _, n, *_ in levels if np.ndim(n) == 0) == 320
         assert sum(1 for _, n, *_ in levels if np.ndim(n) == 1) == 160
 
@@ -1396,6 +1397,50 @@ class TestCli:
             args = args + ["--config", str(tmp_path / "list.ini")]
         out = tmp_path / "x.csv"
         assert main([target, *args, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("target, config, message", [
+        pytest.param(target, config, message, id=ident)
+        for ident, target, config, message in (
+            ("fig2-T_hott", "fig2", "[parameters]\nT_hott = 3\n",
+             "target 'fig2' takes no key 'T_hott' in [parameters]"),
+            ("fig2-omgea", "fig2", "[parameters]\nomgea = 5\n",
+             "target 'fig2' takes no key 'omgea' in [parameters]"),
+            ("polcy", "fig2", "[polcy]\nrel_tol = 1e-3\n",
+             "unknown section [polcy]"),
+            ("axis-unnamed", "fig2", "[axis]\nstart = 1\n",
+             "unknown section [axis]"),
+            ("outptu", "fig2", "[run]\noutptu = x.csv\n",
+             "target 'fig2' takes no key 'outptu' in [run]"),
+            ("rel_tols", "fig2", "[policy]\nrel_tols = 1e-3\n",
+             "target 'fig2' takes no key 'rel_tols' in [policy]"),
+            ("axis-stpo", "fig4", "[axis.T]\nstpo = 3\n",
+             "target 'fig4' takes no key 'stpo' in [axis.T]"),
+            ("list-value", "fig2", "[list.N]\nvalue = 1, 2\n",
+             "target 'fig2' takes no key 'value' in [list.N]"),
+            ("fig2-mu_mode", "fig2", "[parameters]\nmu_mode = solved\n",
+             "target 'fig2' takes no key 'mu_mode' in [parameters]"),
+            ("fig4-mu_mode", "fig4", "[parameters]\nmu_mode = solved\n",
+             "target 'fig4' takes no key 'mu_mode' in [parameters]"),
+            ("fig8-omega", "fig8", "[parameters]\nomega = 1e11\n",
+             "target 'fig8' takes no key 'omega' in [parameters]"),
+            ("fig6-mass", "fig6", "[parameters]\nmass = 1\n",
+             "target 'fig6' takes no key 'mass' in [parameters]"),
+            ("fig4-literal-false", "fig4",
+             "[parameters]\nliteral_denominator = false\n",
+             "parameter literal_denominator applies to the Morse targets"
+             " only"))])
+    def test_key_nothing_reads_is_rejected(self, tmp_path, capsys, target,
+                                           config, message):
+        """A section, or a key of a section, that the target never reads is
+        a configuration error naming it.  fig2 once took [parameters] T_hott
+        = 3, wrote its 20 rows at the default 200 K and recorded T_hott in
+        its manifest; a misspelt section or [run] key was ignored alike."""
+        (tmp_path / "typo.ini").write_text(config)
+        out = tmp_path / "x.csv"
+        assert main([target, "--config", str(tmp_path / "typo.ini"),
+                     "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"config error: {message}\n"
         assert not out.exists()
 
