@@ -205,9 +205,9 @@ def _ground_levels(potentials):
     """E_1 of both barrier configurations of each trap, by barrier: each the
     level or the SzilardError its lookup raises.  The harmonic and Morse
     traps are one _Wells expression at barrier-free indices 1 and 2 (the
-    inserted E_1), with the bits of their int lookups; a power law, whose
-    fractional power an array would round differently, and a Morse well
-    that refuses either level take level_energy, which raises its error."""
+    inserted E_1), with the bits of their int lookups; a power law and a
+    Morse well that refuses either level take level_energy (which raises
+    its error), whose int E_1 has the bits of its ladder's first level."""
     grounds = [None] * len(potentials)
     wells = [i for i, trap in enumerate(potentials)
              if not isinstance(trap, PowerLaw)]
@@ -224,7 +224,7 @@ def _ground_levels(potentials):
         if grounds[i] is None:
             grounds[i] = {}
             for barrier in Barrier:
-                try:    # int lookups: an array one would change the bits
+                try:
                     grounds[i][barrier] = level_energy(trap, 1, barrier)
                 except SzilardError as exc:
                     grounds[i][barrier] = exc.with_traceback(None)
@@ -617,15 +617,16 @@ def _mu_offsets(roots, counts, policy, rungs):
     (potential, barrier, temperature, E_1) roots, root j of counts[j]
     bosons on row j of the _Rungs rungs; a root or an error each.
 
-    With n = g/expm1(beta(E - E_1) + e^u) (g = d_1 on every level), Newton
-    runs on log N(u) - log count with the slope dlog N/du = -e^u sum n (1 +
-    n/g) / N, from the closed-form u, inside the bracket [log log(1 +
-    d_1/(1e9 count)), k log 2] (k from doubling); a step that leaves the
-    bracket bisects it (rtsafe, Numerical Recipes 9.4).  Every round
-    evaluates all live roots at once, each its head and the k-series of its
-    tail (_Heads.sums); each root's bracket, step and stop test are its
-    own.  Once some roots stop, the heads of the rest are gathered afresh
-    from the rungs, so each row keeps the bits of its own evaluation.
+    With n = g/expm1(beta(E - E_1) + e^u) (g = d_1 on every level), a
+    doubling search from u = 0 brackets the root of log N(u) - log count
+    (see _Root), and Newton runs on it with the slope dlog N/du = -e^u sum
+    n (1 + n/g) / N from the lower bound the bracketing round gives; a step
+    that leaves the bracket bisects it (rtsafe, Numerical Recipes 9.4).
+    Every round evaluates all live roots at once, each its head and the
+    k-series of its tail (_Heads.sums); each root's bracket, step and stop
+    test are its own.  Once some roots stop, the heads of the rest are
+    gathered afresh from the rungs, so each row keeps the bits of its own
+    evaluation.
     """
     out = list(rungs.errors)
     rows = [j for j, error in enumerate(out) if error is None]
@@ -635,18 +636,12 @@ def _mu_offsets(roots, counts, policy, rungs):
     # the step 0: the root stops there, and like every root it is then
     # checked against mu < E_1 and its occupancy re-sum
     while live:
-        shift = [math.exp(root.u) for root in live]
-        totals, weight = (s.tolist() for s in heads.sums(np.array(shift),
-                                                         "occupancy"))
+        totals, weight = (s.tolist() for s in heads.sums(
+            np.array([math.exp(root.u) for root in live]), "occupancy"))
         keep = [True] * len(live)
         for i, root in enumerate(live):
-            if totals[i] == 0.0:  # every term underflowed: N below any count
-                f, slope = -math.inf, math.nan
-            else:
-                slope = -shift[i] * weight[i] / totals[i]
-                f = math.log(totals[i]) - root.log_count
             result = (heads.refused and heads.error(i)) or root.update(
-                f, slope)
+                totals[i], weight[i])
             if result is not None:
                 out[root.j] = result
                 keep[i] = False
@@ -661,9 +656,14 @@ def _mu_offsets(roots, counts, policy, rungs):
 class _Root:
     """Bracket and Newton state of one occupancy root in u.
 
-    log N falls as u rises: it is positive at `near` and not positive at
-    `far`.  `step` is k of the lower-bracket search at u = k log 2, None once
-    Newton runs; `u` is where the root is evaluated next.
+    f = log N - log count falls as u rises: it is positive at `near` and
+    not positive at `far`.  The search evaluates u = k log 2, k = 0, 1, ...,
+    each point with f > 0 becoming `near`, until f <= 0 there; `step` is k,
+    None once Newton runs, and `u` is where the root is evaluated next.
+    Newton starts from the lower bound of _floor, else the closed form, else
+    the bracket's midpoint, whichever lies inside the bracket first, and
+    stops once a step is at most 1e-9 max(1, |u|): quadratic convergence
+    puts that step's end within rounding of the root.
     """
 
     __slots__ = ("j", "d1", "count", "log_count", "near", "far", "u", "step",
@@ -678,22 +678,26 @@ class _Root:
         self.step = 0
         self.rounds = 0
 
-    def update(self, f, slope):
-        """Take log N - log count and its slope at u; the root (or its
-        SolverFailureError) once it stops, else None."""
+    def update(self, total, weight):
+        """Take the occupancy N at u and its Newton weight sum n (1 + n/g);
+        the root (or its SolverFailureError) once it stops, else None."""
         u = self.u
+        # a total of 0.0 has every term underflowed: N below any count
+        f = math.log(total) - self.log_count if total else -math.inf
         if self.step is not None:
-            if f <= 0.0:
-                self.far, self.step = u, None
-                u = math.log(math.log1p(self.d1 / self.count))
-                if not self.near < u < self.far:
-                    u = 0.5 * (self.near + self.far)
-            elif self.step == 199:
-                return SolverFailureError(
-                    "no lower bracket for the occupancy root")
-            else:
-                self.step += 1
-                u = self.step * math.log(2.0)
+            if f > 0.0:
+                if self.step == 199:
+                    return SolverFailureError(
+                        "no lower bracket for the occupancy root")
+                self.near, self.step = u, self.step + 1
+                self.u = self.step * math.log(2.0)
+                return None
+            self.far, self.step = u, None
+            for u in (self._floor(total),
+                      math.log(math.log1p(self.d1 / self.count)),
+                      0.5 * (self.near + self.far)):
+                if self.near < u < self.far:
+                    break
             self.u = u
             return None
         self.rounds += 1
@@ -703,10 +707,11 @@ class _Root:
             self.near = u
         else:
             self.far = u
+        slope = -math.exp(u) * weight / total if total else math.nan
         # only a step past the stop tolerance is clamped to the bracket, so
         # a converged step that lands on a bracket end stops there
         u_next = u - f / slope
-        tol = 4e-16 * max(1.0, abs(u))
+        tol = 1e-9 * max(1.0, abs(u))
         if abs(u_next - u) > tol and not self.near < u_next < self.far:
             u_next = 0.5 * (self.near + self.far)
         if abs(u_next - u) <= tol:
@@ -715,6 +720,20 @@ class _Root:
             return SolverFailureError("occupancy root did not converge")
         self.u = u_next
         return None
+
+    def _floor(self, total):
+        """A lower bound on the root from N = total <= count at u.  The
+        excited levels' occupation rest = N - g/expm1(e^u) (the head's own
+        ground term, so numpy's expm1, and 0 past float range) only grows
+        as u falls to the root, where the ground term is then at most count
+        - rest: so the root is at least log log1p(g/(count - rest)), never
+        below the closed form.  -inf where rounding leaves no such
+        bound."""
+        shift = math.exp(self.u)
+        ground = self.d1 / float(np.expm1(shift)) if shift < 709.0 else 0.0
+        room = self.count - (total - ground)
+        v = math.log1p(self.d1 / room) if room > 0.0 else 0.0
+        return math.log(v) if v > 0.0 else -math.inf
 
 
 def _rungs_of(roots, counts, mode, policy):

@@ -281,7 +281,12 @@ def _absent_energy(potential, n):
     with its own trap's parameters."""
     s = n + 0.5 if isinstance(n, int) else np.asarray(n, dtype=float) + 0.5
     if isinstance(potential, PowerLaw):
-        e = omega_prefactor(potential) * s**potential.level_power
+        # numpy's power for every n: the C library's pow, which s**p takes
+        # for an int or 0-d n, may round a fractional power differently, and
+        # a level keeps the bits of its place in a ladder
+        e = np.power(s, potential.level_power)
+        e = omega_prefactor(potential) * (
+            e if isinstance(e, np.ndarray) else float(e))
     elif isinstance(potential, Harmonic):
         e = potential.quantum * s
     elif isinstance(potential, (Morse, _Wells)):

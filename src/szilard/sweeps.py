@@ -731,6 +731,10 @@ def load_config(path=None):
 def _check_keys(cp, base):
     """Raise the ConfigError of a section or key `base` does not take."""
     takes = {**_SECTION_KEYS, "parameters": _PARAMETERS[base.family]}
+    # ConfigParser folds [DEFAULT]'s keys into every section but lists it in
+    # none: no target reads it
+    if cp.defaults():
+        raise ConfigError(f"unknown section [{cp.default_section}]")
     for section in cp.sections():
         kind = section.partition(".")[0] + "." if "." in section else section
         if kind not in takes:

@@ -530,7 +530,7 @@ class TestSingleEvaluation:
         ladders of 6670, 5501, ... 8 terms made five batches).  Each Newton
         round sums its live roots' heads, each behind one slot, and their
         k-series, not their ladders: the 160 heads hold 9177 levels, and
-        the 13 rounds sum 65,005 head elements."""
+        the 8 rounds sum 50,757 head elements."""
         solves = _count_calls(monkeypatch, "_mu_offsets")
         checks = _count_calls(monkeypatch, "_rung_sums")
         rounds, sums = [], ensembles._Heads.sums
@@ -551,7 +551,36 @@ class TestSingleEvaluation:
         assert sum(int(rungs.heads.sum()) for *_, rungs in solves) == 9177
         assert all(size == int(heads.sum()) + len(heads)
                    for size, heads in rounds)
-        assert (len(rounds), sum(size for size, _ in rounds)) == (13, 65005)
+        assert (len(rounds), sum(size for size, _ in rounds)) == (8, 50757)
+
+    @pytest.mark.parametrize("target, rounds, updates", [
+        ("fig4", 7, 2776), ("fig5", 8, 1562), ("fig7", 8, 1772),
+        ("fig8", 42, 7869)])
+    def test_roots_keep_what_each_round_paid_for(self, target, rounds,
+                                                 updates, tmp_path,
+                                                 monkeypatch):
+        """A pass's Newton loops take `rounds` vectorised rounds (_Heads.sums
+        calls from _mu_offsets) and `updates` per-root steps (_Root.update
+        calls): bracket points above the root stay the lower end, Newton
+        starts at the bracketing round's lower bound and stops once a step
+        is at most 1e-9 max(1, |u|).  Starting at the closed form and
+        stopping at a 4e-16 step took 10, 13, 12 and 57 rounds and 3443,
+        2276, 2217 and 9478 steps."""
+        counts = {"rounds": 0, "updates": 0}
+        sums, update = ensembles._Heads.sums, ensembles._Root.update
+
+        def counted_sums(heads, v, kind, d=None):
+            counts["rounds"] += kind == "occupancy" and d is None
+            return sums(heads, v, kind, d)
+
+        def counted_update(root, total, weight):
+            counts["updates"] += 1
+            return update(root, total, weight)
+
+        monkeypatch.setattr(ensembles._Heads, "sums", counted_sums)
+        monkeypatch.setattr(ensembles._Root, "update", counted_update)
+        assert _run(preset(target), tmp_path).failed == 0
+        assert counts == {"rounds": rounds, "updates": updates}
 
 
 class TestBatchedRuns:
@@ -1443,6 +1472,21 @@ class TestCli:
                      "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"config error: {message}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [[], ["--out", "x.csv"]],
+                             ids=["default-out", "out"])
+    def test_default_section_is_rejected(self, tmp_path, capsys, monkeypatch,
+                                         flags):
+        """[DEFAULT] is an unknown section: ConfigParser folds its keys into
+        every other section.  fig2 once ran past [DEFAULT] T_hott = 3 and
+        wrote its default 20 rows, and with --out, which adds a [run]
+        section, named the key as [run]'s."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "d.ini").write_text("[DEFAULT]\nT_hott = 3\n")
+        assert main(["fig2", "--config", "d.ini", *flags]) == 1
+        assert capsys.readouterr().err == (
+            "config error: unknown section [DEFAULT]\n")
+        assert [path.name for path in tmp_path.iterdir()] == ["d.ini"]
 
     def test_custom_target_via_config(self, tmp_path, capsys):
         config = tmp_path / "run.ini"
