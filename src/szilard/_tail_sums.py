@@ -11,7 +11,10 @@ sizing rule of every route, sets each length K from the remainder bounds
 of these tails.  Everything here runs on numpy arrays over many sums at
 once, laid out by _Segments, the one flat layout of both routes' ladders,
 heads, moments and k-series, and each sum is reduced on its own, so a
-batched value equals its one-trap value bit for bit.
+batched value equals its one-trap value bit for bit.  Traps come as the
+rows of a potentials._Shapes, whose levels() gives every level a tail
+reads (its first, E_{K+1}, and a Morse well's ends) with its ladder's
+bits.
 """
 
 import math
@@ -21,7 +24,6 @@ import numpy as np
 
 from ._special import dawson, upper_gamma
 from .errors import TruncationError
-from .potentials import Morse, PowerLaw, _absent_energy, _Wells
 
 
 class _Segments:
@@ -139,7 +141,8 @@ def _tails(traps, step, beta, e1, head):
         if not rows.any():
             continue
         step_, beta_, e1_, head_ = step[rows], beta[rows], e1[rows], head[rows]
-        q, chi = traps.scale[rows], traps.chi[rows]
+        ladder = traps.take(rows)
+        q, chi = ladder.scale, ladder.chi
         with np.errstate(all="ignore"):
             if kind == "geometric":
                 # E_n = E_1 + delta (n - 1): r^K/(1 - r), r = e^{-beta delta},
@@ -151,10 +154,9 @@ def _tails(traps, step, beta, e1, head):
                                              + delta * (1 - gap) / gap)
                 continue
             if kind == "power":
-                power = traps.power[rows]
-                s = step_ * (head_ + 1.0) + 0.5
-                total, gaps = _power_tails(q * s ** power, s, power, step_,
-                                           beta_, e1_)
+                n = step_ * (head_ + 1.0)   # E_{K+1} is at s = n + 1/2
+                total, gaps = _power_tails(ladder.levels(n), n + 0.5,
+                                           ladder.power, step_, beta_, e1_)
                 out[:, rows] = total, gaps + e1_ * total
                 continue
             a = beta_ * q * chi * step_ * step_
@@ -162,7 +164,7 @@ def _tails(traps, step, beta, e1, head):
 
             def end(x, half):
                 """_em_end at index x, or None where f(x) underflows."""
-                e = _absent_energy(_Wells(q, chi), step_ * x)
+                e = ladder.levels(step_ * x)
                 f = np.exp(-beta_ * (e - e1_))
                 if not f.any():
                     return None
@@ -176,7 +178,7 @@ def _tails(traps, step, beta, e1, head):
                                (e, 2 * a * u / beta_, -a / beta_), half)
 
             sums = end(head_ + 1, 0.5)
-            top = end(traps.cap[rows] // step_, -0.5)
+            top = end(ladder.cap // step_, -0.5)
             if top is not None:     # the top of the well is within reach
                 sums = np.subtract(0.0 if sums is None else sums, top)
             if sums is not None:
@@ -277,45 +279,6 @@ def _power_cuts(scale, power, step, beta, e1, limit):
 # Head sizing.  The margin: every sum runs until e^{-beta (E_n - E_1)} is
 # below rel_tol e^{-35} (see ensembles._series_sums for what that bounds)
 _XCUT_MARGIN = 35.0
-
-
-class _Shapes:
-    """Ladder shapes of many traps, one array entry each: level n is scale
-    s^power - scale chi s^2 at s = n + 1/2, one of the terms zero (scale is
-    hbar omega or a power law's energy scale, chi a Morse anharmonicity,
-    power a power law's level power), cut at a Morse well's bound count
-    cap (inf if unbounded).  wells, powers, bounded: whether any chi != 0,
-    any power != 1, any Morse well."""
-
-    __slots__ = ("scale", "chi", "power", "cap", "morse", "wells", "powers",
-                 "bounded")
-
-    def __init__(self, scale, chi, power, cap, morse):
-        self.scale, self.chi, self.power, self.cap, self.morse = (
-            scale, chi, power, cap, morse)
-        self.wells = bool(np.count_nonzero(chi))
-        self.powers = bool(np.count_nonzero(power != 1.0))
-        self.bounded = bool(np.count_nonzero(morse))
-
-    @classmethod
-    def of(cls, traps):
-        table = np.array([_shape(trap) for trap in traps],
-                         dtype=float).reshape(-1, 5).T
-        return cls(*table[:4], table[4] != 0.0)
-
-    def take(self, rows):
-        return _Shapes(self.scale[rows], self.chi[rows], self.power[rows],
-                       self.cap[rows], self.morse[rows])
-
-
-def _shape(trap):
-    if isinstance(trap, Morse):
-        cap = trap.bound_count
-        return (trap.quantum, trap.anharmonicity, 1.0,
-                math.inf if cap is None else cap, 1.0)
-    if isinstance(trap, PowerLaw):
-        return trap.energy_scale, 0.0, trap.level_power, math.inf, 0.0
-    return trap.quantum, 0.0, 1.0, math.inf, 0.0
 
 
 def _estimates(traps, step, beta, e1, x_cut):
@@ -503,15 +466,15 @@ class _Rungs:
                  "kind", "x_tail", "bd", "delta", "terms", "offset",
                  "moments", "x_cut", "max_terms")
 
-    def __init__(self, g, beta, e1, errors, readers, built, v, count, x_cut,
-                 max_terms):
+    def __init__(self, g, beta, e1, errors, readers, built, shapes, v, count,
+                 x_cut, max_terms):
         """The rungs of requests with degeneracies g, betas, ground levels
         e1, least v and occupancy counts (arrays, e1 0 where it is an error)
-        and their errors.  built[m] is the (head, tailed, scale, power,
-        step) of a rung that ensembles._grand_rungs built, which the rows
-        readers[m] read, all of one g, beta and E_1: the head's levels,
-        whether a tail adds the rest of the ladder, and the level scale
-        s^power of the ladder at s = step n + 1/2.  Each row is summed at v
+        and their errors.  built[m] is the (head, tailed, step) of a rung
+        that ensembles._grand_rungs built, which the rows readers[m] read,
+        all of one g, beta and E_1: the head's levels, whether a tail adds
+        the rest of the ladder, and its stride, on the trap whose shape is
+        row m of the potentials._Shapes shapes.  Each row is summed at v
         = beta (E_1 - mu) from its v on, raised, for the root of an
         occupancy count (inf for none), to log(1 + j g/count) - x_j at every
         level j of the head, whose first j terms alone reach count there.
@@ -531,9 +494,9 @@ class _Rungs:
         if not built:
             return
         # per rung
-        ladders, tailed, scale, power, step = (
-            np.array(column) if i else column
-            for i, column in enumerate(zip(*built)))
+        ladders, tailed, step = (np.array(column) if i else column
+                                 for i, column in enumerate(zip(*built)))
+        scale, power = shapes.scale, shapes.power
         first = np.array([rows[0] for rows in readers], dtype=np.intp)
         rung_beta, rung_e1 = beta[first], e1[first]
         flat = _Segments([len(ladder) for ladder in ladders])
@@ -551,9 +514,9 @@ class _Rungs:
         bd = rung_beta * delta
         x_tail = bd * heads
         laws = (kind == 2).nonzero()[0]
-        s = step[laws] * (heads[laws] + 1.0) + 0.5
+        n = step[laws] * (heads[laws] + 1.0)    # E_{K+1} is at s = n + 1/2
+        s, e = n + 0.5, shapes.take(laws).levels(n)
         with np.errstate(all="ignore"):
-            e = scale[laws] * s ** power[laws]
             x_tail[laws] = rung_beta[laws] * (e - rung_e1[laws])
         # per row
         rows = np.concatenate(readers)

@@ -19,8 +19,8 @@ of estimated terms, at the canonical decay rate N beta of the hot bath
 (beta for the grand route) and at most a Morse well's bound count, counting
 the head of a sum that a tail completes rather than its whole ladder (a
 grand trap's once per bath), and looks up each trap's two ground levels
-once for every sum of its batch (one _Wells expression for its harmonic
-and Morse traps).  A trap is its object; a sweep builds each distinct trap
+once for every sum of its batch (one _Shapes.ladders pass over all its
+traps).  A trap is its object; a sweep builds each distinct trap
 once.  _batches puts the points of each trap side by side and closes a
 batch only between two traps, so a batch builds each grand rung once for
 all its counts, and sums each distinct canonical (trap, count, bath) once
@@ -28,13 +28,15 @@ for every point that reads it.
 Each step of a batch is one array pass over all its traps: the sizes of its
 sums (_heads, which sizes every sum of every route where it is summed; the
 batching's estimate only bounds a batch), the levels its sums lack (one
-_Wells expression for harmonic and Morse traps, see _level_ladders), the
+_Shapes.ladders pass, see _level_ladders), the
 canonical sums and energy sums of each barrier configuration (_series_sums)
 or the grand rungs' heads and moments (_grand_rungs), and the tails (see
 _tail_sums), each laid out flat by the one _Segments of both routes.  Only
-exactly rounded operations run on arrays; a log, exp or fractional power
-that sets a length or a logged total runs in math, element by element, so
-every value keeps the bits of its one-trap evaluation.
+exactly rounded operations run on arrays, and a level's fractional power,
+in one np.power call per distinct power as level_energy takes it; a log,
+exp or fractional power that sets a length or a logged total runs in math,
+element by element, so every value keeps the bits of its one-trap
+evaluation.
 
 Stage labels follow the cycle diagram: A = barrier absent at the hot bath,
 B = inserted at the hot bath, C = inserted at the cold bath, D = absent at
@@ -65,14 +67,14 @@ from enum import Enum
 
 import numpy as np
 
-from ._tail_sums import (_XCUT_MARGIN, _Heads, _Rungs, _Segments,
-                         _Shapes, _heads, _tails)
+from ._tail_sums import (_XCUT_MARGIN, _Heads, _Rungs, _Segments, _heads,
+                         _tails)
 from .constants import K_B
 from .errors import (ConvergenceViolationError, EnsembleMismatchError,
                      SolverFailureError, SzilardError, TruncationError,
                      value_or_raise)
-from .potentials import (Barrier, Harmonic, Morse, PowerLaw, _absent_energy,
-                         _Wells, level_energy)
+from .potentials import (Barrier, Harmonic, Morse, PowerLaw, _Shapes,
+                         level_energy)
 
 __all__ = [
     "BathPair", "TruncationPolicy", "MuMode", "ChemicalPotentials", "Stage",
@@ -203,31 +205,20 @@ def _beta(temperature):
 
 def _ground_levels(potentials):
     """E_1 of both barrier configurations of each trap, by barrier: each the
-    level or the SzilardError its lookup raises.  The harmonic and Morse
-    traps are one _Wells expression at barrier-free indices 1 and 2 (the
-    inserted E_1), with the bits of their int lookups; a power law and a
-    Morse well that refuses either level take level_energy (which raises
-    its error), whose int E_1 has the bits of its ladder's first level."""
-    grounds = [None] * len(potentials)
-    wells = [i for i, trap in enumerate(potentials)
-             if not isinstance(trap, PowerLaw)]
-    if wells:
-        shapes = _Shapes.of([potentials[i] for i in wells])
-        e = _absent_energy(_Wells(np.repeat(shapes.scale, 2), np.repeat(
-            shapes.chi, 2) if shapes.bounded else None), np.tile(
-            np.arange(1, 3), len(wells))).reshape(-1, 2)
-        refused = shapes.morse & ((shapes.cap < 2) | ~(e.min(axis=1) > 0.0))
-        for i, pair, bad in zip(wells, e.tolist(), refused.tolist()):
-            if not bad:
-                grounds[i] = dict(zip(Barrier, pair))
-    for i, trap in enumerate(potentials):
-        if grounds[i] is None:
-            grounds[i] = {}
-            for barrier in Barrier:
-                try:
-                    grounds[i][barrier] = level_energy(trap, 1, barrier)
-                except SzilardError as exc:
-                    grounds[i][barrier] = exc.with_traceback(None)
+    level or the SzilardError its lookup raises.  Every trap's
+    barrier-free levels 1 and 2 (the inserted E_1) are one _Shapes.ladders
+    pass, with the bits of their level_energy lookups; a Morse well it
+    refuses takes level_energy, which raises its error."""
+    n = len(potentials)
+    e, _, refused = _Shapes.of(potentials).ladders(np.ones(n, dtype=int),
+                                                   np.full(n, 2))
+    grounds = [dict(zip(Barrier, pair)) for pair in e.reshape(-1, 2).tolist()]
+    for i in refused.nonzero()[0].tolist():
+        for barrier in Barrier:
+            try:
+                grounds[i][barrier] = level_energy(potentials[i], 1, barrier)
+            except SzilardError as exc:
+                grounds[i][barrier] = exc.with_traceback(None)
     return grounds
 
 
@@ -329,11 +320,9 @@ def _level_ladders(requests, levels, max_terms):
     levels maps id(trap) to its barrier-free ladder, extended by the levels
     a request lacks.  Inserted level n is barrier-free level 2n (see
     potentials), so an inserted request takes the view ladder[1:2n:2] and
-    an absent one the prefix ladder[:n].  The missing levels of a request's
-    harmonic and Morse traps are one array expression (_absent_energy on
-    _Wells), those of a power law its own level_energy call, so that its
-    fractional power keeps its bits; every level has the bits of its own
-    level_energy call.
+    an absent one the prefix ladder[:n].  The missing levels of all the
+    requests' traps are one _Shapes.ladders pass (see _extend), and every
+    level has the bits of its own level_energy call.
     """
     out = [n if _failed(n) else TruncationError(
         f"series needs {n} terms, policy caps at {max_terms}")
@@ -357,45 +346,21 @@ def _level_ladders(requests, levels, max_terms):
 
 def _extend(requests, levels):
     """Extend levels[key] to `top` levels for each (key, top, trap) request,
-    and return by key the SzilardError level_energy raises for a trap's
-    levels.  The harmonic and Morse traps are one _Wells expression, where
-    a Morse index past the bound count or a level not positive marks a trap
-    whose error level_energy then raises; a power law is its own
-    level_energy call."""
-    def store(key, part):
-        levels[key] = (np.concatenate((levels[key], part)) if key in levels
-                       else part)
-
-    wells, errors = [], {}
-    for key, top, trap in requests:
-        if not isinstance(trap, PowerLaw):
-            wells.append((key, top, trap))
-            continue
-        try:
-            store(key, level_energy(trap, np.arange(
-                len(levels.get(key, ())) + 1, top + 1)))
-        except SzilardError as exc:
-            errors[key] = exc.with_traceback(None)
-    if not wells:
-        return errors
-    keys, top, traps = zip(*wells)
-    shapes = _Shapes.of(traps)
-    have = [len(levels.get(key, ())) for key in keys]
-    counts = np.subtract(top, have)
-    starts = np.cumsum(counts) - counts
-    e = _absent_energy(_Wells(np.repeat(shapes.scale, counts), np.repeat(
-        shapes.chi, counts) if shapes.bounded else None), np.arange(
-        counts.sum()) + np.repeat(np.add(have, 1) - starts, counts))
-    refused = shapes.morse & ((np.array(top) > shapes.cap)
-                              | ~(np.minimum.reduceat(e, starts) > 0.0))
+    in one _Shapes.ladders pass, and return by key the SzilardError
+    level_energy raises for the levels of a trap that ladders refuses."""
+    keys, top, traps = zip(*requests)
+    have = np.array([len(levels.get(key, ())) for key in keys])
+    e, starts, refused = _Shapes.of(traps).ladders(have + 1, np.array(top))
+    errors = {}
     for i in refused.nonzero()[0].tolist():
         try:
             level_energy(traps[i], np.arange(have[i] + 1, top[i] + 1))
         except SzilardError as exc:
             errors[keys[i]] = exc.with_traceback(None)
-    for key, start, count in zip(keys, starts.tolist(), counts.tolist()):
+    for key, part in zip(keys, np.split(e, starts[1:])):
         if key not in errors:
-            store(key, e[start:start + count])
+            levels[key] = (np.concatenate((levels[key], part))
+                           if key in levels else part)
     return errors
 
 
@@ -441,12 +406,15 @@ def _canonical_stages(traps, grounds, temperatures, counts, policy):
              for count, temperature in zip(counts, temperatures)]
     rows = [(i, barrier, e1) for i, ground in enumerate(grounds)
             for barrier, e1 in ground.items()]
-    shapes = _Shapes.of(traps)
+    # one shape row per distinct trap object, each unit's row by its trap
+    distinct = list({id(trap): trap for trap in traps}.values())
+    place = {id(trap): r for r, trap in enumerate(distinct)}
+    shapes = _Shapes.of(distinct)
 
     def table(at):
         """The traps, strides, betas and E_1 of the rows at indices at."""
         picked = [rows[r] for r in at]
-        return (shapes.take([i for i, _, _ in picked]),
+        return (shapes.take([place[id(traps[i])] for i, _, _ in picked]),
                 np.array([_stride(barrier) for _, barrier, _ in picked]),
                 np.array([betas[i] for i, _, _ in picked]),
                 np.array([e1 for _, _, e1 in picked]))
@@ -575,21 +543,21 @@ def _grand_rungs(requests, policy):
     shapes = _Shapes.of([requests[r][0] for r in first])
     step = np.array([stride for _, stride, _ in keys], dtype=float)
     lengths, tailed = _heads(shapes, step, betas[first], e1[first], policy)
-    readers, built = [], []
-    for rows, ladder, tail, *shape in zip(
+    readers, built, kept = [], [], []
+    for m, (rows, ladder, tail, by) in enumerate(zip(
             rungs.values(), _level_ladders(
                 [(*requests[r][:2], n) for r, n in zip(first, lengths)],
-                {}, policy.max_terms),
-            tailed.tolist(), shapes.scale.tolist(), shapes.power.tolist(),
-            step.tolist()):
+                {}, policy.max_terms), tailed.tolist(), step.tolist())):
         if _failed(ladder):
             for r in rows:
                 errors[r] = ladder
         else:
             readers.append(rows)
-            built.append((ladder, tail, *shape))
-    return _Rungs(g, betas, e1, errors, readers, built, v, count,
-                  _XCUT_MARGIN - math.log(policy.rel_tol), policy.max_terms)
+            built.append((ladder, tail, by))
+            kept.append(m)
+    return _Rungs(g, betas, e1, errors, readers, built, shapes.take(kept), v,
+                  count, _XCUT_MARGIN - math.log(policy.rel_tol),
+                  policy.max_terms)
 
 
 def _rung_sums(rungs, rows, mus, kind):

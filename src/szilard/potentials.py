@@ -7,7 +7,9 @@ modelled in the idealized infinite-barrier limit: even levels migrate up onto
 the next odd level, so the inserted spectrum at index n equals the absent
 spectrum at index 2n and every inserted level is doubly degenerate.
 
-Level indices start at n = 1 throughout.
+Level indices start at n = 1 throughout.  level_energy gives one trap's
+levels; _Shapes gives those of many traps of every family at once, with
+the same bits, for the batched sums.
 """
 
 import math
@@ -262,23 +264,10 @@ def morse_bound_count(potential):
     return count
 
 
-class _Wells:
-    """The levels of many harmonic and Morse traps at once, for
-    _absent_energy: each level's quantum and anharmonicity, as arrays spread
-    like its indices.  A harmonic level is the Morse form at anharmonicity
-    0, whose second term is exactly 0.0; anharmonicity None means harmonic
-    traps only."""
-
-    __slots__ = ("quantum", "anharmonicity")
-
-    def __init__(self, quantum, anharmonicity=None):
-        self.quantum, self.anharmonicity = quantum, anharmonicity
-
-
 def _absent_energy(potential, n):
-    """Energy at absolute index n (an int, in Python floats, or an array),
-    barrier absent; a _Wells evaluates many traps elementwise, each level
-    with its own trap's parameters."""
+    """Energy of one trap at absolute index n (an int, in Python floats, or
+    an array), barrier absent: the reference that level_energy evaluates
+    and that _Shapes.levels, many traps at once, has the bits of."""
     s = n + 0.5 if isinstance(n, int) else np.asarray(n, dtype=float) + 0.5
     if isinstance(potential, PowerLaw):
         # numpy's power for every n: the C library's pow, which s**p takes
@@ -289,12 +278,12 @@ def _absent_energy(potential, n):
             e if isinstance(e, np.ndarray) else float(e))
     elif isinstance(potential, Harmonic):
         e = potential.quantum * s
-    elif isinstance(potential, (Morse, _Wells)):
+    elif isinstance(potential, Morse):
         q, chi = potential.quantum, potential.anharmonicity
         # a level past float range is -inf, silently: such a well has no
         # bound level, which its callers' checks name
         with np.errstate(over="ignore"):
-            e = q * s if chi is None else q * s - q * chi * s * s
+            e = q * s - q * chi * s * s
     else:
         raise InvalidPotentialError(f"unknown potential {potential!r}")
     return e if isinstance(e, np.ndarray) else float(e)
@@ -327,6 +316,77 @@ def level_energy(potential, n, barrier=Barrier.ABSENT):
             raise SpectrumRangeError("non-positive Morse level energy")
         return e
     return _absent_energy(potential, idx)
+
+
+class _Shapes:
+    """Ladder shapes of many traps, one array entry each: level n is scale
+    s^power - scale chi s^2 at s = n + 1/2, one of the terms zero (scale is
+    hbar omega or a power law's energy scale, chi a Morse anharmonicity,
+    power a power law's level power), cut at a Morse well's bound count
+    cap (inf if unbounded).  wells, powers, bounded: whether any chi != 0,
+    any power != 1, any Morse well."""
+
+    __slots__ = ("scale", "chi", "power", "cap", "morse", "wells", "powers",
+                 "bounded")
+
+    def __init__(self, scale, chi, power, cap, morse):
+        self.scale, self.chi, self.power, self.cap, self.morse = (
+            scale, chi, power, cap, morse)
+        self.wells = bool(np.count_nonzero(chi))
+        self.powers = bool(np.count_nonzero(power != 1.0))
+        self.bounded = bool(np.count_nonzero(morse))
+
+    @classmethod
+    def of(cls, traps):
+        table = np.array([_shape(trap) for trap in traps],
+                         dtype=float).reshape(-1, 5).T
+        return cls(*table[:4], table[4] != 0.0)
+
+    def take(self, rows):
+        return _Shapes(self.scale[rows], self.chi[rows], self.power[rows],
+                       self.cap[rows], self.morse[rows])
+
+    def levels(self, n, counts=None):
+        """The barrier-free levels at indices n (an array) of counts[i]
+        indices of trap i in turn (one each without counts), as one array
+        expression.  Its one np.power call per distinct level power takes
+        the power as a Python float, as level_energy does (numpy takes a
+        square root for a scalar power of 1/2, pow for an array of them),
+        so every level has the bits of its trap's level_energy call.  A
+        level past float range is inf, or -inf in a Morse well, silently."""
+        scale, chi, power = (v if counts is None else np.repeat(v, counts)
+                             for v in (self.scale, self.chi, self.power))
+        s = np.asarray(n, dtype=float) + 0.5
+        e = s.copy()
+        with np.errstate(over="ignore"):
+            for p in set(self.power.tolist()) - {1.0}:
+                at = power == p
+                e[at] = np.power(s[at], p)
+            e *= scale
+            e -= scale * chi * s * s
+        return e
+
+    def ladders(self, first, top):
+        """Levels first[i]..top[i] (int arrays, top >= first) of each trap
+        i end to end, where each run starts, and whether level_energy
+        refuses the run: a Morse index past the bound count or a level not
+        positive."""
+        counts = top - first + 1
+        starts = np.cumsum(counts) - counts
+        e = self.levels(np.arange(counts.sum()) + np.repeat(first - starts,
+                                                            counts), counts)
+        low = np.minimum.reduceat(e, starts) if len(e) else e
+        return e, starts, self.morse & ((top > self.cap) | ~(low > 0.0))
+
+
+def _shape(trap):
+    if isinstance(trap, Morse):
+        cap = trap.bound_count
+        return (trap.quantum, trap.anharmonicity, 1.0,
+                math.inf if cap is None else cap, 1.0)
+    if isinstance(trap, PowerLaw):
+        return trap.energy_scale, 0.0, trap.level_power, math.inf, 0.0
+    return trap.quantum, 0.0, 1.0, math.inf, 0.0
 
 
 @dataclass(frozen=True)

@@ -265,6 +265,14 @@ def _morse_potential(point, params):
 # built from the same inputs; a point that finds none there puts its own
 # there as soon as it is built, before any check of the point can fail.
 
+def _baths(traps, hot, cold):
+    """The sweep's one BathPair of (hot, cold), kept in traps like a trap;
+    one that fails to build is not kept, so each of its points fails."""
+    key = BathPair, hot, cold
+    traps[key] = traps.get(key) or BathPair(hot=hot, cold=cold)
+    return traps[key]
+
+
 def _harmonic_point(point, p, traps, key):
     trap = traps[key] = traps.get(key) or Harmonic(mass=p["mass"],
                                                    omega=p["omega"])
@@ -276,14 +284,14 @@ def _harmonic_point(point, p, traps, key):
 
 def _canonical_point(point, p, traps, key):
     omega = float(point.get("omega", p.get("omega")))
-    baths = BathPair(hot=p["T_hot"], cold=p["T_cold"])
+    baths = _baths(traps, p["T_hot"], p["T_cold"])
     trap = traps[key] = traps.get(key) or Harmonic(mass=p["mass"],
                                                    omega=omega)
     return point["N"], baths, trap, {**point, "omega": omega}
 
 
 def _bose_point(point, p, traps, key):
-    baths = BathPair(hot=p["T_hot"], cold=p["T_cold"])
+    baths = _baths(traps, p["T_hot"], p["T_cold"])
     scale = float(point["scale_ratio"]) * K_B * baths.cold
     trap = traps[key] = traps.get(key) or PowerLaw.from_energy_scale(
         p["mass"], scale, float(point["nu"]))
@@ -294,7 +302,7 @@ def _bose_point(point, p, traps, key):
 def _morse_point(point, p, traps, key):
     t_hot = float(point.get("T_hot", p.get("T_hot")))
     t_cold = p["T_cold"] if "T_cold" in p else t_hot * p["cold_to_hot"]
-    baths = BathPair(hot=t_hot, cold=float(t_cold))
+    baths = _baths(traps, t_hot, float(t_cold))
     trap = traps[key] = traps.get(key) or _morse_potential(point, p)
     return 1, baths, trap, {
         "T_hot": baths.hot, "T_cold": baths.cold, "omega": trap.omega,

@@ -24,7 +24,7 @@ from szilard import (Barrier, BathPair, ChemicalPotentials,
                      canonical_stage_properties, chemical_potential,
                      chemical_potentials, internal_energy, level_energy,
                      log_relative_partition, occupancy_total, run_cycle)
-from szilard import _tail_sums, ensembles
+from szilard import _tail_sums, ensembles, potentials
 from szilard.barrier import even_levels, odd_level
 from szilard.sweeps import preset, run_sweep
 
@@ -484,17 +484,27 @@ def test_inserted_ladder_is_every_other_barrier_free_level(
 
 
 @settings(max_examples=100, deadline=None)
-@given(traps=st.lists(st.tuples(st.booleans(), st.floats(1e8, 1e14),
-                                st.one_of(st.just(0.0), st.floats(1e-5, 0.1)),
-                                st.integers(1, 3000), st.integers(0, 3000)),
-                      min_size=1, max_size=6))
+@given(traps=st.lists(st.tuples(
+    st.sampled_from(("harmonic", "power-law", "morse")), st.floats(1e8, 1e14),
+    st.one_of(st.just(0.0), st.floats(1e-5, 0.1)), st.floats(0.3, 4.0),
+    st.integers(1, 3000), st.integers(0, 3000)), min_size=1, max_size=6))
 def test_batched_levels_equal_level_energy(traps):
-    """The harmonic and Morse levels of a request are one _Wells array
-    expression over all its traps, a lone trap's too: every level, first
-    built or extended, has the bits of its own trap's level_energy call."""
+    """The levels of a request are one _Shapes.ladders pass over all its
+    traps, harmonic, power-law and Morse ones mixed, a lone trap's too:
+    every level, first built or extended, has the bits of its own trap's
+    level_energy call.  Every batch holds power laws at nu = 2/3, whose
+    level power 1/2 numpy takes as a square root for a scalar power, and
+    at nu = 2, of power 1.  Each trap's E_1 from _ground_levels, with the
+    barrier absent and inserted, and a level at one float index per trap,
+    as the tails form their first level, have the bits of their int
+    level_energy lookups."""
+    _, omega, _, _, first, more = traps[0]
+    fixed = [("power-law", omega, 0.0, nu, first, more)
+             for nu in (2.0 / 3.0, 2.0)]
     built = []
-    for harmonic, omega, chi, first, more in traps:
-        trap = (Harmonic(MASS, omega) if harmonic
+    for kind, omega, chi, nu, first, more in traps + fixed:
+        trap = (Harmonic(MASS, omega) if kind == "harmonic"
+                else PowerLaw(MASS, omega, nu) if kind == "power-law"
                 else Morse.from_anharmonicity(MASS, omega, chi))
         cap = getattr(trap, "bound_count", None) or first + more  # >= 4
         built.append((trap, min(first, cap), min(first + more, cap)))
@@ -506,6 +516,15 @@ def test_batched_levels_equal_level_energy(traps):
                 requests, levels, TruncationPolicy().max_terms)):
             assert ladder.tobytes() == level_energy(
                 trap, np.arange(1, n + 1)).tobytes()
+    traps = [trap for trap, *_ in built]
+    for (trap, *_), ground in zip(built, ensembles._ground_levels(traps)):
+        for barrier in Barrier:
+            assert _same_bits(ground[barrier], level_energy(trap, 1, barrier))
+    # one float index per trap, as a tail's first level E_{K+1} is formed
+    tops = potentials._Shapes.of(traps).levels(
+        np.array([top for *_, top in built], dtype=float))
+    assert tops.tobytes() == np.array([level_energy(trap, top)
+                                       for trap, _, top in built]).tobytes()
 
 
 @settings(max_examples=100, deadline=None)
@@ -1282,7 +1301,7 @@ def test_heads_of_a_mixed_pass_match_lone_passes(rows, rel_tol, max_terms):
 
     def pass_of(at):
         return _tail_sums._heads(
-            _tail_sums._Shapes.of([traps[i] for i in at]),
+            potentials._Shapes.of([traps[i] for i in at]),
             np.array([steps[i] for i in at]),
             np.array([betas[i] for i in at]),
             np.array([e1[i] for i in at]), policy)
@@ -1459,8 +1478,7 @@ def _rung_ladders(call):
     def spy(g, beta, e1, errors, readers, built, *rest):
         log.extend((ladder, tailed, Barrier.INSERTED if step == 2.0
                     else Barrier.ABSENT, beta[rows[0]], e1[rows[0]])
-                   for rows, (ladder, tailed, _, _, step) in zip(readers,
-                                                                 built))
+                   for rows, (ladder, tailed, step) in zip(readers, built))
         return original(g, beta, e1, errors, readers, built, *rest)
 
     with mock.patch.object(ensembles, "_Rungs", spy):

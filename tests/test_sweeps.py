@@ -242,6 +242,20 @@ def _occupancy(calls):
     return [args for args in calls if args[3] == "occupancy"]
 
 
+def _ladder_runs(monkeypatch, log):
+    """Wrap potentials._Shapes.ladders to append ("ladders", (first, top))
+    to log per call, the lists of the first and last index of its runs;
+    return log."""
+    original = potentials._Shapes.ladders
+
+    def counted(shapes, first, top):
+        log.append(("ladders", (first.tolist(), top.tolist())))
+        return original(shapes, first, top)
+
+    monkeypatch.setattr(potentials._Shapes, "ladders", counted)
+    return log
+
+
 def _one_point(target, **values):
     return replace(preset(target), axes=(),
                    lists={k: (v,) for k, v in values.items()})
@@ -314,14 +328,16 @@ class TestSingleEvaluation:
         distinct sums of its one batch, each sized where it is summed (the
         batching's 50 handed down made the second pass 150 rows; in two
         batches, as four-pair tails split the run, they were three).  The
-        batching looks up the 100 ground levels in one _Wells expression,
-        each _series_sums call builds the levels it lacks in at most one
-        more (the absent sums their ladders, the inserted ones their
+        batching looks up the 100 ground levels in one _Shapes.ladders
+        pass, each _series_sums call builds the levels it lacks in at most
+        one more (the absent sums their ladders, the inserted ones their
         extensions; one call per stage made four, stage D's building none),
-        and level_energy never runs: it made 100 scalar ground lookups."""
+        and level_energy never runs: it made 100 scalar ground lookups.
+        Each _Shapes.of pass (the ground levels, the batching's sizing, the
+        stage sums and each ladder build) takes one row per distinct well:
+        the stage sums took one per unit, a (well, bath), 100."""
         log = []
-        for name in ("_heads", "_series_sums", "_absent_energy",
-                     "level_energy"):
+        for name in ("_heads", "_series_sums", "level_energy"):
             original = getattr(ensembles, name)
 
             def spy(*args, name=name, original=original, **kwargs):
@@ -329,23 +345,32 @@ class TestSingleEvaluation:
                 return original(*args, **kwargs)
 
             monkeypatch.setattr(ensembles, name, spy)
+        _ladder_runs(monkeypatch, log)
+        shapes = potentials._Shapes.of
+
+        def of(traps):
+            traps = list(traps)
+            log.append(("of", traps))
+            return shapes(traps)
+
+        monkeypatch.setattr(potentials._Shapes, "of", of)
         spec = replace(preset("fig10"),
                        lists={"depth": (4.7 * EV,), "T_hot": (4.0,)})
         outcome = _run(spec, tmp_path)
         assert outcome.points == 50 and outcome.failed == 0
         assert [len(args[3]) for name, args in log
                 if name == "_heads"] == [50, 200]
+        assert [(len(traps), len(set(map(id, traps)))) for name, traps in log
+                if name == "of"] == [(50, 50)] * 5
         builds = [0]    # the ground levels, then per _series_sums call
         for name, args in log:
             if name == "_series_sums":
                 builds.append(0)
-            elif (name == "_absent_energy"
-                  and isinstance(args[0], potentials._Wells)
-                  and np.issubdtype(args[1].dtype, np.integer)):
+            elif name == "ladders":
                 builds[-1] += 1
         assert builds == [1, 1, 1]
-        grounds = next(args for name, args in log if name == "_absent_energy")
-        assert grounds[1].tolist() == [1, 2] * 50
+        grounds = next(args for name, args in log if name == "ladders")
+        assert grounds == ([1] * 50, [2] * 50)
         assert not any(name == "level_energy" for name, _ in log)
 
     @pytest.mark.parametrize("point", [
@@ -357,25 +382,19 @@ class TestSingleEvaluation:
     def test_point_looks_up_its_ground_levels_once(self, tmp_path,
                                                    monkeypatch, point):
         """E_1 with the barrier absent and inserted, looked up once for the
-        batching and every sum after it: a power law's two int lookups, and
-        a Morse well's one _Wells expression at barrier-free indices 1 and
-        2, which made two int lookups.  A fig8 point made 5 such calls:
-        four in its root solve and one in the batching.  Under the closed
-        form it made 6: the two of the batching and one per mu."""
+        batching and every sum after it: one _Shapes.ladders run over
+        barrier-free levels 1 and 2, a power law's as a Morse well's, and
+        no level_energy call.  A power law made two int lookups, and a
+        Morse well's run was a _Wells expression.  Before that, a fig8
+        point made 5 such calls: four in its root solve and one in the
+        batching; under the closed form 6: the two of the batching and one
+        per mu."""
         calls = _count_calls(monkeypatch, "level_energy")
-        wells = _count_calls(monkeypatch, "_absent_energy")
+        log = _ladder_runs(monkeypatch, [])
         outcome = _run(point, tmp_path)
         assert outcome.points == 1 and outcome.failed == 0
-        grounds = [args[1:] for args in calls if np.ndim(args[1]) == 0]
-        lookups = [args[1].tolist() for args in wells
-                   if isinstance(args[0], potentials._Wells)
-                   and args[1].tolist() == [1, 2]]
-        if point.family == "morse-cycle":
-            assert (grounds, lookups) == ([], [[1, 2]])
-        else:
-            assert (grounds, lookups) == ([(1, potentials.Barrier.ABSENT),
-                                           (1, potentials.Barrier.INSERTED)],
-                                          [])
+        assert calls == []
+        assert [runs for _, runs in log if runs[1] == [2]] == [([1], [2])]
 
     @pytest.mark.parametrize("name, points", [("fig4", 240), ("fig5", 120)])
     def test_harmonic_grid_builds_its_trap_once(self, tmp_path, monkeypatch,
@@ -396,6 +415,27 @@ class TestSingleEvaluation:
         calls.clear()
         assert validate(preset(name)).predicted_failures == []
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("spec, builds, failed", [
+        (preset("fig10"), 4, 0), (preset("fig8"), 1, 0),
+        (_with_params("fig8", T_cold=1e-320), 480, 480)])
+    def test_sweep_builds_each_bath_pair_once(self, tmp_path, monkeypatch,
+                                              spec, builds, failed):
+        """A sweep builds each distinct BathPair once, each check of both
+        baths with it: fig10's 800 points have 4 pairs and fig8's 480 one,
+        where every point built its own (800 and 480).  A pair that fails
+        is not kept: at T_cold = 1e-320 K, where beta overflows, each fig8
+        point builds it and fails with its own error row."""
+        calls = []
+        original = ensembles.BathPair.__post_init__
+
+        def counted(pair):
+            calls.append(pair)
+            original(pair)
+
+        monkeypatch.setattr(ensembles.BathPair, "__post_init__", counted)
+        outcome = _run(spec, tmp_path)
+        assert (outcome.failed, len(calls)) == (failed, builds)
 
     def test_a_failing_point_shares_the_trap_it_built(self, tmp_path,
                                                       monkeypatch):
@@ -436,17 +476,16 @@ class TestSingleEvaluation:
         assert sorted(calls) == sorted(list(range(6)) * 4)
 
     @staticmethod
-    def _well_builds(wells):
-        """The sizes of the _Wells builds in a log of _absent_energy calls:
-        first the ground levels, one lookup at barrier-free indices 1 and
-        2, then ladders whose index ranges are disjoint and contiguous from
-        1, so no level is built twice."""
-        builds = [args[1] for args in wells
-                  if isinstance(args[0], potentials._Wells)]
-        assert builds[0].tolist() == [1, 2]
-        indices = np.concatenate(builds[1:])
-        assert np.array_equal(indices, np.arange(1, len(indices) + 1))
-        return [len(levels) for levels in builds]
+    def _ladder_builds(log):
+        """The sizes of a lone trap's runs in a _ladder_runs log: first its
+        ground levels, barrier-free levels 1 and 2, then ladders whose
+        index ranges are disjoint and contiguous from 1, so no level is
+        built twice."""
+        runs = [(first, top) for _, ((first,), (top,)) in log]
+        assert runs[0] == (1, 2)
+        assert [first for first, _ in runs[1:]] == [1] + [
+            top + 1 for _, top in runs[1:-1]]
+        return [top - first + 1 for first, top in runs]
 
     def test_morse_point_builds_one_ladder_per_trap(self, tmp_path,
                                                     monkeypatch):
@@ -455,50 +494,51 @@ class TestSingleEvaluation:
         (every other level of it) lacks, and the cold stages sum prefixes.
         One ladder per barrier built 500 levels, and whole ladders 336;
         the heads took 198 with four correction pairs in their tails, and
-        take 140 with six.  A lone well is built like a batch of wells, by
-        _Wells expressions, where it made two array level_energy calls."""
+        take 140 with six.  A lone well is built like a batch of traps, by
+        _Shapes.ladders passes (_Wells expressions before them), where it
+        made two array level_energy calls."""
         calls = _count_calls(monkeypatch, "level_energy")
-        wells = _count_calls(monkeypatch, "_absent_energy")
+        log = _ladder_runs(monkeypatch, [])
         outcome = _run(_one_point("fig10", depth=4.7 * EV, T_hot=4.0,
                                   omega=1e11), tmp_path)
         assert outcome.points == 1 and outcome.failed == 0
         assert calls == []
-        assert self._well_builds(wells) == [2, 90, 50]
+        assert self._ladder_builds(log) == [2, 90, 50]
 
     def test_canonical_point_builds_no_inserted_ladder(self, tmp_path,
                                                        monkeypatch):
-        """A fig3 point: its ground levels from the batching's one _Wells
-        expression (two int lookups before) and one ladder, extended once
-        for the inserted stages, whose rungs are every other level of it,
-        each build a _Wells expression (two array level_energy calls
-        before).  Its geometric tails are exact, so each stage sums a
+        """A fig3 point: its ground levels from the batching's one
+        _Shapes.ladders run (a _Wells expression before, and two int
+        lookups before that) and one ladder, extended once for the inserted
+        stages, whose rungs are every other level of it, each one more run
+        (two array level_energy calls before).  Its geometric tails are exact, so each stage sums a
         16-term head: whole ladders built 8208 levels, and a ladder per
         barrier 4100 more."""
         calls = _count_calls(monkeypatch, "level_energy")
-        wells = _count_calls(monkeypatch, "_absent_energy")
+        log = _ladder_runs(monkeypatch, [])
         outcome = _run(_one_point("fig3", N=2, omega=1e11), tmp_path)
         assert outcome.points == 1 and outcome.failed == 0
         assert calls == []
-        assert self._well_builds(wells) == [2, 16, 16]
+        assert self._ladder_builds(log) == [2, 16, 16]
 
     def test_partition_ratio_run_builds_one_ladder_per_point(self, tmp_path,
                                                              monkeypatch):
         """fig5: its 120 points, one trap at 40 temperatures and 3 counts,
         are one batch, which builds each of its 80 rungs (a temperature and
         a barrier) once for its 3 counts.  The trap's two ground levels are
-        one _Wells expression, and its one barrier-free ladder, the 32
-        levels its 16-term heads read, one more (a lone trap's levels were
-        one level_energy call).  A batch per N looked up 80 ground levels and
+        one _Shapes.ladders run, and its one barrier-free ladder, the 32
+        levels its 16-term heads read, one more (_Wells expressions before
+        them, and a lone trap's levels one level_energy call).  A batch per N looked up 80 ground levels and
         built 40 ladders of 32 levels, one per point, in two _Wells
         expressions per N; a point per batch made 480 level_energy calls
         (two ground levels and one ladder, extended once, per point), and
         solving and summing each barrier apart 960."""
         calls = _count_calls(monkeypatch, "level_energy")
-        wells = _count_calls(monkeypatch, "_absent_energy")
+        log = _ladder_runs(monkeypatch, [])
         outcome = _run(preset("fig5"), tmp_path)
         assert outcome.points == 120 and outcome.failed == 0
         assert calls == []
-        assert self._well_builds(wells) == [2, 32]
+        assert self._ladder_builds(log) == [2, 32]
 
     def test_bose_roots_sum_one_ladder_each(self, tmp_path, monkeypatch):
         """One occupancy re-check per root, and the trap prefactor's gamma
@@ -725,10 +765,11 @@ class TestBatchedRuns:
         batches close only between traps, each trap's stage-A head counted
         once per bath, so its 1,920 roots run in 6 batches (a batch per
         count made 12), and each batch builds the rungs of its traps once:
-        640 rungs (it built 1,920).  Each distinct trap's ground levels are
-        looked up once, two int lookups of a power law (960 before), and
-        its barrier-free ladder built by one level_energy call (480
-        before); _heads sizes each trap's hot barrier-free rung once in the
+        640 rungs (it built 1,920).  The ground levels of all 160 traps are
+        one _Shapes.ladders pass, and each batch's barrier-free ladders
+        one more, so level_energy never runs: it made 320 int ground
+        lookups and 160 ladder builds (960 and 480 before those); _heads
+        sizes each trap's hot barrier-free rung once in the
         batching, only to bound the batches, and every rung once, in its
         batch: 800 rows (640 when the batching's heads were handed down,
         2,400 when each point was sized in the batching and each of its
@@ -737,6 +778,7 @@ class TestBatchedRuns:
         rungs = _count_calls(monkeypatch, "_Rungs")
         sizes = _count_calls(monkeypatch, "_heads")
         levels = _count_calls(monkeypatch, "level_energy")
+        log = _ladder_runs(monkeypatch, [])
         outcome = _run(preset("fig8"), tmp_path)
         assert outcome.points == 480 and outcome.failed == 0
         assert [len(roots) for roots, *_ in solves] == [156, 444, 444, 216,
@@ -745,8 +787,9 @@ class TestBatchedRuns:
                                                     124]
         assert [len(e1) for *_, e1, _ in sizes] == [160, 52, 148, 148, 72,
                                                     96, 124]
-        assert sum(1 for _, n, *_ in levels if np.ndim(n) == 0) == 320
-        assert sum(1 for _, n, *_ in levels if np.ndim(n) == 1) == 160
+        assert levels == []
+        assert [len(first) for _, (first, _) in log] == [160, 13, 37, 37, 18,
+                                                         24, 31]
 
     def test_mu_rounded_onto_the_ground_level_names_the_cause(self,
                                                               tmp_path):
