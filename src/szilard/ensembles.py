@@ -33,10 +33,11 @@ canonical sums and energy sums of each barrier configuration (_series_sums)
 or the grand rungs' heads and moments (_grand_rungs), and the tails (see
 _tail_sums), each laid out flat by the one _Segments of both routes.  Only
 exactly rounded operations run on arrays, and a level's fractional power,
-in one np.power call per distinct power as level_energy takes it; a log,
-exp or fractional power that sets a length or a logged total runs in math,
-element by element, so every value keeps the bits of its one-trap
-evaluation.
+in one np.power call per distinct power as level_energy takes it, and the
+Newton roots' logs and exps (_mu_offsets), each numpy's of its element
+alone; a log, exp or fractional power that sets a length or a logged total
+runs in math, element by element, so every value keeps the bits of its
+one-trap evaluation.
 
 Stage labels follow the cycle diagram: A = barrier absent at the hot bath,
 B = inserted at the hot bath, C = inserted at the cold bath, D = absent at
@@ -572,11 +573,12 @@ def _rung_sums(rungs, rows, mus, kind):
         heads = _Heads(rungs, at, kind == "energy")
         with np.errstate(over="ignore"):    # v is inf for a mu far below E_1
             sums = heads.sums(rungs.beta[at] * d, kind, d)[0]
-        for j, (i, total) in enumerate(zip(live, sums.tolist())):
-            out[i] = heads.error(j) or (
-                total if math.isfinite(total) else SolverFailureError(
-                    f"series sum is {total}, not finite: its terms leave"
-                    " float range"))
+        for i, total in zip(live, sums.tolist()):
+            out[i] = total if math.isfinite(total) else SolverFailureError(
+                f"series sum is {total}, not finite: its terms leave float"
+                " range")
+        for j in heads.refused:     # a refused row's sum is nan
+            out[live[j]] = heads.error(j)
     return out
 
 
@@ -585,123 +587,112 @@ def _mu_offsets(roots, counts, policy, rungs):
     (potential, barrier, temperature, E_1) roots, root j of counts[j]
     bosons on row j of the _Rungs rungs; a root or an error each.
 
-    With n = g/expm1(beta(E - E_1) + e^u) (g = d_1 on every level), a
-    doubling search from u = 0 brackets the root of log N(u) - log count
-    (see _Root), and Newton runs on it with the slope dlog N/du = -e^u sum
-    n (1 + n/g) / N from the lower bound the bracketing round gives; a step
-    that leaves the bracket bisects it (rtsafe, Numerical Recipes 9.4).
-    Every round evaluates all live roots at once, each its head and the
-    k-series of its tail (_Heads.sums); each root's bracket, step and stop
-    test are its own.  Once some roots stop, the heads of the rest are
-    gathered afresh from the rungs, so each row keeps the bits of its own
-    evaluation.
+    With n = g/expm1(beta(E - E_1) + e^u) (g = d_1 on every level), f =
+    log N(u) - log count falls as u rises: it is positive at a root's
+    `near` and not positive at its `far`.  The live roots are arrays: near,
+    far, the u each is evaluated at next, the search step k (-1 once Newton
+    runs) and the Newton round count, row `rows` of the rungs each.  Every
+    round evaluates them all at once, each its head and the k-series of
+    its tail (_Heads.sums), and steps them all in one set of array
+    expressions.  The search tries u = k log 2, k = 0, 1, ..., each point
+    with f > 0 becoming near, until f <= 0 there.  Newton then starts from
+    the lower bound of _floor, else the closed form, else the bracket's
+    midpoint, whichever lies inside the bracket first, and steps with the
+    slope dlog N/du = -e^u sum n (1 + n/g) / N; a step that leaves the
+    bracket bisects it (rtsafe, Numerical Recipes 9.4).  A root stops once
+    a step is at most 1e-9 max(1, |u|): quadratic convergence puts that
+    step's end within rounding of the root.  Only the roots that stop or
+    fail leave the arrays through Python, and the heads of the rest are
+    then gathered afresh from the rungs, so each row keeps the bits of its
+    own evaluation.
     """
     out = list(rungs.errors)
-    rows = [j for j, error in enumerate(out) if error is None]
-    heads = _Heads(rungs, np.array(rows, dtype=np.intp))
-    live = [_Root(j, _degeneracy(roots[j][1]), counts[j]) for j in rows]
-    # an occupation past 1e154 overflows n (1 + n/g) to inf, which makes
-    # the step 0: the root stops there, and like every root it is then
-    # checked against mu < E_1 and its occupancy re-sum
-    while live:
-        totals, weight = (s.tolist() for s in heads.sums(
-            np.array([math.exp(root.u) for root in live]), "occupancy"))
-        keep = [True] * len(live)
-        for i, root in enumerate(live):
-            result = (heads.refused and heads.error(i)) or root.update(
-                totals[i], weight[i])
-            if result is not None:
-                out[root.j] = result
-                keep[i] = False
-        if not all(keep):   # gather the heads of the roots left
-            live = [root for root, kept in zip(live, keep) if kept]
-            if live:
-                heads = _Heads(rungs, np.array([root.j for root in live],
-                                               dtype=np.intp))
+    rows = np.array([j for j, error in enumerate(out) if error is None],
+                    dtype=np.intp)
+    d1, count = rungs.g[rows].astype(float), np.array(counts, float)[rows]
+    far, u = np.zeros(len(rows)), np.zeros(len(rows))
+    step, rounds = np.zeros(len(rows), dtype=np.intp), np.zeros_like(rows)
+    heads = _Heads(rungs, rows)
+    with np.errstate(all="ignore"):
+        y = d1 / (count * 1e9)      # 0.0 once count * 1e9 overflows
+        near = np.log(np.where(y > 0.0, np.log1p(y), d1 / count / 1e9))
+        log_count = np.log(count)
+        while len(rows):
+            v = np.exp(u)
+            total, weight = heads.sums(v, "occupancy")
+            # a total of 0.0 has every term underflowed: N below any count
+            f = np.log(total) - log_count
+            up, search = f > 0.0, step >= 0
+            near, far = np.where(up, u, near), np.where(up, far, u)
+            rounds += ~search
+            # an occupation past 1e154 overflows n (1 + n/g) to inf, which
+            # makes the step 0: the root stops there, and like every root
+            # it is then checked against mu < E_1 and its occupancy re-sum
+            slope = -v * weight / total
+            u_next = u - f / slope
+            tol = 1e-9 * np.maximum(1.0, np.abs(u))
+            # only a step past the stop tolerance is clamped to the
+            # bracket, so a converged step that lands on a bracket end
+            # stops there
+            mid = 0.5 * (near + far)
+            u_next = np.where((np.abs(u_next - u) > tol)
+                              & ~((near < u_next) & (u_next < far)),
+                              mid, u_next)
+            exact = f == 0.0        # u is the root
+            u_next[exact] = u[exact]
+            stop = (exact | (np.abs(u_next - u) <= tol)) & ~search
+            late = (rounds == 200) & ~stop
+            at = (search & ~up).nonzero()[0]
+            # Newton's start: the midpoint, overwritten by the closed form
+            # and then by _floor's bound wherever each lies in the bracket
+            if len(at):
+                start = mid[at]
+                for bound in (np.log(np.log1p(d1[at] / count[at])),
+                              _floor(d1[at], count[at], u[at], total[at])):
+                    inside = (near[at] < bound) & (bound < far[at])
+                    start[inside] = bound[inside]
+                u_next[at] = start
+            climb = search & up
+            step = np.where(climb, step + 1, -1)
+            u_next[climb] = step[climb] * math.log(2.0)
+            lost = step == 200
+            ends = stop | late | lost
+            ends[list(heads.refused)] = True   # their sums are nan
+            if ends.any():
+                ended = ends.nonzero()[0]
+                for j, x in zip(rows[ended].tolist(), u_next[ended].tolist()):
+                    out[j] = x
+                for failed, message in (
+                        (lost, "no lower bracket for the occupancy root"),
+                        (late, "occupancy root did not converge")):
+                    for j in rows[failed].tolist():
+                        out[j] = SolverFailureError(message)
+                for i in heads.refused:
+                    out[rows[i]] = heads.error(i)
+                keep = ~ends
+                rows, d1, count, log_count, near, far, u_next, step, \
+                    rounds = (a[keep] for a in (rows, d1, count, log_count,
+                                                near, far, u_next, step,
+                                                rounds))
+                if len(rows):
+                    heads = _Heads(rungs, rows)
+            u = u_next
     return out
 
 
-class _Root:
-    """Bracket and Newton state of one occupancy root in u.
-
-    f = log N - log count falls as u rises: it is positive at `near` and
-    not positive at `far`.  The search evaluates u = k log 2, k = 0, 1, ...,
-    each point with f > 0 becoming `near`, until f <= 0 there; `step` is k,
-    None once Newton runs, and `u` is where the root is evaluated next.
-    Newton starts from the lower bound of _floor, else the closed form, else
-    the bracket's midpoint, whichever lies inside the bracket first, and
-    stops once a step is at most 1e-9 max(1, |u|): quadratic convergence
-    puts that step's end within rounding of the root.
-    """
-
-    __slots__ = ("j", "d1", "count", "log_count", "near", "far", "u", "step",
-                 "rounds")
-
-    def __init__(self, j, d1, count):
-        self.j, self.d1, self.count = j, d1, count
-        self.log_count = math.log(count)
-        y = d1 / (count * 1e9)      # 0.0 once count * 1e9 overflows
-        self.near = math.log(math.log1p(y) if y else d1 / count / 1e9)
-        self.far = self.u = 0.0
-        self.step = 0
-        self.rounds = 0
-
-    def update(self, total, weight):
-        """Take the occupancy N at u and its Newton weight sum n (1 + n/g);
-        the root (or its SolverFailureError) once it stops, else None."""
-        u = self.u
-        # a total of 0.0 has every term underflowed: N below any count
-        f = math.log(total) - self.log_count if total else -math.inf
-        if self.step is not None:
-            if f > 0.0:
-                if self.step == 199:
-                    return SolverFailureError(
-                        "no lower bracket for the occupancy root")
-                self.near, self.step = u, self.step + 1
-                self.u = self.step * math.log(2.0)
-                return None
-            self.far, self.step = u, None
-            for u in (self._floor(total),
-                      math.log(math.log1p(self.d1 / self.count)),
-                      0.5 * (self.near + self.far)):
-                if self.near < u < self.far:
-                    break
-            self.u = u
-            return None
-        self.rounds += 1
-        if f == 0.0:
-            return u
-        if f > 0.0:
-            self.near = u
-        else:
-            self.far = u
-        slope = -math.exp(u) * weight / total if total else math.nan
-        # only a step past the stop tolerance is clamped to the bracket, so
-        # a converged step that lands on a bracket end stops there
-        u_next = u - f / slope
-        tol = 1e-9 * max(1.0, abs(u))
-        if abs(u_next - u) > tol and not self.near < u_next < self.far:
-            u_next = 0.5 * (self.near + self.far)
-        if abs(u_next - u) <= tol:
-            return u_next
-        if self.rounds == 200:
-            return SolverFailureError("occupancy root did not converge")
-        self.u = u_next
-        return None
-
-    def _floor(self, total):
-        """A lower bound on the root from N = total <= count at u.  The
-        excited levels' occupation rest = N - g/expm1(e^u) (the head's own
-        ground term, so numpy's expm1, and 0 past float range) only grows
-        as u falls to the root, where the ground term is then at most count
-        - rest: so the root is at least log log1p(g/(count - rest)), never
-        below the closed form.  -inf where rounding leaves no such
-        bound."""
-        shift = math.exp(self.u)
-        ground = self.d1 / float(np.expm1(shift)) if shift < 709.0 else 0.0
-        room = self.count - (total - ground)
-        v = math.log1p(self.d1 / room) if room > 0.0 else 0.0
-        return math.log(v) if v > 0.0 else -math.inf
+def _floor(d1, count, u, total):
+    """Lower bounds on roots from N = total <= count at u (arrays, under
+    the caller's np.errstate).  The excited levels' occupation rest = N -
+    g/expm1(e^u) (the head's own ground term, and 0 past float range) only
+    grows as u falls to the root, where the ground term is then at most
+    count - rest: so the root is at least log log1p(g/(count - rest)),
+    never below the closed form.  -inf where rounding leaves no such
+    bound."""
+    shift = np.exp(u)
+    ground = np.where(shift < 709.0, d1 / np.expm1(shift), 0.0)
+    room = count - (total - ground)
+    v = np.where(room > 0.0, np.log1p(d1 / room), 0.0)
+    return np.where(v > 0.0, np.log(v), -math.inf)
 
 
 def _rungs_of(roots, counts, mode, policy):

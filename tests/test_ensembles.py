@@ -28,6 +28,8 @@ from szilard import _tail_sums, ensembles, potentials
 from szilard.barrier import even_levels, odd_level
 from szilard.sweeps import preset, run_sweep
 
+from conftest import newton_rounds
+
 MASS = 19.11e-11
 OMEGA = 1e11
 BATHS = BathPair(hot=200.0, cold=100.0)
@@ -275,7 +277,7 @@ class TestChemicalPotential:
                            st.just(1e300)))
     def test_newton_start_never_passes_the_root(self, nu, barrier,
                                                 temperature, ratio, count):
-        """The lower bound Newton starts from (_Root._floor, at the
+        """The lower bound Newton starts from (_floor, at the
         bracketing round) is at most the solved u, or above it by no more
         than the 4e-16 max(1, |u|) of rounding, on harmonic (nu None) and
         power-law traps of level scale `ratio` k_B T.  Every root solves:
@@ -286,25 +288,29 @@ class TestChemicalPotential:
         scale = ratio * K_B * temperature
         trap = (Harmonic(MASS, scale / HBAR) if nu is None
                 else PowerLaw.from_energy_scale(MASS, scale, nu))
-        floors, solved, update = {}, {}, ensembles._Root.update
+        floors, solved = [], []
+        floor, solve = ensembles._floor, ensembles._mu_offsets
 
-        def traced(root, total, weight):
-            if root.step is not None:   # the last is the bracketing round's
-                floors[root.j] = root._floor(total)
-            result = update(root, total, weight)
-            if result is not None:
-                solved[root.j] = result
-            return result
+        def traced_floor(*args):
+            bounds = floor(*args)
+            floors.extend(bounds.tolist())
+            return bounds
 
-        with mock.patch.object(ensembles._Root, "update", traced):
+        def traced_solve(*args):
+            out = solve(*args)
+            solved.extend(out)
+            return out
+
+        with mock.patch.object(ensembles, "_floor", traced_floor), \
+                mock.patch.object(ensembles, "_mu_offsets", traced_solve):
             try:
                 chemical_potential(trap, count, temperature, barrier,
                                    MuMode.SOLVED)
             except (ConvergenceViolationError, SolverFailureError) as exc:
                 assert "ulp" in str(exc)
-        u = solved[0]
+        (u,), (bound,) = solved, floors
         assert type(u) is float
-        assert floors[0] <= u + 4e-16 * max(1.0, abs(u))
+        assert bound <= u + 4e-16 * max(1.0, abs(u))
 
     def test_solves_when_ground_level_dwarfs_kt(self):
         """At E_1 = 1e5 kT one ulp of E_1 is 1.5e-10 of E_1 - mu, so the
@@ -1725,44 +1731,36 @@ class TestGrandOracle:
 
     @pytest.mark.parametrize("hot, cold", [(200.0, 100.0), (2000.0, 1000.0)])
     def test_reach_cycles_match_whole_ladder_sums(self, hot, cold,
-                                                  monkeypatch):
+                                                  newton_log):
         """The nu = 2 trap of energy scale 0.01 k_B 1 K with N = 10, whose
         ladders run to 1.25 M terms at 200 K (past the term cap) and
         12.5 M at 2000 K: each rung takes a 16-term head and a closed-form
         k-series (see _check_reach_cycle)."""
-        self._check_reach_cycle(2.0, hot, cold, monkeypatch)
+        self._check_reach_cycle(2.0, hot, cold, newton_log)
 
     @pytest.mark.parametrize("nu, hot, cold", [(1.6, 200.0, 100.0),
                                                (2.6, 2000.0, 1000.0)])
     def test_power_law_reach_cycles_match_whole_ladder_sums(
-            self, nu, hot, cold, monkeypatch):
+            self, nu, hot, cold, newton_log):
         """The same trap at nu = 1.6 (200/100 K) and 2.6 (2000/1000 K),
         which raised TruncationError at 7.2 M and 1.9 M terms while
         power-law rungs were built whole: each rung is a short head and a
         k-series over Euler-Maclaurin moments (see _check_reach_cycle)."""
-        self._check_reach_cycle(nu, hot, cold, monkeypatch)
+        self._check_reach_cycle(nu, hot, cold, newton_log)
 
-    def _check_reach_cycle(self, nu, hot, cold, monkeypatch):
+    def _check_reach_cycle(self, nu, hot, cold, newton_log):
         """At the cycle's own solved chemical potentials the rungs meet the
         whole ladders summed term by term (math.fsum over numpy chunks, to
         beta (E - E_1) = 75).  Each occupancy recovers N to 1e-10, as the
         root's own re-check demands; each stage energy to 1e-12 relative;
-        each log ratio, W and eta as above.  Each root's Newton rounds are
-        pinned: a converged step that lands on a bracket end stops there,
-        where clamping it to the bracket first bisected three nu = 2 roots
-        for 57 to 59 rounds."""
+        each log ratio, W and eta as above.  Each root's Newton rounds (see
+        conftest.newton_rounds) are pinned: a converged step that lands on
+        a bracket end stops there, where clamping it to the bracket first
+        bisected three nu = 2 roots for 57 to 59 rounds."""
         trap = PowerLaw.from_energy_scale(MASS, 0.01 * K_B, nu)
         baths = BathPair(hot, cold)
-        stops, update = {}, ensembles._Root.update
-
-        def counted(root, f, slope):
-            result = update(root, f, slope)
-            if result is not None:
-                stops[root.j] = root.rounds
-            return result
-
-        monkeypatch.setattr(ensembles._Root, "update", counted)
         cycle = run_cycle(trap, Ensemble.GRAND_BOSE, 10, baths)
+        (stops,) = newton_rounds(newton_log)
         assert [stops[j] for j in range(4)] == self.ROUNDS[nu, hot]
         logs, magnitudes, energies = [], [], {}
         for pair, stages in zip(cycle.mus, (("A", "B"), ("D", "C"))):

@@ -1,6 +1,7 @@
 """Sweep grids, CSV/manifest emission, config overlays, and the CLI."""
 
 import contextlib
+import hashlib
 import io
 import math
 import os
@@ -26,6 +27,8 @@ from szilard import (ATOMIC_MASS, Axis, Barrier, ConfigError, EV, Harmonic,
 from szilard import barrier, cycle, ensembles, potentials, sweeps
 from szilard.cli import main
 from szilard.sweeps import parse_integer
+
+from conftest import newton_rounds
 
 FLOAT_CELL = re.compile(r"^-?\d\.\d{16}e[+-]\d{2,3}$")
 
@@ -598,29 +601,45 @@ class TestSingleEvaluation:
         ("fig8", 42, 7869)])
     def test_roots_keep_what_each_round_paid_for(self, target, rounds,
                                                  updates, tmp_path,
-                                                 monkeypatch):
+                                                 newton_log):
         """A pass's Newton loops take `rounds` vectorised rounds (_Heads.sums
-        calls from _mu_offsets) and `updates` per-root steps (_Root.update
-        calls): bracket points above the root stay the lower end, Newton
-        starts at the bracketing round's lower bound and stops once a step
-        is at most 1e-9 max(1, |u|).  Starting at the closed form and
-        stopping at a 4e-16 step took 10, 13, 12 and 57 rounds and 3443,
-        2276, 2217 and 9478 steps."""
-        counts = {"rounds": 0, "updates": 0}
-        sums, update = ensembles._Heads.sums, ensembles._Root.update
-
-        def counted_sums(heads, v, kind, d=None):
-            counts["rounds"] += kind == "occupancy" and d is None
-            return sums(heads, v, kind, d)
-
-        def counted_update(root, total, weight):
-            counts["updates"] += 1
-            return update(root, total, weight)
-
-        monkeypatch.setattr(ensembles._Heads, "sums", counted_sums)
-        monkeypatch.setattr(ensembles._Root, "update", counted_update)
+        calls from _mu_offsets) and `updates` per-root steps (the live
+        roots of each round): bracket points above the root stay the lower
+        end, Newton starts at the bracketing round's lower bound and stops
+        once a step is at most 1e-9 max(1, |u|).  Starting at the closed
+        form and stopping at a 4e-16 step took 10, 13, 12 and 57 rounds and
+        3443, 2276, 2217 and 9478 steps."""
         assert _run(preset(target), tmp_path).failed == 0
-        assert counts == {"rounds": rounds, "updates": updates}
+        assert (len(newton_log), sum(len(rows) for _, rows, _ in newton_log)
+                ) == (rounds, updates)
+
+    @pytest.mark.parametrize("target, most", [
+        ("fig4", 6), ("fig5", 7), ("fig7", 6), ("fig8", 7)])
+    def test_no_preset_root_takes_more_than_7_newton_rounds(
+            self, target, most, tmp_path, newton_log):
+        """README: no root of the presets takes more than 7 Newton rounds;
+        the most any root of each preset takes is pinned."""
+        assert _run(preset(target), tmp_path).failed == 0
+        assert max(max(solve.values())
+                   for solve in newton_rounds(newton_log)) == most
+
+    def test_capped_fig8_keeps_its_error_rows(self, tmp_path):
+        """fig8 at --max-terms 30 fails 252 of its 480 rows, each on a
+        power-law k-series or a head longer than the cap, with 66 distinct
+        messages whose lengths sum to 21,665.  A k-series is refused by its
+        length at the v a Newton round tries, so the messages follow the
+        solver's path: the sha256 of the error column pins every one."""
+        out = tmp_path / "run.csv"
+        assert main(["fig8", "--max-terms", "30", "--out", str(out)]) == 0
+        errors = [line.rsplit(",", 1)[1]
+                  for line in out.read_text().splitlines()[1:]]
+        failed = [e for e in errors if e]
+        assert (len(errors), len(failed), len(set(failed))) == (480, 252, 66)
+        assert sum(int(re.match(r"TruncationError: series needs (\d+) terms;"
+                                r"  policy caps at 30$", e).group(1))
+                   for e in failed) == 21665
+        assert hashlib.sha256("\n".join(errors).encode()).hexdigest()[
+            :16] == "47f95c8d939d16b4"
 
 
 class TestBatchedRuns:
