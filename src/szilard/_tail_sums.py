@@ -539,9 +539,7 @@ class _Rungs:
                 length = np.ceil(x_cut / (self.x_tail[r] + floor))
             refused = ~(length <= max_terms)
             for i in refused.nonzero()[0].tolist():
-                self.errors[r[i]] = TruncationError(
-                    f"series needs {_count(length[i])} terms, policy caps at"
-                    f" {max_terms}")
+                self.errors[r[i]] = _cap_error(length[i], max_terms)
             kind[at[refused]] = 0
             keep = ~refused
             r, m, n = r[keep], m[keep], length[keep].astype(np.intp)
@@ -566,9 +564,11 @@ class _Rungs:
         self.kind[rows] = kind
 
 
-def _count(n):
-    """A series length for a message: an int, or inf or nan as they are."""
-    return int(n) if math.isfinite(n) else n
+def _cap_error(n, max_terms):
+    """The TruncationError of a series of n terms (inf or nan as they are)
+    past max_terms."""
+    return TruncationError(f"series needs {int(n) if math.isfinite(n) else n}"
+                           f" terms, policy caps at {max_terms}")
 
 
 class _Heads:
@@ -613,9 +613,7 @@ class _Heads:
     def error(self, i):
         """The TruncationError of row i's last sums, or None."""
         n = self.refused.get(i)
-        return None if n is None else TruncationError(
-            f"series needs {_count(n)} terms, policy caps at"
-            f" {self.rungs.max_terms}")
+        return None if n is None else _cap_error(n, self.rungs.max_terms)
 
     def sums(self, v, kind, d=None):
         """Per row at v (an array), as arrays: for kind "occupancy" sum

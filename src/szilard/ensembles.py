@@ -13,18 +13,17 @@ Three statistical treatments share this module:
   bound-state ladder.
 
 Every route sums many traps at once, as one numpy pass per step over all
-their ladders, and a lone trap is a batch of one on the same path.
-_batches splits a run of traps into consecutive batches of a bounded number
-of estimated terms, at the canonical decay rate N beta of the hot bath
-(beta for the grand route) and at most a Morse well's bound count, counting
-the head of a sum that a tail completes rather than its whole ladder (a
-grand trap's once per bath), and looks up each trap's two ground levels
-once for every sum of its batch (one _Shapes.ladders pass over all its
-traps).  A trap is its object; a sweep builds each distinct trap
-once.  _batches puts the points of each trap side by side and closes a
-batch only between two traps, so a batch builds each grand rung once for
-all its counts, and sums each distinct canonical (trap, count, bath) once
-for every point that reads it.
+their ladders, and a lone trap is a batch of one on the same path.  Each
+_batches call builds one trap table (_TrapTable), the one place that
+decides trap identity: a row per distinct trap object, with its ladder
+shape and ground levels, derived once for every sum, which reads the trap
+by its row.  _batches splits the points into consecutive batches of a
+bounded number of estimated terms, at the canonical decay rate N beta of
+the hot bath (beta for the grand route) and at most a Morse well's bound
+count, counting the head of a sum that a tail completes rather than its
+whole ladder (a grand trap's once per bath).  A batch holds all the points
+of its rows: it builds each grand rung once for all its counts, and sums
+each distinct canonical (row, count, bath) once for every point.
 Each step of a batch is one array pass over all its traps: the sizes of its
 sums (_heads, which sizes every sum of every route where it is summed; the
 batching's estimate only bounds a batch), the levels its sums lack (one
@@ -68,8 +67,8 @@ from enum import Enum
 
 import numpy as np
 
-from ._tail_sums import (_XCUT_MARGIN, _Heads, _Rungs, _Segments, _heads,
-                         _tails)
+from ._tail_sums import (_XCUT_MARGIN, _Heads, _Rungs, _Segments, _cap_error,
+                         _heads, _tails)
 from .constants import K_B
 from .errors import (ConvergenceViolationError, EnsembleMismatchError,
                      SolverFailureError, SzilardError, TruncationError,
@@ -204,23 +203,34 @@ def _beta(temperature):
     return beta
 
 
-def _ground_levels(potentials):
-    """E_1 of both barrier configurations of each trap, by barrier: each the
-    level or the SzilardError its lookup raises.  Every trap's
-    barrier-free levels 1 and 2 (the inserted E_1) are one _Shapes.ladders
-    pass, with the bits of their level_energy lookups; a Morse well it
-    refuses takes level_energy, which raises its error."""
-    n = len(potentials)
-    e, _, refused = _Shapes.of(potentials).ladders(np.ones(n, dtype=int),
-                                                   np.full(n, 2))
-    grounds = [dict(zip(Barrier, pair)) for pair in e.reshape(-1, 2).tolist()]
-    for i in refused.nonzero()[0].tolist():
-        for barrier in Barrier:
-            try:
-                grounds[i][barrier] = level_energy(potentials[i], 1, barrier)
-            except SzilardError as exc:
-                grounds[i][barrier] = exc.with_traceback(None)
-    return grounds
+class _TrapTable:
+    """The distinct trap objects of a run of points, one row each in order
+    of first appearance: traps[r] is row r's trap, shapes their _Shapes
+    (one _Shapes.of call), grounds[r] its E_1 by barrier, each the level or
+    the SzilardError its lookup raises, and rows[i] the row of point i.
+    All the barrier-free levels 1 and 2 (the inserted E_1) are one
+    _Shapes.ladders pass, with the bits of level_energy, which gives a
+    Morse well that pass refuses its error."""
+
+    __slots__ = ("traps", "shapes", "grounds", "rows")
+
+    def __init__(self, potentials):
+        place = {}
+        self.rows = [place.setdefault(id(trap), len(place))
+                     for trap in potentials]
+        self.traps = list(dict(zip(self.rows, potentials)).values())
+        self.shapes = _Shapes.of(self.traps)
+        ones = np.ones(len(self.traps), dtype=int)
+        e, _, refused = self.shapes.ladders(ones, 2 * ones)
+        self.grounds = [dict(zip(Barrier, pair))
+                        for pair in e.reshape(-1, 2).tolist()]
+        for r in refused.nonzero()[0].tolist():
+            for barrier in Barrier:
+                try:
+                    self.grounds[r][barrier] = level_energy(self.traps[r], 1,
+                                                            barrier)
+                except SzilardError as exc:
+                    self.grounds[r][barrier] = exc.with_traceback(None)
 
 
 # A batch of traps is closed once its estimated ladder terms reach this;
@@ -230,70 +240,62 @@ _BATCH_TERMS = 8192
 
 
 def _batches(potentials, betas, policy, baths=1):
-    """Split traps into consecutive batches for the batched stage sums.
-
-    A trap is its object: the indices of each trap object are grouped, in
-    order of first appearance, and share its ladder, its rungs and its
-    batch.  Returns (at, grounds) per batch, at the indices into potentials
-    of its points.  grounds[j] holds trap at[j]'s ground levels by barrier
-    (each E_1 or the error of its lookup), looked up once per trap for
-    every sum of the batch.  A batch closes, only between two traps, once
-    it counts _BATCH_TERMS: the head length of each point's barrier-free
-    sum at its decay rate betas[i] (N beta of the hot bath for a canonical
-    stage A, beta for a grand rung, whose mu approaches E_1), `baths` times
-    (2 for a grand cycle, whose per-root arrays hold a head of each barrier
-    at each bath), from one _heads pass over the distinct (trap, beta) rows;
-    a failed estimate counts 0.  Each sum is sized again where it is summed.
-    """
-    rows = [(id(trap), beta) for trap, beta in zip(potentials, betas)]
-    groups = {}     # each trap's indices
-    for i, (key, _) in enumerate(rows):
-        groups.setdefault(key, []).append(i)
-    levels = dict(zip(groups, _ground_levels(
-        [potentials[at[0]] for at in groups.values()])))
-    live = [(k, beta) for k, beta in dict.fromkeys(rows)
-            if not _failed(levels[k][Barrier.ABSENT])]
+    """(table, batches): the _TrapTable of the points' traps, and the
+    indices into potentials of the points of each consecutive batch for the
+    batched stage sums.  The points of each row, grouped in order, share
+    its ladder, its rungs and its batch.  A batch closes, only between two
+    rows, once it counts _BATCH_TERMS: the head length of each point's
+    barrier-free sum at its decay rate betas[i] (N beta of the hot bath for
+    a canonical stage A, beta for a grand rung, whose mu approaches E_1),
+    `baths` times (2 for a grand cycle, whose per-root arrays hold a head of
+    each barrier at each bath), from one _heads pass over the distinct
+    (row, beta) pairs; a failed estimate counts 0.  Each sum is sized again
+    where it is summed."""
+    table = _TrapTable(potentials)
+    keys = list(zip(table.rows, betas))
+    live = [(row, beta) for row, beta in dict.fromkeys(keys)
+            if not _failed(table.grounds[row][Barrier.ABSENT])]
     lengths, _ = _heads(
-        _Shapes.of([potentials[groups[k][0]] for k, _ in live]), 1,
+        table.shapes.take([row for row, _ in live]), 1,
         np.array([beta for _, beta in live], dtype=float),
-        np.array([levels[k][Barrier.ABSENT] for k, _ in live], dtype=float),
-        policy)
-    sizes = {row: n for row, n in zip(live, lengths) if not _failed(n)}
+        np.array([table.grounds[row][Barrier.ABSENT] for row, _ in live],
+                 dtype=float), policy)
+    sizes = {key: n for key, n in zip(live, lengths) if not _failed(n)}
     batches, at, total = [], [], 0
-    for own in groups.values():
-        at += own
-        total += sum(baths * sizes.get(rows[i], 0) for i in own)
-        if total >= _BATCH_TERMS:
+    # the points row by row, each row's in order
+    for i in sorted(range(len(keys)), key=table.rows.__getitem__):
+        if total >= _BATCH_TERMS and table.rows[i] != table.rows[at[-1]]:
             batches.append(at)
             at, total = [], 0
-    return [(run, [levels[rows[i][0]] for i in run])
-            for run in batches + [at] if run]
+        at.append(i)
+        total += baths * sizes.get(keys[i], 0)
+    return table, batches + [at] if at else batches
 
 
 def _failed(value):
     return isinstance(value, SzilardError)
 
 
-def _series_sums(segments, policy, levels):
+def _series_sums(table, segments, policy, levels):
     """Canonical Boltzmann stage sums of many segments at once.
 
-    A segment is (potential, barrier, E_1, beta, n): levels 1..n of the
-    trap's barrier configuration, each weighed e^{-beta (E_n - E_1)}, summed
-    once at the length n _heads fixes from E_1, with no tail test.  A whole
-    ladder ends where d = beta (E_n - E_1) has passed x_cut = -log rel_tol
-    + _XCUT_MARGIN, and there its last term against the sum, which holds
-    the first term, 1, is below e^{-d}; a head leaves the rest to a
-    closed-form tail (see _tail_sums).  `levels` holds the level ladders
-    built so far (see _level_ladders), so sums over the same traps share
-    them.  Returns, per segment, (sum, sum of E times its terms), the
-    energy sum from the same flat arrays in one more reduceat, or the
-    SzilardError it hit: its n, or that of _level_ladders, or a
-    SolverFailureError where the sum is not finite (terms past float
+    A segment is (row, barrier, E_1, beta, n): levels 1..n of the barrier
+    configuration of the trap on that row of the _TrapTable table, each
+    weighed e^{-beta (E_n - E_1)}, summed once at the length n _heads fixes
+    from E_1, with no tail test.  A whole ladder ends where d = beta (E_n -
+    E_1) has passed x_cut = -log rel_tol + _XCUT_MARGIN, and there its last
+    term against the sum, which holds the first term, 1, is below e^{-d}; a
+    head leaves the rest to a closed-form tail (see _tail_sums).  `levels`
+    holds the level ladders built so far (see _level_ladders), so sums over
+    the same traps share them.  Returns, per segment, (sum, sum of E times
+    its terms), the energy sum from the same flat arrays in one more
+    reduceat, or the SzilardError it hit: its n, or that of _level_ladders,
+    or a SolverFailureError where the sum is not finite (terms past float
     range).
     """
-    out = _level_ladders([(trap, barrier, n)
-                          for trap, barrier, _, _, n in segments], levels,
-                         policy.max_terms)
+    out = _level_ladders(table, [(row, barrier, n)
+                                 for row, barrier, _, _, n in segments],
+                         levels, policy.max_terms)
     live = [j for j, ladder in enumerate(out) if not _failed(ladder)]
     if not live:
         return out
@@ -312,56 +314,53 @@ def _series_sums(segments, policy, levels):
     return out
 
 
-def _level_ladders(requests, levels, max_terms):
-    """Levels 1..n of each (potential, barrier, n) request, or its
-    SzilardError: n itself where it is one, a TruncationError where it
-    passes max_terms, else the error level_energy raises for the levels of
-    its trap.
+def _level_ladders(table, requests, levels, max_terms):
+    """Levels 1..n of each (row, barrier, n) request on the _TrapTable
+    table, or its SzilardError: n itself where it is one, a TruncationError
+    where it passes max_terms, else the error level_energy raises for the
+    levels of its trap.
 
-    levels maps id(trap) to its barrier-free ladder, extended by the levels
-    a request lacks.  Inserted level n is barrier-free level 2n (see
+    levels maps a row to its trap's barrier-free ladder, extended by the
+    levels a request lacks.  Inserted level n is barrier-free level 2n (see
     potentials), so an inserted request takes the view ladder[1:2n:2] and
     an absent one the prefix ladder[:n].  The missing levels of all the
-    requests' traps are one _Shapes.ladders pass (see _extend), and every
+    requests' rows are one _Shapes.ladders pass (see _extend), and every
     level has the bits of its own level_energy call.
     """
-    out = [n if _failed(n) else TruncationError(
-        f"series needs {n} terms, policy caps at {max_terms}")
-        if n > max_terms else None for _, _, n in requests]
+    out = [n if _failed(n) else _cap_error(n, max_terms) if n > max_terms
+           else None for _, _, n in requests]
     reach = {}
-    for (potential, barrier, n), error in zip(requests, out):
-        if error is None and n * _stride(barrier) > reach.get(
-                id(potential), (0,))[0]:
-            reach[id(potential)] = n * _stride(barrier), potential
-    missing = [(key, top, potential) for key, (top, potential) in reach.items()
-               if key not in levels or len(levels[key]) < top]
-    errors = _extend(missing, levels) if missing else {}
-    for j, (potential, barrier, n) in enumerate(requests):
+    for (row, barrier, n), error in zip(requests, out):
+        if error is None:
+            reach[row] = max(reach.get(row, 0), n * _stride(barrier))
+    missing = [(row, top) for row, top in reach.items()
+               if len(levels.get(row, ())) < top]
+    errors = _extend(table, missing, levels) if missing else {}
+    for j, (row, barrier, n) in enumerate(requests):
         if out[j] is None:
-            key = id(potential)
-            out[j] = errors[key] if key in errors else (
-                levels[key][1:2 * n:2] if barrier is Barrier.INSERTED
-                else levels[key][:n])
+            out[j] = errors[row] if row in errors else (
+                levels[row][1:2 * n:2] if barrier is Barrier.INSERTED
+                else levels[row][:n])
     return out
 
 
-def _extend(requests, levels):
-    """Extend levels[key] to `top` levels for each (key, top, trap) request,
-    in one _Shapes.ladders pass, and return by key the SzilardError
+def _extend(table, requests, levels):
+    """Extend levels[row] to `top` levels for each (row, top) request, in
+    one _Shapes.ladders pass over the table, and return by row the error
     level_energy raises for the levels of a trap that ladders refuses."""
-    keys, top, traps = zip(*requests)
-    have = np.array([len(levels.get(key, ())) for key in keys])
-    e, starts, refused = _Shapes.of(traps).ladders(have + 1, np.array(top))
+    rows, top = map(list, zip(*requests))
+    first = np.array([len(levels.get(row, ())) + 1 for row in rows])
+    e, starts, refused = table.shapes.take(rows).ladders(first, np.array(top))
     errors = {}
     for i in refused.nonzero()[0].tolist():
         try:
-            level_energy(traps[i], np.arange(have[i] + 1, top[i] + 1))
+            level_energy(table.traps[rows[i]], np.arange(first[i], top[i] + 1))
         except SzilardError as exc:
-            errors[keys[i]] = exc.with_traceback(None)
-    for key, part in zip(keys, np.split(e, starts[1:])):
-        if key not in errors:
-            levels[key] = (np.concatenate((levels[key], part))
-                           if key in levels else part)
+            errors[rows[i]] = exc.with_traceback(None)
+    for row, part in zip(rows, np.split(e, starts[1:])):
+        if row not in errors:
+            levels[row] = (np.concatenate((levels[row], part))
+                           if row in levels else part)
     return errors
 
 
@@ -387,13 +386,12 @@ def _count_error(count):
         "particle count must be finite and at least 1")
 
 
-def _canonical_stages(traps, grounds, temperatures, counts, policy):
-    """canonical_stage_properties of many units, unit i trap i with
-    counts[i] particles at temperatures[i], in each barrier configuration
-    of grounds[i] (its ground levels by barrier, each E_1 or the error of
-    its lookup): per unit, an (absent, inserted) pair, each the (log sum,
-    energy), the error that stops the sum, or None where grounds[i] lacks
-    that configuration.
+def _canonical_stages(table, traps, counts, temperatures, policy):
+    """canonical_stage_properties of many units, unit i the trap on row
+    traps[i] of the _TrapTable table with counts[i] particles at
+    temperatures[i], in both barrier configurations: per unit, an (absent,
+    inserted) pair, each the (log sum, energy) or the error that stops the
+    sum, the error of its ground level's lookup first.
 
     The heads of all sums are one _heads pass, their tails one _tails
     call, and the sums one _series_sums call per configuration, which
@@ -405,17 +403,14 @@ def _canonical_stages(traps, grounds, temperatures, counts, policy):
     """
     betas = [count * _beta(temperature)
              for count, temperature in zip(counts, temperatures)]
-    rows = [(i, barrier, e1) for i, ground in enumerate(grounds)
-            for barrier, e1 in ground.items()]
-    # one shape row per distinct trap object, each unit's row by its trap
-    distinct = list({id(trap): trap for trap in traps}.values())
-    place = {id(trap): r for r, trap in enumerate(distinct)}
-    shapes = _Shapes.of(distinct)
+    # absent, then inserted, of each unit in turn
+    rows = [(i, barrier, e1) for i, row in enumerate(traps)
+            for barrier, e1 in table.grounds[row].items()]
 
-    def table(at):
-        """The traps, strides, betas and E_1 of the rows at indices at."""
+    def columns(at):
+        """The shapes, strides, betas and E_1 of the rows at indices at."""
         picked = [rows[r] for r in at]
-        return (shapes.take([place[id(traps[i])] for i, _, _ in picked]),
+        return (table.shapes.take([traps[i] for i, _, _ in picked]),
                 np.array([_stride(barrier) for _, barrier, _ in picked]),
                 np.array([betas[i] for i, _, _ in picked]),
                 np.array([e1 for _, _, e1 in picked]))
@@ -426,42 +421,44 @@ def _canonical_stages(traps, grounds, temperatures, counts, policy):
         " K is past float range") if math.isinf(betas[i]) else None
         for i, _, e1 in rows]
     sized = [r for r, n in enumerate(lengths) if n is None]
-    own, tailed = _heads(*table(sized), policy)
+    own, tailed = _heads(*columns(sized), policy)
     for r, n in zip(sized, own):
         lengths[r] = n
     tails = [r for r, tail in zip(sized, tailed.tolist()) if tail]
     sums, levels = [None] * len(rows), {}
-    for barrier in Barrier:
-        at = [r for r, row in enumerate(rows) if row[1] is barrier]
-        for r, result in zip(at, _series_sums(
-                [(traps[rows[r][0]], barrier, rows[r][2], betas[rows[r][0]],
-                  lengths[r]) for r in at], policy, levels)):
-            sums[r] = result
+    for k, barrier in enumerate(Barrier):   # the absent rows, then inserted
+        sums[k::2] = _series_sums(table, [
+            (traps[i], barrier, e1, betas[i], n)
+            for (i, _, e1), n in zip(rows[k::2], lengths[k::2])], policy,
+            levels)
     tails = [r for r in tails if not _failed(sums[r])]
     if tails:
-        wells, step, beta, e1 = table(tails)
+        wells, step, beta, e1 = columns(tails)
         rests = _tails(wells, step.astype(float), beta, e1,
                        np.array([lengths[r] for r in tails], dtype=float))
         for r, rest, rest_energy in zip(tails, *rests.tolist()):
             total, energy = sums[r]
             sums[r] = total + rest, energy + rest_energy
-    out = [[None, None] for _ in traps]
-    logs = [math.log(_degeneracy(barrier))
-            for barrier in (Barrier.ABSENT, Barrier.INSERTED)]
-    for (i, barrier, e1), result in zip(rows, sums):
-        inserted = barrier is Barrier.INSERTED
+    for r, ((i, barrier, e1), result) in enumerate(zip(rows, sums)):
         if not _failed(result):
             total, energy = result
-            if 0.0 < total < math.inf and math.isfinite(energy):
-                result = (counts[i] * logs[inserted] - betas[i] * e1
-                          + math.log(total), counts[i] * (energy / total))
-            else:
-                result = SolverFailureError(
-                    f"stage sum {total:.6g} with energy sum {energy:.6g}"
-                    " after its tail is not finite: the ladder's terms"
-                    " leave float range")
-        out[i][inserted] = result
-    return out
+            sums[r] = ((counts[i] * math.log(_degeneracy(barrier))
+                        - betas[i] * e1 + math.log(total),
+                        counts[i] * (energy / total))
+                       if 0.0 < total < math.inf and math.isfinite(energy)
+                       else SolverFailureError(
+                           f"stage sum {total:.6g} with energy sum"
+                           f" {energy:.6g} after its tail is not finite: the"
+                           " ladder's terms leave float range"))
+    return list(zip(sums[::2], sums[1::2]))
+
+
+def _one_trap_stages(potential, count, temperature, read, policy):
+    """read(absent, inserted) of the _canonical_stages pair of one trap on a
+    one-row _TrapTable, raised if it is an error."""
+    value_or_raise(_count_error(count))
+    return value_or_raise(read(*_canonical_stages(
+        _TrapTable((potential,)), (0,), (count,), (temperature,), policy)[0]))
 
 
 def canonical_stage_properties(potential, barrier, count, temperature,
@@ -474,29 +471,26 @@ def canonical_stage_properties(potential, barrier, count, temperature,
     the average collapses onto the lowest included level.  A bounded Morse
     ladder is summed completely up to its last bound level.  A long ladder
     is summed as an exact head plus a closed-form Euler-Maclaurin tail (see
-    _heads).  The one-stage case of _canonical_stages.
+    _heads).  One configuration of the one-trap case of _canonical_stages,
+    which sums both.
     """
-    value_or_raise(_count_error(count))
-    return value_or_raise(_canonical_stages(
-        (potential,), ({barrier: level_energy(potential, 1, barrier)},),
-        (temperature,), (count,), policy)[0][
-            barrier is Barrier.INSERTED])
+    return _one_trap_stages(potential, count, temperature,
+                            lambda *pair: pair[barrier is Barrier.INSERTED],
+                            policy)
 
 
-def _cycle_sums(potentials, grounds, counts, baths, policy):
-    """Per trap of a batch as _batches returns it, with counts[i] particles
-    between baths[i]: (log ratio hot, log ratio cold, (U_A, U_B, U_C,
-    U_D)), or the error of its first failing stage, A to D.  Each distinct
-    (trap, count, bath) is one unit of _canonical_stages, which sizes and
-    sums it once for every point that reads it: at its hot bath for stages
-    A and B, at its cold one for C and D."""
-    units, reads = {}, []
-    for i, (trap, count, pair) in enumerate(zip(potentials, counts, baths)):
-        read = (id(trap), count, pair.hot), (id(trap), count, pair.cold)
-        for key in read:
-            units.setdefault(key, (trap, grounds[i], key[2], count))
-        reads.append(read)
-    stages = dict(zip(units, _canonical_stages(*zip(*units.values()), policy)
+def _cycle_sums(table, traps, counts, baths, policy):
+    """Per point of a batch, the trap on row traps[i] of the _TrapTable
+    table with counts[i] particles between baths[i]: (log ratio hot, log
+    ratio cold, (U_A, U_B, U_C, U_D)), or the error of its first failing
+    stage, A to D.  Each distinct (row, count, bath) is one unit of
+    _canonical_stages, which sizes and sums it once for every point that
+    reads it: at its hot bath for stages A and B, at its cold one for C
+    and D."""
+    reads = [((row, count, pair.hot), (row, count, pair.cold))
+             for row, count, pair in zip(traps, counts, baths)]
+    units = list(dict.fromkeys(key for read in reads for key in read))
+    stages = dict(zip(units, _canonical_stages(table, *zip(*units), policy)
                       if units else ()))
     out = []
     for hot, cold in reads:
@@ -516,12 +510,12 @@ def _cycle_sums(potentials, grounds, counts, baths, policy):
 # every count that reads it, and every Newton round, occupancy re-check,
 # log ratio and stage energy reuses them.
 
-def _grand_rungs(requests, policy):
-    """The _Rungs of (potential, barrier, beta, E_1, v, count) requests, in
-    order, v the least beta (E_1 - mu) each is summed at and count the
+def _grand_rungs(table, requests, policy):
+    """The _Rungs of (row, barrier, beta, E_1, v, count) requests on table,
+    in order, v the least beta (E_1 - mu) each is summed at and count the
     occupancy its root solves for, or inf (see _Rungs).
 
-    Requests of one trap, barrier and beta read one rung, built once:
+    Requests of one row, barrier and beta read one rung, built once:
     sized from its E_1 here, by one _heads pass over all the rungs, and
     only its head built, by _level_ladders: the whole ladder where it is
     no longer than its head, else a head to which a tail adds the rest (see
@@ -536,18 +530,18 @@ def _grand_rungs(requests, policy):
     e1, v, count = (np.array([request[k] if error is None else 0.0
                               for request, error in zip(requests, errors)],
                              dtype=float) for k in (3, 4, 5))
-    rungs = {}      # the rows that read each rung: (id(trap), stride, beta)
-    for r, (trap, barrier, beta, *_) in enumerate(requests):
+    rungs = {}      # the requests that read each rung: (row, stride, beta)
+    for r, (row, barrier, beta, *_) in enumerate(requests):
         if errors[r] is None:
-            rungs.setdefault((id(trap), _stride(barrier), beta), []).append(r)
+            rungs.setdefault((row, _stride(barrier), beta), []).append(r)
     keys, first = list(rungs), [rows[0] for rows in rungs.values()]
-    shapes = _Shapes.of([requests[r][0] for r in first])
+    shapes = table.shapes.take([row for row, _, _ in keys])
     step = np.array([stride for _, stride, _ in keys], dtype=float)
     lengths, tailed = _heads(shapes, step, betas[first], e1[first], policy)
     readers, built, kept = [], [], []
     for m, (rows, ladder, tail, by) in enumerate(zip(
             rungs.values(), _level_ladders(
-                [(*requests[r][:2], n) for r, n in zip(first, lengths)],
+                table, [(*requests[r][:2], n) for r, n in zip(first, lengths)],
                 {}, policy.max_terms), tailed.tolist(), step.tolist())):
         if _failed(ladder):
             for r in rows:
@@ -582,10 +576,10 @@ def _rung_sums(rungs, rows, mus, kind):
     return out
 
 
-def _mu_offsets(roots, counts, policy, rungs):
-    """Roots u = log(beta (E_1 - mu)) of the occupancy constraint for many
-    (potential, barrier, temperature, E_1) roots, root j of counts[j]
-    bosons on row j of the _Rungs rungs; a root or an error each.
+def _mu_offsets(counts, rungs):
+    """Roots u = log(beta (E_1 - mu)) of the occupancy constraint on the
+    rows of the _Rungs rungs, row j of counts[j] bosons; a root or an error
+    each.
 
     With n = g/expm1(beta(E - E_1) + e^u) (g = d_1 on every level), f =
     log N(u) - log count falls as u rises: it is positive at a root's
@@ -695,24 +689,25 @@ def _floor(d1, count, u, total):
     return np.where(v > 0.0, np.log(v), -math.inf)
 
 
-def _rungs_of(roots, counts, mode, policy):
-    """The _Rungs of (potential, barrier, temperature, E_1) roots, root j of
-    counts[j] bosons, in `mode`, each sized and built by _grand_rungs.
+def _rungs_of(table, roots, counts, mode, policy):
+    """The _Rungs of (row, barrier, temperature, E_1) roots on the
+    _TrapTable table, root j of counts[j] bosons, in `mode`, each sized and
+    built by _grand_rungs.
     Each is summed at v = beta (E_1 - mu) >= log(1 + d_1/count), the closed
     form, as its ground term alone, d_1/(e^v - 1), stays below count at a
     root; a solved root's head bounds it further (see _Rungs)."""
     solved = mode is MuMode.SOLVED
-    return _grand_rungs([(potential, barrier, _beta(temperature), e1,
-                          math.log1p(_degeneracy(barrier) / count),
-                          count if solved else math.inf)
-                         for (potential, barrier, temperature, e1), count
-                         in zip(roots, counts)], policy)
+    return _grand_rungs(table, [(row, barrier, _beta(temperature), e1,
+                                 math.log1p(_degeneracy(barrier) / count),
+                                 count if solved else math.inf)
+                                for (row, barrier, temperature, e1), count
+                                in zip(roots, counts)], policy)
 
 
-def _chemical_potentials(roots, counts, mode, policy, rungs=None):
-    """Chemical potentials of (potential, barrier, temperature, E_1) roots,
-    root j of counts[j] bosons, in `mode`; a mu or an error each, every mu
-    strictly below E_1.
+def _chemical_potentials(table, roots, counts, mode, policy, rungs=None):
+    """Chemical potentials of (row, barrier, temperature, E_1) roots on the
+    _TrapTable table, root j of counts[j] bosons, in `mode`; a mu or an
+    error each, every mu strictly below E_1.
 
     CLOSED_FORM is E_1 - k_B T log1p(d_1/count); SOLVED runs every root
     through one Newton loop (see _mu_offsets) on the _Rungs of the roots,
@@ -727,8 +722,8 @@ def _chemical_potentials(roots, counts, mode, policy, rungs=None):
         return [EnsembleMismatchError(
             f"unknown chemical-potential mode {mode!r}") for _ in roots]
     if rungs is None:
-        rungs = _rungs_of(roots, counts, mode, policy)
-    out = _mu_offsets(roots, counts, policy, rungs)
+        rungs = _rungs_of(table, roots, counts, mode, policy)
+    out = _mu_offsets(counts, rungs)
     for j, u in enumerate(out):
         if not _failed(u):
             _, _, temperature, e1 = roots[j]
@@ -766,12 +761,10 @@ def _below_ground(mu, e1):
 def occupancy_total(potential, barrier, mu, temperature, policy=TruncationPolicy()):
     """Mean boson number sum_n g/(e^{beta(E_n - mu)} - 1) at fixed mu."""
     _require_power_family(potential, "grand-canonical occupancy")
-    e1 = level_energy(potential, 1, barrier)
-    mu = value_or_raise(_below_ground(mu, e1))
-    beta = _beta(temperature)
-    return value_or_raise(_rung_sums(_grand_rungs(
-        [(potential, barrier, beta, e1, beta * (e1 - mu), math.inf)],
-        policy), (0,), (mu,), "occupancy")[0])
+    table = _TrapTable((potential,))
+    mu = value_or_raise(_below_ground(mu, table.grounds[0][barrier]))
+    return value_or_raise(_one_trap_sums(table, ((barrier, mu),), temperature,
+                                         "occupancy", policy)[0])
 
 
 def chemical_potential(potential, count, temperature, barrier, mode,
@@ -786,27 +779,29 @@ def chemical_potential(potential, count, temperature, barrier, mode,
     verified to |dN/N| < 1e-10, and the result is always strictly below E_1.
     """
     return value_or_raise(_chemical_potentials(
-        _one_trap_roots(potential, count, temperature, (barrier,)), (count,),
-        mode, policy)[0])
+        *_one_trap_roots(potential, count, temperature, (barrier,)),
+        (count,), mode, policy)[0])
 
 
 def chemical_potentials(potential, count, temperature, mode,
                         policy=TruncationPolicy()):
     """Solve both barrier configurations at one bath temperature, at once."""
-    roots = _one_trap_roots(potential, count, temperature,
-                            (Barrier.ABSENT, Barrier.INSERTED))
+    table, roots = _one_trap_roots(potential, count, temperature,
+                                   (Barrier.ABSENT, Barrier.INSERTED))
     return value_or_raise(_mu_pairs(
-        _chemical_potentials(roots, (count, count), mode, policy), (count,),
-        [(temperature,)], mode)[0])[0]
+        _chemical_potentials(table, roots, (count, count), mode, policy),
+        (count,), [(temperature,)], mode)[0])[0]
 
 
 def _one_trap_roots(potential, count, temperature, barriers):
-    """One trap's _chemical_potentials roots, after every mode's checks."""
+    """One trap's one-row _TrapTable and _chemical_potentials roots, after
+    every mode's checks."""
     _require_power_family(potential, "the chemical potential")
     value_or_raise(_count_error(count))
     _beta(temperature)      # raises where 1/(k_B T) overflows, in every mode
-    return [(potential, barrier, temperature,
-             level_energy(potential, 1, barrier)) for barrier in barriers]
+    table = _TrapTable((potential,))
+    return table, [(0, barrier, temperature, table.grounds[0][barrier])
+                   for barrier in barriers]
 
 
 def _mu_pairs(mus, counts, temperatures, mode):
@@ -832,30 +827,28 @@ def _log_ratios(logs):
             pre - 2.0 * post for pre, post in zip(logs[::2], logs[1::2])]
 
 
-def _bath_ratios(potentials, grounds, counts, temperatures, mode, policy):
-    """Chemical potentials and log ratios of grand-canonical traps, trap i
-    of counts[i] bosons at each of its tuple of temperatures[i] (all of one
-    length): per trap (ChemicalPotentials, log ratio) per temperature, or
-    the error of its first failing root (see _mu_pairs), else of its first
-    failing log ratio; and the _Rungs they ran on.
+def _bath_ratios(table, traps, counts, temperatures, mode, policy):
+    """Chemical potentials and log ratios of grand-canonical points, point
+    i the trap on row traps[i] of the _TrapTable table with counts[i]
+    bosons at each of its tuple of temperatures[i] (all of one length): per
+    point (ChemicalPotentials, log ratio) per temperature, or the error of
+    its first failing root (see _mu_pairs), else of its first failing log
+    ratio; and the _Rungs they ran on.
 
-    potentials and grounds are a batch as _batches returns it.  Its rungs
-    are read absent and inserted at each temperature in turn for each
-    trap, and sized and built once each from the ground levels (see
-    _grand_rungs), so the points of a trap that differ only in count share
-    them; all the roots are produced together in `mode` (see
-    _chemical_potentials), and each log ratio is the log terms of its two
-    rungs at their chemical potentials.
+    Its rungs are read absent and inserted at each temperature in turn for
+    each point, and sized and built once each (see _grand_rungs), so the
+    points of a row that differ only in count share them; all the roots are
+    produced together in `mode` (see _chemical_potentials), and each log
+    ratio is the log terms of its two rungs at their chemical potentials.
     """
-    roots = [(potential, barrier, temperature, ground[barrier])
-             for potential, ground, own in zip(potentials, grounds,
-                                               temperatures)
+    roots = [(row, barrier, temperature, table.grounds[row][barrier])
+             for row, own in zip(traps, temperatures)
              for temperature in own
              for barrier in (Barrier.ABSENT, Barrier.INSERTED)]
     k = len(temperatures[0]) if temperatures else 0
     each = [count for count in counts for _ in range(2 * k)]
-    rungs = _rungs_of(roots, each, mode, policy)
-    mus = _chemical_potentials(roots, each, mode, policy, rungs)
+    rungs = _rungs_of(table, roots, each, mode, policy)
+    mus = _chemical_potentials(table, roots, each, mode, policy, rungs)
     out = _mu_pairs(mus, counts, temperatures, mode)
     live = [i for i, pairs in enumerate(out) if not _failed(pairs)]
     rows = [2 * k * i + j for i in live for j in range(2 * k)]
@@ -867,14 +860,14 @@ def _bath_ratios(potentials, grounds, counts, temperatures, mode, policy):
     return out, rungs
 
 
-def _grand_sums(potentials, grounds, counts, baths, mode, policy):
-    """Per trap of a batch as _batches returns it, with counts[i] bosons
-    between baths[i]: (log ratio hot, log ratio cold, (U_A, U_B, U_C, U_D),
-    (hot, cold) ChemicalPotentials), from _bath_ratios at (hot, cold), which
-    sizes and builds each rung, and each stage energy on its rung at that
-    rung's chemical potential; or the first error of _bath_ratios, else of
-    its first failing energy."""
-    out, rungs = _bath_ratios(potentials, grounds, counts,
+def _grand_sums(table, traps, counts, baths, mode, policy):
+    """Per point of a batch, the trap on row traps[i] of the _TrapTable
+    table with counts[i] bosons between baths[i]: (log ratio hot, log ratio
+    cold, (U_A, U_B, U_C, U_D), (hot, cold) ChemicalPotentials), from
+    _bath_ratios at (hot, cold), which sizes and builds each rung, and each
+    stage energy on its rung at that rung's chemical potential; or the
+    first error of _bath_ratios, else of its first failing energy."""
+    out, rungs = _bath_ratios(table, traps, counts,
                               [(pair.hot, pair.cold) for pair in baths],
                               mode, policy)
     live = [i for i, terms in enumerate(out) if not _failed(terms)]
@@ -895,9 +888,9 @@ def _grand_sums(potentials, grounds, counts, baths, mode, policy):
 
 
 def _checked_rungs(potential, mu_pair, temperature):
-    """The (barrier, mu) rungs, absent then inserted, of a pair solved at
-    `temperature` whose mus lie below their ground levels (see
-    _below_ground), with those levels by barrier; or None for a Morse well,
+    """The one-row _TrapTable of a trap and the (barrier, mu) rungs, absent
+    then inserted, of a pair solved at `temperature` whose mus lie below
+    their ground levels (see _below_ground); or None for a Morse well,
     which takes no pair; raises otherwise."""
     if isinstance(potential, Morse):
         if mu_pair is not None:
@@ -906,25 +899,25 @@ def _checked_rungs(potential, mu_pair, temperature):
         return None
     if mu_pair is None:
         raise EnsembleMismatchError("bosonic sums need chemical potentials")
-    grounds = {barrier: level_energy(potential, 1, barrier)
-               for barrier in Barrier}
-    rungs = tuple((b, value_or_raise(_below_ground(mu, grounds[b])))
+    table = _TrapTable((potential,))
+    rungs = tuple((b, value_or_raise(_below_ground(mu, table.grounds[0][b])))
                   for b, mu in ((Barrier.ABSENT, mu_pair.pre_insertion),
                                 (Barrier.INSERTED, mu_pair.post_insertion)))
     if mu_pair.temperature != temperature:
         raise EnsembleMismatchError(
             "chemical potentials were solved at a different temperature")
-    return rungs, grounds
+    return table, rungs
 
 
-def _one_trap_sums(potential, checked, temperature, rungs, kind, policy):
-    """_rung_sums of some of one trap's checked (barrier, mu) rungs."""
-    beta, grounds = _beta(temperature), checked[1]
-    table = _grand_rungs([(potential, barrier, beta, grounds[barrier],
-                           beta * (grounds[barrier] - mu), math.inf)
-                          for barrier, mu in rungs], policy)
-    return _rung_sums(table, range(len(rungs)), [mu for _, mu in rungs],
-                      kind)
+def _one_trap_sums(table, rungs, temperature, kind, policy):
+    """_rung_sums of kind over (barrier, mu) rungs, each mu below its ground
+    level, of the trap of a one-row _TrapTable."""
+    beta, grounds = _beta(temperature), table.grounds[0]
+    return _rung_sums(_grand_rungs(
+        table, [(0, barrier, beta, grounds[barrier],
+                 beta * (grounds[barrier] - mu), math.inf)
+                for barrier, mu in rungs], policy), range(len(rungs)),
+        [mu for _, mu in rungs], kind)
 
 
 def log_relative_partition(potential, mu_pair, temperature,
@@ -942,13 +935,14 @@ def log_relative_partition(potential, mu_pair, temperature,
     Morse potentials take the canonical mu-free route: pass mu_pair = None.
     """
     checked = _checked_rungs(potential, mu_pair, temperature)
-    if checked is None:
-        (log_post, _), (log_pre, _) = (canonical_stage_properties(
-            potential, barrier, 1, temperature, policy)
-            for barrier in (Barrier.INSERTED, Barrier.ABSENT))
-        return log_post - log_pre
+    if checked is None:     # the inserted stage's error first
+        return _one_trap_stages(
+            potential, 1, temperature, lambda pre, post: next(
+                filter(_failed, (post, pre)), None) or post[0] - pre[0],
+            policy)
+    table, rungs = checked
     return value_or_raise(_log_ratios(_one_trap_sums(
-        potential, checked, temperature, checked[0], "log", policy))[0])
+        table, rungs, temperature, "log", policy))[0])
 
 
 def internal_energy(stage, potential, mu_pair, baths, policy=TruncationPolicy()):
@@ -965,6 +959,7 @@ def internal_energy(stage, potential, mu_pair, baths, policy=TruncationPolicy())
     if checked is None:
         return canonical_stage_properties(potential, barrier, 1, temperature,
                                           policy)[1]
+    table, rungs = checked
     return value_or_raise(_one_trap_sums(
-        potential, checked, temperature,
-        (checked[0][barrier is Barrier.INSERTED],), "energy", policy)[0])
+        table, (rungs[barrier is Barrier.INSERTED],), temperature, "energy",
+        policy)[0])

@@ -386,7 +386,9 @@ def _shape(trap):
                 math.inf if cap is None else cap, 1.0)
     if isinstance(trap, PowerLaw):
         return trap.energy_scale, 0.0, trap.level_power, math.inf, 0.0
-    return trap.quantum, 0.0, 1.0, math.inf, 0.0
+    if isinstance(trap, Harmonic):
+        return trap.quantum, 0.0, 1.0, math.inf, 0.0
+    raise InvalidPotentialError(f"unknown potential {trap!r}")
 
 
 @dataclass(frozen=True)

@@ -34,11 +34,12 @@ from .errors import (ConfigError, OutputError, SzilardError, TruncationError,
                      value_or_raise)
 from .potentials import Barrier, Harmonic, Morse, PowerLaw
 from .barrier import even_levels, odd_level
-from .ensembles import (BathPair, MuMode, TruncationPolicy, _bath_ratios,
-                        _batches, _beta, _chemical_potentials, _count_error,
-                        _failed, _ground_levels, _mu_pairs)
-# run_cycle stays bound here for wrappers that patch it per module
-from .cycle import Ensemble, _run_cycles, run_cycle, run_cycles  # noqa: F401
+from .ensembles import (BathPair, MuMode, TruncationPolicy, _TrapTable,
+                        _bath_ratios, _batches, _beta, _chemical_potentials,
+                        _count_error, _failed, _mu_pairs)
+from .cycle import Ensemble, _run_cycles
+# perfbench/test_perfbench.py::test_tracer_restores_every_binding reads it
+from .cycle import run_cycle  # noqa: F401
 
 __all__ = ["Axis", "SweepSpec", "RunManifest", "SweepOutcome",
            "ValidationReport", "preset", "preset_names", "run_sweep",
@@ -376,13 +377,14 @@ def _cycle_values(spec, points):
 def _harmonic_points(spec, points):
     """Per point, its job (see _jobs), or its SzilardError; then the points
     that did not fail, whatever their N and T, in batches bounded at beta
-    = 1/(k_B T) (see ensembles._batches), as (point indices, grounds)."""
+    = 1/(k_B T): their table and (point indices, rows) per batch (see
+    ensembles._batches)."""
     out = _jobs(spec, points)
     live = [i for i, job in enumerate(out) if not _failed(job)]
-    return out, [([live[j] for j in at], grounds)
-                 for at, grounds in _batches(
-                     [out[i][2] for i in live],
-                     [_beta(out[i][1]) for i in live], spec.policy)]
+    table, batches = _batches([out[i][2] for i in live],
+                              [_beta(out[i][1]) for i in live], spec.policy)
+    return out, table, [([live[j] for j in at], [table.rows[j] for j in at])
+                        for at in batches]
 
 
 def _chemical_potential_values(spec, points):
@@ -392,15 +394,15 @@ def _chemical_potential_values(spec, points):
     the batch, each rung once; each point keeps the values it gets alone,
     the closed form's error first."""
     barriers = (Barrier.ABSENT, Barrier.INSERTED)
-    out, batches = _harmonic_points(spec, points)
-    for run, grounds in batches:
-        roots = [(out[i][2], barrier, out[i][1], ground[barrier])
-                 for i, ground in zip(run, grounds) for barrier in barriers]
+    out, table, batches = _harmonic_points(spec, points)
+    for run, rows in batches:
+        roots = [(row, barrier, out[i][1], table.grounds[row][barrier])
+                 for i, row in zip(run, rows) for barrier in barriers]
         counts = [out[i][0] for i in run]
         temperatures = [(out[i][1],) for i in run]
         closed, solved = (_mu_pairs(_chemical_potentials(
-            roots, [count for count in counts for _ in barriers], mode,
-            spec.policy), counts, temperatures, mode)
+            table, roots, [count for count in counts for _ in barriers],
+            mode, spec.policy), counts, temperatures, mode)
             for mode in (MuMode.CLOSED_FORM, MuMode.SOLVED))
         for i, pairs in zip(run, zip(closed, solved)):
             error = next((e for e in pairs if _failed(e)), None)
@@ -429,10 +431,10 @@ def _partition_ratio_values(spec, points):
     own temperature, each rung once; each point keeps the values it gets
     alone."""
     mode = MuMode(spec.params["mu_mode"])
-    out, batches = _harmonic_points(spec, points)
-    for run, grounds in batches:
+    out, table, batches = _harmonic_points(spec, points)
+    for run, rows in batches:
         for i, value in zip(run, _bath_ratios(
-                [out[i][2] for i in run], grounds, [out[i][0] for i in run],
+                table, rows, [out[i][0] for i in run],
                 [(out[i][1],) for i in run], mode, spec.policy)[0]):
             out[i] = value if _failed(value) else {
                 **out[i][3], "log_ratio": value[1][0],
@@ -549,11 +551,12 @@ def validate(spec):
     if report.spec_errors or spec.family not in _BUILDERS:
         return report
     jobs = _jobs(spec, points)
-    traps = {id(job[2]): job[2] for job in jobs if not _failed(job)}
-    grounds = dict(zip(traps, _ground_levels(list(traps.values()))))
+    live = [i for i, job in enumerate(jobs) if not _failed(job)]
+    table = _TrapTable([jobs[i][2] for i in live])
+    grounds = {i: table.grounds[row] for i, row in zip(live, table.rows)}
     for index, job in enumerate(jobs):
         error = job if _failed(job) else _count_error(job[0]) or next(
-            (e for e in grounds[id(job[2])].values() if _failed(e)), None)
+            (e for e in grounds[index].values() if _failed(e)), None)
         if error is not None:
             report.predicted_failures.append(
                 (index, _sanitize(f"{type(error).__name__}: {error}")))

@@ -24,7 +24,7 @@ from szilard import (Barrier, BathPair, ChemicalPotentials,
                      canonical_stage_properties, chemical_potential,
                      chemical_potentials, internal_energy, level_energy,
                      log_relative_partition, occupancy_total, run_cycle)
-from szilard import _tail_sums, ensembles, potentials
+from szilard import _tail_sums, ensembles, potentials, sweeps
 from szilard.barrier import even_levels, odd_level
 from szilard.sweeps import preset, run_sweep
 
@@ -43,11 +43,19 @@ W_CANONICAL = {1: 5.0338870773722705e-27,
 
 def _one_batch(trap, count, temperature, policy=TruncationPolicy()):
     """The batch _batches makes of a lone trap at the decay rate count
-    beta of `temperature`: (traps, grounds)."""
-    (at, grounds), = ensembles._batches((trap,), [
+    beta of `temperature`: (its trap table, the rows of its points)."""
+    table, batches = ensembles._batches((trap,), [
         count * ensembles._beta(temperature)], policy)
-    assert at == [0]
-    return (trap,), grounds
+    assert batches == [[0]] and table.rows == [0]
+    return table, [0]
+
+
+def _on_rows(requests):
+    """The _TrapTable of the traps that lead requests, and the requests
+    with each trap replaced by its row."""
+    table = ensembles._TrapTable([request[0] for request in requests])
+    return table, [(row, *request[1:])
+                   for row, request in zip(table.rows, requests)]
 
 
 def _closed_form_work(count, omega, baths):
@@ -250,17 +258,32 @@ class TestChemicalPotential:
         pytest.importorskip("mpmath")
         import oracle
         roots, solve = [], ensembles._mu_offsets
+        solve_all = ensembles._chemical_potentials
 
-        def recorded(batch, counts, policy, rungs):
-            out = solve(batch, counts, policy, rungs)
-            roots.extend(zip(batch, counts, out))
+        def recorded(counts, rungs):
+            out = solve(counts, rungs)
+            roots.extend(zip(counts, out))
+            return out
+
+        def solved(table, batch, counts, mode, policy, rungs=None):
+            """Each SOLVED root's trap, barrier and temperature, beside the
+            count and u its _mu_offsets call records."""
+            start = len(roots)
+            out = solve_all(table, batch, counts, mode, policy, rungs)
+            if mode is MuMode.SOLVED:
+                roots[start:] = [
+                    ((table.traps[row], barrier, temperature), *root)
+                    for (row, barrier, temperature, _), root in zip(
+                        batch, roots[start:], strict=True)]
             return out
 
         monkeypatch.setattr(ensembles, "_mu_offsets", recorded)
+        monkeypatch.setattr(ensembles, "_chemical_potentials", solved)
+        monkeypatch.setattr(sweeps, "_chemical_potentials", solved)
         run_sweep(preset(target), csv_path=str(tmp_path / "roots.csv"))
         pick = random.Random(2)
         for barrier in Barrier:
-            for (trap, _, temperature, _), count, u in pick.sample(
+            for (trap, _, temperature), count, u in pick.sample(
                     [root for root in roots if root[0][1] is barrier], 2):
                 want = float(oracle.occupancy_root(
                     trap.omega, barrier is Barrier.INSERTED, temperature,
@@ -479,14 +502,15 @@ def test_inserted_ladder_is_every_other_barrier_free_level(
     ladder = level_energy(trap, np.arange(1, inserted + 1), Barrier.INSERTED)
     assert whole[1::2].tobytes() == ladder.tobytes()
 
-    levels, cap = {}, TruncationPolicy().max_terms
-    absent, = ensembles._level_ladders([(trap, Barrier.ABSENT, first)],
+    table, levels, cap = (ensembles._TrapTable((trap,)), {},
+                          TruncationPolicy().max_terms)
+    absent, = ensembles._level_ladders(table, [(0, Barrier.ABSENT, first)],
                                        levels, cap)
-    view, = ensembles._level_ladders([(trap, Barrier.INSERTED, inserted)],
-                                     levels, cap)
+    view, = ensembles._level_ladders(
+        table, [(0, Barrier.INSERTED, inserted)], levels, cap)
     assert absent.tobytes() == whole[:first].tobytes()
     assert view.tobytes() == ladder.tobytes()
-    assert levels[id(trap)].tobytes() == whole.tobytes()
+    assert levels[0].tobytes() == whole.tobytes()
 
 
 @settings(max_examples=100, deadline=None)
@@ -500,10 +524,10 @@ def test_batched_levels_equal_level_energy(traps):
     every level, first built or extended, has the bits of its own trap's
     level_energy call.  Every batch holds power laws at nu = 2/3, whose
     level power 1/2 numpy takes as a square root for a scalar power, and
-    at nu = 2, of power 1.  Each trap's E_1 from _ground_levels, with the
-    barrier absent and inserted, and a level at one float index per trap,
-    as the tails form their first level, have the bits of their int
-    level_energy lookups."""
+    at nu = 2, of power 1.  Each trap's E_1 on its row of the trap table,
+    with the barrier absent and inserted, and a level at one float index
+    per trap, as the tails form their first level, have the bits of their
+    int level_energy lookups."""
     _, omega, _, _, first, more = traps[0]
     fixed = [("power-law", omega, 0.0, nu, first, more)
              for nu in (2.0 / 3.0, 2.0)]
@@ -519,15 +543,15 @@ def test_batched_levels_equal_level_energy(traps):
         requests = [(trap, Barrier.ABSENT, lengths[part - 1])
                     for trap, *lengths in built]
         for (trap, _, n), ladder in zip(requests, ensembles._level_ladders(
-                requests, levels, TruncationPolicy().max_terms)):
+                *_on_rows(requests), levels, TruncationPolicy().max_terms)):
             assert ladder.tobytes() == level_energy(
                 trap, np.arange(1, n + 1)).tobytes()
-    traps = [trap for trap, *_ in built]
-    for (trap, *_), ground in zip(built, ensembles._ground_levels(traps)):
+    table = ensembles._TrapTable([trap for trap, *_ in built])
+    for (trap, *_), ground in zip(built, table.grounds):
         for barrier in Barrier:
             assert _same_bits(ground[barrier], level_energy(trap, 1, barrier))
     # one float index per trap, as a tail's first level E_{K+1} is formed
-    tops = potentials._Shapes.of(traps).levels(
+    tops = table.shapes.levels(
         np.array([top for *_, top in built], dtype=float))
     assert tops.tobytes() == np.array([level_energy(trap, top)
                                        for trap, _, top in built]).tobytes()
@@ -569,9 +593,9 @@ def test_refused_levels_fail_their_own_trap():
     deep, shallow = (Morse.from_anharmonicity(MASS, 1e13, chi)
                      for chi in (0.001, 0.02))
     results = ensembles._series_sums(
-        [(deep, Barrier.ABSENT, 0.0, 1e20, 30),
-         (shallow, Barrier.ABSENT, 0.0, 1e20, shallow.bound_count + 1)],
-        TruncationPolicy(), {})
+        *_on_rows([(deep, Barrier.ABSENT, 0.0, 1e20, 30),
+                   (shallow, Barrier.ABSENT, 0.0, 1e20,
+                    shallow.bound_count + 1)]), TruncationPolicy(), {})
     assert not isinstance(results[0], SzilardError)
     assert isinstance(results[1], SpectrumRangeError)
     assert str(results[1]) == (f"index {shallow.bound_count + 1} beyond the"
@@ -595,13 +619,14 @@ def _same_bits(got, want):
     close=st.sampled_from((1, 64, 8192)))
 def test_batches_group_each_trap_object(shapes, data, max_terms, baths,
                                         close):
-    """A trap is its object: _batches groups the indices of each trap
-    object, in order of first appearance, and a batch closes (here after 1,
-    64 or 8192 counted terms) only between two objects.  The traps come
-    from a small pool, each drawn as the pool's object or rebuilt equal,
-    at a pool temperature of its own; level scales 1e-4 to 10 kT, Morse
-    wells too shallow to hold or to split a level, and a 60-term cap give
-    some indices a ground level or head that fails.  Each index gets the
+    """A trap is its object: the trap table of _batches gives each trap
+    object one row, in order of first appearance, and _batches groups the
+    indices of each row in that order; a batch closes (here after 1, 64 or
+    8192 counted terms) only between two rows.  The traps come from a small
+    pool, each drawn as the pool's object or rebuilt equal, at a pool
+    temperature of its own; level scales 1e-4 to 10 kT, Morse wells too
+    shallow to hold or to split a level, and a 60-term cap give some
+    indices a ground level or head that fails.  Each index's row holds the
     grounds of its own one-trap _batches call, bit for bit."""
     kt = K_B * 10.0
 
@@ -621,28 +646,32 @@ def test_batches_group_each_trap_object(shapes, data, max_terms, baths,
     betas = [ensembles._beta(temperature) for *_, temperature in picks]
     policy = TruncationPolicy(max_terms=max_terms)
     with mock.patch.object(ensembles, "_BATCH_TERMS", close):
-        batches = ensembles._batches(traps, betas, policy, baths)
-    order = [i for at, _ in batches for i in at]
+        table, batches = ensembles._batches(traps, betas, policy, baths)
+    order = [i for at in batches for i in at]
     assert sorted(order) == list(range(len(traps)))
-    # each object's indices side by side, in input order, the objects in
-    # order of first appearance
+    # one row per object, the objects in order of first appearance, and
+    # each object's indices side by side, in input order
     firsts = [i for i, trap in enumerate(traps)
               if not any(other is trap for other in traps[:i])]
+    assert len(table.traps) == len(firsts)
+    assert all(trap is traps[i] for trap, i in zip(table.traps, firsts))
+    assert all(table.traps[row] is trap
+               for row, trap in zip(table.rows, traps, strict=True))
     assert order == [i for first in firsts for i in range(len(traps))
                      if traps[i] is traps[first]]
-    for (at, _), (following, _) in zip(batches, batches[1:]):
+    for at, following in zip(batches, batches[1:]):
         assert traps[at[-1]] is not traps[following[0]]
     event(f"{len(batches)} batches")
-    failed = any(isinstance(e1, SzilardError) for _, grounds in batches
-                 for ground in grounds for e1 in ground.values())
+    failed = any(isinstance(e1, SzilardError) for ground in table.grounds
+                 for e1 in ground.values())
     event(f"a ground level fails: {failed}")
-    for at, grounds in batches:
-        assert len(grounds) == len(at)
-        for i, ground in zip(at, grounds):
-            (_, (own,)), = ensembles._batches(
-                (traps[i],), [betas[i]], policy, baths)
-            assert list(ground) == list(own)
-            assert all(_same_bits(ground[b], own[b]) for b in own)
+    for i, row in enumerate(table.rows):
+        own, batch = ensembles._batches((traps[i],), [betas[i]], policy,
+                                        baths)
+        assert batch == [[0]]
+        ground, (alone,) = table.grounds[row], own.grounds
+        assert list(ground) == list(alone)
+        assert all(_same_bits(ground[b], alone[b]) for b in alone)
 
 
 class TestMorseSums:
@@ -781,10 +810,10 @@ class TestTruncation:
         policy = TruncationPolicy()
         with mock.patch.object(ensembles, "_boltzmann_terms", terms):
             (one,) = ensembles._series_sums(
-                [(trap, Barrier.ABSENT, e1, 2.0, 20)], policy, {})
+                *_on_rows([(trap, Barrier.ABSENT, e1, 2.0, 20)]), policy, {})
             both = ensembles._series_sums(
-                [(trap, Barrier.ABSENT, e1, 1.0, 20),
-                 (trap, Barrier.ABSENT, e1, 2.0, 30)], policy, {})
+                *_on_rows([(trap, Barrier.ABSENT, e1, 1.0, 20),
+                           (trap, Barrier.ABSENT, e1, 2.0, 30)]), policy, {})
         for result in (one, both[1]):
             assert isinstance(result, SzilardError)
             assert "not finite" in str(result)
@@ -845,9 +874,9 @@ class TestPhysicalLadders:
         absent, inserted = self._ladders()
         baths = BathPair(hot=200.0, cold=100.0)
         trap = Harmonic(MASS, omega)
-        batch, grounds = _one_batch(trap, count, baths.hot)
+        table, batch = _one_batch(trap, count, baths.hot)
         (l_hot, l_cold, energies), = ensembles._cycle_sums(
-            batch, grounds, [count], [baths], TruncationPolicy())
+            table, batch, [count], [baths], TruncationPolicy())
         got = run_cycle(trap, Ensemble.CANONICAL_N, count, baths)
         with mpmath.workdps(50):
             q = mpmath.mpf(HBAR * omega)
@@ -1110,10 +1139,10 @@ def _sums_of(call):
     SzilardError)."""
     log, original = [], ensembles._series_sums
 
-    def spy(segments, policy, levels):
-        results = original(segments, policy, levels)
-        log.extend((segment, policy, result)
-                   for segment, result in zip(segments, results))
+    def spy(table, segments, policy, levels):
+        results = original(table, segments, policy, levels)
+        log.extend(((table.traps[row], *rest), policy, result)
+                   for (row, *rest), result in zip(segments, results))
         return results
 
     with mock.patch.object(ensembles, "_series_sums", spy):
@@ -1344,7 +1373,7 @@ def test_grand_rungs_size_by_the_scalar_reference(traps):
                 else PowerLaw.from_energy_scale(MASS, scale, nu))
         requests.append((trap, barrier, beta,
                          level_energy(trap, 1, barrier), v, math.inf))
-    rungs = ensembles._grand_rungs(requests, _SMALL_CAP)
+    rungs = ensembles._grand_rungs(*_on_rows(requests), _SMALL_CAP)
     for r, (trap, barrier, _, e1, *_) in enumerate(requests):
         error = rungs.errors[r]
         try:
@@ -1400,7 +1429,7 @@ def test_heads_of_any_rows_keep_each_rows_bits(traps, temperatures, data):
         requests.append((trap, barrier, betas[b % len(betas)],
                          level_energy(trap, 1, barrier),
                          math.log1p(g / count), count))
-    rungs = ensembles._grand_rungs(requests, _SMALL_CAP)
+    rungs = ensembles._grand_rungs(*_on_rows(requests), _SMALL_CAP)
     live = [r for r, error in enumerate(rungs.errors) if error is None]
     if not live:
         return
@@ -1602,9 +1631,9 @@ def test_heads_and_moments_match_whole_sums(nu, log_scale, count, mode):
     were built whole)."""
     baths = BathPair(hot=2.0, cold=1.0)
     trap = PowerLaw.from_energy_scale(MASS, 10 ** log_scale * K_B, nu)
-    batch, grounds = _one_batch(trap, 1, baths.hot, _SMALL_CAP)
+    table, batch = _one_batch(trap, 1, baths.hot, _SMALL_CAP)
     (pairs,), rungs = ensembles._bath_ratios(
-        batch, grounds, [count], [(baths.hot, baths.cold)], mode, _SMALL_CAP)
+        table, batch, [count], [(baths.hot, baths.cold)], mode, _SMALL_CAP)
     if isinstance(pairs, SzilardError):
         return
     (hot, cold), _ = pairs
@@ -1675,9 +1704,9 @@ class TestGrandOracle:
         mpmath = pytest.importorskip("mpmath")
         baths = BathPair(hot, cold)
         trap = PowerLaw.from_energy_scale(MASS, ratio * K_B * cold, nu)
-        batch, grounds = _one_batch(trap, 1, hot)
+        table, batch = _one_batch(trap, 1, hot)
         (l_hot, l_cold, energies, mus), = ensembles._grand_sums(
-            batch, grounds, [count], [baths], MuMode.SOLVED,
+            table, batch, [count], [baths], MuMode.SOLVED,
             TruncationPolicy())
         e1 = level_energy(trap, 1)
         m = 8
@@ -1774,9 +1803,9 @@ class TestGrandOracle:
             (_, (log_pre, pre), _), (_, (log_post, post), _) = sums
             logs.append(log_pre - 2.0 * log_post)
             magnitudes.append(pre + 2.0 * post)
-        batch, grounds = _one_batch(trap, 1, hot)
+        table, batch = _one_batch(trap, 1, hot)
         (l_hot, l_cold, got, mus), = ensembles._grand_sums(
-            batch, grounds, [10], [baths], MuMode.SOLVED, TruncationPolicy())
+            table, batch, [10], [baths], MuMode.SOLVED, TruncationPolicy())
         assert mus == cycle.mus
         for value, stage in zip(got, "ABCD"):
             assert abs(value / energies[stage] - 1) <= 1e-12

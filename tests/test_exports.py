@@ -64,3 +64,24 @@ def test_every_import_is_used():
             if name not in used and not exported:
                 unused.append(f"{path.name}:{line}: {name}")
     assert not unused
+
+
+def test_every_parameter_is_read():
+    """Each function and method of a szilard module reads every parameter
+    it takes (self and cls exempt), in its body or a function nested in
+    it: a parameter nothing reads is a stale part of its signature."""
+    unread = []
+    for path in sorted(Path(szilard.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = node.args
+            names = {arg.arg for arg in (*args.posonlyargs, *args.args,
+                                         *args.kwonlyargs, args.vararg,
+                                         args.kwarg) if arg is not None}
+            read = {name.id for name in ast.walk(node)
+                    if isinstance(name, ast.Name)
+                    and isinstance(name.ctx, ast.Load)}
+            unread += [f"{path.name}:{node.lineno}: {node.name}({name})"
+                       for name in sorted(names - read - {"self", "cls"})]
+    assert not unread

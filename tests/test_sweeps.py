@@ -285,7 +285,7 @@ class TestSingleEvaluation:
         outcome = _run(_one_point("fig8", nu=2.0, N=10, scale_ratio=1.0),
                        tmp_path)
         assert outcome.points == 1 and outcome.failed == 0
-        assert sum(len(roots) for roots, *_ in solves) == 4
+        assert sum(len(counts) for counts, _ in solves) == 4
 
     def test_morse_point_sums_four_stages(self, tmp_path, monkeypatch):
         """Its four stages are its two baths in both barrier configurations:
@@ -295,7 +295,7 @@ class TestSingleEvaluation:
         outcome = _run(_one_point("fig10", depth=4.7 * EV, T_hot=4.0,
                                   omega=1e11), tmp_path)
         assert outcome.points == 1 and outcome.failed == 0
-        assert [len(segments) for segments, *_ in sums] == [2, 2]
+        assert [len(segments) for _, segments, *_ in sums] == [2, 2]
 
     def test_morse_run_sums_each_stage_once_per_batch(self, tmp_path,
                                                       monkeypatch):
@@ -316,10 +316,10 @@ class TestSingleEvaluation:
         outcome = _run(spec, tmp_path)
         assert outcome.points == 50 and outcome.failed == 0
         sizes = [100]
-        assert [len(segments) for segments, *_ in sums] == [
+        assert [len(segments) for _, segments, *_ in sums] == [
             size for size in sizes for _ in range(2)]
         barriers = [{segment[1] for segment in segments}
-                    for segments, *_ in sums]
+                    for _, segments, *_ in sums]
         assert barriers == [{potentials.Barrier.ABSENT},
                             {potentials.Barrier.INSERTED}] * len(sizes)
 
@@ -336,9 +336,12 @@ class TestSingleEvaluation:
         one more (the absent sums their ladders, the inserted ones their
         extensions; one call per stage made four, stage D's building none),
         and level_energy never runs: it made 100 scalar ground lookups.
-        Each _Shapes.of pass (the ground levels, the batching's sizing, the
-        stage sums and each ladder build) takes one row per distinct well:
-        the stage sums took one per unit, a (well, bath), 100."""
+        The batching's trap table derives the shapes of the 50 wells in one
+        _Shapes.of call, one row per well, and every sizing, sum and ladder
+        build reads its wells by row: a _Shapes.of call each for the ground
+        levels, the batching's sizing, the stage sums and each ladder build
+        made five of 50 rows (the stage sums took one row per unit, a
+        (well, bath), 100)."""
         log = []
         for name in ("_heads", "_series_sums", "level_energy"):
             original = getattr(ensembles, name)
@@ -364,7 +367,7 @@ class TestSingleEvaluation:
         assert [len(args[3]) for name, args in log
                 if name == "_heads"] == [50, 200]
         assert [(len(traps), len(set(map(id, traps)))) for name, traps in log
-                if name == "of"] == [(50, 50)] * 5
+                if name == "of"] == [(50, 50)]
         builds = [0]    # the ground levels, then per _series_sums call
         for name, args in log:
             if name == "_series_sums":
@@ -375,6 +378,30 @@ class TestSingleEvaluation:
         grounds = next(args for name, args in log if name == "ladders")
         assert grounds == ([1] * 50, [2] * 50)
         assert not any(name == "level_energy" for name, _ in log)
+
+    @pytest.mark.parametrize("target, traps", [
+        ("fig2", 1), ("fig3", 60), ("fig4", 1), ("fig5", 1), ("fig7", 100),
+        ("fig8", 160), ("fig9", 1), ("fig9-inset", 41), ("fig10", 200),
+        ("fig11", 200)])
+    def test_sweep_derives_each_trap_shape_once(self, tmp_path, monkeypatch,
+                                                target, traps):
+        """A run's one trap table derives the ladder shapes of its distinct
+        traps in one _Shapes.of call, one row per trap object, and every
+        sizing, sum and ladder build reads them by row.  Deriving them
+        again in each batched pass made 5 calls over 24 rows for fig2, 5
+        over 420 for fig3, 4 over 122 for fig4 and fig5, 4 over 700 for
+        fig7, 14 over 1,120 for fig8, 5 over 54 for fig9, 5 over 115 for
+        fig9-inset and 11 over 1,600 for fig10 and fig11."""
+        log, shapes = [], potentials._Shapes.of
+
+        def of(built):
+            built = list(built)
+            log.append((len(built), len({id(trap) for trap in built})))
+            return shapes(built)
+
+        monkeypatch.setattr(potentials._Shapes, "of", of)
+        assert _run(preset(target), tmp_path).points > 0
+        assert log == [(traps, traps)]
 
     @pytest.mark.parametrize("point", [
         _one_point("fig8", nu=2.0, N=10, scale_ratio=1.0),
@@ -589,9 +616,9 @@ class TestSingleEvaluation:
         assert outcome.points == 40 and outcome.failed == 0
         checks = _occupancy(checks)
         assert len(solves) == 1 and len(checks) == 1
-        assert sum(len(roots) for roots, *_ in solves) == 160
+        assert sum(len(counts) for counts, _ in solves) == 160
         assert sum(len(rows) for _, rows, *_ in checks) == 160
-        assert sum(int(rungs.heads.sum()) for *_, rungs in solves) == 9177
+        assert sum(int(rungs.heads.sum()) for _, rungs in solves) == 9177
         assert all(size == int(heads.sum()) + len(heads)
                    for size, heads in rounds)
         assert (len(rounds), sum(size for size, _ in rounds)) == (8, 50757)
@@ -691,7 +718,7 @@ class TestBatchedRuns:
         outcome = _run(spec, tmp_path)
         assert outcome.points == 40 and outcome.failed == 16
         assert len(solves) == 1
-        assert sum(len(roots) for roots, *_ in solves) == 160
+        assert sum(len(counts) for counts, _ in solves) == 160
 
     def test_morse_run_rows_equal_one_point_sweeps(self, tmp_path):
         """fig9-inset is one run of 41 wells, 30 of them too shallow."""
@@ -716,7 +743,7 @@ class TestBatchedRuns:
         outcome = _run(preset(target), tmp_path)
         assert outcome.failed == 0
         distinct = {"fig2": 40, "fig9": 75}[target]
-        assert [len(segments) for segments, *_ in sums] == [distinct] * 2
+        assert [len(segments) for _, segments, *_ in sums] == [distinct] * 2
         lines = open(outcome.csv_path).read().splitlines()
         assert lines[1:] == self._single_rows(preset(target), tmp_path)
 
@@ -740,10 +767,11 @@ class TestBatchedRuns:
             runs.extend(traps)
             return run_cycles(traps, *args)
 
-        def spy_extend(requests, levels):
-            for key, _, trap in requests:
-                (extended if key in levels else built).append(trap)
-            return extend(requests, levels)
+        def spy_extend(table, requests, levels):
+            for row, _ in requests:
+                (extended if row in levels else built).append(
+                    table.traps[row])
+            return extend(table, requests, levels)
 
         monkeypatch.setattr(sweeps, "_run_cycles", spy_runs)
         monkeypatch.setattr(ensembles, "_extend", spy_extend)
@@ -754,7 +782,7 @@ class TestBatchedRuns:
                                                                  wells)
         assert len(built) == len({id(trap) for trap in built}) == wells
         assert len(extended) == wells
-        assert sum(len(args[0]) for args in sums) == segments
+        assert sum(len(args[1]) for args in sums) == segments
 
     def test_points_of_other_counts_share_rungs(self, tmp_path,
                                                 monkeypatch):
@@ -773,7 +801,7 @@ class TestBatchedRuns:
                        axes=(Axis("scale_ratio", 0.05, 40.0, 8, "log"),))
         outcome = _run(spec, tmp_path)
         assert outcome.points == 48 and outcome.failed == 0
-        assert [len(roots) for roots, *_ in solves] == [192]
+        assert [len(counts) for counts, _ in solves] == [192]
         assert [len(rows) for _, rows, *_ in _occupancy(checks)] == [192]
         assert [len(args[5]) for args in rungs] == [64]
         lines = open(outcome.csv_path).read().splitlines()
@@ -800,7 +828,7 @@ class TestBatchedRuns:
         log = _ladder_runs(monkeypatch, [])
         outcome = _run(preset("fig8"), tmp_path)
         assert outcome.points == 480 and outcome.failed == 0
-        assert [len(roots) for roots, *_ in solves] == [156, 444, 444, 216,
+        assert [len(counts) for counts, _ in solves] == [156, 444, 444, 216,
                                                         288, 372]
         assert [len(args[5]) for args in rungs] == [52, 148, 148, 72, 96,
                                                     124]
