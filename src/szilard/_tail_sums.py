@@ -447,7 +447,7 @@ def _heads(traps, step, beta, e1, policy):
 
 
 class _Rungs:
-    """Heads and tails of grand-canonical rungs, read by requests, one row
+    """Heads and tails of grand-canonical rungs, read by roots, one row
     each (see the section comment and ensembles._grand_rungs).
 
     errors[r] is None, or the SzilardError row r met while it was built.
@@ -468,9 +468,9 @@ class _Rungs:
 
     def __init__(self, g, beta, e1, errors, readers, built, shapes, v, count,
                  x_cut, max_terms):
-        """The rungs of requests with degeneracies g, betas, ground levels
-        e1, least v and occupancy counts (arrays, e1 0 where it is an error)
-        and their errors.  built[m] is the (head, tailed, step) of a rung
+        """The rungs of roots with degeneracies g, betas, ground levels e1,
+        least v and occupancy counts (the columns of ensembles._Roots) and
+        their errors.  built[m] is the (head, tailed, step) of a rung
         that ensembles._grand_rungs built, which the rows readers[m] read,
         all of one g, beta and E_1: the head's levels, whether a tail adds
         the rest of the ladder, and its stride, on the trap whose shape is

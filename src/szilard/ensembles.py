@@ -6,61 +6,49 @@ Three statistical treatments share this module:
   exactly as sums of per-level N-th powers with the 2^N degeneracy factor in
   the barrier-inserted stages;
 * grand-canonical bosons with a chemical potential per barrier configuration,
-  each bound to the temperature of the bath it serves; _bath_ratios solves a
-  batch's roots in every MuMode and sums its log ratios, at any temperatures;
-* the single-particle Morse cycle, which is canonical and needs no chemical
-  potential: its stage sums are the canonical ones at count 1, capped at the
-  bound-state ladder.
-
-Every route sums many traps at once, as one numpy pass per step over all
-their ladders, and a lone trap is a batch of one on the same path.  Each
-_batches call builds one trap table (_TrapTable), the one place that
-decides trap identity: a row per distinct trap object, with its ladder
-shape and ground levels, derived once for every sum, which reads the trap
-by its row.  _batches splits the points into consecutive batches of a
-bounded number of estimated terms, at the canonical decay rate N beta of
-the hot bath (beta for the grand route) and at most a Morse well's bound
-count, counting the head of a sum that a tail completes rather than its
-whole ladder (a grand trap's once per bath).  A batch holds all the points
-of its rows: it builds each grand rung once for all its counts, and sums
-each distinct canonical (row, count, bath) once for every point.
-Each step of a batch is one array pass over all its traps: the sizes of its
-sums (_heads, which sizes every sum of every route where it is summed; the
-batching's estimate only bounds a batch), the levels its sums lack (one
-_Shapes.ladders pass, see _level_ladders), the
-canonical sums and energy sums of each barrier configuration (_series_sums)
-or the grand rungs' heads and moments (_grand_rungs), and the tails (see
-_tail_sums), each laid out flat by the one _Segments of both routes.  Only
-exactly rounded operations run on arrays, and a level's fractional power,
-in one np.power call per distinct power as level_energy takes it, and the
-Newton roots' logs and exps (_mu_offsets), each numpy's of its element
-alone; a log, exp or fractional power that sets a length or a logged total
-runs in math, element by element, so every value keeps the bits of its
-one-trap evaluation.
+  each bound to the temperature of the bath it serves;
+* the single-particle Morse cycle, the canonical sums at count 1, capped at
+  the bound-state ladder.
 
 Stage labels follow the cycle diagram: A = barrier absent at the hot bath,
 B = inserted at the hot bath, C = inserted at the cold bath, D = absent at
 the cold bath.
 
-Every ladder of the three routes is sized by one rule, _heads (in
-_tail_sums, beside the tails whose remainders it bounds): each sum's
-length is fixed from its ground level E_1 before any term is formed, and
-the sum is taken once at that length, with no tail test.  A sum over a
-ladder longer than its head sums the head, at least 16 terms, and adds the
-rest of the ladder as a closed-form Euler-Maclaurin tail: geometric,
-Dawson (Morse) or incomplete gamma (any other power law).  On the
-canonical and Morse routes _series_sums is that Boltzmann stage sum.  No
-grand-canonical sum runs whole either: each rung, the ladder of a (trap,
-barrier, bath), is a head summed term by term and a tail that is a short
-k-series in e^{-beta (E_1 - mu)} over moments that do not depend on mu,
-the same tails at k beta, formed once per rung.  Every Newton round,
-occupancy re-check, log ratio and stage energy then sums heads and
-k-series only (see _tail_sums for every kind of tail).  A length past
-max_terms is a TruncationError, never a silent cut.  A trap's sums share
-one barrier-free ladder, extended when a sum outgrows it; an inserted sum
-takes every other level of it (see _level_ladders).
-"""
+Every route sums many traps at once, one numpy pass per step over all their
+ladders, and a lone trap is a batch of one on the same path.  Each _batches
+call builds one trap table (_TrapTable), the one place that decides trap
+identity: a row per distinct trap object, with its ladder shape and ground
+levels, which every sum reads by row.  _batches splits the points into
+batches of a bounded number of estimated terms, closing one only between
+two rows, so a batch sums each distinct canonical (row, count, bath) once
+and builds each grand rung once for all its counts.  A grand batch's roots
+are columns (_Roots: row, barrier, temperature, beta, E_1, count) from
+where _bath_ratios forms them to where _grand_sums sums their energies:
+mu, the log ratios and the energies are arrays aligned to them, each with
+one error list beside it.
 
+Every ladder is sized by one rule, _heads (in _tail_sums): a sum's length is
+fixed from its ground level E_1 before any term is formed, and the sum is
+taken once at that length, with no tail test.  A ladder longer than its
+head sums the head, at least 16 terms, and the rest as a closed-form
+Euler-Maclaurin tail: geometric, Dawson (Morse) or incomplete gamma (any
+other power law).  A grand rung, the ladder of a (trap, barrier, bath),
+takes its tail as a short k-series in e^{-beta (E_1 - mu)} over moments
+that do not depend on mu, the same tails at k beta, formed once per rung,
+so every Newton round, occupancy re-check, log ratio and stage energy sums
+heads and k-series only.  A length past max_terms is a TruncationError,
+never a silent cut.  A trap's sums share one barrier-free ladder, extended
+when a sum outgrows it; an inserted sum takes every other level of it (see
+_level_ladders).  Both routes lay their arrays out flat by one _Segments.
+
+Only exactly rounded operations run on arrays, and a level's fractional
+power, in one np.power call per distinct power as level_energy takes it,
+and the Newton roots' logs and exps (_mu_offsets), each numpy's of its
+element alone.  A log, exp or fractional power that sets a length or a
+logged total, and beta = 1/(k_B T), the closed form's log1p and mu's exp,
+run in Python floats and math, element by element (mapped over an array),
+so every value keeps the bits of its one-trap evaluation.
+"""
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -209,10 +197,11 @@ class _TrapTable:
     (one _Shapes.of call), grounds[r] its E_1 by barrier, each the level or
     the SzilardError its lookup raises, and rows[i] the row of point i.
     All the barrier-free levels 1 and 2 (the inserted E_1) are one
-    _Shapes.ladders pass, with the bits of level_energy, which gives a
-    Morse well that pass refuses its error."""
+    _Shapes.ladders pass, e1 (a row per trap: absent, inserted), with the
+    bits of level_energy; a Morse well that pass refuses takes its levels,
+    or its error, from level_energy, in grounds only."""
 
-    __slots__ = ("traps", "shapes", "grounds", "rows")
+    __slots__ = ("traps", "shapes", "grounds", "e1", "rows")
 
     def __init__(self, potentials):
         place = {}
@@ -222,8 +211,8 @@ class _TrapTable:
         self.shapes = _Shapes.of(self.traps)
         ones = np.ones(len(self.traps), dtype=int)
         e, _, refused = self.shapes.ladders(ones, 2 * ones)
-        self.grounds = [dict(zip(Barrier, pair))
-                        for pair in e.reshape(-1, 2).tolist()]
+        self.e1 = e.reshape(-1, 2)
+        self.grounds = [dict(zip(Barrier, pair)) for pair in self.e1.tolist()]
         for r in refused.nonzero()[0].tolist():
             for barrier in Barrier:
                 try:
@@ -474,6 +463,7 @@ def canonical_stage_properties(potential, barrier, count, temperature,
     _heads).  One configuration of the one-trap case of _canonical_stages,
     which sums both.
     """
+    _member(barrier, Barrier)
     return _one_trap_stages(potential, count, temperature,
                             lambda *pair: pair[barrier is Barrier.INSERTED],
                             policy)
@@ -508,40 +498,82 @@ def _cycle_sums(table, traps, counts, baths, policy):
 # by term, and a short k-series over the rung's mu-free tail moments (see
 # _tail_sums).  _grand_rungs builds each distinct rung of a batch once, for
 # every count that reads it, and every Newton round, occupancy re-check,
-# log ratio and stage energy reuses them.
+# log ratio and stage energy reuses them.  A batch's roots are columns
+# (_Roots) from where they are formed to where their energies are summed:
+# each result about them is an array aligned to the columns with one error
+# list beside it, None where a root is live, as in _Rungs.errors.
 
-def _grand_rungs(table, requests, policy):
-    """The _Rungs of (row, barrier, beta, E_1, v, count) requests on table,
-    in order, v the least beta (E_1 - mu) each is summed at and count the
-    occupancy its root solves for, or inf (see _Rungs).
+def _ok(errors):
+    """Whether each entry of an error list is None, as a bool array."""
+    return np.array([error is None for error in errors], dtype=bool)
 
-    Requests of one row, barrier and beta read one rung, built once:
-    sized from its E_1 here, by one _heads pass over all the rungs, and
-    only its head built, by _level_ladders: the whole ladder where it is
-    no longer than its head, else a head to which a tail adds the rest (see
-    _tail_sums).  A trap's rungs share its barrier-free ladder.  An E_1
-    that is an error, an estimate past float range, a head or a power-law
-    k-series past max_terms and a level that cannot be built are the
-    row's error.
-    """
-    errors = [e1 if _failed(e1) else None for _, _, _, e1, *_ in requests]
-    g = np.array([_degeneracy(request[1]) for request in requests])
-    betas = np.array([request[2] for request in requests], dtype=float)
-    e1, v, count = (np.array([request[k] if error is None else 0.0
-                              for request, error in zip(requests, errors)],
-                             dtype=float) for k in (3, 4, 5))
-    rungs = {}      # the requests that read each rung: (row, stride, beta)
-    for r, (row, barrier, beta, *_) in enumerate(requests):
-        if errors[r] is None:
-            rungs.setdefault((row, _stride(barrier), beta), []).append(r)
+
+def _first_errors(errors, width):
+    """Per run of `width` consecutive entries of an error list, its first
+    error, or None."""
+    out = [None] * (len(errors) // width)
+    for j in reversed((~_ok(errors)).nonzero()[0].tolist()):
+        out[j // width] = errors[j]
+    return out
+
+
+class _Roots:
+    """Grand-canonical roots as columns (scalars broadcast): root j on the
+    harmonic or power-law trap of row row[j] of a _TrapTable, whose ground
+    levels never fail, with the barrier inserted[j] (a bool) or not, at
+    temperature[j] (its beta, _beta's, math's element by element), ground
+    level e1[j] and count[j] bosons, each column as its caller gives it."""
+
+    __slots__ = ("row", "inserted", "temperature", "beta", "e1", "count")
+
+    def __init__(self, table, row, inserted, temperature, count):
+        self.row, self.inserted, self.temperature, self.count = (
+            np.broadcast_arrays(row, inserted, temperature, count))
+        distinct, at = np.unique(self.temperature, return_inverse=True)
+        self.beta = np.array(list(map(_beta, distinct.tolist())))[at]
+        self.e1 = table.e1[self.row, self.inserted.astype(np.intp)]
+
+    def closed(self):
+        """v = log1p(d_1/count), math's element by element: the closed
+        form's beta (E_1 - mu), below which no root lies."""
+        return np.array(list(map(math.log1p, ((1.0 + self.inserted)
+                                              / self.count).tolist())))
+
+
+def _point_roots(table, traps, counts, temperatures):
+    """The _Roots of points, point i the trap on row traps[i] of table with
+    counts[i] bosons at each of its tuple of temperatures[i] (all of one
+    length): absent and inserted at each temperature in turn."""
+    width = 2 * len(temperatures[0])
+    return _Roots(table, np.repeat(traps, width),
+                  np.tile([False, True], len(traps) * width // 2),
+                  np.repeat(temperatures, 2),
+                  np.repeat(counts, width))
+
+
+def _grand_rungs(table, roots, v, count, policy):
+    """The _Rungs of the _Roots roots on table, row j root j's, summed at
+    v[j] = beta (E_1 - mu) or above and solving for count[j] bosons, or inf
+    for none (arrays; see _Rungs).  Roots of one row, barrier and beta read
+    one rung, built once: sized from its E_1 by one _heads pass over all the
+    rungs, and only its head built, by _level_ladders (see _tail_sums).  A
+    trap's rungs share its barrier-free ladder.  An estimate past float
+    range, a head or a power-law k-series past max_terms and a level that
+    cannot be built are the row's error."""
+    rungs = {}      # the roots that read each rung: (row, inserted, beta)
+    for r, key in enumerate(zip(roots.row.tolist(), roots.inserted.tolist(),
+                                roots.beta.tolist())):
+        rungs.setdefault(key, []).append(r)
     keys, first = list(rungs), [rows[0] for rows in rungs.values()]
     shapes = table.shapes.take([row for row, _, _ in keys])
-    step = np.array([stride for _, stride, _ in keys], dtype=float)
-    lengths, tailed = _heads(shapes, step, betas[first], e1[first], policy)
-    readers, built, kept = [], [], []
+    step = 1.0 + roots.inserted[first]
+    lengths, tailed = _heads(shapes, step, roots.beta[first], roots.e1[first],
+                             policy)
+    errors, readers, built, kept = [None] * len(roots.row), [], [], []
     for m, (rows, ladder, tail, by) in enumerate(zip(
             rungs.values(), _level_ladders(
-                table, [(*requests[r][:2], n) for r, n in zip(first, lengths)],
+                table, [(row, tuple(Barrier)[inserted], n)
+                        for (row, inserted, _), n in zip(keys, lengths)],
                 {}, policy.max_terms), tailed.tolist(), step.tolist())):
         if _failed(ladder):
             for r in rows:
@@ -550,36 +582,39 @@ def _grand_rungs(table, requests, policy):
             readers.append(rows)
             built.append((ladder, tail, by))
             kept.append(m)
-    return _Rungs(g, betas, e1, errors, readers, built, shapes.take(kept), v,
-                  count, _XCUT_MARGIN - math.log(policy.rel_tol),
-                  policy.max_terms)
+    return _Rungs(1.0 + roots.inserted, roots.beta, roots.e1, errors, readers,
+                  built, shapes.take(kept), v, np.asarray(count, dtype=float),
+                  _XCUT_MARGIN - math.log(policy.rel_tol), policy.max_terms)
 
 
-def _rung_sums(rungs, rows, mus, kind):
-    """Per row of rungs in `rows` at its chemical potential in `mus`: the
-    first sum of _Heads.sums of `kind`, or the row's error, or a
-    SolverFailureError where the sum is not finite."""
-    out = [rungs.errors[r] for r in rows]
-    live = [i for i, error in enumerate(out) if error is None]
-    if live:
-        at = np.array([rows[i] for i in live], dtype=np.intp)
-        d = rungs.e1[at] - np.array([mus[i] for i in live])
+def _rung_sums(rungs, rows, mu, kind):
+    """Per row of rungs in `rows` (an index array) at its chemical
+    potential in mu (an array aligned to rows): the first sum of
+    _Heads.sums of `kind`, an array, nan where the row fails; and per row
+    None or its error: the row's own, or a SolverFailureError where the
+    sum is not finite."""
+    errors = [rungs.errors[r] for r in rows.tolist()]
+    out = np.full(len(rows), math.nan)
+    live = _ok(errors)
+    if live.any():
+        at, place = rows[live], live.nonzero()[0]
+        d = rungs.e1[at] - mu[live]
         heads = _Heads(rungs, at, kind == "energy")
         with np.errstate(over="ignore"):    # v is inf for a mu far below E_1
-            sums = heads.sums(rungs.beta[at] * d, kind, d)[0]
-        for i, total in zip(live, sums.tolist()):
-            out[i] = total if math.isfinite(total) else SolverFailureError(
-                f"series sum is {total}, not finite: its terms leave float"
-                " range")
-        for j in heads.refused:     # a refused row's sum is nan
-            out[live[j]] = heads.error(j)
-    return out
+            out[live] = heads.sums(rungs.beta[at] * d, kind, d)[0]
+        for i in place[~np.isfinite(out[live])].tolist():
+            errors[i] = SolverFailureError(f"series sum is {float(out[i])},"
+                                           " not finite: its terms leave"
+                                           " float range")
+        for i in heads.refused:     # a refused row's sum is nan
+            errors[place[i]] = heads.error(i)
+    return out, errors
 
 
 def _mu_offsets(counts, rungs):
     """Roots u = log(beta (E_1 - mu)) of the occupancy constraint on the
-    rows of the _Rungs rungs, row j of counts[j] bosons; a root or an error
-    each.
+    rows of the _Rungs rungs, row j of counts[j] bosons (an array): u as an
+    array, and per row None or its error.
 
     With n = g/expm1(beta(E - E_1) + e^u) (g = d_1 on every level), f =
     log N(u) - log count falls as u rises: it is positive at a root's
@@ -595,15 +630,14 @@ def _mu_offsets(counts, rungs):
     slope dlog N/du = -e^u sum n (1 + n/g) / N; a step that leaves the
     bracket bisects it (rtsafe, Numerical Recipes 9.4).  A root stops once
     a step is at most 1e-9 max(1, |u|): quadratic convergence puts that
-    step's end within rounding of the root.  Only the roots that stop or
-    fail leave the arrays through Python, and the heads of the rest are
-    then gathered afresh from the rungs, so each row keeps the bits of its
-    own evaluation.
+    step's end within rounding of the root.  The roots that stop or fail
+    leave the arrays, and the heads of the rest are then gathered afresh
+    from the rungs, so each row keeps the bits of its own evaluation.
     """
-    out = list(rungs.errors)
-    rows = np.array([j for j, error in enumerate(out) if error is None],
-                    dtype=np.intp)
-    d1, count = rungs.g[rows].astype(float), np.array(counts, float)[rows]
+    errors = list(rungs.errors)
+    out = np.zeros(len(errors))
+    rows = _ok(errors).nonzero()[0]
+    d1, count = rungs.g[rows], np.asarray(counts, dtype=float)[rows]
     far, u = np.zeros(len(rows)), np.zeros(len(rows))
     step, rounds = np.zeros(len(rows), dtype=np.intp), np.zeros_like(rows)
     heads = _Heads(rungs, rows)
@@ -653,16 +687,14 @@ def _mu_offsets(counts, rungs):
             ends = stop | late | lost
             ends[list(heads.refused)] = True   # their sums are nan
             if ends.any():
-                ended = ends.nonzero()[0]
-                for j, x in zip(rows[ended].tolist(), u_next[ended].tolist()):
-                    out[j] = x
+                out[rows[ends]] = u_next[ends]
                 for failed, message in (
                         (lost, "no lower bracket for the occupancy root"),
                         (late, "occupancy root did not converge")):
                     for j in rows[failed].tolist():
-                        out[j] = SolverFailureError(message)
+                        errors[j] = SolverFailureError(message)
                 for i in heads.refused:
-                    out[rows[i]] = heads.error(i)
+                    errors[rows[i]] = heads.error(i)
                 keep = ~ends
                 rows, d1, count, log_count, near, far, u_next, step, \
                     rounds = (a[keep] for a in (rows, d1, count, log_count,
@@ -671,7 +703,7 @@ def _mu_offsets(counts, rungs):
                 if len(rows):
                     heads = _Heads(rungs, rows)
             u = u_next
-    return out
+    return out, errors
 
 
 def _floor(d1, count, u, total):
@@ -689,56 +721,43 @@ def _floor(d1, count, u, total):
     return np.where(v > 0.0, np.log(v), -math.inf)
 
 
-def _rungs_of(table, roots, counts, mode, policy):
-    """The _Rungs of (row, barrier, temperature, E_1) roots on the
-    _TrapTable table, root j of counts[j] bosons, in `mode`, each sized and
-    built by _grand_rungs.
-    Each is summed at v = beta (E_1 - mu) >= log(1 + d_1/count), the closed
-    form, as its ground term alone, d_1/(e^v - 1), stays below count at a
-    root; a solved root's head bounds it further (see _Rungs)."""
-    solved = mode is MuMode.SOLVED
-    return _grand_rungs(table, [(row, barrier, _beta(temperature), e1,
-                                 math.log1p(_degeneracy(barrier) / count),
-                                 count if solved else math.inf)
-                                for (row, barrier, temperature, e1), count
-                                in zip(roots, counts)], policy)
-
-
-def _chemical_potentials(table, roots, counts, mode, policy, rungs=None):
-    """Chemical potentials of (row, barrier, temperature, E_1) roots on the
-    _TrapTable table, root j of counts[j] bosons, in `mode`; a mu or an
-    error each, every mu strictly below E_1.
-
-    CLOSED_FORM is E_1 - k_B T log1p(d_1/count); SOLVED runs every root
-    through one Newton loop (see _mu_offsets) on the _Rungs of the roots,
-    root j on row j (built here where not given), and re-sums the
-    occupancy at each mu, which must recover count to 1e-10.
-    """
+def _chemical_potentials(table, roots, mode, policy, rungs=None):
+    """Chemical potentials of the _Roots roots on table in `mode`: mu, an
+    array, and per root None or its error; a live mu is below its E_1.
+    CLOSED_FORM is E_1 - k_B T v (v from _Roots.closed); SOLVED runs every
+    root through one Newton loop (see _mu_offsets) on the _Rungs of the
+    roots, root j on row j (built here, summed from v on, where not given),
+    and re-sums the occupancy at each mu, which must recover count to
+    1e-10.  mu, its test against E_1 and that check are array expressions,
+    mu's exp math's; only a failing root builds its message in Python."""
     if mode is MuMode.CLOSED_FORM:
-        return [_below_ground(e1 - K_B * temperature
-                              * math.log1p(_degeneracy(barrier) / count), e1)
-                for (_, barrier, temperature, e1), count in zip(roots, counts)]
-    if mode is not MuMode.SOLVED:
-        return [EnsembleMismatchError(
-            f"unknown chemical-potential mode {mode!r}") for _ in roots]
-    if rungs is None:
-        rungs = _rungs_of(table, roots, counts, mode, policy)
-    out = _mu_offsets(counts, rungs)
-    for j, u in enumerate(out):
-        if not _failed(u):
-            _, _, temperature, e1 = roots[j]
-            out[j] = _below_ground(e1 - K_B * temperature * math.exp(u), e1)
-    rows = [j for j, mu in enumerate(out) if not _failed(mu)]
-    recovered = _rung_sums(rungs, rows, [out[j] for j in rows], "occupancy")
-    for j, total in zip(rows, recovered):
-        count = counts[j]
-        if _failed(total):
-            out[j] = total
-        elif abs(total - count) > 1e-10 * count:
-            out[j] = SolverFailureError(
-                f"occupancy root off by {abs(total - count) / count:.3g} relative"
-                + _offset_ulps(out[j], roots[j][3]))
-    return out
+        mu = roots.e1 - K_B * roots.temperature * roots.closed()
+        errors = [None] * len(mu)
+    elif mode is MuMode.SOLVED:
+        if rungs is None:
+            rungs = _grand_rungs(table, roots, roots.closed(), roots.count,
+                                 policy)
+        u, errors = _mu_offsets(roots.count, rungs)
+        live = _ok(errors)
+        u[live] = list(map(math.exp, u[live].tolist()))
+        mu = roots.e1 - K_B * roots.temperature * u
+    else:
+        return np.zeros(len(roots.row)), [EnsembleMismatchError(
+            f"unknown chemical-potential mode {mode!r}") for _ in roots.row]
+    for j in (_ok(errors) & ~(mu < roots.e1)).nonzero()[0].tolist():
+        errors[j] = _below_ground(float(mu[j]), float(roots.e1[j]))
+    if mode is MuMode.SOLVED:
+        rows = _ok(errors).nonzero()[0]
+        total, failed = _rung_sums(rungs, rows, mu[rows], "occupancy")
+        count = roots.count[rows].astype(float)
+        off = np.abs(total - count) > 1e-10 * count
+        for i in (off | ~_ok(failed)).nonzero()[0].tolist():
+            j = rows[i]
+            errors[j] = failed[i] or SolverFailureError(
+                f"occupancy root off by"
+                f" {float(abs(total[i] - count[i]) / count[i]):.3g} relative"
+                + _offset_ulps(float(mu[j]), float(roots.e1[j])))
+    return mu, errors
 
 
 def _offset_ulps(mu, e1):
@@ -758,13 +777,22 @@ def _below_ground(mu, e1):
            f" ({math.ulp(e1):.6g} J)" if mu == e1 else ""))
 
 
+def _member(value, kind):
+    """value, if a member of the enum kind; else, a member's value too, an
+    EnsembleMismatchError."""
+    if isinstance(value, kind):
+        return value
+    raise EnsembleMismatchError(f"expected a {kind.__name__}, got {value!r}")
+
+
 def occupancy_total(potential, barrier, mu, temperature, policy=TruncationPolicy()):
     """Mean boson number sum_n g/(e^{beta(E_n - mu)} - 1) at fixed mu."""
     _require_power_family(potential, "grand-canonical occupancy")
     table = _TrapTable((potential,))
-    mu = value_or_raise(_below_ground(mu, table.grounds[0][barrier]))
+    mu = value_or_raise(_below_ground(
+        mu, table.grounds[0][_member(barrier, Barrier)]))
     return value_or_raise(_one_trap_sums(table, ((barrier, mu),), temperature,
-                                         "occupancy", policy)[0])
+                                         "occupancy", policy, float))
 
 
 def chemical_potential(potential, count, temperature, barrier, mode,
@@ -778,112 +806,85 @@ def chemical_potential(potential, count, temperature, barrier, mode,
     when E_1 >> k_B T.  The occupancy at the returned mu is re-summed and
     verified to |dN/N| < 1e-10, and the result is always strictly below E_1.
     """
-    return value_or_raise(_chemical_potentials(
-        *_one_trap_roots(potential, count, temperature, (barrier,)),
-        (count,), mode, policy)[0])
+    return value_or_raise(_one_trap_mus(
+        potential, count, temperature, (_member(barrier, Barrier),), mode,
+        policy, float))
 
 
 def chemical_potentials(potential, count, temperature, mode,
                         policy=TruncationPolicy()):
     """Solve both barrier configurations at one bath temperature, at once."""
-    table, roots = _one_trap_roots(potential, count, temperature,
-                                   (Barrier.ABSENT, Barrier.INSERTED))
-    return value_or_raise(_mu_pairs(
-        _chemical_potentials(table, roots, (count, count), mode, policy),
-        (count,), [(temperature,)], mode)[0])[0]
+    return value_or_raise(_one_trap_mus(
+        potential, count, temperature, tuple(Barrier), mode, policy,
+        lambda pre, post: ChemicalPotentials(pre, post, temperature, count,
+                                             mode)))
 
 
-def _one_trap_roots(potential, count, temperature, barriers):
-    """One trap's one-row _TrapTable and _chemical_potentials roots, after
-    every mode's checks."""
+def _one_trap_mus(potential, count, temperature, barriers, mode, policy,
+                  read):
+    """read(*mus) of the chemical potentials of `count` bosons at
+    `temperature` in each of `barriers`, on the columns of one trap's roots,
+    after every mode's checks; or the first error, which the caller
+    raises."""
     _require_power_family(potential, "the chemical potential")
     value_or_raise(_count_error(count))
-    _beta(temperature)      # raises where 1/(k_B T) overflows, in every mode
     table = _TrapTable((potential,))
-    return table, [(0, barrier, temperature, table.grounds[0][barrier])
-                   for barrier in barriers]
-
-
-def _mu_pairs(mus, counts, temperatures, mode):
-    """Per trap, its ChemicalPotentials of counts[i] bosons at each of its
-    temperatures (temperatures[i], a tuple of one length for every trap),
-    from its mus in the order absent, inserted at each temperature in
-    turn; or its first error."""
-    k = 2 * len(temperatures[0]) if temperatures else 0
-    return [next((mu for mu in own if _failed(mu)), None) or tuple(
-        ChemicalPotentials(pre_insertion=pre, post_insertion=post,
-                           temperature=temperature, count=count, mode=mode)
-        for pre, post, temperature in zip(own[::2], own[1::2], temps))
-        for own, count, temps in zip(
-            (mus[i:i + k] for i in range(0, len(mus), k)), counts,
-            temperatures)]
-
-
-def _log_ratios(logs):
-    """log ratios from the log terms of their rungs, absent and inserted in
-    turn: sum log(1 - e^{-x_pre}) - 2 sum log(1 - e^{-x_post}) each, or the
-    first error."""
-    return [pre if _failed(pre) else post if _failed(post) else
-            pre - 2.0 * post for pre, post in zip(logs[::2], logs[1::2])]
+    mu, errors = _chemical_potentials(table, _Roots(
+        table, 0, [barrier is Barrier.INSERTED for barrier in barriers],
+        temperature, count), mode, policy)
+    return _first_errors(errors, len(mu))[0] or read(*mu.tolist())
 
 
 def _bath_ratios(table, traps, counts, temperatures, mode, policy):
     """Chemical potentials and log ratios of grand-canonical points, point
-    i the trap on row traps[i] of the _TrapTable table with counts[i]
-    bosons at each of its tuple of temperatures[i] (all of one length): per
-    point (ChemicalPotentials, log ratio) per temperature, or the error of
-    its first failing root (see _mu_pairs), else of its first failing log
-    ratio; and the _Rungs they ran on.
-
-    Its rungs are read absent and inserted at each temperature in turn for
-    each point, and sized and built once each (see _grand_rungs), so the
-    points of a row that differ only in count share them; all the roots are
-    produced together in `mode` (see _chemical_potentials), and each log
-    ratio is the log terms of its two rungs at their chemical potentials.
-    """
-    roots = [(row, barrier, temperature, table.grounds[row][barrier])
-             for row, own in zip(traps, temperatures)
-             for temperature in own
-             for barrier in (Barrier.ABSENT, Barrier.INSERTED)]
-    k = len(temperatures[0]) if temperatures else 0
-    each = [count for count in counts for _ in range(2 * k)]
-    rungs = _rungs_of(table, roots, each, mode, policy)
-    mus = _chemical_potentials(table, roots, each, mode, policy, rungs)
-    out = _mu_pairs(mus, counts, temperatures, mode)
-    live = [i for i, pairs in enumerate(out) if not _failed(pairs)]
-    rows = [2 * k * i + j for i in live for j in range(2 * k)]
-    ratios = _log_ratios(_rung_sums(rungs, rows, [mus[r] for r in rows],
-                                    "log"))
-    for j, i in enumerate(live):
-        own = tuple(ratios[j * k:(j + 1) * k])
-        out[i] = next((r for r in own if _failed(r)), None) or (out[i], own)
-    return out, rungs
+    i the trap on row traps[i] of table with counts[i] bosons at each of
+    its tuple of temperatures[i] (all of one length k), whose roots, the
+    columns _point_roots forms, one _chemical_potentials call solves in
+    `mode`.  Returns mu, over the roots; the log ratios, a (points, k)
+    array, each sum log(1 - e^{-x_pre}) - 2 sum log(1 - e^{-x_post}) over
+    its two rungs; per point None, or the error of its first failing root,
+    else of its first failing log ratio; and the _Rungs, each built once
+    for every count that reads it (see _grand_rungs)."""
+    k = len(temperatures[0])
+    roots = _point_roots(table, traps, counts, temperatures)
+    rungs = _grand_rungs(table, roots, roots.closed(), roots.count if mode is
+                         MuMode.SOLVED else np.full(2 * k * len(traps),
+                                                    math.inf), policy)
+    mu, errors = _chemical_potentials(table, roots, mode, policy, rungs)
+    out = _first_errors(errors, 2 * k)
+    live = _ok(out)
+    rows = np.repeat(live, 2 * k).nonzero()[0]
+    logs, failed = _rung_sums(rungs, rows, mu[rows], "log")
+    ratios = np.full((len(out), k), math.nan)
+    ratios[live] = (logs[::2] - 2.0 * logs[1::2]).reshape(-1, k)
+    for i, error in zip(live.nonzero()[0].tolist(),
+                        _first_errors(failed, 2 * k)):
+        out[i] = error
+    return mu, ratios, out, rungs
 
 
 def _grand_sums(table, traps, counts, baths, mode, policy):
-    """Per point of a batch, the trap on row traps[i] of the _TrapTable
-    table with counts[i] bosons between baths[i]: (log ratio hot, log ratio
-    cold, (U_A, U_B, U_C, U_D), (hot, cold) ChemicalPotentials), from
-    _bath_ratios at (hot, cold), which sizes and builds each rung, and each
-    stage energy on its rung at that rung's chemical potential; or the
-    first error of _bath_ratios, else of its first failing energy."""
-    out, rungs = _bath_ratios(table, traps, counts,
-                              [(pair.hot, pair.cold) for pair in baths],
-                              mode, policy)
-    live = [i for i, terms in enumerate(out) if not _failed(terms)]
-    rows, mus = [], []
-    for i in live:
-        (hot, cold), _ = out[i]
-        # rows absent, inserted at the hot bath, then at the cold: A B D C
-        rows += [4 * i, 4 * i + 1, 4 * i + 3, 4 * i + 2]
-        mus += [hot.pre_insertion, hot.post_insertion, cold.post_insertion,
-                cold.pre_insertion]
-    energies = _rung_sums(rungs, rows, mus, "energy")
-    for k, i in enumerate(live):
-        stages = tuple(energies[4 * k:4 * k + 4])
-        error = next((u for u in stages if _failed(u)), None)
-        pairs, ratios = out[i]
-        out[i] = error or (*ratios, stages, pairs)
+    """Per point of a batch, the trap on row traps[i] of table with
+    counts[i] bosons between baths[i]: (log ratio hot, log ratio cold, (U_A,
+    U_B, U_C, U_D), (hot, cold) ChemicalPotentials), or the error of
+    _bath_ratios at (hot, cold), else of its first failing energy, A to D.
+    Each energy is summed on its rung at its mu, read from the mu array,
+    and the ChemicalPotentials are built once per point that returns them."""
+    mu, ratios, out, rungs = _bath_ratios(
+        table, traps, counts, [(pair.hot, pair.cold) for pair in baths],
+        mode, policy)
+    live = [i for i, error in enumerate(out) if error is None]
+    # a point's roots are absent and inserted at its hot bath, then at its
+    # cold one: stages A, B, D and C, summed here in stage order
+    rows = (4 * np.array(live, dtype=np.intp)[:, None] + [0, 1, 3, 2]).ravel()
+    energies, errors = _rung_sums(rungs, rows, mu[rows], "energy")
+    for i, error, stages, ratio, (a, b, d, c) in zip(
+            live, _first_errors(errors, 4), energies.reshape(-1, 4).tolist(),
+            ratios[live].tolist(), mu.reshape(-1, 4)[live].tolist()):
+        pair, count = baths[i], counts[i]
+        out[i] = error or (*ratio, tuple(stages), (
+            ChemicalPotentials(a, b, pair.hot, count, mode),
+            ChemicalPotentials(d, c, pair.cold, count, mode)))
     return out
 
 
@@ -909,15 +910,20 @@ def _checked_rungs(potential, mu_pair, temperature):
     return table, rungs
 
 
-def _one_trap_sums(table, rungs, temperature, kind, policy):
-    """_rung_sums of kind over (barrier, mu) rungs, each mu below its ground
-    level, of the trap of a one-row _TrapTable."""
-    beta, grounds = _beta(temperature), table.grounds[0]
-    return _rung_sums(_grand_rungs(
-        table, [(0, barrier, beta, grounds[barrier],
-                 beta * (grounds[barrier] - mu), math.inf)
-                for barrier, mu in rungs], policy), range(len(rungs)),
-        [mu for _, mu in rungs], kind)
+def _one_trap_sums(table, rungs, temperature, kind, policy, read):
+    """read(*sums) of the _rung_sums of kind over (barrier, mu) rungs, each
+    mu below its ground level, of the trap of a one-row _TrapTable (roots
+    of no count, each summed from its own v = beta (E_1 - mu)), or the
+    first error, which the caller raises."""
+    roots = _Roots(table, 0, [b is Barrier.INSERTED for b, _ in rungs],
+                   temperature, math.inf)
+    mu = np.array([mu for _, mu in rungs], dtype=float)
+    with np.errstate(over="ignore"):    # v is inf for a mu far below E_1
+        v = roots.beta * (roots.e1 - mu)
+    sums, errors = _rung_sums(_grand_rungs(table, roots, v, roots.count,
+                                           policy), np.arange(len(mu)), mu,
+                              kind)
+    return _first_errors(errors, len(mu))[0] or read(*sums.tolist())
 
 
 def log_relative_partition(potential, mu_pair, temperature,
@@ -940,9 +946,9 @@ def log_relative_partition(potential, mu_pair, temperature,
             potential, 1, temperature, lambda pre, post: next(
                 filter(_failed, (post, pre)), None) or post[0] - pre[0],
             policy)
-    table, rungs = checked
-    return value_or_raise(_log_ratios(_one_trap_sums(
-        table, rungs, temperature, "log", policy))[0])
+    return value_or_raise(_one_trap_sums(*checked, temperature, "log",
+                                         policy,
+                                         lambda pre, post: pre - 2.0 * post))
 
 
 def internal_energy(stage, potential, mu_pair, baths, policy=TruncationPolicy()):
@@ -953,7 +959,7 @@ def internal_energy(stage, potential, mu_pair, baths, policy=TruncationPolicy())
     with the barrier configuration, bath temperature, and chemical potential
     the stage dictates.  Morse stages are plain Boltzmann averages.
     """
-    barrier, bath = _STAGES[stage]
+    barrier, bath = _STAGES[_member(stage, Stage)]
     temperature = getattr(baths, bath)
     checked = _checked_rungs(potential, mu_pair, temperature)
     if checked is None:
@@ -962,4 +968,4 @@ def internal_energy(stage, potential, mu_pair, baths, policy=TruncationPolicy())
     table, rungs = checked
     return value_or_raise(_one_trap_sums(
         table, (rungs[barrier is Barrier.INSERTED],), temperature, "energy",
-        policy)[0])
+        policy, float))

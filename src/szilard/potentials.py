@@ -298,6 +298,8 @@ def level_energy(potential, n, barrier=Barrier.ABSENT):
     takes the same formula and checks in Python floats, without building
     arrays.
     """
+    _require(isinstance(barrier, Barrier), SpectrumRangeError,
+             f"expected a Barrier, got {barrier!r}")
     scalar = isinstance(n, int)
     arr = n if scalar else np.asarray(n)
     empty = not scalar and arr.size == 0

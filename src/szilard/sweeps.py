@@ -32,11 +32,11 @@ from . import __version__
 from .constants import ATOMIC_MASS, EV, K_B
 from .errors import (ConfigError, OutputError, SzilardError, TruncationError,
                      value_or_raise)
-from .potentials import Barrier, Harmonic, Morse, PowerLaw
+from .potentials import Harmonic, Morse, PowerLaw
 from .barrier import even_levels, odd_level
 from .ensembles import (BathPair, MuMode, TruncationPolicy, _TrapTable,
                         _bath_ratios, _batches, _beta, _chemical_potentials,
-                        _count_error, _failed, _mu_pairs)
+                        _count_error, _failed, _first_errors, _point_roots)
 from .cycle import Ensemble, _run_cycles
 # perfbench/test_perfbench.py::test_tracer_restores_every_binding reads it
 from .cycle import run_cycle  # noqa: F401
@@ -390,55 +390,46 @@ def _harmonic_points(spec, points):
 def _chemical_potential_values(spec, points):
     """Per point, its row values or SzilardError.  The points of each batch
     solve the roots of all their counts and temperatures together, in both
-    modes (see ensembles._chemical_potentials), from the ground levels of
-    the batch, each rung once; each point keeps the values it gets alone,
-    the closed form's error first."""
-    barriers = (Barrier.ABSENT, Barrier.INSERTED)
+    modes (see ensembles._chemical_potentials), as the columns of the
+    batch's roots with the ground levels of its table, each rung once, and
+    read their cells from the mu arrays; each point keeps the values it
+    gets alone, the closed form's error first."""
     out, table, batches = _harmonic_points(spec, points)
     for run, rows in batches:
-        roots = [(row, barrier, out[i][1], table.grounds[row][barrier])
-                 for i, row in zip(run, rows) for barrier in barriers]
-        counts = [out[i][0] for i in run]
-        temperatures = [(out[i][1],) for i in run]
-        closed, solved = (_mu_pairs(_chemical_potentials(
-            table, roots, [count for count in counts for _ in barriers],
-            mode, spec.policy), counts, temperatures, mode)
+        roots = _point_roots(table, rows, [out[i][0] for i in run],
+                             [(out[i][1],) for i in run])
+        (closed, closed_errors), (solved, solved_errors) = (
+            _chemical_potentials(table, roots, mode, spec.policy)
             for mode in (MuMode.CLOSED_FORM, MuMode.SOLVED))
-        for i, pairs in zip(run, zip(closed, solved)):
-            error = next((e for e in pairs if _failed(e)), None)
-            out[i] = error or {**out[i][3], **_mu_cells(pairs[0][0],
-                                                        pairs[1][0])}
+        failed = zip(_first_errors(closed_errors, 2),
+                     _first_errors(solved_errors, 2))
+        mus = np.hstack((closed.reshape(-1, 2), solved.reshape(-1, 2)))
+        for i, (error, root_error), (pre, post, root_pre, root_post) in zip(
+                run, failed, mus.tolist()):
+            out[i] = error or root_error or {
+                **out[i][3], "mu_pre": pre, "mu_post": post,
+                "mu_pre_solved": root_pre, "mu_post_solved": root_post,
+                "mu_pre_scaled": pre * 1e23, "mu_post_scaled": post * 1e23,
+                "discrepancy_pre": abs(pre - root_pre),
+                "discrepancy_post": abs(post - root_post)}
     return out
-
-
-def _mu_cells(closed, solved):
-    return {
-        "mu_pre": closed.pre_insertion,
-        "mu_post": closed.post_insertion,
-        "mu_pre_solved": solved.pre_insertion,
-        "mu_post_solved": solved.post_insertion,
-        "mu_pre_scaled": closed.pre_insertion * 1e23,
-        "mu_post_scaled": closed.post_insertion * 1e23,
-        "discrepancy_pre": abs(closed.pre_insertion - solved.pre_insertion),
-        "discrepancy_post": abs(closed.post_insertion - solved.post_insertion),
-    }
 
 
 def _partition_ratio_values(spec, points):
     """Per point, its row values or SzilardError.  The points of each batch
     run through the grand-canonical cycle's root-and-ratio path
     (ensembles._bath_ratios) together, each trap with its own count at its
-    own temperature, each rung once; each point keeps the values it gets
-    alone."""
+    own temperature, each rung once, and read their cells from its array
+    of log ratios; each point keeps the values it gets alone."""
     mode = MuMode(spec.params["mu_mode"])
     out, table, batches = _harmonic_points(spec, points)
     for run, rows in batches:
-        for i, value in zip(run, _bath_ratios(
-                table, rows, [out[i][0] for i in run],
-                [(out[i][1],) for i in run], mode, spec.policy)[0]):
-            out[i] = value if _failed(value) else {
-                **out[i][3], "log_ratio": value[1][0],
-                "ratio": math.exp(value[1][0])}
+        _, ratios, errors, _ = _bath_ratios(
+            table, rows, [out[i][0] for i in run],
+            [(out[i][1],) for i in run], mode, spec.policy)
+        for i, error, (ratio,) in zip(run, errors, ratios.tolist()):
+            out[i] = error or {**out[i][3], "log_ratio": ratio,
+                               "ratio": math.exp(ratio)}
     return out
 
 

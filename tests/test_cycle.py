@@ -8,9 +8,10 @@ from hypothesis import event, given, settings, strategies as st
 from szilard import (Barrier, BathPair, CycleResult, Ensemble,
                      EnsembleMismatchError, HBAR, Harmonic, K_B, Morse, MuMode,
                      PowerLaw, Regime, SolverFailureError, SzilardError,
-                     TruncationError, TruncationPolicy, carnot_bound,
+                     Stage, TruncationError, TruncationPolicy, carnot_bound,
                      canonical_stage_properties, chemical_potentials,
-                     run_cycle, run_cycles)
+                     internal_energy, log_relative_partition, run_cycle,
+                     run_cycles)
 from szilard import cycle
 from szilard.ensembles import _batches, _beta
 
@@ -311,6 +312,68 @@ def test_points_that_share_stage_sums_keep_their_own_outcomes(data, morse,
     _assert_same_outcomes(cycle._run_cycles(traps, ensemble, counts, baths,
                                             policy, MuMode.SOLVED, False),
                           singles)
+
+
+def _first_grand_error(trap, count, baths, mode, policy):
+    """The error of a grand-canonical point's first failing step, composed
+    from public one-trap calls in the documented order, or None: its
+    chemical potentials at the hot bath, then at the cold one (absent
+    before inserted at each); its log ratio at each bath; its stage
+    energies, A to D."""
+    temperatures = (baths.hot, baths.cold)
+    try:
+        mus = [chemical_potentials(trap, count, temperature, mode, policy)
+               for temperature in temperatures]
+        for pair, temperature in zip(mus, temperatures):
+            log_relative_partition(trap, pair, temperature, policy)
+        for stage in Stage:
+            internal_energy(stage, trap, mus[stage in (Stage.C, Stage.D)],
+                            baths, policy)
+    except SzilardError as exc:
+        return exc
+    return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), mode=st.sampled_from((MuMode.SOLVED,
+                                             MuMode.CLOSED_FORM)),
+       max_terms=st.sampled_from((60, 10)))
+def test_grand_points_fail_in_the_documented_order(data, mode, max_terms):
+    """The grand-canonical route reports for a failing point the error of
+    its first failing root (absent then inserted, at the hot bath then the
+    cold one), else of its first failing log ratio, else of its first
+    failing stage energy, A to D.  Each point of one _run_cycles batch,
+    under a cap of 60 or 10 terms, meets the error that the public
+    one-trap calls composed in that order raise, or, where none raises,
+    fails at most in the cycle's own first-law check.  Traps repeat at
+    counts 1-50, baths come from a pool T, 2T and 4T, and harmonic and
+    power-law traps (exponents 1.2-4, level scales 0.05-20 kT) make some
+    roots, ratios and energies fail and others not."""
+    base = data.draw(_kelvin)
+    pool = (base, 2.0 * base, 4.0 * base)
+    shared = [_batch_trap(kind, exponent, ratio, 0.0, K_B * base)
+              for kind, exponent, ratio in data.draw(st.lists(st.tuples(
+                  st.sampled_from(_KINDS[Ensemble.GRAND_BOSE]),
+                  st.floats(1.2, 4.0), _scale), min_size=1, max_size=3))]
+    jobs = data.draw(st.lists(st.tuples(
+        st.sampled_from(shared), st.integers(1, 50), st.sampled_from(pool),
+        st.sampled_from(pool)), min_size=2, max_size=8))
+    traps = [trap for trap, *_ in jobs]
+    counts = [count for _, count, _, _ in jobs]
+    baths = [BathPair(hot, cold) for *_, hot, cold in jobs]
+    policy = TruncationPolicy(max_terms=max_terms)
+    outcomes = cycle._run_cycles(traps, Ensemble.GRAND_BOSE, counts, baths,
+                                 policy, mode, False)
+    failed = 0
+    for trap, count, pair, outcome in zip(traps, counts, baths, outcomes):
+        want = _first_grand_error(trap, count, pair, mode, policy)
+        if want is None:
+            assert not isinstance(outcome, SzilardError) or str(
+                outcome).startswith("first-law closure"), outcome
+        else:
+            assert (type(outcome), str(outcome)) == (type(want), str(want))
+            failed += 1
+    event(f"{mode.name}, cap {max_terms}: {failed} of {len(jobs)} fail")
 
 
 def test_long_and_short_ladders_share_batches():

@@ -58,6 +58,21 @@ def _on_rows(requests):
                    for row, request in zip(table.rows, requests)]
 
 
+def _grand_rungs_of(requests, policy):
+    """The _Rungs that _grand_rungs builds for (trap, barrier, temperature,
+    v, count) requests: the columns of their roots on the _TrapTable of
+    their traps, each summed from v on and solving for count."""
+    table = ensembles._TrapTable([request[0] for request in requests])
+    roots = ensembles._Roots(
+        table, table.rows,
+        [request[1] is Barrier.INSERTED for request in requests],
+        [request[2] for request in requests],
+        [request[4] for request in requests])
+    return ensembles._grand_rungs(
+        table, roots, np.array([request[3] for request in requests]),
+        roots.count, policy)
+
+
 def _closed_form_work(count, omega, baths):
     """Geometric stage sums of the shared-level harmonic ladder."""
     q = HBAR * omega
@@ -262,19 +277,23 @@ class TestChemicalPotential:
 
         def recorded(counts, rungs):
             out = solve(counts, rungs)
-            roots.extend(zip(counts, out))
+            roots.extend(zip(counts.tolist(), out[0].tolist()))
             return out
 
-        def solved(table, batch, counts, mode, policy, rungs=None):
-            """Each SOLVED root's trap, barrier and temperature, beside the
-            count and u its _mu_offsets call records."""
+        def solved(table, columns, mode, policy, rungs=None):
+            """Each SOLVED root's trap, barrier and temperature, from the
+            columns of its roots, beside the count and u its _mu_offsets
+            call records."""
             start = len(roots)
-            out = solve_all(table, batch, counts, mode, policy, rungs)
+            out = solve_all(table, columns, mode, policy, rungs)
             if mode is MuMode.SOLVED:
                 roots[start:] = [
-                    ((table.traps[row], barrier, temperature), *root)
-                    for (row, barrier, temperature, _), root in zip(
-                        batch, roots[start:], strict=True)]
+                    ((table.traps[row], tuple(Barrier)[inserted],
+                      temperature), *root)
+                    for row, inserted, temperature, root in zip(
+                        columns.row.tolist(), columns.inserted.tolist(),
+                        columns.temperature.tolist(), roots[start:],
+                        strict=True)]
             return out
 
         monkeypatch.setattr(ensembles, "_mu_offsets", recorded)
@@ -320,8 +339,8 @@ class TestChemicalPotential:
             return bounds
 
         def traced_solve(*args):
-            out = solve(*args)
-            solved.extend(out)
+            u, errors = out = solve(*args)
+            solved.append((u.tolist(), list(errors)))
             return out
 
         with mock.patch.object(ensembles, "_floor", traced_floor), \
@@ -331,8 +350,8 @@ class TestChemicalPotential:
                                    MuMode.SOLVED)
             except (ConvergenceViolationError, SolverFailureError) as exc:
                 assert "ulp" in str(exc)
-        (u,), (bound,) = solved, floors
-        assert type(u) is float
+        (((u,), (error,)),), (bound,) = solved, floors
+        assert error is None
         assert bound <= u + 4e-16 * max(1.0, abs(u))
 
     def test_solves_when_ground_level_dwarfs_kt(self):
@@ -1371,10 +1390,10 @@ def test_grand_rungs_size_by_the_scalar_reference(traps):
         barrier = Barrier.INSERTED if inserted else Barrier.ABSENT
         trap = (Harmonic(MASS, scale / HBAR) if harmonic
                 else PowerLaw.from_energy_scale(MASS, scale, nu))
-        requests.append((trap, barrier, beta,
-                         level_energy(trap, 1, barrier), v, math.inf))
-    rungs = ensembles._grand_rungs(*_on_rows(requests), _SMALL_CAP)
-    for r, (trap, barrier, _, e1, *_) in enumerate(requests):
+        requests.append((trap, barrier, 2.0, v, math.inf))
+    rungs = _grand_rungs_of(requests, _SMALL_CAP)
+    for r, (trap, barrier, *_) in enumerate(requests):
+        e1 = level_energy(trap, 1, barrier)
         error = rungs.errors[r]
         try:
             n, tailed = _reference_head(trap, barrier, beta, e1, _SMALL_CAP)
@@ -1418,7 +1437,6 @@ def test_heads_of_any_rows_keep_each_rows_bits(traps, temperatures, data):
     weight, log and energy sums keep the bits of that row's own one-row
     _Heads; and those of a rung with no tail equal np.sum of its own head's
     terms."""
-    betas = [1.0 / (K_B * t) for t in temperatures]
     requests = []
     for harmonic, log_scale, nu, inserted, b, count in traps:
         scale = 10 ** log_scale * K_B * 2.0
@@ -1426,17 +1444,16 @@ def test_heads_of_any_rows_keep_each_rows_bits(traps, temperatures, data):
         trap = (Harmonic(MASS, scale / HBAR) if harmonic
                 else PowerLaw.from_energy_scale(MASS, scale, nu))
         g = 2.0 if inserted else 1.0
-        requests.append((trap, barrier, betas[b % len(betas)],
-                         level_energy(trap, 1, barrier),
+        requests.append((trap, barrier, temperatures[b % len(temperatures)],
                          math.log1p(g / count), count))
-    rungs = ensembles._grand_rungs(*_on_rows(requests), _SMALL_CAP)
+    rungs = _grand_rungs_of(requests, _SMALL_CAP)
     live = [r for r, error in enumerate(rungs.errors) if error is None]
     if not live:
         return
     rows = data.draw(st.lists(st.sampled_from(live), min_size=1,
                               unique=True))
     at = np.array(rows, dtype=np.intp)
-    v = np.array([requests[r][4] + data.draw(st.floats(0.0, 20.0))
+    v = np.array([requests[r][3] + data.draw(st.floats(0.0, 20.0))
                   for r in rows])
     d = v / rungs.beta[at]
     heads = ensembles._Heads(rungs, at, True)
@@ -1632,15 +1649,14 @@ def test_heads_and_moments_match_whole_sums(nu, log_scale, count, mode):
     baths = BathPair(hot=2.0, cold=1.0)
     trap = PowerLaw.from_energy_scale(MASS, 10 ** log_scale * K_B, nu)
     table, batch = _one_batch(trap, 1, baths.hot, _SMALL_CAP)
-    (pairs,), rungs = ensembles._bath_ratios(
+    mus, _, (error,), rungs = ensembles._bath_ratios(
         table, batch, [count], [(baths.hot, baths.cold)], mode, _SMALL_CAP)
-    if isinstance(pairs, SzilardError):
+    if error is not None:
         return
-    (hot, cold), _ = pairs
-    rows = ((Barrier.ABSENT, hot.pre_insertion, baths.hot),
-            (Barrier.INSERTED, hot.post_insertion, baths.hot),
-            (Barrier.ABSENT, cold.pre_insertion, baths.cold),
-            (Barrier.INSERTED, cold.post_insertion, baths.cold))
+    rows = ((Barrier.ABSENT, mus[0], baths.hot),
+            (Barrier.INSERTED, mus[1], baths.hot),
+            (Barrier.ABSENT, mus[2], baths.cold),
+            (Barrier.INSERTED, mus[3], baths.cold))
     if trap.level_power != 1.0 and any(
             _reference_index_beyond(
                 trap, barrier, 1.0 / (K_B * temperature),
@@ -1649,8 +1665,11 @@ def test_heads_and_moments_match_whole_sums(nu, log_scale, count, mode):
             for barrier, _, temperature in rows):
         return
     for row, (barrier, mu, temperature) in enumerate(rows):
-        got = [ensembles._rung_sums(rungs, [row], [mu], kind)[0]
-               for kind in ("occupancy", "log", "energy")]
+        sums = [ensembles._rung_sums(rungs, np.array([row]), np.array([mu]),
+                                     kind) for kind in ("occupancy", "log",
+                                                        "energy")]
+        assert [errors for _, errors in sums] == [[None]] * 3
+        got = [float(total[0]) for total, _ in sums]
         for value, (want, magnitude) in zip(got, _whole_sums(
                 trap, barrier, mu, temperature)):
             assert abs(value - want) <= 1e-12 * magnitude, (
@@ -1923,3 +1942,28 @@ def test_mu_far_below_ground_sums_to_zero_without_warning():
         assert log_relative_partition(_COUNT_POWER_LAW, mus, 2.0) == 0.0
         assert internal_energy(Stage.A, _COUNT_POWER_LAW, mus,
                                _COUNT_BATHS) == 0.0
+
+
+@pytest.mark.parametrize("value", ["inserted", None, 1])
+@pytest.mark.parametrize("call, error", [
+    (lambda value: chemical_potential(_COUNT_HARMONIC, 5, 1.0, value,
+                                      MuMode.CLOSED_FORM),
+     EnsembleMismatchError),
+    (lambda value: occupancy_total(_COUNT_HARMONIC, value, -1e-20, 1.0),
+     EnsembleMismatchError),
+    (lambda value: internal_energy(value, _COUNT_HARMONIC, _MUS, BATHS),
+     EnsembleMismatchError),
+    (lambda value: canonical_stage_properties(_COUNT_HARMONIC, value, 1,
+                                              1.0), EnsembleMismatchError),
+    (lambda value: level_energy(_COUNT_HARMONIC, 1, value),
+     SpectrumRangeError)],
+    ids=["chemical_potential", "occupancy_total", "internal_energy",
+         "canonical_stage_properties", "level_energy"])
+def test_a_barrier_or_stage_of_another_type_is_refused(call, error, value):
+    """A barrier that is not a Barrier, or a stage that is not a Stage, is
+    a typed error naming it: a member's value, None or an int raised a bare
+    KeyError (chemical_potential, occupancy_total, internal_energy) or
+    silently read the barrier-absent ladder (canonical_stage_properties,
+    level_energy)."""
+    with pytest.raises(error, match=f"got {value!r}$"):
+        call(value)

@@ -85,3 +85,26 @@ def test_every_parameter_is_read():
             unread += [f"{path.name}:{node.lineno}: {node.name}({name})"
                        for name in sorted(names - read - {"self", "cls"})]
     assert not unread
+
+
+def test_every_private_definition_is_referenced():
+    """Each private function, class or method of szilard (a leading
+    underscore, not a dunder) is referenced somewhere in the package: by
+    name, as an attribute or in an import.  A helper that only tests
+    reach is dead code."""
+    defined, referenced = [], set()
+    for path in sorted(Path(szilard.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                if node.name.startswith("_") and not node.name.endswith("__"):
+                    defined.append((f"{path.name}:{node.lineno}", node.name))
+            elif isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.alias):
+                referenced.add(node.name)
+    assert defined
+    assert [f"{at}: {name}" for at, name in defined
+            if name not in referenced] == []

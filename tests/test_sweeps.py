@@ -650,6 +650,26 @@ class TestSingleEvaluation:
         assert max(max(solve.values())
                    for solve in newton_rounds(newton_log)) == most
 
+    @pytest.mark.parametrize("target, built", [
+        ("fig4", 0), ("fig5", 0), ("fig7", 200), ("fig8", 960)])
+    def test_chemical_potentials_are_built_only_for_cycle_results(
+            self, target, built, tmp_path, monkeypatch):
+        """A sweep builds a ChemicalPotentials only where a cycle returns
+        it, two per fig7 and fig8 point for CycleResult.mus: the roots
+        are columns of arrays until then, and fig4 and fig5 read their
+        cells from those arrays.  fig4 built 480 that its cells read back
+        and fig5 120 that it discarded."""
+        calls = []
+        init = ensembles.ChemicalPotentials.__init__
+
+        def counted(self, *args, **kwargs):
+            calls.append(args or kwargs)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(ensembles.ChemicalPotentials, "__init__", counted)
+        assert _run(preset(target), tmp_path).failed == 0
+        assert len(calls) == built
+
     def test_capped_fig8_keeps_its_error_rows(self, tmp_path):
         """fig8 at --max-terms 30 fails 252 of its 480 rows, each on a
         power-law k-series or a head longer than the cap, with 66 distinct
