@@ -688,6 +688,37 @@ class TestSingleEvaluation:
         assert hashlib.sha256("\n".join(errors).encode()).hexdigest()[
             :16] == "47f95c8d939d16b4"
 
+    @pytest.mark.parametrize("target, cap, rows, kinds, digest", [
+        ("fig10", 30, (800, 322, 39), {"TruncationError": 322},
+         "bd27153915295825"),
+        ("fig9-inset", 12, (41, 33, 28),
+         {"NoBoundStatesError": 25, "SpectrumRangeError": 5,
+          "TruncationError": 3}, "61bb69c77be580a3")])
+    def test_capped_canonical_runs_keep_their_error_rows(
+            self, tmp_path, target, cap, rows, kinds, digest):
+        """The canonical route's error rows under a small cap: fig10 at
+        --max-terms 30 fails 322 of its 800 rows on Morse heads longer
+        than the cap (39 distinct lengths); fig9-inset at --max-terms 12
+        fails 33 of its 41, on wells too shallow to hold a level or to
+        split one, and on heads.  A row reports the first error of its
+        stages A to D, each stage's in the order ground level, N beta
+        overflow, head estimate, cap, level, sum and tail: the sha256 of
+        the error column pins every message and its row."""
+        out = tmp_path / "run.csv"
+        assert main([target, "--max-terms", str(cap), "--out",
+                     str(out)]) == 0
+        errors = [line.rsplit(",", 1)[1]
+                  for line in out.read_text().splitlines()[1:]]
+        failed = [e for e in errors if e]
+        assert (len(errors), len(failed), len(set(failed))) == rows
+        kinds_seen = {}
+        for error in failed:
+            kind = error.split(":", 1)[0]
+            kinds_seen[kind] = kinds_seen.get(kind, 0) + 1
+        assert kinds_seen == kinds
+        assert hashlib.sha256("\n".join(errors).encode()).hexdigest()[
+            :16] == digest
+
 
 class TestBatchedRuns:
     """A cycle run evaluated with one run_cycles call writes the bytes of
