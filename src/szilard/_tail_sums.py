@@ -42,15 +42,6 @@ class _Segments:
         self.slots = np.zeros(len(self.width), dtype=np.intp)
         np.cumsum(self.width[:-1], out=self.slots[1:])
 
-    def join(self, ladders):
-        """The ladders as one flat array.
-
-        Each slot repeats its ladder's first value, so every term function
-        stays finite there; sums() zeroes the slots of the terms.
-        """
-        return np.concatenate([part for ladder in ladders
-                               for part in (ladder[:1], ladder)])
-
     def spread(self, values):
         """One value per segment, repeated over its slot and ladder."""
         return np.repeat(values, self.width)
@@ -466,15 +457,17 @@ class _Rungs:
                  "kind", "x_tail", "bd", "delta", "terms", "offset",
                  "moments", "x_cut", "max_terms")
 
-    def __init__(self, g, beta, e1, errors, readers, built, shapes, v, count,
-                 x_cut, max_terms):
+    def __init__(self, g, beta, e1, errors, readers, tailed, step, flat,
+                 levels, shapes, v, count, x_cut, max_terms):
         """The rungs of roots with degeneracies g, betas, ground levels e1,
         least v and occupancy counts (the columns of ensembles._Roots) and
-        their errors.  built[m] is the (head, tailed, step) of a rung
-        that ensembles._grand_rungs built, which the rows readers[m] read,
-        all of one g, beta and E_1: the head's levels, whether a tail adds
-        the rest of the ladder, and its stride, on the trap whose shape is
-        row m of the potentials._Shapes shapes.  Each row is summed at v
+        their errors (an ensembles._Errors).  Rung m, which
+        ensembles._grand_rungs built and the rows readers[m] read, all of
+        one g, beta and E_1, has a tail after its head where tailed[m],
+        stride step[m] (arrays), the levels of its head as segment m of the
+        _Segments flat over the array levels, which it overwrites, each
+        behind a slot that holds its first level, and the trap whose shape
+        is row m of the potentials._Shapes shapes.  Each row is summed at v
         = beta (E_1 - mu) from its v on, raised, for the root of an
         occupancy count (inf for none), to log(1 + j g/count) - x_j at every
         level j of the head, whose first j terms alone reach count there.
@@ -491,17 +484,14 @@ class _Rungs:
         self.x_tail, self.bd, self.delta = (np.zeros(size) for _ in range(3))
         self.x = self.gap = np.zeros(0)
         self.moments = np.zeros((2, 0))
-        if not built:
+        if not readers:
             return
         # per rung
-        ladders, tailed, step = (np.array(column) if i else column
-                                 for i, column in enumerate(zip(*built)))
         scale, power = shapes.scale, shapes.power
         first = np.array([rows[0] for rows in readers], dtype=np.intp)
         rung_beta, rung_e1 = beta[first], e1[first]
-        flat = _Segments([len(ladder) for ladder in ladders])
         heads, starts = flat.width - 1, flat.slots
-        gap = flat.join(ladders)
+        gap = levels
         gap -= flat.spread(rung_e1)
         gap[starts] = 0.0
         x = flat.spread(rung_beta)
@@ -520,7 +510,7 @@ class _Rungs:
             x_tail[laws] = rung_beta[laws] * (e - rung_e1[laws])
         # per row
         rows = np.concatenate(readers)
-        m = np.repeat(np.arange(len(built)), [len(r) for r in readers])
+        m = np.repeat(np.arange(len(readers)), [len(r) for r in readers])
         self.heads[rows], self.starts[rows], self.x_tail[rows] = (
             heads[m], starts[m], x_tail[m])
         self.delta[rows], self.bd[rows] = delta[m], bd[m]
@@ -539,17 +529,17 @@ class _Rungs:
                 length = np.ceil(x_cut / (self.x_tail[r] + floor))
             refused = ~(length <= max_terms)
             for i in refused.nonzero()[0].tolist():
-                self.errors[r[i]] = _cap_error(length[i], max_terms)
+                self.errors.set(r[i], _cap_error(length[i], max_terms))
             kind[at[refused]] = 0
             keep = ~refused
             r, m, n = r[keep], m[keep], length[keep].astype(np.intp)
             self.terms[r] = n
             # each rung's k = 1..its rows' longest series behind a slot,
             # whose moments are 0
-            longest = np.zeros(len(built), dtype=np.intp)
+            longest = np.zeros(len(readers), dtype=np.intp)
             np.maximum.at(longest, m, n)
             table = _Segments(longest[laws])
-            offset = np.zeros(len(built), dtype=np.intp)
+            offset = np.zeros(len(readers), dtype=np.intp)
             offset[laws] = table.slots
             self.offset[r] = offset[m]
             k = table.within()

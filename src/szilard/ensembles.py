@@ -21,11 +21,17 @@ identity: a row per distinct trap object, with its ladder shape and ground
 levels, which every sum reads by row.  _batches splits the points into
 batches of a bounded number of estimated terms, closing one only between
 two rows, so a batch sums each distinct canonical (row, count, bath) once
-and builds each grand rung once for all its counts.  A grand batch's roots
-are columns (_Roots: row, barrier, temperature, beta, E_1, count) from
-where _bath_ratios forms them to where _grand_sums sums their energies:
-mu, the log ratios and the energies are arrays aligned to them, each with
-one error list beside it.
+and builds each grand rung once for all its counts.  A batch's sums are
+columns, each result an array aligned to them with one error list and its
+live mask (_Errors) beside it.  A canonical or Morse batch's stage rows
+(_Stages: row, barrier, N beta, E_1, head length, tailed) are sized,
+summed, tailed and logged as arrays; a row's error is the first of its
+ground level, N beta past float range, its head's estimate, a head past
+max_terms, its levels, a sum not finite and a sum not finite after its
+tail, and a point reports its first failing stage, A to D.  A grand
+batch's roots are columns (_Roots: row, barrier, temperature, beta, E_1,
+count) from where _bath_ratios forms them to where _grand_sums sums their
+energies.
 
 Every ladder is sized by one rule, _heads (in _tail_sums): a sum's length is
 fixed from its ground level E_1 before any term is formed, and the sum is
@@ -37,19 +43,21 @@ takes its tail as a short k-series in e^{-beta (E_1 - mu)} over moments
 that do not depend on mu, the same tails at k beta, formed once per rung,
 so every Newton round, occupancy re-check, log ratio and stage energy sums
 heads and k-series only.  A length past max_terms is a TruncationError,
-never a silent cut.  A trap's sums share one barrier-free ladder, extended
-when a sum outgrows it; an inserted sum takes every other level of it (see
-_level_ladders).  Both routes lay their arrays out flat by one _Segments.
+never a silent cut.  A batch's sums share one flat store of its traps'
+barrier-free ladders (_Ladders), extended when a sum outgrows them, and
+gather their levels from it by index; an inserted sum takes every other
+level.  Both routes lay their arrays out flat by one _Segments.
 
 Only exactly rounded operations run on arrays, and a level's fractional
 power, in one np.power call per distinct power as level_energy takes it,
 and the Newton roots' logs and exps (_mu_offsets), each numpy's of its
 element alone.  A log, exp or fractional power that sets a length or a
-logged total, and beta = 1/(k_B T), the closed form's log1p and mu's exp,
-run in Python floats and math, element by element (mapped over an array),
-so every value keeps the bits of its one-trap evaluation.
+logged total, the closed form's log1p and mu's exp run in Python floats
+and math, element by element (mapped over an array), so every value keeps
+the bits of its one-trap evaluation.
 """
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -157,26 +165,16 @@ _STAGES = {Stage.A: (Barrier.ABSENT, "hot"), Stage.B: (Barrier.INSERTED, "hot"),
            Stage.D: (Barrier.ABSENT, "cold")}
 
 
-def _degeneracy(barrier):
-    """Level degeneracy: every inserted level is doubly degenerate."""
-    return 2.0 if barrier is Barrier.INSERTED else 1.0
-
-
-def _stride(barrier):
-    """Inserted level n is barrier-free level 2n."""
-    return 2 if barrier is Barrier.INSERTED else 1
-
-
 # ---------------------------------------------------------------------------
 # truncated series evaluation
 #
-# _series_sums evaluates many segments, each one (trap, barrier, beta)
-# Boltzmann sum, with their ladders laid end to end in one flat array by
-# _tail_sums._Segments, the layout the grand route's heads, moments and
-# k-series share: each elementwise step is one numpy pass over all of them,
-# while per-segment logic (lengths, errors) stays in Python.  A batched
-# value equals the one-segment value bit for bit, and a failing segment
-# yields its SzilardError in place of a value.
+# A batch's sums are columns, one entry per sum, with one error list beside
+# them (_Errors).  Their levels are gathered from one flat store of the
+# batch's barrier-free ladders (_Ladders) by index arithmetic, laid end to
+# end by _tail_sums._Segments, the layout the grand route's heads, moments
+# and k-series share: each elementwise step is one numpy pass over all of
+# them, and only a failing sum builds its error in Python.  A batched value
+# equals the one-sum value bit for bit.
 
 
 def _beta(temperature):
@@ -191,17 +189,66 @@ def _beta(temperature):
     return beta
 
 
+def _betas(temperatures):
+    """_beta of each of an array of temperatures, with its bits: k_B T and
+    its reciprocal are exactly rounded.  The first temperature _beta
+    refuses raises its error."""
+    temperatures = np.asarray(temperatures, dtype=float)
+    with np.errstate(divide="ignore", over="ignore"):
+        beta = 1.0 / (K_B * temperatures)
+    for temperature in temperatures[~((0.0 < beta) & (beta < math.inf))]:
+        _beta(float(temperature))
+    return beta
+
+
+class _Errors(list):
+    """An error list, entry k None or the SzilardError of the k-th entry of
+    some columns, with its live mask beside it: live[k] is whether entry k
+    is None.  Every error is set through set(), so the mask is never
+    rebuilt from the list."""
+
+    __slots__ = ("live",)
+
+    def __init__(self, size):
+        super().__init__([None] * size)
+        self.live = np.ones(size, dtype=bool)
+
+    def set(self, k, error):
+        self[k] = error
+        self.live[k] = False
+
+    def copy(self):
+        out = _Errors(0)
+        out[:], out.live = self, self.live.copy()
+        return out
+
+    def take(self, rows):
+        """The entries at rows (an index array), as an _Errors."""
+        out = _Errors(len(rows))
+        for i in (~self.live[rows]).nonzero()[0].tolist():
+            out.set(i, self[rows[i]])
+        return out
+
+    def first(self, width):
+        """Per run of `width` consecutive entries, its first error or None,
+        as an _Errors."""
+        out = _Errors(len(self) // width)
+        for j in reversed((~self.live).nonzero()[0].tolist()):
+            out.set(j // width, self[j])
+        return out
+
+
 class _TrapTable:
     """The distinct trap objects of a run of points, one row each in order
     of first appearance: traps[r] is row r's trap, shapes their _Shapes
-    (one _Shapes.of call), grounds[r] its E_1 by barrier, each the level or
-    the SzilardError its lookup raises, and rows[i] the row of point i.
-    All the barrier-free levels 1 and 2 (the inserted E_1) are one
-    _Shapes.ladders pass, e1 (a row per trap: absent, inserted), with the
-    bits of level_energy; a Morse well that pass refuses takes its levels,
-    or its error, from level_energy, in grounds only."""
+    (one _Shapes.of call), and rows[i] the row of point i.  e1[r] holds row
+    r's ground levels, barrier absent and inserted, the barrier-free levels
+    1 and 2 of one _Shapes.ladders pass over all rows, with the bits of
+    level_energy.  A Morse well that pass refuses takes both from
+    level_energy: failed[r] marks a lookup that raises (its e1 is nan), and
+    errors[r, k] is its SzilardError, k = 0 absent, 1 inserted."""
 
-    __slots__ = ("traps", "shapes", "grounds", "e1", "rows")
+    __slots__ = ("traps", "shapes", "e1", "failed", "errors", "rows")
 
     def __init__(self, potentials):
         place = {}
@@ -212,14 +259,82 @@ class _TrapTable:
         ones = np.ones(len(self.traps), dtype=int)
         e, _, refused = self.shapes.ladders(ones, 2 * ones)
         self.e1 = e.reshape(-1, 2)
-        self.grounds = [dict(zip(Barrier, pair)) for pair in self.e1.tolist()]
+        self.failed = np.zeros(self.e1.shape, dtype=bool)
+        self.errors = {}
         for r in refused.nonzero()[0].tolist():
-            for barrier in Barrier:
+            for k, barrier in enumerate(Barrier):
                 try:
-                    self.grounds[r][barrier] = level_energy(self.traps[r], 1,
-                                                            barrier)
+                    self.e1[r, k] = level_energy(self.traps[r], 1, barrier)
                 except SzilardError as exc:
-                    self.grounds[r][barrier] = exc.with_traceback(None)
+                    self.e1[r, k], self.failed[r, k] = math.nan, True
+                    self.errors[r, k] = exc.with_traceback(None)
+
+    def ground_error(self, row):
+        """The error of row's first failing ground level, absent then
+        inserted, or None."""
+        return self.errors.get((row, 0)) or self.errors.get((row, 1))
+
+
+class _Ladders:
+    """The barrier-free ladders of the rows of a _TrapTable, end to end in
+    one flat array: row r's levels 1..size[r] from levels[off[r]] on, each
+    with the bits of its own level_energy call.  Inserted level m is
+    barrier-free level 2m (see potentials), so level m of the configuration
+    of stride 1 (absent) or 2 (inserted) is levels[off[r] + stride m - 1]."""
+
+    __slots__ = ("table", "levels", "off", "size")
+
+    def __init__(self, table):
+        self.table = table
+        self.levels = np.zeros(0)
+        self.size = np.zeros(len(table.traps), dtype=np.intp)
+        self.off = np.zeros_like(self.size)
+
+    def reach(self, row, top):
+        """Extend the ladder of each row[i] to at least top[i] levels (index
+        arrays), the missing levels of all of them in one _Shapes.ladders
+        pass.  Returns by row the error level_energy raises for the missing
+        levels of a trap that ladders refuses; its ladder stays as it
+        was."""
+        want = self.size.copy()
+        np.maximum.at(want, row, top)
+        rows = (want > self.size).nonzero()[0]
+        if not len(rows):
+            return {}
+        first, top = self.size[rows] + 1, want[rows]
+        e, _, refused = self.table.shapes.take(rows).ladders(first, top)
+        grow, errors = top - first + 1, {}
+        for i in refused.nonzero()[0].tolist():
+            try:
+                level_energy(self.table.traps[rows[i]],
+                             np.arange(first[i], top[i] + 1))
+            except SzilardError as exc:
+                errors[int(rows[i])] = exc.with_traceback(None)
+        if errors:
+            kept = ~np.isin(rows, list(errors))
+            e, grow = e[np.repeat(kept, grow)], np.where(kept, grow, 0)
+        # each row's new levels go in after its old ones
+        size = self.size.copy()
+        size[rows] += grow
+        off = np.cumsum(size) - size
+        levels = np.empty(off[-1] + size[-1])
+        levels[np.repeat(off - self.off, self.size)
+               + np.arange(len(self.levels))] = self.levels
+        levels[np.repeat(off[rows] + self.size[rows] - np.cumsum(grow) + grow,
+                         grow) + np.arange(len(e))] = e
+        self.levels, self.size, self.off = levels, size, off
+        return errors
+
+    def gather(self, row, stride, n):
+        """Levels 1..n[i] of the configuration of stride[i] of row[i] (index
+        arrays), each behind a slot that holds its first level: the
+        _Segments of the n, and the levels it lays out, a fresh array."""
+        flat = _Segments(n)
+        j = flat.within()
+        np.maximum(j, 1, out=j)
+        j *= flat.spread(stride)
+        j += flat.spread(self.off[row] - 1)
+        return flat, self.levels[j]
 
 
 # A batch of traps is closed once its estimated ladder terms reach this;
@@ -242,13 +357,13 @@ def _batches(potentials, betas, policy, baths=1):
     where it is summed."""
     table = _TrapTable(potentials)
     keys = list(zip(table.rows, betas))
+    grounded = (~table.failed[:, 0]).tolist()
     live = [(row, beta) for row, beta in dict.fromkeys(keys)
-            if not _failed(table.grounds[row][Barrier.ABSENT])]
-    lengths, _ = _heads(
-        table.shapes.take([row for row, _ in live]), 1,
-        np.array([beta for _, beta in live], dtype=float),
-        np.array([table.grounds[row][Barrier.ABSENT] for row, _ in live],
-                 dtype=float), policy)
+            if grounded[row]]
+    rows = [row for row, _ in live]
+    lengths, _ = _heads(table.shapes.take(rows), 1,
+                        np.array([beta for _, beta in live], dtype=float),
+                        table.e1[rows, 0], policy)
     sizes = {key: n for key, n in zip(live, lengths) if not _failed(n)}
     batches, at, total = [], [], 0
     # the points row by row, each row's in order
@@ -265,92 +380,100 @@ def _failed(value):
     return isinstance(value, SzilardError)
 
 
-def _series_sums(table, segments, policy, levels):
-    """Canonical Boltzmann stage sums of many segments at once.
+def _sized(errors, at, lengths, max_terms):
+    """The lengths _heads gives the entries at (an index array) of some
+    columns, as an array: an entry whose length is an error, or past
+    max_terms, takes that error or a TruncationError in errors (an _Errors
+    over the columns), and length 0."""
+    n = np.array([m if type(m) is int and m <= max_terms else 0
+                  for m in lengths], dtype=np.intp)
+    for i in (n == 0).nonzero()[0].tolist():
+        m = lengths[i]
+        errors.set(at[i], m if _failed(m) else _cap_error(m, max_terms))
+    return n
 
-    A segment is (row, barrier, E_1, beta, n): levels 1..n of the barrier
-    configuration of the trap on that row of the _TrapTable table, each
-    weighed e^{-beta (E_n - E_1)}, summed once at the length n _heads fixes
-    from E_1, with no tail test.  A whole ladder ends where d = beta (E_n -
-    E_1) has passed x_cut = -log rel_tol + _XCUT_MARGIN, and there its last
-    term against the sum, which holds the first term, 1, is below e^{-d}; a
-    head leaves the rest to a closed-form tail (see _tail_sums).  `levels`
-    holds the level ladders built so far (see _level_ladders), so sums over
-    the same traps share them.  Returns, per segment, (sum, sum of E times
-    its terms), the energy sum from the same flat arrays in one more
-    reduceat, or the SzilardError it hit: its n, or that of _level_ladders,
-    or a SolverFailureError where the sum is not finite (terms past float
-    range).
+
+def _reached(errors, at, row, failed):
+    """Set the error of each entry at[i] (an index array) whose trap row[i]
+    is a key of failed, a dict of errors by row, in errors (an _Errors)."""
+    for r, error in failed.items():
+        for k in at[row == r].tolist():
+            errors.set(k, error)
+
+
+class _Stages:
+    """Canonical and Morse stage rows as columns: stage row k on the trap of
+    row[k] of a _TrapTable, with the barrier inserted[k] (a bool) or not,
+    count[k] particles at temperature[k], beta[k] = N/(k_B T) (inf where it
+    overflows), ground level e1[k], a head of head[k] levels and, where
+    tailed[k], a closed-form tail after it; total[k] and energy[k] are its
+    Boltzmann sum and energy sum once summed.  errors, an _Errors, is None
+    or the SzilardError that stops row k."""
+
+    __slots__ = ("row", "inserted", "count", "temperature", "beta", "e1",
+                 "head", "tailed", "total", "energy", "errors")
+
+    def __init__(self, table, row, count, temperature):
+        """The rows of units u, the trap on row[u] of table with count[u]
+        particles at temperature[u] (arrays): absent, row 2u, and inserted,
+        2u + 1.  A row takes the error of its ground level, else the
+        EnsembleMismatchError of an N beta that overflows."""
+        self.row, self.count, self.temperature = (
+            np.repeat(column, 2) for column in (row, count, temperature))
+        self.inserted = np.tile([False, True], len(row))
+        with np.errstate(over="ignore"):
+            self.beta = self.count * _betas(self.temperature)
+        k = self.inserted.astype(np.intp)
+        self.e1 = table.e1[self.row, k]
+        size = len(self.row)
+        self.head = np.zeros(size, dtype=np.intp)
+        self.tailed = np.zeros(size, dtype=bool)
+        self.total, self.energy = (np.full(size, math.nan) for _ in range(2))
+        self.errors = _Errors(size)
+        for j in table.failed[self.row, k].nonzero()[0].tolist():
+            self.errors.set(j, table.errors[int(self.row[j]), int(k[j])])
+        for j in (self.errors.live & np.isinf(self.beta)).nonzero()[0].tolist():
+            self.errors.set(j, EnsembleMismatchError(
+                f"N/(k_B T) overflows: N = {float(self.count[j]):.6g} at"
+                f" {float(self.temperature[j]):.6g} K is past float range"))
+
+
+def _series_sums(stages, at, ladders):
+    """The Boltzmann stage sums of the rows at (an index array) of the
+    _Stages stages, all of one barrier configuration, into stages.total and
+    stages.energy.
+
+    Each live row sums levels 1..n of its configuration, n its head, each
+    weighed e^{-beta (E_n - E_1)}, once, with no tail test.  A whole ladder
+    ends where d = beta (E_n - E_1) has passed x_cut = -log rel_tol +
+    _XCUT_MARGIN, and there its last term against the sum, which holds the
+    first term, 1, is below e^{-d}; a head leaves the rest to a closed-form
+    tail (see _tail_sums).  The levels the rows lack are one _Ladders.reach
+    pass over their rows of ladders, the store the batch's sums share, and
+    the levels of every row are one gather from it.  The energy sum, of E
+    times each term, comes from the same flat arrays in one more reduceat.
+    A row whose levels level_energy refuses takes that error, and one whose
+    sum is not finite (terms past float range) a SolverFailureError.
     """
-    out = _level_ladders(table, [(row, barrier, n)
-                                 for row, barrier, _, _, n in segments],
-                         levels, policy.max_terms)
-    live = [j for j, ladder in enumerate(out) if not _failed(ladder)]
-    if not live:
-        return out
-    flat = _Segments([segments[j][4] for j in live])
-    energies = flat.join([out[j] for j in live])
-    t = _boltzmann_terms(flat.spread([segments[j][3] for j in live]),
-                         energies - flat.spread([segments[j][2]
-                                                 for j in live]))
-    totals = flat.sums(t).tolist()
-    # the joined ladders are a fresh array, not the stored levels
-    weighted = flat.sums(np.multiply(energies, t, out=energies)).tolist()
-    for j, total, energy in zip(live, totals, weighted):
-        out[j] = (total, energy) if math.isfinite(total) else (
-            SolverFailureError(f"series sum is {total}, not finite: its terms"
-                               " leave float range"))
-    return out
-
-
-def _level_ladders(table, requests, levels, max_terms):
-    """Levels 1..n of each (row, barrier, n) request on the _TrapTable
-    table, or its SzilardError: n itself where it is one, a TruncationError
-    where it passes max_terms, else the error level_energy raises for the
-    levels of its trap.
-
-    levels maps a row to its trap's barrier-free ladder, extended by the
-    levels a request lacks.  Inserted level n is barrier-free level 2n (see
-    potentials), so an inserted request takes the view ladder[1:2n:2] and
-    an absent one the prefix ladder[:n].  The missing levels of all the
-    requests' rows are one _Shapes.ladders pass (see _extend), and every
-    level has the bits of its own level_energy call.
-    """
-    out = [n if _failed(n) else _cap_error(n, max_terms) if n > max_terms
-           else None for _, _, n in requests]
-    reach = {}
-    for (row, barrier, n), error in zip(requests, out):
-        if error is None:
-            reach[row] = max(reach.get(row, 0), n * _stride(barrier))
-    missing = [(row, top) for row, top in reach.items()
-               if len(levels.get(row, ())) < top]
-    errors = _extend(table, missing, levels) if missing else {}
-    for j, (row, barrier, n) in enumerate(requests):
-        if out[j] is None:
-            out[j] = errors[row] if row in errors else (
-                levels[row][1:2 * n:2] if barrier is Barrier.INSERTED
-                else levels[row][:n])
-    return out
-
-
-def _extend(table, requests, levels):
-    """Extend levels[row] to `top` levels for each (row, top) request, in
-    one _Shapes.ladders pass over the table, and return by row the error
-    level_energy raises for the levels of a trap that ladders refuses."""
-    rows, top = map(list, zip(*requests))
-    first = np.array([len(levels.get(row, ())) + 1 for row in rows])
-    e, starts, refused = table.shapes.take(rows).ladders(first, np.array(top))
-    errors = {}
-    for i in refused.nonzero()[0].tolist():
-        try:
-            level_energy(table.traps[rows[i]], np.arange(first[i], top[i] + 1))
-        except SzilardError as exc:
-            errors[rows[i]] = exc.with_traceback(None)
-    for row, part in zip(rows, np.split(e, starts[1:])):
-        if row not in errors:
-            levels[row] = (np.concatenate((levels[row], part))
-                           if row in levels else part)
-    return errors
+    errors = stages.errors
+    at = at[errors.live[at]]
+    stride = stages.inserted[at] + 1
+    _reached(errors, at, stages.row[at], ladders.reach(
+        stages.row[at], stages.head[at] * stride))
+    live = errors.live[at]
+    at, stride = at[live], stride[live]
+    if not len(at):
+        return
+    flat, energies = ladders.gather(stages.row[at], stride, stages.head[at])
+    t = _boltzmann_terms(flat.spread(stages.beta[at]),
+                         energies - flat.spread(stages.e1[at]))
+    total = stages.total[at] = flat.sums(t)
+    # the gathered levels are a fresh array, not the store
+    stages.energy[at] = flat.sums(np.multiply(energies, t, out=energies))
+    for i in (~np.isfinite(total)).nonzero()[0].tolist():
+        errors.set(at[i], SolverFailureError(
+            f"series sum is {float(total[i])}, not finite: its terms leave"
+            " float range"))
 
 
 def _boltzmann_terms(beta, gap):
@@ -370,84 +493,79 @@ def _require_power_family(potential, who):
 
 def _count_error(count):
     """The EnsembleMismatchError of a particle count that is not a finite
-    number of at least 1 (nan and inf are not), or None."""
-    return None if 1 <= count < math.inf else EnsembleMismatchError(
-        "particle count must be finite and at least 1")
+    number of at least 1 (nan, inf and an int past float range are not),
+    or None."""
+    return None if 1 <= count <= sys.float_info.max else (
+        EnsembleMismatchError("particle count must be finite and at least 1"))
 
 
-def _canonical_stages(table, traps, counts, temperatures, policy):
-    """canonical_stage_properties of many units, unit i the trap on row
-    traps[i] of the _TrapTable table with counts[i] particles at
-    temperatures[i], in both barrier configurations: per unit, an (absent,
-    inserted) pair, each the (log sum, energy) or the error that stops the
-    sum, the error of its ground level's lookup first.
+def _canonical_stages(table, row, count, temperature, policy):
+    """canonical_stage_properties of many units, unit u the trap on row
+    row[u] of the _TrapTable table with count[u] particles at
+    temperature[u] (arrays), in both barrier configurations: the _Stages
+    rows 2u (absent) and 2u + 1 (inserted), as columns (log sum, energy,
+    errors), log sum and energy nan where errors holds the row's error.
 
-    The heads of all sums are one _heads pass, their tails one _tails
-    call, and the sums one _series_sums call per configuration, which
-    keeps its flat arrays near the terms the batching counted: the absent
-    sums build each trap's barrier-free ladder, and the inserted ones
-    extend it (see _level_ladders).  A sum not finite after its tail is a
-    SolverFailureError.  A unit whose N beta = N/(k_B T) overflows is an
-    EnsembleMismatchError.
+    A row's error is the first it meets, in this order: its ground level's
+    lookup, N beta = N/(k_B T) past float range (an
+    EnsembleMismatchError), its head's estimate, a head past max_terms
+    (TruncationErrors), its levels' lookup, a sum that is not finite and a
+    sum not finite after its tail (SolverFailureErrors).  The heads of all
+    rows are one _heads pass, their tails one _tails call, and the sums one
+    _series_sums call per configuration, which keeps its flat arrays near
+    the terms the batching counted: the absent sums build each trap's
+    barrier-free ladder, and the inserted ones extend it (see _Ladders).
+    The logged sums and energies are array expressions, each log math's,
+    element by element.
     """
-    betas = [count * _beta(temperature)
-             for count, temperature in zip(counts, temperatures)]
-    # absent, then inserted, of each unit in turn
-    rows = [(i, barrier, e1) for i, row in enumerate(traps)
-            for barrier, e1 in table.grounds[row].items()]
-
-    def columns(at):
-        """The shapes, strides, betas and E_1 of the rows at indices at."""
-        picked = [rows[r] for r in at]
-        return (table.shapes.take([traps[i] for i, _, _ in picked]),
-                np.array([_stride(barrier) for _, barrier, _ in picked]),
-                np.array([betas[i] for i, _, _ in picked]),
-                np.array([e1 for _, _, e1 in picked]))
-
-    # per row, the error it meets before any sum, else the length of its sum
-    lengths = [e1 if _failed(e1) else EnsembleMismatchError(
-        f"N/(k_B T) overflows: N = {counts[i]:.6g} at {temperatures[i]:.6g}"
-        " K is past float range") if math.isinf(betas[i]) else None
-        for i, _, e1 in rows]
-    sized = [r for r, n in enumerate(lengths) if n is None]
-    own, tailed = _heads(*columns(sized), policy)
-    for r, n in zip(sized, own):
-        lengths[r] = n
-    tails = [r for r, tail in zip(sized, tailed.tolist()) if tail]
-    sums, levels = [None] * len(rows), {}
-    for k, barrier in enumerate(Barrier):   # the absent rows, then inserted
-        sums[k::2] = _series_sums(table, [
-            (traps[i], barrier, e1, betas[i], n)
-            for (i, _, e1), n in zip(rows[k::2], lengths[k::2])], policy,
-            levels)
-    tails = [r for r in tails if not _failed(sums[r])]
-    if tails:
-        wells, step, beta, e1 = columns(tails)
-        rests = _tails(wells, step.astype(float), beta, e1,
-                       np.array([lengths[r] for r in tails], dtype=float))
-        for r, rest, rest_energy in zip(tails, *rests.tolist()):
-            total, energy = sums[r]
-            sums[r] = total + rest, energy + rest_energy
-    for r, ((i, barrier, e1), result) in enumerate(zip(rows, sums)):
-        if not _failed(result):
-            total, energy = result
-            sums[r] = ((counts[i] * math.log(_degeneracy(barrier))
-                        - betas[i] * e1 + math.log(total),
-                        counts[i] * (energy / total))
-                       if 0.0 < total < math.inf and math.isfinite(energy)
-                       else SolverFailureError(
-                           f"stage sum {total:.6g} with energy sum"
-                           f" {energy:.6g} after its tail is not finite: the"
-                           " ladder's terms leave float range"))
-    return list(zip(sums[::2], sums[1::2]))
+    stages = _Stages(table, row, count, temperature)
+    errors = stages.errors
+    at = errors.live.nonzero()[0]
+    lengths, tailed = _heads(
+        table.shapes.take(stages.row[at]), stages.inserted[at] + 1,
+        stages.beta[at], stages.e1[at], policy)
+    stages.head[at] = _sized(errors, at, lengths, policy.max_terms)
+    stages.tailed[at] = tailed
+    ladders, size = _Ladders(table), len(stages.row)
+    for k in (0, 1):    # the absent rows, then the inserted ones
+        _series_sums(stages, np.arange(k, size, 2), ladders)
+    total, energy = stages.total, stages.energy
+    at = (errors.live & stages.tailed).nonzero()[0]
+    if len(at):
+        rest, rest_energy = _tails(
+            table.shapes.take(stages.row[at]), stages.inserted[at] + 1.0,
+            stages.beta[at], stages.e1[at], stages.head[at].astype(float))
+        with np.errstate(all="ignore"):     # as for Python floats
+            total[at] += rest
+            energy[at] += rest_energy
+    ok = errors.live & (0.0 < total) & (total < math.inf) & np.isfinite(
+        energy)
+    for j in (errors.live & ~ok).nonzero()[0].tolist():
+        errors.set(j, SolverFailureError(
+            f"stage sum {float(total[j]):.6g} with energy sum"
+            f" {float(energy[j]):.6g} after its tail is not finite: the"
+            " ladder's terms leave float range"))
+    at = ok.nonzero()[0]
+    count = stages.count[at]
+    log, mean = np.full(size, math.nan), np.full(size, math.nan)
+    log[at] = (count * np.where(stages.inserted[at], math.log(2.0), 0.0)
+               - stages.beta[at] * stages.e1[at]
+               + list(map(math.log, total[at].tolist())))
+    mean[at] = count * (energy[at] / total[at])
+    return log, mean, errors
 
 
 def _one_trap_stages(potential, count, temperature, read, policy):
-    """read(absent, inserted) of the _canonical_stages pair of one trap on a
-    one-row _TrapTable, raised if it is an error."""
+    """read(absent, inserted) of the _canonical_stages rows of one trap on
+    a one-row _TrapTable, each (log sum, energy) or its error; raised if
+    read gives an error."""
     value_or_raise(_count_error(count))
-    return value_or_raise(read(*_canonical_stages(
-        _TrapTable((potential,)), (0,), (count,), (temperature,), policy)[0]))
+    return value_or_raise(read(*(
+        error or (float(value), float(u))
+        for value, u, error in zip(*_canonical_stages(
+            _TrapTable((potential,)), np.zeros(1, dtype=np.intp),
+            np.array([count], dtype=float),
+            np.array([temperature], dtype=float), policy)))))
 
 
 def canonical_stage_properties(potential, barrier, count, temperature,
@@ -473,21 +591,24 @@ def _cycle_sums(table, traps, counts, baths, policy):
     """Per point of a batch, the trap on row traps[i] of the _TrapTable
     table with counts[i] particles between baths[i]: (log ratio hot, log
     ratio cold, (U_A, U_B, U_C, U_D)), or the error of its first failing
-    stage, A to D.  Each distinct (row, count, bath) is one unit of
-    _canonical_stages, which sizes and sums it once for every point that
-    reads it: at its hot bath for stages A and B, at its cold one for C
-    and D."""
-    reads = [((row, count, pair.hot), (row, count, pair.cold))
-             for row, count, pair in zip(traps, counts, baths)]
-    units = list(dict.fromkeys(key for read in reads for key in read))
-    stages = dict(zip(units, _canonical_stages(table, *zip(*units), policy)
-                      if units else ()))
-    out = []
-    for hot, cold in reads:
-        (a, b), (d, c) = stages[hot], stages[cold]
-        out.append(next(filter(_failed, (a, b, c, d)), None) or (
-            b[0] - a[0], c[0] - d[0], (a[1], b[1], c[1], d[1])))
-    return out
+    stage, A to D.  Each distinct (row, count, bath), found as arrays, is
+    one unit of _canonical_stages, which sizes and sums it once for every
+    point that reads it: at its hot bath for stages A and B, at its cold
+    one for C and D."""
+    keys = np.column_stack((
+        np.repeat(traps, 2), np.repeat(np.asarray(counts, dtype=float), 2),
+        [t for pair in baths for t in (pair.hot, pair.cold)]))
+    units, unit = np.unique(keys, axis=0, return_inverse=True)
+    log, energy, errors = _canonical_stages(
+        table, units[:, 0].astype(np.intp), units[:, 1], units[:, 2], policy)
+    # stages A to D: the hot unit's rows absent and inserted, then the
+    # cold one's inserted and absent
+    rows = (2 * unit.reshape(-1, 2)[:, [0, 0, 1, 1]] + [0, 1, 1, 0]).ravel()
+    log, energy = log[rows].reshape(-1, 4), energy[rows].reshape(-1, 4)
+    ratios = np.column_stack((log[:, 1] - log[:, 0], log[:, 2] - log[:, 3]))
+    return [error or (hot, cold, tuple(stages)) for error, (hot, cold), stages
+            in zip(errors.take(rows).first(4), ratios.tolist(),
+                   energy.tolist())]
 
 
 # ---------------------------------------------------------------------------
@@ -500,22 +621,8 @@ def _cycle_sums(table, traps, counts, baths, policy):
 # every count that reads it, and every Newton round, occupancy re-check,
 # log ratio and stage energy reuses them.  A batch's roots are columns
 # (_Roots) from where they are formed to where their energies are summed:
-# each result about them is an array aligned to the columns with one error
-# list beside it, None where a root is live, as in _Rungs.errors.
-
-def _ok(errors):
-    """Whether each entry of an error list is None, as a bool array."""
-    return np.array([error is None for error in errors], dtype=bool)
-
-
-def _first_errors(errors, width):
-    """Per run of `width` consecutive entries of an error list, its first
-    error, or None."""
-    out = [None] * (len(errors) // width)
-    for j in reversed((~_ok(errors)).nonzero()[0].tolist()):
-        out[j // width] = errors[j]
-    return out
-
+# each result about them is an array aligned to the columns with one
+# _Errors beside it, as _Rungs.errors is.
 
 class _Roots:
     """Grand-canonical roots as columns (scalars broadcast): root j on the
@@ -529,8 +636,7 @@ class _Roots:
     def __init__(self, table, row, inserted, temperature, count):
         self.row, self.inserted, self.temperature, self.count = (
             np.broadcast_arrays(row, inserted, temperature, count))
-        distinct, at = np.unique(self.temperature, return_inverse=True)
-        self.beta = np.array(list(map(_beta, distinct.tolist())))[at]
+        self.beta = _betas(self.temperature)
         self.e1 = table.e1[self.row, self.inserted.astype(np.intp)]
 
     def closed(self):
@@ -556,34 +662,37 @@ def _grand_rungs(table, roots, v, count, policy):
     v[j] = beta (E_1 - mu) or above and solving for count[j] bosons, or inf
     for none (arrays; see _Rungs).  Roots of one row, barrier and beta read
     one rung, built once: sized from its E_1 by one _heads pass over all the
-    rungs, and only its head built, by _level_ladders (see _tail_sums).  A
-    trap's rungs share its barrier-free ladder.  An estimate past float
-    range, a head or a power-law k-series past max_terms and a level that
-    cannot be built are the row's error."""
+    rungs, and only its head gathered, from one _Ladders store of the
+    barrier-free ladders of the rungs' traps (see _tail_sums).  A rung's
+    error, the first of an estimate past float range, a head past
+    max_terms and a level that cannot be built, is that of every row that
+    reads it; a power-law k-series past max_terms is its row's."""
     rungs = {}      # the roots that read each rung: (row, inserted, beta)
     for r, key in enumerate(zip(roots.row.tolist(), roots.inserted.tolist(),
                                 roots.beta.tolist())):
         rungs.setdefault(key, []).append(r)
-    keys, first = list(rungs), [rows[0] for rows in rungs.values()]
-    shapes = table.shapes.take([row for row, _, _ in keys])
-    step = 1.0 + roots.inserted[first]
+    readers = list(rungs.values())
+    first = [rows[0] for rows in readers]
+    row, stride = roots.row[first], roots.inserted[first] + 1
+    shapes = table.shapes.take(row)
+    step = stride.astype(float)
     lengths, tailed = _heads(shapes, step, roots.beta[first], roots.e1[first],
                              policy)
-    errors, readers, built, kept = [None] * len(roots.row), [], [], []
-    for m, (rows, ladder, tail, by) in enumerate(zip(
-            rungs.values(), _level_ladders(
-                table, [(row, tuple(Barrier)[inserted], n)
-                        for (row, inserted, _), n in zip(keys, lengths)],
-                {}, policy.max_terms), tailed.tolist(), step.tolist())):
-        if _failed(ladder):
-            for r in rows:
-                errors[r] = ladder
-        else:
-            readers.append(rows)
-            built.append((ladder, tail, by))
-            kept.append(m)
-    return _Rungs(1.0 + roots.inserted, roots.beta, roots.e1, errors, readers,
-                  built, shapes.take(kept), v, np.asarray(count, dtype=float),
+    failed = _Errors(len(readers))      # per rung
+    head = _sized(failed, np.arange(len(readers)), lengths, policy.max_terms)
+    ladders, at = _Ladders(table), failed.live.nonzero()[0]
+    _reached(failed, at, row[at], ladders.reach(row[at],
+                                                head[at] * stride[at]))
+    errors = _Errors(len(roots.row))
+    for m in (~failed.live).nonzero()[0].tolist():
+        for r in readers[m]:
+            errors.set(r, failed[m])
+    kept = failed.live.nonzero()[0]
+    return _Rungs(1.0 + roots.inserted, roots.beta, roots.e1, errors,
+                  [readers[m] for m in kept.tolist()], tailed[kept],
+                  step[kept], *ladders.gather(row[kept], stride[kept],
+                                              head[kept]),
+                  shapes.take(kept), v, np.asarray(count, dtype=float),
                   _XCUT_MARGIN - math.log(policy.rel_tol), policy.max_terms)
 
 
@@ -593,9 +702,9 @@ def _rung_sums(rungs, rows, mu, kind):
     _Heads.sums of `kind`, an array, nan where the row fails; and per row
     None or its error: the row's own, or a SolverFailureError where the
     sum is not finite."""
-    errors = [rungs.errors[r] for r in rows.tolist()]
+    errors = rungs.errors.take(rows)
     out = np.full(len(rows), math.nan)
-    live = _ok(errors)
+    live = errors.live.copy()
     if live.any():
         at, place = rows[live], live.nonzero()[0]
         d = rungs.e1[at] - mu[live]
@@ -603,18 +712,18 @@ def _rung_sums(rungs, rows, mu, kind):
         with np.errstate(over="ignore"):    # v is inf for a mu far below E_1
             out[live] = heads.sums(rungs.beta[at] * d, kind, d)[0]
         for i in place[~np.isfinite(out[live])].tolist():
-            errors[i] = SolverFailureError(f"series sum is {float(out[i])},"
-                                           " not finite: its terms leave"
-                                           " float range")
+            errors.set(i, SolverFailureError(f"series sum is {float(out[i])},"
+                                             " not finite: its terms leave"
+                                             " float range"))
         for i in heads.refused:     # a refused row's sum is nan
-            errors[place[i]] = heads.error(i)
+            errors.set(place[i], heads.error(i))
     return out, errors
 
 
 def _mu_offsets(counts, rungs):
     """Roots u = log(beta (E_1 - mu)) of the occupancy constraint on the
     rows of the _Rungs rungs, row j of counts[j] bosons (an array): u as an
-    array, and per row None or its error.
+    array, and per row None or its error (an _Errors).
 
     With n = g/expm1(beta(E - E_1) + e^u) (g = d_1 on every level), f =
     log N(u) - log count falls as u rises: it is positive at a root's
@@ -634,9 +743,9 @@ def _mu_offsets(counts, rungs):
     leave the arrays, and the heads of the rest are then gathered afresh
     from the rungs, so each row keeps the bits of its own evaluation.
     """
-    errors = list(rungs.errors)
+    errors = rungs.errors.copy()
     out = np.zeros(len(errors))
-    rows = _ok(errors).nonzero()[0]
+    rows = errors.live.nonzero()[0]
     d1, count = rungs.g[rows], np.asarray(counts, dtype=float)[rows]
     far, u = np.zeros(len(rows)), np.zeros(len(rows))
     step, rounds = np.zeros(len(rows), dtype=np.intp), np.zeros_like(rows)
@@ -692,9 +801,9 @@ def _mu_offsets(counts, rungs):
                         (lost, "no lower bracket for the occupancy root"),
                         (late, "occupancy root did not converge")):
                     for j in rows[failed].tolist():
-                        errors[j] = SolverFailureError(message)
+                        errors.set(j, SolverFailureError(message))
                 for i in heads.refused:
-                    errors[rows[i]] = heads.error(i)
+                    errors.set(rows[i], heads.error(i))
                 keep = ~ends
                 rows, d1, count, log_count, near, far, u_next, step, \
                     rounds = (a[keep] for a in (rows, d1, count, log_count,
@@ -732,31 +841,34 @@ def _chemical_potentials(table, roots, mode, policy, rungs=None):
     mu's exp math's; only a failing root builds its message in Python."""
     if mode is MuMode.CLOSED_FORM:
         mu = roots.e1 - K_B * roots.temperature * roots.closed()
-        errors = [None] * len(mu)
+        errors = _Errors(len(mu))
     elif mode is MuMode.SOLVED:
         if rungs is None:
             rungs = _grand_rungs(table, roots, roots.closed(), roots.count,
                                  policy)
         u, errors = _mu_offsets(roots.count, rungs)
-        live = _ok(errors)
+        live = errors.live
         u[live] = list(map(math.exp, u[live].tolist()))
         mu = roots.e1 - K_B * roots.temperature * u
     else:
-        return np.zeros(len(roots.row)), [EnsembleMismatchError(
-            f"unknown chemical-potential mode {mode!r}") for _ in roots.row]
-    for j in (_ok(errors) & ~(mu < roots.e1)).nonzero()[0].tolist():
-        errors[j] = _below_ground(float(mu[j]), float(roots.e1[j]))
+        errors = _Errors(len(roots.row))
+        for j in range(len(errors)):
+            errors.set(j, EnsembleMismatchError(
+                f"unknown chemical-potential mode {mode!r}"))
+        return np.zeros(len(errors)), errors
+    for j in (errors.live & ~(mu < roots.e1)).nonzero()[0].tolist():
+        errors.set(j, _below_ground(float(mu[j]), float(roots.e1[j])))
     if mode is MuMode.SOLVED:
-        rows = _ok(errors).nonzero()[0]
+        rows = errors.live.nonzero()[0]
         total, failed = _rung_sums(rungs, rows, mu[rows], "occupancy")
         count = roots.count[rows].astype(float)
         off = np.abs(total - count) > 1e-10 * count
-        for i in (off | ~_ok(failed)).nonzero()[0].tolist():
+        for i in (off | ~failed.live).nonzero()[0].tolist():
             j = rows[i]
-            errors[j] = failed[i] or SolverFailureError(
+            errors.set(j, failed[i] or SolverFailureError(
                 f"occupancy root off by"
                 f" {float(abs(total[i] - count[i]) / count[i]):.3g} relative"
-                + _offset_ulps(float(mu[j]), float(roots.e1[j])))
+                + _offset_ulps(float(mu[j]), float(roots.e1[j]))))
     return mu, errors
 
 
@@ -790,7 +902,8 @@ def occupancy_total(potential, barrier, mu, temperature, policy=TruncationPolicy
     _require_power_family(potential, "grand-canonical occupancy")
     table = _TrapTable((potential,))
     mu = value_or_raise(_below_ground(
-        mu, table.grounds[0][_member(barrier, Barrier)]))
+        mu, float(table.e1[0, int(_member(barrier, Barrier)
+                                  is Barrier.INSERTED)])))
     return value_or_raise(_one_trap_sums(table, ((barrier, mu),), temperature,
                                          "occupancy", policy, float))
 
@@ -832,7 +945,7 @@ def _one_trap_mus(potential, count, temperature, barriers, mode, policy,
     mu, errors = _chemical_potentials(table, _Roots(
         table, 0, [barrier is Barrier.INSERTED for barrier in barriers],
         temperature, count), mode, policy)
-    return _first_errors(errors, len(mu))[0] or read(*mu.tolist())
+    return errors.first(len(mu))[0] or read(*mu.tolist())
 
 
 def _bath_ratios(table, traps, counts, temperatures, mode, policy):
@@ -851,15 +964,15 @@ def _bath_ratios(table, traps, counts, temperatures, mode, policy):
                          MuMode.SOLVED else np.full(2 * k * len(traps),
                                                     math.inf), policy)
     mu, errors = _chemical_potentials(table, roots, mode, policy, rungs)
-    out = _first_errors(errors, 2 * k)
-    live = _ok(out)
+    out = errors.first(2 * k)
+    live = out.live.copy()
     rows = np.repeat(live, 2 * k).nonzero()[0]
     logs, failed = _rung_sums(rungs, rows, mu[rows], "log")
     ratios = np.full((len(out), k), math.nan)
     ratios[live] = (logs[::2] - 2.0 * logs[1::2]).reshape(-1, k)
-    for i, error in zip(live.nonzero()[0].tolist(),
-                        _first_errors(failed, 2 * k)):
-        out[i] = error
+    points, failed = live.nonzero()[0], failed.first(2 * k)
+    for i in (~failed.live).nonzero()[0].tolist():
+        out.set(points[i], failed[i])
     return mu, ratios, out, rungs
 
 
@@ -873,13 +986,13 @@ def _grand_sums(table, traps, counts, baths, mode, policy):
     mu, ratios, out, rungs = _bath_ratios(
         table, traps, counts, [(pair.hot, pair.cold) for pair in baths],
         mode, policy)
-    live = [i for i, error in enumerate(out) if error is None]
+    live, out = out.live.nonzero()[0], list(out)
     # a point's roots are absent and inserted at its hot bath, then at its
     # cold one: stages A, B, D and C, summed here in stage order
-    rows = (4 * np.array(live, dtype=np.intp)[:, None] + [0, 1, 3, 2]).ravel()
+    rows = (4 * live[:, None] + [0, 1, 3, 2]).ravel()
     energies, errors = _rung_sums(rungs, rows, mu[rows], "energy")
     for i, error, stages, ratio, (a, b, d, c) in zip(
-            live, _first_errors(errors, 4), energies.reshape(-1, 4).tolist(),
+            live.tolist(), errors.first(4), energies.reshape(-1, 4).tolist(),
             ratios[live].tolist(), mu.reshape(-1, 4)[live].tolist()):
         pair, count = baths[i], counts[i]
         out[i] = error or (*ratio, tuple(stages), (
@@ -901,9 +1014,10 @@ def _checked_rungs(potential, mu_pair, temperature):
     if mu_pair is None:
         raise EnsembleMismatchError("bosonic sums need chemical potentials")
     table = _TrapTable((potential,))
-    rungs = tuple((b, value_or_raise(_below_ground(mu, table.grounds[0][b])))
-                  for b, mu in ((Barrier.ABSENT, mu_pair.pre_insertion),
-                                (Barrier.INSERTED, mu_pair.post_insertion)))
+    rungs = tuple((b, value_or_raise(_below_ground(mu, float(table.e1[0, k]))))
+                  for k, (b, mu) in enumerate((
+                      (Barrier.ABSENT, mu_pair.pre_insertion),
+                      (Barrier.INSERTED, mu_pair.post_insertion))))
     if mu_pair.temperature != temperature:
         raise EnsembleMismatchError(
             "chemical potentials were solved at a different temperature")
@@ -923,7 +1037,7 @@ def _one_trap_sums(table, rungs, temperature, kind, policy, read):
     sums, errors = _rung_sums(_grand_rungs(table, roots, v, roots.count,
                                            policy), np.arange(len(mu)), mu,
                               kind)
-    return _first_errors(errors, len(mu))[0] or read(*sums.tolist())
+    return errors.first(len(mu))[0] or read(*sums.tolist())
 
 
 def log_relative_partition(potential, mu_pair, temperature,

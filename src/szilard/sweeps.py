@@ -36,7 +36,7 @@ from .potentials import Harmonic, Morse, PowerLaw
 from .barrier import even_levels, odd_level
 from .ensembles import (BathPair, MuMode, TruncationPolicy, _TrapTable,
                         _bath_ratios, _batches, _beta, _chemical_potentials,
-                        _count_error, _failed, _first_errors, _point_roots)
+                        _count_error, _failed, _point_roots)
 from .cycle import Ensemble, _run_cycles
 # perfbench/test_perfbench.py::test_tracer_restores_every_binding reads it
 from .cycle import run_cycle  # noqa: F401
@@ -401,8 +401,7 @@ def _chemical_potential_values(spec, points):
         (closed, closed_errors), (solved, solved_errors) = (
             _chemical_potentials(table, roots, mode, spec.policy)
             for mode in (MuMode.CLOSED_FORM, MuMode.SOLVED))
-        failed = zip(_first_errors(closed_errors, 2),
-                     _first_errors(solved_errors, 2))
+        failed = zip(closed_errors.first(2), solved_errors.first(2))
         mus = np.hstack((closed.reshape(-1, 2), solved.reshape(-1, 2)))
         for i, (error, root_error), (pre, post, root_pre, root_post) in zip(
                 run, failed, mus.tolist()):
@@ -544,10 +543,10 @@ def validate(spec):
     jobs = _jobs(spec, points)
     live = [i for i, job in enumerate(jobs) if not _failed(job)]
     table = _TrapTable([jobs[i][2] for i in live])
-    grounds = {i: table.grounds[row] for i, row in zip(live, table.rows)}
+    rows = dict(zip(live, table.rows))
     for index, job in enumerate(jobs):
-        error = job if _failed(job) else _count_error(job[0]) or next(
-            (e for e in grounds[index].values() if _failed(e)), None)
+        error = job if _failed(job) else _count_error(
+            job[0]) or table.ground_error(rows[index])
         if error is not None:
             report.predicted_failures.append(
                 (index, _sanitize(f"{type(error).__name__}: {error}")))

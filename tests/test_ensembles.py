@@ -24,7 +24,7 @@ from szilard import (Barrier, BathPair, ChemicalPotentials,
                      canonical_stage_properties, chemical_potential,
                      chemical_potentials, internal_energy, level_energy,
                      log_relative_partition, occupancy_total, run_cycle)
-from szilard import _tail_sums, ensembles, potentials, sweeps
+from szilard import _tail_sums, cycle, ensembles, potentials, sweeps
 from szilard.barrier import even_levels, odd_level
 from szilard.sweeps import preset, run_sweep
 
@@ -50,12 +50,11 @@ def _one_batch(trap, count, temperature, policy=TruncationPolicy()):
     return table, [0]
 
 
-def _on_rows(requests):
-    """The _TrapTable of the traps that lead requests, and the requests
-    with each trap replaced by its row."""
-    table = ensembles._TrapTable([request[0] for request in requests])
-    return table, [(row, *request[1:])
-                   for row, request in zip(table.rows, requests)]
+def _grounds(table, row):
+    """The ground levels of a row of a _TrapTable by barrier, each a float
+    or the error of its lookup."""
+    return {barrier: table.errors.get((row, k), float(table.e1[row, k]))
+            for k, barrier in enumerate(Barrier)}
 
 
 def _grand_rungs_of(requests, policy):
@@ -503,11 +502,12 @@ class TestBoseEnergies:
 def test_inserted_ladder_is_every_other_barrier_free_level(
         kind, omega, exponent, anharmonicity, first, inserted):
     """The stage sums keep one barrier-free ladder per trap: an inserted
-    rung's levels 1..n are its view [1:2n:2], and a ladder a longer request
-    outgrows is extended, not rebuilt.  Both hold only if level_energy
-    gives each level the same bits wherever it sits in an array, which
-    this checks on the CPU at hand: the view against the inserted ladder,
-    and a ladder built in two parts against one built at once."""
+    rung's levels 1..n are gathered from every other place of it, levels
+    2, 4, ..., 2n, and a ladder a longer request outgrows is extended, not
+    rebuilt.  Both hold only if level_energy gives each level the same bits
+    wherever it sits in an array, which this checks on the CPU at hand: the
+    gathered levels against the inserted ladder, and a ladder built in two
+    parts against one built at once."""
     trap = {"harmonic": lambda: Harmonic(MASS, omega),
             "power-law": lambda: PowerLaw(MASS, omega, exponent),
             "morse": lambda: Morse.from_anharmonicity(MASS, omega,
@@ -521,15 +521,15 @@ def test_inserted_ladder_is_every_other_barrier_free_level(
     ladder = level_energy(trap, np.arange(1, inserted + 1), Barrier.INSERTED)
     assert whole[1::2].tobytes() == ladder.tobytes()
 
-    table, levels, cap = (ensembles._TrapTable((trap,)), {},
-                          TruncationPolicy().max_terms)
-    absent, = ensembles._level_ladders(table, [(0, Barrier.ABSENT, first)],
-                                       levels, cap)
-    view, = ensembles._level_ladders(
-        table, [(0, Barrier.INSERTED, inserted)], levels, cap)
-    assert absent.tobytes() == whole[:first].tobytes()
-    assert view.tobytes() == ladder.tobytes()
-    assert levels[0].tobytes() == whole.tobytes()
+    ladders, row = ensembles._Ladders(ensembles._TrapTable((trap,))), [0]
+    got = []
+    for stride, n in ((1, first), (2, inserted)):
+        assert ladders.reach(row, [stride * n]) == {}
+        _, levels = ladders.gather(row, [stride], [n])
+        got.append(levels[1:])      # behind its slot
+    assert got[0].tobytes() == whole[:first].tobytes()
+    assert got[1].tobytes() == ladder.tobytes()
+    assert ladders.levels.tobytes() == whole.tobytes()
 
 
 @settings(max_examples=100, deadline=None)
@@ -557,16 +557,17 @@ def test_batched_levels_equal_level_energy(traps):
                 else Morse.from_anharmonicity(MASS, omega, chi))
         cap = getattr(trap, "bound_count", None) or first + more  # >= 4
         built.append((trap, min(first, cap), min(first + more, cap)))
-    levels = {}
-    for part in (1, 2):
-        requests = [(trap, Barrier.ABSENT, lengths[part - 1])
-                    for trap, *lengths in built]
-        for (trap, _, n), ladder in zip(requests, ensembles._level_ladders(
-                *_on_rows(requests), levels, TruncationPolicy().max_terms)):
-            assert ladder.tobytes() == level_energy(
-                trap, np.arange(1, n + 1)).tobytes()
     table = ensembles._TrapTable([trap for trap, *_ in built])
-    for (trap, *_), ground in zip(built, table.grounds):
+    ladders, rows = ensembles._Ladders(table), np.array(table.rows)
+    for part in (1, 2):
+        n = np.array([lengths[part - 1] for _, *lengths in built])
+        assert ladders.reach(rows, n) == {}
+        flat, levels = ladders.gather(rows, np.ones_like(n), n)
+        for (trap, *_), start, m in zip(built, flat.slots, n):
+            assert levels[start + 1:start + 1 + m].tobytes() == level_energy(
+                trap, np.arange(1, m + 1)).tobytes()
+    for row, (trap, *_) in enumerate(built):
+        ground = _grounds(table, row)
         for barrier in Barrier:
             assert _same_bits(ground[barrier], level_energy(trap, 1, barrier))
     # one float index per trap, as a tail's first level E_{K+1} is formed
@@ -595,7 +596,9 @@ def test_segment_sums_equal_numpy_sums(ladders):
     flat = _tail_sums._Segments([len(levels) for levels, _, _ in built])
     assert flat.within().tolist() == [
         j for levels, _, _ in built for j in range(len(levels) + 1)]
-    energies = flat.join([levels for levels, _, _ in built])
+    # each behind a slot that holds its first level
+    energies = np.concatenate([np.concatenate((levels[:1], levels))
+                               for levels, _, _ in built])
     t = ensembles._boltzmann_terms(
         flat.spread([beta for _, beta, _ in built]),
         energies - flat.spread([e1 for _, _, e1 in built]))
@@ -607,18 +610,20 @@ def test_segment_sums_equal_numpy_sums(ladders):
 
 
 def test_refused_levels_fail_their_own_trap():
-    """A Morse request past the bound count fails that trap alone with the
-    error level_energy raises for it; the other traps of the batch sum."""
+    """A Morse ladder built past the bound count fails that trap alone
+    with the error level_energy raises for it, and keeps the levels it
+    had; the other traps of the pass are built."""
     deep, shallow = (Morse.from_anharmonicity(MASS, 1e13, chi)
                      for chi in (0.001, 0.02))
-    results = ensembles._series_sums(
-        *_on_rows([(deep, Barrier.ABSENT, 0.0, 1e20, 30),
-                   (shallow, Barrier.ABSENT, 0.0, 1e20,
-                    shallow.bound_count + 1)]), TruncationPolicy(), {})
-    assert not isinstance(results[0], SzilardError)
-    assert isinstance(results[1], SpectrumRangeError)
-    assert str(results[1]) == (f"index {shallow.bound_count + 1} beyond the"
-                               f" {shallow.bound_count} bound Morse levels")
+    ladders = ensembles._Ladders(ensembles._TrapTable((deep, shallow)))
+    errors = ladders.reach([0, 1], [30, shallow.bound_count + 1])
+    assert list(errors) == [1]
+    assert isinstance(errors[1], SpectrumRangeError)
+    assert str(errors[1]) == (f"index {shallow.bound_count + 1} beyond the"
+                              f" {shallow.bound_count} bound Morse levels")
+    assert ladders.size.tolist() == [30, 0]
+    assert ladders.levels.tobytes() == level_energy(
+        deep, np.arange(1, 31)).tobytes()
 
 
 def _same_bits(got, want):
@@ -681,14 +686,12 @@ def test_batches_group_each_trap_object(shapes, data, max_terms, baths,
     for at, following in zip(batches, batches[1:]):
         assert traps[at[-1]] is not traps[following[0]]
     event(f"{len(batches)} batches")
-    failed = any(isinstance(e1, SzilardError) for ground in table.grounds
-                 for e1 in ground.values())
-    event(f"a ground level fails: {failed}")
+    event(f"a ground level fails: {bool(table.failed.any())}")
     for i, row in enumerate(table.rows):
         own, batch = ensembles._batches((traps[i],), [betas[i]], policy,
                                         baths)
         assert batch == [[0]]
-        ground, (alone,) = table.grounds[row], own.grounds
+        ground, alone = _grounds(table, row), _grounds(own, 0)
         assert list(ground) == list(alone)
         assert all(_same_bits(ground[b], alone[b]) for b in alone)
 
@@ -817,26 +820,33 @@ class TestTruncation:
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_sum_that_is_not_finite_is_an_error(self, value):
         """A series whose terms leave float range is a typed error in its
-        own segment, never a float; the other segments of its batch still
+        own stage row, never a float; the other rows of its batch still
         sum.  The Boltzmann kernel is patched to give such terms at beta =
         2."""
         trap = Harmonic(MASS, 1e10)
-        e1 = level_energy(trap, 1)
 
         def terms(beta, gap):
             return np.where(beta == 2.0, value, np.ones_like(gap))
 
-        policy = TruncationPolicy()
+        def absent_sums(betas, heads):
+            """The _Stages of absent rows at betas, of heads terms each,
+            summed in one _series_sums call."""
+            table = ensembles._TrapTable((trap,))
+            units = len(betas)
+            stages = ensembles._Stages(table, np.zeros(units, dtype=np.intp),
+                                       np.ones(units), np.ones(units))
+            stages.beta[::2], stages.head[::2] = betas, heads
+            ensembles._series_sums(stages, np.arange(0, 2 * units, 2),
+                                   ensembles._Ladders(table))
+            return stages
+
         with mock.patch.object(ensembles, "_boltzmann_terms", terms):
-            (one,) = ensembles._series_sums(
-                *_on_rows([(trap, Barrier.ABSENT, e1, 2.0, 20)]), policy, {})
-            both = ensembles._series_sums(
-                *_on_rows([(trap, Barrier.ABSENT, e1, 1.0, 20),
-                           (trap, Barrier.ABSENT, e1, 2.0, 30)]), policy, {})
-        for result in (one, both[1]):
-            assert isinstance(result, SzilardError)
-            assert "not finite" in str(result)
-        assert both[0][0] == 20.0
+            one = absent_sums([2.0], [20])
+            both = absent_sums([1.0, 2.0], [20, 30])
+        for stages, row in ((one, 0), (both, 2)):
+            assert isinstance(stages.errors[row], SzilardError)
+            assert "not finite" in str(stages.errors[row])
+        assert both.errors[0] is None and both.total[0] == 20.0
 
 
 class TestPhysicalLadders:
@@ -1153,16 +1163,21 @@ class TestCanonicalOracle:
 
 
 def _sums_of(call):
-    """Every segment that _series_sums sums while call() runs, each with its
-    policy and result; and whether call() succeeded (it may raise a
-    SzilardError)."""
+    """Every stage row that _series_sums sums while call() runs, each as
+    (trap, barrier, E_1, beta, head) with its result, (sum, energy sum)
+    before any tail, or its error; and whether call() succeeded (it may
+    raise a SzilardError)."""
     log, original = [], ensembles._series_sums
 
-    def spy(table, segments, policy, levels):
-        results = original(table, segments, policy, levels)
-        log.extend(((table.traps[row], *rest), policy, result)
-                   for (row, *rest), result in zip(segments, results))
-        return results
+    def spy(stages, at, ladders):
+        original(stages, at, ladders)
+        log.extend(((ladders.table.traps[row], tuple(Barrier)[inserted], e1,
+                     beta, n), error or (total, energy))
+                   for row, inserted, e1, beta, n, total, energy, error in zip(
+                       *(column[at].tolist() for column in (
+                           stages.row, stages.inserted, stages.e1,
+                           stages.beta, stages.head, stages.total,
+                           stages.energy)), stages.errors.take(at)))
 
     with mock.patch.object(ensembles, "_series_sums", spy):
         try:
@@ -1175,7 +1190,8 @@ def _sums_of(call):
 def _head_of(trap, barrier, beta, e1, policy):
     """One trap's _heads entry, as (n, tailed)."""
     (n,), (tailed,) = ensembles._heads(ensembles._Shapes.of([trap]),
-                                       ensembles._stride(barrier), beta,
+                                       2 if barrier is Barrier.INSERTED
+                                       else 1, beta,
                                        np.array([e1]), policy)
     return n, bool(tailed)
 
@@ -1311,7 +1327,7 @@ def test_heads_match_the_scalar_reference(traps, inserted, count, rel_tol):
             continue        # a well too shallow for an inserted level
         batch.append(trap)
     lengths, tailed = ensembles._heads(ensembles._Shapes.of(batch),
-                                       ensembles._stride(barrier), beta,
+                                       2 if inserted else 1, beta,
                                        np.array(e1), policy)
     for trap, ground, n, tail in zip(batch, e1, lengths, tailed.tolist()):
         try:
@@ -1485,7 +1501,7 @@ def test_heads_of_any_rows_keep_each_rows_bits(traps, temperatures, data):
                 w.tobytes() for w in want], (r, kind)
 
 
-def _checked_last_terms(log):
+def _checked_last_terms(log, policy):
     """Assert that each canonical sum that runs to its size, rather than to
     a Morse well's last bound level or to a head that a closed-form tail
     completes, ends on a term e^{-beta (E_n - E_1)} below rel_tol of its
@@ -1493,7 +1509,7 @@ def _checked_last_terms(log):
     and its tail (see ensembles._tails) meet the whole ladder, summed term
     by term with math.fsum, to rel_tol.  Returns the segments checked."""
     checked = []
-    for (trap, barrier, e1, beta, n), policy, result in log:
+    for (trap, barrier, e1, beta, n), result in log:
         if isinstance(result, SzilardError):
             continue
         if isinstance(trap, Morse) and trap.bound_count is not None and (
@@ -1504,7 +1520,8 @@ def _checked_last_terms(log):
             if isinstance(trap, PowerLaw) and trap.level_power != 1.0:
                 (tail,), _ = ensembles._tails(
                     ensembles._Shapes.of([trap]),
-                    np.array([float(ensembles._stride(barrier))]),
+                    np.array([2.0 if barrier is Barrier.INSERTED
+                              else 1.0]),
                     np.array([beta]), np.array([e1]), np.array([float(n)]))
                 whole, m = [], 1
                 while not whole or whole[-1] > 1e-40:
@@ -1527,11 +1544,16 @@ def _rung_ladders(call):
     call() succeeded (it may raise a SzilardError)."""
     log, original = [], ensembles._Rungs
 
-    def spy(g, beta, e1, errors, readers, built, *rest):
-        log.extend((ladder, tailed, Barrier.INSERTED if step == 2.0
-                    else Barrier.ABSENT, beta[rows[0]], e1[rows[0]])
-                   for rows, (ladder, tailed, step) in zip(readers, built))
-        return original(g, beta, e1, errors, readers, built, *rest)
+    def spy(g, beta, e1, errors, readers, tailed, step, flat, levels, *rest):
+        # each rung's head, behind its slot, before _Rungs overwrites it
+        log.extend((levels[start + 1:start + 1 + n].copy(), tail,
+                    Barrier.INSERTED if by == 2.0 else Barrier.ABSENT,
+                    beta[rows[0]], e1[rows[0]])
+                   for rows, tail, by, start, n in zip(
+                       readers, tailed.tolist(), step.tolist(),
+                       flat.slots.tolist(), (flat.width - 1).tolist()))
+        return original(g, beta, e1, errors, readers, tailed, step, flat,
+                        levels, *rest)
 
     with mock.patch.object(ensembles, "_Rungs", spy):
         try:
@@ -1701,7 +1723,7 @@ def test_whole_canonical_sums_end_below_rel_tol(kind, gap, nu, anharmonicity,
         ensemble = Ensemble.CANONICAL_N
     log, _ = _sums_of(lambda: run_cycle(trap, ensemble, count, baths,
                                         _SMALL_CAP))
-    assert _checked_last_terms(log)
+    assert _checked_last_terms(log, _SMALL_CAP)
 
 
 class TestGrandOracle:
@@ -1912,17 +1934,41 @@ _COUNT_CALLS = [
 ]
 
 
-@pytest.mark.parametrize("count", [0, -1, 0.5, math.nan, math.inf])
+@pytest.mark.parametrize("count", [0, -1, 0.5, math.nan, math.inf,
+                                   pytest.param(10 ** 400, id="10**400")])
 @pytest.mark.parametrize("call", _COUNT_CALLS)
 def test_particle_count_outside_one_to_inf_is_refused(call, count):
     """Every entry point that takes a particle count refuses one that is
     not a finite number of at least 1 with the same EnsembleMismatchError,
     before any sum, so that no such count reaches a sum or a root: -1 would
     give a negative energy, inf a bare ValueError from log(0), nan a root
-    that fails."""
+    that fails, and an int past float range a bare OverflowError."""
     with pytest.raises(EnsembleMismatchError,
                        match="particle count must be finite and at least 1"):
         call(count)
+
+
+@pytest.mark.parametrize("ensemble, trap", [
+    (Ensemble.GRAND_BOSE, _COUNT_HARMONIC),
+    (Ensemble.CANONICAL_N, _COUNT_HARMONIC)], ids=["grand", "canonical"])
+def test_count_past_float_range_fails_its_own_point(ensemble, trap):
+    """1 <= 10**400 < inf holds for a Python int, so such a count passed
+    the count check and raised a bare OverflowError (int too large to
+    convert to float) from chemical_potential and run_cycle, and from a
+    _run_cycles batch, which lost the result of its N = 10 point too.  It
+    is an EnsembleMismatchError row of its own, and the other point keeps
+    the result it gets alone."""
+    message = "particle count must be finite and at least 1"
+    with pytest.raises(EnsembleMismatchError, match=message):
+        chemical_potential(trap, 10 ** 400, 1.0, Barrier.ABSENT,
+                           MuMode.CLOSED_FORM)
+    with pytest.raises(EnsembleMismatchError, match=message):
+        run_cycle(trap, ensemble, 10 ** 400, _COUNT_BATHS)
+    alone, huge = cycle._run_cycles(
+        [trap, trap], ensemble, [10, 10 ** 400], [_COUNT_BATHS] * 2,
+        TruncationPolicy(), MuMode.SOLVED, False)
+    assert alone == run_cycle(trap, ensemble, 10, _COUNT_BATHS)
+    assert type(huge) is EnsembleMismatchError and str(huge) == message
 
 
 @pytest.mark.parametrize("call", _COUNT_CALLS)

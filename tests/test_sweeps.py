@@ -289,13 +289,14 @@ class TestSingleEvaluation:
 
     def test_morse_point_sums_four_stages(self, tmp_path, monkeypatch):
         """Its four stages are its two baths in both barrier configurations:
-        one _series_sums call per configuration, each over both baths,
-        where one call per stage made four of one segment each."""
+        one _series_sums call per configuration, each over the stage rows
+        of both baths, where one call per stage made four of one segment
+        each."""
         sums = _count_calls(monkeypatch, "_series_sums")
         outcome = _run(_one_point("fig10", depth=4.7 * EV, T_hot=4.0,
                                   omega=1e11), tmp_path)
         assert outcome.points == 1 and outcome.failed == 0
-        assert [len(segments) for _, segments, *_ in sums] == [2, 2]
+        assert [len(at) for _, at, _ in sums] == [2, 2]
 
     def test_morse_run_sums_each_stage_once_per_batch(self, tmp_path,
                                                       monkeypatch):
@@ -307,21 +308,20 @@ class TestSingleEvaluation:
         pairs took 8432 and split them 39 and 11, and counting whole
         estimated ladders made 13 batches, the 8 longest alone.  Each batch
         is two _series_sums calls, one per barrier configuration, each over
-        the 100 distinct (well, bath) pairs of its points; one call per
-        stage, A to D, made four calls of 50, and one call per stage and
-        point made 200."""
+        the stage rows of the 100 distinct (well, bath) pairs of its points;
+        one call per stage, A to D, made four calls of 50, and one call per
+        stage and point made 200."""
         sums = _count_calls(monkeypatch, "_series_sums")
         spec = replace(preset("fig10"),
                        lists={"depth": (4.7 * EV,), "T_hot": (4.0,)})
         outcome = _run(spec, tmp_path)
         assert outcome.points == 50 and outcome.failed == 0
         sizes = [100]
-        assert [len(segments) for _, segments, *_ in sums] == [
+        assert [len(at) for _, at, _ in sums] == [
             size for size in sizes for _ in range(2)]
-        barriers = [{segment[1] for segment in segments}
-                    for _, segments, *_ in sums]
-        assert barriers == [{potentials.Barrier.ABSENT},
-                            {potentials.Barrier.INSERTED}] * len(sizes)
+        inserted = [set(stages.inserted[at].tolist())
+                    for stages, at, _ in sums]
+        assert inserted == [{False}, {True}] * len(sizes)
 
     def test_morse_run_sizes_and_builds_in_array_passes(self, tmp_path,
                                                         monkeypatch):
@@ -332,9 +332,10 @@ class TestSingleEvaluation:
         batching's 50 handed down made the second pass 150 rows; in two
         batches, as four-pair tails split the run, they were three).  The
         batching looks up the 100 ground levels in one _Shapes.ladders
-        pass, each _series_sums call builds the levels it lacks in at most
-        one more (the absent sums their ladders, the inserted ones their
-        extensions; one call per stage made four, stage D's building none),
+        pass, each _series_sums call builds the levels its stage rows lack
+        in at most one more (the absent sums their ladders, the inserted
+        ones their extensions; one call per stage made four, stage D's
+        building none),
         and level_energy never runs: it made 100 scalar ground lookups.
         The batching's trap table derives the shapes of the 50 wells in one
         _Shapes.of call, one row per well, and every sizing, sum and ladder
@@ -789,12 +790,12 @@ class TestBatchedRuns:
         bath) once per barrier configuration: fig2's 20 counts at two
         baths are 40 per call, and fig9's 50 hot baths and their halves,
         25 of which are hot baths too, 75 (one call per stage, A to D,
-        summed 50 each)."""
+        summed 50 each): each call's stage rows, one per unit."""
         sums = _count_calls(monkeypatch, "_series_sums")
         outcome = _run(preset(target), tmp_path)
         assert outcome.failed == 0
         distinct = {"fig2": 40, "fig9": 75}[target]
-        assert [len(segments) for _, segments, *_ in sums] == [distinct] * 2
+        assert [len(at) for _, at, _ in sums] == [distinct] * 2
         lines = open(outcome.csv_path).read().splitlines()
         assert lines[1:] == self._single_rows(preset(target), tmp_path)
 
@@ -810,22 +811,25 @@ class TestBatchedRuns:
         the inserted ones.  A fig10 pass built 800 ladders, one per point,
         and fig9 50.  Each distinct (well, bath) is summed once per barrier
         configuration: fig10's 200 wells at 6 temperatures are 2,400
-        segments, where four stages per point made 3,200."""
+        stage rows, where four stages per point made 3,200 segments.  A
+        ladder is built or extended where a _Ladders.reach call finds it
+        shorter than a row asks."""
         runs, built, extended = [], [], []
-        run_cycles, extend = sweeps._run_cycles, ensembles._extend
+        run_cycles, reach = sweeps._run_cycles, ensembles._Ladders.reach
 
         def spy_runs(traps, *args):
             runs.extend(traps)
             return run_cycles(traps, *args)
 
-        def spy_extend(table, requests, levels):
-            for row, _ in requests:
-                (extended if row in levels else built).append(
-                    table.traps[row])
-            return extend(table, requests, levels)
+        def spy_reach(ladders, row, top):
+            grown = np.unique(np.asarray(row)[top > ladders.size[row]])
+            for r in grown.tolist():
+                (extended if ladders.size[r] else built).append(
+                    ladders.table.traps[r])
+            return reach(ladders, row, top)
 
         monkeypatch.setattr(sweeps, "_run_cycles", spy_runs)
-        monkeypatch.setattr(ensembles, "_extend", spy_extend)
+        monkeypatch.setattr(ensembles._Ladders, "reach", spy_reach)
         sums = _count_calls(monkeypatch, "_series_sums")
         outcome = _run(preset(target), tmp_path)
         assert outcome.points == points and outcome.failed == 0
@@ -833,7 +837,7 @@ class TestBatchedRuns:
                                                                  wells)
         assert len(built) == len({id(trap) for trap in built}) == wells
         assert len(extended) == wells
-        assert sum(len(args[1]) for args in sums) == segments
+        assert sum(len(at) for _, at, _ in sums) == segments
 
     def test_points_of_other_counts_share_rungs(self, tmp_path,
                                                 monkeypatch):
