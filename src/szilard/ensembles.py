@@ -591,16 +591,22 @@ def _cycle_sums(table, traps, counts, baths, policy):
     """Per point of a batch, the trap on row traps[i] of the _TrapTable
     table with counts[i] particles between baths[i]: (log ratio hot, log
     ratio cold, (U_A, U_B, U_C, U_D)), or the error of its first failing
-    stage, A to D.  Each distinct (row, count, bath), found as arrays, is
-    one unit of _canonical_stages, which sizes and sums it once for every
-    point that reads it: at its hot bath for stages A and B, at its cold
-    one for C and D."""
-    keys = np.column_stack((
-        np.repeat(traps, 2), np.repeat(np.asarray(counts, dtype=float), 2),
-        [t for pair in baths for t in (pair.hot, pair.cold)]))
-    units, unit = np.unique(keys, axis=0, return_inverse=True)
+    stage, A to D.  Each distinct (row, count, bath), found by one lexsort
+    of the points' keys, is one unit of _canonical_stages, which sizes and
+    sums it once for every point that reads it: at its hot bath for stages
+    A and B, at its cold one for C and D."""
+    keys = np.array((np.repeat(traps, 2), np.repeat(counts, 2),
+                     [t for pair in baths for t in (pair.hot, pair.cold)]),
+                    dtype=float)
+    order = np.lexsort(keys)
+    keys = keys[:, order]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = (keys[:, 1:] != keys[:, :-1]).any(axis=0)
+    unit = np.empty_like(order)
+    unit[order] = np.cumsum(new) - 1
+    row, count, temperature = keys[:, new]
     log, energy, errors = _canonical_stages(
-        table, units[:, 0].astype(np.intp), units[:, 1], units[:, 2], policy)
+        table, row.astype(np.intp), count, temperature, policy)
     # stages A to D: the hot unit's rows absent and inserted, then the
     # cold one's inserted and absent
     rows = (2 * unit.reshape(-1, 2)[:, [0, 0, 1, 1]] + [0, 1, 1, 0]).ravel()
