@@ -634,8 +634,8 @@ class _Roots:
     """Grand-canonical roots as columns (scalars broadcast): root j on the
     harmonic or power-law trap of row row[j] of a _TrapTable, whose ground
     levels never fail, with the barrier inserted[j] (a bool) or not, at
-    temperature[j] (its beta, _beta's, math's element by element), ground
-    level e1[j] and count[j] bosons, each column as its caller gives it."""
+    temperature[j] (its beta, _betas'), ground level e1[j] and count[j]
+    bosons, each column as its caller gives it."""
 
     __slots__ = ("row", "inserted", "temperature", "beta", "e1", "count")
 
