@@ -6,9 +6,10 @@ and Morse routes a closed-form Euler-Maclaurin tail (_tails) of the
 Boltzmann sum whose head ensembles._series_sums takes; on the
 grand-canonical route the mu-free moments of each rung, the same tails at
 k beta, over which every Bose sum's tail is a short k-series (_Rungs,
-_Heads), from the heads ensembles._grand_rungs builds.  _heads, the one
-sizing rule of every route, sets each length K from the remainder bounds
-of these tails.  Everything here runs on numpy arrays over many sums at
+_Heads), on the heads of the rungs ensembles._grand_rungs finds, each
+read by its roots through their rung index.  _heads, the one sizing rule
+of every route, sets each length K from the remainder bounds of these
+tails.  Everything here runs on numpy arrays over many sums at
 once, laid out by _Segments, the one flat layout of both routes' ladders,
 heads, moments and k-series, and each sum is reduced on its own, so a
 batched value equals its one-trap value bit for bit.  Traps come as the
@@ -424,12 +425,13 @@ def _heads(traps, step, beta, e1, policy):
 # T_k = r^{kK}/(1 - r^k), r = e^{-beta delta}, formed in each term; on any
 # other power law _power_tails at k beta, formed once per rung, to the
 # longest series of the roots that read it, in one pass per batch.
-# ensembles._grand_rungs builds only the heads _heads sizes, each rung once,
-# and every Newton round, occupancy re-check, log ratio and stage energy of
-# its batch reuses them.  With x_cut = -log rel_tol + 35, the sizing cut of
-# _heads, a k-series runs to k = ceil(x_cut/(x_{K+1} + v)), capped by
-# max_terms: a geometric one at each evaluation's v, a
-# power law's at the least v its rung is summed at (see _Rungs).  As T_k <=
+# ensembles._grand_rungs groups a batch's roots into rungs (ensembles._units)
+# and gathers only the heads _heads sizes, each rung once; every Newton
+# round, occupancy re-check, log ratio and stage energy of its batch reads
+# them through each root's rung index.  With x_cut = -log rel_tol + 35, the
+# sizing cut of _heads, a k-series runs to k = ceil(x_cut/(x_{K+1} + v)),
+# capped by max_terms: a geometric one at each evaluation's v, a power
+# law's at the least v each root is summed at (see _Rungs).  As T_k <=
 # e^{-(k-1) x_{K+1}} T_1 (and so for W_k), a k-series term against the
 # first is at most e^{-(k-1)(x_{K+1} + v)}: the first term left out is
 # below e^{-x_cut} of the sum, like a ladder's own last term.  A power
@@ -438,120 +440,103 @@ def _heads(traps, step, beta, e1, policy):
 
 
 class _Rungs:
-    """Heads and tails of grand-canonical rungs, read by roots, one row
-    each (see the section comment and ensembles._grand_rungs).
+    """Heads and tails of grand-canonical rungs, read by roots (see the
+    section comment and ensembles._grand_rungs).
 
-    errors[r] is None, or the SzilardError row r met while it was built.
-    Per row, as arrays: the degeneracy g, beta, e1 = E_1, the head length
-    K (heads), where the head of the row's rung starts in the flat arrays x
-    = beta (E - E_1) and gap = E - E_1, behind a slot with x = inf
-    (starts), the kind of its tail (0 none, 1 geometric, 2 another power
-    law) and x_{K+1} (x_tail); a geometric tail's bd = beta delta and
-    delta, its level spacing; a power-law tail's moments T_k and W_k, k =
-    1..terms[r], in the flat arrays moments from offset[r] on, behind a
-    slot.  Rows that read one rung share its head and its moments.  x_cut
-    and max_terms are the policy's.
+    Per root, as arrays: rung[j], the index of the rung root j reads (-1
+    where its rung failed); errors[j], None or the SzilardError root j met
+    while the rungs were built; and terms[j], the length of its power-law
+    k-series.  Per rung m, as arrays: the degeneracy g, beta, e1 = E_1, the
+    head length K (heads), where its head starts in the flat arrays x =
+    beta (E - E_1) and gap = E - E_1, behind a slot with x = inf (starts),
+    the kind of its tail (0 none, 1 geometric, 2 another power law) and
+    x_{K+1} (x_tail); a geometric tail's bd = beta delta and delta, its
+    level spacing; a power-law tail's moments T_k and W_k, k = 1 to the
+    longest series of its roots, in the flat arrays moments from offset[m]
+    on, behind a slot.  x_cut and max_terms are the policy's.
     """
 
-    __slots__ = ("errors", "g", "beta", "e1", "heads", "starts", "x", "gap",
-                 "kind", "x_tail", "bd", "delta", "terms", "offset",
-                 "moments", "x_cut", "max_terms")
+    __slots__ = ("rung", "errors", "terms", "g", "beta", "e1", "heads",
+                 "starts", "x", "gap", "kind", "x_tail", "bd", "delta",
+                 "offset", "moments", "x_cut", "max_terms")
 
-    def __init__(self, g, beta, e1, errors, readers, tailed, step, flat,
-                 levels, shapes, v, count, x_cut, max_terms):
-        """The rungs of roots with degeneracies g, betas, ground levels e1,
-        least v and occupancy counts (the columns of ensembles._Roots) and
-        their errors (an ensembles._Errors).  Rung m, which
-        ensembles._grand_rungs built and the rows readers[m] read, all of
-        one g, beta and E_1, has a tail after its head where tailed[m],
-        stride step[m] (arrays), the levels of its head as segment m of the
+    def __init__(self, rung, errors, g, beta, e1, tailed, flat, levels,
+                 shapes, v, count, x_cut, max_terms):
+        """The rungs read by roots, root j of rung rung[j] with its errors
+        (an ensembles._Errors), least v and occupancy count (arrays).  Rung
+        m, which ensembles._grand_rungs built, has degeneracy g[m], also
+        the stride of its ladder, beta[m] and E_1 = e1[m], a tail after its
+        head where tailed[m], the levels of its head as segment m of the
         _Segments flat over the array levels, which it overwrites, each
         behind a slot that holds its first level, and the trap whose shape
-        is row m of the potentials._Shapes shapes.  Each row is summed at v
-        = beta (E_1 - mu) from its v on, raised, for the root of an
-        occupancy count (inf for none), to log(1 + j g/count) - x_j at every
-        level j of the head, whose first j terms alone reach count there.
-        A row's power-law k-series runs to k = ceil(x_cut/(x_{K+1} + v)) at
-        that v, past max_terms an error, and each rung's moments are formed
-        here, to the longest series of its rows, in one _power_tails pass;
-        at a v below it, which a Newton step may try, the series is that
-        length too, short of its full sum."""
-        size = len(errors)
-        self.g, self.beta, self.e1, self.errors = g, beta, e1, errors
+        is row m of the potentials._Shapes shapes.  Each root is summed at
+        v = beta (E_1 - mu) from its v on, raised, for the root of an
+        occupancy count (inf for none), to log(1 + j g/count) - x_j at
+        every level j of the head, whose first j terms alone reach count
+        there.  A root's power-law k-series runs to k = ceil(x_cut/(x_{K+1}
+        + v)) at that v, past max_terms an error, and each rung's moments
+        are formed here, to the longest series of its roots, in one
+        _power_tails pass; at a v below it, which a Newton step may try,
+        the series is that length too, short of its full sum."""
+        self.rung, self.errors, self.g, self.beta, self.e1 = (
+            rung, errors, g, beta, e1)
         self.x_cut, self.max_terms = x_cut, max_terms
-        self.heads, self.starts, self.kind, self.terms, self.offset = (
-            np.zeros(size, dtype=np.intp) for _ in range(5))
-        self.x_tail, self.bd, self.delta = (np.zeros(size) for _ in range(3))
-        self.x = self.gap = np.zeros(0)
-        self.moments = np.zeros((2, 0))
-        if not readers:
-            return
-        # per rung
-        scale, power = shapes.scale, shapes.power
-        first = np.array([rows[0] for rows in readers], dtype=np.intp)
-        rung_beta, rung_e1 = beta[first], e1[first]
-        heads, starts = flat.width - 1, flat.slots
+        self.heads, self.starts = flat.width - 1, flat.slots
         gap = levels
-        gap -= flat.spread(rung_e1)
-        gap[starts] = 0.0
-        x = flat.spread(rung_beta)
+        gap -= flat.spread(e1)
+        gap[self.starts] = 0.0
+        x = flat.spread(beta)
         x *= gap
-        x[starts] = math.inf
+        x[self.starts] = math.inf
         self.x, self.gap = x, gap
+        power = shapes.power
         geometric = power == 1.0
-        kind = np.where(tailed, np.where(geometric, 1, 2), 0)
-        delta = np.where(geometric, scale * step, 0.0)
-        bd = rung_beta * delta
-        x_tail = bd * heads
-        laws = (kind == 2).nonzero()[0]
-        n = step[laws] * (heads[laws] + 1.0)    # E_{K+1} is at s = n + 1/2
+        self.kind = np.where(tailed, np.where(geometric, 1, 2), 0)
+        self.delta = np.where(geometric, shapes.scale * g, 0.0)
+        self.bd = beta * self.delta
+        self.x_tail = self.bd * self.heads
+        laws = (self.kind == 2).nonzero()[0]
+        n = g[laws] * (self.heads[laws] + 1.0)  # E_{K+1} is at s = n + 1/2
         s, e = n + 0.5, shapes.take(laws).levels(n)
         with np.errstate(all="ignore"):
-            x_tail[laws] = rung_beta[laws] * (e - rung_e1[laws])
-        # per row
-        rows = np.concatenate(readers)
-        m = np.repeat(np.arange(len(readers)), [len(r) for r in readers])
-        self.heads[rows], self.starts[rows], self.x_tail[rows] = (
-            heads[m], starts[m], x_tail[m])
-        self.delta[rows], self.bd[rows] = delta[m], bd[m]
-        kind = kind[m]
-        at = (kind == 2).nonzero()[0]
-        if len(at):
-            r, m = rows[at], m[at]
-            # each row's head levels j behind its slot, where j = 0 and x =
-            # inf give -inf, which the maximum passes over
-            levels = _Segments(heads[m])
-            j = levels.within()
-            floor = np.log1p(j * levels.spread(self.g[r] / count[r]))
-            floor -= x[levels.spread(starts[m]) + j]
-            floor = np.fmax(v[r], np.maximum.reduceat(floor, levels.slots))
-            with np.errstate(all="ignore"):
-                length = np.ceil(x_cut / (self.x_tail[r] + floor))
-            refused = ~(length <= max_terms)
-            for i in refused.nonzero()[0].tolist():
-                self.errors.set(r[i], _cap_error(length[i], max_terms))
-            kind[at[refused]] = 0
-            keep = ~refused
-            r, m, n = r[keep], m[keep], length[keep].astype(np.intp)
-            self.terms[r] = n
-            # each rung's k = 1..its rows' longest series behind a slot,
-            # whose moments are 0
-            longest = np.zeros(len(readers), dtype=np.intp)
-            np.maximum.at(longest, m, n)
-            table = _Segments(longest[laws])
-            offset = np.zeros(len(readers), dtype=np.intp)
-            offset[laws] = table.slots
-            self.offset[r] = offset[m]
-            k = table.within()
-            place = k.nonzero()[0]
-            law = table.spread(np.arange(len(laws)))[place]
-            rung = laws[law]
-            self.moments = np.zeros((2, len(k)))
-            with np.errstate(all="ignore"):
-                self.moments[:, place] = _power_tails(
-                    e[law], s[law], power[rung], step[rung],
-                    k[place] * rung_beta[rung], rung_e1[rung])
-        self.kind[rows] = kind
+            self.x_tail[laws] = beta[laws] * (e - e1[laws])
+        self.terms = np.zeros(len(rung), dtype=np.intp)
+        self.offset = np.zeros(len(g), dtype=np.intp)
+        self.moments = np.zeros((2, 0))
+        r = errors.live.nonzero()[0]
+        r = r[self.kind[rung[r]] == 2]      # the live power-law roots
+        if not len(r):
+            return
+        m = rung[r]
+        # each root's head levels j behind its slot, where j = 0 and x = inf
+        # give -inf, which the maximum passes over
+        levels = _Segments(self.heads[m])
+        j = levels.within()
+        floor = np.log1p(j * levels.spread(g[m] / count[r]))
+        floor -= x[levels.spread(self.starts[m]) + j]
+        floor = np.fmax(v[r], np.maximum.reduceat(floor, levels.slots))
+        with np.errstate(all="ignore"):
+            length = np.ceil(x_cut / (self.x_tail[m] + floor))
+        refused = ~(length <= max_terms)
+        for i in refused.nonzero()[0].tolist():
+            errors.set(r[i], _cap_error(length[i], max_terms))
+        keep = ~refused
+        r, m, n = r[keep], m[keep], length[keep].astype(np.intp)
+        self.terms[r] = n
+        # each rung's k = 1..its roots' longest series behind a slot, whose
+        # moments are 0
+        longest = np.zeros(len(g), dtype=np.intp)
+        np.maximum.at(longest, m, n)
+        table = _Segments(longest[laws])
+        self.offset[laws] = table.slots
+        k = table.within()
+        place = k.nonzero()[0]
+        law = table.spread(np.arange(len(laws)))[place]
+        at = laws[law]
+        self.moments = np.zeros((2, len(k)))
+        with np.errstate(all="ignore"):
+            self.moments[:, place] = _power_tails(
+                e[law], s[law], power[at], g[at], k[place] * beta[at], e1[at])
 
 
 def _cap_error(n, max_terms):
@@ -562,8 +547,9 @@ def _cap_error(n, max_terms):
 
 
 class _Heads:
-    """The heads of some rows of a _Rungs, gathered behind one slot each
-    (a _Segments, flat), and their tails.
+    """The heads of some roots of a _Rungs, rows, each its rung's by the
+    rung index, gathered behind one slot each (a _Segments, flat), and
+    their tails.
 
     sums() evaluates them at one v = beta (E_1 - mu) per row, each row its
     head and its k-series, so a Newton round sums its roots' heads and
@@ -579,22 +565,22 @@ class _Heads:
         """The heads of rows (an index array), with their gaps E - E_1
         where an energy needs them."""
         self.rungs, self.rows = rungs, rows
-        self.flat = _Segments(rungs.heads[rows])
+        m = rungs.rung[rows]
+        self.flat = _Segments(rungs.heads[m])
         # the places of each row's head: starts + within(), in one spread
-        index = self.flat.spread(rungs.starts[rows] - self.flat.slots)
+        index = self.flat.spread(rungs.starts[m] - self.flat.slots)
         index += np.arange(len(index))
-        self.x, self.g = rungs.x[index], rungs.g[rows]
+        self.x, self.g = rungs.x[index], rungs.g[m]
         self.gap = rungs.gap[index] if gap else None
-        kind = rungs.kind[rows]
+        kind = rungs.kind[m]
         self.series = (kind == 1).nonzero()[0]
         # the power-law rows, their k and moments, each behind its slot
         at = (kind == 2).nonzero()[0]
         self.power = None
         if len(at):
-            laws = rows[at]
-            terms = _Segments(rungs.terms[laws])
+            terms = _Segments(rungs.terms[rows[at]])
             k = terms.within()
-            moments = rungs.moments[:, terms.spread(rungs.offset[laws]) + k]
+            moments = rungs.moments[:, terms.spread(rungs.offset[m[at]]) + k]
             k = k.astype(float)
             k[terms.slots] = 1.0     # a finite term, zeroed below
             self.power = at, terms, k, moments
@@ -646,8 +632,8 @@ class _Heads:
         e^{-beta delta}, e^{-kv} T_k = e^{-k (x_{K+1} + v)}/(1 - r^k) and
         W_k = delta T_k (K + r^k/(1 - r^k)), as x_{K+1} = beta delta K."""
         rungs, at = self.rungs, self.series
-        rows = self.rows[at]
-        y = rungs.x_tail[rows] + v[at]
+        m = rungs.rung[self.rows[at]]
+        y = rungs.x_tail[m] + v[at]
         length = np.ceil(rungs.x_cut / y)
         refused = ~(length <= rungs.max_terms)
         if refused.any():
@@ -657,7 +643,7 @@ class _Heads:
         series = _Segments(length.astype(np.intp))
         k = series.within().astype(float)
         k[series.slots] = 1.0      # a finite term, zeroed below
-        c = series.spread(-rungs.bd[rows])
+        c = series.spread(-rungs.bd[m])
         c *= k
         np.negative(np.expm1(c, out=c), out=c)          # 1 - r^k
         t = series.spread(-y)
@@ -668,8 +654,8 @@ class _Heads:
         if kind == "energy":
             w = 1.0 - c
             w /= c
-            w += series.spread(rungs.heads[rows])
-            w *= series.spread(rungs.delta[rows])
+            w += series.spread(rungs.heads[m])
+            w *= series.spread(rungs.delta[m])
             w *= t
         _add(out, at, kind, d, t, w, k, series)
 

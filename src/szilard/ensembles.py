@@ -21,17 +21,20 @@ identity: a row per distinct trap object, with its ladder shape and ground
 levels, which every sum reads by row.  _batches splits the points into
 batches of a bounded number of estimated terms, closing one only between
 two rows, so a batch sums each distinct canonical (row, count, bath) once
-and builds each grand rung once for all its counts.  A batch's sums are
-columns, each result an array aligned to them with one error list and its
-live mask (_Errors) beside it.  A canonical or Morse batch's stage rows
-(_Stages: row, barrier, N beta, E_1, head length, tailed) are sized,
-summed, tailed and logged as arrays; a row's error is the first of its
-ground level, N beta past float range, its head's estimate, a head past
-max_terms, its levels, a sum not finite and a sum not finite after its
-tail, and a point reports its first failing stage, A to D.  A grand
-batch's roots are columns (_Roots: row, barrier, temperature, beta, E_1,
-count) from where _bath_ratios forms them to where _grand_sums sums their
-energies.
+and builds each grand rung once for all its counts.  One rule, _units (a
+stable lexsort of key columns), groups the batching's (row, beta) sizes,
+a canonical batch's units and a grand batch's rungs, each read by index.
+A batch's sums are columns, each result an array aligned to them with
+one error list and its live mask (_Errors) beside it.  Roots and stage
+rows share their columns (_Roots: row, barrier, temperature, beta, E_1,
+count), laid out for points by _point_columns.  A canonical or Morse
+batch's stage rows (_Stages, adding N beta, head length and tailed) are
+sized, summed, tailed and logged as arrays; a row's error is the first
+of its ground level, N beta past float range, its head's estimate, a
+head past max_terms, its levels, a sum not finite and a sum not finite
+after its tail, and a point reports its first failing stage, A to D.  A
+grand batch's roots are columns from where _bath_ratios forms them to
+where _grand_sums sums their energies.
 
 Every ladder is sized by one rule, _heads (in _tail_sums): a sum's length is
 fixed from its ground level E_1 before any term is formed, and the sum is
@@ -170,11 +173,12 @@ _STAGES = {Stage.A: (Barrier.ABSENT, "hot"), Stage.B: (Barrier.INSERTED, "hot"),
 #
 # A batch's sums are columns, one entry per sum, with one error list beside
 # them (_Errors).  Their levels are gathered from one flat store of the
-# batch's barrier-free ladders (_Ladders) by index arithmetic, laid end to
-# end by _tail_sums._Segments, the layout the grand route's heads, moments
-# and k-series share: each elementwise step is one numpy pass over all of
+# batch's barrier-free ladders (_Ladders) by index arithmetic, in one
+# _Ladders.gather_live step on either route, laid end to end by
+# _tail_sums._Segments, the layout the grand route's heads, moments and
+# k-series share: each elementwise step is one numpy pass over all of
 # them, and only a failing sum builds its error in Python.  A batched value
-# equals the one-sum value bit for bit.
+# equals the one-sum value bit for bit, whatever order _units gives.
 
 
 def _beta(temperature):
@@ -199,6 +203,23 @@ def _betas(temperatures):
     for temperature in temperatures[~((0.0 < beta) & (beta < math.inf))]:
         _beta(float(temperature))
     return beta
+
+
+def _units(*keys):
+    """The entries of key columns (arrays of one length) grouped by key:
+    (first, unit), first the lowest index of each distinct key, in key
+    order, and unit[k] the place in first of entry k's key.  One stable
+    np.lexsort of the keys; a key is never nan, which _betas and
+    _count_error refuse first."""
+    order = np.lexsort(keys)
+    new = np.zeros(len(order), dtype=bool)
+    new[:1] = True
+    for key in keys:
+        key = np.asarray(key)[order]
+        new[1:] |= key[1:] != key[:-1]
+    unit = np.empty_like(order)
+    unit[order] = np.cumsum(new) - 1
+    return order[new], unit
 
 
 class _Errors(list):
@@ -336,6 +357,20 @@ class _Ladders:
         j += flat.spread(self.off[row] - 1)
         return flat, self.levels[j]
 
+    def gather_live(self, errors, at, row, stride, n):
+        """The step of every batched sum: of the entries at (an index
+        array) of some columns (arrays) still live in their _Errors errors,
+        reach levels 1..n[k] of the configuration of stride[k] of row[k] in
+        one pass, set the error of each entry whose trap's missing levels
+        level_energy refuses, and gather the rest: the entries gathered (an
+        index array) and their gather."""
+        at = at[errors.live[at]]
+        refused = self.reach(row[at], n[at] * stride[at])
+        for k in at[np.isin(row[at], list(refused))].tolist():
+            errors.set(k, refused[row[k]])
+        at = at[errors.live[at]]
+        return (at, *self.gather(row[at], stride[at], n[at]))
+
 
 # A batch of traps is closed once its estimated ladder terms reach this;
 # it bounds the size of the flat arrays, which would otherwise grow with
@@ -353,26 +388,28 @@ def _batches(potentials, betas, policy, baths=1):
     a canonical stage A, beta for a grand rung, whose mu approaches E_1),
     `baths` times (2 for a grand cycle, whose per-root arrays hold a head of
     each barrier at each bath), from one _heads pass over the distinct
-    (row, beta) pairs; a failed estimate counts 0.  Each sum is sized again
-    where it is summed."""
+    (row, beta) pairs, found by _units, whose ground level holds; a failed
+    estimate counts 0.  Each sum is sized again where it is summed."""
     table = _TrapTable(potentials)
-    keys = list(zip(table.rows, betas))
-    grounded = (~table.failed[:, 0]).tolist()
-    live = [(row, beta) for row, beta in dict.fromkeys(keys)
-            if grounded[row]]
-    rows = [row for row, _ in live]
-    lengths, _ = _heads(table.shapes.take(rows), 1,
-                        np.array([beta for _, beta in live], dtype=float),
-                        table.e1[rows, 0], policy)
-    sizes = {key: n for key, n in zip(live, lengths) if not _failed(n)}
+    rows = np.array(table.rows, dtype=np.intp)
+    betas = np.asarray(betas, dtype=float)
+    first, unit = _units(rows, betas)
+    grounded = ~table.failed[rows[first], 0]
+    live = first[grounded]
+    lengths, _ = _heads(table.shapes.take(rows[live]), 1, betas[live],
+                        table.e1[rows[live], 0], policy)
+    size = np.zeros(len(first))
+    size[grounded] = [0 if _failed(n) else n for n in lengths]
     batches, at, total = [], [], 0
-    # the points row by row, each row's in order
-    for i in sorted(range(len(keys)), key=table.rows.__getitem__):
+    # the points row by row, each row's in order; a total past 2^53 is
+    # past _BATCH_TERMS too
+    order = np.argsort(rows, kind="stable")
+    for i, terms in zip(order.tolist(), (baths * size[unit[order]]).tolist()):
         if total >= _BATCH_TERMS and table.rows[i] != table.rows[at[-1]]:
             batches.append(at)
             at, total = [], 0
         at.append(i)
-        total += baths * sizes.get(keys[i], 0)
+        total += terms
     return table, batches + [at] if at else batches
 
 
@@ -393,38 +430,62 @@ def _sized(errors, at, lengths, max_terms):
     return n
 
 
-def _reached(errors, at, row, failed):
-    """Set the error of each entry at[i] (an index array) whose trap row[i]
-    is a key of failed, a dict of errors by row, in errors (an _Errors)."""
-    for r, error in failed.items():
-        for k in at[row == r].tolist():
-            errors.set(k, error)
+class _Roots:
+    """Roots and stage rows as columns (scalars broadcast): row j on the
+    trap of row row[j] of a _TrapTable, with the barrier inserted[j] (a
+    bool) or not, at temperature[j] (its beta, _betas'), ground level e1[j]
+    (nan where its lookup fails, as a Morse well's may) and count[j]
+    particles, each column as its caller gives it.  A grand-canonical root
+    is on a harmonic or power-law trap, whose ground levels never fail;
+    _Stages holds canonical and Morse stage rows in the same columns."""
+
+    __slots__ = ("row", "inserted", "temperature", "beta", "e1", "count")
+
+    def __init__(self, table, row, inserted, temperature, count):
+        self.row, self.inserted, self.temperature, self.count = (
+            np.broadcast_arrays(row, inserted, temperature, count))
+        self.beta = _betas(self.temperature)
+        self.e1 = table.e1[self.row, self.inserted.astype(np.intp)]
+
+    def closed(self):
+        """v = log1p(d_1/count), math's element by element: the closed
+        form's beta (E_1 - mu), below which no root lies."""
+        return np.array(list(map(math.log1p, ((1.0 + self.inserted)
+                                              / self.count).tolist())))
 
 
-class _Stages:
-    """Canonical and Morse stage rows as columns: stage row k on the trap of
-    row[k] of a _TrapTable, with the barrier inserted[k] (a bool) or not,
-    count[k] particles at temperature[k], beta[k] = N/(k_B T) (inf where it
-    overflows), ground level e1[k], a head of head[k] levels and, where
-    tailed[k], a closed-form tail after it; total[k] and energy[k] are its
-    Boltzmann sum and energy sum once summed.  errors, an _Errors, is None
-    or the SzilardError that stops row k."""
+def _point_columns(traps, counts, temperatures):
+    """The _Roots columns (row, inserted, temperature, count) of points,
+    point i the trap on row traps[i] with counts[i] particles at each of its
+    row of temperatures[i] (a 2-d array or equal-length tuples): absent and
+    inserted at each temperature in turn."""
+    width = 2 * np.shape(temperatures)[1]
+    return (np.repeat(traps, width),
+            np.tile([False, True], len(traps) * width // 2),
+            np.repeat(temperatures, 2), np.repeat(counts, width))
 
-    __slots__ = ("row", "inserted", "count", "temperature", "beta", "e1",
-                 "head", "tailed", "total", "energy", "errors")
+
+class _Stages(_Roots):
+    """Canonical and Morse stage rows: the _Roots columns of units, whose
+    beta is N/(k_B T) (inf where it overflows), each row with a head of
+    head[k] levels and, where tailed[k], a closed-form tail after it;
+    total[k] and energy[k] are its Boltzmann sum and energy sum once
+    summed.  errors, an _Errors, is None or the SzilardError that stops
+    row k."""
+
+    __slots__ = ("head", "tailed", "total", "energy", "errors")
 
     def __init__(self, table, row, count, temperature):
         """The rows of units u, the trap on row[u] of table with count[u]
         particles at temperature[u] (arrays): absent, row 2u, and inserted,
-        2u + 1.  A row takes the error of its ground level, else the
-        EnsembleMismatchError of an N beta that overflows."""
-        self.row, self.count, self.temperature = (
-            np.repeat(column, 2) for column in (row, count, temperature))
-        self.inserted = np.tile([False, True], len(row))
+        2u + 1 (_point_columns at one temperature).  A row takes the error
+        of its ground level, else the EnsembleMismatchError of an N beta
+        that overflows."""
+        super().__init__(table, *_point_columns(
+            row, count, np.reshape(temperature, (-1, 1))))
         with np.errstate(over="ignore"):
-            self.beta = self.count * _betas(self.temperature)
+            self.beta = self.count * self.beta
         k = self.inserted.astype(np.intp)
-        self.e1 = table.e1[self.row, k]
         size = len(self.row)
         self.head = np.zeros(size, dtype=np.intp)
         self.tailed = np.zeros(size, dtype=bool)
@@ -448,23 +509,18 @@ def _series_sums(stages, at, ladders):
     ends where d = beta (E_n - E_1) has passed x_cut = -log rel_tol +
     _XCUT_MARGIN, and there its last term against the sum, which holds the
     first term, 1, is below e^{-d}; a head leaves the rest to a closed-form
-    tail (see _tail_sums).  The levels the rows lack are one _Ladders.reach
-    pass over their rows of ladders, the store the batch's sums share, and
-    the levels of every row are one gather from it.  The energy sum, of E
-    times each term, comes from the same flat arrays in one more reduceat.
-    A row whose levels level_energy refuses takes that error, and one whose
-    sum is not finite (terms past float range) a SolverFailureError.
+    tail (see _tail_sums).  The levels of every row are one
+    _Ladders.gather_live step over ladders, the store the batch's sums
+    share.  The energy sum, of E times each term, comes from the same flat
+    arrays in one more reduceat.  A row whose levels level_energy refuses
+    takes that error, and one whose sum is not finite (terms past float
+    range) a SolverFailureError.
     """
     errors = stages.errors
-    at = at[errors.live[at]]
-    stride = stages.inserted[at] + 1
-    _reached(errors, at, stages.row[at], ladders.reach(
-        stages.row[at], stages.head[at] * stride))
-    live = errors.live[at]
-    at, stride = at[live], stride[live]
+    at, flat, energies = ladders.gather_live(
+        errors, at, stages.row, stages.inserted + 1, stages.head)
     if not len(at):
         return
-    flat, energies = ladders.gather(stages.row[at], stride, stages.head[at])
     t = _boltzmann_terms(flat.spread(stages.beta[at]),
                          energies - flat.spread(stages.e1[at]))
     total = stages.total[at] = flat.sums(t)
@@ -591,22 +647,16 @@ def _cycle_sums(table, traps, counts, baths, policy):
     """Per point of a batch, the trap on row traps[i] of the _TrapTable
     table with counts[i] particles between baths[i]: (log ratio hot, log
     ratio cold, (U_A, U_B, U_C, U_D)), or the error of its first failing
-    stage, A to D.  Each distinct (row, count, bath), found by one lexsort
-    of the points' keys, is one unit of _canonical_stages, which sizes and
-    sums it once for every point that reads it: at its hot bath for stages
-    A and B, at its cold one for C and D."""
-    keys = np.array((np.repeat(traps, 2), np.repeat(counts, 2),
-                     [t for pair in baths for t in (pair.hot, pair.cold)]),
-                    dtype=float)
-    order = np.lexsort(keys)
-    keys = keys[:, order]
-    new = np.ones(len(order), dtype=bool)
-    new[1:] = (keys[:, 1:] != keys[:, :-1]).any(axis=0)
-    unit = np.empty_like(order)
-    unit[order] = np.cumsum(new) - 1
-    row, count, temperature = keys[:, new]
+    stage, A to D.  Each distinct (row, count, bath), found by _units, is
+    one unit of _canonical_stages, which sizes and sums it once for every
+    point that reads it: at its hot bath for stages A and B, at its cold
+    one for C and D."""
+    keys = (np.repeat(traps, 2), np.repeat(np.asarray(counts, dtype=float), 2),
+            np.array([t for pair in baths for t in (pair.hot, pair.cold)],
+                     dtype=float))
+    first, unit = _units(*keys)
     log, energy, errors = _canonical_stages(
-        table, row.astype(np.intp), count, temperature, policy)
+        table, *(key[first] for key in keys), policy)
     # stages A to D: the hot unit's rows absent and inserted, then the
     # cold one's inserted and absent
     rows = (2 * unit.reshape(-1, 2)[:, [0, 0, 1, 1]] + [0, 1, 1, 0]).ravel()
@@ -625,80 +675,37 @@ def _cycle_sums(table, traps, counts, baths, policy):
 # by term, and a short k-series over the rung's mu-free tail moments (see
 # _tail_sums).  _grand_rungs builds each distinct rung of a batch once, for
 # every count that reads it, and every Newton round, occupancy re-check,
-# log ratio and stage energy reuses them.  A batch's roots are columns
-# (_Roots) from where they are formed to where their energies are summed:
-# each result about them is an array aligned to the columns with one
-# _Errors beside it, as _Rungs.errors is.
-
-class _Roots:
-    """Grand-canonical roots as columns (scalars broadcast): root j on the
-    harmonic or power-law trap of row row[j] of a _TrapTable, whose ground
-    levels never fail, with the barrier inserted[j] (a bool) or not, at
-    temperature[j] (its beta, _betas'), ground level e1[j] and count[j]
-    bosons, each column as its caller gives it."""
-
-    __slots__ = ("row", "inserted", "temperature", "beta", "e1", "count")
-
-    def __init__(self, table, row, inserted, temperature, count):
-        self.row, self.inserted, self.temperature, self.count = (
-            np.broadcast_arrays(row, inserted, temperature, count))
-        self.beta = _betas(self.temperature)
-        self.e1 = table.e1[self.row, self.inserted.astype(np.intp)]
-
-    def closed(self):
-        """v = log1p(d_1/count), math's element by element: the closed
-        form's beta (E_1 - mu), below which no root lies."""
-        return np.array(list(map(math.log1p, ((1.0 + self.inserted)
-                                              / self.count).tolist())))
-
-
-def _point_roots(table, traps, counts, temperatures):
-    """The _Roots of points, point i the trap on row traps[i] of table with
-    counts[i] bosons at each of its tuple of temperatures[i] (all of one
-    length): absent and inserted at each temperature in turn."""
-    width = 2 * len(temperatures[0])
-    return _Roots(table, np.repeat(traps, width),
-                  np.tile([False, True], len(traps) * width // 2),
-                  np.repeat(temperatures, 2),
-                  np.repeat(counts, width))
-
+# log ratio and stage energy reuses them, each root reading its rung's
+# columns by its index.  A batch's roots are columns (_Roots) from where
+# they are formed to where their energies are summed: each result about
+# them is an array aligned to the columns with one _Errors beside it, as
+# _Rungs.errors is.
 
 def _grand_rungs(table, roots, v, count, policy):
     """The _Rungs of the _Roots roots on table, row j root j's, summed at
     v[j] = beta (E_1 - mu) or above and solving for count[j] bosons, or inf
     for none (arrays; see _Rungs).  Roots of one row, barrier and beta read
-    one rung, built once: sized from its E_1 by one _heads pass over all the
-    rungs, and only its head gathered, from one _Ladders store of the
-    barrier-free ladders of the rungs' traps (see _tail_sums).  A rung's
-    error, the first of an estimate past float range, a head past
-    max_terms and a level that cannot be built, is that of every row that
-    reads it; a power-law k-series past max_terms is its row's."""
-    rungs = {}      # the roots that read each rung: (row, inserted, beta)
-    for r, key in enumerate(zip(roots.row.tolist(), roots.inserted.tolist(),
-                                roots.beta.tolist())):
-        rungs.setdefault(key, []).append(r)
-    readers = list(rungs.values())
-    first = [rows[0] for rows in readers]
+    one rung, found by _units and built once: sized from its E_1 by one
+    _heads pass over all the rungs, and only its head gathered, by one
+    _Ladders.gather_live step over the barrier-free ladders of the rungs'
+    traps (see _tail_sums).  A rung's error, the first of an estimate past
+    float range, a head past max_terms and a level that cannot be built, is
+    that of every root that reads it, whose rung is then -1; a power-law
+    k-series past max_terms is its root's."""
+    first, unit = _units(roots.row, roots.inserted, roots.beta)
     row, stride = roots.row[first], roots.inserted[first] + 1
-    shapes = table.shapes.take(row)
-    step = stride.astype(float)
-    lengths, tailed = _heads(shapes, step, roots.beta[first], roots.e1[first],
-                             policy)
-    failed = _Errors(len(readers))      # per rung
-    head = _sized(failed, np.arange(len(readers)), lengths, policy.max_terms)
-    ladders, at = _Ladders(table), failed.live.nonzero()[0]
-    _reached(failed, at, row[at], ladders.reach(row[at],
-                                                head[at] * stride[at]))
-    errors = _Errors(len(roots.row))
-    for m in (~failed.live).nonzero()[0].tolist():
-        for r in readers[m]:
-            errors.set(r, failed[m])
-    kept = failed.live.nonzero()[0]
-    return _Rungs(1.0 + roots.inserted, roots.beta, roots.e1, errors,
-                  [readers[m] for m in kept.tolist()], tailed[kept],
-                  step[kept], *ladders.gather(row[kept], stride[kept],
-                                              head[kept]),
-                  shapes.take(kept), v, np.asarray(count, dtype=float),
+    shapes, g = table.shapes.take(row), stride.astype(float)
+    beta, e1 = roots.beta[first], roots.e1[first]
+    lengths, tailed = _heads(shapes, g, beta, e1, policy)
+    failed, at = _Errors(len(first)), np.arange(len(first))     # per rung
+    head = _sized(failed, at, lengths, policy.max_terms)
+    kept, flat, levels = _Ladders(table).gather_live(failed, at, row, stride,
+                                                     head)
+    rung = np.full(len(first), -1)
+    rung[kept] = np.arange(len(kept))
+    return _Rungs(rung[unit], failed.take(unit), g[kept], beta[kept],
+                  e1[kept], tailed[kept], flat, levels, shapes.take(kept), v,
+                  np.asarray(count, dtype=float),
                   _XCUT_MARGIN - math.log(policy.rel_tol), policy.max_terms)
 
 
@@ -713,10 +720,11 @@ def _rung_sums(rungs, rows, mu, kind):
     live = errors.live.copy()
     if live.any():
         at, place = rows[live], live.nonzero()[0]
-        d = rungs.e1[at] - mu[live]
+        m = rungs.rung[at]
+        d = rungs.e1[m] - mu[live]
         heads = _Heads(rungs, at, kind == "energy")
         with np.errstate(over="ignore"):    # v is inf for a mu far below E_1
-            out[live] = heads.sums(rungs.beta[at] * d, kind, d)[0]
+            out[live] = heads.sums(rungs.beta[m] * d, kind, d)[0]
         for i in place[~np.isfinite(out[live])].tolist():
             errors.set(i, SolverFailureError(f"series sum is {float(out[i])},"
                                              " not finite: its terms leave"
@@ -752,7 +760,8 @@ def _mu_offsets(counts, rungs):
     errors = rungs.errors.copy()
     out = np.zeros(len(errors))
     rows = errors.live.nonzero()[0]
-    d1, count = rungs.g[rows], np.asarray(counts, dtype=float)[rows]
+    d1 = rungs.g[rungs.rung[rows]]
+    count = np.asarray(counts, dtype=float)[rows]
     far, u = np.zeros(len(rows)), np.zeros(len(rows))
     step, rounds = np.zeros(len(rows), dtype=np.intp), np.zeros_like(rows)
     heads = _Heads(rungs, rows)
@@ -958,14 +967,14 @@ def _bath_ratios(table, traps, counts, temperatures, mode, policy):
     """Chemical potentials and log ratios of grand-canonical points, point
     i the trap on row traps[i] of table with counts[i] bosons at each of
     its tuple of temperatures[i] (all of one length k), whose roots, the
-    columns _point_roots forms, one _chemical_potentials call solves in
+    columns of _point_columns, one _chemical_potentials call solves in
     `mode`.  Returns mu, over the roots; the log ratios, a (points, k)
     array, each sum log(1 - e^{-x_pre}) - 2 sum log(1 - e^{-x_post}) over
     its two rungs; per point None, or the error of its first failing root,
     else of its first failing log ratio; and the _Rungs, each built once
     for every count that reads it (see _grand_rungs)."""
     k = len(temperatures[0])
-    roots = _point_roots(table, traps, counts, temperatures)
+    roots = _Roots(table, *_point_columns(traps, counts, temperatures))
     rungs = _grand_rungs(table, roots, roots.closed(), roots.count if mode is
                          MuMode.SOLVED else np.full(2 * k * len(traps),
                                                     math.inf), policy)

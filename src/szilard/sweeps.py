@@ -34,9 +34,10 @@ from .errors import (ConfigError, OutputError, SzilardError, TruncationError,
                      value_or_raise)
 from .potentials import Harmonic, Morse, PowerLaw
 from .barrier import even_levels, odd_level
-from .ensembles import (BathPair, MuMode, TruncationPolicy, _TrapTable,
-                        _bath_ratios, _batches, _beta, _chemical_potentials,
-                        _count_error, _failed, _point_roots)
+from .ensembles import (BathPair, MuMode, TruncationPolicy, _Roots,
+                        _TrapTable, _bath_ratios, _batches, _beta,
+                        _chemical_potentials, _count_error, _failed,
+                        _point_columns)
 from .cycle import Ensemble, _run_cycles
 # perfbench/test_perfbench.py::test_tracer_restores_every_binding reads it
 from .cycle import run_cycle  # noqa: F401
@@ -396,8 +397,8 @@ def _chemical_potential_values(spec, points):
     gets alone, the closed form's error first."""
     out, table, batches = _harmonic_points(spec, points)
     for run, rows in batches:
-        roots = _point_roots(table, rows, [out[i][0] for i in run],
-                             [(out[i][1],) for i in run])
+        roots = _Roots(table, *_point_columns(
+            rows, [out[i][0] for i in run], [(out[i][1],) for i in run]))
         (closed, closed_errors), (solved, solved_errors) = (
             _chemical_potentials(table, roots, mode, spec.policy)
             for mode in (MuMode.CLOSED_FORM, MuMode.SOLVED))

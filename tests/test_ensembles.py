@@ -634,6 +634,35 @@ def _same_bits(got, want):
     return repr(got) == repr(want)
 
 
+_KEY_COLUMNS = (st.booleans(), st.integers(-2, 2),
+                st.sampled_from((0.0, -0.0, 1.0, -2.5, math.inf, -math.inf)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), width=st.integers(1, 3), size=st.integers(0, 24))
+def test_units_group_entries_as_a_dict_does(data, width, size):
+    """_units groups the entries of 1-3 key columns (bools, small ints or
+    floats with +-inf and +-0.0, which are one key; never nan, as its
+    docstring says), with repeats, or of none: each entry's key is the key
+    at first[unit], first holds the lowest index of each distinct key once,
+    and unit groups the entries as a dict of their keys does, up to
+    relabelling."""
+    keys = [np.array(data.draw(st.lists(data.draw(st.sampled_from(
+        _KEY_COLUMNS)), min_size=size, max_size=size)))
+        for _ in range(width)]
+    first, unit = ensembles._units(*keys)
+    rows = list(zip(*(key.tolist() for key in keys)))
+    assert len(unit) == size
+    assert all(rows[i] == rows[first[u]] for i, u in enumerate(unit))
+    groups, units = {}, {}
+    for i, (key, u) in enumerate(zip(rows, unit.tolist())):
+        groups.setdefault(key, []).append(i)
+        units.setdefault(u, []).append(i)
+    assert sorted(units) == list(range(len(first)))
+    assert [units[u][0] for u in range(len(first))] == first.tolist()
+    assert sorted(units.values()) == sorted(groups.values())
+
+
 @settings(max_examples=100, deadline=None)
 @given(shapes=st.lists(st.tuples(
     st.sampled_from(("harmonic", "power-law", "morse")), st.floats(0.5, 4.0),
@@ -1433,7 +1462,8 @@ def test_grand_rungs_size_by_the_scalar_reference(traps):
                 continue
             assert int(rungs.terms[r]) == length
         assert error is None
-        got = int(rungs.heads[r]), int(rungs.kind[r])
+        m = rungs.rung[r]
+        got = int(rungs.heads[m]), int(rungs.kind[m])
         kind = (1 if geometric else 2) if tailed else 0
         assert got == (n, kind), (trap, barrier, got, n, tailed)
 
@@ -1471,7 +1501,7 @@ def test_heads_of_any_rows_keep_each_rows_bits(traps, temperatures, data):
     at = np.array(rows, dtype=np.intp)
     v = np.array([requests[r][3] + data.draw(st.floats(0.0, 20.0))
                   for r in rows])
-    d = v / rungs.beta[at]
+    d = v / rungs.beta[rungs.rung[at]]
     heads = ensembles._Heads(rungs, at, True)
     for kind in ("occupancy", "log", "energy"):
         got = heads.sums(v, kind, d)
@@ -1480,11 +1510,12 @@ def test_heads_of_any_rows_keep_each_rows_bits(traps, temperatures, data):
                 v[i:i + 1], kind, d[i:i + 1])
             assert [t[i].tobytes() for t in got] == [
                 t[0].tobytes() for t in own], (r, kind)
-            if rungs.kind[r]:
+            m = rungs.rung[r]
+            if rungs.kind[m]:
                 continue
-            start, n = int(rungs.starts[r]) + 1, int(rungs.heads[r])
+            start, n = int(rungs.starts[m]) + 1, int(rungs.heads[m])
             y = rungs.x[start:start + n] + v[i]
-            g = rungs.g[r]
+            g = rungs.g[m]
             if kind == "log":
                 want = [np.sum(np.log1p(-np.exp(-y)))]
             else:
@@ -1539,21 +1570,22 @@ def _checked_last_terms(log, policy):
 
 
 def _rung_ladders(call):
-    """The (ladder, tailed, barrier, beta, E_1) of every rung _grand_rungs
-    builds while call() runs, each its head where tailed; and whether
-    call() succeeded (it may raise a SzilardError)."""
+    """The (gaps, tailed, barrier, beta, E_1) of every rung _grand_rungs
+    builds while call() runs, gaps its levels' E - E_1, each its head where
+    tailed; and whether call() succeeded (it may raise a SzilardError)."""
     log, original = [], ensembles._Rungs
 
-    def spy(g, beta, e1, errors, readers, tailed, step, flat, levels, *rest):
-        # each rung's head, behind its slot, before _Rungs overwrites it
-        log.extend((levels[start + 1:start + 1 + n].copy(), tail,
-                    Barrier.INSERTED if by == 2.0 else Barrier.ABSENT,
-                    beta[rows[0]], e1[rows[0]])
-                   for rows, tail, by, start, n in zip(
-                       readers, tailed.tolist(), step.tolist(),
-                       flat.slots.tolist(), (flat.width - 1).tolist()))
-        return original(g, beta, e1, errors, readers, tailed, step, flat,
-                        levels, *rest)
+    def spy(*args):
+        rungs = original(*args)
+        # each rung's head, behind its slot
+        log.extend((rungs.gap[start + 1:start + 1 + n], kind != 0,
+                    Barrier.INSERTED if g == 2.0 else Barrier.ABSENT, beta,
+                    e1)
+                   for start, n, kind, g, beta, e1 in zip(
+                       rungs.starts.tolist(), rungs.heads.tolist(),
+                       rungs.kind.tolist(), rungs.g.tolist(), rungs.beta,
+                       rungs.e1))
+        return rungs
 
     with mock.patch.object(ensembles, "_Rungs", spy):
         try:
@@ -1611,17 +1643,17 @@ def test_grand_sums_end_below_rel_tol(nu, log_scale, count):
     trap = PowerLaw.from_energy_scale(MASS, 10 ** log_scale * K_B, nu)
     log, ran = _rung_ladders(lambda: run_cycle(
         trap, Ensemble.GRAND_BOSE, count, baths, _SMALL_CAP))
-    for ladder, tailed, barrier, beta, e1 in log:
+    for gaps, tailed, barrier, beta, e1 in log:
         step = 2 if barrier is Barrier.INSERTED else 1
-        assert (len(ladder), tailed) == _reference_head(
+        assert (len(gaps), tailed) == _reference_head(
             trap, barrier, beta, e1, _SMALL_CAP)
         if not tailed:
-            w = np.exp(-beta * (ladder - e1))
+            w = np.exp(-beta * gaps)
             assert w[-1] <= _SMALL_CAP.rel_tol * w.sum(), (trap, beta, len(w))
         elif trap.level_power != 1.0:
             p, y1 = trap.level_power, beta * e1
             floor = (step + 0.5) / (step * p * (y1 + max(1 - 1 / p, 0.0)))
-            assert _power_remainder(trap, step, beta, e1, len(ladder) + 1) <= (
+            assert _power_remainder(trap, step, beta, e1, len(gaps) + 1) <= (
                 _SMALL_CAP.rel_tol * math.exp(-35.0) * max(floor, 1.0))
     if ran:
         assert len(log) == 4

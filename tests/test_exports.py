@@ -108,3 +108,22 @@ def test_every_private_definition_is_referenced():
     assert defined
     assert [f"{at}: {name}" for at, name in defined
             if name not in referenced] == []
+
+
+def test_every_slot_is_read():
+    """Each name in the __slots__ of a szilard class is read as an
+    attribute somewhere in the package (loaded, not only stored): a column
+    that nothing reads is dead."""
+    slots, read = [], set()
+    for path in sorted(Path(szilard.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Assign) and any(
+                    getattr(target, "id", None) == "__slots__"
+                    for target in node.targets):
+                slots += [(f"{path.name}:{node.lineno}", name)
+                          for name in ast.literal_eval(node.value)]
+            elif (isinstance(node, ast.Attribute)
+                  and isinstance(node.ctx, ast.Load)):
+                read.add(node.attr)
+    assert slots
+    assert [f"{at}: {name}" for at, name in slots if name not in read] == []

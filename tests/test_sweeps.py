@@ -239,6 +239,19 @@ def _count_calls(monkeypatch, name):
     return calls
 
 
+def _built_rungs(monkeypatch):
+    """Wrap ensembles._Rungs; return the log of the _Rungs each call
+    builds."""
+    built, original = [], ensembles._Rungs
+
+    def build(*args):
+        built.append(original(*args))
+        return built[-1]
+
+    monkeypatch.setattr(ensembles, "_Rungs", build)
+    return built
+
+
 def _occupancy(calls):
     """The occupancy calls of a _rung_sums log, (rungs, rows, mus, kind)
     each: the re-checks of solved chemical potentials."""
@@ -608,7 +621,9 @@ class TestSingleEvaluation:
 
         def counted(heads, v, kind, d=None):
             if kind == "occupancy" and d is None:   # a Newton round
-                rounds.append((heads.x.size, heads.rungs.heads[heads.rows]))
+                rungs = heads.rungs
+                rounds.append((heads.x.size,
+                               rungs.heads[rungs.rung[heads.rows]]))
             return sums(heads, v, kind, d)
 
         monkeypatch.setattr(ensembles._Heads, "sums", counted)
@@ -850,7 +865,7 @@ class TestBatchedRuns:
         row it gets alone."""
         solves = _count_calls(monkeypatch, "_mu_offsets")
         checks = _count_calls(monkeypatch, "_rung_sums")
-        rungs = _count_calls(monkeypatch, "_Rungs")
+        rungs = _built_rungs(monkeypatch)
         spec = replace(preset("fig8"), lists={"nu": (1.6, 2.0),
                                               "N": (10, 20, 30)},
                        axes=(Axis("scale_ratio", 0.05, 40.0, 8, "log"),))
@@ -858,7 +873,7 @@ class TestBatchedRuns:
         assert outcome.points == 48 and outcome.failed == 0
         assert [len(counts) for counts, _ in solves] == [192]
         assert [len(rows) for _, rows, *_ in _occupancy(checks)] == [192]
-        assert [len(args[5]) for args in rungs] == [64]
+        assert [len(built.heads) for built in rungs] == [64]
         lines = open(outcome.csv_path).read().splitlines()
         assert lines[1:] == self._single_rows(spec, tmp_path)
 
@@ -877,7 +892,7 @@ class TestBatchedRuns:
         2,400 when each point was sized in the batching and each of its
         rungs again)."""
         solves = _count_calls(monkeypatch, "_mu_offsets")
-        rungs = _count_calls(monkeypatch, "_Rungs")
+        rungs = _built_rungs(monkeypatch)
         sizes = _count_calls(monkeypatch, "_heads")
         levels = _count_calls(monkeypatch, "level_energy")
         log = _ladder_runs(monkeypatch, [])
@@ -885,8 +900,8 @@ class TestBatchedRuns:
         assert outcome.points == 480 and outcome.failed == 0
         assert [len(counts) for counts, _ in solves] == [156, 444, 444, 216,
                                                         288, 372]
-        assert [len(args[5]) for args in rungs] == [52, 148, 148, 72, 96,
-                                                    124]
+        assert [len(built.heads) for built in rungs] == [52, 148, 148, 72,
+                                                         96, 124]
         assert [len(e1) for *_, e1, _ in sizes] == [160, 52, 148, 148, 72,
                                                     96, 124]
         assert levels == []
