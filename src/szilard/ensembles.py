@@ -643,28 +643,28 @@ def canonical_stage_properties(potential, barrier, count, temperature,
                             policy)
 
 
-def _cycle_sums(table, traps, counts, baths, policy):
+def _cycle_sums(table, traps, counts, temperatures, policy):
     """Per point of a batch, the trap on row traps[i] of the _TrapTable
-    table with counts[i] particles between baths[i]: (log ratio hot, log
-    ratio cold, (U_A, U_B, U_C, U_D)), or the error of its first failing
-    stage, A to D.  Each distinct (row, count, bath), found by _units, is
-    one unit of _canonical_stages, which sizes and sums it once for every
-    point that reads it: at its hot bath for stages A and B, at its cold
-    one for C and D."""
+    table with counts[i] particles between the baths of row i of
+    temperatures (an (n, 2) array, hot then cold), its stage terms as a
+    row of an (n, 6) array: its log ratios, hot and cold, and its stage
+    energies, U_A to U_D, nan where it fails; and an _Errors of the error
+    of its first failing stage, A to D.  Each distinct (row, count, bath),
+    found by _units, is one unit of _canonical_stages, which sizes and
+    sums it once for every point that reads it: at its hot bath for
+    stages A and B, at its cold one for C and D."""
     keys = (np.repeat(traps, 2), np.repeat(np.asarray(counts, dtype=float), 2),
-            np.array([t for pair in baths for t in (pair.hot, pair.cold)],
-                     dtype=float))
+            np.ravel(temperatures))
     first, unit = _units(*keys)
     log, energy, errors = _canonical_stages(
         table, *(key[first] for key in keys), policy)
     # stages A to D: the hot unit's rows absent and inserted, then the
     # cold one's inserted and absent
     rows = (2 * unit.reshape(-1, 2)[:, [0, 0, 1, 1]] + [0, 1, 1, 0]).ravel()
-    log, energy = log[rows].reshape(-1, 4), energy[rows].reshape(-1, 4)
-    ratios = np.column_stack((log[:, 1] - log[:, 0], log[:, 2] - log[:, 3]))
-    return [error or (hot, cold, tuple(stages)) for error, (hot, cold), stages
-            in zip(errors.take(rows).first(4), ratios.tolist(),
-                   energy.tolist())]
+    log = log[rows].reshape(-1, 4)
+    return (np.column_stack((log[:, 1] - log[:, 0], log[:, 2] - log[:, 3],
+                             energy[rows].reshape(-1, 4))),
+            errors.take(rows).first(4))
 
 
 # ---------------------------------------------------------------------------
@@ -966,7 +966,7 @@ def _one_trap_mus(potential, count, temperature, barriers, mode, policy,
 def _bath_ratios(table, traps, counts, temperatures, mode, policy):
     """Chemical potentials and log ratios of grand-canonical points, point
     i the trap on row traps[i] of table with counts[i] bosons at each of
-    its tuple of temperatures[i] (all of one length k), whose roots, the
+    its row of temperatures[i] (all of one length k), whose roots, the
     columns of _point_columns, one _chemical_potentials call solves in
     `mode`.  Returns mu, over the roots; the log ratios, a (points, k)
     array, each sum log(1 - e^{-x_pre}) - 2 sum log(1 - e^{-x_post}) over
@@ -991,29 +991,27 @@ def _bath_ratios(table, traps, counts, temperatures, mode, policy):
     return mu, ratios, out, rungs
 
 
-def _grand_sums(table, traps, counts, baths, mode, policy):
+def _grand_sums(table, traps, counts, temperatures, mode, policy):
     """Per point of a batch, the trap on row traps[i] of table with
-    counts[i] bosons between baths[i]: (log ratio hot, log ratio cold, (U_A,
-    U_B, U_C, U_D), (hot, cold) ChemicalPotentials), or the error of
-    _bath_ratios at (hot, cold), else of its first failing energy, A to D.
-    Each energy is summed on its rung at its mu, read from the mu array,
-    and the ChemicalPotentials are built once per point that returns them."""
-    mu, ratios, out, rungs = _bath_ratios(
-        table, traps, counts, [(pair.hot, pair.cold) for pair in baths],
-        mode, policy)
-    live, out = out.live.nonzero()[0], list(out)
+    counts[i] bosons between the baths of row i of temperatures: its terms
+    of _cycle_sums, then its chemical potentials, absent and inserted at
+    its hot bath, then at its cold one, as a row of an (n, 10) array; its
+    error that of _bath_ratios at (hot, cold), else of its first failing
+    energy, A to D.  Each energy is summed on its rung at its mu, read
+    from the mu array."""
+    mu, ratios, errors, rungs = _bath_ratios(table, traps, counts,
+                                             temperatures, mode, policy)
+    live = errors.live.nonzero()[0]
     # a point's roots are absent and inserted at its hot bath, then at its
     # cold one: stages A, B, D and C, summed here in stage order
     rows = (4 * live[:, None] + [0, 1, 3, 2]).ravel()
-    energies, errors = _rung_sums(rungs, rows, mu[rows], "energy")
-    for i, error, stages, ratio, (a, b, d, c) in zip(
-            live.tolist(), errors.first(4), energies.reshape(-1, 4).tolist(),
-            ratios[live].tolist(), mu.reshape(-1, 4)[live].tolist()):
-        pair, count = baths[i], counts[i]
-        out[i] = error or (*ratio, tuple(stages), (
-            ChemicalPotentials(a, b, pair.hot, count, mode),
-            ChemicalPotentials(d, c, pair.cold, count, mode)))
-    return out
+    sums, failed = _rung_sums(rungs, rows, mu[rows], "energy")
+    energies = np.full((len(errors), 4), math.nan)
+    energies[live] = sums.reshape(-1, 4)
+    failed = failed.first(4)
+    for i in (~failed.live).nonzero()[0].tolist():
+        errors.set(int(live[i]), failed[i])
+    return np.column_stack((ratios, energies, mu.reshape(-1, 4))), errors
 
 
 def _checked_rungs(potential, mu_pair, temperature):

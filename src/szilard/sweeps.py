@@ -8,9 +8,11 @@ share one point builder, which the run and `validate` both use: each
 distinct trap is built once and its points share it.  The points of the
 three cycle families (canonical, bose-cycle, morse-cycle) then go through
 one cycle evaluation, each with its own particle count and baths, which
-gives each trap the result or error it gets alone.  Rows are written in
-grid order and all floats are formatted to 17 significant digits, which
-makes the CSV byte-identical across runs.
+gives each trap the result or error it gets alone and hands the sweep
+its result cells as columns (cycle._Cycles).  One writer (_write_csv)
+takes every family's cells as columns and formats the whole file with
+one % template; rows are in grid order and floats in 17 significant
+digits, which makes the CSV byte-identical across runs.
 
 A failed point (shallow well, series past the term cap, ...) becomes a row
 whose numeric cells are empty and whose last column carries the reason; it
@@ -24,6 +26,7 @@ import re
 import time
 from configparser import ConfigParser
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product
 
 import numpy as np
@@ -38,7 +41,7 @@ from .ensembles import (BathPair, MuMode, TruncationPolicy, _Roots,
                         _TrapTable, _bath_ratios, _batches, _beta,
                         _chemical_potentials, _count_error, _failed,
                         _point_columns)
-from .cycle import Ensemble, _run_cycles
+from .cycle import _REGIMES, Ensemble, _run_cycles
 # perfbench/test_perfbench.py::test_tracer_restores_every_binding reads it
 from .cycle import run_cycle  # noqa: F401
 
@@ -102,19 +105,23 @@ class SweepSpec:
 class SweepOutcome:
     spec: SweepSpec
     columns: tuple
-    rows: list
+    cells: list = field(repr=False, compare=False)  # as _write_csv takes
     errors: list          # (point index, message)
     csv_path: str
     manifest_path: str
     wall_clock: float
-
-    @property
-    def points(self):
-        return len(self.rows)
+    points: int
 
     @property
     def failed(self):
         return len(self.errors)
+
+    @cached_property
+    def rows(self):
+        """Each point's row, a dict of its cells (None where empty)."""
+        return [dict(zip(self.columns, row)) for row in zip(*(
+            [None if v != v else v for v in c.tolist()]
+            if type(c) is np.ndarray else c for c in self.cells))]
 
 
 @dataclass
@@ -343,36 +350,36 @@ def _jobs(spec, points):
     return out
 
 
-def _cycle_cells(result, t_cold):
-    cells = {"work": result.work,
-             "work_per_kT_cold": result.work / (K_B * t_cold),
-             "efficiency": result.efficiency, "q_hot": result.q_hot,
-             "q_cold": result.q_cold, "regime": result.regime.value}
-    for bath, mus in zip(("hot", "cold"), result.mus or ()):
-        cells[f"mu_pre_{bath}"] = mus.pre_insertion
-        cells[f"mu_post_{bath}"] = mus.post_insertion
-    return cells
-
-
 def _cycle_values(spec, points):
-    """Per point of a cycle family, its row values or SzilardError, all from
-    one cycle evaluation of its jobs (see cycle._run_cycles: every route
-    batches points whatever their count and baths, and sums or builds each
-    stage and rung its points share once)."""
+    """Per point of a cycle family, its input cells or SzilardError, and
+    its result cells as columns (see _write_csv), from one cycle
+    evaluation of its jobs (see cycle._run_cycles)."""
     p = spec.params
-    mu_mode = MuMode(p.get("mu_mode", MuMode.SOLVED.value))
-    literal = (spec.family == "morse-cycle"
-               and bool(p.get("literal_denominator")))
     out = _jobs(spec, points)
-    live = [i for i, job in enumerate(out) if not _failed(job)]
-    results = _run_cycles([out[i][2] for i in live], _ENSEMBLES[spec.family],
-                          [out[i][0] for i in live], [out[i][1] for i in live],
-                          spec.policy, mu_mode, literal)
-    for i, result in zip(live, results):
-        _, baths, _, cells = out[i]
-        out[i] = (result if _failed(result)
-                  else {**cells, **_cycle_cells(result, baths.cold)})
-    return out
+    live = np.array([i for i, job in enumerate(out) if not _failed(job)],
+                    dtype=np.intp)
+    cycles = _run_cycles(
+        [out[i][2] for i in live], _ENSEMBLES[spec.family],
+        [out[i][0] for i in live], [out[i][1] for i in live], spec.policy,
+        MuMode(p.get("mu_mode", MuMode.SOLVED.value)),
+        spec.family == "morse-cycle" and bool(p.get("literal_denominator")))
+    ok = cycles.errors.live
+    code = np.full(len(out), len(_REGIMES))
+    code[live[ok]] = cycles.regime[ok]
+    columns = {"regime": np.array([r.value for r in _REGIMES] + [None],
+                                  dtype=object)[code].tolist()}
+    with np.errstate(all="ignore"):     # as for Python floats
+        for name, values in zip((
+                "work", "work_per_kT_cold", "efficiency", "q_hot", "q_cold",
+                "mu_pre_hot", "mu_post_hot", "mu_pre_cold", "mu_post_cold"), (
+                cycles.work, cycles.work / (K_B * cycles.temperatures[:, 1]),
+                cycles.efficiency, cycles.q_hot, cycles.q_cold,
+                *(() if cycles.mu is None else cycles.mu.T))):
+            columns[name] = np.full(len(out), math.nan)
+            columns[name][live[ok]] = values[ok]
+    for j in (~ok).nonzero()[0].tolist():
+        out[live[j]] = cycles.errors[j]
+    return [value if _failed(value) else value[3] for value in out], columns
 
 
 def _harmonic_points(spec, points):
@@ -462,10 +469,9 @@ def _barrier_values(spec, points):
     return out
 
 
-# Each family's per-point row values or SzilardErrors, from all its points
-# at once
+# Each other family's per-point row values or SzilardErrors, from all its
+# points at once
 _VALUES = {
-    **dict.fromkeys(_ENSEMBLES, _cycle_values),
     "chemical-potential": _chemical_potential_values,
     "partition-ratio": _partition_ratio_values,
     "barrier-levels": _barrier_values,
@@ -474,13 +480,6 @@ _VALUES = {
 
 def _sanitize(message):
     return re.sub(r"[,\r\n]+", "; ", str(message)).strip()
-
-
-def _error_row(spec, point, exc):
-    """The row of a failed point: its grid values and the reason."""
-    row = {name: point.get(name) for name in _SCHEMAS[spec.family]}
-    row["error"] = _sanitize(f"{type(exc).__name__}: {exc}")
-    return row
 
 
 # ---------------------------------------------------------------------------
@@ -557,27 +556,39 @@ def validate(spec):
 # ---------------------------------------------------------------------------
 # CSV / manifest plumbing
 
-def _format_cell(value):
-    """A CSV cell: floats (inf, -inf and nan included) in 17 significant
-    digits, ints as ints, None as empty."""
+_FLOAT = "%.16e"
+
+
+def _text(value):
+    """A CSV cell's text, each "%" doubled for the file's % template: None
+    empty, text as it is, ints as ints and anything else as a float in 17
+    significant digits (inf, -inf and nan included)."""
     if type(value) is float:
-        return f"{value:.16e}"
-    if value is None:
-        return ""
-    if isinstance(value, str):
-        return value
+        return _FLOAT % value
+    if value is None or isinstance(value, str):
+        return (value or "").replace("%", "%%")
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    return f"{float(value):.16e}"
+    return _FLOAT % float(value)
 
 
-def _write_csv(path, columns, rows):
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(_format_cell(row.get(name)) for name in columns))
-    payload = "\n".join(lines) + "\n"
+def _write_csv(path, columns, cells):
+    """Write the CSV of named columns, cells[c] column c's cells: a float
+    array, whose nan cells are empty, or a list of cell values (see _text),
+    each distinct object formatted once.  The file is one % template, the
+    text of the lists and "%.16e" per float of the arrays, formatted by one
+    % over all those floats."""
+    texts = {}
+    pieces = [list(map((_FLOAT, "").__getitem__, np.isnan(column).tolist()))
+              if type(column) is np.ndarray else
+              [texts.get(id(value)) or texts.setdefault(id(value),
+                                                        _text(value))
+               for value in column] for column in cells]
+    floats = np.column_stack([c for c in cells if type(c) is np.ndarray]
+                             + [np.full(len(cells[-1]), math.nan)])
+    template = "\n".join([",".join(columns), *map(",".join, zip(*pieces)), ""])
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(payload)
+        handle.write(template % tuple(floats[~np.isnan(floats)].tolist()))
 
 
 def _manifest_value(value):
@@ -599,7 +610,7 @@ class RunManifest:
         self.created = created
 
     def write(self, path):
-        cp = ConfigParser()
+        cp = ConfigParser(interpolation=None)
         cp.optionxform = str
         cp["run"] = {
             "target": self.spec.target,
@@ -846,22 +857,28 @@ def run_sweep(spec, csv_path=None):
         raise ConfigError("; ".join(errors))
     points = _points(spec)
     started = time.perf_counter()
-    values = _VALUES[spec.family](spec, points)
-    rows = [_error_row(spec, point, value) if isinstance(value, SzilardError)
-            else {**value, "error": ""}
-            for point, value in zip(points, values)]
+    values, given = (_cycle_values(spec, points) if spec.family in _ENSEMBLES
+                     else (_VALUES[spec.family](spec, points), {}))
+    columns = _SCHEMAS[spec.family]
+    errors = [(index, _sanitize(f"{type(value).__name__}: {value}"))
+              for index, value in enumerate(values) if _failed(value)]
+    failed = dict(errors)
+    # a failed point's row holds its grid values and the reason
+    sources = [points[i] if i in failed else value
+               for i, value in enumerate(values)]
+    cells = [given[name] if name in given else
+             [source.get(name) for source in sources] for name in columns[:-1]
+             ] + [[failed.get(i, "") for i in range(len(points))]]
     wall = time.perf_counter() - started
-    errors = [(index, row["error"]) for index, row in enumerate(rows)
-              if row["error"]]
 
     path = csv_path if csv_path is not None else spec.output
     manifest_path = f"{path}.manifest"
-    columns = _SCHEMAS[spec.family]
-    outcome = SweepOutcome(spec=spec, columns=columns, rows=rows,
+    outcome = SweepOutcome(spec=spec, columns=columns, cells=cells,
                            errors=errors, csv_path=str(path),
-                           manifest_path=manifest_path, wall_clock=wall)
+                           manifest_path=manifest_path, wall_clock=wall,
+                           points=len(points))
     try:
-        _write_csv(path, columns, rows)
+        _write_csv(path, columns, cells)
         RunManifest(spec, outcome,
                     created=time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
                     ).write(manifest_path)

@@ -1,9 +1,11 @@
 """Four-stroke cycle assembly, regimes, and efficiencies."""
 
 import math
+import struct
 
+import numpy as np
 import pytest
-from hypothesis import event, given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
 from szilard import (Barrier, BathPair, CycleResult, Ensemble,
                      EnsembleMismatchError, HBAR, Harmonic, K_B, Morse, MuMode,
@@ -13,7 +15,7 @@ from szilard import (Barrier, BathPair, CycleResult, Ensemble,
                      internal_energy, log_relative_partition, run_cycle,
                      run_cycles)
 from szilard import cycle
-from szilard.ensembles import _batches, _beta
+from szilard.ensembles import _Errors, _batches, _beta
 
 MASS = 19.11e-11
 
@@ -175,6 +177,15 @@ def _outcome(potential, *args, **kwargs):
         return exc
 
 
+def _run_cycles(traps, ensemble, counts, baths, policy, mode, literal):
+    """Per trap of one cycle evaluation (cycle._run_cycles, whose columns
+    the sweeps write), with its own count and baths: its CycleResult or
+    error, as run_cycles builds them."""
+    return cycle._outcomes(cycle._run_cycles(traps, ensemble, counts, baths,
+                                             policy, mode, literal),
+                           counts, mode)
+
+
 def _assert_same_outcomes(batched, singles):
     """Each batched outcome is the trap's own: the same result, every field
     ==, or an error of the same type and message."""
@@ -249,8 +260,8 @@ def test_batched_cycles_equal_single_cycles(data, ensemble, mode, max_terms,
     event(f"{ensemble.name}: {sum(isinstance(s, SzilardError) for s in singles)}"
           f" of {len(traps)} fail")
     event(f"{ensemble.name}: {len(traps) - len(set(traps))} repeated traps")
-    _assert_same_outcomes(cycle._run_cycles(traps, ensemble, counts, baths,
-                                            policy, mode, literal), singles)
+    _assert_same_outcomes(_run_cycles(traps, ensemble, counts, baths, policy,
+                                      mode, literal), singles)
 
 
 @settings(max_examples=60, deadline=None)
@@ -309,9 +320,8 @@ def test_points_that_share_stage_sums_keep_their_own_outcomes(data, morse,
           f" {any(c == h for _, c in reads for h, _ in reads)}")
     event(f"{ensemble.name}: {sum(isinstance(s, SzilardError) for s in singles)}"
           f" of {len(traps)} fail")
-    _assert_same_outcomes(cycle._run_cycles(traps, ensemble, counts, baths,
-                                            policy, MuMode.SOLVED, False),
-                          singles)
+    _assert_same_outcomes(_run_cycles(traps, ensemble, counts, baths, policy,
+                                      MuMode.SOLVED, False), singles)
 
 
 def _first_grand_error(trap, count, baths, mode, policy):
@@ -362,8 +372,8 @@ def test_grand_points_fail_in_the_documented_order(data, mode, max_terms):
     counts = [count for _, count, _, _ in jobs]
     baths = [BathPair(hot, cold) for *_, hot, cold in jobs]
     policy = TruncationPolicy(max_terms=max_terms)
-    outcomes = cycle._run_cycles(traps, Ensemble.GRAND_BOSE, counts, baths,
-                                 policy, mode, False)
+    outcomes = _run_cycles(traps, Ensemble.GRAND_BOSE, counts, baths, policy,
+                           mode, False)
     failed = 0
     for trap, count, pair, outcome in zip(traps, counts, baths, outcomes):
         want = _first_grand_error(trap, count, pair, mode, policy)
@@ -460,11 +470,154 @@ def test_run_cycles_covers_every_route():
     assert "unknown chemical-potential mode 'solved'" in str(unknown[0])
 
 
+def _cycles(ratios, energies, baths, ensemble, literal, errors=None):
+    """The _Cycles of stage columns, point k with log ratios ratios[k],
+    stage energies energies[k] (U_A to U_D) and baths[k], and the error
+    errors[k] or None of its route and stage sums."""
+    errors = errors or [None] * len(ratios)
+    held = _Errors(len(errors))
+    for k, error in enumerate(errors):
+        if error is not None:
+            held.set(k, error)
+    return cycle._Cycles(
+        np.array([(pair.hot, pair.cold) for pair in baths], dtype=float),
+        np.column_stack((np.reshape(ratios, (-1, 2)),
+                         np.reshape(energies, (-1, 4)))), held, ensemble,
+        literal)
+
+
 def test_nan_first_law_closure_fails():
     """closure > tol is false for a nan closure: stage terms that are not
     finite must still fail the first-law check, not classify a cycle."""
-    result = cycle._cycle_result((math.nan, 0.0, (0.0, 0.0, 0.0, 0.0), None),
-                                 Ensemble.CANONICAL_N, BathPair(2.0, 1.0),
-                                 False)
+    result = _cycles([(math.nan, 0.0)], [(0.0, 0.0, 0.0, 0.0)],
+                     [BathPair(2.0, 1.0)], Ensemble.CANONICAL_N,
+                     False).errors[0]
     assert isinstance(result, SolverFailureError)
     assert "first-law closure" in str(result)
+
+
+def _reference_cycle(terms, ensemble, baths, literal_denominator):
+    """The cycle algebra, first-law check and regime of one point's stage
+    terms (l_hot, l_cold, (U_A, U_B, U_C, U_D)) in Python floats, as the
+    one-point code formed them before cycles became columns: the
+    CycleResult, or the error a failed check gives."""
+    l_hot, l_cold, (u_a, u_b, u_c, u_d) = terms
+    kt_h = K_B * baths.hot
+    kt_c = K_B * baths.cold
+
+    work = kt_h * l_hot - kt_c * l_cold
+    q_insert = u_b - u_a + kt_h * l_hot
+    q_cool = u_c - u_b
+    q_remove = u_d - u_c - kt_c * l_cold
+    q_reheat = u_a - u_d
+    q_hot = q_insert + q_reheat
+    q_cold = q_cool + q_remove
+
+    closure = abs(work - (q_insert + q_cool + q_remove + q_reheat))
+    scale = max(abs(work), abs(q_insert), abs(q_cool), abs(q_remove),
+                abs(q_reheat), 1e-300)
+    if not closure <= 1e-10 * scale:     # a nan closure fails too
+        return SolverFailureError(
+            f"first-law closure off by {closure / scale:.3g} relative")
+
+    if literal_denominator:
+        if ensemble is not Ensemble.MORSE_SINGLE:
+            return EnsembleMismatchError("the literal denominator variant"
+                                         " applies to the Morse cycle only")
+        supplied = u_b - u_d + kt_h * math.exp(l_hot)
+    else:
+        supplied = u_b - u_d + kt_h * l_hot
+
+    efficiency = work / supplied if supplied > 0.0 else None
+
+    if abs(work) < cycle.IDLE_WORK:
+        regime = Regime.IDLE
+    elif work > 0.0 and q_hot > 0.0:
+        regime = Regime.ENGINE
+    else:
+        regime = Regime.REFRIGERATOR
+
+    return CycleResult(work=work, q_insert=q_insert, q_cool=q_cool,
+                       q_remove=q_remove, q_reheat=q_reheat, q_hot=q_hot,
+                       q_cold=q_cold, efficiency=efficiency, regime=regime)
+
+
+def _same_bits(got, want):
+    """Two floats with the same bits, or both nan."""
+    return (math.isnan(got) and math.isnan(want)) or (
+        struct.pack("<d", got) == struct.pack("<d", want))
+
+
+_EDGE_FLOATS = st.sampled_from((
+    math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324,
+    1.1125369292536007e-308, 1e300, -1e300, 1e-300, -1e-300))
+# log ratios and stage energies: edges, any double, the near-zero values
+# whose work is below IDLE_WORK, and physical ones (energies of k_B T at
+# 0.01-1e4 K)
+_LOG = st.one_of(_EDGE_FLOATS, st.floats(), st.floats(-1e-8, 1e-8),
+                 st.floats(-3.0, 3.0), st.floats(709.0, 711.0))
+_ENERGY = st.one_of(_EDGE_FLOATS, st.floats(), st.floats(-1e-30, 1e-30),
+                    st.floats(-1e-19, 1e-19))
+_BATH = st.one_of(st.floats(0.01, 1e4), st.sampled_from((1e-280, 1e300)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.lists(st.tuples(
+    _LOG, _LOG, st.lists(_ENERGY, min_size=4, max_size=4),
+    st.tuples(_BATH, _BATH), st.booleans(),
+    st.sampled_from((False, False, False, True))), min_size=1, max_size=6),
+    ensemble=st.sampled_from(Ensemble), literal=st.booleans())
+# |W| exactly IDLE_WORK (k_B * 1 K * l_hot rounds onto 1e-30), and a heat
+# supplied of exactly 0
+@example(rows=[(7.243227582210634e-08, 0.0, [0.0] * 4, (1.0, 1.0), False,
+                False), (0.0, 1.0, [0.0] * 4, (1.0, 1.0), False, False)],
+         ensemble=Ensemble.CANONICAL_N, literal=False)
+def test_cycle_columns_equal_the_scalar_algebra(rows, ensemble, literal):
+    """The cycle columns (cycle._Cycles) of any stage terms give each point
+    the fields of the scalar algebra (_reference_cycle), each float with
+    its bits (nan for nan, and nan for an efficiency of None), its regime,
+    or the type and message of its error, in its order: an error the
+    point brings from its route or stage sums, then the first-law closure,
+    then the literal denominator off the Morse route.  The terms run
+    through nan, +-inf, +-0.0, subnormals and magnitudes of 1e+-300, heats
+    supplied at or below zero and works below IDLE_WORK; the literal
+    denominator's math.exp overflows past 709.78, where both raise
+    OverflowError."""
+    baths = [BathPair(hot, cold) for *_, (hot, cold), _, _ in rows]
+    # a quarter of the physical energies scale with the hot bath
+    terms = [(l_hot, l_cold, tuple(
+        u * K_B * pair.hot if physical and abs(u) < 1e-18 else u
+        for u in energies))
+        for (l_hot, l_cold, energies, _, physical, _), pair in zip(rows,
+                                                                    baths)]
+    brought = [SolverFailureError("a stage sum failed") if failed else None
+               for *_, failed in rows]
+    try:
+        want = [error or _reference_cycle(term, ensemble, pair, literal)
+                for term, pair, error in zip(terms, baths, brought)]
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            _cycles([t[:2] for t in terms], [t[2] for t in terms], baths,
+                    ensemble, literal, brought)
+        event("literal exp overflows")
+        return
+    got = _cycles([t[:2] for t in terms], [t[2] for t in terms], baths,
+                  ensemble, literal, brought)
+    for k, expected in enumerate(want):
+        error = got.errors[k]
+        if isinstance(expected, SzilardError):
+            assert (type(error), str(error)) == (type(expected),
+                                                 str(expected))
+            event(type(expected).__name__ + str(expected)[:16])
+            continue
+        assert error is None
+        for name in ("work", "q_insert", "q_cool", "q_remove", "q_reheat",
+                     "q_hot", "q_cold"):
+            assert _same_bits(float(getattr(got, name)[k]),
+                              getattr(expected, name)), name
+        eta = expected.efficiency
+        assert _same_bits(float(got.efficiency[k]),
+                          math.nan if eta is None else eta)
+        assert cycle._REGIMES[got.regime[k]] is expected.regime
+        event(f"{expected.regime.name}, efficiency"
+              f" {'None' if eta is None else 'set'}")

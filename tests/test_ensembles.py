@@ -50,6 +50,25 @@ def _one_batch(trap, count, temperature, policy=TruncationPolicy()):
     return table, [0]
 
 
+def _point_sums(table, batch, count, baths, mode=None):
+    """A lone point's stage terms from the batched cycle sums' columns
+    (ensembles._cycle_sums, or _grand_sums in `mode`), as one point's
+    tuple: (log ratio hot, log ratio cold, (U_A, U_B, U_C, U_D)), and on
+    the grand-canonical route its (hot, cold) ChemicalPotentials."""
+    args = (table, batch, [count], np.array([[baths.hot, baths.cold]]))
+    terms, errors = (ensembles._cycle_sums(*args, TruncationPolicy())
+                     if mode is None else ensembles._grand_sums(
+                         *args, mode, TruncationPolicy()))
+    assert errors == [None]
+    (l_hot, l_cold, *rest), = terms.tolist()
+    if mode is None:
+        return l_hot, l_cold, tuple(rest)
+    a, b, d, c = rest[4:]
+    return l_hot, l_cold, tuple(rest[:4]), (
+        ChemicalPotentials(a, b, baths.hot, count, mode),
+        ChemicalPotentials(d, c, baths.cold, count, mode))
+
+
 def _grounds(table, row):
     """The ground levels of a row of a _TrapTable by barrier, each a float
     or the error of its lookup."""
@@ -933,8 +952,7 @@ class TestPhysicalLadders:
         baths = BathPair(hot=200.0, cold=100.0)
         trap = Harmonic(MASS, omega)
         table, batch = _one_batch(trap, count, baths.hot)
-        (l_hot, l_cold, energies), = ensembles._cycle_sums(
-            table, batch, [count], [baths], TruncationPolicy())
+        l_hot, l_cold, energies = _point_sums(table, batch, count, baths)
         got = run_cycle(trap, Ensemble.CANONICAL_N, count, baths)
         with mpmath.workdps(50):
             q = mpmath.mpf(HBAR * omega)
@@ -1778,9 +1796,8 @@ class TestGrandOracle:
         baths = BathPair(hot, cold)
         trap = PowerLaw.from_energy_scale(MASS, ratio * K_B * cold, nu)
         table, batch = _one_batch(trap, 1, hot)
-        (l_hot, l_cold, energies, mus), = ensembles._grand_sums(
-            table, batch, [count], [baths], MuMode.SOLVED,
-            TruncationPolicy())
+        l_hot, l_cold, energies, mus = _point_sums(table, batch, count,
+                                                   baths, MuMode.SOLVED)
         e1 = level_energy(trap, 1)
         m = 8
         while (level_energy(trap, m) - e1) / (K_B * hot) < 100:
@@ -1877,8 +1894,8 @@ class TestGrandOracle:
             logs.append(log_pre - 2.0 * log_post)
             magnitudes.append(pre + 2.0 * post)
         table, batch = _one_batch(trap, 1, hot)
-        (l_hot, l_cold, got, mus), = ensembles._grand_sums(
-            table, batch, [10], [baths], MuMode.SOLVED, TruncationPolicy())
+        l_hot, l_cold, got, mus = _point_sums(table, batch, 10, baths,
+                                              MuMode.SOLVED)
         assert mus == cycle.mus
         for value, stage in zip(got, "ABCD"):
             assert abs(value / energies[stage] - 1) <= 1e-12
@@ -1996,9 +2013,10 @@ def test_count_past_float_range_fails_its_own_point(ensemble, trap):
                            MuMode.CLOSED_FORM)
     with pytest.raises(EnsembleMismatchError, match=message):
         run_cycle(trap, ensemble, 10 ** 400, _COUNT_BATHS)
-    alone, huge = cycle._run_cycles(
-        [trap, trap], ensemble, [10, 10 ** 400], [_COUNT_BATHS] * 2,
-        TruncationPolicy(), MuMode.SOLVED, False)
+    counts, baths = [10, 10 ** 400], [_COUNT_BATHS] * 2
+    alone, huge = cycle._outcomes(cycle._run_cycles(
+        [trap, trap], ensemble, counts, baths, TruncationPolicy(),
+        MuMode.SOLVED, False), counts, MuMode.SOLVED)
     assert alone == run_cycle(trap, ensemble, 10, _COUNT_BATHS)
     assert type(huge) is EnsembleMismatchError and str(huge) == message
 

@@ -18,12 +18,12 @@ import numpy as np
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
-from szilard import (ATOMIC_MASS, Axis, Barrier, ConfigError, EV, Harmonic,
-                     K_B, MuMode, SzilardError, TruncationPolicy,
-                     chemical_potential, chemical_potentials, even_levels,
-                     load_config,
-                     log_relative_partition, parse_quantity, preset,
-                     preset_names, run_sweep, spec_from_config, validate)
+from szilard import (ATOMIC_MASS, Axis, Barrier, BathPair, ConfigError, EV,
+                     Ensemble, Harmonic, K_B, MuMode, PowerLaw, SzilardError,
+                     TruncationPolicy, chemical_potential, chemical_potentials,
+                     even_levels, load_config, log_relative_partition,
+                     parse_quantity, preset, preset_names, run_cycles,
+                     run_sweep, spec_from_config, validate)
 from szilard import barrier, cycle, ensembles, potentials, sweeps
 from szilard.cli import main
 from szilard.sweeps import parse_integer
@@ -172,6 +172,67 @@ class TestCsvOutput:
         lines = open(outcome.csv_path).read().splitlines()
         assert all(line.count(",") == len(outcome.columns) - 1
                    for line in lines)
+
+
+def _format_cell(value):
+    """A CSV cell as the row-by-row writer formatted it: floats (inf, -inf
+    and nan included) in 17 significant digits, ints as ints, None as
+    empty."""
+    if type(value) is float:
+        return f"{value:.16e}"
+    if value is None:
+        return ""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return f"{float(value):.16e}"
+
+
+def _row_by_row(columns, rows):
+    """The CSV text of row dicts, one _format_cell per cell, row by row."""
+    return "".join(",".join(map(_format_cell, map(row.get, columns))) + "\n"
+                   for row in [dict(zip(columns, columns)), *rows])
+
+
+class TestColumnWriter:
+    """One writer formats every family's cells, given as columns, with one
+    % template over the whole file; row by row, it is _format_cell."""
+
+    @pytest.mark.parametrize("target, cap", [
+        *((target, None) for target in ("fig2", "fig3", "fig7", "fig8", "fig9",
+                                        "fig9-inset", "fig10", "fig11")),
+        ("fig8", 30), ("fig10", 30), ("fig9-inset", 12)])
+    def test_cycle_presets_match_the_row_writer(self, tmp_path, target, cap):
+        """Every cycle preset, and the capped runs that are heavy with
+        error rows: the file equals its rows (SweepOutcome.rows, from the
+        same run) written row by row."""
+        spec = preset(target)
+        if cap is not None:
+            spec = replace(spec, policy=TruncationPolicy(max_terms=cap))
+        outcome = _run(spec, tmp_path)
+        assert outcome.failed or cap is None
+        text = Path(outcome.csv_path).read_text(encoding="utf-8")
+        assert text == _row_by_row(outcome.columns, outcome.rows)
+
+    def test_every_kind_of_cell(self, tmp_path):
+        """Text with % and %% (a % template's own syntax), nan, inf, -inf
+        and -0.0 as floats, numpy ints, None, and a float array whose nan
+        cells are empty: the file equals the same cells row by row."""
+        columns = ("text", "float", "count", "array", "error")
+        cells = [["a%b", "%%", "%(x)s%d", "", None, "100%"],
+                 [math.nan, math.inf, -math.inf, -0.0, np.float64(2.5), None],
+                 [np.int64(7), np.int32(-3), 0, True, None, 10 ** 20],
+                 np.array([math.nan, -0.0, math.inf, -math.inf, 5e-324, 1.5]),
+                 ["", "x", "", "%s", "", ""]]
+        path = tmp_path / "t.csv"
+        sweeps._write_csv(path, columns, cells)
+        array = [None, -0.0, math.inf, -math.inf, 5e-324, 1.5]
+        rows = [dict(zip(columns, row)) for row in zip(
+            *cells[:3], array, cells[4])]
+        assert path.read_text(encoding="utf-8") == _row_by_row(columns, rows)
+        assert path.read_text(encoding="utf-8").splitlines()[1:3] == [
+            "a%b,nan,7,,", "%%,inf,-3,-0.0000000000000000e+00,x"]
 
 
 class TestDeterminism:
@@ -666,15 +727,9 @@ class TestSingleEvaluation:
         assert max(max(solve.values())
                    for solve in newton_rounds(newton_log)) == most
 
-    @pytest.mark.parametrize("target, built", [
-        ("fig4", 0), ("fig5", 0), ("fig7", 200), ("fig8", 960)])
-    def test_chemical_potentials_are_built_only_for_cycle_results(
-            self, target, built, tmp_path, monkeypatch):
-        """A sweep builds a ChemicalPotentials only where a cycle returns
-        it, two per fig7 and fig8 point for CycleResult.mus: the roots
-        are columns of arrays until then, and fig4 and fig5 read their
-        cells from those arrays.  fig4 built 480 that its cells read back
-        and fig5 120 that it discarded."""
+    @staticmethod
+    def _potentials_built(monkeypatch):
+        """The arguments of each ChemicalPotentials built from now on."""
         calls = []
         init = ensembles.ChemicalPotentials.__init__
 
@@ -683,8 +738,40 @@ class TestSingleEvaluation:
             init(self, *args, **kwargs)
 
         monkeypatch.setattr(ensembles.ChemicalPotentials, "__init__", counted)
+        return calls
+
+    @pytest.mark.parametrize("target, built", [
+        ("fig4", 0), ("fig5", 0), ("fig7", 0), ("fig8", 0)])
+    def test_chemical_potentials_are_built_only_for_cycle_results(
+            self, target, built, tmp_path, monkeypatch):
+        """A sweep builds no ChemicalPotentials: the roots are columns of
+        arrays, fig4 and fig5 read their cells from those arrays, and fig7
+        and fig8 read their mu cells from the cycle columns.  fig4 built
+        480 that its cells read back and fig5 120 that it discarded; fig7
+        and fig8 built two per point, 200 and 960, for CycleResult.mus."""
+        calls = self._potentials_built(monkeypatch)
         assert _run(preset(target), tmp_path).failed == 0
         assert len(calls) == built
+
+    def test_run_cycles_still_returns_chemical_potentials(self,
+                                                          monkeypatch):
+        """The public run_cycles on the grand-canonical route builds two
+        ChemicalPotentials per trap, CycleResult.mus, the (hot, cold)
+        pair that chemical_potentials solves for the trap alone at each
+        bath."""
+        p = preset("fig7").params
+        baths = BathPair(p["T_hot"], p["T_cold"])
+        traps = [PowerLaw.from_energy_scale(p["mass"],
+                                            ratio * K_B * baths.cold, nu)
+                 for nu in (1.6, 2.0) for ratio in (0.05, 1.0, 20.0)]
+        calls = self._potentials_built(monkeypatch)
+        results = run_cycles(traps, Ensemble.GRAND_BOSE, 20, baths)
+        assert len(calls) == 2 * len(traps)
+        monkeypatch.undo()
+        for trap, result in zip(traps, results):
+            assert result.mus == tuple(
+                chemical_potentials(trap, 20, temperature, MuMode.SOLVED)
+                for temperature in (baths.hot, baths.cold))
 
     def test_capped_fig8_keeps_its_error_rows(self, tmp_path):
         """fig8 at --max-terms 30 fails 252 of its 480 rows, each on a
@@ -1200,6 +1287,22 @@ class TestCli:
         assert out.exists()
         assert (tmp_path / "fig6.csv.manifest").exists()
         assert "36 points, 0 failed" in capsys.readouterr().out
+
+    def test_percent_in_output_path(self, tmp_path, capsys):
+        """A % in the output path is a path like any other: the run exits
+        0 and writes its manifest, which replays the CSV byte for byte
+        through --config.  The manifest's writer once took % for INI
+        interpolation, so such a run wrote its CSV, then died with a
+        ValueError traceback, exit 1 and no manifest."""
+        out = tmp_path / "a%b%%c%(d)s.csv"
+        assert main(["fig2", "--out", str(out)]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        manifest = Path(f"{out}.manifest")
+        assert f"output = {out}\n" in manifest.read_text()
+        first = out.read_bytes()
+        out.unlink()
+        assert main(["fig2", "--config", str(manifest)]) == 0
+        assert out.read_bytes() == first
 
     def test_list_overrides(self, tmp_path):
         out = tmp_path / "fig6.csv"
