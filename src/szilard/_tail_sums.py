@@ -426,7 +426,7 @@ def _heads(traps, step, beta, e1, policy):
 # other power law _power_tails at k beta, formed once per rung, to the
 # longest series of the roots that read it, in one pass per batch.
 # ensembles._grand_rungs groups a batch's roots into rungs (ensembles._units)
-# and gathers only the heads _heads sizes, each rung once; every Newton
+# and computes only the heads _heads sizes, each rung once; every Newton
 # round, occupancy re-check, log ratio and stage energy of its batch reads
 # them through each root's rung index.  With x_cut = -log rel_tol + 35, the
 # sizing cut of _heads, a k-series runs to k = ceil(x_cut/(x_{K+1} + v)),

@@ -46,10 +46,10 @@ takes its tail as a short k-series in e^{-beta (E_1 - mu)} over moments
 that do not depend on mu, the same tails at k beta, formed once per rung,
 so every Newton round, occupancy re-check, log ratio and stage energy sums
 heads and k-series only.  A length past max_terms is a TruncationError,
-never a silent cut.  A batch's sums share one flat store of its traps'
-barrier-free ladders (_Ladders), extended when a sum outgrows them, and
-gather their levels from it by index; an inserted sum takes every other
-level.  Both routes lay their arrays out flat by one _Segments.
+never a silent cut.  Every batched sum, and the trap table's ground
+levels, computes its levels at its own indices in one _levels pass; an
+inserted sum's are every other barrier-free level.  Both routes lay
+their arrays out flat by one _Segments.
 
 Only exactly rounded operations run on arrays, and a level's fractional
 power, in one np.power call per distinct power as level_energy takes it,
@@ -172,13 +172,12 @@ _STAGES = {Stage.A: (Barrier.ABSENT, "hot"), Stage.B: (Barrier.INSERTED, "hot"),
 # truncated series evaluation
 #
 # A batch's sums are columns, one entry per sum, with one error list beside
-# them (_Errors).  Their levels are gathered from one flat store of the
-# batch's barrier-free ladders (_Ladders) by index arithmetic, in one
-# _Ladders.gather_live step on either route, laid end to end by
-# _tail_sums._Segments, the layout the grand route's heads, moments and
-# k-series share: each elementwise step is one numpy pass over all of
-# them, and only a failing sum builds its error in Python.  A batched value
-# equals the one-sum value bit for bit, whatever order _units gives.
+# them (_Errors).  Their levels are one _levels pass on either route, each
+# sum's at its own indices, laid end to end by _tail_sums._Segments, the
+# layout the grand route's heads, moments and k-series share: each
+# elementwise step is one numpy pass over all of them, and only a failing
+# sum builds its error in Python.  A batched value equals the one-sum
+# value bit for bit, whatever order _units gives.
 
 
 def _beta(temperature):
@@ -263,13 +262,12 @@ class _TrapTable:
     """The distinct trap objects of a run of points, one row each in order
     of first appearance: traps[r] is row r's trap, shapes their _Shapes
     (one _Shapes.of call), and rows[i] the row of point i.  e1[r] holds row
-    r's ground levels, barrier absent and inserted, the barrier-free levels
-    1 and 2 of one _Shapes.ladders pass over all rows, with the bits of
-    level_energy.  A Morse well that pass refuses takes both from
-    level_energy: failed[r] marks a lookup that raises (its e1 is nan), and
-    errors[r, k] is its SzilardError, k = 0 absent, 1 inserted."""
+    r's ground levels, barrier absent and inserted, one _levels pass over
+    all rows (level 1 of each configuration), with the bits of
+    level_energy; errors, an _Errors, holds at 2r + k the error of a
+    lookup that fails, k = 0 absent, 1 inserted, whose e1 is nan."""
 
-    __slots__ = ("traps", "shapes", "e1", "failed", "errors", "rows")
+    __slots__ = ("traps", "shapes", "e1", "errors", "rows")
 
     def __init__(self, potentials):
         place = {}
@@ -277,99 +275,51 @@ class _TrapTable:
                      for trap in potentials]
         self.traps = list(dict(zip(self.rows, potentials)).values())
         self.shapes = _Shapes.of(self.traps)
-        ones = np.ones(len(self.traps), dtype=int)
-        e, _, refused = self.shapes.ladders(ones, 2 * ones)
-        self.e1 = e.reshape(-1, 2)
-        self.failed = np.zeros(self.e1.shape, dtype=bool)
-        self.errors = {}
-        for r in refused.nonzero()[0].tolist():
-            for k, barrier in enumerate(Barrier):
-                try:
-                    self.e1[r, k] = level_energy(self.traps[r], 1, barrier)
-                except SzilardError as exc:
-                    self.e1[r, k], self.failed[r, k] = math.nan, True
-                    self.errors[r, k] = exc.with_traceback(None)
+        size = 2 * len(self.traps)
+        self.errors = _Errors(size)
+        at, flat, e = _levels(self, self.errors, np.arange(size),
+                              np.arange(size) // 2, np.arange(size) % 2 + 1,
+                              np.ones(size, dtype=np.intp))
+        self.e1 = np.full((len(self.traps), 2), math.nan)
+        self.e1.flat[at] = e[flat.slots]
 
     def ground_error(self, row):
         """The error of row's first failing ground level, absent then
         inserted, or None."""
-        return self.errors.get((row, 0)) or self.errors.get((row, 1))
+        return self.errors[2 * row] or self.errors[2 * row + 1]
 
 
-class _Ladders:
-    """The barrier-free ladders of the rows of a _TrapTable, end to end in
-    one flat array: row r's levels 1..size[r] from levels[off[r]] on, each
-    with the bits of its own level_energy call.  Inserted level m is
-    barrier-free level 2m (see potentials), so level m of the configuration
-    of stride 1 (absent) or 2 (inserted) is levels[off[r] + stride m - 1]."""
-
-    __slots__ = ("table", "levels", "off", "size")
-
-    def __init__(self, table):
-        self.table = table
-        self.levels = np.zeros(0)
-        self.size = np.zeros(len(table.traps), dtype=np.intp)
-        self.off = np.zeros_like(self.size)
-
-    def reach(self, row, top):
-        """Extend the ladder of each row[i] to at least top[i] levels (index
-        arrays), the missing levels of all of them in one _Shapes.ladders
-        pass.  Returns by row the error level_energy raises for the missing
-        levels of a trap that ladders refuses; its ladder stays as it
-        was."""
-        want = self.size.copy()
-        np.maximum.at(want, row, top)
-        rows = (want > self.size).nonzero()[0]
-        if not len(rows):
-            return {}
-        first, top = self.size[rows] + 1, want[rows]
-        e, _, refused = self.table.shapes.take(rows).ladders(first, top)
-        grow, errors = top - first + 1, {}
-        for i in refused.nonzero()[0].tolist():
-            try:
-                level_energy(self.table.traps[rows[i]],
-                             np.arange(first[i], top[i] + 1))
-            except SzilardError as exc:
-                errors[int(rows[i])] = exc.with_traceback(None)
-        if errors:
-            kept = ~np.isin(rows, list(errors))
-            e, grow = e[np.repeat(kept, grow)], np.where(kept, grow, 0)
-        # each row's new levels go in after its old ones
-        size = self.size.copy()
-        size[rows] += grow
-        off = np.cumsum(size) - size
-        levels = np.empty(off[-1] + size[-1])
-        levels[np.repeat(off - self.off, self.size)
-               + np.arange(len(self.levels))] = self.levels
-        levels[np.repeat(off[rows] + self.size[rows] - np.cumsum(grow) + grow,
-                         grow) + np.arange(len(e))] = e
-        self.levels, self.size, self.off = levels, size, off
-        return errors
-
-    def gather(self, row, stride, n):
-        """Levels 1..n[i] of the configuration of stride[i] of row[i] (index
-        arrays), each behind a slot that holds its first level: the
-        _Segments of the n, and the levels it lays out, a fresh array."""
-        flat = _Segments(n)
+def _levels(table, errors, at, row, stride, n):
+    """The step of every batched sum: of the entries at (an index array)
+    of some columns (arrays) still live in their _Errors errors, levels 1..
+    n[k] of the configuration of stride[k] of row[k] of table, the
+    barrier-free levels stride[k], 2 stride[k], ..., n[k] stride[k]
+    (inserted level m is barrier-free level 2m, see potentials), each run
+    behind one _Segments slot that holds its first level, all in one
+    _Shapes.levels pass.  An entry the rule of level_energy refuses, a
+    Morse index past the bound count or a level not positive, takes the
+    error level_energy raises for it, and the pass runs again without it.
+    Returns the entries kept (an index array), their _Segments and the
+    levels it lays out, a fresh array."""
+    while True:
+        at = at[errors.live[at]]
+        step, top = stride[at], n[at]
+        flat = _Segments(top)
         j = flat.within()
         np.maximum(j, 1, out=j)
-        j *= flat.spread(stride)
-        j += flat.spread(self.off[row] - 1)
-        return flat, self.levels[j]
-
-    def gather_live(self, errors, at, row, stride, n):
-        """The step of every batched sum: of the entries at (an index
-        array) of some columns (arrays) still live in their _Errors errors,
-        reach levels 1..n[k] of the configuration of stride[k] of row[k] in
-        one pass, set the error of each entry whose trap's missing levels
-        level_energy refuses, and gather the rest: the entries gathered (an
-        index array) and their gather."""
-        at = at[errors.live[at]]
-        refused = self.reach(row[at], n[at] * stride[at])
-        for k in at[np.isin(row[at], list(refused))].tolist():
-            errors.set(k, refused[row[k]])
-        at = at[errors.live[at]]
-        return (at, *self.gather(row[at], stride[at], n[at]))
+        j *= flat.spread(step)
+        shapes = table.shapes.take(row[at])
+        e = shapes.levels(j, flat.width)
+        refused = shapes.morse & ((top * step > shapes.cap) | ~(
+            np.minimum.reduceat(e, flat.slots) > 0.0))
+        for i in refused.nonzero()[0].tolist():
+            try:
+                level_energy(table.traps[row[at[i]]], np.arange(1, top[i] + 1),
+                             tuple(Barrier)[step[i] - 1])
+            except SzilardError as exc:
+                errors.set(at[i], exc.with_traceback(None))
+        if errors.live[at].all():
+            return at, flat, e
 
 
 # A batch of traps is closed once its estimated ladder terms reach this;
@@ -394,7 +344,7 @@ def _batches(potentials, betas, policy, baths=1):
     rows = np.array(table.rows, dtype=np.intp)
     betas = np.asarray(betas, dtype=float)
     first, unit = _units(rows, betas)
-    grounded = ~table.failed[rows[first], 0]
+    grounded = table.errors.live[2 * rows[first]]
     live = first[grounded]
     lengths, _ = _heads(table.shapes.take(rows[live]), 1, betas[live],
                         table.e1[rows[live], 0], policy)
@@ -485,21 +435,18 @@ class _Stages(_Roots):
             row, count, np.reshape(temperature, (-1, 1))))
         with np.errstate(over="ignore"):
             self.beta = self.count * self.beta
-        k = self.inserted.astype(np.intp)
         size = len(self.row)
         self.head = np.zeros(size, dtype=np.intp)
         self.tailed = np.zeros(size, dtype=bool)
         self.total, self.energy = (np.full(size, math.nan) for _ in range(2))
-        self.errors = _Errors(size)
-        for j in table.failed[self.row, k].nonzero()[0].tolist():
-            self.errors.set(j, table.errors[int(self.row[j]), int(k[j])])
+        self.errors = table.errors.take(2 * self.row + self.inserted)
         for j in (self.errors.live & np.isinf(self.beta)).nonzero()[0].tolist():
             self.errors.set(j, EnsembleMismatchError(
                 f"N/(k_B T) overflows: N = {float(self.count[j]):.6g} at"
                 f" {float(self.temperature[j]):.6g} K is past float range"))
 
 
-def _series_sums(stages, at, ladders):
+def _series_sums(stages, at, table):
     """The Boltzmann stage sums of the rows at (an index array) of the
     _Stages stages, all of one barrier configuration, into stages.total and
     stages.energy.
@@ -509,22 +456,21 @@ def _series_sums(stages, at, ladders):
     ends where d = beta (E_n - E_1) has passed x_cut = -log rel_tol +
     _XCUT_MARGIN, and there its last term against the sum, which holds the
     first term, 1, is below e^{-d}; a head leaves the rest to a closed-form
-    tail (see _tail_sums).  The levels of every row are one
-    _Ladders.gather_live step over ladders, the store the batch's sums
-    share.  The energy sum, of E times each term, comes from the same flat
-    arrays in one more reduceat.  A row whose levels level_energy refuses
-    takes that error, and one whose sum is not finite (terms past float
-    range) a SolverFailureError.
+    tail (see _tail_sums).  The levels of every row are one _levels pass
+    over the rows' traps on the _TrapTable table.  The energy sum, of E
+    times each term, comes from the same flat arrays in one more
+    reduceat.  A row whose levels level_energy refuses takes that error,
+    and one whose sum is not finite (terms past float range) a
+    SolverFailureError.
     """
     errors = stages.errors
-    at, flat, energies = ladders.gather_live(
-        errors, at, stages.row, stages.inserted + 1, stages.head)
+    at, flat, energies = _levels(table, errors, at, stages.row,
+                                 stages.inserted + 1, stages.head)
     if not len(at):
         return
     t = _boltzmann_terms(flat.spread(stages.beta[at]),
                          energies - flat.spread(stages.e1[at]))
     total = stages.total[at] = flat.sums(t)
-    # the gathered levels are a fresh array, not the store
     stages.energy[at] = flat.sums(np.multiply(energies, t, out=energies))
     for i in (~np.isfinite(total)).nonzero()[0].tolist():
         errors.set(at[i], SolverFailureError(
@@ -569,8 +515,7 @@ def _canonical_stages(table, row, count, temperature, policy):
     sum not finite after its tail (SolverFailureErrors).  The heads of all
     rows are one _heads pass, their tails one _tails call, and the sums one
     _series_sums call per configuration, which keeps its flat arrays near
-    the terms the batching counted: the absent sums build each trap's
-    barrier-free ladder, and the inserted ones extend it (see _Ladders).
+    the terms the batching counted (one call over both doubled them).
     The logged sums and energies are array expressions, each log math's,
     element by element.
     """
@@ -582,9 +527,9 @@ def _canonical_stages(table, row, count, temperature, policy):
         stages.beta[at], stages.e1[at], policy)
     stages.head[at] = _sized(errors, at, lengths, policy.max_terms)
     stages.tailed[at] = tailed
-    ladders, size = _Ladders(table), len(stages.row)
+    size = len(stages.row)
     for k in (0, 1):    # the absent rows, then the inserted ones
-        _series_sums(stages, np.arange(k, size, 2), ladders)
+        _series_sums(stages, np.arange(k, size, 2), table)
     total, energy = stages.total, stages.energy
     at = (errors.live & stages.tailed).nonzero()[0]
     if len(at):
@@ -686,12 +631,12 @@ def _grand_rungs(table, roots, v, count, policy):
     v[j] = beta (E_1 - mu) or above and solving for count[j] bosons, or inf
     for none (arrays; see _Rungs).  Roots of one row, barrier and beta read
     one rung, found by _units and built once: sized from its E_1 by one
-    _heads pass over all the rungs, and only its head gathered, by one
-    _Ladders.gather_live step over the barrier-free ladders of the rungs'
-    traps (see _tail_sums).  A rung's error, the first of an estimate past
-    float range, a head past max_terms and a level that cannot be built, is
-    that of every root that reads it, whose rung is then -1; a power-law
-    k-series past max_terms is its root's."""
+    _heads pass over all the rungs, and only its head's levels computed,
+    in one _levels pass over all the rungs (see _tail_sums).  A rung's
+    error, the first of an estimate past float range, a head past
+    max_terms and a level that cannot be built, is that of every root that
+    reads it, whose rung is then -1; a power-law k-series past max_terms
+    is its root's."""
     first, unit = _units(roots.row, roots.inserted, roots.beta)
     row, stride = roots.row[first], roots.inserted[first] + 1
     shapes, g = table.shapes.take(row), stride.astype(float)
@@ -699,8 +644,7 @@ def _grand_rungs(table, roots, v, count, policy):
     lengths, tailed = _heads(shapes, g, beta, e1, policy)
     failed, at = _Errors(len(first)), np.arange(len(first))     # per rung
     head = _sized(failed, at, lengths, policy.max_terms)
-    kept, flat, levels = _Ladders(table).gather_live(failed, at, row, stride,
-                                                     head)
+    kept, flat, levels = _levels(table, failed, at, row, stride, head)
     rung = np.full(len(first), -1)
     rung[kept] = np.arange(len(kept))
     return _Rungs(rung[unit], failed.take(unit), g[kept], beta[kept],

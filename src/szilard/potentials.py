@@ -296,12 +296,16 @@ def level_energy(potential, n, barrier=Barrier.ABSENT):
     at index 2n (doubly degenerate).  Morse indices are checked against the
     bound-state count; a post-barrier request needs 2n within it.  An int n
     takes the same formula and checks in Python floats, without building
-    arrays.
+    arrays.  An index that is not an integer (a float, or an array of
+    another dtype) names no level and is refused.
     """
     _require(isinstance(barrier, Barrier), SpectrumRangeError,
              f"expected a Barrier, got {barrier!r}")
     scalar = isinstance(n, int)
     arr = n if scalar else np.asarray(n)
+    if not (scalar or arr.dtype.kind in "iu"):
+        raise SpectrumRangeError(
+            f"level indices must be integers, got dtype {arr.dtype}")
     empty = not scalar and arr.size == 0
     if not empty and (arr if scalar else arr.min()) < 1:
         raise SpectrumRangeError("level indices start at 1")
@@ -354,31 +358,26 @@ class _Shapes:
         expression.  Its one np.power call per distinct level power takes
         the power as a Python float, as level_energy does (numpy takes a
         square root for a scalar power of 1/2, pow for an array of them),
-        so every level has the bits of its trap's level_energy call.  A
+        so every level has the bits of its trap's level_energy call, whose
+        Morse term q chi s s is formed in the same order, (q chi) s s.  A
         level past float range is inf, or -inf in a Morse well, silently."""
-        scale, chi, power = (v if counts is None else np.repeat(v, counts)
-                             for v in (self.scale, self.chi, self.power))
+        def spread(v):
+            return v if counts is None else np.repeat(v, counts)
+
         s = np.asarray(n, dtype=float) + 0.5
         e = s.copy()
         with np.errstate(over="ignore"):
-            for p in set(self.power.tolist()) - {1.0}:
-                at = power == p
-                e[at] = np.power(s[at], p)
-            e *= scale
-            e -= scale * chi * s * s
+            if self.powers:
+                power = spread(self.power)
+                for p in set(self.power.tolist()) - {1.0}:
+                    at = power == p
+                    e[at] = np.power(s[at], p)
+            e *= spread(self.scale)
+            well = spread(self.scale * self.chi)
+            well *= s
+            well *= s
+            e -= well
         return e
-
-    def ladders(self, first, top):
-        """Levels first[i]..top[i] (int arrays, top >= first) of each trap
-        i end to end, where each run starts, and whether level_energy
-        refuses the run: a Morse index past the bound count or a level not
-        positive."""
-        counts = top - first + 1
-        starts = np.cumsum(counts) - counts
-        e = self.levels(np.arange(counts.sum()) + np.repeat(first - starts,
-                                                            counts), counts)
-        low = np.minimum.reduceat(e, starts) if len(e) else e
-        return e, starts, self.morse & ((top > self.cap) | ~(low > 0.0))
 
 
 def _shape(trap):

@@ -67,6 +67,9 @@ class Axis:
             raise ConfigError(f"axis {self.name}: start must be below stop")
         if self.points < 2:
             raise ConfigError(f"axis {self.name}: need at least 2 points")
+        if self.points > np.iinfo(np.intp).max:
+            raise ConfigError(f"axis {self.name}: {self.points:.6g} points"
+                              " are more than an array can index")
         if self.scale not in ("linear", "log"):
             raise ConfigError(f"axis {self.name}: scale must be linear or log")
         if self.scale == "log" and self.start <= 0.0:

@@ -72,7 +72,7 @@ def _point_sums(table, batch, count, baths, mode=None):
 def _grounds(table, row):
     """The ground levels of a row of a _TrapTable by barrier, each a float
     or the error of its lookup."""
-    return {barrier: table.errors.get((row, k), float(table.e1[row, k]))
+    return {barrier: table.errors[2 * row + k] or float(table.e1[row, k])
             for k, barrier in enumerate(Barrier)}
 
 
@@ -520,13 +520,13 @@ class TestBoseEnergies:
        first=st.integers(1, 4000), inserted=st.integers(1, 4000))
 def test_inserted_ladder_is_every_other_barrier_free_level(
         kind, omega, exponent, anharmonicity, first, inserted):
-    """The stage sums keep one barrier-free ladder per trap: an inserted
-    rung's levels 1..n are gathered from every other place of it, levels
-    2, 4, ..., 2n, and a ladder a longer request outgrows is extended, not
-    rebuilt.  Both hold only if level_energy gives each level the same bits
-    wherever it sits in an array, which this checks on the CPU at hand: the
-    gathered levels against the inserted ladder, and a ladder built in two
-    parts against one built at once."""
+    """Every stage sum computes its levels at its own indices: an inserted
+    rung's levels 1..n are barrier-free levels 2, 4, ..., 2n, formed at
+    those indices.  That holds only if level_energy gives each level the
+    same bits wherever it sits in an array, which this checks on the CPU
+    at hand: the inserted ladder against every other barrier-free level,
+    and one _levels pass over an absent and an inserted run of one trap
+    against both ladders."""
     trap = {"harmonic": lambda: Harmonic(MASS, omega),
             "power-law": lambda: PowerLaw(MASS, omega, exponent),
             "morse": lambda: Morse.from_anharmonicity(MASS, omega,
@@ -540,15 +540,16 @@ def test_inserted_ladder_is_every_other_barrier_free_level(
     ladder = level_energy(trap, np.arange(1, inserted + 1), Barrier.INSERTED)
     assert whole[1::2].tobytes() == ladder.tobytes()
 
-    ladders, row = ensembles._Ladders(ensembles._TrapTable((trap,))), [0]
-    got = []
-    for stride, n in ((1, first), (2, inserted)):
-        assert ladders.reach(row, [stride * n]) == {}
-        _, levels = ladders.gather(row, [stride], [n])
-        got.append(levels[1:])      # behind its slot
-    assert got[0].tobytes() == whole[:first].tobytes()
-    assert got[1].tobytes() == ladder.tobytes()
-    assert ladders.levels.tobytes() == whole.tobytes()
+    table = ensembles._TrapTable((trap,))
+    errors = ensembles._Errors(2)
+    at, flat, levels = ensembles._levels(
+        table, errors, np.arange(2), np.zeros(2, dtype=np.intp),
+        np.array([1, 2]), np.array([first, inserted]))
+    assert at.tolist() == [0, 1] and errors == [None, None]
+    # each run behind a slot that holds its first level
+    got = np.split(levels, flat.slots[1:])
+    assert got[0].tobytes() == whole[[0, *range(first)]].tobytes()
+    assert got[1].tobytes() == ladder[[0, *range(inserted)]].tobytes()
 
 
 @settings(max_examples=100, deadline=None)
@@ -557,15 +558,15 @@ def test_inserted_ladder_is_every_other_barrier_free_level(
     st.one_of(st.just(0.0), st.floats(1e-5, 0.1)), st.floats(0.3, 4.0),
     st.integers(1, 3000), st.integers(0, 3000)), min_size=1, max_size=6))
 def test_batched_levels_equal_level_energy(traps):
-    """The levels of a request are one _Shapes.ladders pass over all its
-    traps, harmonic, power-law and Morse ones mixed, a lone trap's too:
-    every level, first built or extended, has the bits of its own trap's
-    level_energy call.  Every batch holds power laws at nu = 2/3, whose
-    level power 1/2 numpy takes as a square root for a scalar power, and
-    at nu = 2, of power 1.  Each trap's E_1 on its row of the trap table,
-    with the barrier absent and inserted, and a level at one float index
-    per trap, as the tails form their first level, have the bits of their
-    int level_energy lookups."""
+    """The levels of a request are one _levels pass over all its traps,
+    harmonic, power-law and Morse ones mixed, a lone trap's too, both
+    barrier configurations in one pass: every level has the bits of its
+    own trap's level_energy call.  Every batch holds power laws at nu =
+    2/3, whose level power 1/2 numpy takes as a square root for a scalar
+    power, and at nu = 2, of power 1.  Each trap's E_1 on its row of the
+    trap table, with the barrier absent and inserted, and a level at one
+    float index per trap, as the tails form their first level, have the
+    bits of their int level_energy lookups."""
     _, omega, _, _, first, more = traps[0]
     fixed = [("power-law", omega, 0.0, nu, first, more)
              for nu in (2.0 / 3.0, 2.0)]
@@ -577,14 +578,20 @@ def test_batched_levels_equal_level_energy(traps):
         cap = getattr(trap, "bound_count", None) or first + more  # >= 4
         built.append((trap, min(first, cap), min(first + more, cap)))
     table = ensembles._TrapTable([trap for trap, *_ in built])
-    ladders, rows = ensembles._Ladders(table), np.array(table.rows)
-    for part in (1, 2):
-        n = np.array([lengths[part - 1] for _, *lengths in built])
-        assert ladders.reach(rows, n) == {}
-        flat, levels = ladders.gather(rows, np.ones_like(n), n)
-        for (trap, *_), start, m in zip(built, flat.slots, n):
-            assert levels[start + 1:start + 1 + m].tobytes() == level_energy(
-                trap, np.arange(1, m + 1)).tobytes()
+    # per trap an absent run of `first` levels and an inserted one that
+    # reaches `top`, each pass one entry per trap and configuration
+    row = np.repeat(table.rows, 2)
+    stride = np.tile([1, 2], len(built))
+    n = np.array([m for _, first, top in built
+                  for m in (first, max(1, top // 2))])
+    errors = ensembles._Errors(len(row))
+    at, flat, levels = ensembles._levels(table, errors, np.arange(len(row)),
+                                         row, stride, n)
+    assert at.tolist() == list(range(len(row)))
+    for k, start, m in zip(at.tolist(), flat.slots.tolist(), n.tolist()):
+        barrier = tuple(Barrier)[stride[k] - 1]
+        assert levels[start + 1:start + 1 + m].tobytes() == level_energy(
+            built[k // 2][0], np.arange(1, m + 1), barrier).tobytes()
     for row, (trap, *_) in enumerate(built):
         ground = _grounds(table, row)
         for barrier in Barrier:
@@ -629,20 +636,30 @@ def test_segment_sums_equal_numpy_sums(ladders):
 
 
 def test_refused_levels_fail_their_own_trap():
-    """A Morse ladder built past the bound count fails that trap alone
-    with the error level_energy raises for it, and keeps the levels it
-    had; the other traps of the pass are built."""
+    """A Morse run past the bound count fails that entry alone with the
+    error level_energy raises for it, in its own configuration; the other
+    entries of the pass, of the same well too, keep their levels."""
     deep, shallow = (Morse.from_anharmonicity(MASS, 1e13, chi)
                      for chi in (0.001, 0.02))
-    ladders = ensembles._Ladders(ensembles._TrapTable((deep, shallow)))
-    errors = ladders.reach([0, 1], [30, shallow.bound_count + 1])
-    assert list(errors) == [1]
-    assert isinstance(errors[1], SpectrumRangeError)
-    assert str(errors[1]) == (f"index {shallow.bound_count + 1} beyond the"
-                              f" {shallow.bound_count} bound Morse levels")
-    assert ladders.size.tolist() == [30, 0]
-    assert ladders.levels.tobytes() == level_energy(
+    cap = shallow.bound_count
+    table = ensembles._TrapTable((deep, shallow))
+    errors = ensembles._Errors(4)
+    at, flat, levels = ensembles._levels(
+        table, errors, np.arange(4), np.array([0, 1, 1, 1]),
+        np.array([1, 1, 2, 2]), np.array([30, cap + 1, cap // 2,
+                                          cap // 2 + 1]))
+    assert at.tolist() == [0, 2]
+    assert errors.live.tolist() == [True, False, True, False]
+    assert all(isinstance(errors[k], SpectrumRangeError) for k in (1, 3))
+    assert str(errors[1]) == (f"index {cap + 1} beyond the {cap} bound"
+                              " Morse levels")
+    assert str(errors[3]) == (f"index {2 * (cap // 2 + 1)} beyond the"
+                              f" {cap} bound Morse levels (post-barrier)")
+    got = np.split(levels, flat.slots[1:])
+    assert got[0][1:].tobytes() == level_energy(
         deep, np.arange(1, 31)).tobytes()
+    assert got[1][1:].tobytes() == level_energy(
+        shallow, np.arange(1, cap // 2 + 1), Barrier.INSERTED).tobytes()
 
 
 def _same_bits(got, want):
@@ -734,7 +751,7 @@ def test_batches_group_each_trap_object(shapes, data, max_terms, baths,
     for at, following in zip(batches, batches[1:]):
         assert traps[at[-1]] is not traps[following[0]]
     event(f"{len(batches)} batches")
-    event(f"a ground level fails: {bool(table.failed.any())}")
+    event(f"a ground level fails: {not table.errors.live.all()}")
     for i, row in enumerate(table.rows):
         own, batch = ensembles._batches((traps[i],), [betas[i]], policy,
                                         baths)
@@ -885,7 +902,7 @@ class TestTruncation:
                                        np.ones(units), np.ones(units))
             stages.beta[::2], stages.head[::2] = betas, heads
             ensembles._series_sums(stages, np.arange(0, 2 * units, 2),
-                                   ensembles._Ladders(table))
+                                   table)
             return stages
 
         with mock.patch.object(ensembles, "_boltzmann_terms", terms):
@@ -1216,9 +1233,9 @@ def _sums_of(call):
     raise a SzilardError)."""
     log, original = [], ensembles._series_sums
 
-    def spy(stages, at, ladders):
-        original(stages, at, ladders)
-        log.extend(((ladders.table.traps[row], tuple(Barrier)[inserted], e1,
+    def spy(stages, at, table):
+        original(stages, at, table)
+        log.extend(((table.traps[row], tuple(Barrier)[inserted], e1,
                      beta, n), error or (total, energy))
                    for row, inserted, e1, beta, n, total, energy, error in zip(
                        *(column[at].tolist() for column in (

@@ -90,24 +90,37 @@ def test_every_parameter_is_read():
 def test_every_private_definition_is_referenced():
     """Each private function, class or method of szilard (a leading
     underscore, not a dunder) is referenced somewhere in the package: by
-    name, as an attribute or in an import.  A helper that only tests
-    reach is dead code."""
-    defined, referenced = [], set()
+    name, as an attribute or in an import.  So is each public-named method
+    of a private class, as an attribute: it is private too.  A helper that
+    only tests reach is dead code."""
+    defined, methods, referenced, attributes = [], [], set(), set()
     for path in sorted(Path(szilard.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                                  ast.ClassDef)):
                 if node.name.startswith("_") and not node.name.endswith("__"):
                     defined.append((f"{path.name}:{node.lineno}", node.name))
+                if isinstance(node, ast.ClassDef) and node.name.startswith(
+                        "_"):
+                    methods += [
+                        (f"{path.name}:{item.lineno}",
+                         f"{node.name}.{item.name}", item.name)
+                        for item in node.body
+                        if isinstance(item, (ast.FunctionDef,
+                                             ast.AsyncFunctionDef))
+                        and not item.name.startswith("_")]
             elif isinstance(node, ast.Name):
                 referenced.add(node.id)
             elif isinstance(node, ast.Attribute):
                 referenced.add(node.attr)
+                attributes.add(node.attr)
             elif isinstance(node, ast.alias):
                 referenced.add(node.name)
-    assert defined
+    assert defined and methods
     assert [f"{at}: {name}" for at, name in defined
             if name not in referenced] == []
+    assert [f"{at}: {name}" for at, name, method in methods
+            if method not in attributes] == []
 
 
 def test_every_slot_is_read():

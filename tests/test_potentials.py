@@ -245,6 +245,31 @@ def test_index_range_errors():
     assert level_energy(well, 4, Barrier.INSERTED) == level_energy(well, 8)
 
 
+@pytest.mark.parametrize("n", [1.5, 2.0, np.float64(2.0), np.array([1.0, 2.0]),
+                               np.array([1.5]), np.array([], dtype=float),
+                               np.array([True])])
+def test_index_that_is_not_an_integer_is_refused(n):
+    """An index that is not an integer names no level: 1.5 gave the energy
+    at s = 2.0, 2.109e-24 J, a point between two levels.  A float, even a
+    whole one, and an array of any other dtype are refused, in either
+    configuration."""
+    trap = Harmonic(19.11e-11, 1e10)
+    for barrier in Barrier:
+        with pytest.raises(SpectrumRangeError, match="must be integers"):
+            level_energy(trap, n, barrier)
+
+
+def test_integer_indices_of_every_kind_evaluate_alike():
+    """A Python int, a numpy integer scalar and integer arrays of any width
+    give the same level."""
+    trap = Harmonic(19.11e-11, 1e10)
+    want = level_energy(trap, 3)
+    for n in (np.int64(3), np.int32(3), np.uint8(3)):
+        assert level_energy(trap, n) == want
+    for n in (np.array([3]), np.array([3], dtype=np.uint16)):
+        assert level_energy(trap, n).tolist() == [want]
+
+
 def test_spectrum_views():
     trap = Harmonic(mass=MASS, omega=1e10)
     absent = Spectrum(trap)

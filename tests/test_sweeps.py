@@ -202,10 +202,15 @@ class TestColumnWriter:
     @pytest.mark.parametrize("target, cap", [
         *((target, None) for target in ("fig2", "fig3", "fig7", "fig8", "fig9",
                                         "fig9-inset", "fig10", "fig11")),
-        ("fig8", 30), ("fig10", 30), ("fig9-inset", 12)])
+        ("fig8", 30), ("fig10", 30), ("fig9-inset", 12),
+        *((target, None) for target in ("fig4", "fig5", "fig6")),
+        ("fig4", 40), ("fig5", 60)])
     def test_cycle_presets_match_the_row_writer(self, tmp_path, target, cap):
-        """Every cycle preset, and the capped runs that are heavy with
-        error rows: the file equals its rows (SweepOutcome.rows, from the
+        """Every cycle preset, the chemical-potential, partition-ratio and
+        barrier-level presets (fig4, fig5 and fig6, whose cells reach the
+        writer as lists), and the capped runs that are heavy with error
+        rows (fig4 at 40 terms fails 110 of its 240 rows, fig5 at 60 fails
+        23 of 120): the file equals its rows (SweepOutcome.rows, from the
         same run) written row by row."""
         spec = preset(target)
         if cap is not None:
@@ -320,16 +325,17 @@ def _occupancy(calls):
 
 
 def _ladder_runs(monkeypatch, log):
-    """Wrap potentials._Shapes.ladders to append ("ladders", (first, top))
-    to log per call, the lists of the first and last index of its runs;
-    return log."""
-    original = potentials._Shapes.ladders
+    """Wrap ensembles._levels to append ("levels", (strides, lengths)) to
+    log per call, the lists of the stride and level count of each entry
+    it lays out; return log."""
+    original = ensembles._levels
 
-    def counted(shapes, first, top):
-        log.append(("ladders", (first.tolist(), top.tolist())))
-        return original(shapes, first, top)
+    def counted(table, errors, at, row, stride, n):
+        out = original(table, errors, at, row, stride, n)
+        log.append(("levels", (stride[out[0]].tolist(), n[out[0]].tolist())))
+        return out
 
-    monkeypatch.setattr(potentials._Shapes, "ladders", counted)
+    monkeypatch.setattr(ensembles, "_levels", counted)
     return log
 
 
@@ -405,12 +411,11 @@ class TestSingleEvaluation:
         distinct sums of its one batch, each sized where it is summed (the
         batching's 50 handed down made the second pass 150 rows; in two
         batches, as four-pair tails split the run, they were three).  The
-        batching looks up the 100 ground levels in one _Shapes.ladders
-        pass, each _series_sums call builds the levels its stage rows lack
-        in at most one more (the absent sums their ladders, the inserted
-        ones their extensions; one call per stage made four, stage D's
-        building none),
-        and level_energy never runs: it made 100 scalar ground lookups.
+        batching looks up the 100 ground levels in one _levels pass, each
+        _series_sums call computes the levels of its stage rows in one
+        more (a ladder store built the absent sums' ladders and extended
+        them for the inserted ones; one call per stage made four), and
+        level_energy never runs: it made 100 scalar ground lookups.
         The batching's trap table derives the shapes of the 50 wells in one
         _Shapes.of call, one row per well, and every sizing, sum and ladder
         build reads its wells by row: a _Shapes.of call each for the ground
@@ -447,11 +452,11 @@ class TestSingleEvaluation:
         for name, args in log:
             if name == "_series_sums":
                 builds.append(0)
-            elif name == "ladders":
+            elif name == "levels":
                 builds[-1] += 1
         assert builds == [1, 1, 1]
-        grounds = next(args for name, args in log if name == "ladders")
-        assert grounds == ([1] * 50, [2] * 50)
+        grounds = next(args for name, args in log if name == "levels")
+        assert grounds == ([1, 2] * 50, [1] * 100)
         assert not any(name == "level_energy" for name, _ in log)
 
     @pytest.mark.parametrize("target, traps", [
@@ -487,10 +492,10 @@ class TestSingleEvaluation:
     def test_point_looks_up_its_ground_levels_once(self, tmp_path,
                                                    monkeypatch, point):
         """E_1 with the barrier absent and inserted, looked up once for the
-        batching and every sum after it: one _Shapes.ladders run over
-        barrier-free levels 1 and 2, a power law's as a Morse well's, and
-        no level_energy call.  A power law made two int lookups, and a
-        Morse well's run was a _Wells expression.  Before that, a fig8
+        batching and every sum after it: one _levels pass over level 1 of
+        each configuration, a power law's as a Morse well's, and no
+        level_energy call.  A power law made two int lookups, and a Morse
+        well's run was a _Wells expression.  Before that, a fig8
         point made 5 such calls: four in its root solve and one in the
         batching; under the closed form 6: the two of the batching and one
         per mu."""
@@ -499,7 +504,8 @@ class TestSingleEvaluation:
         outcome = _run(point, tmp_path)
         assert outcome.points == 1 and outcome.failed == 0
         assert calls == []
-        assert [runs for _, runs in log if runs[1] == [2]] == [([1], [2])]
+        assert [runs for _, runs in log if set(runs[1]) == {1}] == [
+            ([1, 2], [1, 1])]
 
     @pytest.mark.parametrize("name, points", [("fig4", 240), ("fig5", 120)])
     def test_harmonic_grid_builds_its_trap_once(self, tmp_path, monkeypatch,
@@ -582,58 +588,57 @@ class TestSingleEvaluation:
 
     @staticmethod
     def _ladder_builds(log):
-        """The sizes of a lone trap's runs in a _ladder_runs log: first its
-        ground levels, barrier-free levels 1 and 2, then ladders whose
-        index ranges are disjoint and contiguous from 1, so no level is
-        built twice."""
-        runs = [(first, top) for _, ((first,), (top,)) in log]
-        assert runs[0] == (1, 2)
-        assert [first for first, _ in runs[1:]] == [1] + [
-            top + 1 for _, top in runs[1:-1]]
-        return [top - first + 1 for first, top in runs]
+        """The passes of a lone trap's _ladder_runs log after its ground
+        levels, level 1 of each configuration, which come first: each
+        pass as its (strides, lengths)."""
+        assert log[0] == ("levels", ([1, 2], [1, 1]))
+        return [runs for _, runs in log[1:]]
 
     def test_morse_point_builds_one_ladder_per_trap(self, tmp_path,
                                                     monkeypatch):
-        """The four stages share the trap's barrier-free ladder: stage A
-        builds its head, stage B extends it by the levels its inserted head
-        (every other level of it) lacks, and the cold stages sum prefixes.
-        One ladder per barrier built 500 levels, and whole ladders 336;
-        the heads took 198 with four correction pairs in their tails, and
-        take 140 with six.  A lone well is built like a batch of traps, by
-        _Shapes.ladders passes (_Wells expressions before them), where it
-        made two array level_energy calls."""
+        """The four stages of a lone well are two _levels passes, one per
+        barrier configuration, each computing its rows' heads at their own
+        indices: the absent pass the cold and hot heads of stages D and A,
+        70 and 90 levels, and the inserted one those of C and B, 48 and 70.
+        A ladder store shared by the stages built 140 barrier-free levels,
+        90 for stage A and 50 more for stage B; one ladder per barrier
+        built 500, and whole ladders 336.  A lone well is computed like a
+        batch of traps, where it made two array level_energy calls."""
         calls = _count_calls(monkeypatch, "level_energy")
         log = _ladder_runs(monkeypatch, [])
         outcome = _run(_one_point("fig10", depth=4.7 * EV, T_hot=4.0,
                                   omega=1e11), tmp_path)
         assert outcome.points == 1 and outcome.failed == 0
         assert calls == []
-        assert self._ladder_builds(log) == [2, 90, 50]
+        assert self._ladder_builds(log) == [([1, 1], [70, 90]),
+                                            ([2, 2], [48, 70])]
 
     def test_canonical_point_builds_no_inserted_ladder(self, tmp_path,
                                                        monkeypatch):
-        """A fig3 point: its ground levels from the batching's one
-        _Shapes.ladders run (a _Wells expression before, and two int
-        lookups before that) and one ladder, extended once for the inserted
-        stages, whose rungs are every other level of it, each one more run
-        (two array level_energy calls before).  Its geometric tails are exact, so each stage sums a
-        16-term head: whole ladders built 8208 levels, and a ladder per
-        barrier 4100 more."""
+        """A fig3 point: its ground levels from the batching's one _levels
+        pass (a _Wells expression before, and two int lookups before that),
+        then one pass per barrier configuration over its two baths' rows.
+        Its geometric tails are exact, so each stage sums a 16-term head,
+        whose levels the inserted pass computes at every other barrier-free
+        index: a ladder store built 32 barrier-free levels for them, whole
+        ladders 8208, and a ladder per barrier 4100 more."""
         calls = _count_calls(monkeypatch, "level_energy")
         log = _ladder_runs(monkeypatch, [])
         outcome = _run(_one_point("fig3", N=2, omega=1e11), tmp_path)
         assert outcome.points == 1 and outcome.failed == 0
         assert calls == []
-        assert self._ladder_builds(log) == [2, 16, 16]
+        assert self._ladder_builds(log) == [([1, 1], [16, 16]),
+                                            ([2, 2], [16, 16])]
 
     def test_partition_ratio_run_builds_one_ladder_per_point(self, tmp_path,
                                                              monkeypatch):
         """fig5: its 120 points, one trap at 40 temperatures and 3 counts,
         are one batch, which builds each of its 80 rungs (a temperature and
         a barrier) once for its 3 counts.  The trap's two ground levels are
-        one _Shapes.ladders run, and its one barrier-free ladder, the 32
-        levels its 16-term heads read, one more (_Wells expressions before
-        them, and a lone trap's levels one level_energy call).  A batch per N looked up 80 ground levels and
+        one _levels pass, and the 16-level heads of all 80 rungs one more
+        (a ladder store built the 32 barrier-free levels they read once;
+        _Wells expressions before it, and a lone trap's levels one
+        level_energy call).  A batch per N looked up 80 ground levels and
         built 40 ladders of 32 levels, one per point, in two _Wells
         expressions per N; a point per batch made 480 level_energy calls
         (two ground levels and one ladder, extended once, per point), and
@@ -643,7 +648,7 @@ class TestSingleEvaluation:
         outcome = _run(preset("fig5"), tmp_path)
         assert outcome.points == 120 and outcome.failed == 0
         assert calls == []
-        assert self._ladder_builds(log) == [2, 32]
+        assert self._ladder_builds(log) == [([1, 2] * 40, [16] * 80)]
 
     def test_bose_roots_sum_one_ladder_each(self, tmp_path, monkeypatch):
         """One occupancy re-check per root, and the trap prefactor's gamma
@@ -908,37 +913,35 @@ class TestBatchedRuns:
                                                     points, wells, segments):
         """fig10: 200 wells, each at 4 hot baths, whose halves (1 to 4 K)
         are hot baths too; fig9: one well at 50 hot baths.  Each well is
-        built once, and its points share it; its barrier-free ladder is
-        built once, by the absent sums of its batch, and extended once, by
-        the inserted ones.  A fig10 pass built 800 ladders, one per point,
-        and fig9 50.  Each distinct (well, bath) is summed once per barrier
-        configuration: fig10's 200 wells at 6 temperatures are 2,400
-        stage rows, where four stages per point made 3,200 segments.  A
-        ladder is built or extended where a _Ladders.reach call finds it
-        shorter than a row asks."""
-        runs, built, extended = [], [], []
-        run_cycles, reach = sweeps._run_cycles, ensembles._Ladders.reach
+        built once, and its points share it; its ground levels are one
+        _levels pass over all the wells, and each _series_sums call, one
+        per barrier configuration of a batch, computes the levels of its
+        stage rows in one more, each row's at its own indices.  A fig10
+        pass built 800 ladders, one per point, and fig9 50; a ladder store
+        then built each well's barrier-free ladder once and extended it
+        once.  Each distinct (well, bath) is summed once per barrier
+        configuration: fig10's 200 wells at 6 temperatures are 2,400 stage
+        rows, where four stages per point made 3,200 segments."""
+        runs = []
+        run_cycles = sweeps._run_cycles
 
         def spy_runs(traps, *args):
             runs.extend(traps)
             return run_cycles(traps, *args)
 
-        def spy_reach(ladders, row, top):
-            grown = np.unique(np.asarray(row)[top > ladders.size[row]])
-            for r in grown.tolist():
-                (extended if ladders.size[r] else built).append(
-                    ladders.table.traps[r])
-            return reach(ladders, row, top)
-
         monkeypatch.setattr(sweeps, "_run_cycles", spy_runs)
-        monkeypatch.setattr(ensembles._Ladders, "reach", spy_reach)
+        log = _ladder_runs(monkeypatch, [])
         sums = _count_calls(monkeypatch, "_series_sums")
         outcome = _run(preset(target), tmp_path)
         assert outcome.points == points and outcome.failed == 0
         assert (len(runs), len({id(trap) for trap in runs})) == (points,
                                                                  wells)
-        assert len(built) == len({id(trap) for trap in built}) == wells
-        assert len(extended) == wells
+        assert log[0] == ("levels", ([1, 2] * wells, [1] * (2 * wells)))
+        passes = [strides for _, (strides, _) in log[1:]]
+        assert len(passes) == len(sums)
+        assert [set(strides) for strides in passes] == [
+            {1}, {2}] * (len(sums) // 2)
+        assert sum(map(len, passes)) == sum(len(at) for _, at, _ in sums)
         assert sum(len(at) for _, at, _ in sums) == segments
 
     def test_points_of_other_counts_share_rungs(self, tmp_path,
@@ -970,8 +973,9 @@ class TestBatchedRuns:
         once per bath, so its 1,920 roots run in 6 batches (a batch per
         count made 12), and each batch builds the rungs of its traps once:
         640 rungs (it built 1,920).  The ground levels of all 160 traps are
-        one _Shapes.ladders pass, and each batch's barrier-free ladders
-        one more, so level_energy never runs: it made 320 int ground
+        one _levels pass, and the heads of each batch's rungs one more (a
+        ladder store built the barrier-free ladders of its 13, 37, ... 31
+        traps), so level_energy never runs: it made 320 int ground
         lookups and 160 ladder builds (960 and 480 before those); _heads
         sizes each trap's hot barrier-free rung once in the
         batching, only to bound the batches, and every rung once, in its
@@ -992,8 +996,8 @@ class TestBatchedRuns:
         assert [len(e1) for *_, e1, _ in sizes] == [160, 52, 148, 148, 72,
                                                     96, 124]
         assert levels == []
-        assert [len(first) for _, (first, _) in log] == [160, 13, 37, 37, 18,
-                                                         24, 31]
+        assert [len(n) for _, (_, n) in log] == [320, 52, 148, 148, 72, 96,
+                                                 124]
 
     def test_mu_rounded_onto_the_ground_level_names_the_cause(self,
                                                               tmp_path):
@@ -1459,6 +1463,26 @@ class TestCli:
         assert all(row.split(",")[-1].startswith(
             "InvalidPotentialError: power-law exponent 1e-307 is too small")
             for row in rows)
+
+    @pytest.mark.parametrize("points", ["1e300", "1.7976931348623157e308"])
+    def test_axis_no_array_can_hold_is_a_config_error(self, tmp_path, points):
+        """An axis of more points than an array can index is one
+        configuration error naming the axis, exit 1, and no CSV: at 1e300
+        points np.linspace raised ValueError: Maximum allowed size
+        exceeded, with a traceback."""
+        (tmp_path / "axis.ini").write_text(f"[axis.T_hot]\npoints = {points}\n")
+        out = tmp_path / "x.csv"
+        src = str(Path(sweeps.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-m", "szilard.cli", "fig9", "--config",
+             str(tmp_path / "axis.ini"), "--out", str(out)],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": src})
+        assert done.returncode == 1
+        assert done.stderr == (
+            f"config error: axis T_hot: {float(points):.6g} points are more"
+            " than an array can index\n")
+        assert not out.exists()
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("target, config, code", [
