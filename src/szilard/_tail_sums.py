@@ -51,6 +51,14 @@ class _Segments:
         """Each place's index in its segment: 0 at the slot, then 1..n."""
         return np.arange(self.width.sum()) - self.spread(self.slots)
 
+    def places(self, starts):
+        """Each place's index into flat arrays in which segment i runs from
+        starts[i] on, as one cumsum of steps (1 but at the slots)."""
+        out = np.ones(self.width.sum(), dtype=np.intp)
+        out[self.slots] = starts
+        out[self.slots[1:]] -= starts[:-1] + self.width[:-1] - 1
+        return np.cumsum(out, out=out)
+
     def sums(self, terms):
         """Each segment's sum of terms; overwrites the slots with 0.0."""
         terms[self.slots] = 0.0
@@ -458,7 +466,7 @@ class _Rungs:
 
     __slots__ = ("rung", "errors", "terms", "g", "beta", "e1", "heads",
                  "starts", "x", "gap", "kind", "x_tail", "bd", "delta",
-                 "offset", "moments", "x_cut", "max_terms")
+                 "offset", "moments", "x_cut", "max_terms", "summed")
 
     def __init__(self, rung, errors, g, beta, e1, tailed, flat, levels,
                  shapes, v, count, x_cut, max_terms):
@@ -480,7 +488,7 @@ class _Rungs:
         the series is that length too, short of its full sum."""
         self.rung, self.errors, self.g, self.beta, self.e1 = (
             rung, errors, g, beta, e1)
-        self.x_cut, self.max_terms = x_cut, max_terms
+        self.x_cut, self.max_terms, self.summed = x_cut, max_terms, None
         self.heads, self.starts = flat.width - 1, flat.slots
         gap = levels
         gap -= flat.spread(e1)
@@ -511,9 +519,10 @@ class _Rungs:
         # each root's head levels j behind its slot, where j = 0 and x = inf
         # give -inf, which the maximum passes over
         levels = _Segments(self.heads[m])
-        j = levels.within()
-        floor = np.log1p(j * levels.spread(g[m] / count[r]))
-        floor -= x[levels.spread(self.starts[m]) + j]
+        floor = levels.spread(g[m] / count[r])
+        floor *= levels.within()
+        np.log1p(floor, out=floor)
+        floor -= x[levels.places(self.starts[m])]
         floor = np.fmax(v[r], np.maximum.reduceat(floor, levels.slots))
         with np.errstate(all="ignore"):
             length = np.ceil(x_cut / (self.x_tail[m] + floor))
@@ -538,6 +547,22 @@ class _Rungs:
             self.moments[:, place] = _power_tails(
                 e[law], s[law], power[at], g[at], k[place] * beta[at], e1[at])
 
+    def gather(self, rows):
+        """The _Heads of rows (an index array): those of the last gather,
+        kept to rows where they hold them all in this order, else gathered
+        afresh, so a batch's re-checks, log ratios and energies, each over
+        rows left from the one before, gather once (an energy sum, their
+        last, ends them: see ensembles._rung_sums)."""
+        last = self.summed
+        if last is not None:
+            mask = np.isin(last.rows, rows)
+            if np.array_equal(last.rows[mask], rows):
+                if not mask.all():
+                    last.keep(mask)
+                return last
+        self.summed = _Heads(self, rows)
+        return self.summed
+
 
 def _cap_error(n, max_terms):
     """The TruncationError of a series of n terms (inf or nan as they are)
@@ -553,25 +578,22 @@ class _Heads:
 
     sums() evaluates them at one v = beta (E_1 - mu) per row, each row its
     head and its k-series, so a Newton round sums its roots' heads and
-    short k-series, not their ladders.  A geometric k-series longer than
-    max_terms is refused: its row's sums are nan, and error(i) is its
-    TruncationError.
+    short k-series, not their ladders.  keep() drops rows by a mask over
+    the flat arrays, so a Newton loop gathers its heads once.  A geometric
+    k-series longer than max_terms is refused: its row's sums are nan, and
+    refused maps the row to the series' length.
     """
 
-    __slots__ = ("rungs", "rows", "flat", "x", "gap", "g", "series", "power",
+    __slots__ = ("rungs", "rows", "flat", "x", "g", "series", "power",
                  "refused")
 
-    def __init__(self, rungs, rows, gap=False):
-        """The heads of rows (an index array), with their gaps E - E_1
-        where an energy needs them."""
+    def __init__(self, rungs, rows):
+        """The heads of rows (an index array)."""
         self.rungs, self.rows = rungs, rows
         m = rungs.rung[rows]
         self.flat = _Segments(rungs.heads[m])
-        # the places of each row's head: starts + within(), in one spread
-        index = self.flat.spread(rungs.starts[m] - self.flat.slots)
-        index += np.arange(len(index))
-        self.x, self.g = rungs.x[index], rungs.g[m]
-        self.gap = rungs.gap[index] if gap else None
+        self.x = rungs.x[self.flat.places(rungs.starts[m])]
+        self.g = rungs.g[m]
         kind = rungs.kind[m]
         self.series = (kind == 1).nonzero()[0]
         # the power-law rows, their k and moments, each behind its slot
@@ -586,34 +608,31 @@ class _Heads:
             self.power = at, terms, k, moments
         self.refused = {}
 
-    def error(self, i):
-        """The TruncationError of row i's last sums, or None."""
-        n = self.refused.get(i)
-        return None if n is None else _cap_error(n, self.rungs.max_terms)
+    def keep(self, mask):
+        """Keep the rows, and their flat places, where mask holds: their
+        sums keep their bits, as if gathered afresh."""
+        place = np.cumsum(mask) - 1     # a kept row's index from now on
+        kept = self.flat.spread(mask)
+        self.rows, self.g, self.x = self.rows[mask], self.g[mask], self.x[kept]
+        self.flat = _Segments(self.flat.width[mask] - 1)
+        self.series = place[self.series[mask[self.series]]]
+        if self.power is not None:
+            at, terms, k, moments = self.power
+            stay = mask[at]
+            kept = terms.spread(stay)
+            self.power = (place[at[stay]], _Segments(terms.width[stay] - 1),
+                          k[kept], moments[:, kept]) if stay.any() else None
 
     def sums(self, v, kind, d=None):
         """Per row at v (an array), as arrays: for kind "occupancy" sum
         g/(e^{x+v} - 1) and the Newton weight sum n (1 + n/g) of its
         occupations n; for "log" sum log(1 - e^{-x-v}); for "energy" sum
         g (E - mu)/(e^{x+v} - 1), with d = E_1 - mu.  Each is summed over
-        g = 1 and scaled by g, 1 or 2, which is exact.  numpy is silenced:
-        a sum past float range is not finite."""
+        g = 1 and scaled by g, 1 or 2, which is exact.  An energy sum, the
+        heads' last, releases x before it gathers the gaps E - E_1.  numpy
+        is silenced: a sum past float range is not finite."""
         with np.errstate(all="ignore"):
-            y = self.x + self.flat.spread(v)
-            if kind == "log":
-                np.exp(np.negative(y, out=y), out=y)
-                terms = (np.log1p(np.negative(y, out=y), out=y),)
-            else:   # a slot's x = inf makes its terms 0
-                np.expm1(np.maximum(y, 1e-300, out=y), out=y)
-                if kind == "energy":
-                    t = self.gap + self.flat.spread(d)
-                    terms = (np.divide(t, y, out=t),)
-                else:
-                    n = np.divide(1.0, y, out=y)
-                    weight = n + 1.0
-                    weight *= n
-                    terms = n, weight
-            out = [np.add.reduceat(t, self.flat.slots) for t in terms]
+            out = self._head(v, kind, d)
             self.refused = {}
             if len(self.series):
                 self._series(out, v, kind, d)
@@ -625,6 +644,28 @@ class _Heads:
             if kind != "log":
                 total *= self.g
         return out
+
+    def _head(self, v, kind, d):
+        """The head sums of sums(), whose flat terms are freed on return."""
+        y = self.flat.spread(v)
+        y += self.x
+        if kind == "log":
+            np.exp(np.negative(y, out=y), out=y)
+            terms = (np.log1p(np.negative(y, out=y), out=y),)
+        else:   # a slot's x = inf makes its terms 0
+            np.expm1(np.maximum(y, 1e-300, out=y), out=y)
+            if kind == "energy":
+                self.x, rungs = None, self.rungs
+                t = rungs.gap[self.flat.places(
+                    rungs.starts[rungs.rung[self.rows]])]
+                t += self.flat.spread(d)
+                terms = (np.divide(t, y, out=t),)
+            else:
+                n = np.divide(1.0, y, out=y)
+                weight = n + 1.0
+                weight *= n
+                terms = n, weight
+        return [np.add.reduceat(t, self.flat.slots) for t in terms]
 
     def _series(self, out, v, kind, d):
         """Add the geometric k-series whose length is set at v: each row's
@@ -667,8 +708,9 @@ class _Heads:
         a = terms.spread(-v[at])
         a *= k
         np.exp(a, out=a)
-        _add(out, at, kind, d, a * t, a * w if kind == "energy" else None, k,
-             terms)
+        w = a * w if kind == "energy" else None
+        a *= t
+        _add(out, at, kind, d, a, w, k, terms)
 
 
 def _add(out, at, kind, d, t, w, k, series):
@@ -676,12 +718,14 @@ def _add(out, at, kind, d, t, w, k, series):
     t = e^{-kv} T_k and, for an energy, w = e^{-kv} W_k over k (arrays laid
     out by the _Segments series, each row's behind a slot): occupancy sum t
     and sum k t, log -sum t/k, energy sum t d + w.  Each row is reduced on
-    its own."""
+    its own; t is overwritten."""
     if kind == "energy":
         t *= series.spread(d[at])
         t += w
     elif kind == "log":
         t /= k
-    for total, t in zip(out, (t, k * t) if kind == "occupancy" else (t,)):
-        s = series.sums(t)
-        total[at] += -s if kind == "log" else s
+    s = series.sums(t)
+    out[0][at] += -s if kind == "log" else s
+    if kind == "occupancy":     # k t, whose slots sums() zeroed
+        t *= k
+        out[1][at] += series.sums(t)

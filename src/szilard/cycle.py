@@ -124,11 +124,12 @@ def _run_cycles(potentials, ensemble, counts, baths, policy, mu_mode,
                             dtype=float).reshape(-1, 2)
     terms = np.full((len(potentials), 10 if grand else 6), math.nan)
     live = errors.live.nonzero()[0]
-    # the decay rate of each trap's stage A: N beta, or beta for the grand
-    # sums, whose mu approaches E_1
+    # the decay rates: of each trap's stage A, N beta, or for the grand
+    # sums, whose mu approaches E_1, beta at both baths
     with np.errstate(over="ignore"):
-        rates = _betas(temperatures[live, 0]) * (1.0 if grand else np.array(
-            [counts[i] for i in live.tolist()], dtype=float))
+        rates = _betas(temperatures[live]) if grand else _betas(
+            temperatures[live, 0]) * np.array([counts[i] for i in
+                                               live.tolist()], dtype=float)
     table, batches = _batches([potentials[i] for i in live.tolist()], rates,
                               policy, 2 if grand else 1)
     for at in batches:

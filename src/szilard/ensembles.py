@@ -19,9 +19,10 @@ ladders, and a lone trap is a batch of one on the same path.  Each _batches
 call builds one trap table (_TrapTable), the one place that decides trap
 identity: a row per distinct trap object, with its ladder shape and ground
 levels, which every sum reads by row.  _batches splits the points into
-batches of a bounded number of estimated terms, closing one only between
-two rows, so a batch sums each distinct canonical (row, count, bath) once
-and builds each grand rung once for all its counts.  One rule, _units (a
+batches of a bounded number of estimated terms, or on the grand route of
+bytes its roots will gather, closing one only between two rows, so a
+batch sums each distinct canonical (row, count, bath) once and builds
+each grand rung once for all its counts.  One rule, _units (a
 stable lexsort of key columns), groups the batching's (row, beta) sizes,
 a canonical batch's units and a grand batch's rungs, each read by index.
 A batch's sums are columns, each result an array aligned to them with
@@ -322,10 +323,11 @@ def _levels(table, errors, at, row, stride, n):
             return at, flat, e
 
 
-# A batch of traps is closed once its estimated ladder terms reach this;
-# it bounds the size of the flat arrays, which would otherwise grow with
-# the whole run.
+# A batch closes once its points count this many estimated ladder terms,
+# or on the grand route bytes its roots will gather (see _sizes): each
+# bounds a batch's flat arrays, which would otherwise grow with the run.
 _BATCH_TERMS = 8192
+_BATCH_BYTES = 5 << 16
 
 
 def _batches(potentials, betas, policy, baths=1):
@@ -333,34 +335,54 @@ def _batches(potentials, betas, policy, baths=1):
     indices into potentials of the points of each consecutive batch for the
     batched stage sums.  The points of each row, grouped in order, share
     its ladder, its rungs and its batch.  A batch closes, only between two
-    rows, once it counts _BATCH_TERMS: the head length of each point's
-    barrier-free sum at its decay rate betas[i] (N beta of the hot bath for
-    a canonical stage A, beta for a grand rung, whose mu approaches E_1),
-    `baths` times (2 for a grand cycle, whose per-root arrays hold a head of
-    each barrier at each bath), from one _heads pass over the distinct
-    (row, beta) pairs, found by _units, whose ground level holds; a failed
-    estimate counts 0.  Each sum is sized again where it is summed."""
+    rows, once the _sizes of its points reach _BATCH_TERMS (one bath) or
+    _BATCH_BYTES (two: a grand cycle)."""
     table = _TrapTable(potentials)
-    rows = np.array(table.rows, dtype=np.intp)
-    betas = np.asarray(betas, dtype=float)
-    first, unit = _units(rows, betas)
-    grounded = table.errors.live[2 * rows[first]]
-    live = first[grounded]
-    lengths, _ = _heads(table.shapes.take(rows[live]), 1, betas[live],
-                        table.e1[rows[live], 0], policy)
-    size = np.zeros(len(first))
-    size[grounded] = [0 if _failed(n) else n for n in lengths]
+    size = _sizes(table, betas, policy, baths)
+    bound = _BATCH_TERMS if baths == 1 else _BATCH_BYTES
     batches, at, total = [], [], 0
     # the points row by row, each row's in order; a total past 2^53 is
-    # past _BATCH_TERMS too
-    order = np.argsort(rows, kind="stable")
-    for i, terms in zip(order.tolist(), (baths * size[unit[order]]).tolist()):
-        if total >= _BATCH_TERMS and table.rows[i] != table.rows[at[-1]]:
+    # past the bound too
+    order = np.argsort(table.rows, kind="stable")
+    for i, terms in zip(order.tolist(), size[order].tolist()):
+        if total >= bound and table.rows[i] != table.rows[at[-1]]:
             batches.append(at)
             at, total = [], 0
         at.append(i)
         total += terms
     return table, batches + [at] if at else batches
+
+
+def _sizes(table, betas, policy, baths=1):
+    """What each point of the _TrapTable table counts toward its batch's
+    bound, from one _heads pass over the distinct (row, barrier, beta)
+    whose ground level holds (a failed estimate counts 0): at one bath, its
+    decay rate betas[i], the head length of its barrier-free sum; at two,
+    betas[i] a grand cycle's beta at each, the bytes its four roots gather
+    into a _Heads, 8 a level of its rung's head and 24 a term of its
+    k-series (k and two moments), each with its slot, the series as long
+    as at v = 0, its longest."""
+    width = 1 if baths == 1 else 4
+    row = np.repeat(np.array(table.rows, dtype=np.intp), width)
+    inserted = np.tile(np.arange(width) % 2, len(table.rows))
+    beta = np.repeat(np.asarray(betas, dtype=float), width // baths)
+    first, unit = _units(row, inserted, beta)
+    at = first[table.errors.live[2 * row[first] + inserted[first]]]
+    shapes, step, e1 = (table.shapes.take(row[at]), inserted[at] + 1.0,
+                        table.e1[row[at], inserted[at]])
+    lengths, tailed = _heads(shapes, step, beta[at], e1, policy)
+    n = np.array([0 if _failed(m) else m for m in lengths], dtype=float)
+    if baths == 2:
+        n = np.where(n <= policy.max_terms, n, 0.0)
+        with np.errstate(all="ignore"):     # x_{K+1}, as _Rungs forms it
+            x = beta[at] * (shapes.levels(step * (n + 1.0)) - e1)
+            series = np.fmin(np.ceil((_XCUT_MARGIN - math.log(
+                policy.rel_tol)) / x), policy.max_terms)
+        n = 8.0 * (n + 1.0) + 24.0 * np.where(tailed & (n > 0), series + 1.0,
+                                              0.0)
+    size = np.zeros(len(row))
+    size[at] = n
+    return size[first][unit].reshape(-1, width).sum(axis=1)
 
 
 def _failed(value):
@@ -658,7 +680,7 @@ def _rung_sums(rungs, rows, mu, kind):
     potential in mu (an array aligned to rows): the first sum of
     _Heads.sums of `kind`, an array, nan where the row fails; and per row
     None or its error: the row's own, or a SolverFailureError where the
-    sum is not finite."""
+    sum is not finite; the heads are _Rungs.gather's."""
     errors = rungs.errors.take(rows)
     out = np.full(len(rows), math.nan)
     live = errors.live.copy()
@@ -666,15 +688,17 @@ def _rung_sums(rungs, rows, mu, kind):
         at, place = rows[live], live.nonzero()[0]
         m = rungs.rung[at]
         d = rungs.e1[m] - mu[live]
-        heads = _Heads(rungs, at, kind == "energy")
+        heads = rungs.gather(at)
         with np.errstate(over="ignore"):    # v is inf for a mu far below E_1
             out[live] = heads.sums(rungs.beta[m] * d, kind, d)[0]
+        if kind == "energy":    # the heads' last sum: end their cycle
+            rungs.summed = None
         for i in place[~np.isfinite(out[live])].tolist():
             errors.set(i, SolverFailureError(f"series sum is {float(out[i])},"
                                              " not finite: its terms leave"
                                              " float range"))
-        for i in heads.refused:     # a refused row's sum is nan
-            errors.set(place[i], heads.error(i))
+        for i, n in heads.refused.items():  # a refused row's sum is nan
+            errors.set(place[i], _cap_error(n, rungs.max_terms))
     return out, errors
 
 
@@ -698,8 +722,8 @@ def _mu_offsets(counts, rungs):
     bracket bisects it (rtsafe, Numerical Recipes 9.4).  A root stops once
     a step is at most 1e-9 max(1, |u|): quadratic convergence puts that
     step's end within rounding of the root.  The roots that stop or fail
-    leave the arrays, and the heads of the rest are then gathered afresh
-    from the rungs, so each row keeps the bits of its own evaluation.
+    leave the arrays, and their heads leave the call's one _Heads by a mask
+    (_Heads.keep), so each row keeps the bits of its own evaluation.
     """
     errors = rungs.errors.copy()
     out = np.zeros(len(errors))
@@ -761,15 +785,14 @@ def _mu_offsets(counts, rungs):
                         (late, "occupancy root did not converge")):
                     for j in rows[failed].tolist():
                         errors.set(j, SolverFailureError(message))
-                for i in heads.refused:
-                    errors.set(rows[i], heads.error(i))
+                for i, n in heads.refused.items():
+                    errors.set(rows[i], _cap_error(n, rungs.max_terms))
                 keep = ~ends
                 rows, d1, count, log_count, near, far, u_next, step, \
                     rounds = (a[keep] for a in (rows, d1, count, log_count,
                                                 near, far, u_next, step,
                                                 rounds))
-                if len(rows):
-                    heads = _Heads(rungs, rows)
+                heads.keep(keep)
             u = u_next
     return out, errors
 
@@ -946,13 +969,14 @@ def _grand_sums(table, traps, counts, temperatures, mode, policy):
     mu, ratios, errors, rungs = _bath_ratios(table, traps, counts,
                                              temperatures, mode, policy)
     live = errors.live.nonzero()[0]
-    # a point's roots are absent and inserted at its hot bath, then at its
-    # cold one: stages A, B, D and C, summed here in stage order
-    rows = (4 * live[:, None] + [0, 1, 3, 2]).ravel()
+    rows = (4 * live[:, None] + np.arange(4)).ravel()
     sums, failed = _rung_sums(rungs, rows, mu[rows], "energy")
+    # a point's roots are absent and inserted at its hot bath, then at its
+    # cold one: stages A, B, D and C, read here in stage order
+    stages = (4 * np.arange(len(live))[:, None] + [0, 1, 3, 2]).ravel()
     energies = np.full((len(errors), 4), math.nan)
-    energies[live] = sums.reshape(-1, 4)
-    failed = failed.first(4)
+    energies[live] = sums[stages].reshape(-1, 4)
+    failed = failed.take(stages).first(4)
     for i in (~failed.live).nonzero()[0].tolist():
         errors.set(int(live[i]), failed[i])
     return np.column_stack((ratios, energies, mu.reshape(-1, 4))), errors

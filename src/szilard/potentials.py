@@ -297,7 +297,9 @@ def level_energy(potential, n, barrier=Barrier.ABSENT):
     bound-state count; a post-barrier request needs 2n within it.  An int n
     takes the same formula and checks in Python floats, without building
     arrays.  An index that is not an integer (a float, or an array of
-    another dtype) names no level and is refused.
+    another dtype) names no level and is refused.  An inserted array index
+    is doubled as a float, as the level's s is formed, so that 2n never
+    wraps in the array's own dtype and gives the int path's level.
     """
     _require(isinstance(barrier, Barrier), SpectrumRangeError,
              f"expected a Barrier, got {barrier!r}")
@@ -309,7 +311,8 @@ def level_energy(potential, n, barrier=Barrier.ABSENT):
     empty = not scalar and arr.size == 0
     if not empty and (arr if scalar else arr.min()) < 1:
         raise SpectrumRangeError("level indices start at 1")
-    idx = 2 * arr if barrier is Barrier.INSERTED else arr
+    idx = (2 * (arr if scalar else arr.astype(float))
+           if barrier is Barrier.INSERTED else arr)
     if isinstance(potential, Morse):
         cap = morse_bound_count(potential)
         top = idx if scalar or empty else idx.max()

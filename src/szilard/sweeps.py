@@ -399,48 +399,58 @@ def _harmonic_points(spec, points):
 
 
 def _chemical_potential_values(spec, points):
-    """Per point, its row values or SzilardError.  The points of each batch
-    solve the roots of all their counts and temperatures together, in both
-    modes (see ensembles._chemical_potentials), as the columns of the
-    batch's roots with the ground levels of its table, each rung once, and
-    read their cells from the mu arrays; each point keeps the values it
-    gets alone, the closed form's error first."""
+    """Per point, its input cells or SzilardError, and its result columns.
+    The points of each batch solve the roots of all their counts and
+    temperatures together, in both modes (see
+    ensembles._chemical_potentials), as the columns of the batch's roots
+    with the ground levels of its table, each rung once; each point keeps
+    the values it gets alone, the closed form's error first."""
     out, table, batches = _harmonic_points(spec, points)
+    mus = np.full((len(out), 4), math.nan)
     for run, rows in batches:
         roots = _Roots(table, *_point_columns(
             rows, [out[i][0] for i in run], [(out[i][1],) for i in run]))
         (closed, closed_errors), (solved, solved_errors) = (
             _chemical_potentials(table, roots, mode, spec.policy)
             for mode in (MuMode.CLOSED_FORM, MuMode.SOLVED))
-        failed = zip(closed_errors.first(2), solved_errors.first(2))
-        mus = np.hstack((closed.reshape(-1, 2), solved.reshape(-1, 2)))
-        for i, (error, root_error), (pre, post, root_pre, root_post) in zip(
-                run, failed, mus.tolist()):
-            out[i] = error or root_error or {
-                **out[i][3], "mu_pre": pre, "mu_post": post,
-                "mu_pre_solved": root_pre, "mu_post_solved": root_post,
-                "mu_pre_scaled": pre * 1e23, "mu_post_scaled": post * 1e23,
-                "discrepancy_pre": abs(pre - root_pre),
-                "discrepancy_post": abs(post - root_post)}
-    return out
+        mus[run] = np.hstack((closed.reshape(-1, 2), solved.reshape(-1, 2)))
+        for i, error, root_error in zip(run, closed_errors.first(2),
+                                        solved_errors.first(2)):
+            out[i] = error or root_error or out[i]
+    values, mus = _kept(out, mus)
+    pre, post, root_pre, root_post = mus.T
+    return values, {
+        "mu_pre": pre, "mu_post": post, "mu_pre_solved": root_pre,
+        "mu_post_solved": root_post, "mu_pre_scaled": pre * 1e23,
+        "mu_post_scaled": post * 1e23, "discrepancy_pre": np.abs(
+            pre - root_pre), "discrepancy_post": np.abs(post - root_post)}
 
 
 def _partition_ratio_values(spec, points):
-    """Per point, its row values or SzilardError.  The points of each batch
-    run through the grand-canonical cycle's root-and-ratio path
-    (ensembles._bath_ratios) together, each trap with its own count at its
-    own temperature, each rung once, and read their cells from its array
-    of log ratios; each point keeps the values it gets alone."""
+    """Per point, its input cells or SzilardError, and its log ratio and
+    ratio as columns.  The points of each batch run through the
+    grand-canonical cycle's root-and-ratio path (ensembles._bath_ratios)
+    together, each trap with its own count at its own temperature, each
+    rung once; each point keeps the values it gets alone."""
     mode = MuMode(spec.params["mu_mode"])
     out, table, batches = _harmonic_points(spec, points)
+    ratios = np.full((len(out), 1), math.nan)
     for run, rows in batches:
-        _, ratios, errors, _ = _bath_ratios(
+        _, ratios[run], errors, _ = _bath_ratios(
             table, rows, [out[i][0] for i in run],
             [(out[i][1],) for i in run], mode, spec.policy)
-        for i, error, (ratio,) in zip(run, errors, ratios.tolist()):
-            out[i] = error or {**out[i][3], "log_ratio": ratio,
-                               "ratio": math.exp(ratio)}
-    return out
+        for i, error in zip(run, errors):
+            out[i] = error or out[i]
+    values, ratios = _kept(out, ratios)
+    return values, {"log_ratio": ratios[:, 0], "ratio": np.array(list(map(
+        math.exp, ratios[:, 0].tolist())))}
+
+
+def _kept(out, cells):
+    """Each job's input cells, or its SzilardError, and the rows of the
+    float array cells with a failed point's row nan."""
+    cells[[_failed(job) for job in out]] = math.nan
+    return [job if _failed(job) else job[3] for job in out], cells
 
 
 def _eval_barrier(point, spec):
@@ -469,12 +479,13 @@ def _barrier_values(spec, points):
             out.append(_eval_barrier(point, spec))
         except SzilardError as exc:
             out.append(exc)
-    return out
+    return out, {}
 
 
-# Each other family's per-point row values or SzilardErrors, from all its
-# points at once
+# Each family's per-point cells or SzilardErrors and its result columns,
+# from all its points at once
 _VALUES = {
+    **dict.fromkeys(_ENSEMBLES, _cycle_values),
     "chemical-potential": _chemical_potential_values,
     "partition-ratio": _partition_ratio_values,
     "barrier-levels": _barrier_values,
@@ -860,8 +871,7 @@ def run_sweep(spec, csv_path=None):
         raise ConfigError("; ".join(errors))
     points = _points(spec)
     started = time.perf_counter()
-    values, given = (_cycle_values(spec, points) if spec.family in _ENSEMBLES
-                     else (_VALUES[spec.family](spec, points), {}))
+    values, given = _VALUES[spec.family](spec, points)
     columns = _SCHEMAS[spec.family]
     errors = [(index, _sanitize(f"{type(value).__name__}: {value}"))
               for index, value in enumerate(values) if _failed(value)]

@@ -5,7 +5,9 @@ import contextlib
 import gc
 import itertools
 import math
+import os
 import random
+import tracemalloc
 import warnings
 from fractions import Fraction
 from unittest import mock
@@ -711,10 +713,10 @@ def test_batches_group_each_trap_object(shapes, data, max_terms, baths,
     """A trap is its object: the trap table of _batches gives each trap
     object one row, in order of first appearance, and _batches groups the
     indices of each row in that order; a batch closes (here after 1, 64 or
-    8192 counted terms) only between two rows.  The traps come from a small
-    pool, each drawn as the pool's object or rebuilt equal, at a pool
-    temperature of its own; level scales 1e-4 to 10 kT, Morse wells too
-    shallow to hold or to split a level, and a 60-term cap give some
+    8192 counted terms or bytes) only between two rows.  The traps come
+    from a small pool, each drawn as the pool's object or rebuilt equal, at
+    a pool temperature of its own; level scales 1e-4 to 10 kT, Morse wells
+    too shallow to hold or to split a level, and a 60-term cap give some
     indices a ground level or head that fails.  Each index's row holds the
     grounds of its own one-trap _batches call, bit for bit."""
     kt = K_B * 10.0
@@ -732,9 +734,12 @@ def test_batches_group_each_trap_object(shapes, data, max_terms, baths,
         st.integers(0, len(pool) - 1), st.booleans(),
         st.sampled_from((1.0, 2.0, 40.0))), min_size=1, max_size=12))
     traps = [pool[k] if same else build(*shapes[k]) for k, same, _ in picks]
-    betas = [ensembles._beta(temperature) for *_, temperature in picks]
+    # a grand cycle's cold bath at half the hot one
+    betas = [ensembles._beta(temperature) * np.array([1.0, 2.0][:baths])
+             for *_, temperature in picks]
     policy = TruncationPolicy(max_terms=max_terms)
-    with mock.patch.object(ensembles, "_BATCH_TERMS", close):
+    with mock.patch.multiple(ensembles, _BATCH_TERMS=close,
+                             _BATCH_BYTES=close):
         table, batches = ensembles._batches(traps, betas, policy, baths)
     order = [i for at in batches for i in at]
     assert sorted(order) == list(range(len(traps)))
@@ -759,6 +764,143 @@ def test_batches_group_each_trap_object(shapes, data, max_terms, baths,
         ground, alone = _grounds(table, row), _grounds(own, 0)
         assert list(ground) == list(alone)
         assert all(_same_bits(ground[b], alone[b]) for b in alone)
+
+
+def _preset_points(target):
+    """The traps, counts and baths of a preset's points on a cycle route.
+    fig8's are its own; fig4's count and temperature T become a cycle
+    between T and T/2, on a harmonic trap object of its own per T, so that
+    its points make more than one batch."""
+    spec = preset(target)
+    jobs = sweeps._jobs(spec, sweeps._points(spec))
+    if target == "fig8":
+        return [job[2] for job in jobs], [job[0] for job in jobs], [
+            job[1] for job in jobs], spec.policy
+    traps = {}
+    for _, temperature, trap, _ in jobs:
+        traps.setdefault(temperature, Harmonic(trap.mass, trap.omega))
+    return ([traps[job[1]] for job in jobs], [job[0] for job in jobs],
+            [BathPair(job[1], job[1] / 2.0) for job in jobs], spec.policy)
+
+
+@pytest.mark.parametrize("target, ensemble, splits", [
+    ("fig8", Ensemble.GRAND_BOSE, (160, 3)),
+    ("fig4", Ensemble.GRAND_BOSE, (40, 3)),
+    ("fig4", Ensemble.CANONICAL_N, (40, 1))])
+def test_batch_composition_moves_no_bit(target, ensemble, splits,
+                                        monkeypatch):
+    """Each point keeps its bits whatever batch it shares: fig8's points
+    and fig4's (see _preset_points) run through cycle._run_cycles with a
+    batch per trap (both bounds 1), with the default bounds, and in one
+    batch (both bounds inf) give bitwise equal terms, chemical potentials
+    and errors.  splits pins the batch counts of the first two."""
+    traps, counts, baths, policy = _preset_points(target)
+    made, batches = [], ensembles._batches
+
+    def counted(*args):
+        table, out = batches(*args)
+        made.append(len(out))
+        return table, out
+
+    monkeypatch.setattr(cycle, "_batches", counted)
+    runs = []
+    for bound in (1, None, math.inf):
+        with (contextlib.nullcontext() if bound is None else
+              mock.patch.multiple(ensembles, _BATCH_TERMS=bound,
+                                  _BATCH_BYTES=bound)):
+            runs.append(cycle._run_cycles(traps, ensemble, counts, baths,
+                                          policy, MuMode.SOLVED, False))
+    assert made == [*splits, 1]
+    names = ("work", "q_insert", "q_cool", "q_remove", "q_reheat", "q_hot",
+             "q_cold", "efficiency", "regime", "mu")
+    first = runs[0]
+    for run in runs[1:]:
+        for name in names:
+            got, want = getattr(run, name), getattr(first, name)
+            assert (got is None) == (want is None), name
+            if got is not None:
+                assert got.tobytes() == want.tobytes(), name
+        assert [repr(e) for e in run.errors] == [repr(e)
+                                                 for e in first.errors]
+
+
+def test_canonical_batches_keep_their_composition(monkeypatch):
+    """fig10's 800 Morse cycles, 200 wells, make 3 canonical batches of
+    268, 228 and 304 points, in preset order, bounded by the 8192 head
+    terms of _BATCH_TERMS: the grand route's byte bound leaves them as
+    they were (fig10 in one batch doubled its tracemalloc peak, 1.19 to
+    2.21 MB, for no time)."""
+    made, batches = [], ensembles._batches
+
+    def counted(*args):
+        table, out = batches(*args)
+        made.append([len(at) for at in out])
+        return table, out
+
+    monkeypatch.setattr(cycle, "_batches", counted)
+    assert run_sweep(preset("fig10"), csv_path=os.devnull).failed == 0
+    assert made == [[268, 228, 304]]
+
+
+def test_mu_offsets_builds_one_heads_per_call(monkeypatch):
+    """A fig8 pass solves its 3 batches' roots in one _mu_offsets call
+    each, and each call builds one _Heads, from which every round drops
+    its stopped roots by a mask (_Heads.keep), and each batch's occupancy
+    re-check, log ratios and energies share one more (_Rungs.gather): 6
+    builds in all.  With 6 batches, a fresh gather after each round in
+    which a root stopped and one per re-check, log and energy pass made
+    51."""
+    builds, solves, init = [], [], ensembles._Heads.__init__
+    solve = ensembles._mu_offsets
+
+    def built(heads, *args):
+        builds.append(heads)
+        init(heads, *args)
+
+    def counted(*args):
+        before = len(builds)
+        out = solve(*args)
+        solves.append(len(builds) - before)
+        return out
+
+    monkeypatch.setattr(ensembles._Heads, "__init__", built)
+    monkeypatch.setattr(ensembles, "_mu_offsets", counted)
+    assert run_sweep(preset("fig8"), csv_path=os.devnull).failed == 0
+    assert solves == [1, 1, 1]
+    assert len(builds) == 6
+
+
+def test_a_grand_batch_peaks_within_its_byte_estimate():
+    """The byte bound means what it says: under tracemalloc, the peak of
+    each of fig8's grand batches (preset order) over the batch's start is
+    at most 5 times the bytes _sizes estimated its roots would gather.
+    Measured: 3.29, 2.83 and 4.41 times (the last batch's 804 roots have
+    short heads, so their columns weigh more), 1.10, 0.94 and 1.21 MB for
+    estimates of 333, 333 and 275 kB.  No timing is read."""
+    spec = preset("fig8")
+    jobs = sweeps._jobs(spec, sweeps._points(spec))
+    traps, counts = [job[2] for job in jobs], [job[0] for job in jobs]
+    temperatures = np.array([(job[1].hot, job[1].cold) for job in jobs])
+    betas = ensembles._betas(temperatures)
+    table, batches = ensembles._batches(traps, betas, spec.policy, 2)
+    size = ensembles._sizes(table, betas, spec.policy, 2)
+    assert len(batches) == 3
+    for k, at in enumerate(batches):
+        estimate = size[at].sum()
+        # a batch closes at the bound, the last at the run's end
+        assert (k == 2 or ensembles._BATCH_BYTES <= estimate
+                < 2 * ensembles._BATCH_BYTES)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            ensembles._grand_sums(table, [table.rows[j] for j in at],
+                                  [counts[j] for j in at], temperatures[at],
+                                  MuMode.SOLVED, spec.policy)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5.0 * estimate, (len(at), estimate, peak)
 
 
 class TestMorseSums:
@@ -1537,11 +1679,11 @@ def test_heads_of_any_rows_keep_each_rows_bits(traps, temperatures, data):
     v = np.array([requests[r][3] + data.draw(st.floats(0.0, 20.0))
                   for r in rows])
     d = v / rungs.beta[rungs.rung[at]]
-    heads = ensembles._Heads(rungs, at, True)
+    heads = ensembles._Heads(rungs, at)
     for kind in ("occupancy", "log", "energy"):
         got = heads.sums(v, kind, d)
         for i, r in enumerate(rows):
-            own = ensembles._Heads(rungs, at[i:i + 1], True).sums(
+            own = ensembles._Heads(rungs, at[i:i + 1]).sums(
                 v[i:i + 1], kind, d[i:i + 1])
             assert [t[i].tobytes() for t in got] == [
                 t[0].tobytes() for t in own], (r, kind)
@@ -1565,6 +1707,62 @@ def test_heads_of_any_rows_keep_each_rows_bits(traps, temperatures, data):
                             np.sum(occupation * (occupation + 1.0)) * g]
             assert [t[i].tobytes() for t in got] == [
                 w.tobytes() for w in want], (r, kind)
+
+
+@settings(max_examples=80, deadline=None)
+@given(traps=st.lists(st.tuples(st.booleans(), st.floats(-3.0, 3.0),
+                                st.sampled_from((1.6, 2.0, 2.2, 2.6)),
+                                st.booleans(), st.integers(0, 1),
+                                st.sampled_from((10, 20, 30))),
+                      min_size=1, max_size=10),
+       max_terms=st.sampled_from((20_000, 60)), data=st.data())
+def test_kept_heads_sum_as_heads_gathered_afresh(traps, max_terms, data):
+    """_mu_offsets keeps one _Heads per call and drops the rows of stopped
+    roots by a mask (keep) rather than gathering the rest afresh.  Over
+    fig8-like rungs (harmonic traps and power laws at fig8's nu, both
+    barriers, fig8's two baths and counts), with geometric, power-law and
+    refused rows (a 60-term cap refuses the short geometric k-series of
+    small level spacings at small v), heads kept by two random masks in
+    turn, each after a round of sums as in _mu_offsets, give the sums of
+    _Heads(rungs, rows[mask]) for occupancy, log and energy bit for bit,
+    and refuse the same rows."""
+    policy = TruncationPolicy(max_terms=max_terms)
+    requests = []
+    for harmonic, log_scale, nu, inserted, bath, count in traps:
+        scale = 10 ** log_scale * K_B * 2.0
+        barrier = Barrier.INSERTED if inserted else Barrier.ABSENT
+        trap = (Harmonic(MASS, scale / HBAR) if harmonic
+                else PowerLaw.from_energy_scale(MASS, scale, nu))
+        g = 2.0 if inserted else 1.0
+        requests.append((trap, barrier, (2.0, 1.0)[bath],
+                         math.log1p(g / count), count))
+    rungs = _grand_rungs_of(requests, policy)
+    live = [r for r, error in enumerate(rungs.errors) if error is None]
+    if not live:
+        return
+    at = np.array(data.draw(st.permutations(live)), dtype=np.intp)
+    v = np.array([requests[r][3] * data.draw(st.sampled_from((1e-3, 1.0)))
+                  + data.draw(st.floats(0.0, 5.0)) for r in at])
+    d = v / rungs.beta[rungs.rung[at]]
+    masks = [np.array(data.draw(st.lists(st.booleans(), min_size=n,
+                                         max_size=n)), dtype=bool)
+             for n in (len(at), len(at))]
+    masks[1] = masks[1][:masks[0].sum()]
+    for kind in ("occupancy", "log", "energy"):
+        kept, rows, v_, d_ = ensembles._Heads(rungs, at), at, v, d
+        for mask in masks:
+            kept.sums(v_, "occupancy")
+            kept.keep(mask)
+            rows, v_, d_ = rows[mask], v_[mask], d_[mask]
+        assert kept.rows.tolist() == rows.tolist()
+        if not len(rows):
+            continue
+        fresh = ensembles._Heads(rungs, rows)
+        got, want = (heads.sums(v_, kind, d_) for heads in (kept, fresh))
+        assert [t.tobytes() for t in got] == [t.tobytes() for t in want]
+        assert kept.refused == fresh.refused
+        event(f"refused rows: {bool(fresh.refused)}")
+        event(f"power-law rows: {fresh.power is not None}")
 
 
 def _checked_last_terms(log, policy):

@@ -245,6 +245,23 @@ def test_index_range_errors():
     assert level_energy(well, 4, Barrier.INSERTED) == level_energy(well, 8)
 
 
+@pytest.mark.parametrize("n, dtype", [(200, np.uint8), (2 ** 62, np.int64),
+                                      (2 ** 63 + 1, np.uint64)])
+def test_inserted_array_index_does_not_wrap(n, dtype):
+    """An inserted index is doubled without wrapping in its array's dtype:
+    a uint8 200 gave level 144's 1.524e-22 J, not level 400's 4.223e-22 J,
+    and an int64 2^62 gave -9.73e-06 J.  Each array element has the bits
+    of the Python-int path, and a uint8 200 is absent level 400."""
+    trap = Harmonic(19.11e-11, 1e10)
+    got = level_energy(trap, np.array([n], dtype=dtype), Barrier.INSERTED)
+    assert got.tobytes() == np.float64(
+        level_energy(trap, n, Barrier.INSERTED)).tobytes()
+    assert got[0] > 0.0
+    if n == 200:
+        assert got[0] == level_energy(trap, 400) == pytest.approx(4.223e-22,
+                                                                  rel=1e-3)
+
+
 @pytest.mark.parametrize("n", [1.5, 2.0, np.float64(2.0), np.array([1.0, 2.0]),
                                np.array([1.5]), np.array([], dtype=float),
                                np.array([True])])

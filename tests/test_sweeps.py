@@ -206,12 +206,13 @@ class TestColumnWriter:
         *((target, None) for target in ("fig4", "fig5", "fig6")),
         ("fig4", 40), ("fig5", 60)])
     def test_cycle_presets_match_the_row_writer(self, tmp_path, target, cap):
-        """Every cycle preset, the chemical-potential, partition-ratio and
-        barrier-level presets (fig4, fig5 and fig6, whose cells reach the
-        writer as lists), and the capped runs that are heavy with error
-        rows (fig4 at 40 terms fails 110 of its 240 rows, fig5 at 60 fails
-        23 of 120): the file equals its rows (SweepOutcome.rows, from the
-        same run) written row by row."""
+        """Every cycle preset, the chemical-potential and partition-ratio
+        presets (fig4 and fig5, whose results reach the writer as float
+        columns, as the cycles' do), the barrier-level preset (fig6, whose
+        cells reach it as lists), and the capped runs that are heavy with
+        error rows (fig4 at 40 terms fails 110 of its 240 rows, fig5 at 60
+        fails 23 of 120): the file equals its rows (SweepOutcome.rows, from
+        the same run) written row by row."""
         spec = preset(target)
         if cap is not None:
             spec = replace(spec, policy=TruncationPolicy(max_terms=cap))
@@ -673,8 +674,9 @@ class TestSingleEvaluation:
     def test_bose_run_solves_in_batches(self, tmp_path, monkeypatch):
         """A 40-point run shares its Newton loops and re-check passes.
 
-        Its traps count their stage-A heads, 2605 levels, once per bath
-        toward the 8192 terms that close a batch: 5210 terms, one batch,
+        Its points count the bytes their roots gather, 94,208 of the
+        327,680 that close a batch (their stage-A heads, 2605 levels, once
+        per bath toward 8192 terms did too): one batch,
         one solve and one re-check pass (an occupancy _rung_sums call),
         where one solve per root would make 160 (and whole power-law
         ladders of 6670, 5501, ... 8 terms made five batches).  Each Newton
@@ -707,7 +709,7 @@ class TestSingleEvaluation:
 
     @pytest.mark.parametrize("target, rounds, updates", [
         ("fig4", 7, 2776), ("fig5", 8, 1562), ("fig7", 8, 1772),
-        ("fig8", 42, 7869)])
+        ("fig8", 22, 7869)])
     def test_roots_keep_what_each_round_paid_for(self, target, rounds,
                                                  updates, tmp_path,
                                                  newton_log):
@@ -717,7 +719,9 @@ class TestSingleEvaluation:
         end, Newton starts at the bracketing round's lower bound and stops
         once a step is at most 1e-9 max(1, |u|).  Starting at the closed
         form and stopping at a 4e-16 step took 10, 13, 12 and 57 rounds and
-        3443, 2276, 2217 and 9478 steps."""
+        3443, 2276, 2217 and 9478 steps.  A round steps the roots of one
+        batch: fig8's 6 batches took 42 rounds before its grand batches
+        were bounded by the bytes they gather (3 batches)."""
         assert _run(preset(target), tmp_path).failed == 0
         assert (len(newton_log), sum(len(rows) for _, rows, _ in newton_log)
                 ) == (rounds, updates)
@@ -969,19 +973,20 @@ class TestBatchedRuns:
 
     def test_bose_sweep_builds_each_rung_once(self, tmp_path, monkeypatch):
         """A fig8 pass: 480 points, 160 traps at 3 counts each.  Its
-        batches close only between traps, each trap's stage-A head counted
-        once per bath, so its 1,920 roots run in 6 batches (a batch per
-        count made 12), and each batch builds the rungs of its traps once:
-        640 rungs (it built 1,920).  The ground levels of all 160 traps are
-        one _levels pass, and the heads of each batch's rungs one more (a
-        ladder store built the barrier-free ladders of its 13, 37, ... 31
-        traps), so level_energy never runs: it made 320 int ground
-        lookups and 160 ladder builds (960 and 480 before those); _heads
-        sizes each trap's hot barrier-free rung once in the
-        batching, only to bound the batches, and every rung once, in its
-        batch: 800 rows (640 when the batching's heads were handed down,
-        2,400 when each point was sized in the batching and each of its
-        rungs again)."""
+        batches close only between traps, each point counting the bytes
+        its four roots gather, so its 1,920 roots run in 3 batches (6 when
+        each trap's stage-A head counted once per bath toward 8192 terms,
+        12 with a batch per count), and each batch builds the rungs of its
+        traps once: 640 rungs (it built 1,920).  The ground levels of all
+        160 traps are one _levels pass, and the heads of each batch's rungs
+        one more (a ladder store built the barrier-free ladders of its 13,
+        37, ... 31 traps), so level_energy never runs: it made 320 int
+        ground lookups and 160 ladder builds (960 and 480 before those);
+        _heads sizes each rung once in the batching, only to bound the
+        batches, and once more in its batch: 1,280 rows (800 when the
+        batching sized only each trap's hot barrier-free rung, 2,400 when
+        each point was sized in the batching and each of its rungs
+        again)."""
         solves = _count_calls(monkeypatch, "_mu_offsets")
         rungs = _built_rungs(monkeypatch)
         sizes = _count_calls(monkeypatch, "_heads")
@@ -989,15 +994,11 @@ class TestBatchedRuns:
         log = _ladder_runs(monkeypatch, [])
         outcome = _run(preset("fig8"), tmp_path)
         assert outcome.points == 480 and outcome.failed == 0
-        assert [len(counts) for counts, _ in solves] == [156, 444, 444, 216,
-                                                        288, 372]
-        assert [len(built.heads) for built in rungs] == [52, 148, 148, 72,
-                                                         96, 124]
-        assert [len(e1) for *_, e1, _ in sizes] == [160, 52, 148, 148, 72,
-                                                    96, 124]
+        assert [len(counts) for counts, _ in solves] == [504, 612, 804]
+        assert [len(built.heads) for built in rungs] == [168, 204, 268]
+        assert [len(e1) for *_, e1, _ in sizes] == [640, 168, 204, 268]
         assert levels == []
-        assert [len(n) for _, (_, n) in log] == [320, 52, 148, 148, 72, 96,
-                                                 124]
+        assert [len(n) for _, (_, n) in log] == [320, 168, 204, 268]
 
     def test_mu_rounded_onto_the_ground_level_names_the_cause(self,
                                                               tmp_path):
@@ -1042,11 +1043,11 @@ class TestPartitionRatio:
         spec = preset("fig5")
         p = spec.params
         trap = Harmonic(mass=p["mass"], omega=p["omega"])
-        row, = sweeps._partition_ratio_values(
+        _, columns = sweeps._partition_ratio_values(
             spec, [{"N": count, "T": temperature}])
         mus = chemical_potentials(trap, count, temperature,
                                   MuMode(p["mu_mode"]), spec.policy)
-        assert row["log_ratio"] == log_relative_partition(
+        assert columns["log_ratio"][0] == log_relative_partition(
             trap, mus, temperature, spec.policy)
         for mode in MuMode:
             pair = chemical_potentials(trap, count, temperature, mode,
